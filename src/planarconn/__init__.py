@@ -1,10 +1,9 @@
-"""Decremental planar-graph connectivity toolkit.
+"""Decremental SPQR-trees of planar graphs.
 
 Embedded planar multigraphs with rotation systems, face-preserving
-separator trees, a dynamic separating-4-cycle detector, SPQR-tree and
-BC-tree maintenance under edge deletions and contractions, constant-time
-bi-/triconnectivity queries, brute-force oracles, and a
-verification/benchmark CLI.
+separator trees, a dynamic separating-4-cycle detector, SPQR-tree
+maintenance of one biconnected block under edge deletions and
+contractions, and brute-force oracles to check them against.
 """
 
 from planarconn.embed import (
@@ -13,8 +12,10 @@ from planarconn.embed import (
     EulerViolation,
     GraphFormatError,
     MalformedRotation,
+    NotBiconnected,
     NotOnFace,
     SelfLoopContraction,
+    TooFewEdges,
     UnknownEdge,
     parse_graph_text,
     write_graph_text,
@@ -26,8 +27,10 @@ __all__ = [
     "EulerViolation",
     "GraphFormatError",
     "MalformedRotation",
+    "NotBiconnected",
     "NotOnFace",
     "SelfLoopContraction",
+    "TooFewEdges",
     "UnknownEdge",
     "parse_graph_text",
     "write_graph_text",

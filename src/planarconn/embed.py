@@ -44,6 +44,14 @@ class NotOnFace(EmbedError):
     """An insertion's two corners do not lie on a common face."""
 
 
+class NotBiconnected(EmbedError):
+    """The graph is not biconnected, or too small for an SPQR-tree."""
+
+
+class TooFewEdges(EmbedError):
+    """An SPQR-tree needs at least three edges."""
+
+
 class GraphFormatError(EmbedError):
     """A graph text file failed to parse.  Carries the 1-based line."""
 

@@ -17,8 +17,9 @@ separator vertices opposite on the cycle, in which case the node's own
 pair table sees it.  Leaves track all pairs, closing the recursion.
 
 Every mutation is charged against an exact integer potential; with
-``debug`` enabled the detector asserts, per touched node, that the
-number of candidate paths examined never exceeds the potential drop.
+``debug`` enabled (it is off by default: the audit recomputes the
+potential of every touched node) the detector asserts that the number
+of candidate paths examined never exceeds the potential drop.
 
 Reported edges accumulate: an edge is reported the first time it lies
 on a separating 4-cycle (category ``separating4``) or on a simple
@@ -38,12 +39,7 @@ from .embed import (
     quasi_induced_degree,
     rev,
 )
-from .separators import (
-    DEFAULT_ALPHA,
-    DEFAULT_C_SEP,
-    DEFAULT_N0,
-    SeparatorTree,
-)
+from .separators import SeparatorTree
 
 DEFAULT_MAX_FACE_DEGREE = 64
 
@@ -163,12 +159,8 @@ class Detector:
     """
 
     def __init__(self, g: EmbeddedMultigraph, *,
-                 n0: int = DEFAULT_N0,
-                 alpha: float = DEFAULT_ALPHA,
-                 c_sep: float = DEFAULT_C_SEP,
                  max_face_degree: int = DEFAULT_MAX_FACE_DEGREE,
-                 debug: bool = True):
-        g = g.copy()
+                 debug: bool = False):
         for f in g.faces():
             if len(f) > max_face_degree:
                 raise FaceDegreeExceeded(
@@ -184,7 +176,7 @@ class Detector:
         self.candidates_total = 0
         self._op_items: list[tuple] = []
         self._op_renames: list[tuple[int, int, int]] = []
-        self.tree = SeparatorTree(g, n0=n0, alpha=alpha, c_sep=c_sep)
+        self.tree = SeparatorTree(g)
         self.tree.hook = self._hook
         self._states: dict[int, _NodeState] = {}
         self._nodes: dict[int, object] = {}
@@ -745,29 +737,3 @@ class Detector:
         return {"phi": 6 * phi_v + 3 * phi_q + phi_s,
                 "phi_v": phi_v, "phi_q": phi_q, "phi_s": phi_s,
                 "M": M, "K": Kset}
-
-
-# -- module-level operation wrappers -----------------------------------------
-
-def new_detector(g: EmbeddedMultigraph, **kwargs) -> Detector:
-    """A detector over (a copy of) g with all initial separating-4-cycle
-    edges reported in ``initial_events``."""
-    return Detector(g, **kwargs)
-
-
-def insert_edge(det: Detector, u: int, w: int,
-                after_u: int | None, after_w: int | None,
-                eid: int | None = None) -> list[tuple[int, str]]:
-    return det.insert_edge(u, w, after_u, after_w, eid=eid)
-
-
-def contract_edge(det: Detector, e: int) -> list[tuple[int, str]]:
-    return det.contract_edge(e)
-
-
-def face_4cycle_check(det: Detector, darts: list[int]) -> list[tuple[int, str]]:
-    """Emit ``face4`` events for any unreported simple degree-4 faces
-    through the given darts of the maintained graph."""
-    events: list[tuple[int, str]] = []
-    det._face4_scan(det.tree.root.graph, darts, events)
-    return events

@@ -12,11 +12,7 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from planarconn.embed import EmbeddedMultigraph, dart, edge_of
-
-
-class NotBiconnected(ValueError):
-    """The graph handed to the SPQR oracle is not biconnected."""
+from planarconn.embed import EmbeddedMultigraph, NotBiconnected, dart, edge_of
 
 
 # ----------------------------------------------------------------------

@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from planarconn.embed import EmbeddedMultigraph, EmbedError, dart, edge_of, rev
 
 
-class TooSmall(ValueError):
-    """The graph is at or below the leaf threshold; do not split it."""
-
-
-DEFAULT_N0 = 16
-DEFAULT_ALPHA = 0.75
-DEFAULT_C_SEP = 8.0
+# a node of at most N0 vertices is a leaf; an internal node's open
+# sides hold at most ALPHA * n vertices each, and its separator should
+# hold at most C_SEP * sqrt(n); at most MAX_CANDIDATES fundamental
+# cycles are tried per BFS root
+N0 = 16
+ALPHA = 0.75
+C_SEP = 8.0
+MAX_CANDIDATES = 64
 
 
 # ----------------------------------------------------------------------
@@ -203,69 +204,6 @@ def _fundamental_cycle(g, par_dart, depth, lca, e):
     return verts, cedges
 
 
-def cycle_candidates(gt: EmbeddedMultigraph,
-                     tree_graph: EmbeddedMultigraph | None = None,
-                     root: int | None = None):
-    """Fundamental cycles of a BFS tree of a triangulation, scored by
-    vertex balance.
-
-    Returns (scored, tables): (max_side, cycle_length, edge) triples
-    sorted best first, with strict inside counts from the dual subtree
-    below each non-tree edge.  When ``tree_graph`` (a connected
-    spanning subgraph, typically the untriangulated original) is given,
-    the BFS tree uses only its edges, so each fundamental cycle
-    contains at most one edge outside it.
-    """
-    n = gt.n_vertices
-    if root is None:
-        root = min(gt.vertices())
-    depth, par_dart, tree_edges = _bfs_tree(tree_graph or gt, root)
-    if len(depth) != n:
-        raise EmbedError("cycle separator needs a connected graph")
-    lca = _lca_tables(gt, depth, par_dart)
-    far_faces, kids, top_face, face_of = _cotree_face_counts(gt, tree_edges)
-    scored = []
-    for e, f_in in far_faces.items():
-        u, w = gt.endpoints(e)
-        if u == w:
-            continue
-        a = lca(u, w)
-        c = depth[u] + depth[w] - 2 * depth[a] + 1
-        v_in = (f_in - c + 2) // 2
-        v_out = n - v_in - c
-        if v_in < 0 or v_out < 0:
-            continue
-        scored.append((max(v_in, v_out), c, e))
-    scored.sort()
-    return scored, (depth, par_dart, lca), (kids, top_face, face_of)
-
-
-def cycle_separator(gt: EmbeddedMultigraph,
-                    n0: int = DEFAULT_N0,
-                    alpha: float = DEFAULT_ALPHA):
-    """Best balanced simple-cycle separator of a triangulation.
-
-    Returns (vertices, edges) of the cycle.  Both open sides of the
-    returned cycle hold at most alpha * n vertices when such a
-    fundamental cycle exists; otherwise the best available cycle is
-    returned.
-    """
-    n = gt.n_vertices
-    if n <= n0:
-        raise TooSmall(f"{n} vertices is at or below the threshold {n0}")
-    best = None
-    for root in _bfs_roots(gt):
-        scored, (depth, par_dart, lca), _ = cycle_candidates(gt, root=root)
-        if not scored:
-            continue
-        ms, c, e = scored[0]
-        if best is None or (ms, c) < best[0]:
-            best = ((ms, c), _fundamental_cycle(gt, par_dart, depth, lca, e))
-    if best is None:
-        raise TooSmall("no fundamental cycle available")
-    return best[1]
-
-
 # ----------------------------------------------------------------------
 # face-preserving separations
 
@@ -299,50 +237,55 @@ class Separation:
         return True
 
 
-def _triangulation_sides(gt: EmbeddedMultigraph, cycle_edges):
-    """Vertex sets incident to the faces on either side of a cycle in
-    the triangulation."""
-    dualg, face_of = gt.dual()
-    parent = {f: f for f in dualg.vertices()}
+def cycle_separations(h: EmbeddedMultigraph, gt: EmbeddedMultigraph,
+                      added: dict[int, tuple], root: int):
+    """Candidate face-preserving separations of a connected graph h,
+    one per fundamental cycle of a BFS tree of h from ``root`` in its
+    triangulation ``gt`` (``added`` as returned by :func:`triangulate`).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cut = set(cycle_edges)
-    for e in dualg.edge_ids():
-        if e not in cut:
-            f1, f2 = dualg.endpoints(e)
-            parent[find(f1)] = find(f2)
-    side_of_face = {f: find(f) for f in parent}
-    roots = sorted(set(side_of_face.values()))
-    if len(roots) != 2:
-        raise EmbedError(f"cycle split the sphere into {len(roots)} parts")
-    sides = ({r: set() for r in roots})
-    for d, f in face_of.items():
-        sides[side_of_face[f]].add(gt.vertex_of_dart(d))
-    a, b = (sides[r] for r in roots)
-    return a, b
-
-
-def face_preserving_separation(g: EmbeddedMultigraph,
-                               gt: EmbeddedMultigraph,
-                               added: dict[int, tuple],
-                               cycle_edges) -> Separation:
-    """Turn a cycle separator of the triangulation into a
-    face-preserving separation of the original graph.
-
-    Every original face crossed by an added chord of the cycle
-    contributes all its vertices to both sides.
+    Yields ``(cycle vertices, cycle edges, separation)`` for at most
+    MAX_CANDIDATES cycles, best first: by the larger open side of the
+    cycle, counted from the dual subtree below its closing edge, plus
+    the vertices that face preservation adds.  Since the tree uses only
+    edges of h, a cycle holds at most one chord of gt, its closing
+    edge, and every vertex of the face that chord crosses joins both
+    sides.
     """
-    a, b = _triangulation_sides(gt, cycle_edges)
-    for e in cycle_edges:
-        if e in added:
-            a.update(added[e])
-            b.update(added[e])
-    return Separation(A=frozenset(a), B=frozenset(b))
+    n = gt.n_vertices
+    depth, par_dart, tree_edges = _bfs_tree(h, root)
+    if len(depth) != n:
+        raise EmbedError("cycle separator needs a connected graph")
+    lca = _lca_tables(gt, depth, par_dart)
+    far_faces, kids, top_face, face_of = _cotree_face_counts(gt, tree_edges)
+    scored = []
+    for e, f_in in far_faces.items():
+        u, w = gt.endpoints(e)
+        if u == w:
+            continue
+        c = depth[u] + depth[w] - 2 * depth[lca(u, w)] + 1
+        v_in = (f_in - c + 2) // 2
+        v_out = n - v_in - c
+        if v_in < 0 or v_out < 0:
+            continue
+        ms = max(v_in, v_out)
+        scored.append((ms + len(added.get(e, ())), ms, c, e))
+    scored.sort()
+    face_verts: dict[int, list] = {}
+    for d, f in face_of.items():
+        face_verts.setdefault(f, []).append(gt.vertex_of_dart(d))
+    all_verts = set(h.vertices())
+    for _, _, _, e in scored[:MAX_CANDIDATES]:
+        cverts, cedges = _fundamental_cycle(gt, par_dart, depth, lca, e)
+        a: set = set()
+        stack = [top_face[e]]
+        while stack:
+            f = stack.pop()
+            a.update(face_verts[f])
+            stack.extend(kids[f])
+        b = all_verts - a.difference(cverts)
+        a.update(added.get(e, ()))
+        b.update(added.get(e, ()))
+        yield cverts, cedges, Separation(A=frozenset(a), B=frozenset(b))
 
 
 # ----------------------------------------------------------------------
@@ -374,23 +317,15 @@ class SepNode:
 
 
 class SeparatorTree:
-    """Binary separator tree over an embedded graph, with contraction
-    and insertion maintenance that keeps every node an induced embedded
-    subgraph of its parent."""
+    """Binary separator tree over a copy of an embedded graph, with
+    contraction and insertion maintenance that keeps every node an
+    induced embedded subgraph of its parent."""
 
-    def __init__(self, g: EmbeddedMultigraph,
-                 n0: int = DEFAULT_N0,
-                 alpha: float = DEFAULT_ALPHA,
-                 c_sep: float = DEFAULT_C_SEP,
-                 max_candidates: int = 64):
-        self.n0 = n0
-        self.alpha = alpha
-        self.c_sep = c_sep
-        self.max_candidates = max_candidates
+    def __init__(self, g: EmbeddedMultigraph):
         # called as hook(kind, node, payload) just before each per-node
         # mutation; kinds: contract, rename, insert, delete
         self.hook = None
-        self.root = self._build(g, 0)
+        self.root = self._build(g.copy(), 0)
 
     def _notify(self, kind: str, node, payload) -> None:
         if self.hook is not None:
@@ -405,42 +340,18 @@ class SeparatorTree:
         if len(comps) > 1:
             return self._split_disconnected(h, comps)
         gt, added = triangulate(h)
-        all_verts = set(h.vertices())
-        s_cap = self.c_sep * (n ** 0.5)
+        s_cap = C_SEP * (n ** 0.5)
         good_child = 0.62 * n
         best = None
         for root in _bfs_roots(h):
-            scored, (depth, par_dart, lca), (kids, top_face, face_of) = \
-                cycle_candidates(gt, tree_graph=h, root=root)
-            face_verts: dict[int, list] = {}
-            for d, f in face_of.items():
-                face_verts.setdefault(f, []).append(gt.vertex_of_dart(d))
-            # every candidate cycle holds at most one triangulation
-            # chord (its closing edge), so the separator-enlarging
-            # expansion is the size of the face that chord crosses
-            scored = sorted((ms + len(added.get(e, ())), ms, c, e)
-                            for ms, c, e in scored)
-            for _, _, _, e in scored[:self.max_candidates]:
-                cverts, cedges = _fundamental_cycle(
-                    gt, par_dart, depth, lca, e)
-                a: set = set()
-                stack = [top_face[e]]
-                while stack:
-                    f = stack.pop()
-                    a.update(face_verts[f])
-                    stack.extend(kids[f])
-                b = all_verts - a.difference(cverts)
-                for ce in cedges:
-                    if ce in added:
-                        a.update(added[ce])
-                        b.update(added[ce])
-                sep = Separation(A=frozenset(a), B=frozenset(b))
+            for _cverts, _cedges, sep in cycle_separations(h, gt, added,
+                                                           root):
                 if not sep.is_proper():
                     continue
                 if max(len(sep.A), len(sep.B)) >= n:
                     continue  # a child this big makes no progress
                 open_max = max(len(sep.A - sep.B), len(sep.B - sep.A))
-                key = (open_max > self.alpha * n,
+                key = (open_max > ALPHA * n,
                        len(sep.separator) > s_cap,
                        max(len(sep.A), len(sep.B)),
                        len(sep.separator))
@@ -455,7 +366,7 @@ class SeparatorTree:
     def _split_disconnected(self, h, comps):
         comps = sorted(comps, key=len, reverse=True)
         n = h.n_vertices
-        if len(comps[0]) > self.alpha * n:
+        if len(comps[0]) > ALPHA * n:
             # split the big component and park the rest on the side
             # that stays smaller
             big = h.induced(comps[0])
@@ -474,7 +385,7 @@ class SeparatorTree:
 
     def _build(self, h: EmbeddedMultigraph, depth: int) -> SepNode:
         node = SepNode(graph=h, depth=depth, n_build=h.n_vertices)
-        if h.n_vertices <= self.n0:
+        if h.n_vertices <= N0:
             return node
         sep = self._split_sets(h)
         if sep is None:
@@ -644,20 +555,12 @@ class SeparatorTree:
             # properness holds at build; contractions may later drain
             # one side's private vertices into the separator
             assert sep.A and sep.B
-            assert sep.is_balanced(x.n_build, self.alpha)
+            assert sep.is_balanced(x.n_build, ALPHA)
             assert sep.is_face_preserving(x.graph)
             assert len(sep.separator) <= x.s_build
             for child in x.children:
                 assert child.n_build < x.n_build
                 assert _is_induced_subgraph(child.graph, x.graph)
-
-
-def build_separator_tree(g: EmbeddedMultigraph,
-                         n0: int = DEFAULT_N0,
-                         alpha: float = DEFAULT_ALPHA,
-                         c_sep: float = DEFAULT_C_SEP) -> SeparatorTree:
-    """A face-preserving separator tree over a copy of g."""
-    return SeparatorTree(g.copy(), n0=n0, alpha=alpha, c_sep=c_sep)
 
 
 def _is_induced_subgraph(h: EmbeddedMultigraph, g: EmbeddedMultigraph) -> bool:

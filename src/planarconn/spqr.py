@@ -28,31 +28,18 @@ record re-parented nodes and the edges in the non-largest pieces.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 from .embed import (
     EmbeddedMultigraph,
-    EmbedError,
-    SelfLoopContraction,
+    NotBiconnected,
+    TooFewEdges,
     UnknownEdge,
     dart,
     edge_of,
     rev,
 )
 from .fourcycle import Detector
-
-
-class NotBiconnected(ValueError):
-    """The graph is not biconnected (or has fewer than three edges
-    where an SPQR-tree needs at least three)."""
-
-
-class TooFewEdges(ValueError):
-    """An SPQR-tree needs a skeleton of at least three edges."""
-
-
-class NoSplitNeeded(EmbedError):
-    """A skeleton split was requested although the skeleton has no
-    separation pair."""
 
 
 # ----------------------------------------------------------------------
@@ -219,19 +206,18 @@ def separation_classes(g: EmbeddedMultigraph, a: int, b: int) -> list[set[int]]:
 # ----------------------------------------------------------------------
 # skeleton builders
 
-def _make_cycle_skeleton(edges: list[tuple[int, int, int]]) -> EmbeddedMultigraph:
-    """Canonical embedding of a simple cycle given as (eid, u, w)."""
-    adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for e, u, w in edges:
-        adj[u].append((e, 0))
-        adj[w].append((e, 1))
-    assert all(len(ds) == 2 for ds in adj.values()), "not a cycle"
-    rotations = {v: sorted(ds) for v, ds in adj.items()}
-    return EmbeddedMultigraph.build(sorted(adj), edges, rotations)
-
-
-def _make_parallel_skeleton(edges: list[tuple[int, int, int]]) -> EmbeddedMultigraph:
-    """Canonical embedding of a parallel bundle given as (eid, u, w)."""
+def _skeleton(kind: str,
+              edges: list[tuple[int, int, int]]) -> EmbeddedMultigraph:
+    """Canonical embedding of an S skeleton (a simple cycle) or a P
+    skeleton (a parallel bundle) given as (eid, u, w)."""
+    if kind == "S":
+        adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for e, u, w in edges:
+            adj[u].append((e, 0))
+            adj[w].append((e, 1))
+        assert all(len(ds) == 2 for ds in adj.values()), "not a cycle"
+        rotations = {v: sorted(ds) for v, ds in adj.items()}
+        return EmbeddedMultigraph.build(sorted(adj), edges, rotations)
     (a, b) = sorted({x for _, u, w in edges for x in (u, w)})
     ids = sorted(e for e, _, _ in edges)
     side_at_a = {e: (0 if u == a else 1) for e, u, _ in edges}
@@ -240,6 +226,16 @@ def _make_parallel_skeleton(edges: list[tuple[int, int, int]]) -> EmbeddedMultig
     ends = {e: (u, w) for e, u, w in edges}
     return EmbeddedMultigraph.build(
         [a, b], [(e, *ends[e]) for e in ids], {a: rot_a, b: rot_b})
+
+
+def _merged_skeleton(x: "SpqrNode", ex: int,
+                     y: "SpqrNode", ey: int) -> EmbeddedMultigraph:
+    """The skeleton of equal-kind S or P nodes x and y merged across
+    the twin pair (x, ex)-(y, ey), which disappears."""
+    edges = [(e, *z.graph.endpoints(e))
+             for z, drop in ((x, ex), (y, ey))
+             for e in sorted(z.graph.edge_ids()) if e != drop]
+    return _skeleton(x.kind, edges)
 
 
 def _class_run(g: EmbeddedMultigraph, v: int, cls: set[int]) -> list[int]:
@@ -347,15 +343,33 @@ class _Shared:
     creates new handles; the registries stay in place."""
 
     __slots__ = ("twins", "node_of_edge", "vids", "parent_changes",
-                 "split_edges", "debug")
+                 "split_edges")
 
-    def __init__(self, vids: "_Vids", debug: bool):
+    def __init__(self, vids: "_Vids"):
         self.twins: dict[tuple[SpqrNode, int], tuple[SpqrNode, int]] = {}
         self.node_of_edge: dict[int, SpqrNode] = {}
         self.vids = vids
         self.parent_changes = 0
         self.split_edges = 0
-        self.debug = debug
+
+    # every write to ``twins`` goes through these three
+
+    def link(self, a: tuple[SpqrNode, int], b: tuple[SpqrNode, int]) -> None:
+        """Make the virtual-edge slots ``a`` and ``b`` twins."""
+        self.twins[a] = b
+        self.twins[b] = a
+
+    def unlink(self, a: tuple[SpqrNode, int]) -> tuple[SpqrNode, int]:
+        """Drop the link of slot ``a`` in both directions; return its
+        former twin."""
+        b = self.twins.pop(a)
+        del self.twins[b]
+        return b
+
+    def move_twin(self, old: SpqrNode, new: SpqrNode, e: int) -> None:
+        """Virtual edge ``e`` moved from ``old``'s skeleton to ``new``'s;
+        its twin now points at ``new``."""
+        self.link((new, e), self.twins.pop((old, e)))
 
 
 class SpqrTree:
@@ -444,10 +458,6 @@ class SpqrTree:
 
     # -- queries ----------------------------------------------------------
 
-    def neighbors(self, x: SpqrNode) -> list[tuple[int, SpqrNode, int]]:
-        """(own virtual id, neighbor, twin id) per tree edge at x."""
-        return [(e, *self.shared.twins[(x, e)]) for e in sorted(x.virt)]
-
     def serialize(self) -> str:
         """Deterministic serialization: rooted at the node holding the
         smallest real edge id, children sorted by their serialization
@@ -503,6 +513,7 @@ class SpqrTree:
                 assert is_biconnected_embedded(g)
                 assert find_separation_pair(g) is None, \
                     "R skeleton has a separation pair"
+                _check_r_sync(x)
             else:
                 raise AssertionError(f"unknown kind {x.kind}")
             for e in x.virt:
@@ -548,13 +559,13 @@ def _edge_multiplicity_violated(g: EmbeddedMultigraph) -> bool:
 # ----------------------------------------------------------------------
 # R-node machinery: a four-cycle detector over the vertex-face graph
 
-def _attach_r(x: SpqrNode, debug: bool) -> None:
+def _attach_r(x: SpqrNode) -> None:
     """Equip an R node with its split-detection machinery: a
     separating-4-cycle detector over the vertex-face graph of the
     skeleton, plus the corner and label correspondences the surgeries
     keep in sync."""
     fv, info = x.graph.vertex_face_graph()
-    x.det = Detector(fv, debug=debug)
+    x.det = Detector(fv)
     assert not any(c == "separating4" for _, c in x.det.initial_events), \
         "triconnected skeleton has a separating 4-cycle in its radial graph"
     x.det.reset_op_log()
@@ -1097,15 +1108,11 @@ def _decompose(g: EmbeddedMultigraph, vids, vid_base: int,
     def virt_of(graph):
         return {e for e in graph.edge_ids() if e >= vid_base}
 
-    if g.n_vertices == 2:
+    kind = ("P" if g.n_vertices == 2
+            else "S" if _is_simple_cycle_graph(g) else None)
+    if kind is not None:
         edges = [(e, *g.endpoints(e)) for e in sorted(g.edge_ids())]
-        nodes.append(SpqrNode("P", _make_parallel_skeleton(edges),
-                              virt_of(g)))
-        return
-    if _is_simple_cycle_graph(g):
-        edges = [(e, *g.endpoints(e)) for e in sorted(g.edge_ids())]
-        nodes.append(SpqrNode("S", _make_cycle_skeleton(edges),
-                              virt_of(g)))
+        nodes.append(SpqrNode(kind, _skeleton(kind, edges), virt_of(g)))
         return
     pair = find_separation_pair(g)
     if pair is None:
@@ -1136,7 +1143,7 @@ def _decompose(g: EmbeddedMultigraph, vids, vid_base: int,
             hub_virt.add(vid)
             _decompose(_piece_graph(g, cls, a, b, vid), vids, vid_base,
                        nodes)
-    nodes.append(SpqrNode("P", _make_parallel_skeleton(hub_edges), hub_virt))
+    nodes.append(SpqrNode("P", _skeleton("P", hub_edges), hub_virt))
 
 
 def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
@@ -1164,46 +1171,57 @@ def _merge_same_kind(nodes: list[SpqrNode]) -> list[SpqrNode]:
         if hit is None:
             return nodes
         vid, x, y = hit
-        edges = []
-        for z in (x, y):
-            for e in sorted(z.graph.edge_ids()):
-                if e != vid:
-                    edges.append((e, *z.graph.endpoints(e)))
-        if x.kind == "S":
-            skel = _make_cycle_skeleton(edges)
-        else:
-            skel = _make_parallel_skeleton(edges)
-        merged = SpqrNode(x.kind, skel, (x.virt | y.virt) - {vid})
+        merged = SpqrNode(x.kind, _merged_skeleton(x, vid, y, vid),
+                          (x.virt | y.virt) - {vid})
         nodes = [z for z in nodes if z is not x and z is not y]
         nodes.append(merged)
 
 
-def build_spqr(g: EmbeddedMultigraph, *, debug: bool = False) -> SpqrTree:
+def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph) -> list[SpqrNode]:
+    """Decompose an embedded graph into SPQR nodes, drawing internal
+    virtual ids from the shared source and registering the internal
+    twin links.  Edges that predate the call (reals, interface ids) are
+    left unclassified for :func:`_adopt`."""
+    vid_base = shared.vids.peek()
+    nodes: list[SpqrNode] = []
+    _decompose(sg, shared.vids, vid_base, nodes)
+    nodes = _merge_same_kind(nodes)
+    for vid, slots in _owners(nodes).items():
+        assert len(slots) == 2, f"virtual edge {vid} not paired"
+        shared.link(*slots)
+    return nodes
+
+
+def _adopt(shared: _Shared, nodes: list[SpqrNode],
+           old: SpqrNode | None, ports=()) -> None:
+    """Classify the edges of fresh nodes that predate them.  A virtual
+    edge of the replaced node ``old`` keeps its twin, now linked to the
+    fresh node holding it; the ``ports`` ids are left for the caller to
+    link; every other such edge is real.  R nodes get their machinery."""
+    old_virt = old.virt if old is not None else ()
+    for nd in nodes:
+        for e in sorted(nd.graph.edge_ids()):
+            if e in nd.virt or e in ports:
+                continue
+            if e in old_virt:
+                nd.virt.add(e)
+                shared.move_twin(old, nd, e)
+            else:
+                shared.node_of_edge[e] = nd
+        if nd.kind == "R":
+            _attach_r(nd)
+
+
+def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
     """The SPQR-tree of a biconnected embedded multigraph with at least
-    three edges.  The input is copied; skeletons are fresh graphs.  With
-    ``debug`` every maintained four-cycle detector runs its own
-    potential audit after each operation (costly; for tests only)."""
+    three edges.  The input is copied; skeletons are fresh graphs."""
     if g.n_edges < 3:
         raise TooFewEdges("an SPQR-tree needs at least 3 edges")
     if not is_biconnected_embedded(g):
         raise NotBiconnected("SPQR-tree of a non-biconnected graph")
-    vid_base = max(g.edge_ids()) + 1
-    vids = _Vids(vid_base)
-    nodes: list[SpqrNode] = []
-    _decompose(g.copy(), vids, vid_base, nodes)
-    nodes = _merge_same_kind(nodes)
-    shared = _Shared(vids, debug)
-    for vid, slots in _owners(nodes).items():
-        assert len(slots) == 2, f"virtual edge {vid} not paired"
-        (x, e), (y, f) = slots
-        shared.twins[(x, e)] = (y, f)
-        shared.twins[(y, f)] = (x, e)
-    for x in nodes:
-        for e in x.real_ids():
-            assert e not in shared.node_of_edge, "real edge in two skeletons"
-            shared.node_of_edge[e] = x
-        if x.kind == "R":
-            _attach_r(x, debug)
+    shared = _Shared(_Vids(max(g.edge_ids()) + 1))
+    nodes = _mini_nodes(shared, g.copy())
+    _adopt(shared, nodes, None)
     tree = SpqrTree(nodes[0], shared)
     tree._reroot(nodes[0])
     return tree
@@ -1211,23 +1229,6 @@ def build_spqr(g: EmbeddedMultigraph, *, debug: bool = False) -> SpqrTree:
 
 # ----------------------------------------------------------------------
 # splitting a maintained R node after a deletion or contraction
-
-def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph) -> list[SpqrNode]:
-    """Decompose a small embedded graph into SPQR nodes, drawing
-    internal virtual ids from the shared source and registering the
-    internal twin links.  Edges that predate the call (reals, interface
-    ids) are left unclassified for the caller."""
-    vid_base = shared.vids.peek()
-    nodes: list[SpqrNode] = []
-    _decompose(sg, shared.vids, vid_base, nodes)
-    nodes = _merge_same_kind(nodes)
-    for _vid, slots in _owners(nodes).items():
-        assert len(slots) == 2
-        (p, e), (q, f) = slots
-        shared.twins[(p, e)] = (q, f)
-        shared.twins[(q, f)] = (p, e)
-    return nodes
-
 
 def _holder(nodes: list[SpqrNode], e: int) -> SpqrNode:
     for nd in nodes:
@@ -1249,25 +1250,14 @@ def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
         keep, ke, loser, le = n1, e1, n2, e2
     else:
         keep, ke, loser, le = n2, e2, n1, e1
-    edges = []
-    for nd, drop in ((n1, e1), (n2, e2)):
-        for e in sorted(nd.graph.edge_ids()):
-            if e != drop:
-                edges.append((e, *nd.graph.endpoints(e)))
-    if keep.kind == "S":
-        skel = _make_cycle_skeleton(edges)
-    else:
-        skel = _make_parallel_skeleton(edges)
-    del shared.twins[(n1, e1)]
-    del shared.twins[(n2, e2)]
+    skel = _merged_skeleton(n1, e1, n2, e2)
+    shared.unlink((n1, e1))
     loser_virt = loser.virt - {le}
     loser_reals = loser.real_ids()
     keep.graph = skel
     keep.virt = (keep.virt - {ke}) | loser_virt
     for e in loser_virt:
-        m, f = shared.twins.pop((loser, e))
-        shared.twins[(keep, e)] = (m, f)
-        shared.twins[(m, f)] = (keep, e)
+        shared.move_twin(loser, keep, e)
     for e in loser_reals:
         shared.node_of_edge[e] = keep
     # splice the dead node out of the rooted tree
@@ -1337,19 +1327,7 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
                 ports[i][0] = (_holder(nodes, nid), nid)
             if fid is not None:
                 ports[i][1] = (_holder(nodes, fid), fid)
-            for nd in nodes:
-                for e in sorted(nd.graph.edge_ids()):
-                    if e in nd.virt or e in (nid, fid):
-                        continue
-                    if e in old_virts:
-                        nd.virt.add(e)
-                        m, f = shared.twins.pop((x, e))
-                        shared.twins[(nd, e)] = (m, f)
-                        shared.twins[(m, f)] = (nd, e)
-                    else:
-                        shared.node_of_edge[e] = nd
-                if nd.kind == "R":
-                    _attach_r(nd, shared.debug)
+            _adopt(shared, nodes, x, (nid, fid))
         sv = _reduce_to_segment(x, set(y), near, far)
         x.det.reset_op_log()
         x.virt = {e for e in old_virts if g.has_edge(e)}
@@ -1370,8 +1348,7 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
             (ln, le), (rn, re_) = ports[i][1], ports[i + 1][0]
             ln.virt.add(le)
             rn.virt.add(re_)
-            shared.twins[(ln, le)] = (rn, re_)
-            shared.twins[(rn, re_)] = (ln, le)
+            shared.link((ln, le), (rn, re_))
         anchor_survivor = x
     else:
         # the searches met before a dominant remainder emerged; the
@@ -1380,19 +1357,7 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
         nodes = _mini_nodes(shared, g)
         region.extend(nodes)
         sizes = [nd.graph.n_edges for nd in nodes]
-        for nd in nodes:
-            for e in sorted(nd.graph.edge_ids()):
-                if e in nd.virt:
-                    continue
-                if e in old_virts:
-                    nd.virt.add(e)
-                    m, f = shared.twins.pop((x, e))
-                    shared.twins[(nd, e)] = (m, f)
-                    shared.twins[(m, f)] = (nd, e)
-                else:
-                    shared.node_of_edge[e] = nd
-            if nd.kind == "R":
-                _attach_r(nd, shared.debug)
+        _adopt(shared, nodes, x)
         tree.set_parent(x, None)
         for c in list(x.children):
             c.parent = None
@@ -1600,19 +1565,15 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
     if len(vs) == 1:
         v = vs[0]
         r = r2 if v == r1 else r1
-        m, f = shared.twins.pop((x, v))
-        del shared.twins[(m, f)]
+        m, f = shared.unlink((x, v))
         _rekey_real(shared, m, f, r)
         _splice_out(tree, x, m)
         if tree._root is x:
             tree._root = m
         return ("tree", tree)
-    m1, f1 = shared.twins.pop((x, r1))
-    del shared.twins[(m1, f1)]
-    m2, f2 = shared.twins.pop((x, r2))
-    del shared.twins[(m2, f2)]
-    shared.twins[(m1, f1)] = (m2, f2)
-    shared.twins[(m2, f2)] = (m1, f1)
+    m1, f1 = shared.unlink((x, r1))
+    m2, f2 = shared.unlink((x, r2))
+    shared.link((m1, f1), (m2, f2))
     _splice_link(tree, x, m1, m2)
     if m1.kind == m2.kind:
         assert m1.kind in "SP", "same-kind R neighbors need no merge"
@@ -1700,12 +1661,41 @@ def _detach_fragment(tree: SpqrTree, x: SpqrNode,
     return frag
 
 
+def _break_up(tree: SpqrTree, x: SpqrNode, slots, recurse) -> list[Piece]:
+    """Dissolve node ``x`` into one block per remaining skeleton edge,
+    given in ``slots`` as ``(attach, edge id)``.  A real edge becomes a
+    one-edge block; a virtual edge's subtree becomes a block of its own
+    in which ``recurse(fragment tree, twin node, twin id)`` removes the
+    twin."""
+    shared = tree.shared
+    jobs: list[tuple] = []
+    for attach, f in slots:
+        if f in x.virt:
+            m, f2 = shared.unlink((x, f))
+            jobs.append((attach, _detach_fragment(tree, x, m), m, f2))
+        else:
+            shared.node_of_edge.pop(f, None)
+            jobs.append((attach, None, None, f))
+    tree.set_parent(x, None)
+    pieces: list[Piece] = []
+    for attach, frag, m, f in jobs:
+        if frag is None:
+            pieces.append(Piece(attach, None, (f,)))
+            continue
+        res = recurse(frag, m, f)
+        if res[0] == "tree":
+            pieces.append(Piece(attach, res[1]))
+        else:
+            _ends, ids = res[1]
+            pieces.append(Piece(attach, None, ids))
+    return pieces
+
+
 def _s_remove(tree: SpqrTree, x: SpqrNode, e: int) -> list[Piece]:
     """Delete real edge ``e`` from S node ``x``: every other vertex of
     the cycle becomes an articulation point, so the block falls apart
     into one piece per remaining cycle edge, reported in path order
     from one endpoint of ``e`` to the other."""
-    shared = tree.shared
     g = x.graph
     u, w = g.endpoints(e)
     # walk the cycle from u to w avoiding e
@@ -1722,33 +1712,15 @@ def _s_remove(tree: SpqrTree, x: SpqrNode, e: int) -> list[Piece]:
             break
         cur, prev_e = nxt, ne
     assert len(order) == g.n_edges - 1
-    jobs: list[tuple] = []
-    for ne, va, vb in order:
-        if ne in x.virt:
-            m, f = shared.twins.pop((x, ne))
-            del shared.twins[(m, f)]
-            frag = _detach_fragment(tree, x, m)
-            jobs.append((va, vb, frag, m, f))
-        else:
-            shared.node_of_edge.pop(ne, None)
-            jobs.append((va, vb, None, None, ne))
-    tree.set_parent(x, None)
-    pieces: list[Piece] = []
-    for va, vb, frag, m, f in jobs:
-        if frag is None:
-            pieces.append(Piece((va, vb), None, (f,)))
-            continue
+
+    def remove_twin(frag, m, f):
         if m.kind == "P":
-            res = _p_remove(frag, m, f)
-        else:
-            assert m.kind == "R"
-            res = _r_remove(frag, m, f)
-        if res[0] == "tree":
-            pieces.append(Piece((va, vb), res[1]))
-        else:
-            _ends, ids = res[1]
-            pieces.append(Piece((va, vb), None, ids))
-    return pieces
+            return _p_remove(frag, m, f)
+        assert m.kind == "R"
+        return _r_remove(frag, m, f)
+
+    return _break_up(tree, x, [((va, vb), ne) for ne, va, vb in order],
+                     remove_twin)
 
 
 def _p_star(tree: SpqrTree, x: SpqrNode, e: int,
@@ -1758,36 +1730,17 @@ def _p_star(tree: SpqrTree, x: SpqrNode, e: int,
     on it.  Other real edges of the bundle turn into self-loops (single
     edge blocks); each virtual edge's subtree becomes a block in which
     the twin is contracted recursively."""
-    shared = tree.shared
     g = x.graph
     g.delete_edge(e, report=False)
-    jobs: list[tuple] = []
-    for f in sorted(g.edge_ids()):
-        if f in x.virt:
-            m, f2 = shared.twins.pop((x, f))
-            del shared.twins[(m, f2)]
-            frag = _detach_fragment(tree, x, m)
-            jobs.append((frag, m, f2))
-        else:
-            shared.node_of_edge.pop(f, None)
-            jobs.append((None, None, f))
-    tree.set_parent(x, None)
-    pieces: list[Piece] = []
-    for frag, m, f2 in jobs:
-        if frag is None:
-            pieces.append(Piece((keep, keep), None, (f2,)))
-            continue
+
+    def contract_twin(frag, m, f):
         if m.kind == "S":
-            res = _s_contract(frag, m, f2, keep, dying)
-        else:
-            assert m.kind == "R"
-            res = _r_contract(frag, m, f2, keep, dying)
-        if res[0] == "tree":
-            pieces.append(Piece((keep, keep), res[1]))
-        else:
-            _ends, ids = res[1]
-            pieces.append(Piece((keep, keep), None, ids))
-    return pieces
+            return _s_contract(frag, m, f, keep, dying)
+        assert m.kind == "R"
+        return _r_contract(frag, m, f, keep, dying)
+
+    slots = [((keep, keep), f) for f in sorted(g.edge_ids())]
+    return _break_up(tree, x, slots, contract_twin)
 
 
 def _finish(op: str, e: int, res: tuple[str, object],
@@ -1802,13 +1755,18 @@ def _finish(op: str, e: int, res: tuple[str, object],
                      retired_vertex=retired)
 
 
-def delete_edge(tree: SpqrTree, e: int) -> ChangeLog:
-    """Delete real edge ``e`` from the block maintained by ``tree``."""
-    shared = tree.shared
-    x = shared.node_of_edge.get(e)
+def _take_real(tree: SpqrTree, e: int) -> SpqrNode:
+    """Unindex real edge ``e`` of this block; return its node."""
+    x = tree.shared.node_of_edge.get(e)
     if x is None or x not in tree.nodes():
         raise UnknownEdge(f"edge {e} is not a real edge of this block")
-    del shared.node_of_edge[e]
+    del tree.shared.node_of_edge[e]
+    return x
+
+
+def delete_edge(tree: SpqrTree, e: int) -> ChangeLog:
+    """Delete real edge ``e`` from the block maintained by ``tree``."""
+    x = _take_real(tree, e)
     if x.kind == "P":
         return _finish("delete", e, _p_remove(tree, x, e))
     if x.kind == "R":
@@ -1820,14 +1778,10 @@ def delete_edge(tree: SpqrTree, e: int) -> ChangeLog:
 def contract_edge(tree: SpqrTree, e: int) -> ChangeLog:
     """Contract real edge ``e`` of the block maintained by ``tree``;
     the smaller endpoint label survives."""
-    shared = tree.shared
-    x = shared.node_of_edge.get(e)
-    if x is None or x not in tree.nodes():
-        raise UnknownEdge(f"edge {e} is not a real edge of this block")
+    x = _take_real(tree, e)
     u, w = x.graph.endpoints(e)
     assert u != w, "skeletons carry no self-loops"
     keep, dying = (u, w) if u < w else (w, u)
-    del shared.node_of_edge[e]
     if x.kind == "S":
         return _finish("contract", e, _s_contract(tree, x, e, keep, dying),
                        merged=keep, retired=dying)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from planarconn.embed import NotOnFace, SelfLoopContraction, dart
-from planarconn.fourcycle import Detector, FaceDegreeExceeded, new_detector
+from planarconn.fourcycle import Detector, FaceDegreeExceeded
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import four_cycle_edges, separating_4cycles
 
@@ -26,20 +26,20 @@ def face_events(events):
 # initial reports
 
 def test_c4_reports_nothing_separating():
-    det = new_detector(cycle(4))
+    det = Detector(cycle(4), debug=True)
     assert sep_events(det.initial_events) == set()
     # the one 4-cycle bounds both faces
     assert face_events(det.initial_events) == {0, 1, 2, 3}
 
 
 def test_k24_reports_all_eight_edges():
-    det = new_detector(k24())
+    det = Detector(k24(), debug=True)
     assert sep_events(det.initial_events) == set(range(8))
 
 
 def test_k4_matches_brute_force():
     g = k4()
-    det = new_detector(g)
+    det = Detector(g, debug=True)
     assert sep_events(det.initial_events) == separating_4cycles(g)
     assert sep_events(det.initial_events) == set(range(6))
 
@@ -47,7 +47,7 @@ def test_k4_matches_brute_force():
 def test_initial_reports_match_brute_force():
     for make in (cube, lambda: wheel(6), lambda: grid(4, 5), triangle):
         g = make()
-        det = new_detector(g)
+        det = Detector(g, debug=True)
         sep, fac = four_cycle_edges(g)
         assert sep_events(det.initial_events) == sep
         assert face_events(det.initial_events) == fac
@@ -56,7 +56,7 @@ def test_initial_reports_match_brute_force():
 
 def test_initial_reports_delaunay():
     g = random_delaunay(80, 3)
-    det = new_detector(g)
+    det = Detector(g, debug=True)
     assert sep_events(det.initial_events) == separating_4cycles(g)
     det.check()
 
@@ -66,12 +66,12 @@ def test_initial_reports_delaunay():
 
 def test_face_degree_bound_enforced():
     with pytest.raises(FaceDegreeExceeded):
-        Detector(cycle(20), max_face_degree=8)
-    Detector(cycle(20), max_face_degree=20)
+        Detector(cycle(20), max_face_degree=8, debug=True)
+    Detector(cycle(20), max_face_degree=20, debug=True)
 
 
 def test_self_loop_contraction_rejected():
-    det = new_detector(cube())
+    det = Detector(cube(), debug=True)
     h = det.tree.root.graph
     d = h.any_dart(0)
     eid = None
@@ -84,7 +84,7 @@ def test_self_loop_contraction_rejected():
 
 
 def test_insertion_corners_must_share_face():
-    det = new_detector(grid(3, 3))
+    det = Detector(grid(3, 3), debug=True)
     h = det.tree.root.graph
     # corners of vertices 0 and 8 lie on different faces
     with pytest.raises(NotOnFace):
@@ -99,7 +99,7 @@ def test_fourth_path_saturates_pair():
     # most 8 edges and completes the K_{2,4} answer
     g = k24()
     g.delete_edge(7, report=False)
-    det = new_detector(g)
+    det = Detector(g, debug=True)
     h = det.tree.root.graph
     assert set(det.reported) == separating_4cycles(g)
     # re-attach middle 5 to hub 1, closing the fourth path
@@ -119,7 +119,7 @@ def test_fourth_path_saturates_pair():
 def test_contraction_shrinks_face_to_face4():
     # contracting one rim edge of a 5-wheel turns the outer 5-face of
     # the rim cycle... use C5: contract one edge, the square remains
-    det = new_detector(cycle(5))
+    det = Detector(cycle(5), debug=True)
     assert face_events(det.initial_events) == set()
     events = det.contract_edge(0)
     live = set(det.tree.root.graph.edge_ids())
@@ -133,7 +133,7 @@ def test_insertion_splitting_quad_makes_cycle_separating():
     # vertex-disjoint edge inside it is impossible; verify instead that
     # inserting a diagonal reports the brute-force set afterwards
     g = cube()
-    det = new_detector(g)
+    det = Detector(g, debug=True)
     assert det.reported == set()
     h = det.tree.root.graph
     f = next(f for f in h.faces() if len(f) == 4)
@@ -146,14 +146,14 @@ def test_insertion_splitting_quad_makes_cycle_separating():
 
 
 def test_reported_flags_are_monotone():
-    det = new_detector(k24())
+    det = Detector(k24(), debug=True)
     before = set(det.reported)
     det.contract_edge(0)
     assert before - {0} <= det.reported
 
 
 def test_insertion_candidates_bounded_by_neighbor_count():
-    det = new_detector(cube())
+    det = Detector(cube(), debug=True)
     h = det.tree.root.graph
     f = next(f for f in h.faces() if len(f) == 4)
     u, w = h.vertex_of_dart(f[0]), h.vertex_of_dart(f[2])
@@ -205,7 +205,7 @@ def test_exactness_fuzz_small():
     for seed in range(6):
         g = random_planar(24, seed, max_face_degree=6,
                           keep_biconnected=False)
-        det = new_detector(g)
+        det = Detector(g, debug=True)
         assert sep_events(det.initial_events) == separating_4cycles(g)
         run_script(det, random.Random(seed * 7919 + 13), 40)
         det.check()
@@ -215,14 +215,15 @@ def test_exactness_fuzz_with_internal_nodes():
     for seed in (100, 101):
         g = random_planar(56, seed, max_face_degree=8,
                           keep_biconnected=False)
-        det = new_detector(g)
+        det = Detector(g, debug=True)
         assert not det.tree.root.is_leaf
         run_script(det, random.Random(seed), 50)
         det.check()
 
 
 def test_contract_to_nothing():
-    det = new_detector(random_planar(20, 1, keep_biconnected=False))
+    det = Detector(random_planar(20, 1, keep_biconnected=False),
+                   debug=True)
     rng = random.Random(9)
     while True:
         h = det.tree.root.graph
@@ -236,7 +237,8 @@ def test_contract_to_nothing():
 
 def test_deterministic_event_stream():
     def run():
-        det = new_detector(random_planar(30, 4, keep_biconnected=False))
+        det = Detector(random_planar(30, 4, keep_biconnected=False),
+                       debug=True)
         out = list(det.initial_events)
         rng = random.Random(17)
         for _ in range(20):
@@ -251,7 +253,7 @@ def test_deterministic_event_stream():
 
 
 def test_ledger_counters_exact_integers():
-    det = new_detector(k24())
+    det = Detector(k24(), debug=True)
     assert isinstance(det.candidates_total, int)
     st = det._states[id(det.tree.root)]
     info = det._phi(det.tree.root, st.K)

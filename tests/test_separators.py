@@ -11,22 +11,15 @@ from planarconn.embed import EmbedError, edge_of
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import simple_4cycles
 from planarconn.separators import (
-    DEFAULT_ALPHA,
-    DEFAULT_N0,
-    Separation,
+    ALPHA,
+    N0,
     SeparatorTree,
-    TooSmall,
-    build_separator_tree,
-    cycle_separator,
-    face_preserving_separation,
+    _bfs_roots,
+    cycle_separations,
     triangulate,
 )
 
 from .graphs import cube, cycle, grid, k4, path, triangle, wheel
-
-
-def eid_of(g, u, w):
-    return next(e for e in g.edge_ids() if set(g.endpoints(e)) == {u, w})
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +91,7 @@ def test_triangulate_keeps_originals():
 
 
 # ----------------------------------------------------------------------
-# cycle separators
+# cycle separators: the candidates SeparatorTree chooses from
 
 def _assert_simple_cycle(g, cverts, cedges):
     assert len(cverts) == len(set(cverts)) == len(cedges)
@@ -111,75 +104,79 @@ def _assert_simple_cycle(g, cverts, cedges):
     assert all(c == 2 for c in on.values())
 
 
+def _candidates(g):
+    """Every candidate separation of g, over every BFS root, best first
+    per root: (cycle vertices, cycle edges, separation, chords)."""
+    gt, added = triangulate(g)
+    for root in _bfs_roots(g):
+        for cverts, cedges, sep in cycle_separations(g, gt, added, root):
+            yield cverts, cedges, sep, added
+
+
+def _assert_best_per_root_balanced(g):
+    # g is a triangulation, so no face is crossed and the separator is
+    # the cycle itself
+    n = g.n_vertices
+    for root in _bfs_roots(g):
+        cverts, cedges, sep = next(cycle_separations(g, g, {}, root))
+        _assert_simple_cycle(g, cverts, cedges)
+        assert len(cverts) <= 8 * math.sqrt(n)
+        assert sep.separator == set(cverts)
+        assert sep.A | sep.B == set(g.vertices())
+        assert sep.is_balanced(n, ALPHA)
+
+
 def test_cycle_separator_grid55():
     gt, _ = triangulate(grid(5, 5))
-    cverts, cedges = cycle_separator(gt)
-    _assert_simple_cycle(gt, cverts, cedges)
-    assert len(cverts) <= 8 * math.sqrt(25)
-    sep = face_preserving_separation(gt, gt, {}, cedges)
-    assert sep.separator == set(cverts)
-    assert sep.is_balanced(25, DEFAULT_ALPHA)
+    _assert_best_per_root_balanced(gt)
 
 
 def test_cycle_separator_strip():
     gt, _ = triangulate(grid(2, 50))
-    cverts, cedges = cycle_separator(gt)
-    _assert_simple_cycle(gt, cverts, cedges)
-    assert len(cverts) <= 8 * math.sqrt(100)
-    sep = face_preserving_separation(gt, gt, {}, cedges)
-    assert sep.is_balanced(100, DEFAULT_ALPHA)
-
-
-def test_cycle_separator_too_small():
-    with pytest.raises(TooSmall):
-        cycle_separator(k4())
-    gt, _ = triangulate(cube())
-    with pytest.raises(TooSmall):
-        cycle_separator(gt)
+    _assert_best_per_root_balanced(gt)
 
 
 # ----------------------------------------------------------------------
 # face-preserving separations
 
 def test_separation_all_original_cycle():
-    # in an already-triangulated graph the separator is the cycle itself
+    # in an already-triangulated graph every separator is its cycle
     g = k4()
-    cedges = [eid_of(g, 0, 1), eid_of(g, 1, 2), eid_of(g, 0, 2)]
-    sep = face_preserving_separation(g, g, {}, cedges)
-    assert sep.separator == {0, 1, 2}
-    assert sep.A | sep.B == {0, 1, 2, 3}
-    assert sep.is_face_preserving(g)
+    seps = list(_candidates(g))
+    assert seps
+    for cverts, _cedges, sep, added in seps:
+        assert added == {}
+        assert sep.separator == set(cverts)
+        assert sep.A | sep.B == {0, 1, 2, 3}
+        assert sep.is_face_preserving(g)
 
 
 def test_separation_quad_crossed_by_diagonal():
-    # a cycle using a quad's diagonal pulls the remaining face vertices
-    # into the separator
+    # a cycle closed by a quad's diagonal pulls the remaining face
+    # vertices into the separator
     g = cube()
-    gt, added = triangulate(g)
-    e = min(added)
-    a, c = gt.endpoints(e)
-    quad = set(added[e])
-    b = next(v for v in quad - {a, c}
-             if any(set(g.endpoints(x)) == {a, v} for x in g.edge_ids())
-             and any(set(g.endpoints(x)) == {v, c} for x in g.edge_ids()))
-    cedges = [e, eid_of(g, a, b), eid_of(g, b, c)]
-    sep = face_preserving_separation(g, gt, added, cedges)
-    assert sep.separator == quad
-    assert sep.is_face_preserving(g)
+    crossed = 0
+    for cverts, cedges, sep, added in _candidates(g):
+        e = cedges[-1]
+        assert not any(ce in added for ce in cedges[:-1])
+        if e in added:
+            crossed += 1
+            assert len(added[e]) == 4
+            assert sep.separator == set(cverts) | set(added[e])
+        else:
+            assert sep.separator == set(cverts)
+        assert sep.is_face_preserving(g)
+    assert crossed
 
 
 def test_separation_bound_on_degree4_instances():
     # every crossed face has at most 4 vertices, so |S| <= 4 |K|
-    from planarconn.separators import _fundamental_cycle, cycle_candidates
     for seed in range(3):
         g = random_planar(40, seed, max_face_degree=4,
                           keep_biconnected=False)
         gt, added = triangulate(g)
-        scored, (depth, par_dart, lca), _ = cycle_candidates(
-            gt, tree_graph=g)
-        for _, _, e in scored[:5]:
-            cverts, cedges = _fundamental_cycle(gt, par_dart, depth, lca, e)
-            sep = face_preserving_separation(g, gt, added, cedges)
+        cands = cycle_separations(g, gt, added, min(g.vertices()))
+        for _, (cverts, _cedges, sep) in zip(range(5), cands):
             assert len(sep.separator) <= 4 * len(cverts)
             assert sep.is_face_preserving(g)
             assert sep.A | sep.B == set(g.vertices())
@@ -190,16 +187,16 @@ def test_separation_bound_on_degree4_instances():
 
 def test_tree_single_leaf_when_small():
     for make in (cube, k4, lambda: wheel(5)):
-        t = build_separator_tree(make())
+        t = SeparatorTree(make())
         assert t.root.is_leaf
         assert sum(1 for _ in t.nodes()) == 1
 
 
 def test_tree_invariants_delaunay():
     g = random_delaunay(300, 2)
-    t = build_separator_tree(g)
+    t = SeparatorTree(g)
     t.check()
-    assert t.height <= math.log(300 / DEFAULT_N0, 4 / 3) + 2
+    assert t.height <= math.log(300 / N0, 4 / 3) + 2
     by_level: dict[int, int] = {}
     for x in t.nodes():
         by_level[x.depth] = by_level.get(x.depth, 0) + x.graph.n_vertices
@@ -210,11 +207,11 @@ def test_tree_invariants_delaunay():
 
 def test_tree_deterministic():
     g = random_delaunay(120, 5)
-    assert build_separator_tree(g).dump() == build_separator_tree(g).dump()
+    assert SeparatorTree(g).dump() == SeparatorTree(g).dump()
 
 
 def test_tree_dump_format():
-    t = build_separator_tree(random_delaunay(60, 1))
+    t = SeparatorTree(random_delaunay(60, 1))
     lines = t.dump().splitlines()
     assert lines[0].startswith("node: |V|=60 ")
     assert all("|S|=" in ln and "depth=" in ln for ln in lines)
@@ -225,7 +222,7 @@ def test_tree_dump_format():
 
 def test_contraction_update_rules():
     g = random_delaunay(150, 4)
-    t = build_separator_tree(g)
+    t = SeparatorTree(g)
     rng = random.Random(0)
     for _ in range(100):
         h = t.root.graph
@@ -252,7 +249,7 @@ def test_contraction_update_rules():
 
 def test_contraction_in_one_side_leaves_other_untouched():
     g = random_delaunay(200, 8)
-    t = build_separator_tree(g)
+    t = SeparatorTree(g)
     y, z = t.root.children
     sep = t.root.separation()
     h = t.root.graph
@@ -268,7 +265,7 @@ def test_contraction_in_one_side_leaves_other_untouched():
 
 def test_insertion_reaches_only_nodes_with_both_endpoints():
     g = random_delaunay(200, 8)
-    t = build_separator_tree(g)
+    t = SeparatorTree(g)
     rng = random.Random(3)
     for _ in range(25):
         h = t.root.graph
@@ -290,7 +287,7 @@ def test_insertion_reaches_only_nodes_with_both_endpoints():
 def test_mixed_fuzz():
     rng = random.Random(1302)
     for seed in (0, 1):
-        t = build_separator_tree(random_delaunay(80, seed))
+        t = SeparatorTree(random_delaunay(80, seed))
         for _ in range(60):
             h = t.root.graph
             if rng.random() < 0.5:
@@ -318,7 +315,7 @@ def test_four_cycle_crossing_pattern():
     for seed in range(4):
         g = random_planar(48, seed, max_face_degree=6,
                           keep_biconnected=False)
-        t = build_separator_tree(g)
+        t = SeparatorTree(g)
         for x in t.nodes():
             if x.is_leaf:
                 continue
