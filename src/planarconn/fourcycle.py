@@ -16,15 +16,17 @@ which case a descendant tracks it, or it crosses with its two
 separator vertices opposite on the cycle, in which case the node's own
 pair table sees it.  Leaves track all pairs, closing the recursion.
 
+Every discovery goes into one op log: at construction, the pairs
+that already close a separating 4-cycle; during a mutation, each new
+path's separating cycles (or its pair, once saturated) and a split
+4-face whose boundary turned separating.  The single query,
+:meth:`Detector.separating_now`, re-validates the logged pairs against
+the current graph and lists the 4-cycles that are separating now.
+
 Every mutation is charged against an exact integer potential; with
 ``debug`` enabled (it is off by default: the audit recomputes the
 potential of every touched node) the detector asserts that the number
 of candidate paths examined never exceeds the potential drop.
-
-Reported edges accumulate: an edge is reported the first time it lies
-on a separating 4-cycle (category ``separating4``) or on a simple
-boundary 4-cycle of a face (category ``face4``), and the flag persists
-for the rest of the edge's life.
 """
 
 from __future__ import annotations
@@ -41,11 +43,11 @@ from .embed import (
 )
 from .separators import SeparatorTree
 
-DEFAULT_MAX_FACE_DEGREE = 64
+MAX_FACE_DEGREE = 64
 
 
 class FaceDegreeExceeded(EmbedError):
-    """The input graph has a face larger than the configured bound."""
+    """The input graph has a face of degree above MAX_FACE_DEGREE."""
 
 
 def _pairkey(a: int, b: int) -> tuple[int, int]:
@@ -150,30 +152,26 @@ class _NodeState:
 
 
 class Detector:
-    """Reports, online, every edge that comes to lie on a separating
-    4-cycle (and every edge on a simple 4-cycle bounding a face).
+    """Maintains the separating 4-cycles of a plane multigraph under
+    edge insertions and contractions.
 
-    Mutations return the newly emitted events as ``(edge_id,
-    category)`` pairs with category ``separating4`` or ``face4``;
-    events discovered at construction are in :attr:`initial_events`.
+    :meth:`separating_now` is the one answer: the 4-cycles that are
+    separating now, found through the op log that construction and
+    every mutation write to.
     """
 
-    def __init__(self, g: EmbeddedMultigraph, *,
-                 max_face_degree: int = DEFAULT_MAX_FACE_DEGREE,
-                 debug: bool = False):
+    def __init__(self, g: EmbeddedMultigraph, *, debug: bool = False):
         for f in g.faces():
-            if len(f) > max_face_degree:
+            if len(f) > MAX_FACE_DEGREE:
                 raise FaceDegreeExceeded(
-                    f"face of degree {len(f)} exceeds {max_face_degree}")
+                    f"face of degree {len(f)} exceeds {MAX_FACE_DEGREE}")
             if len(f) == 2 and edge_of(f[0]) != edge_of(f[1]):
                 raise EmbedError("input has a doubled face: not quasi-simple")
             if len(f) == 1:
                 raise EmbedError("input has a monogon face: not quasi-simple")
-        self.max_face_degree = max_face_degree
         self.debug = debug
-        self.reported: set[int] = set()
-        self.face_reported: set[int] = set()
         self.candidates_total = 0
+        # (node state, pair, legs of a logged cycle or ())
         self._op_items: list[tuple] = []
         self._op_renames: list[tuple[int, int, int]] = []
         self.tree = SeparatorTree(g)
@@ -190,20 +188,18 @@ class Detector:
             st.scan_all()
             self._states[id(node)] = st
             self._nodes[id(node)] = node
-        events: list[tuple[int, str]] = []
-        for st in self._states.values():
-            self._initial_reports(st, events)
-        root = self.tree.root.graph
-        self._face4_scan(root, [f[0] for f in root.faces()], events)
-        self.initial_events = events
+            for pair in st.paths:
+                if next(self._separating(st, pair), None) is not None:
+                    self._op_items.append((st, pair, ()))
 
     # -- public operations ----------------------------------------------
 
     def insert_edge(self, u: int, w: int,
                     after_u: int | None, after_w: int | None,
-                    eid: int | None = None) -> list[tuple[int, str]]:
-        """Insert an edge splitting the face shared by the two corners;
-        raises NotOnFace when the corners lie on different faces."""
+                    eid: int | None = None) -> int:
+        """Insert an edge splitting the face shared by the two corners
+        and return its id; raises NotOnFace when the corners lie on
+        different faces."""
         root = self.tree.root.graph
         if after_u is None or after_w is None:
             raise NotOnFace("insertion endpoints need face corners")
@@ -219,16 +215,13 @@ class Detector:
         eid = tevents[0][2]
         tevents += self._simplify_around(
             [dart(eid, 0), dart(eid, 1)])
-        events: list[tuple[int, str]] = []
-        self._process_events(tevents, events)
-        if root.has_edge(eid):
-            self._face4_scan(root, [dart(eid, 0), dart(eid, 1)], events)
+        self._process_events(tevents)
         self._end_op()
-        return events
+        return eid
 
-    def contract_edge(self, e: int) -> list[tuple[int, str]]:
+    def contract_edge(self, e: int) -> None:
         """Contract a non-loop edge everywhere and restore quasi-
-        simplicity, reporting any newly covered edges."""
+        simplicity, logging any 4-cycle that turned separating."""
         root = self.tree.root.graph
         if not root.has_edge(e):
             raise EmbedError(f"no edge {e}")
@@ -239,11 +232,8 @@ class Detector:
         self._begin_op()
         tevents = self.tree.apply_contraction(e)
         tevents += self._simplify_around(list(root.rotation(x)))
-        events: list[tuple[int, str]] = []
-        self._process_events(tevents, events)
-        self._face4_scan(root, list(root.rotation(x)), events)
+        self._process_events(tevents)
         self._end_op()
-        return events
 
     def reset_op_log(self) -> None:
         """Clear the discovery log consulted by :meth:`separating_now`.
@@ -254,101 +244,39 @@ class Detector:
         self._op_items = []
         self._op_renames = []
 
-    def separating_now(self, detail: bool = False):
-        """The exact set of edges currently lying on a separating
-        4-cycle, provided no edge did when :meth:`reset_op_log` was
-        last called.
+    def separating_now(self) -> list[tuple]:
+        """Every 4-cycle that is separating now, provided none was when
+        :meth:`reset_op_log` was last called (construction logs the
+        cycles separating at the start).
 
         Every 4-cycle that turns separating is discovered by some
-        mutation's path or split-face check and logged; re-validating
-        each logged discovery against the current graph filters out
-        the ones that were only transiently separating.
-
-        With ``detail`` the return value is ``(edges, cycles)`` where
-        ``cycles`` lists every validated 4-cycle as ``(pair, m1, lk1,
-        m2, lk2)``: its diagonal pair, the two middle vertices and the
-        two leg edge pairs.  Detail mode checks every stored path pair
-        individually so each reported cycle is concrete."""
-        out: set[int] = set()
+        mutation's path or split-face check and logged; each logged
+        pair's current path table is re-checked against the current
+        graph, which filters out the cycles that were only transiently
+        separating.  A cycle is ``(pair, m1, lk1, m2, lk2)``: its
+        diagonal pair, the two middle vertices and the two leg edge
+        pairs; one cycle held by two node tables is listed twice."""
         cycles: list[tuple] = []
         done: set[tuple[int, tuple[int, int]]] = set()
 
-        def emit(pair, lk1, m1, lk2, m2):
-            out.update(lk1)
-            out.update(lk2)
-            if detail:
-                cycles.append((pair, m1, tuple(lk1), m2, tuple(lk2)))
-
         def check_pair(st, pair):
-            """Pairwise-check every stored path of the pair."""
             key = (id(st), pair)
             if key in done:
                 return
             done.add(key)
-            h = st.node.graph
-            d = st.paths.get(pair)
-            if not d:
-                return
-            entries = list(d.items())
-            for i in range(len(entries)):
-                lk1, m1 = entries[i]
-                for j in range(i + 1, len(entries)):
-                    lk2, m2 = entries[j]
-                    if m1 == m2:
-                        continue
-                    if self._pair_cycle_separating(h, pair, lk1, m1,
-                                                   lk2, m2):
-                        emit(pair, lk1, m1, lk2, m2)
+            for lk1, m1, lk2, m2 in self._separating(st, pair):
+                cycles.append((pair, m1, lk1, m2, lk2))
 
-        for item in self._op_items:
-            st = item[1]
-            h = st.node.graph
-            if item[0] == "cycle":
-                _, _, pair0, lk1, _m1, lk2, _m2 = item
-                if detail:
-                    # a logged cycle certifies its pair; sibling cycles
-                    # of the same pair may have turned separating too,
-                    # so recheck the whole current path table
-                    for lk in (lk1, lk2):
-                        g = _derive(h, *lk)
-                        if g is not None:
-                            check_pair(st, g[0])
-                    check_pair(st, self._translate_pair(st, pair0))
-                    continue
-                g1 = _derive(h, *lk1)
-                g2 = _derive(h, *lk2)
-                if g1 is None or g2 is None:
-                    continue
-                if g1[0] != g2[0] or g1[1] == g2[1]:
-                    continue
-                if self._pair_cycle_separating(h, g1[0], lk1, g1[1],
-                                               lk2, g2[1]):
-                    emit(g1[0], lk1, g1[1], lk2, g2[1])
-            else:
-                pair = self._translate_pair(st, item[2])
-                if detail:
-                    check_pair(st, pair)
-                    continue
-                d = st.paths.get(pair)
-                if not d:
-                    continue
-                entries = list(d.items())
-                if len(set(d.values())) >= 4:
-                    for lk, _m in entries:
-                        out |= set(lk)
-                    continue
-                for i in range(len(entries)):
-                    lk1, m1 = entries[i]
-                    for j in range(i + 1, len(entries)):
-                        lk2, m2 = entries[j]
-                        if m1 == m2:
-                            continue
-                        if self._pair_cycle_separating(h, pair, lk1, m1,
-                                                       lk2, m2):
-                            emit(pair, lk1, m1, lk2, m2)
-        if detail:
-            return out, cycles
-        return out
+        for st, pair, legs in self._op_items:
+            # a logged cycle certifies its pair; sibling cycles of the
+            # same pair may have turned separating too, so recheck the
+            # whole current path table
+            for lk in legs:
+                g = _derive(st.node.graph, *lk)
+                if g is not None:
+                    check_pair(st, g[0])
+            check_pair(st, self._translate_pair(st, pair))
+        return cycles
 
     def _translate_pair(self, st, pair):
         a, b = pair
@@ -455,8 +383,7 @@ class Detector:
             nid = id(st.node)
             self._cand_node[nid] = self._cand_node.get(nid, 0) + k
 
-    def _process_events(self, tevents: list[tuple],
-                        events: list[tuple[int, str]]) -> None:
+    def _process_events(self, tevents: list[tuple]) -> None:
         # hygiene first: every node's graph is already final, so purge
         # paths through deleted edges and relabel renamed vertices
         # before any discovery touches the tables
@@ -472,17 +399,12 @@ class Detector:
             kind, node = ev[0], ev[1]
             st = self._states[id(node)]
             if kind == "contract":
-                self._process_merge(st, ev[3], events)
+                self._process_merge(st, ev[3])
             elif kind == "insert":
-                self._process_insert_paths(st, ev[2], events)
-                self._recheck_split_face(st, ev[2], events)
+                self._process_insert_paths(st, ev[2])
+                self._recheck_split_face(st, ev[2])
 
-    # -- reporting ---------------------------------------------------------
-
-    def _report(self, e: int, events: list[tuple[int, str]]) -> None:
-        if e not in self.reported:
-            self.reported.add(e)
-            events.append((e, "separating4"))
+    # -- discovery ---------------------------------------------------------
 
     def _pair_cycle_separating(self, h, pair, lk1, m1, lk2, m2) -> bool:
         a, b = pair
@@ -492,49 +414,38 @@ class Detector:
         f1, f2 = (p, q) if a in h.endpoints(p) else (q, p)
         return cycle_is_separating(h, a, m1, b, m2, e1, e2, f2, f1)
 
-    def _on_new_path(self, st, pair, lk, middle, events) -> None:
+    def _separating(self, st, pair):
+        """Yield ``(lk1, m1, lk2, m2)`` for every two stored paths of
+        the pair with distinct middles that close a separating
+        4-cycle."""
+        d = st.paths.get(pair)
+        if not d:
+            return
+        h = st.node.graph
+        entries = list(d.items())
+        for i, (lk1, m1) in enumerate(entries):
+            for lk2, m2 in entries[i + 1:]:
+                if m1 != m2 and self._pair_cycle_separating(
+                        h, pair, lk1, m1, lk2, m2):
+                    yield lk1, m1, lk2, m2
+
+    def _on_new_path(self, st, pair, lk, middle) -> None:
         h = st.node.graph
         d = st.paths[pair]
         if len(set(d.values())) >= 4:
             # saturated: every stored path has at least three partners
             # with other middles, at most two of which can close a face
-            self._op_items.append(("pair", st, pair))
-            for lk2 in d:
-                for e in lk2:
-                    self._report(e, events)
+            self._op_items.append((st, pair, ()))
             return
         for lk2, m2 in list(d.items()):
             if lk2 == lk or m2 == middle:
                 continue
             if self._pair_cycle_separating(h, pair, lk, middle, lk2, m2):
-                self._op_items.append(
-                    ("cycle", st, pair, lk, middle, lk2, m2))
-                for e in lk + lk2:
-                    self._report(e, events)
-
-    def _initial_reports(self, st, events) -> None:
-        h = st.node.graph
-        for pair, d in st.paths.items():
-            items = list(d.items())
-            if len(set(d.values())) >= 4:
-                for lk, _ in items:
-                    for e in lk:
-                        self._report(e, events)
-                continue
-            for i in range(len(items)):
-                lk1, m1 = items[i]
-                for j in range(i + 1, len(items)):
-                    lk2, m2 = items[j]
-                    if m1 == m2:
-                        continue
-                    if self._pair_cycle_separating(h, pair, lk1, m1,
-                                                   lk2, m2):
-                        for e in lk1 + lk2:
-                            self._report(e, events)
+                self._op_items.append((st, pair, (lk, lk2)))
 
     # -- per-node updates --------------------------------------------------
 
-    def _process_merge(self, st, x: int, events) -> None:
+    def _process_merge(self, st, x: int) -> None:
         h = st.node.graph
         u, w, fu, fw, ku, kw = self._captures.pop(id(st.node))
         K = st.K
@@ -566,7 +477,7 @@ class Detector:
         for npair, lk, nmid in changed:
             if st.add(npair, lk, nmid):
                 moved_pairs.add(npair)
-                self._on_new_path(st, npair, lk, nmid, events)
+                self._on_new_path(st, npair, lk, nmid)
         self._cand(st, len(moved_pairs))
         # 3) new paths with the merged vertex as middle: one former-u
         # leg and one former-w leg
@@ -581,7 +492,7 @@ class Detector:
                 npair = _pairkey(z1, z2)
                 lk = _legkey(f1, f2)
                 if st.add(npair, lk, x):
-                    self._on_new_path(st, npair, lk, x, events)
+                    self._on_new_path(st, npair, lk, x)
         self._cand(st, len(seen_pairs))
         # 4) when exactly one endpoint was tracked, the other side's
         # former edges now start paths at a tracked vertex
@@ -605,7 +516,7 @@ class Detector:
                     seen.add((m, z))
                     lk = _legkey(f, g2)
                     if st.add(_pairkey(x, z), lk, m):
-                        self._on_new_path(st, _pairkey(x, z), lk, m, events)
+                        self._on_new_path(st, _pairkey(x, z), lk, m)
             self._cand(st, len(seen))
 
     @staticmethod
@@ -641,7 +552,7 @@ class Detector:
             if npair[0] in st.K and npair[1] in st.K:
                 st.add(npair, lk, nmid)
 
-    def _process_insert_paths(self, st, eid: int, events) -> None:
+    def _process_insert_paths(self, st, eid: int) -> None:
         h = st.node.graph
         if not h.has_edge(eid) or h.is_loop(eid):
             return
@@ -661,10 +572,10 @@ class Detector:
                 seen.add(z)
                 lk = _legkey(eid, g2)
                 if st.add(_pairkey(a, z), lk, b):
-                    self._on_new_path(st, _pairkey(a, z), lk, b, events)
+                    self._on_new_path(st, _pairkey(a, z), lk, b)
             self._cand(st, len(seen))
 
-    def _recheck_split_face(self, st, eid: int, events) -> None:
+    def _recheck_split_face(self, st, eid: int) -> None:
         """An insertion splits one face; if that face had degree 4, its
         boundary cycle may just have turned from facial to separating."""
         h = st.node.graph
@@ -686,33 +597,7 @@ class Detector:
         e1, e2, g2, g1 = eds
         if cycle_is_separating(h, a, m1, b, m2, e1, e2, g2, g1):
             self._op_items.append(
-                ("cycle", st, _pairkey(a, b),
-                 _legkey(e1, e2), m1, _legkey(g1, g2), m2))
-            for e in eds:
-                self._report(e, events)
-
-    # -- face 4-cycles -------------------------------------------------------
-
-    def _face4_scan(self, h, darts, events) -> None:
-        seen = set()
-        for d in darts:
-            if not h.has_dart(d):
-                continue
-            if h.face_degree_at_most(d, 4) != 4:
-                continue
-            f = h.trace_face(d)
-            key = min(f)
-            if key in seen:
-                continue
-            seen.add(key)
-            verts = [h.vertex_of_dart(x) for x in f]
-            eds = [edge_of(x) for x in f]
-            if len(set(verts)) != 4 or len(set(eds)) != 4:
-                continue
-            for e in eds:
-                if e not in self.face_reported:
-                    self.face_reported.add(e)
-                    events.append((e, "face4"))
+                (st, _pairkey(a, b), (_legkey(e1, e2), _legkey(g1, g2))))
 
     # -- potential ------------------------------------------------------------
 

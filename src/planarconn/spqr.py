@@ -566,7 +566,7 @@ def _attach_r(x: SpqrNode) -> None:
     keep in sync."""
     fv, info = x.graph.vertex_face_graph()
     x.det = Detector(fv)
-    assert not any(c == "separating4" for _, c in x.det.initial_events), \
+    assert not x.det.separating_now(), \
         "triconnected skeleton has a separating 4-cycle in its radial graph"
     x.det.reset_op_log()
     x.cmap = dict(info.fv_edge_of_corner)
@@ -634,8 +634,8 @@ def _fv_split_contract(x: SpqrNode, f: list[int], i: int) -> int:
     u = fv.vertex_of_dart(f[i])
     w = fv.vertex_of_dart(f[j])
     assert u != w, "degenerate quad: cannot merge a vertex with itself"
-    eid = fv._next_eid
-    x.det.insert_edge(u, w, fv.rotation_prev(f[i]), fv.rotation_prev(f[j]))
+    eid = x.det.insert_edge(u, w, fv.rotation_prev(f[i]),
+                            fv.rotation_prev(f[j]))
     assert fv.has_edge(eid)
     x.det.contract_edge(eid)
     return min(u, w)
@@ -706,7 +706,7 @@ def _r_reports(x: SpqrNode):
     marked corners (darts whose following rotation gap is crossed by a
     separating 4-cycle of the vertex-face graph), and the marked
     corners grouped by the pair they certify."""
-    _edges, cycles = x.det.separating_now(detail=True)
+    cycles = x.det.separating_now()
     pairs: set[tuple[int, int]] = set()
     marked: set[int] = set()
     by_pair: dict[tuple[int, int], set[int]] = defaultdict(set)
@@ -840,17 +840,8 @@ class _SideSearch:
         g = self.g
         seeds = []
         if far is not None:
-            for v in far:
-                for d in self.w_at.get(v, ()):
-                    if d in self.marked:
-                        nd = g.rotation_next(d)
-                        if (nd not in self.w_darts
-                                and edge_of(nd) not in self.claim):
-                            seeds.append(nd)
-                    pd = g.rotation_prev(d)
-                    if (pd in self.marked and pd not in self.w_darts
-                            and edge_of(pd) not in self.claim):
-                        seeds.append(pd)
+            seeds = self._flank_seeds(
+                d for v in far for d in self.w_at.get(v, ()))
 
             def prio(s):
                 if set(g.endpoints(edge_of(s))) == set(far):
@@ -865,12 +856,12 @@ class _SideSearch:
         self.w_edges = set()
         self.w_at = defaultdict(list)
 
-    def _fallback_seeds(self) -> list[int]:
-        """All unclaimed flank darts of the current region; used when a
-        region closes without completing and the cut seeds ran out."""
+    def _flank_seeds(self, darts) -> list[int]:
+        """The unclaimed darts across a marked rotation gap from the
+        given darts of the current region, in scan order."""
         g = self.g
         out = []
-        for d in self.w_darts:
+        for d in darts:
             if d in self.marked:
                 nd = g.rotation_next(d)
                 if nd not in self.w_darts and edge_of(nd) not in self.claim:
@@ -917,7 +908,9 @@ class _SideSearch:
             self.state, self.reason = "stopped", "blocked"
             return
         if self.w_edges:
-            fresh = self._fallback_seeds()
+            # the region closed without completing and the cut seeds
+            # ran out: fall back to all its flank darts
+            fresh = self._flank_seeds(self.w_darts)
             if fresh:
                 self.seeds = fresh
                 return
@@ -960,20 +953,14 @@ def _run_split_search(g: EmbeddedMultigraph, pairs, marked, by_pair,
         return True
 
     while a.state == "running" and b.state == "running":
-        na = len(a.pieces)
-        a.step()
-        if len(a.pieces) != na and resolved():
-            a.state, a.reason = "stopped", "resolved"
-            b.state, b.reason = "stopped", "resolved"
-            break
-        if a.state != "running":
-            break
-        nb = len(b.pieces)
-        b.step()
-        if len(b.pieces) != nb and resolved():
-            a.state, a.reason = "stopped", "resolved"
-            b.state, b.reason = "stopped", "resolved"
-            break
+        for s in (a, b):
+            n = len(s.pieces)
+            s.step()
+            if len(s.pieces) != n and resolved():
+                for t in (a, b):
+                    t.state, t.reason = "stopped", "resolved"
+            if s.state != "running":
+                break
     done = set()
     for s in (a, b):
         for edges, _at, _near, _far in s.pieces:
@@ -1549,8 +1536,8 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
     joining one vertex pair: 0 virtual edges ⇒ the whole block is those
     two real edges and the tree is gone; 1 ⇒ the node dissolves and the
     neighbor's twin becomes real; 2 ⇒ the node dissolves and its two
-    neighbors are linked directly, merging them if they have equal
-    kind."""
+    neighbors are linked directly, merging them if both are S or both
+    are P (two R neighbors stay apart)."""
     shared = tree.shared
     g = x.graph
     r1, r2 = sorted(g.edge_ids())
@@ -1575,8 +1562,7 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
     m2, f2 = shared.unlink((x, r2))
     shared.link((m1, f1), (m2, f2))
     _splice_link(tree, x, m1, m2)
-    if m1.kind == m2.kind:
-        assert m1.kind in "SP", "same-kind R neighbors need no merge"
+    if m1.kind == m2.kind and m1.kind in "SP":
         _merge_adjacent(tree, m1, f1, m2, f2)
     return ("tree", tree)
 

@@ -6,59 +6,71 @@ import random
 
 import pytest
 
-from planarconn.embed import NotOnFace, SelfLoopContraction, dart
-from planarconn.fourcycle import Detector, FaceDegreeExceeded
+from planarconn.embed import NotOnFace, SelfLoopContraction
+from planarconn.fourcycle import MAX_FACE_DEGREE, Detector, FaceDegreeExceeded
 from planarconn.generators import random_delaunay, random_planar
-from planarconn.oracle import four_cycle_edges, separating_4cycles
+from planarconn.oracle import separating_4cycles
 
 from .graphs import cube, cycle, grid, k4, k24, triangle, wheel
 
 
-def sep_events(events):
-    return {e for e, c in events if c == "separating4"}
+def sep_edges(det):
+    """The edges on the cycles :meth:`Detector.separating_now` lists."""
+    out = set()
+    for _pair, _m1, lk1, _m2, lk2 in det.separating_now():
+        out.update(lk1 + lk2)
+    return out
 
 
-def face_events(events):
-    return {e for e, c in events if c == "face4"}
+def assert_exact(det):
+    assert sep_edges(det) == separating_4cycles(det.tree.root.graph)
 
 
 # ----------------------------------------------------------------------
-# initial reports
+# the cycles separating at construction
 
 def test_c4_reports_nothing_separating():
     det = Detector(cycle(4), debug=True)
-    assert sep_events(det.initial_events) == set()
     # the one 4-cycle bounds both faces
-    assert face_events(det.initial_events) == {0, 1, 2, 3}
+    assert det.separating_now() == []
 
 
 def test_k24_reports_all_eight_edges():
     det = Detector(k24(), debug=True)
-    assert sep_events(det.initial_events) == set(range(8))
+    assert sep_edges(det) == set(range(8))
 
 
 def test_k4_matches_brute_force():
     g = k4()
     det = Detector(g, debug=True)
-    assert sep_events(det.initial_events) == separating_4cycles(g)
-    assert sep_events(det.initial_events) == set(range(6))
+    assert sep_edges(det) == separating_4cycles(g)
+    assert sep_edges(det) == set(range(6))
 
 
 def test_initial_reports_match_brute_force():
     for make in (cube, lambda: wheel(6), lambda: grid(4, 5), triangle):
-        g = make()
-        det = Detector(g, debug=True)
-        sep, fac = four_cycle_edges(g)
-        assert sep_events(det.initial_events) == sep
-        assert face_events(det.initial_events) == fac
+        det = Detector(make(), debug=True)
+        assert_exact(det)
         det.check()
 
 
 def test_initial_reports_delaunay():
-    g = random_delaunay(80, 3)
-    det = Detector(g, debug=True)
-    assert sep_events(det.initial_events) == separating_4cycles(g)
+    det = Detector(random_delaunay(80, 3), debug=True)
+    assert_exact(det)
     det.check()
+
+
+def test_query_lists_cycles_with_their_legs():
+    # every listed cycle is a -m1- b -m2- a with legs lk1, lk2
+    det = Detector(k24(), debug=True)
+    h = det.tree.root.graph
+    cycles = det.separating_now()
+    assert cycles
+    for (a, b), m1, lk1, m2, lk2 in cycles:
+        assert m1 != m2
+        for m, lk in ((m1, lk1), (m2, lk2)):
+            ends = {frozenset(h.endpoints(e)) for e in lk}
+            assert ends == {frozenset((a, m)), frozenset((b, m))}
 
 
 # ----------------------------------------------------------------------
@@ -66,18 +78,15 @@ def test_initial_reports_delaunay():
 
 def test_face_degree_bound_enforced():
     with pytest.raises(FaceDegreeExceeded):
-        Detector(cycle(20), max_face_degree=8, debug=True)
-    Detector(cycle(20), max_face_degree=20, debug=True)
+        Detector(cycle(MAX_FACE_DEGREE + 1), debug=True)
+    Detector(cycle(MAX_FACE_DEGREE), debug=True)
 
 
 def test_self_loop_contraction_rejected():
     det = Detector(cube(), debug=True)
-    h = det.tree.root.graph
-    d = h.any_dart(0)
-    eid = None
+    d = det.tree.root.graph.any_dart(0)
     # insert a loop at vertex 0 (both corners at 0 share a face)
-    events = det.insert_edge(0, 0, d, d)
-    eid = max(det.tree.root.graph.edge_ids())
+    eid = det.insert_edge(0, 0, d, d)
     assert det.tree.root.graph.is_loop(eid)
     with pytest.raises(SelfLoopContraction):
         det.contract_edge(eid)
@@ -95,61 +104,50 @@ def test_insertion_corners_must_share_face():
 # saturation
 
 def test_fourth_path_saturates_pair():
-    # K_{2,3} plus a pendant leg; closing the fourth path reports at
-    # most 8 edges and completes the K_{2,4} answer
+    # K_{2,3} plus a pendant leg; closing the fourth path completes the
+    # K_{2,4} answer
     g = k24()
     g.delete_edge(7, report=False)
     det = Detector(g, debug=True)
     h = det.tree.root.graph
-    assert set(det.reported) == separating_4cycles(g)
+    assert sep_edges(det) == separating_4cycles(g)
     # re-attach middle 5 to hub 1, closing the fourth path
     da, dw = next((da, dw)
                   for da in h.rotation(1) for dw in h.rotation(5)
                   if h.same_face(h.rotation_next(da), h.rotation_next(dw)))
-    ev = det.insert_edge(1, 5, da, dw)
-    assert len(sep_events(ev)) <= 8
-    assert det.reported == separating_4cycles(det.tree.root.graph)
-    assert det.reported == set(det.tree.root.graph.edge_ids())
+    eid = det.insert_edge(1, 5, da, dw)
+    assert h.endpoints(eid) in ((1, 5), (5, 1))
+    assert_exact(det)
+    assert sep_edges(det) == set(h.edge_ids())
     det.check()
 
 
 # ----------------------------------------------------------------------
-# events and flags under mutations
-
-def test_contraction_shrinks_face_to_face4():
-    # contracting one rim edge of a 5-wheel turns the outer 5-face of
-    # the rim cycle... use C5: contract one edge, the square remains
-    det = Detector(cycle(5), debug=True)
-    assert face_events(det.initial_events) == set()
-    events = det.contract_edge(0)
-    live = set(det.tree.root.graph.edge_ids())
-    assert face_events(events) == live
-    assert len(live) == 4
-
+# the query under mutations
 
 def test_insertion_splitting_quad_makes_cycle_separating():
-    # a cube face's boundary is facial until a chord-of-the-far-face
-    # insertion... instead: split a quad of the cube by inserting a
-    # vertex-disjoint edge inside it is impossible; verify instead that
-    # inserting a diagonal reports the brute-force set afterwards
+    # a cube face's boundary is facial; inserting its diagonal splits
+    # it, and the query matches brute force afterwards
     g = cube()
     det = Detector(g, debug=True)
-    assert det.reported == set()
+    assert det.separating_now() == []
     h = det.tree.root.graph
     f = next(f for f in h.faces() if len(f) == 4)
     u = h.vertex_of_dart(f[0])
     w = h.vertex_of_dart(f[2])
     det.insert_edge(u, w, h.rotation_prev(f[0]), h.rotation_prev(f[2]))
-    cur = separating_4cycles(det.tree.root.graph)
-    assert cur <= det.reported
+    assert_exact(det)
     det.check()
 
 
-def test_reported_flags_are_monotone():
+def test_contraction_keeps_rest_of_cycles():
+    # contracting a leg of K_{2,4} destroys the cycles through it; the
+    # rest of every other cycle is still listed
     det = Detector(k24(), debug=True)
-    before = set(det.reported)
     det.contract_edge(0)
-    assert before - {0} <= det.reported
+    assert_exact(det)
+    assert sep_edges(det)
+    det.check()
 
 
 def test_insertion_candidates_bounded_by_neighbor_count():
@@ -166,10 +164,9 @@ def test_insertion_candidates_bounded_by_neighbor_count():
 # ----------------------------------------------------------------------
 # exactness under mixed updates, against brute force
 
-def run_script(det, rng, steps, envelope=True):
-    hist, histf = four_cycle_edges(det.tree.root.graph)
-    hist = set(hist)
-    histf = set(histf)
+def run_script(det, rng, steps):
+    """Random contractions and face-splitting insertions; after every
+    step the query must match brute force exactly."""
     for step in range(steps):
         h = det.tree.root.graph
         if rng.random() < 0.6:
@@ -189,24 +186,15 @@ def run_script(det, rng, steps, envelope=True):
                 continue
             det.insert_edge(u, w, h.rotation_prev(f[i]),
                             h.rotation_prev(f[j]))
-        if envelope:
-            cur, curf = four_cycle_edges(det.tree.root.graph)
-            hist |= cur
-            histf |= curf
-            live = set(det.tree.root.graph.edge_ids())
-            rep = det.reported & live
-            assert cur <= rep
-            assert rep <= hist
-            assert curf <= (det.face_reported & live) <= histf
+        assert sep_edges(det) == separating_4cycles(h), f"step {step}"
 
 
 def test_exactness_fuzz_small():
-    # reported edges stay within [current brute force, historical union]
     for seed in range(6):
         g = random_planar(24, seed, max_face_degree=6,
                           keep_biconnected=False)
         det = Detector(g, debug=True)
-        assert sep_events(det.initial_events) == separating_4cycles(g)
+        assert_exact(det)
         run_script(det, random.Random(seed * 7919 + 13), 40)
         det.check()
 
@@ -221,6 +209,17 @@ def test_exactness_fuzz_with_internal_nodes():
         det.check()
 
 
+def test_exactness_fuzz_radial():
+    # vertex-face graphs of triangulations: all faces are quads, the
+    # input the SPQR-tree gives the detector
+    for seed in range(4):
+        fv = random_delaunay(20, seed).vertex_face_graph()[0]
+        det = Detector(fv, debug=True)
+        assert det.separating_now() == []
+        run_script(det, random.Random(seed), 40)
+        det.check()
+
+
 def test_contract_to_nothing():
     det = Detector(random_planar(20, 1, keep_biconnected=False),
                    debug=True)
@@ -232,21 +231,23 @@ def test_contract_to_nothing():
             break
         det.contract_edge(rng.choice(cand))
     assert det.tree.root.graph.n_vertices == 1
+    assert det.separating_now() == []
     det.check()
 
 
-def test_deterministic_event_stream():
+def test_deterministic_answers():
     def run():
         det = Detector(random_planar(30, 4, keep_biconnected=False),
                        debug=True)
-        out = list(det.initial_events)
+        out = [det.separating_now()]
         rng = random.Random(17)
         for _ in range(20):
             h = det.tree.root.graph
             cand = [e for e in h.edge_ids() if not h.is_loop(e)]
             if not cand:
                 break
-            out += det.contract_edge(rng.choice(cand))
+            det.contract_edge(rng.choice(cand))
+            out.append(det.separating_now())
         return out, det.candidates_total
 
     assert run() == run()
