@@ -9,14 +9,19 @@ are either real edges of the graph or virtual edges; each virtual edge
 has a twin in the neighboring node's skeleton spanning the same
 separation pair, and no two adjacent nodes have equal kind S or P.
 
-Construction splits recursively on separation pairs.  Separation pairs
-of an embedded graph are found by counting, which only needs the faces:
-a pair of vertices is a separation pair exactly when the number of
+Construction splits on separation pairs.  Separation pairs of an
+embedded graph are found by counting, which only needs the faces: a
+pair of vertices is a separation pair exactly when the number of
 4-cycles through them and two of their common faces in the vertex-face
 graph exceeds the number of edges joining them, because every such
 4-cycle that does not bound a quadrilateral vertex-face-graph face
 witnesses a separation and the facial ones correspond one-to-one to the
-joining edges.
+joining edges.  The count runs once per decomposition: every split
+piece inherits the pairs of the graph that lie inside it, less the
+split pair.  At a split, searches from the pair find the separation
+classes and stop once only one class is still growing; the classes
+they finished are copied out into fresh pieces, and the last one is cut
+free in the graph itself, so a split costs about its smaller side.
 
 Edge deletions and contractions keep the tree in step with the graph.
 When an operation splits a triconnected skeleton, the node is replaced
@@ -162,45 +167,73 @@ def separation_pairs_embedded(g: EmbeddedMultigraph) -> set[tuple[int, int]]:
     return out
 
 
-def find_separation_pair(g: EmbeddedMultigraph) -> tuple[int, int] | None:
-    """The lexicographically smallest separation pair, or None."""
-    pairs = separation_pairs_embedded(g)
-    return min(pairs) if pairs else None
-
-
 # ----------------------------------------------------------------------
 # separation classes
 
-def separation_classes(g: EmbeddedMultigraph, a: int, b: int) -> list[set[int]]:
-    """Separation classes of g's edges with respect to the pair (a, b):
-    edges joining a and b are singletons; other edges group by the
-    component of g - {a, b} they touch."""
-    parent: dict[int, int] = {}
+def _split_classes(g: EmbeddedMultigraph, a: int,
+                   b: int) -> tuple[list[int], list[tuple[set[int], list[int]]]]:
+    """The separation classes of g's edges at the pair (a, b), all but
+    one, which is explored as little as possible.
 
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    Edges joining a and b are singletons.  One search starts at each
+    neighbour of a other than b; the searches take turns scanning one
+    vertex of g - {a, b} and merge when they meet, so a search that runs
+    dry has found a whole class.  They stop once at most one search
+    still grows: its class is the one left out, or the largest class if
+    every search ran dry.  Returns the singleton edges and, per listed
+    class, its edge set and its vertices other than a and b.
+    """
+    singles: list[int] = []
+    owner: dict[int, int] = {}      # vertex -> search that claimed it
+    up: list[int] = []              # union-find over searches
+    todo: list[list[int]] = []      # per search: claimed, not yet scanned
+    for d in g.rotation(a):
+        w = g.vertex_of_dart(rev(d))
+        if w == b:
+            singles.append(edge_of(d))
+        elif w not in owner:
+            owner[w] = len(up)
+            up.append(len(up))
+            todo.append([w])
 
-    pair = {a, b}
-    singles: list[set[int]] = []
-    grouped: dict[int, set[int]] = defaultdict(set)
-    for e in g.edge_ids():
-        u, w = g.endpoints(e)
-        if u not in pair and w not in pair:
-            parent[find(u)] = find(w)
-    for e in sorted(g.edge_ids()):
-        u, w = g.endpoints(e)
-        ends = [x for x in (u, w) if x not in pair]
-        if not ends:
-            singles.append({e})
-        else:
-            grouped[find(ends[0])].add(e)
-    return singles + [grouped[k] for k in sorted(grouped)]
+    def find(s: int) -> int:
+        while up[s] != s:
+            up[s] = up[up[s]]
+            s = up[s]
+        return s
+
+    growing = list(range(len(up)))
+    while len(growing) > 1:
+        for s in growing:
+            s = find(s)
+            if not todo[s]:
+                continue
+            v = todo[s].pop()
+            for d in g.rotation(v):
+                w = g.vertex_of_dart(rev(d))
+                if w == a or w == b:
+                    continue
+                t = owner.get(w)
+                if t is None:
+                    owner[w] = s
+                    todo[s].append(w)
+                    continue
+                t = find(t)
+                if t != s:
+                    if len(todo[t]) > len(todo[s]):
+                        s, t = t, s
+                    up[t] = s
+                    todo[s] += todo[t]
+                    todo[t] = []
+        growing = [s for s in dict.fromkeys(map(find, growing)) if todo[s]]
+    inner: dict[int, list[int]] = defaultdict(list)
+    for v, s in owner.items():
+        inner[find(s)].append(v)
+    done = [({edge_of(d) for v in vs for d in g.rotation(v)}, vs)
+            for s, vs in inner.items() if not todo[s]]
+    if not growing:
+        done.remove(max(done, key=lambda c: len(c[0])))
+    return singles, done
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +544,7 @@ class SpqrTree:
                 assert not _edge_multiplicity_violated(g)
                 assert all(g.degree(v) >= 3 for v in g.vertices())
                 assert is_biconnected_embedded(g)
-                assert find_separation_pair(g) is None, \
+                assert not separation_pairs_embedded(g), \
                     "R skeleton has a separation pair"
                 _check_r_sync(x)
             else:
@@ -1090,47 +1123,83 @@ def _reduce_to_segment(x: SpqrNode, y_edges: set[int],
     return survivors
 
 
-def _decompose(g: EmbeddedMultigraph, vids, vid_base: int,
-               nodes: list[SpqrNode]) -> None:
-    def virt_of(graph):
-        return {e for e in graph.edge_ids() if e >= vid_base}
+def _rebuilt(g: EmbeddedMultigraph) -> EmbeddedMultigraph:
+    """A fresh, validated copy of g with the same rotations."""
+    return EmbeddedMultigraph.build(
+        sorted(g.vertices()),
+        [(e, *g.endpoints(e)) for e in sorted(g.edge_ids())],
+        {v: [(edge_of(d), d & 1) for d in g.rotation(v)]
+         for v in g.vertices()})
 
-    kind = ("P" if g.n_vertices == 2
-            else "S" if _is_simple_cycle_graph(g) else None)
-    if kind is not None:
-        edges = [(e, *g.endpoints(e)) for e in sorted(g.edge_ids())]
-        nodes.append(SpqrNode(kind, _skeleton(kind, edges), virt_of(g)))
-        return
-    pair = find_separation_pair(g)
-    if pair is None:
-        nodes.append(SpqrNode("R", g, virt_of(g)))
-        return
-    a, b = pair
-    classes = separation_classes(g, a, b)
-    assert len(classes) >= 2
-    if len(classes) == 2:
-        vid = next(vids)
-        for cls in classes:
-            assert len(cls) >= 2, "singleton class in a two-class split"
-            _decompose(_piece_graph(g, cls, a, b, vid), vids, vid_base,
-                       nodes)
-        return
-    hub_edges: list[tuple[int, int, int]] = []
-    hub_virt: set[int] = set()
-    for cls in classes:
-        if len(cls) == 1:
-            (e,) = cls
-            assert set(g.endpoints(e)) == {a, b}
-            hub_edges.append((e, a, b))
-            if e >= vid_base:
-                hub_virt.add(e)
+
+def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
+               vids, vid_base: int, nodes: list[SpqrNode]) -> None:
+    """Append the S, P and R nodes of g to ``nodes``, drawing virtual
+    ids (all at or above ``vid_base``) from ``vids``.  ``pairs`` are the
+    separation pairs of g, which is consumed.
+
+    Each round splits on the smallest pair (a, b).  Every separation
+    class that :func:`_split_classes` lists is copied out into a fresh
+    piece closed by a virtual edge a-b and decomposed recursively; the
+    class it leaves unlisted is cut free in g itself, closed the same
+    way, and the loop goes on with it.  Several classes also make a P
+    hub of the edges joining a and b and one virtual edge per class.
+    No piece needs a fresh count: by the split-component lemma of
+    Hopcroft and Tarjan ("Dividing a graph into triconnected
+    components", SIAM J. Comput. 1973), the separation pairs of a split
+    piece are exactly the pairs of the graph with both ends in the
+    piece, other than (a, b).
+    """
+    peeled = False
+    while True:
+        kind = ("P" if g.n_vertices == 2
+                else "S" if _is_simple_cycle_graph(g)
+                else "R" if not pairs else None)
+        if kind is not None:
+            virt = {e for e in g.edge_ids() if e >= vid_base}
+            if kind == "R":
+                skel = _rebuilt(g) if peeled else g
+            else:
+                skel = _skeleton(kind, [(e, *g.endpoints(e))
+                                        for e in sorted(g.edge_ids())])
+            nodes.append(SpqrNode(kind, skel, virt))
+            return
+        pair = min(pairs)
+        a, b = pair
+        singles, done = _split_classes(g, a, b)
+        assert done or len(singles) >= 2, \
+            "singleton class in a two-class split"
+        gone = set(singles).union(*(cls for cls, _ in done))
+        # the class that stays gets its virtual edge where _piece_graph
+        # puts it: right after the last dart of its run at a and at b,
+        # which is right before the run of the classes that leave
+        after = [g.rotation_prev(_class_run(g, v, gone)[0]) for v in pair]
+        hub = [(e, a, b) for e in singles]
+        for cls, inner in done:
+            vid = next(vids)
+            hub.append((vid, a, b))
+            verts = {a, b, *inner}
+            _decompose(_piece_graph(g, cls, a, b, vid),
+                       {q for q in pairs if q != pair
+                        and q[0] in verts and q[1] in verts},
+                       vids, vid_base, nodes)
+        if len(hub) == 1:
+            # two classes share one virtual edge
+            ((vid, _, _),) = hub
         else:
             vid = next(vids)
-            hub_edges.append((vid, a, b))
-            hub_virt.add(vid)
-            _decompose(_piece_graph(g, cls, a, b, vid), vids, vid_base,
-                       nodes)
-    nodes.append(SpqrNode("P", _skeleton("P", hub_edges), hub_virt))
+            hub.append((vid, a, b))
+            nodes.append(SpqrNode("P", _skeleton("P", hub),
+                                  {e for e, _, _ in hub if e >= vid_base}))
+        for e in gone:
+            g.delete_edge(e, report=False)
+        cut = {v for _, inner in done for v in inner}
+        for v in cut:
+            g.delete_vertex(v)
+        g.insert_edge(a, b, *after, eid=vid)
+        peeled = True
+        pairs = {q for q in pairs if q != pair
+                 and q[0] not in cut and q[1] not in cut}
 
 
 def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
@@ -1144,34 +1213,47 @@ def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
 
 
 def _merge_same_kind(nodes: list[SpqrNode]) -> list[SpqrNode]:
-    """Repeatedly merge adjacent equal-kind S or P nodes, dropping the
-    shared virtual edge and rebuilding the canonical skeleton."""
-    nodes = list(nodes)
-    while True:
-        own = _owners(nodes)
-        hit = None
-        for vid in sorted(own):
-            (x, _), (y, _) = own[vid]
-            if x.kind == y.kind and x.kind in "SP":
-                hit = (vid, x, y)
-                break
-        if hit is None:
-            return nodes
-        vid, x, y = hit
-        merged = SpqrNode(x.kind, _merged_skeleton(x, vid, y, vid),
-                          (x.virt | y.virt) - {vid})
-        nodes = [z for z in nodes if z is not x and z is not y]
-        nodes.append(merged)
+    """Merge every group of equal-kind S or P nodes joined by virtual
+    edges into one node: the shared virtual edges disappear and each
+    group's canonical skeleton is built once."""
+    up = {x: x for x in nodes}
+
+    def find(x: SpqrNode) -> SpqrNode:
+        while up[x] is not x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    inner: set[int] = set()
+    for vid, ((x, _), (y, _)) in _owners(nodes).items():
+        if x.kind == y.kind and x.kind in "SP":
+            inner.add(vid)
+            up[find(x)] = find(y)
+    groups: dict[SpqrNode, list[SpqrNode]] = defaultdict(list)
+    for x in nodes:
+        groups[find(x)].append(x)
+    out = []
+    for group in groups.values():
+        if len(group) == 1:
+            out.append(group[0])
+            continue
+        kind = group[0].kind
+        edges = sorted((e, *z.graph.endpoints(e)) for z in group
+                       for e in z.graph.edge_ids() if e not in inner)
+        out.append(SpqrNode(kind, _skeleton(kind, edges),
+                            set().union(*(z.virt for z in group)) - inner))
+    return out
 
 
 def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph) -> list[SpqrNode]:
     """Decompose an embedded graph into SPQR nodes, drawing internal
     virtual ids from the shared source and registering the internal
     twin links.  Edges that predate the call (reals, interface ids) are
-    left unclassified for :func:`_adopt`."""
+    left unclassified for :func:`_adopt`.  ``sg`` is consumed."""
     vid_base = shared.vids.peek()
     nodes: list[SpqrNode] = []
-    _decompose(sg, shared.vids, vid_base, nodes)
+    _decompose(sg, separation_pairs_embedded(sg), shared.vids, vid_base,
+               nodes)
     nodes = _merge_same_kind(nodes)
     for vid, slots in _owners(nodes).items():
         assert len(slots) == 2, f"virtual edge {vid} not paired"

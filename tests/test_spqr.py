@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from planarconn import spqr
 from planarconn.embed import (
+    EmbeddedMultigraph,
     NotBiconnected,
     TooFewEdges,
     from_straight_line_drawing,
 )
 from planarconn.generators import random_planar
-from planarconn.oracle import canonical_spqr
+from planarconn.oracle import canonical_spqr, separation_classes
 from planarconn.spqr import build_spqr, delete_edge
 
 from .graphs import parallel_bundle, path
 
 
-@pytest.mark.parametrize("n", (12, 16, 20, 24))
-def test_build_matches_oracle(n):
-    for seed in range(10):
-        g = random_planar(n, seed)
+# (n, max face degree, seeds): face degree 24 leaves long chains of S
+# nodes and P hubs with real edges
+BUILD_CASES = ([pytest.param(n, 8, 10, id=str(n)) for n in (12, 16, 20, 24)]
+               + [pytest.param(n, 24, 6, id=f"{n}-sparse") for n in (24, 32)])
+
+
+@pytest.mark.parametrize("n, max_face_degree, seeds", BUILD_CASES)
+def test_build_matches_oracle(n, max_face_degree, seeds):
+    for seed in range(seeds):
+        g = random_planar(n, seed, max_face_degree)
         tree = build_spqr(g)
         assert tree.serialize() == canonical_spqr(g)
         tree.check()
@@ -49,3 +59,75 @@ def test_delete_links_two_r_nodes():
     assert log.kind == "intact"
     assert log.tree.serialize() == canonical_spqr(h)
     log.tree.check()
+
+
+def _vertices(g, edges) -> set[int]:
+    return {v for e in edges for v in g.endpoints(e)}
+
+
+@pytest.mark.parametrize("n", (16, 20, 24))
+def test_pairs_of_a_piece_are_inherited(n):
+    # the split-component lemma the construction rests on: the
+    # separation pairs of a split piece are the graph's pairs inside it,
+    # less the split pair
+    for seed in range(4):
+        g = random_planar(n, seed, 24)
+        pairs = spqr.separation_pairs_embedded(g)
+        vid = max(g.edge_ids()) + 1
+        for p in pairs:
+            for cls in separation_classes(g, *p):
+                if len(cls) < 2:
+                    continue
+                verts = _vertices(g, cls)
+                piece = spqr._piece_graph(g, cls, *p, vid)
+                assert spqr.separation_pairs_embedded(piece) == {
+                    q for q in pairs
+                    if q != p and q[0] in verts and q[1] in verts}
+
+
+@pytest.mark.parametrize("max_face_degree", (8, 24))
+def test_split_classes_match_oracle(max_face_degree):
+    for seed in range(3):
+        g = random_planar(28, seed, max_face_degree)
+        every = set(g.edge_ids())
+        for a, b in spqr.separation_pairs_embedded(g):
+            want = set(separation_classes(g, a, b))
+            singles, done = spqr._split_classes(g, a, b)
+            listed = {frozenset([e]) for e in singles}
+            for cls, inner in done:
+                assert set(inner) == _vertices(g, cls) - {a, b}
+                listed.add(frozenset(cls))
+            assert len(listed) == len(singles) + len(done)
+            assert listed < want
+            rest = every.difference(*listed)
+            assert want - listed == {frozenset(rest)}
+
+
+def test_build_counts_pairs_once(monkeypatch):
+    # every piece inherits its separation pairs and only the classes
+    # that finish first are copied out, so the count runs once and the
+    # edges handed to EmbeddedMultigraph.build stay near m log m; a
+    # recount and copy per level hands over Theta(m^2)
+    build = EmbeddedMultigraph.build.__func__
+    count_pairs = spqr.separation_pairs_embedded
+    seen = {"counts": 0, "edges": 0}
+
+    def counting_build(cls, vertices, edges, rotations, **kw):
+        edges = list(edges)
+        seen["edges"] += len(edges)
+        return build(cls, vertices, edges, rotations, **kw)
+
+    def counting_pairs(g):
+        seen["counts"] += 1
+        return count_pairs(g)
+
+    monkeypatch.setattr(EmbeddedMultigraph, "build",
+                        classmethod(counting_build))
+    monkeypatch.setattr(spqr, "separation_pairs_embedded", counting_pairs)
+    for seed in range(4):
+        g = random_planar(40, seed, 24)
+        m = g.n_edges
+        seen.update(counts=0, edges=0)
+        build_spqr(g)
+        assert seen["counts"] == 1
+        assert seen["edges"] <= 2 * m * math.log2(m)
