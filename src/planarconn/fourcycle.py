@@ -31,6 +31,8 @@ of candidate paths examined never exceeds the potential drop.
 
 from __future__ import annotations
 
+import weakref
+
 from .embed import (
     EmbeddedMultigraph,
     EmbedError,
@@ -175,7 +177,7 @@ class Detector:
         self._op_items: list[tuple] = []
         self._op_renames: list[tuple[int, int, int]] = []
         self.tree = SeparatorTree(g)
-        self.tree.hook = self._hook
+        self.tree.hook = weakref.WeakMethod(self._hook)
         self._states: dict[int, _NodeState] = {}
         self._nodes: dict[int, object] = {}
         self._phi_pre: dict[int, int] = {}

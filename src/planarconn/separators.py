@@ -8,8 +8,8 @@ embedding-respecting insertions in the root graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from planarconn.embed import EmbeddedMultigraph, EmbedError, dart, edge_of, rev
 
@@ -66,45 +66,73 @@ def triangulate(g: EmbeddedMultigraph) -> tuple[EmbeddedMultigraph, dict[int, tu
 # ----------------------------------------------------------------------
 # fundamental-cycle separators
 
-def _bfs_tree(g: EmbeddedMultigraph, root: int):
-    """BFS tree: (depth, parent dart into each vertex, tree edge set)."""
-    depth = {root: 0}
-    par_dart: dict[int, int | None] = {root: None}
-    tree_edges: set[int] = set()
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for d in g.rotation(v):
-            w = g.vertex_of_dart(rev(d))
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                par_dart[w] = d  # dart from v toward w
-                tree_edges.add(edge_of(d))
-                queue.append(w)
-    return depth, par_dart, tree_edges
+class _Snapshot:
+    """What one split reads of a connected graph h, taken once.
+
+    ``gt`` and ``added`` are h's triangulation and its chords (see
+    :func:`triangulate`).  The snapshot holds the vertex of every dart
+    and the endpoints of every edge of ``gt``, the vertex list of every
+    face of ``gt`` from one :meth:`~EmbeddedMultigraph.dual`, a face at
+    every vertex, and the BFS trees of h from the roots worth trying,
+    so the per-root scans never walk the union-find of ``gt``.
+    """
+
+    def __init__(self, h: EmbeddedMultigraph):
+        self.h = h
+        self.n = h.n_vertices
+        self.rotation = {v: h.rotation(v) for v in h.vertices()}
+        gt, self.added = triangulate(h)
+        self.vert = vert = {}
+        for v in gt.vertices():
+            for d in gt.rotation(v):
+                vert[d] = v
+        self.ends = {e: (vert[dart(e, 0)], vert[dart(e, 1)])
+                     for e in gt.edge_ids()}
+        dualg, face_of = gt.dual()
+        self.face_verts = [[vert[d] for d in dualg.rotation(f)]
+                           for f in dualg.vertices()]
+        self.dual_ends = [(e, face_of[dart(e, 0)], face_of[dart(e, 1)])
+                          for e in gt.edge_ids()]
+        self.any_face = {v: face_of[gt.any_dart(v)] for v in gt.vertices()}
+        self._trees: dict[int, tuple] = {}
+        self.roots = self._bfs_roots()
+
+    def tree(self, root: int):
+        """BFS tree of h: (depth, parent dart into each vertex, order)."""
+        if root not in self._trees:
+            rotation, vert = self.rotation, self.vert
+            depth = {root: 0}
+            par_dart: dict[int, int | None] = {root: None}
+            order = [root]
+            for v in order:
+                dw = depth[v] + 1
+                for d in rotation[v]:
+                    w = vert[rev(d)]
+                    if w not in depth:
+                        depth[w] = dw
+                        par_dart[w] = d  # dart from v toward w
+                        order.append(w)
+            self._trees[root] = (depth, par_dart, order)
+        return self._trees[root]
+
+    def _bfs_roots(self) -> list[int]:
+        """A few BFS roots worth trying: the smallest label, an eccentric
+        vertex found by double BFS, and the midpoint of the long path
+        between them (an approximate center)."""
+        r0 = min(self.rotation)
+        depth = self.tree(r0)[0]
+        far1 = max(depth, key=lambda v: (depth[v], v))
+        depth2, par2, _ = self.tree(far1)
+        far2 = max(depth2, key=lambda v: (depth2[v], v))
+        mid = far2
+        for _ in range(depth2[far2] // 2):
+            mid = self.vert[par2[mid]]
+        return list(dict.fromkeys([mid, r0, far1]))
 
 
-def _bfs_roots(g: EmbeddedMultigraph) -> list[int]:
-    """A few BFS roots worth trying: the smallest label, an eccentric
-    vertex found by double BFS, and the midpoint of the long path
-    between them (an approximate center)."""
-    r0 = min(g.vertices())
-    depth, par_dart, _ = _bfs_tree(g, r0)
-    far1 = max(depth, key=lambda v: (depth[v], v))
-    depth2, par2, _ = _bfs_tree(g, far1)
-    far2 = max(depth2, key=lambda v: (depth2[v], v))
-    mid = far2
-    for _ in range(depth2[far2] // 2):
-        mid = g.vertex_of_dart(par2[mid])
-    return list(dict.fromkeys([mid, r0, far1]))
-
-
-def _lca_tables(g, depth, par_dart):
+def _lca_tables(depth, parent):
     """Binary-lifting ancestor tables over the BFS tree."""
-    parent0 = {}
-    for v, d in par_dart.items():
-        parent0[v] = None if d is None else g.vertex_of_dart(d)
-    tables = [parent0]
+    tables = [parent]
     maxd = max(depth.values(), default=0)
     k = 1
     while (1 << k) <= maxd:
@@ -136,72 +164,109 @@ def _lca_tables(g, depth, par_dart):
     return lca
 
 
-def _cotree_face_counts(g: EmbeddedMultigraph, tree_edges: set[int]):
-    """The interdigitating dual spanning tree over the non-tree edges.
+def _preorder(order, parent, size):
+    """Preorder numbers of a tree given in BFS order, so that the
+    subtree of x holds the numbers [pre[x], pre[x] + size[x])."""
+    pre = {order[0]: 0}
+    nxt = {order[0]: 1}
+    for x in order[1:]:
+        p = parent[x]
+        pre[x] = nxt[p]
+        nxt[p] += size[x]
+        nxt[x] = pre[x] + 1
+    return pre
 
-    Returns (far_faces, kids, top_face, face_of): the number of faces
-    strictly on the far side of each non-tree edge, the dual-tree child
-    lists, the face hanging below each non-tree edge, and the face of
-    each dart.  Removing the dual of a non-tree edge splits the faces
-    into exactly the two sides of its fundamental cycle.
+
+class _RootScan:
+    """One BFS tree of a snapshot and its cotree, the interdigitating
+    dual spanning tree over the non-tree edges of ``gt``.
+
+    Removing the dual of a non-tree edge e splits the faces into the
+    two sides of e's fundamental cycle; ``top_face[e]`` is the root of
+    the side hanging below e, which holds ``n_faces[t]`` faces of
+    total degree ``deg_sum[t]`` for t = ``top_face[e]``.  Both trees
+    carry preorder numbers, so a vertex's BFS ancestors and a face's
+    side are O(1) tests.
     """
-    dualg, face_of = g.dual()
-    cotree: dict[int, list[tuple[int, int]]] = {}
-    for f in dualg.vertices():
-        cotree[f] = []
-    for e in dualg.edge_ids():
-        if e in tree_edges:
-            continue
-        f1, f2 = dualg.endpoints(e)
-        cotree[f1].append((e, f2))
-        cotree[f2].append((e, f1))
-    root_face = next(iter(cotree))
-    order = []
-    par: dict[int, tuple[int, int] | None] = {root_face: None}
-    kids: dict[int, list[int]] = {f: [] for f in cotree}
-    queue = deque([root_face])
-    while queue:
-        f = queue.popleft()
-        order.append(f)
-        for e, f2 in cotree[f]:
-            if f2 not in par:
-                par[f2] = (e, f)
-                kids[f].append(f2)
-                queue.append(f2)
-    size = {f: 1 for f in order}
-    for f in reversed(order):
-        if par[f] is not None:
-            size[par[f][1]] += size[f]
-    far_faces = {}
-    top_face = {}
-    for f in order:
-        if par[f] is not None:
-            far_faces[par[f][0]] = size[f]
-            top_face[par[f][0]] = f
-    return far_faces, kids, top_face, face_of
 
+    def __init__(self, snap: _Snapshot, root: int):
+        self.snap = snap
+        depth, par_dart, order = snap.tree(root)
+        if len(order) != snap.n:
+            raise EmbedError("cycle separator needs a connected graph")
+        vert = snap.vert
+        self.depth, self.par_dart = depth, par_dart
+        parent = {v: (None if d is None else vert[d])
+                  for v, d in par_dart.items()}
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        self.size, self.pre = size, _preorder(order, parent, size)
+        self.lca = _lca_tables(depth, parent)
 
-def _fundamental_cycle(g, par_dart, depth, lca, e):
-    """Vertex and edge lists of the cycle closed by non-tree edge e."""
-    u, w = g.endpoints(e)
-    a = lca(u, w)
-    left_v, left_e = [], []
-    x = u
-    while x != a:
-        d = par_dart[x]
-        left_v.append(x)
-        left_e.append(edge_of(d))
-        x = g.vertex_of_dart(d)
-    right_v, right_e = [], []
-    x = w
-    while x != a:
-        d = par_dart[x]
-        right_v.append(x)
-        right_e.append(edge_of(d))
-        x = g.vertex_of_dart(d)
-    verts = left_v + [a] + right_v[::-1]
-    cedges = left_e + right_e[::-1] + [e]
-    return verts, cedges
+        tree_edges = {edge_of(d) for d in par_dart.values() if d is not None}
+        nf = len(snap.face_verts)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(nf)]
+        for e, f1, f2 in snap.dual_ends:
+            if e not in tree_edges:
+                adj[f1].append((e, f2))
+                adj[f2].append((e, f1))
+        fparent: dict[int, int] = {0: None}
+        self.top_face = top_face = {}
+        self.kids = kids = [[] for _ in range(nf)]
+        forder = [0]
+        for f in forder:
+            for e, f2 in adj[f]:
+                if f2 not in fparent:
+                    fparent[f2] = f
+                    top_face[e] = f2
+                    kids[f].append(f2)
+                    forder.append(f2)
+        n_faces = [1] * nf
+        deg_sum = [len(vs) for vs in snap.face_verts]
+        for f in reversed(forder[1:]):
+            p = fparent[f]
+            n_faces[p] += n_faces[f]
+            deg_sum[p] += deg_sum[f]
+        self.n_faces, self.deg_sum = n_faces, deg_sum
+        self.face_pre = _preorder(forder, fparent, n_faces)
+
+    def materialise(self, e: int):
+        """The cycle closed by non-tree edge e and its separation:
+        (cycle vertices, cycle edges, Separation), in O(n).
+
+        The sides are filled in a fixed order (faces by a DFS of the
+        cotree, then h's vertex order): the children are induced in the
+        iteration order of these sets, and the subtrees built below
+        them depend on it."""
+        snap = self.snap
+        vert, par_dart = snap.vert, self.par_dart
+        u, w = snap.ends[e]
+        a = self.lca(u, w)
+        paths = []
+        for x in (u, w):
+            vs, es = [], []
+            while x != a:
+                d = par_dart[x]
+                vs.append(x)
+                es.append(edge_of(d))
+                x = vert[d]
+            paths.append((vs, es))
+        (left_v, left_e), (right_v, right_e) = paths
+        cverts = left_v + [a] + right_v[::-1]
+        cedges = left_e + right_e[::-1] + [e]
+        inside: set = set()
+        stack = [self.top_face[e]]
+        while stack:
+            f = stack.pop()
+            inside.update(snap.face_verts[f])
+            stack.extend(self.kids[f])
+        b = set(snap.h.vertices()) - inside.difference(cverts)
+        chord = snap.added.get(e, ())
+        inside.update(chord)
+        b.update(chord)
+        return cverts, cedges, Separation(A=frozenset(inside),
+                                          B=frozenset(b))
 
 
 # ----------------------------------------------------------------------
@@ -237,55 +302,83 @@ class Separation:
         return True
 
 
-def cycle_separations(h: EmbeddedMultigraph, gt: EmbeddedMultigraph,
-                      added: dict[int, tuple], root: int):
-    """Candidate face-preserving separations of a connected graph h,
-    one per fundamental cycle of a BFS tree of h from ``root`` in its
-    triangulation ``gt`` (``added`` as returned by :func:`triangulate`).
+class Candidate(NamedTuple):
+    """The counted sizes of the candidate separation (A, B) closed by
+    edge e: |A|, |B|, |A ∩ B|, |A − B| and |B − A|, with the scan whose
+    ``materialise(e)`` builds it."""
+    e: int
+    size_a: int
+    size_b: int
+    size_s: int
+    open_a: int
+    open_b: int
+    scan: _RootScan
 
-    Yields ``(cycle vertices, cycle edges, separation)`` for at most
-    MAX_CANDIDATES cycles, best first: by the larger open side of the
-    cycle, counted from the dual subtree below its closing edge, plus
-    the vertices that face preservation adds.  Since the tree uses only
-    edges of h, a cycle holds at most one chord of gt, its closing
-    edge, and every vertex of the face that chord crosses joins both
-    sides.
+
+def cycle_separations(snap: _Snapshot, root: int):
+    """Candidate face-preserving separations of the snapshot's graph h,
+    one per fundamental cycle of h's BFS tree from ``root`` in h's
+    triangulation ``gt``, each counted in O(1) plus O(1) per vertex of
+    the face its closing edge crosses.
+
+    Yields a :class:`Candidate` for at most MAX_CANDIDATES cycles, best
+    first: by the larger open side of the cycle, estimated from the
+    number of faces below its closing edge as if all were triangles,
+    plus the vertices that face preservation adds.
+
+    The counts are exact.  For the cycle of length c closed by e, with
+    f faces of total degree D on the side below e, Euler's formula on
+    that closed disc (c + inner vertices, (D + c) / 2 edges, f + 1
+    faces) gives ``inner = 1 - c + (D + c) / 2 - f`` vertices strictly
+    inside, for any face degrees.  A is the cycle plus the inside, B
+    the cycle plus the outside.  Since the tree uses only edges of h, a
+    cycle holds at most one chord of gt, its closing edge, and every
+    vertex of the face that chord crosses joins both sides.  Such a
+    vertex x is on the cycle if it is a BFS ancestor of u or w no
+    higher than their LCA (preorder intervals), and otherwise on the
+    side of any face at x (the cotree's preorder intervals).
     """
-    n = gt.n_vertices
-    depth, par_dart, tree_edges = _bfs_tree(h, root)
-    if len(depth) != n:
-        raise EmbedError("cycle separator needs a connected graph")
-    lca = _lca_tables(gt, depth, par_dart)
-    far_faces, kids, top_face, face_of = _cotree_face_counts(gt, tree_edges)
+    scan = _RootScan(snap, root)
+    n, added, ends = snap.n, snap.added, snap.ends
+    depth, lca, n_faces = scan.depth, scan.lca, scan.n_faces
     scored = []
-    for e, f_in in far_faces.items():
-        u, w = gt.endpoints(e)
+    for e, t in scan.top_face.items():
+        u, w = ends[e]
         if u == w:
             continue
-        c = depth[u] + depth[w] - 2 * depth[lca(u, w)] + 1
-        v_in = (f_in - c + 2) // 2
+        a = lca(u, w)
+        c = depth[u] + depth[w] - 2 * depth[a] + 1
+        v_in = (n_faces[t] - c + 2) // 2
         v_out = n - v_in - c
         if v_in < 0 or v_out < 0:
             continue
         ms = max(v_in, v_out)
-        scored.append((ms + len(added.get(e, ())), ms, c, e))
+        scored.append((ms + len(added.get(e, ())), ms, c, e, a))
     scored.sort()
-    face_verts: dict[int, list] = {}
-    for d, f in face_of.items():
-        face_verts.setdefault(f, []).append(gt.vertex_of_dart(d))
-    all_verts = set(h.vertices())
-    for _, _, _, e in scored[:MAX_CANDIDATES]:
-        cverts, cedges = _fundamental_cycle(gt, par_dart, depth, lca, e)
-        a: set = set()
-        stack = [top_face[e]]
-        while stack:
-            f = stack.pop()
-            a.update(face_verts[f])
-            stack.extend(kids[f])
-        b = all_verts - a.difference(cverts)
-        a.update(added.get(e, ()))
-        b.update(added.get(e, ()))
-        yield cverts, cedges, Separation(A=frozenset(a), B=frozenset(b))
+    pre, size = scan.pre, scan.size
+    face_pre, any_face = scan.face_pre, snap.any_face
+    for _, _, c, e, a in scored[:MAX_CANDIDATES]:
+        t = scan.top_face[e]
+        inner = 1 - c + (scan.deg_sum[t] + c) // 2 - n_faces[t]
+        f_in = f_out = 0
+        if e in added:
+            u, w = ends[e]
+            da, pu, pw = depth[a], pre[u], pre[w]
+            lo = face_pre[t]
+            hi = lo + n_faces[t]
+            for x in added[e]:
+                if depth[x] >= da:
+                    px = pre[x]
+                    sx = px + size[x]
+                    if px <= pu < sx or px <= pw < sx:
+                        continue  # on the cycle
+                if lo <= face_pre[any_face[x]] < hi:
+                    f_in += 1
+                else:
+                    f_out += 1
+        yield Candidate(e, c + inner + f_out, n - inner + f_in,
+                        c + f_in + f_out, inner - f_in,
+                        n - c - inner - f_out, scan)
 
 
 # ----------------------------------------------------------------------
@@ -322,46 +415,56 @@ class SeparatorTree:
     induced embedded subgraph of its parent."""
 
     def __init__(self, g: EmbeddedMultigraph):
-        # called as hook(kind, node, payload) just before each per-node
-        # mutation; kinds: contract, rename, insert, delete
+        # a weakref.WeakMethod to hook(kind, node, payload), called just
+        # before each per-node mutation; kinds: contract, rename, insert,
+        # delete.  Weak, so that an owner that hooks its own method in
+        # makes no reference cycle and is freed as soon as it is dropped
         self.hook = None
         self.root = self._build(g.copy(), 0)
 
     def _notify(self, kind: str, node, payload) -> None:
-        if self.hook is not None:
-            self.hook(kind, node, payload)
+        hook = None if self.hook is None else self.hook()
+        if hook is not None:
+            hook(kind, node, payload)
 
     # -- construction --------------------------------------------------
 
     def _split_sets(self, h: EmbeddedMultigraph):
-        """A proper balanced face-preserving separation of h, or None."""
+        """A proper balanced face-preserving separation of h, or None.
+
+        Tries the candidates of :func:`cycle_separations` for each BFS
+        root in turn and keeps the one with the smallest key (open side
+        over ALPHA * n, separator over C_SEP * sqrt(n), larger side,
+        separator), stopping at the first that is balanced, small and
+        leaves no side above 0.62 n.  The key reads only the counted
+        sizes, which equal those of the built separation; only the
+        returned candidate is built.
+        """
         n = h.n_vertices
         comps = h.components()
         if len(comps) > 1:
             return self._split_disconnected(h, comps)
-        gt, added = triangulate(h)
+        snap = _Snapshot(h)
         s_cap = C_SEP * (n ** 0.5)
         good_child = 0.62 * n
         best = None
-        for root in _bfs_roots(h):
-            for _cverts, _cedges, sep in cycle_separations(h, gt, added,
-                                                           root):
-                if not sep.is_proper():
-                    continue
-                if max(len(sep.A), len(sep.B)) >= n:
+        for root in snap.roots:
+            for cand in cycle_separations(snap, root):
+                if not (cand.open_a and cand.open_b):
+                    continue  # not proper
+                big = max(cand.size_a, cand.size_b)
+                if big >= n:
                     continue  # a child this big makes no progress
-                open_max = max(len(sep.A - sep.B), len(sep.B - sep.A))
-                key = (open_max > ALPHA * n,
-                       len(sep.separator) > s_cap,
-                       max(len(sep.A), len(sep.B)),
-                       len(sep.separator))
+                key = (max(cand.open_a, cand.open_b) > ALPHA * n,
+                       cand.size_s > s_cap, big, cand.size_s)
                 if best is None or key < best[0]:
-                    best = (key, sep)
+                    best = (key, cand)
                 if not key[0] and not key[1] and key[2] <= good_child:
-                    return best[1]
+                    return cand.scan.materialise(cand.e)[2]
         if best is None or best[0][0]:
             return None
-        return best[1]
+        cand = best[1]
+        return cand.scan.materialise(cand.e)[2]
 
     def _split_disconnected(self, h, comps):
         comps = sorted(comps, key=len, reverse=True)

@@ -1824,9 +1824,16 @@ def _finish(op: str, e: int, res: tuple[str, object],
 
 
 def _take_real(tree: SpqrTree, e: int) -> SpqrNode:
-    """Unindex real edge ``e`` of this block; return its node."""
+    """Unindex real edge ``e`` of this block; return its node.
+
+    The edge belongs to this block when its node's parent chain ends
+    at this tree's root; blocks of one origin share ``node_of_edge``.
+    """
     x = tree.shared.node_of_edge.get(e)
-    if x is None or x not in tree.nodes():
+    top = x
+    while top is not None and top.parent is not None:
+        top = top.parent
+    if x is None or top is not tree._root:
         raise UnknownEdge(f"edge {e} is not a real edge of this block")
     del tree.shared.node_of_edge[e]
     return x

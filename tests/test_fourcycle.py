@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -71,6 +73,21 @@ def test_query_lists_cycles_with_their_legs():
         for m, lk in ((m1, lk1), (m2, lk2)):
             ends = {frozenset(h.endpoints(e)) for e in lk}
             assert ends == {frozenset((a, m)), frozenset((b, m))}
+
+
+def test_dropped_detector_is_freed_at_once():
+    # the separator tree holds its hook weakly, so a detector and its
+    # tree form no reference cycle: an R node's replaced detector goes
+    # as soon as it is dropped, not at the next full collection
+    det = Detector(random_delaunay(30, 1))
+    det.contract_edge(next(iter(det.tree.root.graph.edge_ids())))
+    ref = weakref.ref(det)
+    gc.disable()
+    try:
+        del det
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +214,20 @@ def test_exactness_fuzz_small():
         assert_exact(det)
         run_script(det, random.Random(seed * 7919 + 13), 40)
         det.check()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the debug potential audit in Detector._end_op "
+                          "fails on valid inputs: seed 21 goes negative, "
+                          "seeds 15 and 58 break the len(M) bound")
+@pytest.mark.parametrize("seed", [15, 21, 58])
+def test_debug_audit_known_failures(seed):
+    # the query stays exact on these runs; the audit's potential or the
+    # audit itself is wrong.  A fix turns this into an XPASS, which fails
+    # the suite until the marker goes.
+    g = random_planar(24, seed, max_face_degree=6, keep_biconnected=False)
+    det = Detector(g, debug=True)
+    run_script(det, random.Random(seed * 7919 + 13), 40)
 
 
 def test_exactness_fuzz_with_internal_nodes():

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
 import pytest
 
-from planarconn.embed import EmbedError, edge_of
+from planarconn import separators
+from planarconn.embed import EmbeddedMultigraph, dart
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import simple_4cycles
 from planarconn.separators import (
     ALPHA,
     N0,
     SeparatorTree,
-    _bfs_roots,
+    _Snapshot,
     cycle_separations,
     triangulate,
 )
@@ -105,20 +107,25 @@ def _assert_simple_cycle(g, cverts, cedges):
 
 
 def _candidates(g):
-    """Every candidate separation of g, over every BFS root, best first
-    per root: (cycle vertices, cycle edges, separation, chords)."""
-    gt, added = triangulate(g)
-    for root in _bfs_roots(g):
-        for cverts, cedges, sep in cycle_separations(g, gt, added, root):
-            yield cverts, cedges, sep, added
+    """Every candidate of g, over every BFS root, best first per root,
+    each built: (candidate, cycle vertices, cycle edges, separation,
+    chords)."""
+    snap = _Snapshot(g)
+    for root in snap.roots:
+        for cand in cycle_separations(snap, root):
+            cverts, cedges, sep = cand.scan.materialise(cand.e)
+            yield cand, cverts, cedges, sep, snap.added
 
 
 def _assert_best_per_root_balanced(g):
     # g is a triangulation, so no face is crossed and the separator is
     # the cycle itself
     n = g.n_vertices
-    for root in _bfs_roots(g):
-        cverts, cedges, sep = next(cycle_separations(g, g, {}, root))
+    snap = _Snapshot(g)
+    assert snap.added == {}
+    for root in snap.roots:
+        cand = next(cycle_separations(snap, root))
+        cverts, cedges, sep = cand.scan.materialise(cand.e)
         _assert_simple_cycle(g, cverts, cedges)
         assert len(cverts) <= 8 * math.sqrt(n)
         assert sep.separator == set(cverts)
@@ -144,7 +151,7 @@ def test_separation_all_original_cycle():
     g = k4()
     seps = list(_candidates(g))
     assert seps
-    for cverts, _cedges, sep, added in seps:
+    for _cand, cverts, _cedges, sep, added in seps:
         assert added == {}
         assert sep.separator == set(cverts)
         assert sep.A | sep.B == {0, 1, 2, 3}
@@ -156,8 +163,9 @@ def test_separation_quad_crossed_by_diagonal():
     # vertices into the separator
     g = cube()
     crossed = 0
-    for cverts, cedges, sep, added in _candidates(g):
+    for cand, cverts, cedges, sep, added in _candidates(g):
         e = cedges[-1]
+        assert e == cand.e
         assert not any(ce in added for ce in cedges[:-1])
         if e in added:
             crossed += 1
@@ -174,12 +182,93 @@ def test_separation_bound_on_degree4_instances():
     for seed in range(3):
         g = random_planar(40, seed, max_face_degree=4,
                           keep_biconnected=False)
-        gt, added = triangulate(g)
-        cands = cycle_separations(g, gt, added, min(g.vertices()))
-        for _, (cverts, _cedges, sep) in zip(range(5), cands):
+        cands = cycle_separations(_Snapshot(g), min(g.vertices()))
+        for _, cand in zip(range(5), cands):
+            cverts, _cedges, sep = cand.scan.materialise(cand.e)
             assert len(sep.separator) <= 4 * len(cverts)
             assert sep.is_face_preserving(g)
             assert sep.A | sep.B == set(g.vertices())
+
+
+def _grid_with_digons(rows, cols):
+    """A grid with every third edge doubled, so that the triangulation
+    keeps faces of degree 2."""
+    g = grid(rows, cols)
+    for e in list(g.edge_ids())[::3]:
+        u, w = g.endpoints(e)
+        g.insert_edge(u, w, after_u=dart(e, 0),
+                      after_w=g.rotation_prev(dart(e, 1)))
+    return g
+
+
+def _counted_graphs(g):
+    """g and every connected graph the separator tree of g tried to
+    split, down to its deepest levels."""
+    return [x.graph for x in SeparatorTree(g).nodes()
+            if x.graph.n_vertices > N0 and len(x.graph.components()) == 1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid(5, 5),
+    lambda: grid(2, 50),
+    lambda: _grid_with_digons(6, 6),
+    lambda: random_delaunay(40, 0).vertex_face_graph()[0],
+    lambda: random_delaunay(60, 3).vertex_face_graph()[0],
+    lambda: random_planar(32, 1, 24).vertex_face_graph()[0],
+    lambda: random_planar(40, 2, 24).vertex_face_graph()[0],
+], ids=["grid5x5", "grid2x50", "grid6x6digons", "delaunay40fv",
+        "delaunay60fv", "planar32fv", "planar40fv"])
+def test_counted_sizes_match_built_separation(make):
+    # the scores come from Euler's formula and O(1) tests per vertex of
+    # a crossed face; building each candidate must give the same sizes,
+    # also where digon faces make the all-triangles estimate wrong
+    closers = set()
+    for h in _counted_graphs(make()):
+        for cand, _cverts, _cedges, sep, added in _candidates(h):
+            assert (cand.size_a, cand.size_b, cand.size_s,
+                    cand.open_a, cand.open_b) == (
+                len(sep.A), len(sep.B), len(sep.separator),
+                len(sep.A - sep.B), len(sep.B - sep.A))
+            closers.add("chord" if cand.e in added else "edge")
+    assert closers == {"chord", "edge"}
+
+
+def test_split_takes_one_dual_and_builds_one_separation(monkeypatch):
+    # every BFS root shares the split's dual, and only the returned
+    # candidate is built; one dual per root and one built separation per
+    # candidate would put both counts several times higher
+    dual = EmbeddedMultigraph.dual
+    materialise = separators._RootScan.materialise
+    split_sets = SeparatorTree._split_sets
+    seen = {"duals": 0, "built": 0, "splits": 0, "returned": 0}
+
+    def counting_dual(self):
+        seen["duals"] += 1
+        return dual(self)
+
+    def counting_materialise(self, e):
+        seen["built"] += 1
+        return materialise(self, e)
+
+    def counting_split_sets(self, h):
+        connected = len(h.components()) == 1
+        sep = split_sets(self, h)
+        if connected:
+            seen["splits"] += 1
+            seen["returned"] += sep is not None
+        return sep
+
+    monkeypatch.setattr(EmbeddedMultigraph, "dual", counting_dual)
+    monkeypatch.setattr(separators._RootScan, "materialise",
+                        counting_materialise)
+    monkeypatch.setattr(SeparatorTree, "_split_sets", counting_split_sets)
+    for seed in range(4):
+        fv = random_planar(40, seed, 8).vertex_face_graph()[0]
+        seen.update(duals=0, built=0, splits=0, returned=0)
+        SeparatorTree(fv)
+        assert seen["returned"] > 0
+        assert seen["duals"] == seen["splits"]
+        assert seen["built"] == seen["returned"]
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +304,40 @@ def test_tree_dump_format():
     lines = t.dump().splitlines()
     assert lines[0].startswith("node: |V|=60 ")
     assert all("|S|=" in ln and "depth=" in ln for ln in lines)
+
+
+def _tree_digest(t):
+    """SHA-256 of the preorder (path, depth, s_build, sorted vertices,
+    sorted edge ids) of a separator tree."""
+    lines = []
+
+    def rec(x, path):
+        lines.append(f"{path}|{x.depth}|{x.s_build}|"
+                     f"{sorted(x.graph.vertices())}|"
+                     f"{sorted(x.graph.edge_ids())}")
+        for i, child in enumerate(x.children):
+            rec(child, path + str(i))
+
+    rec(t.root, "")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: grid(5, 5),
+     "5edd2b48b826e0ba505d55327fbe012e897459d21f824048454cf7fe9215aee8"),
+    (lambda: grid(2, 50),
+     "b9f78fddf7b0fc73e2934af466589d03fd6840add3bd75afb4c6563a68a78d3f"),
+    (lambda: random_delaunay(40, 0).vertex_face_graph()[0],
+     "73aa03f158d6759b79730f49ce8d8f56aeaa4d771e3d51bc2c2fcd1f76589610"),
+    (lambda: random_planar(32, 1, 8),
+     "e3a004bccfdf6e3384921e1aec3ef32c84e410386b83cffd3294af6a64aa044a"),
+    (lambda: random_planar(32, 1, 24),
+     "849d826c548f7462b81d8368dbf62e9e119f8e880318cc225aea9c29adcd6e92"),
+], ids=["grid5x5", "grid2x50", "delaunay40fv", "planar32d8", "planar32d24"])
+def test_tree_pinned(make, digest):
+    # the trees as the per-candidate set-building scorer chose them; a
+    # change of roots, candidate order, key or tie-break shows here
+    assert _tree_digest(SeparatorTree(make())) == digest
 
 
 # ----------------------------------------------------------------------

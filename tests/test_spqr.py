@@ -11,6 +11,7 @@ from planarconn.embed import (
     EmbeddedMultigraph,
     NotBiconnected,
     TooFewEdges,
+    UnknownEdge,
     from_straight_line_drawing,
 )
 from planarconn.generators import random_planar
@@ -59,6 +60,34 @@ def test_delete_links_two_r_nodes():
     assert log.kind == "intact"
     assert log.tree.serialize() == canonical_spqr(h)
     log.tree.check()
+
+
+def test_split_pieces_own_their_real_edges():
+    # a ring of two diamonds joined by the real edges 1-2 and 3-0:
+    # deleting 1-2 splits the block into both diamonds and the edge 3-0.
+    # The pieces share one edge index, so an edge of one piece must be
+    # refused through the other piece's handle and work through its own.
+    coords = {0: (0, 2), 1: (0, -2), 4: (-1, 0), 5: (-3, 0),
+              2: (4, -2), 3: (4, 2), 6: (5, 0), 7: (7, 0)}
+    edges = [(0, 0, 4), (1, 0, 5), (2, 1, 4), (3, 1, 5), (4, 4, 5),
+             (5, 1, 2), (6, 2, 6), (7, 2, 7), (8, 3, 6), (9, 3, 7),
+             (10, 6, 7), (11, 3, 0)]
+    g = from_straight_line_drawing(coords, edges)
+    log = delete_edge(build_spqr(g), 5)
+    assert log.kind == "path"
+    left, right = (p.tree for p in log.pieces if p.tree is not None)
+    assert {e for x in left.nodes() for e in x.graph.edge_ids()} >= {4}
+    with pytest.raises(UnknownEdge):
+        delete_edge(right, 4)
+    with pytest.raises(UnknownEdge):
+        spqr.contract_edge(left, 10)
+    h = g.induced({0, 1, 4, 5})
+    h.delete_edge(4, report=False)
+    log = delete_edge(left, 4)
+    assert log.kind == "intact"
+    assert log.tree.serialize() == canonical_spqr(h)
+    log.tree.check()
+    right.check()
 
 
 def _vertices(g, edges) -> set[int]:
