@@ -537,7 +537,7 @@ class SeparatorTree:
         x = min(u, w)
         events: list[tuple] = []
         self._notify("contract", self.root, (e, u, w, x))
-        self.root.graph.contract_edge(e, report=False)
+        self.root.graph.contract_edge(e)
         events.append(("contract", self.root, e, x))
         for child in self.root.children:
             self._propagate_merge(child, self.root.graph, u, w, x, e, events)
@@ -550,7 +550,7 @@ class SeparatorTree:
             return
         if has_u and has_w:
             self._notify("contract", node, (e, u, w, x))
-            node.graph.contract_edge(e, report=False)
+            node.graph.contract_edge(e)
             events.append(("contract", node, e, x))
             for child in node.children:
                 self._propagate_merge(child, node.graph, u, w, x, e, events)
@@ -610,7 +610,7 @@ class SeparatorTree:
             if not node.graph.has_edge(e):
                 return
             self._notify("delete", node, (e,))
-            node.graph.delete_edge(e, report=False)
+            node.graph.delete_edge(e)
             events.append(("delete", node, e))
             for child in node.children:
                 rec(child)

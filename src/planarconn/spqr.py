@@ -702,7 +702,7 @@ def _r_delete_edge(x: SpqrNode, e: int) -> None:
     _fv_split_contract(x, f, i)
     _cmap_merge(x, rp0, d0)
     _cmap_merge(x, rp1, d1)
-    g.delete_edge(e, report=False)
+    g.delete_edge(e)
 
 
 def _r_contract_edge(x: SpqrNode, e: int, keep: int) -> None:
@@ -730,7 +730,7 @@ def _r_contract_edge(x: SpqrNode, e: int, keep: int) -> None:
     assert merged == min(fu, fw)
     x.fvv[keep] = merged
     x.vvf[merged] = keep
-    g.contract_edge(e, keep=keep, report=False)
+    g.contract_edge(e, keep=keep)
 
 
 def _r_reports(x: SpqrNode):
@@ -778,7 +778,7 @@ def _r_pendant_delete(x: SpqrNode, e: int) -> None:
     _cmap_merge(x, rp1, d1)
     fz = x.fvv.pop(z)
     del x.vvf[fz]
-    g.delete_edge(e, report=False)
+    g.delete_edge(e)
     g.delete_vertex(z)
 
 
@@ -1192,7 +1192,7 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
             nodes.append(SpqrNode("P", _skeleton("P", hub),
                                   {e for e, _, _ in hub if e >= vid_base}))
         for e in gone:
-            g.delete_edge(e, report=False)
+            g.delete_edge(e)
         cut = {v for _, inner in done for v in inner}
         for v in cut:
             g.delete_vertex(v)
@@ -1654,7 +1654,7 @@ def _p_remove(tree: SpqrTree, x: SpqrNode, e: int) -> tuple[str, object]:
     from P node ``x`` and run the dissolution ladder if only two edges
     remain."""
     g = x.graph
-    g.delete_edge(e, report=False)
+    g.delete_edge(e)
     x.virt.discard(e)
     if g.n_edges >= 3:
         return ("tree", tree)
@@ -1671,7 +1671,7 @@ def _s_contract(tree: SpqrTree, x: SpqrNode, e: int,
     g = x.graph
     targets = [shared.twins[(x, f)] for f in x.virt
                if f != e and dying in g.endpoints(f)]
-    g.contract_edge(e, keep=keep, report=False)
+    g.contract_edge(e, keep=keep)
     x.virt.discard(e)
     for m, f in targets:
         _rename_cascade(shared, m, f, dying, keep)
@@ -1799,7 +1799,7 @@ def _p_star(tree: SpqrTree, x: SpqrNode, e: int,
     edge blocks); each virtual edge's subtree becomes a block in which
     the twin is contracted recursively."""
     g = x.graph
-    g.delete_edge(e, report=False)
+    g.delete_edge(e)
 
     def contract_twin(frag, m, f):
         if m.kind == "S":

@@ -112,24 +112,24 @@ def test_all_fixtures_valid():
 
 def test_delete_cycle_edge_not_bridge():
     g = triangle()
-    rep = g.delete_edge(0)
-    assert not rep.was_bridge
+    assert not g.same_face(dart(0, 0), dart(0, 1))
+    g.delete_edge(0)
     assert g.n_faces() == 1
     g.check()
 
 
 def test_delete_bridge_sets_flag_and_splits():
     g = path(3)
-    rep = g.delete_edge(0)
-    assert rep.was_bridge
+    assert g.same_face(dart(0, 0), dart(0, 1))
+    g.delete_edge(0)
     assert len(g.components()) == 2
     g.check()
 
 
 def test_delete_parallel_edge_of_bigon():
     g = bigon(3, 7)
-    rep = g.delete_edge(3)
-    assert not rep.was_bridge
+    assert not g.same_face(dart(3, 0), dart(3, 1))
+    g.delete_edge(3)
     assert g.n_edges == 1
     g.check()
 
@@ -144,26 +144,26 @@ def test_delete_unknown_edge():
 
 def test_contract_triangle_edge_gives_bigon():
     g = triangle()
-    rep = g.contract_edge(0)
+    g.contract_edge(0)
     assert g.n_vertices == 2
     assert g.n_edges == 2
-    assert rep.merged == min(*rep.__dict__.get("_", (0, 1))) if False else True
-    assert rep.new_loops == []
+    assert g.has_vertex(0) and not g.has_vertex(1)
+    assert not any(g.is_loop(e) for e in g.edge_ids())
     g.check()
 
 
 def test_contract_keeps_smaller_id():
     g = triangle()
-    rep = g.contract_edge(0)
-    u, w = 0, 1
-    assert rep.merged == min(u, w)
-    assert not g.has_vertex(rep.retired)
+    assert g.endpoints(0) == (0, 1)
+    g.contract_edge(0)
+    assert g.has_vertex(0)
+    assert not g.has_vertex(1)
 
 
 def test_contract_self_loop_rejected():
     g = bigon()
-    rep = g.contract_edge(3)
-    assert rep.new_loops == [7]
+    g.contract_edge(3)
+    assert [e for e in g.edge_ids() if g.is_loop(e)] == [7]
     with pytest.raises(SelfLoopContraction):
         g.contract_edge(7)
 
@@ -180,8 +180,8 @@ def test_contract_k4_edge_then_simplify_is_triangle():
 
 def test_contract_explicit_survivor():
     g = triangle()
-    rep = g.contract_edge(0, keep=1)
-    assert rep.merged == 1
+    g.contract_edge(0, keep=1)
+    assert g.has_vertex(1)
     assert not g.has_vertex(0)
 
 
@@ -309,14 +309,15 @@ def test_dual_commutes_with_mutations():
         for e in list(g0.edge_ids()):
             g = make()
             d, _ = g.dual()
-            rep = g.delete_edge(e)
-            if not rep.was_bridge and not rep.was_loop:
+            cut = g.is_loop(e) or g.same_face(dart(e, 0), dart(e, 1))
+            g.delete_edge(e)
+            if not cut:
                 d.contract_edge(e)
                 assert g.dual()[0].signature() == d.signature(), (name, e)
             g = make()
             d, _ = g.dual()
             if not g.is_loop(e):
-                drep = d.delete_edge(e)
+                d.delete_edge(e)
                 g.contract_edge(e)
                 assert g.dual()[0].signature() == d.signature(), (name, e)
 

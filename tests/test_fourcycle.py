@@ -124,7 +124,7 @@ def test_fourth_path_saturates_pair():
     # K_{2,3} plus a pendant leg; closing the fourth path completes the
     # K_{2,4} answer
     g = k24()
-    g.delete_edge(7, report=False)
+    g.delete_edge(7)
     det = Detector(g, debug=True)
     h = det.tree.root.graph
     assert sep_edges(det) == separating_4cycles(g)

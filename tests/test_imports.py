@@ -19,11 +19,28 @@ MODULES = ["planarconn"] + sorted(
     f"planarconn.{m.name}" for m in pkgutil.iter_modules(planarconn.__path__))
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports(module):
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that finds this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", f"import {module}"],
-                         env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports(module):
+    res = _fresh(f"import {module}")
     assert res.returncode == 0, res.stderr
+
+
+def test_no_third_party_or_oracle_import():
+    """The program runs on the standard library alone, and production
+    code never leans on the brute-force oracle."""
+    mods = [m for m in MODULES if m != "planarconn.oracle"]
+    code = ("import sys\n" + "".join(f"import {m}\n" for m in mods)
+            + "print(sorted(m for m in ('numpy', 'scipy', 'planarconn.oracle')"
+            " if m in sys.modules))")
+    res = _fresh(code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -55,7 +55,7 @@ def test_delete_links_two_r_nodes():
     g = from_straight_line_drawing(coords, edges)
     tree = build_spqr(g)
     h = g.copy()
-    h.delete_edge(0, report=False)
+    h.delete_edge(0)
     log = delete_edge(tree, 0)
     assert log.kind == "intact"
     assert log.tree.serialize() == canonical_spqr(h)
@@ -82,7 +82,7 @@ def test_split_pieces_own_their_real_edges():
     with pytest.raises(UnknownEdge):
         spqr.contract_edge(left, 10)
     h = g.induced({0, 1, 4, 5})
-    h.delete_edge(4, report=False)
+    h.delete_edge(4)
     log = delete_edge(left, 4)
     assert log.kind == "intact"
     assert log.tree.serialize() == canonical_spqr(h)
