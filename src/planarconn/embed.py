@@ -234,9 +234,6 @@ class EmbeddedMultigraph:
     def face_next(self, d: int) -> int:
         return self._nxt[d ^ 1]
 
-    def face_prev(self, d: int) -> int:
-        return self._prv[d] ^ 1
-
     def trace_face(self, d: int) -> list[int]:
         out = [d]
         x = self.face_next(d)

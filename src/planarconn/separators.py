@@ -282,9 +282,6 @@ class Separation:
     def separator(self) -> frozenset:
         return self.A & self.B
 
-    def is_proper(self) -> bool:
-        return bool(self.A - self.B) and bool(self.B - self.A)
-
     def is_balanced(self, n: int, alpha: float) -> bool:
         """Both open sides hold at most alpha * n vertices.
 

@@ -325,18 +325,25 @@ def _is_simple_cycle_graph(g: EmbeddedMultigraph) -> bool:
 # tree structure
 
 class SpqrNode:
-    """One triconnected component: kind S, P or R with its skeleton."""
+    """One triconnected component: kind S, P or R with its skeleton.
 
-    __slots__ = ("kind", "graph", "virt", "parent", "children",
+    ``twin`` maps each virtual edge id of the skeleton to its twin slot
+    ``(node, edge id)`` in the neighboring skeleton; one such pair of
+    slots is one tree edge, and every skeleton edge not in ``twin`` is
+    real.  ``parent`` orients the tree: the children of a node are its
+    twin neighbors whose parent it is."""
+
+    __slots__ = ("kind", "graph", "twin", "parent",
                  "det", "cmap", "rcmap", "fvv", "vvf")
 
     def __init__(self, kind: str, graph: EmbeddedMultigraph,
                  virt: set[int]):
         self.kind = kind
         self.graph = graph
-        self.virt = set(virt)
+        # slots are filled when the twins are linked
+        self.twin: dict[int, tuple[SpqrNode, int]] = dict.fromkeys(
+            sorted(virt))
         self.parent: SpqrNode | None = None
-        self.children: set[SpqrNode] = set()
         self.det = None    # four-cycle detector over fv(skeleton), R only
         self.cmap = None   # skeleton dart -> vertex-face-graph edge id
         self.rcmap = None  # vertex-face-graph edge id -> skeleton dart
@@ -345,11 +352,35 @@ class SpqrNode:
 
     def real_ids(self) -> list[int]:
         return sorted(e for e in self.graph.edge_ids()
-                      if e not in self.virt)
+                      if e not in self.twin)
+
+    # every write to ``twin`` goes through these three
+
+    def link(self, e: int, other: SpqrNode, f: int) -> None:
+        """Make virtual edge ``e`` here and ``f`` of ``other`` twins."""
+        self.twin[e] = (other, f)
+        other.twin[f] = (self, e)
+
+    def unlink(self, e: int) -> tuple[SpqrNode, int]:
+        """Drop the link of virtual edge ``e`` on both sides; return its
+        former twin slot."""
+        y, f = self.twin.pop(e)
+        del y.twin[f]
+        return y, f
+
+    def move_twin(self, e: int, new: SpqrNode) -> None:
+        """Virtual edge ``e`` moved from this skeleton to ``new``'s; its
+        twin now points at ``new``."""
+        new.link(e, *self.twin.pop(e))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SpqrNode {self.kind} v={sorted(self.graph.vertices())} "
-                f"real={self.real_ids()} virt={sorted(self.virt)}>")
+                f"real={self.real_ids()} virt={sorted(self.twin)}>")
+
+
+def _children(x: SpqrNode) -> list[SpqrNode]:
+    """The twin neighbors of ``x`` whose parent is ``x``."""
+    return [y for y, _ in x.twin.values() if y.parent is x]
 
 
 class _Vids:
@@ -371,60 +402,36 @@ class _Vids:
 
 class _Shared:
     """State shared by every tree handle over the same node universe:
-    twin links, the real-edge index, the virtual-id source and the
-    instrumentation counters.  Splitting a block into several trees only
-    creates new handles; the registries stay in place."""
+    the real-edge index, the virtual-id source and the instrumentation
+    counters.  Splitting a block into several trees only creates new
+    handles; the twin maps live in the nodes and the index stays in
+    place."""
 
-    __slots__ = ("twins", "node_of_edge", "vids", "parent_changes",
-                 "split_edges")
+    __slots__ = ("node_of_edge", "vids", "parent_changes", "split_edges")
 
     def __init__(self, vids: "_Vids"):
-        self.twins: dict[tuple[SpqrNode, int], tuple[SpqrNode, int]] = {}
         self.node_of_edge: dict[int, SpqrNode] = {}
         self.vids = vids
         self.parent_changes = 0
         self.split_edges = 0
-
-    # every write to ``twins`` goes through these three
-
-    def link(self, a: tuple[SpqrNode, int], b: tuple[SpqrNode, int]) -> None:
-        """Make the virtual-edge slots ``a`` and ``b`` twins."""
-        self.twins[a] = b
-        self.twins[b] = a
-
-    def unlink(self, a: tuple[SpqrNode, int]) -> tuple[SpqrNode, int]:
-        """Drop the link of slot ``a`` in both directions; return its
-        former twin."""
-        b = self.twins.pop(a)
-        del self.twins[b]
-        return b
-
-    def move_twin(self, old: SpqrNode, new: SpqrNode, e: int) -> None:
-        """Virtual edge ``e`` moved from ``old``'s skeleton to ``new``'s;
-        its twin now points at ``new``."""
-        self.link((new, e), self.twins.pop((old, e)))
 
 
 class SpqrTree:
     """The SPQR-tree of one biconnected block: a root pointer into a
     shared node universe.
 
-    ``twins`` links each virtual edge, keyed ``(node, edge id)``, to its
-    twin in the neighboring skeleton.  ``node_of_edge`` locates the
-    skeleton holding each real edge.  ``parent_changes`` counts nodes
-    whose parent pointer was rewritten by update operations, and
-    ``split_edges`` totals the skeleton edges placed in non-largest
-    pieces of skeleton splits.  All four live in the shared registry, so
-    handles over blocks of the same origin report combined counters.
+    The tree edges are the twin maps of the nodes (``SpqrNode.twin``),
+    walked from the root.  ``node_of_edge`` locates the skeleton holding
+    each real edge.  ``parent_changes`` counts nodes whose parent
+    pointer was rewritten by update operations, and ``split_edges``
+    totals the skeleton edges placed in non-largest pieces of skeleton
+    splits.  All three live in the shared registry, so handles over
+    blocks of the same origin report combined counters.
     """
 
     def __init__(self, root: SpqrNode, shared: _Shared):
         self.shared = shared
         self._root = root
-
-    @property
-    def twins(self):
-        return self.shared.twins
 
     @property
     def node_of_edge(self):
@@ -438,40 +445,29 @@ class SpqrTree:
     def split_edges(self) -> int:
         return self.shared.split_edges
 
-    def nodes(self) -> set[SpqrNode]:
-        """All nodes of this tree, walked from the root via twin links."""
+    def nodes(self) -> list[SpqrNode]:
+        """All nodes of this tree, in the order a walk over the twin
+        maps from the root first reaches them."""
         seen = {self._root}
-        queue = [self._root]
-        while queue:
-            x = queue.pop()
-            for e in x.virt:
-                y, _ = self.shared.twins[(x, e)]
+        order = [self._root]
+        for x in order:
+            for y, _ in x.twin.values():
                 if y not in seen:
                     seen.add(y)
-                    queue.append(y)
-        return seen
+                    order.append(y)
+        return order
 
     # -- rooting ---------------------------------------------------------
 
     def _reroot(self, root: SpqrNode) -> None:
-        """Set parent/child pointers by search from ``root`` (used at
+        """Set parent pointers by search from ``root`` (used at
         construction; not counted as parent changes)."""
         self._root = root
         root.parent = None
-        seen = {root}
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            x.children = set()
-            for e in x.virt:
-                y, _ = self.shared.twins[(x, e)]
-                if y not in seen:
-                    seen.add(y)
+        for x in self.nodes():
+            for y, _ in x.twin.values():
+                if y is not x.parent:
                     y.parent = x
-                    queue.append(y)
-        for x in seen:
-            if x.parent is not None:
-                x.parent.children.add(x)
 
     @property
     def root(self) -> SpqrNode:
@@ -479,15 +475,9 @@ class SpqrTree:
 
     def set_parent(self, node: SpqrNode, parent: SpqrNode | None) -> None:
         """Re-point ``node`` at ``parent``, counting the change."""
-        old = node.parent
-        if old is parent:
-            return
-        if old is not None:
-            old.children.discard(node)
-        node.parent = parent
-        if parent is not None:
-            parent.children.add(node)
-        self.shared.parent_changes += 1
+        if node.parent is not parent:
+            node.parent = parent
+            self.shared.parent_changes += 1
 
     # -- queries ----------------------------------------------------------
 
@@ -503,10 +493,10 @@ class SpqrTree:
         def node_str(x: SpqrNode, via: int | None) -> str:
             verts = sorted(x.graph.vertices())
             kids = []
-            for e in sorted(x.virt):
+            for e in sorted(x.twin):
                 if e == via:
                     continue
-                y, f = self.twins[(x, e)]
+                y, f = x.twin[e]
                 u, w = x.graph.endpoints(e)
                 a, b = (u, w) if u < w else (w, u)
                 kids.append(f"{a},{b}:" + node_str(y, f))
@@ -522,14 +512,15 @@ class SpqrTree:
 
     def check(self) -> None:
         """Assert every structural invariant of the tree."""
-        nodes = self.nodes()
-        assert nodes, "empty tree"
+        order = self.nodes()
+        nodes = set(order)
         seen_real: dict[int, SpqrNode] = {}
         twin_count = 0
-        for x in nodes:
+        for x in order:
             g = x.graph
             g.check()
-            assert x.virt <= set(g.edge_ids())
+            assert all(g.has_edge(e) for e in x.twin), \
+                "virtual id not a skeleton edge"
             for e in x.real_ids():
                 assert e not in seen_real, f"real edge {e} in two skeletons"
                 seen_real[e] = x
@@ -542,19 +533,18 @@ class SpqrTree:
                 assert g.n_vertices >= 4
                 assert not any(g.is_loop(e) for e in g.edge_ids())
                 assert not _edge_multiplicity_violated(g)
-                assert all(g.degree(v) >= 3 for v in g.vertices())
+                assert all(g.degree(v) >= 3 for v in g.vertices()), \
+                    "R skeleton vertex of degree < 3"
                 assert is_biconnected_embedded(g)
                 assert not separation_pairs_embedded(g), \
                     "R skeleton has a separation pair"
                 _check_r_sync(x)
             else:
                 raise AssertionError(f"unknown kind {x.kind}")
-            for e in x.virt:
+            for e, (y, f) in x.twin.items():
                 twin_count += 1
-                y, f = self.shared.twins[(x, e)]
                 assert y in nodes
-                assert self.shared.twins[(y, f)] == (x, e), "twin not mutual"
-                assert f in y.virt
+                assert y.twin.get(f) == (x, e), "twin not mutual"
                 pa = set(x.graph.endpoints(e))
                 pb = set(y.graph.endpoints(f))
                 assert pa == pb, "twins span different pairs"
@@ -563,16 +553,15 @@ class SpqrTree:
         assert all(self.shared.node_of_edge[e] is x
                    for e, x in seen_real.items())
         assert twin_count == 2 * (len(nodes) - 1), "tree edge count"
-        # parent pointers form the tree rooted at _root
-        assert self._root in nodes
+        # parent pointers form the tree rooted at _root: following them
+        # down from the root reaches every node exactly once
         assert self._root.parent is None
         reach = {self._root}
         queue = [self._root]
         while queue:
             x = queue.pop()
-            for y in x.children:
-                assert y.parent is x
-                assert y not in reach
+            for y in _children(x):
+                assert y not in reach, "node reached twice"
                 reach.add(y)
                 queue.append(y)
         assert reach == nodes, "parent pointers disconnected"
@@ -1207,7 +1196,7 @@ def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
     names one twin pair; map id -> its two (node, id) slots."""
     own: dict[int, list[tuple[SpqrNode, int]]] = defaultdict(list)
     for x in nodes:
-        for e in x.virt:
+        for e in x.twin:
             own[e].append((x, e))
     return own
 
@@ -1241,7 +1230,7 @@ def _merge_same_kind(nodes: list[SpqrNode]) -> list[SpqrNode]:
         edges = sorted((e, *z.graph.endpoints(e)) for z in group
                        for e in z.graph.edge_ids() if e not in inner)
         out.append(SpqrNode(kind, _skeleton(kind, edges),
-                            set().union(*(z.virt for z in group)) - inner))
+                            set().union(*(z.twin for z in group)) - inner))
     return out
 
 
@@ -1257,24 +1246,24 @@ def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph) -> list[SpqrNode]:
     nodes = _merge_same_kind(nodes)
     for vid, slots in _owners(nodes).items():
         assert len(slots) == 2, f"virtual edge {vid} not paired"
-        shared.link(*slots)
+        (x, e), (y, f) = slots
+        x.link(e, y, f)
     return nodes
 
 
 def _adopt(shared: _Shared, nodes: list[SpqrNode],
            old: SpqrNode | None, ports=()) -> None:
     """Classify the edges of fresh nodes that predate them.  A virtual
-    edge of the replaced node ``old`` keeps its twin, now linked to the
-    fresh node holding it; the ``ports`` ids are left for the caller to
-    link; every other such edge is real.  R nodes get their machinery."""
-    old_virt = old.virt if old is not None else ()
+    edge of the replaced node ``old`` moves with its twin link from
+    ``old`` to the fresh node holding it; the ``ports`` ids are left for
+    the caller to link; every other such edge is real.  R nodes get
+    their machinery."""
     for nd in nodes:
         for e in sorted(nd.graph.edge_ids()):
-            if e in nd.virt or e in ports:
+            if e in nd.twin or e in ports:
                 continue
-            if e in old_virt:
-                nd.virt.add(e)
-                shared.move_twin(old, nd, e)
+            if old is not None and e in old.twin:
+                old.move_twin(e, nd)
             else:
                 shared.node_of_edge[e] = nd
         if nd.kind == "R":
@@ -1313,34 +1302,25 @@ def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
     identity (so its children keep their parent pointers for free) and
     receives a rebuilt canonical skeleton; the other node's twin links,
     real edges and children are re-seated onto it."""
-    shared = tree.shared
     assert n1.kind == n2.kind and n1.kind in "SP"
-    if len(n1.children) >= len(n2.children):
-        keep, ke, loser, le = n1, e1, n2, e2
+    if len(_children(n1)) >= len(_children(n2)):
+        keep, loser = n1, n2
     else:
-        keep, ke, loser, le = n2, e2, n1, e1
+        keep, loser = n2, n1
     skel = _merged_skeleton(n1, e1, n2, e2)
-    shared.unlink((n1, e1))
-    loser_virt = loser.virt - {le}
     loser_reals = loser.real_ids()
-    keep.graph = skel
-    keep.virt = (keep.virt - {ke}) | loser_virt
-    for e in loser_virt:
-        shared.move_twin(loser, keep, e)
-    for e in loser_reals:
-        shared.node_of_edge[e] = keep
+    n1.unlink(e1)
     # splice the dead node out of the rooted tree
-    if loser.parent is keep:
-        keep.children.discard(loser)
-    elif keep.parent is loser:
+    if keep.parent is loser:
         tree.set_parent(keep, loser.parent)
-        loser.children.discard(keep)
-    elif loser.parent is not None:
-        loser.parent.children.discard(loser)
-    for c in list(loser.children):
+    for c in _children(loser):
         tree.set_parent(c, keep)
     loser.parent = None
-    loser.children = set()
+    keep.graph = skel
+    for e in list(loser.twin):
+        loser.move_twin(e, keep)
+    for e in loser_reals:
+        tree.shared.node_of_edge[e] = keep
     if tree._root is loser:
         tree._root = keep
     return keep
@@ -1360,15 +1340,11 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
         return
     a, b, y = _run_split_search(g, pairs, marked, by_pair,
                                 seeds_a, seeds_b)
-    old_virts = set(x.virt)
     old_parent = x.parent
     parent_key = None
     if old_parent is not None:
-        for e in old_parent.virt:
-            if tree.twins[(old_parent, e)][0] is x:
-                parent_key = e
-                break
-        assert parent_key is not None
+        parent_key = next(e for e, (y, _) in old_parent.twin.items()
+                          if y is x)
 
     region: list[SpqrNode] = []
     sizes: list[int] = []
@@ -1399,13 +1375,10 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
             _adopt(shared, nodes, x, (nid, fid))
         sv = _reduce_to_segment(x, set(y), near, far)
         x.det.reset_op_log()
-        x.virt = {e for e in old_virts if g.has_edge(e)}
         if sv["near"] is not None:
             ports[yidx][0] = (x, sv["near"])
-            x.virt.add(sv["near"])
         if sv["far"] is not None:
             ports[yidx][1] = (x, sv["far"])
-            x.virt.add(sv["far"])
         if g.n_vertices == 2:
             x.kind = "P"
         elif _is_simple_cycle_graph(g):
@@ -1415,9 +1388,7 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
         region.append(x)
         for i in range(len(chain) - 1):
             (ln, le), (rn, re_) = ports[i][1], ports[i + 1][0]
-            ln.virt.add(le)
-            rn.virt.add(re_)
-            shared.link((ln, le), (rn, re_))
+            ln.link(le, rn, re_)
         anchor_survivor = x
     else:
         # the searches met before a dominant remainder emerged; the
@@ -1426,25 +1397,26 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
         nodes = _mini_nodes(shared, g)
         region.extend(nodes)
         sizes = [nd.graph.n_edges for nd in nodes]
+        kids = _children(x)
         _adopt(shared, nodes, x)
         tree.set_parent(x, None)
-        for c in list(x.children):
+        for c in kids:
             c.parent = None
-        x.children = set()
         anchor_survivor = None
 
     shared.split_edges += sum(sizes) - max(sizes)
 
-    # dissolve same-kind S/P adjacencies created at the seams
-    regset = set(region)
+    # dissolve same-kind S/P adjacencies created at the seams; the
+    # region is kept in creation order
+    regset = dict.fromkeys(region)
     changed = True
     while changed:
         changed = False
         for nd in list(regset):
             if nd.kind not in "SP":
                 continue
-            for e in sorted(nd.virt):
-                m, f = tree.twins[(nd, e)]
+            for e in sorted(nd.twin):
+                m, f = nd.twin[e]
                 if m.kind != nd.kind:
                     continue
                 if m is old_parent:
@@ -1454,13 +1426,12 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
                         old_parent = parent_key = None
                     else:
                         parent_key = next(
-                            k for k in pp.virt
-                            if tree.twins[(pp, k)][0] is m)
+                            k for k, (z, _) in pp.twin.items() if z is m)
                         old_parent = pp
                 merged = _merge_adjacent(tree, nd, e, m, f)
-                regset.discard(nd)
-                regset.discard(m)
-                regset.add(merged)
+                regset.pop(nd, None)
+                regset.pop(m, None)
+                regset[merged] = None
                 if nd is anchor_survivor or m is anchor_survivor:
                     anchor_survivor = merged
                 changed = True
@@ -1470,7 +1441,7 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
 
     # re-anchor the region in the rooted tree and orient its parents
     if old_parent is not None:
-        anchor, _ = tree.twins[(old_parent, parent_key)]
+        anchor, _ = old_parent.twin[parent_key]
         assert anchor in regset
         tree.set_parent(anchor, old_parent)
     else:
@@ -1482,8 +1453,8 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
     stack = [anchor]
     while stack:
         cur = stack.pop()
-        for e in sorted(cur.virt):
-            m, _f = tree.twins[(cur, e)]
+        for e in sorted(cur.twin):
+            m, _f = cur.twin[e]
             if m is cur.parent:
                 continue
             if m in regset:
@@ -1493,7 +1464,7 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
                     stack.append(m)
             elif m.parent is not cur:
                 tree.set_parent(m, cur)
-    assert seen == regset, "split region not connected"
+    assert seen == regset.keys(), "split region not connected"
 
 
 # ----------------------------------------------------------------------
@@ -1537,7 +1508,7 @@ class ChangeLog:
     retired_vertex: int | None = None
 
 
-def _rename_cascade(shared: _Shared, node: SpqrNode, via: int | None,
+def _rename_cascade(node: SpqrNode, via: int | None,
                     dying: int, keep: int) -> None:
     """Rename skeleton vertex ``dying`` to ``keep`` in ``node`` and in
     every node reachable through virtual edges whose pair contains
@@ -1548,10 +1519,9 @@ def _rename_cascade(shared: _Shared, node: SpqrNode, via: int | None,
         nd, came = stack.pop()
         g = nd.graph
         assert g.has_vertex(dying) and not g.has_vertex(keep)
-        for f in nd.virt:
+        for f, slot in nd.twin.items():
             if f != came and dying in g.endpoints(f):
-                m, f2 = shared.twins[(nd, f)]
-                stack.append((m, f2))
+                stack.append(slot)
         g.rename_vertex(dying, keep)
         if nd.kind == "R":
             fl = nd.fvv.pop(dying)
@@ -1564,7 +1534,7 @@ def rename_vertex_in_block(tree: SpqrTree, node: SpqrNode,
     """Rename a vertex throughout one block's tree, entering at any
     node whose skeleton contains it (used when a contraction elsewhere
     merges an articulation vertex this block shares)."""
-    _rename_cascade(tree.shared, node, None, dying, keep)
+    _rename_cascade(node, None, dying, keep)
 
 
 def _rekey_real(shared: _Shared, nd: SpqrNode, old: int, new: int) -> None:
@@ -1572,7 +1542,6 @@ def _rekey_real(shared: _Shared, nd: SpqrNode, old: int, new: int) -> None:
     ``old`` to the real edge ``new``: rename it in the skeleton, keep
     the R machinery's corner maps in step, and index the real edge."""
     nd.graph.rename_edge(old, new)
-    nd.virt.discard(old)
     shared.node_of_edge[new] = nd
     if nd.kind == "R":
         for s in (0, 1):
@@ -1623,7 +1592,7 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
     shared = tree.shared
     g = x.graph
     r1, r2 = sorted(g.edge_ids())
-    vs = [v for v in (r1, r2) if v in x.virt]
+    vs = [v for v in (r1, r2) if v in x.twin]
     u, w = g.endpoints(r1)
     ends = (u, w) if u < w else (w, u)
     if not vs:
@@ -1634,15 +1603,15 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
     if len(vs) == 1:
         v = vs[0]
         r = r2 if v == r1 else r1
-        m, f = shared.unlink((x, v))
+        m, f = x.unlink(v)
         _rekey_real(shared, m, f, r)
         _splice_out(tree, x, m)
         if tree._root is x:
             tree._root = m
         return ("tree", tree)
-    m1, f1 = shared.unlink((x, r1))
-    m2, f2 = shared.unlink((x, r2))
-    shared.link((m1, f1), (m2, f2))
+    m1, f1 = x.unlink(r1)
+    m2, f2 = x.unlink(r2)
+    m1.link(f1, m2, f2)
     _splice_link(tree, x, m1, m2)
     if m1.kind == m2.kind and m1.kind in "SP":
         _merge_adjacent(tree, m1, f1, m2, f2)
@@ -1655,7 +1624,6 @@ def _p_remove(tree: SpqrTree, x: SpqrNode, e: int) -> tuple[str, object]:
     remain."""
     g = x.graph
     g.delete_edge(e)
-    x.virt.discard(e)
     if g.n_edges >= 3:
         return ("tree", tree)
     return _dissolve_two_edge(tree, x)
@@ -1663,18 +1631,16 @@ def _p_remove(tree: SpqrTree, x: SpqrNode, e: int) -> tuple[str, object]:
 
 def _s_contract(tree: SpqrTree, x: SpqrNode, e: int,
                 keep: int, dying: int) -> tuple[str, object]:
-    """Contract edge ``e`` of S node ``x`` (cycle shrinks by one
-    vertex), cascading the vertex rename into neighbors that share the
-    dying vertex, and run the dissolution ladder if only two edges
-    remain."""
-    shared = tree.shared
+    """Contract edge ``e`` (real, or already unlinked if virtual) of S
+    node ``x`` (cycle shrinks by one vertex), cascading the vertex
+    rename into neighbors that share the dying vertex, and run the
+    dissolution ladder if only two edges remain."""
     g = x.graph
-    targets = [shared.twins[(x, f)] for f in x.virt
-               if f != e and dying in g.endpoints(f)]
+    targets = [slot for f, slot in x.twin.items()
+               if dying in g.endpoints(f)]
     g.contract_edge(e, keep=keep)
-    x.virt.discard(e)
     for m, f in targets:
-        _rename_cascade(shared, m, f, dying, keep)
+        _rename_cascade(m, f, dying, keep)
     if g.n_edges >= 3:
         return ("tree", tree)
     return _dissolve_two_edge(tree, x)
@@ -1689,27 +1655,25 @@ def _r_remove(tree: SpqrTree, x: SpqrNode, e: int) -> tuple[str, object]:
     seeds_a = [g.rotation_prev(d0)]
     seeds_b = [g.rotation_prev(d1)]
     _r_delete_edge(x, e)
-    x.virt.discard(e)
     _split_r_node(tree, x, seeds_a, seeds_b)
     return ("tree", tree)
 
 
 def _r_contract(tree: SpqrTree, x: SpqrNode, e: int,
                 keep: int, dying: int) -> tuple[str, object]:
-    """Contract edge ``e`` of R node ``x``, cascade the vertex rename
-    into neighbors sharing the dying vertex, then split the skeleton
-    along whatever separation pairs the detector reports."""
-    shared = tree.shared
+    """Contract edge ``e`` (real, or already unlinked if virtual) of R
+    node ``x``, cascade the vertex rename into neighbors sharing the
+    dying vertex, then split the skeleton along whatever separation
+    pairs the detector reports."""
     g = x.graph
     d0, d1 = dart(e, 0), dart(e, 1)
     seeds_a = [g.face_next(d0)]
     seeds_b = [g.face_next(d1)]
-    targets = [shared.twins[(x, f)] for f in x.virt
-               if f != e and dying in g.endpoints(f)]
+    targets = [slot for f, slot in x.twin.items()
+               if dying in g.endpoints(f)]
     _r_contract_edge(x, e, keep)
-    x.virt.discard(e)
     for m, f in targets:
-        _rename_cascade(shared, m, f, dying, keep)
+        _rename_cascade(m, f, dying, keep)
     _split_r_node(tree, x, seeds_a, seeds_b)
     return ("tree", tree)
 
@@ -1738,8 +1702,8 @@ def _break_up(tree: SpqrTree, x: SpqrNode, slots, recurse) -> list[Piece]:
     shared = tree.shared
     jobs: list[tuple] = []
     for attach, f in slots:
-        if f in x.virt:
-            m, f2 = shared.unlink((x, f))
+        if f in x.twin:
+            m, f2 = x.unlink(f)
             jobs.append((attach, _detach_fragment(tree, x, m), m, f2))
         else:
             shared.node_of_edge.pop(f, None)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 
 import pytest
 
 from planarconn import spqr
 from planarconn.embed import (
     EmbeddedMultigraph,
+    EmbedError,
     NotBiconnected,
     TooFewEdges,
     UnknownEdge,
@@ -160,3 +163,84 @@ def test_build_counts_pairs_once(monkeypatch):
         build_spqr(g)
         assert seen["counts"] == 1
         assert seen["edges"] <= 2 * m * math.log2(m)
+
+
+# Update replay: seeded deletions and contractions on small random
+# graphs, each op chosen as in the stateful fuzz of ROADMAP item 1.  A
+# step shuffles the edge ids, draws an op per candidate and takes the
+# first candidate that leaves a loop-free biconnected graph with at
+# least three edges, so every op keeps one block.
+REPLAY_N = 20
+REPLAY_STEPS = 25
+REPLAY_SEEDS = range(12)
+# runs whose updates go wrong today, each named by its first failed
+# check; strict, so a fix shows up as a pass
+REPLAY_KNOWN_WRONG = {
+    8: "check() after the second op: R skeleton vertex of degree < 3 "
+        "(ROADMAP item 1)",
+}
+
+
+@functools.cache
+def _replay_case(seed: int):
+    """The start graph, the op sequence and the oracle's tree after
+    each op."""
+    rng = random.Random(seed * 1000 + REPLAY_N)
+    g = random_planar(REPLAY_N, seed)
+    start, ops, wants = g.copy(), [], []
+    for _ in range(REPLAY_STEPS):
+        ids = sorted(g.edge_ids())
+        rng.shuffle(ids)
+        for e in ids:
+            op = rng.choice("dc")
+            h = g.copy()
+            if op == "d":
+                h.delete_edge(e)
+            else:
+                h.contract_edge(e)
+            if h.n_edges >= 3 and spqr.is_biconnected_embedded(h):
+                break
+        else:
+            break
+        ops.append((op, e))
+        wants.append(canonical_spqr(h))
+        g = h
+    return start, tuple(ops), tuple(wants)
+
+
+@functools.cache
+def _replay(seed: int, extra_calls: bool) -> tuple[str, ...]:
+    """Per op: the tree's serialization after ``check()``, or the first
+    failed check, which ends the replay.  ``extra_calls`` adds pure
+    queries between ops, which must not change anything."""
+    g, ops, _ = _replay_case(seed)
+    tree = build_spqr(g)
+    out = []
+    for op, e in ops:
+        fn = delete_edge if op == "d" else spqr.contract_edge
+        try:
+            log = fn(tree, e)
+            assert log.kind == "intact", log.kind
+            tree = log.tree
+            if extra_calls:
+                tree.serialize()
+                tree.nodes()
+            tree.check()
+        except (AssertionError, EmbedError, ValueError) as ex:
+            out.append(f"{type(ex).__name__}: {ex}")
+            break
+        out.append(tree.serialize())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
+def test_update_replay_is_deterministic(seed):
+    assert _replay(seed, False) == _replay(seed, True)
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(s, marks=pytest.mark.xfail(strict=True,
+                                            reason=REPLAY_KNOWN_WRONG[s]))
+    if s in REPLAY_KNOWN_WRONG else s for s in REPLAY_SEEDS])
+def test_update_replay_matches_oracle(seed):
+    assert _replay(seed, False) == _replay_case(seed)[2]
