@@ -15,6 +15,11 @@ Any 4-cycle is either confined to one side of a node's separation, in
 which case a descendant tracks it, or it crosses with its two
 separator vertices opposite on the cycle, in which case the node's own
 pair table sees it.  Leaves track all pairs, closing the recursion.
+A leaf is a node of at most ``separators.N0`` vertices, or one that has
+no balanced face-preserving separation.  Its table holds every
+length-2 path of its graph, one per pair of edges at each middle
+vertex, so a leaf around a vertex of degree d stores about d^2 / 2
+paths.  That is why leaves stay of bounded size.
 
 Every discovery goes into one op log: at construction, the pairs
 that already close a separating 4-cycle; during a mutation, each new

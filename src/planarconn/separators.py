@@ -18,7 +18,23 @@ from planarconn.embed import EmbeddedMultigraph, EmbedError, dart, edge_of, rev
 # sides hold at most ALPHA * n vertices each, and its separator should
 # hold at most C_SEP * sqrt(n); at most MAX_CANDIDATES fundamental
 # cycles are tried per BFS root
-N0 = 16
+#
+# N0 is measured, not derived.  The paper's O(log^2 n) amortized bound
+# needs only leaves of constant size, and the detector is exact at any
+# leaf size, so N0 moves cost alone.  Small graphs are cheaper to track
+# whole than to split: at N0 = 16, two thirds of the splits that build
+# the dense benchmark fixtures' detectors are of graphs of at most 24
+# vertices, and a third of those find no separation.  On the dense
+# workload (seed 1) sequence_s reads 3.75 / 2.11 / 1.45 / 1.35 / 1.23 /
+# 1.12 s at N0 = 16 / 32 / 64 / 96 / 128 / 256.  N0 must stay bounded,
+# though: a leaf tracks every length-2 path between its vertices, which
+# a high-degree vertex makes quadratic.  For hub(1200) of tests/graphs.py
+# build_spqr plus 150 ops took 29.7 / 18.8 / 17.7 / 15.7 / 16.1 / 17.1 s
+# at the same N0, and 192 s and 1.3 GB as one leaf; hub(200)'s detector
+# stores 7,900 paths at 128 and 11,900 at 256.  Past 128 the benchmark
+# gains little and the worst-case table keeps growing.  The runs are in
+# BENCH_leaf_size.json.
+N0 = 128
 ALPHA = 0.75
 C_SEP = 8.0
 MAX_CANDIDATES = 64
@@ -233,12 +249,7 @@ class _RootScan:
 
     def materialise(self, e: int):
         """The cycle closed by non-tree edge e and its separation:
-        (cycle vertices, cycle edges, Separation), in O(n).
-
-        The sides are filled in a fixed order (faces by a DFS of the
-        cotree, then h's vertex order): the children are induced in the
-        iteration order of these sets, and the subtrees built below
-        them depend on it."""
+        (cycle vertices, cycle edges, Separation), in O(n)."""
         snap = self.snap
         vert, par_dart = snap.vert, self.par_dart
         u, w = snap.ends[e]
@@ -381,6 +392,16 @@ def cycle_separations(snap: _Snapshot, root: int):
 # ----------------------------------------------------------------------
 # the separator tree
 
+def _induce(h: EmbeddedMultigraph, vs) -> EmbeddedMultigraph:
+    """The subgraph of h induced by vs, its vertices in h's order.
+
+    A child's vertex order fixes its dual's face numbering and with it
+    the splits below, so it follows the graph, not the iteration order
+    of a hashed set.
+    """
+    return h.induced(dict.fromkeys(v for v in h.vertices() if v in vs))
+
+
 @dataclass
 class SepNode:
     graph: EmbeddedMultigraph
@@ -469,7 +490,7 @@ class SeparatorTree:
         if len(comps[0]) > ALPHA * n:
             # split the big component and park the rest on the side
             # that stays smaller
-            big = h.induced(comps[0])
+            big = _induce(h, comps[0])
             sub = self._split_sets(big)
             if sub is None:
                 return None
@@ -491,8 +512,8 @@ class SeparatorTree:
         if sep is None:
             return node
         node.s_build = len(sep.separator)
-        node.children = [self._build(h.induced(set(sep.A)), depth + 1),
-                         self._build(h.induced(set(sep.B)), depth + 1)]
+        node.children = [self._build(_induce(h, sep.A), depth + 1),
+                         self._build(_induce(h, sep.B), depth + 1)]
         return node
 
     # -- traversal -----------------------------------------------------

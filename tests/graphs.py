@@ -80,6 +80,36 @@ def wheel(k: int) -> EmbeddedMultigraph:
     return from_straight_line_drawing(coords, edges)
 
 
+def hub(k: int) -> EmbeddedMultigraph:
+    """Hub 0 joined to a rim cycle 1..k, and the rim joined to an
+    enclosing triangle k+1, k+2, k+3, so that every face is a triangle.
+
+    Triangle corner j sees the rim vertices in the 120-degree sector
+    around it; the last of them also sees corner j + 1.  The straight
+    lines of that drawing cross for k < 7.
+    """
+    coords = {0: (0.0, 0.0)}
+    corners = [k + 1 + j for j in range(3)]
+    for j, t in enumerate(corners):
+        a = math.pi / 2 + 2 * math.pi * j / 3
+        coords[t] = (10 * math.cos(a), 10 * math.sin(a))
+    sector = {}
+    for i in range(k):
+        # offset by half a step so that no rim vertex sits on a border
+        a = 2 * math.pi * (i + 0.5) / k
+        coords[i + 1] = (math.cos(a), math.sin(a))
+        sector[i + 1] = int((a - math.pi / 6) // (2 * math.pi / 3)) % 3
+    edges = [(j, corners[j], corners[(j + 1) % 3]) for j in range(3)]
+    for i in range(1, k + 1):
+        nxt = i % k + 1
+        edges.append((len(edges), i, nxt))
+        edges.append((len(edges), 0, i))
+        edges.append((len(edges), i, corners[sector[i]]))
+        if sector[nxt] != sector[i]:
+            edges.append((len(edges), i, corners[sector[nxt]]))
+    return from_straight_line_drawing(coords, edges)
+
+
 def k24() -> EmbeddedMultigraph:
     """K_{2,4}: hubs 0 and 1, middles 2..5."""
     coords = {0: (0.0, 0.0), 1: (0.0, 2.0),

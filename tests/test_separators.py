@@ -14,7 +14,6 @@ from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import simple_4cycles
 from planarconn.separators import (
     ALPHA,
-    N0,
     SeparatorTree,
     _Snapshot,
     cycle_separations,
@@ -205,9 +204,11 @@ def _counted_graphs(g):
     """g and every connected graph the separator tree of g tried to
     split, down to its deepest levels."""
     return [x.graph for x in SeparatorTree(g).nodes()
-            if x.graph.n_vertices > N0 and len(x.graph.components()) == 1]
+            if x.graph.n_vertices > separators.N0
+            and len(x.graph.components()) == 1]
 
 
+@pytest.mark.usefixtures("small_leaves")
 @pytest.mark.parametrize("make", [
     lambda: grid(5, 5),
     lambda: grid(2, 50),
@@ -233,6 +234,7 @@ def test_counted_sizes_match_built_separation(make):
     assert closers == {"chord", "edge"}
 
 
+@pytest.mark.usefixtures("small_leaves")
 def test_split_takes_one_dual_and_builds_one_separation(monkeypatch):
     # every BFS root shares the split's dual, and only the returned
     # candidate is built; one dual per root and one built separation per
@@ -285,7 +287,7 @@ def test_tree_invariants_delaunay():
     g = random_delaunay(300, 2)
     t = SeparatorTree(g)
     t.check()
-    assert t.height <= math.log(300 / N0, 4 / 3) + 2
+    assert t.height <= math.log(300 / separators.N0, 4 / 3) + 2
     by_level: dict[int, int] = {}
     for x in t.nodes():
         by_level[x.depth] = by_level.get(x.depth, 0) + x.graph.n_vertices
@@ -294,6 +296,7 @@ def test_tree_invariants_delaunay():
     assert all(total <= 8 * 300 for total in by_level.values())
 
 
+@pytest.mark.usefixtures("small_leaves")
 def test_tree_deterministic():
     g = random_delaunay(120, 5)
     assert SeparatorTree(g).dump() == SeparatorTree(g).dump()
@@ -322,6 +325,7 @@ def _tree_digest(t):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+@pytest.mark.usefixtures("small_leaves")
 @pytest.mark.parametrize("make, digest", [
     (lambda: grid(5, 5),
      "5edd2b48b826e0ba505d55327fbe012e897459d21f824048454cf7fe9215aee8"),
@@ -333,11 +337,25 @@ def _tree_digest(t):
      "e3a004bccfdf6e3384921e1aec3ef32c84e410386b83cffd3294af6a64aa044a"),
     (lambda: random_planar(32, 1, 24),
      "849d826c548f7462b81d8368dbf62e9e119f8e880318cc225aea9c29adcd6e92"),
-], ids=["grid5x5", "grid2x50", "delaunay40fv", "planar32d8", "planar32d24"])
+    (lambda: random_planar(60, 1, 8).vertex_face_graph()[0],
+     "d5dca9670919b0293e75cbd54d145922afe65478a6f761ecf5a376b717d94798"),
+], ids=["grid5x5", "grid2x50", "delaunay40fv", "planar32d8", "planar32d24",
+        "planar60fv"])
 def test_tree_pinned(make, digest):
-    # the trees as the per-candidate set-building scorer chose them; a
-    # change of roots, candidate order, key or tie-break shows here
+    # the trees with leaves of at most 16 vertices and each child
+    # induced in its parent's vertex order; a change of roots, candidate
+    # order, key, tie-break or child order shows here (planar60fv
+    # changed when children stopped following the order of a hashed set)
     assert _tree_digest(SeparatorTree(make())) == digest
+
+
+def test_tree_pinned_at_leaf_size():
+    # the same at the production leaf size, on a graph large enough
+    # that the root's children split again
+    g = random_planar(200, 1, 8).vertex_face_graph()[0]
+    assert g.n_vertices > 2 * separators.N0
+    assert _tree_digest(SeparatorTree(g)) == (
+        "36db6a5e0fc4a58c9673e109d42a913e6f59d9a39a1e3daaa576e586abbb002c")
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +425,7 @@ def test_insertion_reaches_only_nodes_with_both_endpoints():
         assert with_edge == both
 
 
+@pytest.mark.usefixtures("small_leaves")
 def test_mixed_fuzz():
     rng = random.Random(1302)
     for seed in (0, 1):
@@ -432,6 +451,7 @@ def test_mixed_fuzz():
 # ----------------------------------------------------------------------
 # the separator's relation to 4-cycles
 
+@pytest.mark.usefixtures("small_leaves")
 def test_four_cycle_crossing_pattern():
     # a 4-cycle is inside one side, or crosses with exactly one vertex
     # in each open side and its two opposite vertices in the separator

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from planarconn import spqr
+from planarconn import separators, spqr
 from planarconn.embed import (
     EmbeddedMultigraph,
     EmbedError,
@@ -209,10 +209,12 @@ def _replay_case(seed: int):
 
 
 @functools.cache
-def _replay(seed: int, extra_calls: bool) -> tuple[str, ...]:
+def _replay(seed: int, extra_calls: bool, n0: int) -> tuple[str, ...]:
     """Per op: the tree's serialization after ``check()``, or the first
     failed check, which ends the replay.  ``extra_calls`` adds pure
-    queries between ops, which must not change anything."""
+    queries between ops, which must not change anything.  ``n0`` is
+    ``separators.N0`` at the call: the R nodes' separator trees are
+    built with it, so the cache keys on it."""
     g, ops, _ = _replay_case(seed)
     tree = build_spqr(g)
     out = []
@@ -235,12 +237,24 @@ def _replay(seed: int, extra_calls: bool) -> tuple[str, ...]:
 
 @pytest.mark.parametrize("seed", REPLAY_SEEDS)
 def test_update_replay_is_deterministic(seed):
-    assert _replay(seed, False) == _replay(seed, True)
+    n0 = separators.N0
+    assert _replay(seed, False, n0) == _replay(seed, True, n0)
 
 
-@pytest.mark.parametrize("seed", [
+REPLAY_PARAMS = [
     pytest.param(s, marks=pytest.mark.xfail(strict=True,
                                             reason=REPLAY_KNOWN_WRONG[s]))
-    if s in REPLAY_KNOWN_WRONG else s for s in REPLAY_SEEDS])
+    if s in REPLAY_KNOWN_WRONG else s for s in REPLAY_SEEDS]
+
+
+@pytest.mark.parametrize("seed", REPLAY_PARAMS)
 def test_update_replay_matches_oracle(seed):
-    assert _replay(seed, False) == _replay_case(seed)[2]
+    assert _replay(seed, False, separators.N0) == _replay_case(seed)[2]
+
+
+@pytest.mark.usefixtures("small_leaves")
+@pytest.mark.parametrize("seed", REPLAY_PARAMS)
+def test_update_replay_matches_oracle_small_leaves(seed):
+    # the same updates with detectors whose trees have internal nodes,
+    # so real SPQR updates drive the separator maintenance in them
+    assert _replay(seed, False, separators.N0) == _replay_case(seed)[2]
