@@ -292,8 +292,8 @@ class EmbeddedMultigraph:
     def build(cls,
               vertices: Iterable[int],
               edges: Iterable[tuple[int, int, int]],
-              rotations: dict[int, Sequence[tuple[int, int]]],
-              require_planar: bool = True) -> "EmbeddedMultigraph":
+              rotations: dict[int, Sequence[tuple[int, int]]]
+              ) -> "EmbeddedMultigraph":
         """Validated construction from explicit rotations.
 
         ``edges`` yields (edge id, u, w); ``rotations`` maps each vertex
@@ -342,7 +342,7 @@ class EmbeddedMultigraph:
             missing = next(iter(set(expected) - placed))
             raise MalformedRotation(
                 f"dart {edge_of(missing)}:{missing & 1} missing from rotations")
-        if require_planar and not g.euler_ok():
+        if not g.euler_ok():
             raise EulerViolation("rotation system fails Euler's formula")
         return g
 

@@ -28,21 +28,18 @@ path's separating cycles (or its pair, once saturated) and a split
 :meth:`Detector.separating_now`, re-validates the logged pairs against
 the current graph and lists the 4-cycles that are separating now.
 
-Every mutation is charged against an exact integer potential; with
-``debug`` enabled (it is off by default: the audit recomputes the
-potential of every touched node) the detector asserts that the number
-of candidate paths examined never exceeds the potential drop.
+Every mutation is charged against an exact integer potential.  With
+``debug`` enabled (off by default) each insertion and contraction takes
+the potential of every node before it, recomputes after it that of each
+node its separator-tree events name, and asserts that the candidate
+paths examined there never exceed their total potential drop.
 """
 
 from __future__ import annotations
 
-import weakref
-
 from .embed import (
     EmbeddedMultigraph,
     EmbedError,
-    NotOnFace,
-    SelfLoopContraction,
     dart,
     edge_of,
     quasi_induced_degree,
@@ -182,11 +179,8 @@ class Detector:
         self._op_items: list[tuple] = []
         self._op_renames: list[tuple[int, int, int]] = []
         self.tree = SeparatorTree(g)
-        self.tree.hook = weakref.WeakMethod(self._hook)
         self._states: dict[int, _NodeState] = {}
-        self._nodes: dict[int, object] = {}
         self._phi_pre: dict[int, int] = {}
-        self._captures: dict[int, tuple] = {}
         self._cand_node: dict[int, int] = {}
         for node in self.tree.nodes():
             K = (set(node.graph.vertices()) if node.is_leaf
@@ -194,7 +188,6 @@ class Detector:
             st = _NodeState(node, K)
             st.scan_all()
             self._states[id(node)] = st
-            self._nodes[id(node)] = node
             for pair in st.paths:
                 if next(self._separating(st, pair), None) is not None:
                     self._op_items.append((st, pair, ()))
@@ -207,40 +200,26 @@ class Detector:
         """Insert an edge splitting the face shared by the two corners
         and return its id; raises NotOnFace when the corners lie on
         different faces."""
-        root = self.tree.root.graph
-        if after_u is None or after_w is None:
-            raise NotOnFace("insertion endpoints need face corners")
-        if root.vertex_of_dart(after_u) != u:
-            raise NotOnFace(f"dart {after_u} is not at vertex {u}")
-        if root.vertex_of_dart(after_w) != w:
-            raise NotOnFace(f"dart {after_w} is not at vertex {w}")
-        if not root.same_face(root.rotation_next(after_u),
-                              root.rotation_next(after_w)):
-            raise NotOnFace("corners lie on different faces")
         self._begin_op()
         tevents = self.tree.apply_insertion(u, w, after_u, after_w, eid=eid)
         eid = tevents[0][2]
         tevents += self._simplify_around(
             [dart(eid, 0), dart(eid, 1)])
         self._process_events(tevents)
-        self._end_op()
+        self._end_op(tevents)
         return eid
 
     def contract_edge(self, e: int) -> None:
         """Contract a non-loop edge everywhere and restore quasi-
-        simplicity, logging any 4-cycle that turned separating."""
-        root = self.tree.root.graph
-        if not root.has_edge(e):
-            raise EmbedError(f"no edge {e}")
-        u, w = root.endpoints(e)
-        if u == w:
-            raise SelfLoopContraction(f"edge {e} is a self-loop")
-        x = min(u, w)
+        simplicity, logging any 4-cycle that turned separating; raises
+        UnknownEdge or SelfLoopContraction before anything changes."""
         self._begin_op()
         tevents = self.tree.apply_contraction(e)
-        tevents += self._simplify_around(list(root.rotation(x)))
+        x = tevents[0][3]
+        tevents += self._simplify_around(
+            list(self.tree.root.graph.rotation(x)))
         self._process_events(tevents)
-        self._end_op()
+        self._end_op(tevents)
 
     def reset_op_log(self) -> None:
         """Clear the discovery log consulted by :meth:`separating_now`.
@@ -345,26 +324,15 @@ class Detector:
             stack.append(d)
         return tevents
 
-    # -- hook and event processing ----------------------------------------
-
-    def _hook(self, kind: str, node, payload) -> None:
-        nid = id(node)
-        st = self._states[nid]
-        if self.debug and nid not in self._phi_pre:
-            self._phi_pre[nid] = self._phi(node, st.K)["phi"]
-        if kind == "contract":
-            e, u, w, x = payload
-            h = node.graph
-            fu = sorted({edge_of(d) for d in h.rotation(u)})
-            fw = sorted({edge_of(d) for d in h.rotation(w)})
-            self._captures[nid] = (u, w, fu, fw, u in st.K, w in st.K)
+    # -- event processing -------------------------------------------------
 
     def _begin_op(self) -> None:
-        self._phi_pre = {}
-        self._captures = {}
         self._cand_node = {}
+        if self.debug:
+            self._phi_pre = {nid: self._phi(st.node, st.K)["phi"]
+                             for nid, st in self._states.items()}
 
-    def _end_op(self) -> None:
+    def _end_op(self, tevents: list[tuple]) -> None:
         if not self.debug:
             return
         # candidate work in a child may be paid by an ancestor's drop
@@ -373,11 +341,10 @@ class Detector:
         # ledger balances over all nodes the operation touched
         drop = 0
         cand = 0
-        for nid, phi0 in self._phi_pre.items():
-            node = self._nodes[nid]
+        for nid in dict.fromkeys(id(ev[1]) for ev in tevents):
             st = self._states[nid]
-            info = self._phi(node, st.K)
-            drop += phi0 - info["phi"]
+            info = self._phi(st.node, st.K)
+            drop += self._phi_pre[nid] - info["phi"]
             cand += self._cand_node.get(nid, 0)
             assert info["phi"] >= 0, f"negative potential at node {nid}"
             assert len(info["M"]) <= max(0, len(st.K) - 2)
@@ -406,7 +373,7 @@ class Detector:
             kind, node = ev[0], ev[1]
             st = self._states[id(node)]
             if kind == "contract":
-                self._process_merge(st, ev[3])
+                self._process_merge(st, *ev[3:])
             elif kind == "insert":
                 self._process_insert_paths(st, ev[2])
                 self._recheck_split_face(st, ev[2])
@@ -452,10 +419,11 @@ class Detector:
 
     # -- per-node updates --------------------------------------------------
 
-    def _process_merge(self, st, x: int) -> None:
+    def _process_merge(self, st, x: int, u: int, w: int,
+                       fu: list[int], fw: list[int]) -> None:
         h = st.node.graph
-        u, w, fu, fw, ku, kw = self._captures.pop(id(st.node))
         K = st.K
+        ku, kw = u in K, w in K
         if ku or kw:
             K.discard(u)
             K.discard(w)

@@ -88,9 +88,9 @@ class _Snapshot:
     ``gt`` and ``added`` are h's triangulation and its chords (see
     :func:`triangulate`).  The snapshot holds the vertex of every dart
     and the endpoints of every edge of ``gt``, the vertex list of every
-    face of ``gt`` from one :meth:`~EmbeddedMultigraph.dual`, a face at
-    every vertex, and the BFS trees of h from the roots worth trying,
-    so the per-root scans never walk the union-find of ``gt``.
+    face of ``gt`` from one walk of its faces, a face at every vertex,
+    and the BFS trees of h from the roots worth trying, so the per-root
+    scans never query ``gt`` itself.
     """
 
     def __init__(self, h: EmbeddedMultigraph):
@@ -104,9 +104,9 @@ class _Snapshot:
                 vert[d] = v
         self.ends = {e: (vert[dart(e, 0)], vert[dart(e, 1)])
                      for e in gt.edge_ids()}
-        dualg, face_of = gt.dual()
-        self.face_verts = [[vert[d] for d in dualg.rotation(f)]
-                           for f in dualg.vertices()]
+        faces = gt.faces()
+        self.face_verts = [[vert[d] for d in cyc] for cyc in faces]
+        face_of = {d: f for f, cyc in enumerate(faces) for d in cyc}
         self.dual_ends = [(e, face_of[dart(e, 0)], face_of[dart(e, 1)])
                           for e in gt.edge_ids()]
         self.any_face = {v: face_of[gt.any_dart(v)] for v in gt.vertices()}
@@ -433,17 +433,7 @@ class SeparatorTree:
     induced embedded subgraph of its parent."""
 
     def __init__(self, g: EmbeddedMultigraph):
-        # a weakref.WeakMethod to hook(kind, node, payload), called just
-        # before each per-node mutation; kinds: contract, rename, insert,
-        # delete.  Weak, so that an owner that hooks its own method in
-        # makes no reference cycle and is freed as soon as it is dropped
-        self.hook = None
         self.root = self._build(g.copy(), 0)
-
-    def _notify(self, kind: str, node, payload) -> None:
-        hook = None if self.hook is None else self.hook()
-        if hook is not None:
-            hook(kind, node, payload)
 
     # -- construction --------------------------------------------------
 
@@ -549,17 +539,26 @@ class SeparatorTree:
 
         Nodes holding one endpoint have the merged vertex relabeled and
         gain the induced edges the merge brings in.  Returns the change
-        list [(kind, node, ...)] in root-first order.
+        list in root-first order: ``("contract", node, e, x, u, w, fu,
+        fw)`` when e's ends u and w merge into x, with ``fu`` and ``fw``
+        the sorted ids of the edges at u and at w before the merge;
+        ``("rename", node, old, x)`` and ``("insert", node, f)``.  An
+        unknown edge or a self-loop raises before anything changes.
         """
         u, w = self.root.graph.endpoints(e)
         x = min(u, w)
         events: list[tuple] = []
-        self._notify("contract", self.root, (e, u, w, x))
-        self.root.graph.contract_edge(e)
-        events.append(("contract", self.root, e, x))
-        for child in self.root.children:
-            self._propagate_merge(child, self.root.graph, u, w, x, e, events)
+        self._contract(self.root, e, u, w, x, events)
         return events
+
+    def _contract(self, node, e, u, w, x, events):
+        h = node.graph
+        fu = sorted({edge_of(d) for d in h.rotation(u)})
+        fw = sorted({edge_of(d) for d in h.rotation(w)})
+        h.contract_edge(e)
+        events.append(("contract", node, e, x, u, w, fu, fw))
+        for child in node.children:
+            self._propagate_merge(child, h, u, w, x, e, events)
 
     def _propagate_merge(self, node, parent_h, u, w, x, e, events):
         has_u = node.graph.has_vertex(u)
@@ -567,15 +566,10 @@ class SeparatorTree:
         if not (has_u or has_w):
             return
         if has_u and has_w:
-            self._notify("contract", node, (e, u, w, x))
-            node.graph.contract_edge(e)
-            events.append(("contract", node, e, x))
-            for child in node.children:
-                self._propagate_merge(child, node.graph, u, w, x, e, events)
+            self._contract(node, e, u, w, x, events)
             return
         old = u if has_u else w
         if old != x:
-            self._notify("rename", node, (old, x))
             node.graph.rename_vertex(old, x)
             events.append(("rename", node, old, x))
         gained = []
@@ -587,7 +581,6 @@ class SeparatorTree:
         for f in gained:
             if node.graph.has_edge(f):
                 continue  # both darts of a gained loop show up once each
-            self._notify("insert", node, (f,))
             self._aligned_insert(parent_h, node.graph, f)
             events.append(("insert", node, f))
             self._propagate_insertion(node, f, events)
@@ -597,10 +590,12 @@ class SeparatorTree:
     def apply_insertion(self, u: int, w: int,
                         after_u: int | None, after_w: int | None,
                         eid: int | None = None) -> list[tuple]:
-        """Insert an embedding-respecting edge into the root graph and
-        duplicate it into every descendant holding both endpoints."""
-        self._notify("insert", self.root, (eid,))
-        eid = self.root.graph.insert_edge(u, w, after_u, after_w, eid=eid)
+        """Insert an edge into the root graph across the face that the
+        corners after ``after_u`` and ``after_w`` share, and duplicate
+        it into every descendant holding both endpoints.  Corners on
+        different faces raise NotOnFace before anything changes."""
+        eid = self.root.graph.insert_edge(u, w, after_u, after_w, eid=eid,
+                                          require_same_face=True)
         events: list[tuple] = [("insert", self.root, eid)]
         self._propagate_insertion(self.root, eid, events)
         return events
@@ -610,7 +605,6 @@ class SeparatorTree:
         for child in node.children:
             if (child.graph.has_vertex(u) and child.graph.has_vertex(w)
                     and not child.graph.has_edge(eid)):
-                self._notify("insert", child, (eid,))
                 self._aligned_insert(node.graph, child.graph, eid)
                 events.append(("insert", child, eid))
                 self._propagate_insertion(child, eid, events)
@@ -627,7 +621,6 @@ class SeparatorTree:
         def rec(node):
             if not node.graph.has_edge(e):
                 return
-            self._notify("delete", node, (e,))
             node.graph.delete_edge(e)
             events.append(("delete", node, e))
             for child in node.children:

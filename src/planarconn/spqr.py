@@ -1375,10 +1375,14 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
             _adopt(shared, nodes, x, (nid, fid))
         sv = _reduce_to_segment(x, set(y), near, far)
         x.det.reset_op_log()
-        if sv["near"] is not None:
-            ports[yidx][0] = (x, sv["near"])
-        if sv["far"] is not None:
-            ports[yidx][1] = (x, sv["far"])
+        # a surviving interface edge keeps an id that lives on in the
+        # neighboring segment, so it becomes a virtual edge under a
+        # fresh id
+        for side, e in enumerate((sv["near"], sv["far"])):
+            if e is not None:
+                vid = next(shared.vids)
+                _rekey(x, e, vid)
+                ports[yidx][side] = (x, vid)
         if g.n_vertices == 2:
             x.kind = "P"
         elif _is_simple_cycle_graph(g):
@@ -1537,12 +1541,10 @@ def rename_vertex_in_block(tree: SpqrTree, node: SpqrNode,
     _rename_cascade(node, None, dying, keep)
 
 
-def _rekey_real(shared: _Shared, nd: SpqrNode, old: int, new: int) -> None:
-    """A dissolving two-edge node promotes its neighbor's virtual edge
-    ``old`` to the real edge ``new``: rename it in the skeleton, keep
-    the R machinery's corner maps in step, and index the real edge."""
+def _rekey(nd: SpqrNode, old: int, new: int) -> None:
+    """Rename skeleton edge ``old`` of ``nd`` to ``new``, keeping the R
+    machinery's corner maps in step."""
     nd.graph.rename_edge(old, new)
-    shared.node_of_edge[new] = nd
     if nd.kind == "R":
         for s in (0, 1):
             od, ndt = dart(old, s), dart(new, s)
@@ -1603,8 +1605,10 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
     if len(vs) == 1:
         v = vs[0]
         r = r2 if v == r1 else r1
+        # the neighbor's virtual edge f becomes the real edge r
         m, f = x.unlink(v)
-        _rekey_real(shared, m, f, r)
+        _rekey(m, f, r)
+        shared.node_of_edge[r] = m
         _splice_out(tree, x, m)
         if tree._root is x:
             tree._root = m

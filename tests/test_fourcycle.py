@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from planarconn.embed import NotOnFace, SelfLoopContraction
+from planarconn.embed import NotOnFace, SelfLoopContraction, UnknownEdge
 from planarconn.fourcycle import MAX_FACE_DEGREE, Detector, FaceDegreeExceeded
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import separating_4cycles
@@ -77,9 +77,9 @@ def test_query_lists_cycles_with_their_legs():
 
 
 def test_dropped_detector_is_freed_at_once():
-    # the separator tree holds its hook weakly, so a detector and its
-    # tree form no reference cycle: an R node's replaced detector goes
-    # as soon as it is dropped, not at the next full collection
+    # the separator tree holds no reference to the detector, so the two
+    # form no reference cycle: an R node's replaced detector goes as
+    # soon as it is dropped, not at the next full collection
     det = Detector(random_delaunay(30, 1))
     det.contract_edge(next(iter(det.tree.root.graph.edge_ids())))
     ref = weakref.ref(det)
@@ -122,6 +122,11 @@ def test_self_loop_contraction_rejected():
     assert det.tree.root.graph.is_loop(eid)
     with pytest.raises(SelfLoopContraction):
         det.contract_edge(eid)
+    with pytest.raises(UnknownEdge):
+        det.contract_edge(eid + 1)
+    # the rejections changed nothing
+    assert_exact(det)
+    det.check()
 
 
 def test_insertion_corners_must_share_face():
@@ -130,6 +135,8 @@ def test_insertion_corners_must_share_face():
     # corners of vertices 0 and 8 lie on different faces
     with pytest.raises(NotOnFace):
         det.insert_edge(0, 8, h.any_dart(0), h.any_dart(8))
+    assert_exact(det)
+    det.check()
 
 
 # ----------------------------------------------------------------------

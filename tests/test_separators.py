@@ -9,7 +9,7 @@ import random
 import pytest
 
 from planarconn import separators
-from planarconn.embed import EmbeddedMultigraph, dart
+from planarconn.embed import EmbeddedMultigraph, dart, edge_of
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import simple_4cycles
 from planarconn.separators import (
@@ -235,18 +235,26 @@ def test_counted_sizes_match_built_separation(make):
 
 
 @pytest.mark.usefixtures("small_leaves")
-def test_split_takes_one_dual_and_builds_one_separation(monkeypatch):
-    # every BFS root shares the split's dual, and only the returned
-    # candidate is built; one dual per root and one built separation per
-    # candidate would put both counts several times higher
-    dual = EmbeddedMultigraph.dual
+def test_split_walks_faces_once_and_builds_one_separation(monkeypatch):
+    # every BFS root shares the faces of the split's triangulation,
+    # walked once, and only the returned candidate is built; a walk per
+    # root and one built separation per candidate would put both counts
+    # several times higher
+    faces = EmbeddedMultigraph.faces
+    triangulate_ = separators.triangulate
     materialise = separators._RootScan.materialise
     split_sets = SeparatorTree._split_sets
-    seen = {"duals": 0, "built": 0, "splits": 0, "returned": 0}
+    tris = []
+    seen = {"walks": 0, "built": 0, "splits": 0, "returned": 0}
 
-    def counting_dual(self):
-        seen["duals"] += 1
-        return dual(self)
+    def counting_faces(self):
+        seen["walks"] += any(self is gt for gt in tris)
+        return faces(self)
+
+    def keeping_triangulate(h):
+        gt, added = triangulate_(h)
+        tris.append(gt)
+        return gt, added
 
     def counting_materialise(self, e):
         seen["built"] += 1
@@ -260,16 +268,17 @@ def test_split_takes_one_dual_and_builds_one_separation(monkeypatch):
             seen["returned"] += sep is not None
         return sep
 
-    monkeypatch.setattr(EmbeddedMultigraph, "dual", counting_dual)
+    monkeypatch.setattr(EmbeddedMultigraph, "faces", counting_faces)
+    monkeypatch.setattr(separators, "triangulate", keeping_triangulate)
     monkeypatch.setattr(separators._RootScan, "materialise",
                         counting_materialise)
     monkeypatch.setattr(SeparatorTree, "_split_sets", counting_split_sets)
     for seed in range(4):
         fv = random_planar(40, seed, 8).vertex_face_graph()[0]
-        seen.update(duals=0, built=0, splits=0, returned=0)
+        seen.update(walks=0, built=0, splits=0, returned=0)
         SeparatorTree(fv)
         assert seen["returned"] > 0
-        assert seen["duals"] == seen["splits"]
+        assert seen["walks"] == seen["splits"]
         assert seen["built"] == seen["returned"]
 
 
@@ -375,8 +384,19 @@ def test_contraction_update_rules():
         before = {id(x): len(x.separator()) for x in t.nodes()}
         in_s = {id(x): u in x.separator() and w in x.separator()
                 for x in t.nodes() if not x.is_leaf}
-        t.apply_contraction(e)
+        at_ends = {id(x): [sorted({edge_of(d) for d in x.graph.rotation(v)})
+                           for v in (u, w)]
+                   for x in t.nodes()
+                   if x.graph.has_vertex(u) and x.graph.has_vertex(w)}
+        events = t.apply_contraction(e)
         t.check()
+        # each contract entry carries its node's edges at u and w from
+        # before the call, and every node holding both ends has one
+        merges = [ev for ev in events if ev[0] == "contract"]
+        assert sorted(id(ev[1]) for ev in merges) == sorted(at_ends)
+        for _, x, f, m, eu, ew, fu, fw in merges:
+            assert (f, m, eu, ew) == (e, min(u, w), u, w)
+            assert [fu, fw] == at_ends[id(x)]
         for x in t.nodes():
             if x.is_leaf or id(x) not in before:
                 continue
