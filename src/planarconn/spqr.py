@@ -24,10 +24,13 @@ they finished are copied out into fresh pieces, and the last one is cut
 free in the graph itself, so a split costs about its smaller side.
 
 Edge deletions and contractions keep the tree in step with the graph.
-When an operation splits a triconnected skeleton, the node is replaced
-by a path of new nodes; the largest piece keeps the old node's
-machinery while the others are rebuilt, and instrumentation counters
-record re-parented nodes and the edges in the non-largest pieces.
+An R node keeps a separating-4-cycle detector over the vertex-face
+graph of its skeleton, which reports the separation pairs an operation
+creates.  The skeleton is then split at them the way construction
+splits: the classes that finish first leave as fresh pieces, and the
+class still growing stays in the node, which keeps its detector, so a
+split costs the pieces that leave.  Instrumentation counters record
+re-parented nodes and the edges in the non-largest pieces.
 """
 
 from __future__ import annotations
@@ -722,30 +725,21 @@ def _r_contract_edge(x: SpqrNode, e: int, keep: int) -> None:
     g.contract_edge(e, keep=keep)
 
 
-def _r_reports(x: SpqrNode):
-    """Digest the detector's discovery log since its last reset into
-    skeleton terms: the separation pairs of the current skeleton, the
-    marked corners (darts whose following rotation gap is crossed by a
-    separating 4-cycle of the vertex-face graph), and the marked
-    corners grouped by the pair they certify."""
-    cycles = x.det.separating_now()
+def _r_pairs(x: SpqrNode) -> set[tuple[int, int]]:
+    """The separation pairs of R node ``x``'s skeleton, read off the
+    separating 4-cycles its detector found since its last reset: a
+    cycle's two skeleton vertices are its diagonal or its two middle
+    vertices."""
     pairs: set[tuple[int, int]] = set()
-    marked: set[int] = set()
-    by_pair: dict[tuple[int, int], set[int]] = defaultdict(set)
-    for (a, b), m1, lk1, m2, lk2 in cycles:
+    for (a, b), m1, _lk1, m2, _lk2 in x.det.separating_now():
         if a in x.vvf:
             assert b in x.vvf and m1 not in x.vvf and m2 not in x.vvf
             p, q = x.vvf[a], x.vvf[b]
         else:
             assert m1 in x.vvf and m2 in x.vvf
             p, q = x.vvf[m1], x.vvf[m2]
-        key = (p, q) if p < q else (q, p)
-        pairs.add(key)
-        for e in lk1 + lk2:
-            d = x.rcmap[e]
-            marked.add(d)
-            by_pair[key].add(d)
-    return pairs, marked, dict(by_pair)
+        pairs.add((p, q) if p < q else (q, p))
+    return pairs
 
 
 def _r_pendant_delete(x: SpqrNode, e: int) -> None:
@@ -771,345 +765,37 @@ def _r_pendant_delete(x: SpqrNode, e: int) -> None:
     g.delete_vertex(z)
 
 
-# ----------------------------------------------------------------------
-# two-sided piece search over a skeleton split by an operation
-#
-# After a deletion or contraction the skeleton decomposes into a path
-# of triconnected components.  Two searches start from the two ends of
-# that path and peel off components one by one, alternating bounded
-# work units, so that the unclaimed remainder y is never touched and
-# the cost is proportional to the smaller side.  A component is
-# certified complete when the frontier of the grown region is exactly
-# two vertices forming a known separation pair.
+def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
+    """Remove the edges ``gone``, the separation classes at (a, b) that
+    leave R node ``x``, from its skeleton through the synchronized
+    surgeries, down to one edge joining a and b; return that edge.
 
-class _SideSearch:
-    """One side of the two-sided search: grows corner-bounded regions
-    (a marked corner is never crossed), claims edges in a ledger shared
-    with the opposite side, and finishes a piece whenever the cumulative
-    frontier shrinks to a certified separation pair."""
-
-    def __init__(self, g: EmbeddedMultigraph, pairs, marked, claim,
-                 owned_all, side: int, seeds):
-        self.g = g
-        self.pairs = pairs
-        self.marked = marked
-        self.claim = claim          # edge -> side that claimed it
-        self.owned_all = owned_all  # vertex -> darts claimed by either side
-        self.side = side
-        self.owned: dict[int, int] = defaultdict(int)
-        self.open: set[int] = set()
-        self.cut: tuple[int, int] | None = None
-        self.seeds = list(seeds)
-        self.w_darts: set[int] = set()
-        self.w_edges: set[int] = set()
-        self.w_at: dict[int, list[int]] = defaultdict(list)
-        self.frontier: list[int] = []
-        # finished pieces: (edges, darts-at-vertex, near cut, far cut)
-        self.pieces: list[tuple] = []
-        self.state = "running"
-        self.reason = None
-
-    # -- region growth ---------------------------------------------------
-
-    def _claim(self, d: int) -> None:
-        e = edge_of(d)
-        self.claim[e] = self.side
-        self.w_edges.add(e)
-        for x in (d, d ^ 1):
-            v = self.g.vertex_of_dart(x)
-            self.w_darts.add(x)
-            self.w_at[v].append(x)
-            self.owned[v] += 1
-            self.owned_all[v] += 1
-            if self.owned[v] < self.g.degree(v):
-                self.open.add(v)
-            else:
-                self.open.discard(v)
-            self.frontier.append(x)
-
-    def _scan(self, d: int) -> bool:
-        """Expand one region dart; False on collision with the other
-        side."""
-        g = self.g
-        nbrs = [d ^ 1]
-        if d not in self.marked:
-            nbrs.append(g.rotation_next(d))
-        pd = g.rotation_prev(d)
-        if pd not in self.marked:
-            nbrs.append(pd)
-        for nd in nbrs:
-            if nd in self.w_darts:
-                continue
-            e = edge_of(nd)
-            o = self.claim.get(e)
-            if o == self.side:
-                raise AssertionError("re-entered a sealed piece")
-            if o is not None:
-                return False
-            self._claim(nd)
-        return True
-
-    # -- completion -------------------------------------------------------
-
-    def _far_cut(self) -> tuple[int, int] | None:
-        if len(self.open) != 2:
-            return None
-        p, q = sorted(self.open)
-        return (p, q) if (p, q) in self.pairs else None
-
-    def _finish_piece(self, far) -> None:
-        self.pieces.append((self.w_edges, dict(self.w_at), self.cut, far))
-        g = self.g
-        seeds = []
-        if far is not None:
-            seeds = self._flank_seeds(
-                d for v in far for d in self.w_at.get(v, ()))
-
-            def prio(s):
-                if set(g.endpoints(edge_of(s))) == set(far):
-                    return (0, 0)
-                v = g.vertex_of_dart(s)
-                return (1, g.degree(v) - self.owned_all[v])
-
-            seeds.sort(key=prio)
-        self.cut = far
-        self.seeds = seeds
-        self.w_darts = set()
-        self.w_edges = set()
-        self.w_at = defaultdict(list)
-
-    def _flank_seeds(self, darts) -> list[int]:
-        """The unclaimed darts across a marked rotation gap from the
-        given darts of the current region, in scan order."""
-        g = self.g
-        out = []
-        for d in darts:
-            if d in self.marked:
-                nd = g.rotation_next(d)
-                if nd not in self.w_darts and edge_of(nd) not in self.claim:
-                    out.append(nd)
-            pd = g.rotation_prev(d)
-            if (pd in self.marked and pd not in self.w_darts
-                    and edge_of(pd) not in self.claim):
-                out.append(pd)
-        return out
-
-    # -- driver interface ---------------------------------------------------
-
-    def step(self) -> None:
-        """Advance by one bounded unit of work."""
-        if self.state != "running":
-            return
-        if self.frontier:
-            if not self._scan(self.frontier.pop()):
-                self.state, self.reason = "stopped", "collision"
-            return
-        if self.w_edges:
-            far = self._far_cut()
-            if far is not None:
-                self._finish_piece(far)
-                return
-            if not self.open:
-                # the region closed with nothing beyond it
-                self._finish_piece(None)
-                self.state, self.reason = "stopped", "consumed"
-                return
-        blocked = False
-        for i, s in enumerate(self.seeds):
-            o = self.claim.get(edge_of(s))
-            if o == self.side:
-                continue
-            if o is not None:
-                blocked = True
-                continue
-            del self.seeds[: i + 1]
-            self._claim(s)
-            return
-        self.seeds = []
-        if blocked:
-            self.state, self.reason = "stopped", "blocked"
-            return
-        if self.w_edges:
-            # the region closed without completing and the cut seeds
-            # ran out: fall back to all its flank darts
-            fresh = self._flank_seeds(self.w_darts)
-            if fresh:
-                self.seeds = fresh
-                return
-        self.state, self.reason = "stopped", "stuck"
-
-
-def _run_split_search(g: EmbeddedMultigraph, pairs, marked, by_pair,
-                      seeds_a, seeds_b):
-    """Peel path pieces from both ends in lockstep.
-
-    Returns ``(side_a, side_b, y_edges)``: the two searches with their
-    finished piece lists in path order from their respective ends, and
-    the edge set of the unclaimed remainder.  When everything was
-    claimed, ``y_edges`` is empty and the caller pops the largest
-    finished piece instead.
-
-    The search stops early — before either side wanders into the large
-    remainder — once every certified pair is *resolved*: at most one of
-    the corner-runs it delimits is still unclaimed.  Runs are sampled at
-    the pair's own marked corners, and an edge counts as claimed only if
-    its piece is already sealed, so a half-grown region never makes a
-    pair look resolved prematurely.
-    """
-    claim: dict[int, int] = {}
-    owned_all: dict[int, int] = defaultdict(int)
-    a = _SideSearch(g, pairs, marked, claim, owned_all, 0, seeds_a)
-    b = _SideSearch(g, pairs, marked, claim, owned_all, 1, seeds_b)
-
-    def resolved() -> bool:
-        for _pair, corners in by_pair.items():
-            loose: dict[int, int] = defaultdict(int)
-            for d in corners:
-                nd = g.rotation_next(d)
-                e = edge_of(nd)
-                if (claim.get(e) is None or e in a.w_edges
-                        or e in b.w_edges):
-                    loose[g.vertex_of_dart(d)] += 1
-            if any(c > 1 for c in loose.values()):
-                return False
-        return True
-
-    while a.state == "running" and b.state == "running":
-        for s in (a, b):
-            n = len(s.pieces)
-            s.step()
-            if len(s.pieces) != n and resolved():
-                for t in (a, b):
-                    t.state, t.reason = "stopped", "resolved"
-            if s.state != "running":
-                break
-    done = set()
-    for s in (a, b):
-        for edges, _at, _near, _far in s.pieces:
-            done |= edges
-    y_edges = {e for e in g.edge_ids() if e not in done}
-    return a, b, y_edges
-
-
-def _segment_graph(g: EmbeddedMultigraph, edges: set[int], my_idx: int,
-                   seg_of: dict[int, int],
-                   near, near_id, far, far_id) -> EmbeddedMultigraph:
-    """One split segment as an embedded graph: the induced subgraph on
-    ``edges`` plus a virtual edge per interface, placed in the rotation
-    gap that faces the corresponding side of the chain.  ``seg_of``
-    gives each edge's position in the chain and ``my_idx`` this
-    segment's position, which orients the two gaps at a shared cut
-    vertex."""
-    verts: set[int] = set()
-    elist = [(e, *g.endpoints(e)) for e in sorted(edges)]
-    for _e, u, w in elist:
-        verts.update((u, w))
-    virts = []  # (pair, vid, toward): toward orders the chain side
-    if near is not None:
-        virts.append((near, near_id, -1))
-    if far is not None:
-        virts.append((far, far_id, +1))
-    for pair, vid, _t in virts:
-        elist.append((vid, *pair))
-        verts.update(pair)
-    cutverts = {v for pair, _vid, _t in virts for v in pair}
-    rotations: dict[int, list[tuple[int, int]]] = {}
-    for v in sorted(verts):
-        if v not in cutverts:
-            rotations[v] = [(edge_of(d), d & 1) for d in g.rotation(v)]
-            continue
-        # walk the full rotation; every maximal run of foreign darts is
-        # one wedge of neighboring chain material and collapses to the
-        # virtual edge(s) of the side(s) appearing in it, in order
-        rot = g.rotation(v)
-        mine = [edge_of(d) in edges for d in rot]
-        if not any(mine):
-            # the segment passes through v on virtual edges alone
-            through = [(vid, 0 if v == pair[0] else 1)
-                       for pair, vid, _t in virts if v in pair]
-            assert len(through) == 2, "cut vertex with a single dart"
-            rotations[v] = through
-            continue
-        assert not all(mine), "cut vertex fully inside the segment"
-        n = len(rot)
-        start = next(i for i in range(n) if mine[i] and not mine[i - 1])
-        items: list[tuple[int, int]] = []
-        placed: set[int] = set()
-        i = start
-        for _ in range(n):
-            d = rot[i % n]
-            if mine[i % n]:
-                items.append((edge_of(d), d & 1))
-            else:
-                side_sign = -1 if seg_of[edge_of(d)] < my_idx else 1
-                for pair, vid, toward in virts:
-                    if toward == side_sign and v in pair and vid not in placed:
-                        items.append((vid, 0 if v == pair[0] else 1))
-                        placed.add(vid)
-            i += 1
-        want = {vid for pair, vid, _t in virts if v in pair}
-        assert placed == want, "interface wedge missing at a cut vertex"
-        rotations[v] = items
-    return EmbeddedMultigraph.build(sorted(verts), elist, rotations)
-
-
-def _reduce_to_segment(x: SpqrNode, y_edges: set[int],
-                       near, far) -> dict:
-    """Shrink an R node's skeleton to the segment ``y_edges`` in place,
-    replacing each doomed chunk by one surviving edge across its
-    interface pair.  Every removal goes through the synchronized
-    surgeries, so the detector machinery stays valid.  Returns the
-    surviving edge id per interface, ``{"near": id, "far": id}`` with
-    ``None`` for an absent interface."""
+    Edges joining a and b wait until the end, and all but one are
+    deleted.  Every other edge has an end inside its class: it is
+    deleted if it has a parallel copy, removed with that end if the end
+    is pendant, and contracted otherwise, into a or b when it touches
+    them.  Every step removes an edge of the class and scans only the
+    class, so the skeleton work is that of the classes that leave; each
+    step also updates the detector."""
     g = x.graph
-    keys = []
-    if near is not None:
-        keys.append(frozenset(near))
-    if far is not None:
-        keys.append(frozenset(far))
-    cutvset = {v for k in keys for v in k}
-    interface = set(keys)
-
-    def local_mult(e: int, u: int, w: int) -> int:
-        # parallel count, scanned at a non-cut endpoint so the cost is
-        # bounded by the doomed chunk, never by the kept segment
-        z = u if u not in cutvset else w
-        assert z not in cutvset, "doomed edge spanning two interfaces"
-        return sum(1 for d in g.rotation(z)
-                   if set(g.endpoints(edge_of(d))) == {u, w})
-
-    deferred: list[int] = []
-    work = [e for e in sorted(g.edge_ids()) if e not in y_edges]
-    for e in work:
+    across = []
+    for e in sorted(gone):
         u, w = g.endpoints(e)
-        key = frozenset((u, w))
-        if key in interface:
-            deferred.append(e)
+        if {u, w} == {a, b}:
+            across.append(e)
             continue
-        if local_mult(e, u, w) >= 2:
+        z = w if u in (a, b) else u
+        if sum(1 for d in g.rotation(z)
+               if set(g.endpoints(edge_of(d))) == {u, w}) >= 2:
             _r_delete_edge(x, e)
-            continue
-        if g.degree(u) == 1 or g.degree(w) == 1:
+        elif g.degree(u) == 1 or g.degree(w) == 1:
             _r_pendant_delete(x, e)
-            continue
-        keep = u if u in cutvset else (w if w in cutvset else min(u, w))
-        dying = w if keep == u else u
-        assert dying not in cutvset, "contracting away a cut vertex"
-        _r_contract_edge(x, e, keep)
-    survivors = {"near": None, "far": None}
-    for name, pair in (("near", near), ("far", far)):
-        if pair is None:
-            continue
-        key = frozenset(pair)
-        mine = [e for e in deferred
-                if frozenset(g.endpoints(e)) == key and survivors["near"] != e]
-        assert mine, "interface chunk left no spanning edge"
-        survivors[name] = mine[0]
-    doomed_left = [e for e in deferred
-                   if e not in (survivors["near"], survivors["far"])]
-    for e in doomed_left:
+        else:
+            _r_contract_edge(x, e, u if u in (a, b) else
+                             w if w in (a, b) else min(u, w))
+    for e in across[1:]:
         _r_delete_edge(x, e)
-    return survivors
+    return across[0]
 
 
 def _rebuilt(g: EmbeddedMultigraph) -> EmbeddedMultigraph:
@@ -1137,7 +823,8 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
     Hopcroft and Tarjan ("Dividing a graph into triconnected
     components", SIAM J. Comput. 1973), the separation pairs of a split
     piece are exactly the pairs of the graph with both ends in the
-    piece, other than (a, b).
+    piece, other than (a, b).  Updates rely on the same lemma when
+    :func:`_split_r_node` peels an R skeleton at its reported pairs.
     """
     peeled = False
     while True:
@@ -1254,10 +941,10 @@ def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph) -> list[SpqrNode]:
 def _adopt(shared: _Shared, nodes: list[SpqrNode],
            old: SpqrNode | None, ports=()) -> None:
     """Classify the edges of fresh nodes that predate them.  A virtual
-    edge of the replaced node ``old`` moves with its twin link from
-    ``old`` to the fresh node holding it; the ``ports`` ids are left for
-    the caller to link; every other such edge is real.  R nodes get
-    their machinery."""
+    edge of ``old``, the node they were cut from, moves with its twin
+    link from ``old`` to the fresh node holding it; the ``ports`` ids
+    are left for the caller to link; every other such edge is real.  R
+    nodes get their machinery."""
     for nd in nodes:
         for e in sorted(nd.graph.edge_ids()):
             if e in nd.twin or e in ports:
@@ -1287,6 +974,11 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
 
 # ----------------------------------------------------------------------
 # splitting a maintained R node after a deletion or contraction
+#
+# The pieces that leave an R node are decomposed from scratch, as in
+# construction; the class that stays is closed in place by the R
+# surgeries of _r_cut, and the seams between the new nodes and the old
+# neighbours are merged where two S or two P nodes meet.
 
 def _holder(nodes: list[SpqrNode], e: int) -> SpqrNode:
     for nd in nodes:
@@ -1326,20 +1018,23 @@ def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
     return keep
 
 
-def _split_r_node(tree: SpqrTree, x: SpqrNode,
-                  seeds_a: list[int], seeds_b: list[int]) -> None:
-    """After a surgery on R node ``x``, digest the detector's reports
-    and, if the skeleton now has separation pairs, replace ``x`` in the
-    tree by the path of its split pieces.  The big piece keeps ``x``'s
-    machinery; the small ones are rebuilt from scratch."""
+def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
+    """After a surgery on R node ``x``, split its skeleton at the
+    separation pairs its detector reports, the way :func:`_decompose`
+    peels a graph: at the smallest pair, every class that
+    :func:`_split_classes` lists leaves as a fresh piece (with a P hub
+    when the pair has joining edges or several classes leave), and the
+    class it leaves unlisted stays in ``x``, closed by one virtual edge
+    across the pair.  ``x`` keeps its detector, and the leaving edges
+    are removed through the R surgeries, so a split costs the pieces
+    that leave.  By the split-component lemma the pairs left to split
+    are the reported ones with both ends still in ``x``."""
     shared = tree.shared
-    pairs, marked, by_pair = _r_reports(x)
     g = x.graph
+    pairs = _r_pairs(x)
     if not pairs:
         x.det.reset_op_log()
         return
-    a, b, y = _run_split_search(g, pairs, marked, by_pair,
-                                seeds_a, seeds_b)
     old_parent = x.parent
     parent_key = None
     if old_parent is not None:
@@ -1348,66 +1043,50 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
 
     region: list[SpqrNode] = []
     sizes: list[int] = []
-
-    if a.reason == "resolved" and y:
-        near = a.pieces[-1][3] if a.pieces else None
-        far = b.pieces[-1][3] if b.pieces else None
-        chain = [(set(p[0]), p[2], p[3]) for p in a.pieces]
-        yidx = len(chain)
-        chain.append((set(y), near, far))
-        chain += [(set(p[0]), p[3], p[2]) for p in reversed(b.pieces)]
-        seg_of = {e: i for i, (es, _n, _f) in enumerate(chain) for e in es}
-        jid = [next(shared.vids) for _ in range(len(chain) - 1)]
-        ports: list[list] = [[None, None] for _ in chain]
-        for i, (es, nr, fr) in enumerate(chain):
-            sizes.append(len(es))
-            if i == yidx:
-                continue
-            nid = jid[i - 1] if i > 0 else None
-            fid = jid[i] if i < len(chain) - 1 else None
-            sg = _segment_graph(g, es, i, seg_of, nr, nid, fr, fid)
-            nodes = _mini_nodes(shared, sg)
+    while pairs and not _is_simple_cycle_graph(g):
+        pair = min(pairs)
+        a, b = pair
+        singles, done = _split_classes(g, a, b)
+        assert done or len(singles) >= 2, \
+            "singleton class in a two-class split"
+        hub = [(e, a, b) for e in singles]
+        ports = []
+        for cls, _inner in done:
+            vid = next(shared.vids)
+            nodes = _mini_nodes(shared, _piece_graph(g, cls, a, b, vid))
+            _adopt(shared, nodes, x, (vid,))
             region.extend(nodes)
-            if nid is not None:
-                ports[i][0] = (_holder(nodes, nid), nid)
-            if fid is not None:
-                ports[i][1] = (_holder(nodes, fid), fid)
-            _adopt(shared, nodes, x, (nid, fid))
-        sv = _reduce_to_segment(x, set(y), near, far)
+            sizes.append(len(cls))
+            hub.append((vid, a, b))
+            ports.append((_holder(nodes, vid), vid))
+        if len(hub) > 1:
+            vid = next(shared.vids)
+            hub.append((vid, a, b))
+            p = SpqrNode("P", _skeleton("P", hub),
+                         {e for e, _, _ in hub[len(singles):]})
+            _adopt(shared, [p], x)
+            region.append(p)
+            sizes.append(len(singles))
+            for nd, e in ports:
+                nd.link(e, p, e)
+            ports = [(p, vid)]
+        ((nd, vid),) = ports
+        gone = set(singles).union(*(cls for cls, _ in done))
+        _rekey(x, _r_cut(x, gone, a, b), vid)
+        x.link(vid, nd, vid)
+        pairs = {q for q in pairs if q != pair
+                 and g.has_vertex(q[0]) and g.has_vertex(q[1])}
+    sizes.append(g.n_edges)
+    if g.n_vertices == 2:
+        x.kind = "P"
+    elif _is_simple_cycle_graph(g):
+        x.kind = "S"
+    if x.kind == "R":
         x.det.reset_op_log()
-        # a surviving interface edge keeps an id that lives on in the
-        # neighboring segment, so it becomes a virtual edge under a
-        # fresh id
-        for side, e in enumerate((sv["near"], sv["far"])):
-            if e is not None:
-                vid = next(shared.vids)
-                _rekey(x, e, vid)
-                ports[yidx][side] = (x, vid)
-        if g.n_vertices == 2:
-            x.kind = "P"
-        elif _is_simple_cycle_graph(g):
-            x.kind = "S"
-        if x.kind != "R":
-            x.det = x.cmap = x.rcmap = x.fvv = x.vvf = None
-        region.append(x)
-        for i in range(len(chain) - 1):
-            (ln, le), (rn, re_) = ports[i][1], ports[i + 1][0]
-            ln.link(le, rn, re_)
-        anchor_survivor = x
     else:
-        # the searches met before a dominant remainder emerged; the
-        # whole skeleton is about the size of the work already done,
-        # so rebuild it outright
-        nodes = _mini_nodes(shared, g)
-        region.extend(nodes)
-        sizes = [nd.graph.n_edges for nd in nodes]
-        kids = _children(x)
-        _adopt(shared, nodes, x)
-        tree.set_parent(x, None)
-        for c in kids:
-            c.parent = None
-        anchor_survivor = None
-
+        x.det = x.cmap = x.rcmap = x.fvv = x.vvf = None
+    region.append(x)
+    anchor_survivor = x
     shared.split_edges += sum(sizes) - max(sizes)
 
     # dissolve same-kind S/P adjacencies created at the seams; the
@@ -1449,8 +1128,7 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode,
         assert anchor in regset
         tree.set_parent(anchor, old_parent)
     else:
-        anchor = (anchor_survivor if anchor_survivor in regset
-                  else next(iter(regset)))
+        anchor = anchor_survivor
         tree.set_parent(anchor, None)
         tree._root = anchor
     seen = {anchor}
@@ -1654,12 +1332,8 @@ def _r_remove(tree: SpqrTree, x: SpqrNode, e: int) -> tuple[str, object]:
     """Delete edge ``e`` (real or virtual, already unlinked if virtual)
     from R node ``x``, then split the skeleton along whatever
     separation pairs the detector reports."""
-    g = x.graph
-    d0, d1 = dart(e, 0), dart(e, 1)
-    seeds_a = [g.rotation_prev(d0)]
-    seeds_b = [g.rotation_prev(d1)]
     _r_delete_edge(x, e)
-    _split_r_node(tree, x, seeds_a, seeds_b)
+    _split_r_node(tree, x)
     return ("tree", tree)
 
 
@@ -1670,15 +1344,12 @@ def _r_contract(tree: SpqrTree, x: SpqrNode, e: int,
     dying vertex, then split the skeleton along whatever separation
     pairs the detector reports."""
     g = x.graph
-    d0, d1 = dart(e, 0), dart(e, 1)
-    seeds_a = [g.face_next(d0)]
-    seeds_b = [g.face_next(d1)]
     targets = [slot for f, slot in x.twin.items()
                if dying in g.endpoints(f)]
     _r_contract_edge(x, e, keep)
     for m, f in targets:
         _rename_cascade(m, f, dying, keep)
-    _split_r_node(tree, x, seeds_a, seeds_b)
+    _split_r_node(tree, x)
     return ("tree", tree)
 
 

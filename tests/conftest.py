@@ -2,9 +2,29 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from planarconn import separators
+
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from source files under
+    # its home directory, by default .hypothesis/ in the working
+    # directory, even with no example database; keep that cache in a
+    # directory removed after the run
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture

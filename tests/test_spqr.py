@@ -172,15 +172,10 @@ def test_build_counts_pairs_once(monkeypatch):
 # least three edges, so every op keeps one block.
 REPLAY_N = 20
 REPLAY_STEPS = 25
-# 36 and 39 once hit an edge id that a resolved R split had left in two
-# skeletons
-REPLAY_SEEDS = (*range(12), 36, 39)
-# runs whose updates go wrong today, each named by its first failed
-# check; strict, so a fix shows up as a pass
-REPLAY_KNOWN_WRONG = {
-    8: "check() after the second op: R skeleton vertex of degree < 3 "
-        "(ROADMAP item 1)",
-}
+# 8, 18, 21, 25 and 26 once left an R skeleton with a vertex of degree
+# below 3 after splitting it (at ops 1, 4, 0, 4 and 2, counting from 0);
+# 36 and 39 once hit an edge id that a split had left in two skeletons
+REPLAY_SEEDS = (*range(12), 18, 21, 25, 26, 36, 39)
 
 
 @functools.cache
@@ -243,20 +238,37 @@ def test_update_replay_is_deterministic(seed):
     assert _replay(seed, False, n0) == _replay(seed, True, n0)
 
 
-REPLAY_PARAMS = [
-    pytest.param(s, marks=pytest.mark.xfail(strict=True,
-                                            reason=REPLAY_KNOWN_WRONG[s]))
-    if s in REPLAY_KNOWN_WRONG else s for s in REPLAY_SEEDS]
-
-
-@pytest.mark.parametrize("seed", REPLAY_PARAMS)
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
 def test_update_replay_matches_oracle(seed):
     assert _replay(seed, False, separators.N0) == _replay_case(seed)[2]
 
 
 @pytest.mark.usefixtures("small_leaves")
-@pytest.mark.parametrize("seed", REPLAY_PARAMS)
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
 def test_update_replay_matches_oracle_small_leaves(seed):
     # the same updates with detectors whose trees have internal nodes,
     # so real SPQR updates drive the separator maintenance in them
     assert _replay(seed, False, separators.N0) == _replay_case(seed)[2]
+
+
+@pytest.mark.parametrize("seed", (8, 18, 21))
+def test_detector_reports_every_separation_pair(seed, monkeypatch):
+    # an R split peels the pairs the detector reports, so after every
+    # surgery they must be exactly the pairs a fresh count finds
+    r_pairs = spqr._r_pairs
+    found = []
+
+    def counted(x):
+        pairs = r_pairs(x)
+        assert pairs == spqr.separation_pairs_embedded(x.graph)
+        found.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(spqr, "_r_pairs", counted)
+    g, ops, wants = _replay_case(seed)
+    tree = build_spqr(g)
+    for (op, e), want in zip(ops, wants):
+        fn = delete_edge if op == "d" else spqr.contract_edge
+        tree = fn(tree, e).tree
+        assert tree.serialize() == want
+    assert any(found)

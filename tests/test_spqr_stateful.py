@@ -1,0 +1,157 @@
+"""Stateful fuzz of SPQR-tree maintenance against the oracle.
+
+A state machine keeps every live block of a random plane graph with
+its SPQR-tree and deletes or contracts real edges of any of them, so it
+also reaches the outcomes that break a block: "path" (an S deletion),
+"star" (a P contraction) and "pair" (two edges left).  After each step
+the blocks an update reports must be the blocks of the graph, and each
+block's tree must pass ``check()`` and equal the oracle's.  A
+contraction renames the retired vertex in the other blocks holding it,
+as a block-cut layer would.  The run is derandomized and keeps no
+example database, so one checkout repeats it exactly; hypothesis also
+draws constants from the source files, so an edit elsewhere can change
+the examples.  ``conftest.py`` keeps hypothesis's storage out of the
+checkout.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
+
+from planarconn import spqr
+from planarconn.embed import edge_of, rev
+from planarconn.generators import random_planar
+from planarconn.oracle import canonical_spqr
+
+
+def _blocks(g) -> list[frozenset[int]]:
+    """The edge sets of g's blocks: lowpoint search with an edge stack.
+    A loop is a block of its own."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    out = [frozenset([e]) for e in g.edge_ids() if g.is_loop(e)]
+
+    def search(v: int, via: int | None) -> None:
+        index[v] = low[v] = len(index)
+        for d in g.rotation(v):
+            e = edge_of(d)
+            w = g.vertex_of_dart(rev(d))
+            if e == via or w == v:
+                continue
+            if w not in index:
+                stack.append(e)
+                search(w, e)
+                low[v] = min(low[v], low[w])
+                if low[w] >= index[v]:
+                    block = set()
+                    while not block or f != e:
+                        f = stack.pop()
+                        block.add(f)
+                    out.append(frozenset(block))
+            elif index[w] < index[v]:
+                stack.append(e)
+                low[v] = min(low[v], index[w])
+
+    for v in g.vertices():
+        if v not in index:
+            search(v, None)
+    return out
+
+
+def _edge_subgraph(g, edges):
+    """g restricted to ``edges`` and their ends, embedding kept."""
+    h = g.copy()
+    for e in list(h.edge_ids()):
+        if e not in edges:
+            h.delete_edge(e)
+    for v in [v for v in h.vertices() if h.degree(v) == 0]:
+        h.delete_vertex(v)
+    return h
+
+
+def _real_edges(tree) -> frozenset[int]:
+    return frozenset(e for x in tree.nodes() for e in x.real_ids())
+
+
+class SpqrMachine(RuleBasedStateMachine):
+    """Live blocks as ``[graph, tree, the oracle's serialization]``."""
+
+    @initialize(n=st.integers(12, 24), seed=st.integers(0, 999))
+    def build(self, n, seed):
+        g = random_planar(n, seed)
+        self.blocks = [[g, spqr.build_spqr(g), canonical_spqr(g)]]
+
+    @rule(data=st.data(), op=st.sampled_from("dc"))
+    def update(self, data, op):
+        # no precondition: rules a precondition disables are filtered
+        # out of the draw, which fails hypothesis's filter health check
+        if not self.blocks:
+            return  # every block fell apart into blocks of < 3 edges
+        # largest first: draws lean to small indices, and large blocks
+        # hold the R nodes
+        self.blocks.sort(key=lambda b: -b[0].n_edges)
+        i = data.draw(st.integers(0, len(self.blocks) - 1), label="block")
+        g, tree, _ = self.blocks.pop(i)
+        e = data.draw(st.sampled_from(sorted(g.edge_ids())), label="edge")
+        h = g.copy()
+        if op == "d":
+            h.delete_edge(e)
+            log = spqr.delete_edge(tree, e)
+        else:
+            h.contract_edge(e)
+            log = spqr.contract_edge(tree, e)
+        if log.kind == "intact":
+            parts = [(log.tree, _real_edges(log.tree))]
+        elif log.kind == "pair":
+            assert h.n_edges == 2
+            assert log.pair_ends == tuple(sorted(h.vertices()))
+            parts = [(None, frozenset(log.pair_edges))]
+        else:
+            assert log.kind == ("path" if op == "d" else "star")
+            parts = [(p.tree, _real_edges(p.tree) if p.tree
+                      else frozenset(p.edges)) for p in log.pieces]
+        assert sorted(map(sorted, (es for _t, es in parts))) == \
+            sorted(map(sorted, _blocks(h)))
+        for t, es in parts:
+            if t is None:
+                assert len(es) < 3
+                continue
+            t.check()
+            sub = _edge_subgraph(h, es)
+            want = canonical_spqr(sub)
+            assert t.serialize() == want
+            self.blocks.append([sub, t, want])
+        if op == "c":
+            self._rename(log.retired_vertex, log.merged_vertex)
+
+    def _rename(self, dying, keep):
+        # the blocks just made hold ``keep`` only: they come from h
+        for block in self.blocks:
+            g, t, _ = block
+            if not g.has_vertex(dying):
+                continue
+            node = next(x for x in t.nodes() if x.graph.has_vertex(dying))
+            spqr.rename_vertex_in_block(t, node, dying, keep)
+            g.rename_vertex(dying, keep)
+            block[2] = canonical_spqr(g)
+
+    @invariant()
+    def every_block_matches_oracle(self):
+        for _g, t, want in self.blocks:
+            t.check()
+            assert t.serialize() == want
+
+
+SpqrMachine.TestCase.settings = settings(
+    max_examples=15, stateful_step_count=20, derandomize=True,
+    database=None, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+TestSpqrMachine = SpqrMachine.TestCase
