@@ -26,11 +26,11 @@ free in the graph itself, so a split costs about its smaller side.
 Edge deletions and contractions keep the tree in step with the graph.
 An R node keeps a separating-4-cycle detector over the vertex-face
 graph of its skeleton, which reports the separation pairs an operation
-creates.  The skeleton is then split at them the way construction
-splits: the classes that finish first leave as fresh pieces, and the
-class still growing stays in the node, which keeps its detector, so a
-split costs the pieces that leave.  Instrumentation counters record
-re-parented nodes and the edges in the non-largest pieces.
+creates.  The construction's decomposition then runs on the skeleton
+the node keeps: the pieces that leave inherit the reported pairs, so an
+update never counts pairs, and the node keeps its detector.
+Instrumentation counters record re-parented nodes and the edges in the
+non-largest pieces.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ class SpqrNode:
     twin neighbors whose parent it is."""
 
     __slots__ = ("kind", "graph", "twin", "parent",
-                 "det", "cmap", "rcmap", "fvv", "vvf")
+                 "det", "cmap", "fvv", "vvf")
 
     def __init__(self, kind: str, graph: EmbeddedMultigraph,
                  virt: set[int]):
@@ -349,7 +349,6 @@ class SpqrNode:
         self.parent: SpqrNode | None = None
         self.det = None    # four-cycle detector over fv(skeleton), R only
         self.cmap = None   # skeleton dart -> vertex-face-graph edge id
-        self.rcmap = None  # vertex-face-graph edge id -> skeleton dart
         self.fvv = None    # skeleton vertex -> vertex-face-graph label
         self.vvf = None    # vertex-face-graph label -> skeleton vertex
 
@@ -535,7 +534,7 @@ class SpqrTree:
             elif x.kind == "R":
                 assert g.n_vertices >= 4
                 assert not any(g.is_loop(e) for e in g.edge_ids())
-                assert not _edge_multiplicity_violated(g)
+                assert all(k == 1 for k in _edge_multiplicity(g).values())
                 assert all(g.degree(v) >= 3 for v in g.vertices()), \
                     "R skeleton vertex of degree < 3"
                 assert is_biconnected_embedded(g)
@@ -570,17 +569,6 @@ class SpqrTree:
         assert reach == nodes, "parent pointers disconnected"
 
 
-def _edge_multiplicity_violated(g: EmbeddedMultigraph) -> bool:
-    seen = set()
-    for e in g.edge_ids():
-        u, w = g.endpoints(e)
-        key = (u, w) if u < w else (w, u)
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
 # ----------------------------------------------------------------------
 # R-node machinery: a four-cycle detector over the vertex-face graph
 
@@ -595,7 +583,6 @@ def _attach_r(x: SpqrNode) -> None:
         "triconnected skeleton has a separating 4-cycle in its radial graph"
     x.det.reset_op_log()
     x.cmap = dict(info.fv_edge_of_corner)
-    x.rcmap = {e: d for d, e in x.cmap.items()}
     x.fvv = {v: v for v in x.graph.vertices()}
     x.vvf = dict(x.fvv)
 
@@ -607,7 +594,6 @@ def _check_r_sync(x: SpqrNode) -> None:
     fv = x.det.tree.root.graph
     assert set(x.cmap) == set(g.corners())
     assert sorted(x.cmap.values()) == sorted(fv.edge_ids())
-    assert x.rcmap == {e: d for d, e in x.cmap.items()}
     assert set(x.fvv) == set(g.vertices())
     assert x.vvf == {f: v for v, f in x.fvv.items()}
     for v in g.vertices():
@@ -669,13 +655,7 @@ def _fv_split_contract(x: SpqrNode, f: list[int], i: int) -> int:
 def _cmap_merge(x: SpqrNode, keep_dart: int, gone_dart: int) -> None:
     """Two corners merged in the vertex-face graph; the larger of their
     edge ids survives and now belongs to ``keep_dart``."""
-    a = x.cmap[keep_dart]
-    b = x.cmap.pop(gone_dart)
-    kept = a if a > b else b
-    x.cmap[keep_dart] = kept
-    x.rcmap.pop(a, None)
-    x.rcmap.pop(b, None)
-    x.rcmap[kept] = keep_dart
+    x.cmap[keep_dart] = max(x.cmap[keep_dart], x.cmap.pop(gone_dart))
 
 
 def _r_delete_edge(x: SpqrNode, e: int) -> None:
@@ -757,7 +737,6 @@ def _r_pendant_delete(x: SpqrNode, e: int) -> None:
     rp1 = g.rotation_prev(d1)
     c_z = x.cmap.pop(d0)
     x.det.contract_edge(c_z)
-    del x.rcmap[c_z]
     _cmap_merge(x, rp1, d1)
     fz = x.fvv.pop(z)
     del x.vvf[fz]
@@ -808,10 +787,13 @@ def _rebuilt(g: EmbeddedMultigraph) -> EmbeddedMultigraph:
 
 
 def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
-               vids, vid_base: int, nodes: list[SpqrNode]) -> None:
+               vids, vid_base: int, nodes: list[SpqrNode],
+               r: SpqrNode | None = None) -> list[int]:
     """Append the S, P and R nodes of g to ``nodes``, drawing virtual
     ids (all at or above ``vid_base``) from ``vids``.  ``pairs`` are the
-    separation pairs of g, which is consumed.
+    separation pairs of g, which is consumed.  Returns the sizes of the
+    top-level split: the edge count of each class that leaves and of
+    each hub's joining edges, then that of what is left.
 
     Each round splits on the smallest pair (a, b).  Every separation
     class that :func:`_split_classes` lists is copied out into a fresh
@@ -823,33 +805,41 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
     Hopcroft and Tarjan ("Dividing a graph into triconnected
     components", SIAM J. Comput. 1973), the separation pairs of a split
     piece are exactly the pairs of the graph with both ends in the
-    piece, other than (a, b).  Updates rely on the same lemma when
-    :func:`_split_r_node` peels an R skeleton at its reported pairs.
+    piece, other than (a, b).
+
+    With ``r``, the R node whose skeleton g is, the unlisted class stays
+    in ``r``: the leaving classes are cut through the R surgeries of
+    :func:`_r_cut`, which keep its detector in step, the edge left
+    across the pair takes the fresh virtual id, and ``r`` takes the kind
+    of what is left instead of a new node being appended.  A split then
+    costs the pieces that leave.
     """
     peeled = False
+    sizes: list[int] = []
     while True:
         kind = ("P" if g.n_vertices == 2
                 else "S" if _is_simple_cycle_graph(g)
                 else "R" if not pairs else None)
         if kind is not None:
+            sizes.append(g.n_edges)
             virt = {e for e in g.edge_ids() if e >= vid_base}
+            if r is not None:
+                r.kind = kind
+                r.twin.update(dict.fromkeys(sorted(virt)))
+                return sizes
             if kind == "R":
                 skel = _rebuilt(g) if peeled else g
             else:
                 skel = _skeleton(kind, [(e, *g.endpoints(e))
                                         for e in sorted(g.edge_ids())])
             nodes.append(SpqrNode(kind, skel, virt))
-            return
+            return sizes
         pair = min(pairs)
         a, b = pair
         singles, done = _split_classes(g, a, b)
         assert done or len(singles) >= 2, \
             "singleton class in a two-class split"
         gone = set(singles).union(*(cls for cls, _ in done))
-        # the class that stays gets its virtual edge where _piece_graph
-        # puts it: right after the last dart of its run at a and at b,
-        # which is right before the run of the classes that leave
-        after = [g.rotation_prev(_class_run(g, v, gone)[0]) for v in pair]
         hub = [(e, a, b) for e in singles]
         for cls, inner in done:
             vid = next(vids)
@@ -859,6 +849,7 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
                        {q for q in pairs if q != pair
                         and q[0] in verts and q[1] in verts},
                        vids, vid_base, nodes)
+            sizes.append(len(cls))
         if len(hub) == 1:
             # two classes share one virtual edge
             ((vid, _, _),) = hub
@@ -867,24 +858,36 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
             hub.append((vid, a, b))
             nodes.append(SpqrNode("P", _skeleton("P", hub),
                                   {e for e, _, _ in hub if e >= vid_base}))
-        for e in gone:
-            g.delete_edge(e)
+            sizes.append(len(singles))
         cut = {v for _, inner in done for v in inner}
-        for v in cut:
-            g.delete_vertex(v)
-        g.insert_edge(a, b, *after, eid=vid)
+        if r is not None:
+            _rekey(r, _r_cut(r, gone, a, b), vid)
+        else:
+            # the class that stays gets its virtual edge where
+            # _piece_graph puts it: right after the last dart of its run
+            # at a and at b, which is right before the run of the
+            # classes that leave
+            after = [g.rotation_prev(_class_run(g, v, gone)[0])
+                     for v in pair]
+            for e in gone:
+                g.delete_edge(e)
+            for v in cut:
+                g.delete_vertex(v)
+            g.insert_edge(a, b, *after, eid=vid)
         peeled = True
         pairs = {q for q in pairs if q != pair
                  and q[0] not in cut and q[1] not in cut}
 
 
 def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
-    """During construction virtual ids are globally unique, so each id
-    names one twin pair; map id -> its two (node, id) slots."""
+    """Virtual ids drawn by one decomposition are unique, so each names
+    one twin pair; map every id not linked yet to its (node, id)
+    slots in ``nodes``."""
     own: dict[int, list[tuple[SpqrNode, int]]] = defaultdict(list)
     for x in nodes:
-        for e in x.twin:
-            own[e].append((x, e))
+        for e, slot in x.twin.items():
+            if slot is None:
+                own[e].append((x, e))
     return own
 
 
@@ -901,7 +904,10 @@ def _merge_same_kind(nodes: list[SpqrNode]) -> list[SpqrNode]:
         return x
 
     inner: set[int] = set()
-    for vid, ((x, _), (y, _)) in _owners(nodes).items():
+    for vid, slots in _owners(nodes).items():
+        if len(slots) < 2:
+            continue    # the twin is in the R node being split
+        (x, _), (y, _) = slots
         if x.kind == y.kind and x.kind in "SP":
             inner.add(vid)
             up[find(x)] = find(y)
@@ -921,33 +927,37 @@ def _merge_same_kind(nodes: list[SpqrNode]) -> list[SpqrNode]:
     return out
 
 
-def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph) -> list[SpqrNode]:
-    """Decompose an embedded graph into SPQR nodes, drawing internal
-    virtual ids from the shared source and registering the internal
-    twin links.  Edges that predate the call (reals, interface ids) are
-    left unclassified for :func:`_adopt`.  ``sg`` is consumed."""
+def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph,
+                pairs: set[tuple[int, int]], r: SpqrNode | None = None
+                ) -> tuple[list[SpqrNode], list[int]]:
+    """Decompose an embedded graph with separation pairs ``pairs``
+    into SPQR nodes, drawing virtual ids from the shared source and
+    linking the twins among the fresh nodes and ``r``.  Edges that
+    predate the call (reals, virtual ids of ``r``) are left for
+    :func:`_adopt`.  ``sg`` and ``pairs`` are consumed.  With ``r``,
+    the R node whose skeleton ``sg`` is, see :func:`_decompose`.
+    Returns the fresh nodes and the top-level piece sizes."""
     vid_base = shared.vids.peek()
     nodes: list[SpqrNode] = []
-    _decompose(sg, separation_pairs_embedded(sg), shared.vids, vid_base,
-               nodes)
+    sizes = _decompose(sg, pairs, shared.vids, vid_base, nodes, r)
     nodes = _merge_same_kind(nodes)
-    for vid, slots in _owners(nodes).items():
+    for vid, slots in _owners(nodes if r is None
+                              else [*nodes, r]).items():
         assert len(slots) == 2, f"virtual edge {vid} not paired"
         (x, e), (y, f) = slots
         x.link(e, y, f)
-    return nodes
+    return nodes, sizes
 
 
 def _adopt(shared: _Shared, nodes: list[SpqrNode],
-           old: SpqrNode | None, ports=()) -> None:
+           old: SpqrNode | None) -> None:
     """Classify the edges of fresh nodes that predate them.  A virtual
     edge of ``old``, the node they were cut from, moves with its twin
-    link from ``old`` to the fresh node holding it; the ``ports`` ids
-    are left for the caller to link; every other such edge is real.  R
-    nodes get their machinery."""
+    link from ``old`` to the fresh node holding it; every other such
+    edge is real.  R nodes get their machinery."""
     for nd in nodes:
         for e in sorted(nd.graph.edge_ids()):
-            if e in nd.twin or e in ports:
+            if e in nd.twin:
                 continue
             if old is not None and e in old.twin:
                 old.move_twin(e, nd)
@@ -965,7 +975,7 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
     if not is_biconnected_embedded(g):
         raise NotBiconnected("SPQR-tree of a non-biconnected graph")
     shared = _Shared(_Vids(max(g.edge_ids()) + 1))
-    nodes = _mini_nodes(shared, g.copy())
+    nodes, _ = _mini_nodes(shared, g.copy(), separation_pairs_embedded(g))
     _adopt(shared, nodes, None)
     tree = SpqrTree(nodes[0], shared)
     tree._reroot(nodes[0])
@@ -975,17 +985,9 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
 # ----------------------------------------------------------------------
 # splitting a maintained R node after a deletion or contraction
 #
-# The pieces that leave an R node are decomposed from scratch, as in
-# construction; the class that stays is closed in place by the R
-# surgeries of _r_cut, and the seams between the new nodes and the old
-# neighbours are merged where two S or two P nodes meet.
-
-def _holder(nodes: list[SpqrNode], e: int) -> SpqrNode:
-    for nd in nodes:
-        if nd.graph.has_edge(e):
-            return nd
-    raise AssertionError(f"edge {e} in no node")
-
+# The skeleton is decomposed in place by _decompose, as in construction;
+# then the seams between the new nodes and the old neighbours are merged
+# where two S or two P nodes meet, and the region is re-anchored.
 
 def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
                     n2: SpqrNode, e2: int) -> SpqrNode:
@@ -1020,17 +1022,11 @@ def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
 
 def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
     """After a surgery on R node ``x``, split its skeleton at the
-    separation pairs its detector reports, the way :func:`_decompose`
-    peels a graph: at the smallest pair, every class that
-    :func:`_split_classes` lists leaves as a fresh piece (with a P hub
-    when the pair has joining edges or several classes leave), and the
-    class it leaves unlisted stays in ``x``, closed by one virtual edge
-    across the pair.  ``x`` keeps its detector, and the leaving edges
-    are removed through the R surgeries, so a split costs the pieces
-    that leave.  By the split-component lemma the pairs left to split
-    are the reported ones with both ends still in ``x``."""
+    separation pairs its detector reports: :func:`_decompose` runs on
+    the skeleton ``x`` keeps, and the pieces that leave inherit those
+    pairs instead of a recount.  The seams are then merged and the
+    region re-anchored in the rooted tree."""
     shared = tree.shared
-    g = x.graph
     pairs = _r_pairs(x)
     if not pairs:
         x.det.reset_op_log()
@@ -1040,58 +1036,18 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
     if old_parent is not None:
         parent_key = next(e for e, (y, _) in old_parent.twin.items()
                           if y is x)
-
-    region: list[SpqrNode] = []
-    sizes: list[int] = []
-    while pairs and not _is_simple_cycle_graph(g):
-        pair = min(pairs)
-        a, b = pair
-        singles, done = _split_classes(g, a, b)
-        assert done or len(singles) >= 2, \
-            "singleton class in a two-class split"
-        hub = [(e, a, b) for e in singles]
-        ports = []
-        for cls, _inner in done:
-            vid = next(shared.vids)
-            nodes = _mini_nodes(shared, _piece_graph(g, cls, a, b, vid))
-            _adopt(shared, nodes, x, (vid,))
-            region.extend(nodes)
-            sizes.append(len(cls))
-            hub.append((vid, a, b))
-            ports.append((_holder(nodes, vid), vid))
-        if len(hub) > 1:
-            vid = next(shared.vids)
-            hub.append((vid, a, b))
-            p = SpqrNode("P", _skeleton("P", hub),
-                         {e for e, _, _ in hub[len(singles):]})
-            _adopt(shared, [p], x)
-            region.append(p)
-            sizes.append(len(singles))
-            for nd, e in ports:
-                nd.link(e, p, e)
-            ports = [(p, vid)]
-        ((nd, vid),) = ports
-        gone = set(singles).union(*(cls for cls, _ in done))
-        _rekey(x, _r_cut(x, gone, a, b), vid)
-        x.link(vid, nd, vid)
-        pairs = {q for q in pairs if q != pair
-                 and g.has_vertex(q[0]) and g.has_vertex(q[1])}
-    sizes.append(g.n_edges)
-    if g.n_vertices == 2:
-        x.kind = "P"
-    elif _is_simple_cycle_graph(g):
-        x.kind = "S"
+    nodes, sizes = _mini_nodes(shared, x.graph, pairs, x)
+    _adopt(shared, nodes, x)
     if x.kind == "R":
         x.det.reset_op_log()
     else:
-        x.det = x.cmap = x.rcmap = x.fvv = x.vvf = None
-    region.append(x)
+        x.det = x.cmap = x.fvv = x.vvf = None
     anchor_survivor = x
     shared.split_edges += sum(sizes) - max(sizes)
 
     # dissolve same-kind S/P adjacencies created at the seams; the
     # region is kept in creation order
-    regset = dict.fromkeys(region)
+    regset = dict.fromkeys([*nodes, x])
     changed = True
     while changed:
         changed = False
@@ -1190,6 +1146,14 @@ class ChangeLog:
     retired_vertex: int | None = None
 
 
+def _twins_at(x: SpqrNode, v: int,
+              via: int | None = None) -> list[tuple[SpqrNode, int]]:
+    """The twin slots of the virtual edges at vertex ``v`` of ``x``'s
+    skeleton, except ``via``, found through ``v``'s rotation."""
+    return [x.twin[edge_of(d)] for d in x.graph.rotation(v)
+            if edge_of(d) != via and edge_of(d) in x.twin]
+
+
 def _rename_cascade(node: SpqrNode, via: int | None,
                     dying: int, keep: int) -> None:
     """Rename skeleton vertex ``dying`` to ``keep`` in ``node`` and in
@@ -1201,9 +1165,7 @@ def _rename_cascade(node: SpqrNode, via: int | None,
         nd, came = stack.pop()
         g = nd.graph
         assert g.has_vertex(dying) and not g.has_vertex(keep)
-        for f, slot in nd.twin.items():
-            if f != came and dying in g.endpoints(f):
-                stack.append(slot)
+        stack += _twins_at(nd, dying, came)
         g.rename_vertex(dying, keep)
         if nd.kind == "R":
             fl = nd.fvv.pop(dying)
@@ -1225,10 +1187,7 @@ def _rekey(nd: SpqrNode, old: int, new: int) -> None:
     nd.graph.rename_edge(old, new)
     if nd.kind == "R":
         for s in (0, 1):
-            od, ndt = dart(old, s), dart(new, s)
-            c = nd.cmap.pop(od)
-            nd.cmap[ndt] = c
-            nd.rcmap[c] = ndt
+            nd.cmap[dart(new, s)] = nd.cmap.pop(dart(old, s))
 
 
 def _splice_out(tree: SpqrTree, x: SpqrNode, m: SpqrNode) -> None:
@@ -1236,13 +1195,10 @@ def _splice_out(tree: SpqrTree, x: SpqrNode, m: SpqrNode) -> None:
     the rooted tree, letting ``m`` take its place."""
     if x.parent is m:
         tree.set_parent(x, None)
-    elif x.parent is None:
+    else:
+        assert x.parent is None
         tree.set_parent(m, None)
         tree._root = m
-    else:
-        p = x.parent
-        tree.set_parent(x, None)
-        tree.set_parent(m, p)
 
 
 def _splice_link(tree: SpqrTree, x: SpqrNode,
@@ -1288,8 +1244,6 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
         _rekey(m, f, r)
         shared.node_of_edge[r] = m
         _splice_out(tree, x, m)
-        if tree._root is x:
-            tree._root = m
         return ("tree", tree)
     m1, f1 = x.unlink(r1)
     m2, f2 = x.unlink(r2)
@@ -1318,8 +1272,7 @@ def _s_contract(tree: SpqrTree, x: SpqrNode, e: int,
     rename into neighbors that share the dying vertex, and run the
     dissolution ladder if only two edges remain."""
     g = x.graph
-    targets = [slot for f, slot in x.twin.items()
-               if dying in g.endpoints(f)]
+    targets = _twins_at(x, dying)
     g.contract_edge(e, keep=keep)
     for m, f in targets:
         _rename_cascade(m, f, dying, keep)
@@ -1343,9 +1296,7 @@ def _r_contract(tree: SpqrTree, x: SpqrNode, e: int,
     node ``x``, cascade the vertex rename into neighbors sharing the
     dying vertex, then split the skeleton along whatever separation
     pairs the detector reports."""
-    g = x.graph
-    targets = [slot for f, slot in x.twin.items()
-               if dying in g.endpoints(f)]
+    targets = _twins_at(x, dying)
     _r_contract_edge(x, e, keep)
     for m, f in targets:
         _rename_cascade(m, f, dying, keep)

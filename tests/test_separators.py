@@ -10,6 +10,7 @@ import pytest
 
 from planarconn import separators
 from planarconn.embed import EmbeddedMultigraph, dart, edge_of
+from planarconn.fourcycle import Detector
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import simple_4cycles
 from planarconn.separators import (
@@ -309,6 +310,38 @@ def test_tree_invariants_delaunay():
 def test_tree_deterministic():
     g = random_delaunay(120, 5)
     assert SeparatorTree(g).dump() == SeparatorTree(g).dump()
+
+
+def _disjoint_union(g, h) -> EmbeddedMultigraph:
+    """g beside a copy of h whose vertex and edge labels are shifted
+    past g's."""
+    parts = ((g, 0, 0), (h, max(g.vertices()) + 1, max(g.edge_ids()) + 1))
+    return EmbeddedMultigraph.build(
+        [v + sv for x, sv, _ in parts for v in x.vertices()],
+        [(e + se, *(v + sv for v in x.endpoints(e)))
+         for x, sv, se in parts for e in x.edge_ids()],
+        {v + sv: [(edge_of(d) + se, d & 1) for d in x.rotation(v)]
+         for x, sv, se in parts for v in x.vertices()})
+
+
+@pytest.mark.usefixtures("small_leaves")
+def test_tree_over_disconnected_graph(monkeypatch):
+    # a component above ALPHA n is split and the rest parked on the
+    # smaller side; smaller components are dealt out to balance the sides
+    split = SeparatorTree._split_disconnected
+    big_branch = []
+
+    def spy(self, h, comps):
+        big_branch.append(max(map(len, comps)) > ALPHA * h.n_vertices)
+        return split(self, h, comps)
+
+    monkeypatch.setattr(SeparatorTree, "_split_disconnected", spy)
+    for n1, n2, big in ((150, 30, True), (60, 60, False)):
+        big_branch.clear()
+        g = _disjoint_union(random_delaunay(n1, 1), random_delaunay(n2, 2))
+        SeparatorTree(g).check()
+        Detector(g).check()
+        assert big in big_branch
 
 
 def test_tree_dump_format():

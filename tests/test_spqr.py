@@ -166,10 +166,10 @@ def test_build_counts_pairs_once(monkeypatch):
 
 
 # Update replay: seeded deletions and contractions on small random
-# graphs, each op chosen as in the stateful fuzz of ROADMAP item 1.  A
-# step shuffles the edge ids, draws an op per candidate and takes the
-# first candidate that leaves a loop-free biconnected graph with at
-# least three edges, so every op keeps one block.
+# graphs; tests/fuzz_updates.py runs the same cases at more sizes and
+# seeds.  A step shuffles the edge ids, draws an op per candidate and
+# takes the first candidate that leaves a loop-free biconnected graph
+# with at least three edges, so every op keeps one block.
 REPLAY_N = 20
 REPLAY_STEPS = 25
 # 8, 18, 21, 25 and 26 once left an R skeleton with a vertex of degree
@@ -179,11 +179,11 @@ REPLAY_SEEDS = (*range(12), 18, 21, 25, 26, 36, 39)
 
 
 @functools.cache
-def _replay_case(seed: int):
-    """The start graph, the op sequence and the oracle's tree after
-    each op."""
-    rng = random.Random(seed * 1000 + REPLAY_N)
-    g = random_planar(REPLAY_N, seed)
+def _replay_case(seed: int, n: int = REPLAY_N):
+    """The start graph of ``n`` vertices, the op sequence and the
+    oracle's tree after each op."""
+    rng = random.Random(seed * 1000 + n)
+    g = random_planar(n, seed)
     start, ops, wants = g.copy(), [], []
     for _ in range(REPLAY_STEPS):
         ids = sorted(g.edge_ids())
@@ -251,7 +251,7 @@ def test_update_replay_matches_oracle_small_leaves(seed):
     assert _replay(seed, False, separators.N0) == _replay_case(seed)[2]
 
 
-@pytest.mark.parametrize("seed", (8, 18, 21))
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
 def test_detector_reports_every_separation_pair(seed, monkeypatch):
     # an R split peels the pairs the detector reports, so after every
     # surgery they must be exactly the pairs a fresh count finds
@@ -272,3 +272,26 @@ def test_detector_reports_every_separation_pair(seed, monkeypatch):
         tree = fn(tree, e).tree
         assert tree.serialize() == want
     assert any(found)
+
+
+def test_updates_never_count_separation_pairs(monkeypatch):
+    # the pieces of an R split inherit the pairs the detector reported,
+    # so an update never counts pairs; construction counts them once and
+    # is left out of the count
+    count_pairs = spqr.separation_pairs_embedded
+    calls = {"update": 0}
+
+    def counted(g):
+        calls["update"] += 1
+        return count_pairs(g)
+
+    for seed in REPLAY_SEEDS:
+        g, ops, wants = _replay_case(seed)
+        tree = build_spqr(g)
+        for (op, e), want in zip(ops, wants):
+            fn = delete_edge if op == "d" else spqr.contract_edge
+            monkeypatch.setattr(spqr, "separation_pairs_embedded", counted)
+            tree = fn(tree, e).tree
+            monkeypatch.undo()
+            assert tree.serialize() == want
+    assert calls["update"] == 0
