@@ -1,5 +1,6 @@
 """Exact maintenance of the edges on separating 4-cycles of a plane
-multigraph under edge insertions and contractions.
+multigraph under edge insertions, contractions, and merges of two
+corners across a face.
 
 A 4-cycle of a plane multigraph is *separating* when neither of its two
 sides is a face.  The :class:`Detector` keeps, for every node of a
@@ -21,6 +22,17 @@ length-2 path of its graph, one per pair of edges at each middle
 vertex, so a leaf around a vertex of degree d stores about d^2 / 2
 paths.  That is why leaves stay of bounded size.
 
+There are three mutations.  An insertion splits a face and a
+contraction merges the two ends of an edge.  A merge across a face
+does both at once: it inserts the diagonal between two opposite
+corners and contracts it.  A contraction re-seats only the paths with
+a leg at the endpoint whose label retires; the others keep their pair,
+legs and middle.  A merge across a face discovers nothing about its
+diagonal.  An insertion changes only the face it splits, so the one
+4-cycle avoiding the diagonal that can turn separating is that face's
+boundary, which the contraction destroys, and every cycle through the
+diagonal dies with it.
+
 Every discovery goes into one op log: at construction, the pairs
 that already close a separating 4-cycle; during a mutation, each new
 path's separating cycles (or its pair, once saturated) and a split
@@ -29,10 +41,10 @@ path's separating cycles (or its pair, once saturated) and a split
 the current graph and lists the 4-cycles that are separating now.
 
 Every mutation is charged against an exact integer potential.  With
-``debug`` enabled (off by default) each insertion and contraction takes
-the potential of every node before it, recomputes after it that of each
-node its separator-tree events name, and asserts that the candidate
-paths examined there never exceed their total potential drop.
+``debug`` enabled (off by default) each mutation takes the potential of
+every node before it, recomputes after it that of each node its
+separator-tree events name, and asserts that the candidate paths
+examined there never exceed their total potential drop.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from __future__ import annotations
 from .embed import (
     EmbeddedMultigraph,
     EmbedError,
+    SelfLoopContraction,
     dart,
     edge_of,
     quasi_induced_degree,
@@ -157,7 +170,9 @@ class _NodeState:
 
 class Detector:
     """Maintains the separating 4-cycles of a plane multigraph under
-    edge insertions and contractions.
+    three mutations: :meth:`insert_edge`, :meth:`contract_edge` and
+    :meth:`merge_across`, which contracts a face's diagonal without
+    ever discovering it.
 
     :meth:`separating_now` is the one answer: the 4-cycles that are
     separating now, found through the op log that construction and
@@ -209,17 +224,46 @@ class Detector:
         self._end_op(tevents)
         return eid
 
+    def merge_across(self, u: int, w: int,
+                     after_u: int | None, after_w: int | None) -> int:
+        """Merge two opposite corners of one face, the corners after
+        ``after_u`` at u and after ``after_w`` at w, and return the
+        merged label: the diagonal across the face is inserted and
+        contracted at once, restoring quasi-simplicity and logging any
+        4-cycle that turned separating.  Raises SelfLoopContraction
+        when u == w and NotOnFace when the corners lie on different
+        faces, before anything changes.
+
+        Only the contraction's events are processed: the diagonal is
+        never discovered.  An insertion changes only the face it
+        splits, so the one 4-cycle avoiding the diagonal that can turn
+        separating is that face's boundary, which the contraction
+        destroys, and every cycle through the diagonal dies with it."""
+        if u == w:
+            raise SelfLoopContraction(
+                f"corners of vertex {u} cannot merge with each other")
+        self._begin_op()
+        inserted = self.tree.apply_insertion(u, w, after_u, after_w)
+        return self._contract(inserted[0][2], inserted)
+
     def contract_edge(self, e: int) -> None:
         """Contract a non-loop edge everywhere and restore quasi-
         simplicity, logging any 4-cycle that turned separating; raises
         UnknownEdge or SelfLoopContraction before anything changes."""
         self._begin_op()
+        self._contract(e, [])
+
+    def _contract(self, e: int, inserted: list[tuple]) -> int:
+        """Contract e, quasi-simplify and process the contraction's
+        events; the debug audit also covers the ``inserted`` events of
+        the same op.  Returns the merged label."""
         tevents = self.tree.apply_contraction(e)
         x = tevents[0][3]
         tevents += self._simplify_around(
             list(self.tree.root.graph.rotation(x)))
         self._process_events(tevents)
-        self._end_op(tevents)
+        self._end_op(inserted + tevents)
+        return x
 
     def reset_op_log(self) -> None:
         """Clear the discovery log consulted by :meth:`separating_now`.
@@ -428,14 +472,17 @@ class Detector:
             K.discard(u)
             K.discard(w)
             K.add(x)
-        # 1) lift out every path touching an edge that was at u or w
+        # 1) lift out every path with a leg at the retired endpoint,
+        # whose edges include e and every u-w parallel; a path with no
+        # leg there keeps its pair, legs and middle
         affected = set()
-        for f in set(fu) | set(fw):
+        for f in (fw if x == u else fu):
             affected |= st.by_edge.get(f, set())
         for pair, lk in affected:
             st.remove(pair, lk)
-        # 2) re-seat the survivors; a path whose pair changed may close
-        # new 4-cycles with paths it never shared a pair with before
+        # 2) re-seat the lifted paths that survive; a path whose pair
+        # changed may close new 4-cycles with paths it never shared a
+        # pair with before
         changed = []
         for pair, lk in affected:
             got = _derive(h, *lk)
@@ -585,8 +632,12 @@ class Detector:
         qs.quasi_simplify()
         verts = set(h.vertices())
         Kset = set(K) & verts
+        # d_X(m) is at most the number of m's edges into K, which
+        # rules most vertices out without inducing a subgraph
         M = {m for m in verts - Kset
-             if quasi_induced_degree(h, Kset, m) >= 4}
+             if sum(h.vertex_of_dart(rev(d)) in Kset
+                    for d in h.rotation(m)) >= 4
+             and quasi_induced_degree(h, Kset, m) >= 4}
         phi_v = 4 * qs.n_vertices - qs.n_edges
         phi_q = sum(len(qs.rotation(v)) for v in verts - Kset)
         gmk = h.induced(M | Kset)

@@ -409,13 +409,15 @@ class _Shared:
     handles; the twin maps live in the nodes and the index stays in
     place."""
 
-    __slots__ = ("node_of_edge", "vids", "parent_changes", "split_edges")
+    __slots__ = ("node_of_edge", "vids", "parent_changes", "split_edges",
+                 "renames")
 
     def __init__(self, vids: "_Vids"):
         self.node_of_edge: dict[int, SpqrNode] = {}
         self.vids = vids
         self.parent_changes = 0
         self.split_edges = 0
+        self.renames = 0
 
 
 class SpqrTree:
@@ -425,10 +427,12 @@ class SpqrTree:
     The tree edges are the twin maps of the nodes (``SpqrNode.twin``),
     walked from the root.  ``node_of_edge`` locates the skeleton holding
     each real edge.  ``parent_changes`` counts nodes whose parent
-    pointer was rewritten by update operations, and ``split_edges``
+    pointer was rewritten by update operations, ``split_edges``
     totals the skeleton edges placed in non-largest pieces of skeleton
-    splits.  All three live in the shared registry, so handles over
-    blocks of the same origin report combined counters.
+    splits, and ``renames`` counts the node-vertex incidences that
+    rename cascades rewrote.  All of them live in the shared registry,
+    so handles over blocks of the same origin report combined
+    counters.
     """
 
     def __init__(self, root: SpqrNode, shared: _Shared):
@@ -446,6 +450,10 @@ class SpqrTree:
     @property
     def split_edges(self) -> int:
         return self.shared.split_edges
+
+    @property
+    def renames(self) -> int:
+        return self.shared.renames
 
     def nodes(self) -> list[SpqrNode]:
         """All nodes of this tree, in the order a walk over the twin
@@ -541,6 +549,7 @@ class SpqrTree:
                 assert not separation_pairs_embedded(g), \
                     "R skeleton has a separation pair"
                 _check_r_sync(x)
+                x.det.check()
             else:
                 raise AssertionError(f"unknown kind {x.kind}")
             for e, (y, f) in x.twin.items():
@@ -636,20 +645,16 @@ def _fv_quad(x: SpqrNode, e: int) -> list[int]:
 
 
 def _fv_split_contract(x: SpqrNode, f: list[int], i: int) -> int:
-    """Insert an edge across quad face ``f`` of the maintained
-    vertex-face graph between the vertices at positions ``i`` and
-    ``i + 2``, contract it, and return the merged label (the smaller
-    of the two)."""
+    """Merge the vertices at positions ``i`` and ``i + 2`` of quad face
+    ``f`` of the maintained vertex-face graph across the face, in one
+    detector op (:meth:`Detector.merge_across`), and return the label
+    the detector keeps."""
     fv = x.det.tree.root.graph
     j = (i + 2) % 4
-    u = fv.vertex_of_dart(f[i])
-    w = fv.vertex_of_dart(f[j])
-    assert u != w, "degenerate quad: cannot merge a vertex with itself"
-    eid = x.det.insert_edge(u, w, fv.rotation_prev(f[i]),
-                            fv.rotation_prev(f[j]))
-    assert fv.has_edge(eid)
-    x.det.contract_edge(eid)
-    return min(u, w)
+    return x.det.merge_across(fv.vertex_of_dart(f[i]),
+                              fv.vertex_of_dart(f[j]),
+                              fv.rotation_prev(f[i]),
+                              fv.rotation_prev(f[j]))
 
 
 def _cmap_merge(x: SpqrNode, keep_dart: int, gone_dart: int) -> None:
@@ -699,7 +704,6 @@ def _r_contract_edge(x: SpqrNode, e: int, keep: int) -> None:
     fw = x.fvv.pop(w)
     del x.vvf[fu]
     del x.vvf[fw]
-    assert merged == min(fu, fw)
     x.fvv[keep] = merged
     x.vvf[merged] = keep
     g.contract_edge(e, keep=keep)
@@ -754,8 +758,10 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
     deleted if it has a parallel copy, removed with that end if the end
     is pendant, and contracted otherwise, into a or b when it touches
     them.  Every step removes an edge of the class and scans only the
-    class, so the skeleton work is that of the classes that leave; each
-    step also updates the detector."""
+    class, so the skeleton work is that of the classes that leave.
+    Every step is also one detector op: a merge across a face of the
+    vertex-face graph for a deletion or a contraction, an edge
+    contraction for a pendant removal."""
     g = x.graph
     across = []
     for e in sorted(gone):
@@ -1154,12 +1160,13 @@ def _twins_at(x: SpqrNode, v: int,
             if edge_of(d) != via and edge_of(d) in x.twin]
 
 
-def _rename_cascade(node: SpqrNode, via: int | None,
+def _rename_cascade(shared: _Shared, node: SpqrNode, via: int | None,
                     dying: int, keep: int) -> None:
     """Rename skeleton vertex ``dying`` to ``keep`` in ``node`` and in
     every node reachable through virtual edges whose pair contains
     ``dying`` (the nodes containing a vertex form a subtree), skipping
-    the entry edge ``via``."""
+    the entry edge ``via``; each node renamed counts in
+    ``shared.renames``."""
     stack = [(node, via)]
     while stack:
         nd, came = stack.pop()
@@ -1167,6 +1174,7 @@ def _rename_cascade(node: SpqrNode, via: int | None,
         assert g.has_vertex(dying) and not g.has_vertex(keep)
         stack += _twins_at(nd, dying, came)
         g.rename_vertex(dying, keep)
+        shared.renames += 1
         if nd.kind == "R":
             fl = nd.fvv.pop(dying)
             nd.fvv[keep] = fl
@@ -1178,7 +1186,7 @@ def rename_vertex_in_block(tree: SpqrTree, node: SpqrNode,
     """Rename a vertex throughout one block's tree, entering at any
     node whose skeleton contains it (used when a contraction elsewhere
     merges an articulation vertex this block shares)."""
-    _rename_cascade(node, None, dying, keep)
+    _rename_cascade(tree.shared, node, None, dying, keep)
 
 
 def _rekey(nd: SpqrNode, old: int, new: int) -> None:
@@ -1275,7 +1283,7 @@ def _s_contract(tree: SpqrTree, x: SpqrNode, e: int,
     targets = _twins_at(x, dying)
     g.contract_edge(e, keep=keep)
     for m, f in targets:
-        _rename_cascade(m, f, dying, keep)
+        _rename_cascade(tree.shared, m, f, dying, keep)
     if g.n_edges >= 3:
         return ("tree", tree)
     return _dissolve_two_edge(tree, x)
@@ -1299,7 +1307,7 @@ def _r_contract(tree: SpqrTree, x: SpqrNode, e: int,
     targets = _twins_at(x, dying)
     _r_contract_edge(x, e, keep)
     for m, f in targets:
-        _rename_cascade(m, f, dying, keep)
+        _rename_cascade(tree.shared, m, f, dying, keep)
     _split_r_node(tree, x)
     return ("tree", tree)
 

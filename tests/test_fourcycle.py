@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+from planarconn import fourcycle
 from planarconn.embed import NotOnFace, SelfLoopContraction, UnknownEdge
 from planarconn.fourcycle import MAX_FACE_DEGREE, Detector, FaceDegreeExceeded
 from planarconn.generators import random_delaunay, random_planar
@@ -135,6 +136,30 @@ def test_insertion_corners_must_share_face():
     # corners of vertices 0 and 8 lie on different faces
     with pytest.raises(NotOnFace):
         det.insert_edge(0, 8, h.any_dart(0), h.any_dart(8))
+    assert_exact(det)
+    det.check()
+
+
+def _state(det):
+    """The root graph's rotations and every node's path table."""
+    h = det.tree.root.graph
+    return ({v: list(h.rotation(v)) for v in h.vertices()},
+            {nid: {pair: dict(d) for pair, d in st.paths.items()}
+             for nid, st in det._states.items()})
+
+
+def test_merge_across_rejects_bad_corners():
+    det = Detector(grid(3, 3), debug=True)
+    h = det.tree.root.graph
+    before = _state(det)
+    d = h.any_dart(4)
+    with pytest.raises(SelfLoopContraction):
+        det.merge_across(4, 4, d, h.rotation_next(d))
+    # corners of vertices 0 and 8 lie on different faces
+    with pytest.raises(NotOnFace):
+        det.merge_across(0, 8, h.any_dart(0), h.any_dart(8))
+    # the rejections changed nothing
+    assert _state(det) == before
     assert_exact(det)
     det.check()
 
@@ -277,6 +302,97 @@ def test_exactness_fuzz_radial():
         assert det.separating_now() == []
         run_script(det, random.Random(seed), 40)
         det.check()
+
+
+def _radial_detectors(debug):
+    """Detectors over the vertex-face graphs of small triangulations,
+    the input the SPQR-tree gives the detector, with a seeded stream."""
+    for seed in range(4):
+        fv = random_delaunay(24, seed).vertex_face_graph()[0]
+        yield Detector(fv, debug=debug), random.Random(seed)
+
+
+@pytest.fixture(params=["small", "production"])
+def leaves(request):
+    """Separator-tree leaves of 16 vertices, or of ``separators.N0``."""
+    if request.param == "small":
+        request.getfixturevalue("small_leaves")
+
+
+@pytest.mark.usefixtures("leaves")
+def test_merge_across_exact(monkeypatch):
+    # merge opposite corners of random quad faces; the diagonal is
+    # never handed to discovery, and the query stays exact
+    diagonals, discovered = set(), set()
+    insertion = fourcycle.SeparatorTree.apply_insertion
+
+    def record_diagonal(self, *args, **kw):
+        events = insertion(self, *args, **kw)
+        diagonals.add(events[0][2])
+        return events
+
+    def record_discovery(name):
+        method = getattr(Detector, name)
+
+        def spy(self, st, eid):
+            discovered.add(eid)
+            return method(self, st, eid)
+        monkeypatch.setattr(Detector, name, spy)
+
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_insertion",
+                        record_diagonal)
+    record_discovery("_process_insert_paths")
+    record_discovery("_recheck_split_face")
+    for det, rng in _radial_detectors(debug=True):
+        # edge ids repeat across detectors
+        diagonals.clear()
+        discovered.clear()
+        h = det.tree.root.graph
+        for step in range(40):
+            f = rng.choice([f for f in h.faces() if len(f) == 4])
+            i = rng.randrange(4)
+            u, w = h.vertex_of_dart(f[i]), h.vertex_of_dart(f[i - 2])
+            if u == w:
+                continue
+            x = det.merge_across(u, w, h.rotation_prev(f[i]),
+                                 h.rotation_prev(f[i - 2]))
+            assert x == min(u, w) and not h.has_vertex(max(u, w))
+            assert sep_edges(det) == separating_4cycles(h), f"step {step}"
+        det.check()
+        assert diagonals and not diagonals & discovered
+
+
+@pytest.mark.usefixtures("leaves")
+def test_contraction_lifts_only_retired_side(monkeypatch):
+    # a path with no leg at the endpoint whose label retires keeps its
+    # pair, legs and middle, so the merge leaves it in place
+    retired, lifted, stray = [], [], []
+    merge = Detector._process_merge
+    remove = fourcycle._NodeState.remove
+
+    def spy_merge(self, st, x, u, w, fu, fw):
+        retired.append(set(fw if x == u else fu))
+        try:
+            merge(self, st, x, u, w, fu, fw)
+        finally:
+            retired.pop()
+
+    def spy_remove(self, pair, lk):
+        if retired:
+            lifted.append(lk)
+            if not retired[-1] & set(lk):
+                stray.append(lk)
+        remove(self, pair, lk)
+
+    monkeypatch.setattr(Detector, "_process_merge", spy_merge)
+    monkeypatch.setattr(fourcycle._NodeState, "remove", spy_remove)
+    for det, rng in _radial_detectors(debug=False):
+        h = det.tree.root.graph
+        for _ in range(20):
+            det.contract_edge(rng.choice(
+                [e for e in h.edge_ids() if not h.is_loop(e)]))
+            det.check()
+    assert lifted and not stray
 
 
 def test_contract_to_nothing():

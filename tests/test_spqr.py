@@ -19,7 +19,7 @@ from planarconn.embed import (
 )
 from planarconn.generators import random_planar
 from planarconn.oracle import canonical_spqr, separation_classes
-from planarconn.spqr import build_spqr, delete_edge
+from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
 from .graphs import parallel_bundle, path
 
@@ -295,3 +295,35 @@ def test_updates_never_count_separation_pairs(monkeypatch):
             monkeypatch.undo()
             assert tree.serialize() == want
     assert calls["update"] == 0
+
+
+def _theta_renames(k: int, order) -> list[int]:
+    """Renames per op when contracting hub-i for i in ``order`` on the
+    theta: hub k+1 and 0 joined by the k paths k+1 - i - 0, one P node
+    with k S children.  Edge 2i - 2 joins the hub to i."""
+    coords = {0: (0.0, 0.0), k + 1: (0.0, 2.0)}
+    edges = []
+    for i in range(1, k + 1):
+        coords[i] = (i - (k + 1) / 2, 1.0)
+        edges += [(2 * i - 2, k + 1, i), (2 * i - 1, i, 0)]
+    g = from_straight_line_drawing(coords, edges)
+    tree = build_spqr(g)
+    out = []
+    for i in order:
+        before = tree.renames
+        g.contract_edge(2 * i - 2)
+        tree = contract_edge(tree, 2 * i - 2).tree
+        out.append(tree.renames - before)
+    tree.check()
+    assert tree.serialize() == canonical_spqr(g)
+    return out
+
+
+def test_renames_follow_label_order():
+    # the smaller label survives: contracting toward ever smaller
+    # labels retires the hub's label at every op, in every node that
+    # holds it, while the increasing order renames the hub once
+    k = 12
+    assert _theta_renames(k, range(k, k // 2, -1)) == [
+        k - j for j in range(k // 2)]
+    assert _theta_renames(k, range(1, k // 2 + 1)) == [k] + [0] * (k // 2 - 1)
