@@ -192,7 +192,8 @@ class Detector:
         self.candidates_total = 0
         # (node state, pair, legs of a logged cycle or ())
         self._op_items: list[tuple] = []
-        self._op_renames: list[tuple[int, int, int]] = []
+        # per node: retired label -> the label that replaced it
+        self._op_renames: dict[int, dict[int, int]] = {}
         self.tree = SeparatorTree(g)
         self._states: dict[int, _NodeState] = {}
         self._phi_pre: dict[int, int] = {}
@@ -272,7 +273,7 @@ class Detector:
         several mutations as one logical step can validate them as a
         unit."""
         self._op_items = []
-        self._op_renames = []
+        self._op_renames = {}
 
     def separating_now(self) -> list[tuple]:
         """Every 4-cycle that is separating now, provided none was when
@@ -309,15 +310,15 @@ class Detector:
         return cycles
 
     def _translate_pair(self, st, pair):
+        """The current labels of a logged pair: each end follows the
+        chain of renames in its node, which a retired label never
+        re-enters."""
+        renames = self._op_renames.get(id(st.node), {})
         a, b = pair
-        nid = id(st.node)
-        for xid, old, new in self._op_renames:
-            if xid != nid:
-                continue
-            if a == old:
-                a = new
-            if b == old:
-                b = new
+        while a in renames:
+            a = renames[a]
+        while b in renames:
+            b = renames[b]
         return _pairkey(a, b)
 
     def check(self) -> None:
@@ -556,7 +557,7 @@ class Detector:
         return out
 
     def _process_rename(self, st, old: int, new: int) -> None:
-        self._op_renames.append((id(st.node), old, new))
+        self._op_renames.setdefault(id(st.node), {})[old] = new
         if old in st.K:
             st.K.discard(old)
             st.K.add(new)

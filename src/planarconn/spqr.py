@@ -18,10 +18,14 @@ graph exceeds the number of edges joining them, because every such
 witnesses a separation and the facial ones correspond one-to-one to the
 joining edges.  The count runs once per decomposition: every split
 piece inherits the pairs of the graph that lie inside it, less the
-split pair.  At a split, searches from the pair find the separation
-classes and stop once only one class is still growing; the classes
-they finished are copied out into fresh pieces, and the last one is cut
-free in the graph itself, so a split costs about its smaller side.
+split pair, read off an index of the pairs by vertex.  At a split,
+searches from the pair find the separation classes and stop once only
+one class is still growing; of the classes they finished, a path
+becomes an S piece as it is and any other is copied out into a fresh
+piece, and the last one is cut free in the graph itself, so a split
+costs about its smaller side.  S and P pieces stay edge lists until
+equal-kind neighbours are merged, so each S or P skeleton is built
+once.
 
 Edge deletions and contractions keep the tree in step with the graph.
 An R node keeps a separating-4-cycle detector over the vertex-face
@@ -190,8 +194,9 @@ def _split_classes(g: EmbeddedMultigraph, a: int,
     owner: dict[int, int] = {}      # vertex -> search that claimed it
     up: list[int] = []              # union-find over searches
     todo: list[list[int]] = []      # per search: claimed, not yet scanned
-    for d in g.rotation(a):
-        w = g.vertex_of_dart(rev(d))
+    rotation, vertex_of = g.rotation, g.vertex_of_dart
+    for d in rotation(a):
+        w = vertex_of(rev(d))
         if w == b:
             singles.append(edge_of(d))
         elif w not in owner:
@@ -212,8 +217,8 @@ def _split_classes(g: EmbeddedMultigraph, a: int,
             if not todo[s]:
                 continue
             v = todo[s].pop()
-            for d in g.rotation(v):
-                w = g.vertex_of_dart(rev(d))
+            for d in rotation(v):
+                w = vertex_of(rev(d))
                 if w == a or w == b:
                     continue
                 t = owner.get(w)
@@ -221,7 +226,8 @@ def _split_classes(g: EmbeddedMultigraph, a: int,
                     owner[w] = s
                     todo[s].append(w)
                     continue
-                t = find(t)
+                if t != s:
+                    t = find(t)
                 if t != s:
                     if len(todo[t]) > len(todo[s]):
                         s, t = t, s
@@ -232,7 +238,7 @@ def _split_classes(g: EmbeddedMultigraph, a: int,
     inner: dict[int, list[int]] = defaultdict(list)
     for v, s in owner.items():
         inner[find(s)].append(v)
-    done = [({edge_of(d) for v in vs for d in g.rotation(v)}, vs)
+    done = [({edge_of(d) for v in vs for d in rotation(v)}, vs)
             for s, vs in inner.items() if not todo[s]]
     if not growing:
         done.remove(max(done, key=lambda c: len(c[0])))
@@ -792,56 +798,111 @@ def _rebuilt(g: EmbeddedMultigraph) -> EmbeddedMultigraph:
          for v in g.vertices()})
 
 
+class _PairIndex:
+    """The separation pairs of one working graph, indexed by vertex and
+    sorted.  A round of :func:`_decompose` takes the smallest pair and
+    then touches only the pairs at the vertices it cuts.  Pairs are
+    only ever removed, so the smallest one left is never before the
+    last one taken, and one pass over the sorted pairs serves every
+    round."""
+
+    __slots__ = ("at", "order", "next", "n")
+
+    def __init__(self, pairs: set[tuple[int, int]]):
+        self.at: dict[int, set[tuple[int, int]]] = defaultdict(set)
+        for q in pairs:
+            self.at[q[0]].add(q)
+            self.at[q[1]].add(q)
+        self.order = sorted(pairs)
+        self.next = 0
+        self.n = len(pairs)
+
+    def __bool__(self) -> bool:
+        return self.n > 0
+
+    def pop(self) -> tuple[int, int]:
+        """Remove and return the smallest pair, skipping those dropped."""
+        while True:
+            q = self.order[self.next]
+            self.next += 1
+            if q in self.at.get(q[0], ()):
+                self.at[q[0]].discard(q)
+                self.at[q[1]].discard(q)
+                self.n -= 1
+                return q
+
+    def inside(self, inner: list[int],
+               verts: set[int]) -> set[tuple[int, int]]:
+        """The pairs with an end in ``inner`` and both ends in
+        ``verts``."""
+        return {q for v in inner for q in self.at.get(v, ())
+                if q[0] in verts and q[1] in verts}
+
+    def drop_at(self, cut: set[int]) -> None:
+        """Drop every pair with an end in ``cut``."""
+        for v in cut:
+            for q in self.at.pop(v, ()):
+                self.at[q[0] + q[1] - v].discard(q)
+                self.n -= 1
+
+
 def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
-               vids, vid_base: int, nodes: list[SpqrNode],
+               vids, vid_base: int, pieces: list[tuple],
                r: SpqrNode | None = None) -> list[int]:
-    """Append the S, P and R nodes of g to ``nodes``, drawing virtual
+    """Append the S, P and R pieces of g to ``pieces``, drawing virtual
     ids (all at or above ``vid_base``) from ``vids``.  ``pairs`` are the
-    separation pairs of g, which is consumed.  Returns the sizes of the
+    separation pairs of g; g is consumed.  Returns the sizes of the
     top-level split: the edge count of each class that leaves and of
     each hub's joining edges, then that of what is left.
 
-    Each round splits on the smallest pair (a, b).  Every separation
-    class that :func:`_split_classes` lists is copied out into a fresh
-    piece closed by a virtual edge a-b and decomposed recursively; the
-    class it leaves unlisted is cut free in g itself, closed the same
-    way, and the loop goes on with it.  Several classes also make a P
-    hub of the edges joining a and b and one virtual edge per class.
-    No piece needs a fresh count: by the split-component lemma of
-    Hopcroft and Tarjan ("Dividing a graph into triconnected
-    components", SIAM J. Comput. 1973), the separation pairs of a split
-    piece are exactly the pairs of the graph with both ends in the
-    piece, other than (a, b).
+    A piece is ``(kind, body, virt)``: ``virt`` holds its virtual ids,
+    and ``body`` is the skeleton graph of an R piece but only the
+    ``(eid, u, w)`` edge list of an S or P piece, whose skeleton
+    :func:`_merge_same_kind` builds once per final node.
+
+    Each round splits on the smallest pair (a, b), which a
+    :class:`_PairIndex` keeps at hand.  A separation class that
+    :func:`_split_classes` lists is a path when its inner vertices all
+    have degree 2: with a virtual edge a-b it is an S piece, recorded
+    as is.  Every other listed class is copied out into a fresh piece
+    closed by a virtual edge a-b and decomposed recursively, with the
+    pairs the index holds at its inner vertices; the class it leaves
+    unlisted is cut free in g itself, closed the same way, the pairs at
+    the cut vertices are dropped, and the loop goes on with it.
+    Several classes also make a P hub of the edges joining a and b and
+    one virtual edge per class.  No piece needs a fresh count: by the
+    split-component lemma of Hopcroft and Tarjan ("Dividing a graph
+    into triconnected components", SIAM J. Comput. 1973), the
+    separation pairs of a split piece are exactly the pairs of the
+    graph with both ends in the piece, other than (a, b).
 
     With ``r``, the R node whose skeleton g is, the unlisted class stays
     in ``r``: the leaving classes are cut through the R surgeries of
     :func:`_r_cut`, which keep its detector in step, the edge left
     across the pair takes the fresh virtual id, and ``r`` takes the kind
-    of what is left instead of a new node being appended.  A split then
+    of what is left instead of a new piece being appended.  A split then
     costs the pieces that leave.
     """
+    index = _PairIndex(pairs)
     peeled = False
     sizes: list[int] = []
     while True:
         kind = ("P" if g.n_vertices == 2
                 else "S" if _is_simple_cycle_graph(g)
-                else "R" if not pairs else None)
+                else "R" if not index else None)
         if kind is not None:
             sizes.append(g.n_edges)
             virt = {e for e in g.edge_ids() if e >= vid_base}
             if r is not None:
                 r.kind = kind
                 r.twin.update(dict.fromkeys(sorted(virt)))
-                return sizes
-            if kind == "R":
-                skel = _rebuilt(g) if peeled else g
+            elif kind == "R":
+                pieces.append((kind, _rebuilt(g) if peeled else g, virt))
             else:
-                skel = _skeleton(kind, [(e, *g.endpoints(e))
-                                        for e in sorted(g.edge_ids())])
-            nodes.append(SpqrNode(kind, skel, virt))
+                pieces.append((kind, [(e, *g.endpoints(e))
+                                      for e in g.edge_ids()], virt))
             return sizes
-        pair = min(pairs)
-        a, b = pair
+        a, b = pair = index.pop()
         singles, done = _split_classes(g, a, b)
         assert done or len(singles) >= 2, \
             "singleton class in a two-class split"
@@ -850,11 +911,15 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
         for cls, inner in done:
             vid = next(vids)
             hub.append((vid, a, b))
-            verts = {a, b, *inner}
-            _decompose(_piece_graph(g, cls, a, b, vid),
-                       {q for q in pairs if q != pair
-                        and q[0] in verts and q[1] in verts},
-                       vids, vid_base, nodes)
+            if all(g.degree(v) == 2 for v in inner):
+                path = [(e, *g.endpoints(e)) for e in cls]
+                path.append((vid, a, b))
+                pieces.append(("S", path, {e for e, _, _ in path
+                                           if e >= vid_base}))
+            else:
+                _decompose(_piece_graph(g, cls, a, b, vid),
+                           index.inside(inner, {a, b, *inner}),
+                           vids, vid_base, pieces)
             sizes.append(len(cls))
         if len(hub) == 1:
             # two classes share one virtual edge
@@ -862,8 +927,8 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
         else:
             vid = next(vids)
             hub.append((vid, a, b))
-            nodes.append(SpqrNode("P", _skeleton("P", hub),
-                                  {e for e, _, _ in hub if e >= vid_base}))
+            pieces.append(("P", hub, {e for e, _, _ in hub
+                                      if e >= vid_base}))
             sizes.append(len(singles))
         cut = {v for _, inner in done for v in inner}
         if r is not None:
@@ -881,8 +946,7 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
                 g.delete_vertex(v)
             g.insert_edge(a, b, *after, eid=vid)
         peeled = True
-        pairs = {q for q in pairs if q != pair
-                 and q[0] not in cut and q[1] not in cut}
+        index.drop_at(cut)
 
 
 def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
@@ -897,39 +961,46 @@ def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
     return own
 
 
-def _merge_same_kind(nodes: list[SpqrNode]) -> list[SpqrNode]:
-    """Merge every group of equal-kind S or P nodes joined by virtual
-    edges into one node: the shared virtual edges disappear and each
-    group's canonical skeleton is built once."""
-    up = {x: x for x in nodes}
+def _merge_same_kind(pieces: list[tuple]) -> list[SpqrNode]:
+    """The nodes of the pieces of :func:`_decompose`, in piece order.
+    Every group of equal-kind S or P pieces joined by virtual edges
+    becomes one node: the shared virtual edges disappear, and the
+    group's canonical skeleton is built here, by one :func:`_skeleton`
+    call per node, from the edge lists the pieces kept.  An R piece
+    brings its skeleton."""
+    up = list(range(len(pieces)))
 
-    def find(x: SpqrNode) -> SpqrNode:
-        while up[x] is not x:
-            up[x] = up[up[x]]
-            x = up[x]
-        return x
+    def find(i: int) -> int:
+        while up[i] != i:
+            up[i] = up[up[i]]
+            i = up[i]
+        return i
 
+    holders: dict[int, list[int]] = defaultdict(list)
+    for i, (_, _, virt) in enumerate(pieces):
+        for e in virt:
+            holders[e].append(i)
     inner: set[int] = set()
-    for vid, slots in _owners(nodes).items():
-        if len(slots) < 2:
+    for vid, held in holders.items():
+        if len(held) < 2:
             continue    # the twin is in the R node being split
-        (x, _), (y, _) = slots
-        if x.kind == y.kind and x.kind in "SP":
+        i, j = held
+        if pieces[i][0] == pieces[j][0] != "R":
             inner.add(vid)
-            up[find(x)] = find(y)
-    groups: dict[SpqrNode, list[SpqrNode]] = defaultdict(list)
-    for x in nodes:
-        groups[find(x)].append(x)
+            up[find(i)] = find(j)
+    groups: dict[int, list[tuple]] = defaultdict(list)
+    for i, piece in enumerate(pieces):
+        groups[find(i)].append(piece)
     out = []
     for group in groups.values():
-        if len(group) == 1:
-            out.append(group[0])
+        kind, body, virt = group[0]
+        if kind == "R":
+            out.append(SpqrNode(kind, body, virt))
             continue
-        kind = group[0].kind
-        edges = sorted((e, *z.graph.endpoints(e)) for z in group
-                       for e in z.graph.edge_ids() if e not in inner)
+        edges = sorted(t for _, es, _ in group for t in es
+                       if t[0] not in inner)
         out.append(SpqrNode(kind, _skeleton(kind, edges),
-                            set().union(*(z.twin for z in group)) - inner))
+                            set().union(*(v for _, _, v in group)) - inner))
     return out
 
 
@@ -938,15 +1009,17 @@ def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph,
                 ) -> tuple[list[SpqrNode], list[int]]:
     """Decompose an embedded graph with separation pairs ``pairs``
     into SPQR nodes, drawing virtual ids from the shared source and
-    linking the twins among the fresh nodes and ``r``.  Edges that
-    predate the call (reals, virtual ids of ``r``) are left for
-    :func:`_adopt`.  ``sg`` and ``pairs`` are consumed.  With ``r``,
-    the R node whose skeleton ``sg`` is, see :func:`_decompose`.
-    Returns the fresh nodes and the top-level piece sizes."""
+    linking the twins among the fresh nodes and ``r``.  The pieces of
+    :func:`_decompose` become nodes in :func:`_merge_same_kind`, which
+    builds every S and P skeleton, once per node.  Edges that predate
+    the call (reals, virtual ids of ``r``) are left for :func:`_adopt`.
+    ``sg`` is consumed.  With ``r``, the R node whose skeleton ``sg``
+    is, see :func:`_decompose`.  Returns the fresh nodes and the
+    top-level piece sizes."""
     vid_base = shared.vids.peek()
-    nodes: list[SpqrNode] = []
-    sizes = _decompose(sg, pairs, shared.vids, vid_base, nodes, r)
-    nodes = _merge_same_kind(nodes)
+    pieces: list[tuple] = []
+    sizes = _decompose(sg, pairs, shared.vids, vid_base, pieces, r)
+    nodes = _merge_same_kind(pieces)
     for vid, slots in _owners(nodes if r is None
                               else [*nodes, r]).items():
         assert len(slots) == 2, f"virtual edge {vid} not paired"

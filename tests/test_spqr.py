@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import math
 import random
 
 import pytest
@@ -136,13 +135,19 @@ def test_split_classes_match_oracle(max_face_degree):
 
 
 def test_build_counts_pairs_once(monkeypatch):
-    # every piece inherits its separation pairs and only the classes
-    # that finish first are copied out, so the count runs once and the
-    # edges handed to EmbeddedMultigraph.build stay near m log m; a
-    # recount and copy per level hands over Theta(m^2)
+    # every piece inherits its separation pairs, only the classes that
+    # finish first are copied out, a path class is recorded as an S
+    # piece without a copy, and S and P pieces stay edge lists until
+    # their nodes are known.  So the count runs once, _skeleton runs
+    # once per S or P node, and the edges handed to
+    # EmbeddedMultigraph.build stay within 3m: the skeletons hold m
+    # real edges and two per tree edge, plus the few copied classes.
+    # A recount and copy per level hands over Theta(m^2), and a
+    # skeleton built per piece and again per merged node about m log m
     build = EmbeddedMultigraph.build.__func__
     count_pairs = spqr.separation_pairs_embedded
-    seen = {"counts": 0, "edges": 0}
+    skeleton = spqr._skeleton
+    seen = {"counts": 0, "edges": 0, "skeletons": 0}
 
     def counting_build(cls, vertices, edges, rotations):
         edges = list(edges)
@@ -153,16 +158,22 @@ def test_build_counts_pairs_once(monkeypatch):
         seen["counts"] += 1
         return count_pairs(g)
 
+    def counting_skeleton(kind, edges):
+        seen["skeletons"] += 1
+        return skeleton(kind, edges)
+
     monkeypatch.setattr(EmbeddedMultigraph, "build",
                         classmethod(counting_build))
     monkeypatch.setattr(spqr, "separation_pairs_embedded", counting_pairs)
+    monkeypatch.setattr(spqr, "_skeleton", counting_skeleton)
     for seed in range(4):
         g = random_planar(40, seed, 24)
         m = g.n_edges
-        seen.update(counts=0, edges=0)
-        build_spqr(g)
+        seen.update(counts=0, edges=0, skeletons=0)
+        tree = build_spqr(g)
         assert seen["counts"] == 1
-        assert seen["edges"] <= 2 * m * math.log2(m)
+        assert seen["skeletons"] == sum(x.kind in "SP" for x in tree.nodes())
+        assert seen["edges"] <= 3 * m
 
 
 # Update replay: seeded deletions and contractions on small random
@@ -295,6 +306,44 @@ def test_updates_never_count_separation_pairs(monkeypatch):
             monkeypatch.undo()
             assert tree.serialize() == want
     assert calls["update"] == 0
+
+
+def test_path_classes_are_never_copied(monkeypatch):
+    # builds and R splits share one decomposition: in both, a listed
+    # class whose inner vertices all have degree 2 is a path, recorded
+    # as an S piece directly, so _piece_graph only ever copies out a
+    # class with a branching inner vertex
+    piece_graph = spqr._piece_graph
+    split_classes = spqr._split_classes
+    seen = {"copies": 0, "paths": 0}
+
+    def is_path(g, cls, a, b):
+        return all(g.degree(v) == 2 for v in _vertices(g, cls) - {a, b})
+
+    def checked_piece_graph(g, cls, a, b, vid):
+        assert not is_path(g, cls, a, b), "a path class was copied out"
+        seen["copies"] += 1
+        return piece_graph(g, cls, a, b, vid)
+
+    def counted_split_classes(g, a, b):
+        singles, done = split_classes(g, a, b)
+        seen["paths"] += sum(is_path(g, cls, a, b) for cls, _ in done)
+        return singles, done
+
+    monkeypatch.setattr(spqr, "_piece_graph", checked_piece_graph)
+    monkeypatch.setattr(spqr, "_split_classes", counted_split_classes)
+    for case in BUILD_CASES:
+        n, max_face_degree, seeds = case.values
+        for seed in range(seeds):
+            build_spqr(random_planar(n, seed, max_face_degree))
+    for seed in REPLAY_SEEDS:
+        g, ops, wants = _replay_case(seed)
+        tree = build_spqr(g)
+        for (op, e), want in zip(ops, wants):
+            fn = delete_edge if op == "d" else spqr.contract_edge
+            tree = fn(tree, e).tree
+            assert tree.serialize() == want
+    assert seen["copies"] and seen["paths"]
 
 
 def _theta_renames(k: int, order) -> list[int]:
