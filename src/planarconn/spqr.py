@@ -55,66 +55,7 @@ from .fourcycle import Detector
 
 
 # ----------------------------------------------------------------------
-# biconnectivity (linear time, multigraph-aware)
-
-def is_biconnected_embedded(g: EmbeddedMultigraph) -> bool:
-    """Connected, loopless and without articulation points; two
-    vertices need at least two parallel edges."""
-    verts = list(g.vertices())
-    if len(verts) < 2 or g.n_edges == 0:
-        return False
-    if any(g.is_loop(e) for e in g.edge_ids()):
-        return False
-    root = verts[0]
-    index = {root: 0}
-    low = {root: 0}
-    parent_edge = {root: None}
-    children = {v: 0 for v in verts}
-    order = [root]
-    stack = [(root, iter(g.rotation(root)))]
-    arti = False
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for d in it:
-            e = edge_of(d)
-            if e == parent_edge[v]:
-                # skip the tree edge once; a parallel copy is a back edge
-                parent_edge[v] = None
-                continue
-            w = g.vertex_of_dart(rev(d))
-            if w in index:
-                low[v] = min(low[v], index[w])
-            else:
-                index[w] = len(index)
-                low[w] = index[w]
-                parent_edge[w] = e
-                children[v] += 1
-                order.append(w)
-                stack.append((w, iter(g.rotation(w))))
-                advanced = True
-            if advanced:
-                break
-        if not advanced:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if index[p] > 0 and low[v] >= index[p]:
-                    arti = True
-    if len(index) != len(verts):
-        return False
-    if arti:
-        return False
-    if children[root] > 1:
-        return False
-    if len(verts) == 2:
-        return g.n_edges >= 2
-    return True
-
-
-# ----------------------------------------------------------------------
-# separation pairs by 4-cycle counting in the vertex-face graph
+# biconnectivity and separation pairs, both read off the faces
 
 def _face_incidences(g: EmbeddedMultigraph):
     """Per face: the multiplicity of each vertex on its boundary."""
@@ -131,6 +72,20 @@ def _face_incidences(g: EmbeddedMultigraph):
             mult[v] = mult.get(v, 0) + 1
         out.append(mult)
     return out
+
+
+def is_biconnected_embedded(g: EmbeddedMultigraph) -> bool:
+    """Connected, loopless and without cut vertices; two vertices need
+    at least two parallel edges.  In a connected plane graph the cut
+    vertices are exactly the vertices that some face walk meets twice
+    (Diestel, *Graph Theory*, Prop. 4.2.6), so the faces decide."""
+    if (g.n_vertices < 2 or any(g.is_loop(e) for e in g.edge_ids())
+            or len(g.components()) != 1):
+        return False
+    if g.n_vertices == 2:
+        return g.n_edges >= 2
+    return all(k == 1 for mult in _face_incidences(g) for k in mult.values())
+
 
 def _pair_products(g: EmbeddedMultigraph):
     """For each vertex pair on a common face, the list of per-face
@@ -637,17 +592,17 @@ def _check_r_sync(x: SpqrNode) -> None:
 
 def _fv_quad(x: SpqrNode, e: int) -> list[int]:
     """The face of the maintained vertex-face graph that is the quad of
-    skeleton edge ``e``, as its dart cycle."""
+    skeleton edge ``e``, as its dart cycle: the face traced from the
+    vertex end (dart 0) of the corner edge of ``e``'s dart 0.  It must
+    be the quad of the four corners that flank ``e``."""
     g = x.graph
     d0, d1 = dart(e, 0), dart(e, 1)
-    key = sorted((x.cmap[g.rotation_prev(d0)], x.cmap[d0],
-                  x.cmap[g.rotation_prev(d1)], x.cmap[d1]))
-    fv = x.det.tree.root.graph
-    for s in (0, 1):
-        f = fv.trace_face(dart(x.cmap[d0], s))
-        if len(f) == 4 and sorted(edge_of(z) for z in f) == key:
-            return f
-    raise AssertionError(f"no quad face for skeleton edge {e}")
+    f = x.det.tree.root.graph.trace_face(dart(x.cmap[d0], 0))
+    if sorted(edge_of(z) for z in f) != sorted(
+            (x.cmap[g.rotation_prev(d0)], x.cmap[d0],
+             x.cmap[g.rotation_prev(d1)], x.cmap[d1])):
+        raise AssertionError(f"no quad face for skeleton edge {e}")
+    return f
 
 
 def _fv_split_contract(x: SpqrNode, f: list[int], i: int) -> int:
@@ -1187,12 +1142,16 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
 # ----------------------------------------------------------------------
 # public update operations
 #
-# A deletion or contraction dispatches on the kind of the node holding
-# the edge.  Most cases keep the block in one piece and only reshape the
-# tree; deleting a cycle (S) edge breaks the block into a path of
-# smaller blocks, and contracting a parallel (P) edge breaks it into a
-# star of blocks around the merged vertex.  The outcome is reported in a
-# ChangeLog so the block-cutpoint layer can restructure accordingly.
+# The case analysis on the kind of the node holding the edge is written
+# once: _remove for a deletion, _contract for a contraction.  Each
+# switches on the kind and returns a ChangeLog.  The public operations
+# call them on the node of a real edge, and a path or star split calls
+# them again on the twin of each virtual edge it cuts, inside the
+# subtree that becomes a block of its own.  Most cases keep the block in
+# one piece and only reshape the tree; deleting a cycle (S) edge breaks
+# the block into a path of smaller blocks, and contracting a parallel
+# (P) edge breaks it into a star of blocks around the merged vertex.
+# The ChangeLog lets the block-cutpoint layer restructure accordingly.
 
 @dataclass
 class Piece:
@@ -1213,7 +1172,10 @@ class ChangeLog:
     tree), ``"pair"`` (the block survives but shrank to two edges, so
     its tree is gone), ``"path"`` (an S-deletion broke the block into
     the ordered pieces), or ``"star"`` (a P-contraction broke the block
-    into pieces sharing the merged vertex)."""
+    into pieces sharing the merged vertex).  Besides ``op`` and
+    ``edge``, ``intact`` sets ``tree``; ``pair`` sets ``pair_edges``
+    and ``pair_ends``; ``path`` and ``star`` set ``pieces``.  Every
+    contraction also sets ``merged_vertex`` and ``retired_vertex``."""
     op: str
     edge: int
     kind: str
@@ -1299,13 +1261,15 @@ def _splice_link(tree: SpqrTree, x: SpqrNode,
         tree.set_parent(m1, m2)
 
 
-def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
+def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode
+                       ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Case ladder for a node whose skeleton is down to two edges
     joining one vertex pair: 0 virtual edges ⇒ the whole block is those
     two real edges and the tree is gone; 1 ⇒ the node dissolves and the
     neighbor's twin becomes real; 2 ⇒ the node dissolves and its two
     neighbors are linked directly, merging them if both are S or both
-    are P (two R neighbors stay apart)."""
+    are P (two R neighbors stay apart).  Returns ``(ends, edge ids)``
+    of the pair in the first case and None when the tree lives on."""
     shared = tree.shared
     g = x.graph
     r1, r2 = sorted(g.edge_ids())
@@ -1316,7 +1280,7 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
         shared.node_of_edge.pop(r1, None)
         shared.node_of_edge.pop(r2, None)
         tree.set_parent(x, None)
-        return ("pair", (ends, (r1, r2)))
+        return ends, (r1, r2)
     if len(vs) == 1:
         v = vs[0]
         r = r2 if v == r1 else r1
@@ -1325,64 +1289,28 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode) -> tuple[str, object]:
         _rekey(m, f, r)
         shared.node_of_edge[r] = m
         _splice_out(tree, x, m)
-        return ("tree", tree)
+        return None
     m1, f1 = x.unlink(r1)
     m2, f2 = x.unlink(r2)
     m1.link(f1, m2, f2)
     _splice_link(tree, x, m1, m2)
     if m1.kind == m2.kind and m1.kind in "SP":
         _merge_adjacent(tree, m1, f1, m2, f2)
-    return ("tree", tree)
+    return None
 
 
-def _p_remove(tree: SpqrTree, x: SpqrNode, e: int) -> tuple[str, object]:
-    """Remove edge ``e`` (real or virtual, already unlinked if virtual)
-    from P node ``x`` and run the dissolution ladder if only two edges
-    remain."""
-    g = x.graph
-    g.delete_edge(e)
-    if g.n_edges >= 3:
-        return ("tree", tree)
-    return _dissolve_two_edge(tree, x)
-
-
-def _s_contract(tree: SpqrTree, x: SpqrNode, e: int,
-                keep: int, dying: int) -> tuple[str, object]:
-    """Contract edge ``e`` (real, or already unlinked if virtual) of S
-    node ``x`` (cycle shrinks by one vertex), cascading the vertex
-    rename into neighbors that share the dying vertex, and run the
-    dissolution ladder if only two edges remain."""
-    g = x.graph
-    targets = _twins_at(x, dying)
-    g.contract_edge(e, keep=keep)
-    for m, f in targets:
-        _rename_cascade(tree.shared, m, f, dying, keep)
-    if g.n_edges >= 3:
-        return ("tree", tree)
-    return _dissolve_two_edge(tree, x)
-
-
-def _r_remove(tree: SpqrTree, x: SpqrNode, e: int) -> tuple[str, object]:
-    """Delete edge ``e`` (real or virtual, already unlinked if virtual)
-    from R node ``x``, then split the skeleton along whatever
-    separation pairs the detector reports."""
-    _r_delete_edge(x, e)
-    _split_r_node(tree, x)
-    return ("tree", tree)
-
-
-def _r_contract(tree: SpqrTree, x: SpqrNode, e: int,
-                keep: int, dying: int) -> tuple[str, object]:
-    """Contract edge ``e`` (real, or already unlinked if virtual) of R
-    node ``x``, cascade the vertex rename into neighbors sharing the
-    dying vertex, then split the skeleton along whatever separation
-    pairs the detector reports."""
-    targets = _twins_at(x, dying)
-    _r_contract_edge(x, e, keep)
-    for m, f in targets:
-        _rename_cascade(tree.shared, m, f, dying, keep)
-    _split_r_node(tree, x)
-    return ("tree", tree)
+def _whole(tree: SpqrTree, x: SpqrNode, op: str, e: int,
+           keep: int | None = None, dying: int | None = None) -> ChangeLog:
+    """The log of an update that leaves one block: ``pair`` when node
+    ``x`` is down to two edges that are all the block has left,
+    ``intact`` otherwise."""
+    pair = _dissolve_two_edge(tree, x) if x.graph.n_edges < 3 else None
+    if pair is None:
+        return ChangeLog(op, e, "intact", tree,
+                         merged_vertex=keep, retired_vertex=dying)
+    ends, ids = pair
+    return ChangeLog(op, e, "pair", pair_edges=ids, pair_ends=ends,
+                     merged_vertex=keep, retired_vertex=dying)
 
 
 def _detach_fragment(tree: SpqrTree, x: SpqrNode,
@@ -1421,12 +1349,8 @@ def _break_up(tree: SpqrTree, x: SpqrNode, slots, recurse) -> list[Piece]:
         if frag is None:
             pieces.append(Piece(attach, None, (f,)))
             continue
-        res = recurse(frag, m, f)
-        if res[0] == "tree":
-            pieces.append(Piece(attach, res[1]))
-        else:
-            _ends, ids = res[1]
-            pieces.append(Piece(attach, None, ids))
+        log = recurse(frag, m, f)
+        pieces.append(Piece(attach, log.tree, log.pair_edges or ()))
     return pieces
 
 
@@ -1451,15 +1375,8 @@ def _s_remove(tree: SpqrTree, x: SpqrNode, e: int) -> list[Piece]:
             break
         cur, prev_e = nxt, ne
     assert len(order) == g.n_edges - 1
-
-    def remove_twin(frag, m, f):
-        if m.kind == "P":
-            return _p_remove(frag, m, f)
-        assert m.kind == "R"
-        return _r_remove(frag, m, f)
-
     return _break_up(tree, x, [((va, vb), ne) for ne, va, vb in order],
-                     remove_twin)
+                     _remove)
 
 
 def _p_star(tree: SpqrTree, x: SpqrNode, e: int,
@@ -1471,27 +1388,49 @@ def _p_star(tree: SpqrTree, x: SpqrNode, e: int,
     the twin is contracted recursively."""
     g = x.graph
     g.delete_edge(e)
-
-    def contract_twin(frag, m, f):
-        if m.kind == "S":
-            return _s_contract(frag, m, f, keep, dying)
-        assert m.kind == "R"
-        return _r_contract(frag, m, f, keep, dying)
-
     slots = [((keep, keep), f) for f in sorted(g.edge_ids())]
-    return _break_up(tree, x, slots, contract_twin)
+    return _break_up(tree, x, slots,
+                     lambda frag, m, f: _contract(frag, m, f, keep, dying))
 
 
-def _finish(op: str, e: int, res: tuple[str, object],
-            merged: int | None = None,
-            retired: int | None = None) -> ChangeLog:
-    if res[0] == "tree":
-        return ChangeLog(op=op, edge=e, kind="intact", tree=res[1],
-                         merged_vertex=merged, retired_vertex=retired)
-    ends, ids = res[1]
-    return ChangeLog(op=op, edge=e, kind="pair", pair_edges=ids,
-                     pair_ends=ends, merged_vertex=merged,
-                     retired_vertex=retired)
+def _remove(tree: SpqrTree, x: SpqrNode, e: int) -> ChangeLog:
+    """Delete edge ``e`` (real, or virtual and already unlinked) from
+    node ``x`` of ``tree``.  An S edge breaks the block into a path.  A
+    P edge leaves its bundle, which dissolves when two edges are left.
+    An R edge goes through the synchronized surgery, and the skeleton
+    then splits at the separation pairs its detector reports."""
+    if x.kind == "S":
+        return ChangeLog("delete", e, "path", pieces=_s_remove(tree, x, e))
+    if x.kind == "P":
+        x.graph.delete_edge(e)
+    else:
+        _r_delete_edge(x, e)
+        _split_r_node(tree, x)
+    return _whole(tree, x, "delete", e)
+
+
+def _contract(tree: SpqrTree, x: SpqrNode, e: int,
+              keep: int, dying: int) -> ChangeLog:
+    """Contract edge ``e`` (real, or virtual and already unlinked) of
+    node ``x`` of ``tree``, merging ``dying`` into ``keep``.  A P edge
+    breaks the block into a star.  An S or R skeleton loses the edge
+    and the rename cascades into the neighbors that share ``dying``;
+    an S skeleton dissolves when two edges are left, and an R skeleton
+    splits at the separation pairs its detector reports."""
+    if x.kind == "P":
+        return ChangeLog("contract", e, "star",
+                         pieces=_p_star(tree, x, e, keep, dying),
+                         merged_vertex=keep, retired_vertex=dying)
+    targets = _twins_at(x, dying)
+    if x.kind == "S":
+        x.graph.contract_edge(e, keep=keep)
+    else:
+        _r_contract_edge(x, e, keep)
+    for m, f in targets:
+        _rename_cascade(tree.shared, m, f, dying, keep)
+    if x.kind == "R":
+        _split_r_node(tree, x)
+    return _whole(tree, x, "contract", e, keep, dying)
 
 
 def _take_real(tree: SpqrTree, e: int) -> SpqrNode:
@@ -1512,13 +1451,7 @@ def _take_real(tree: SpqrTree, e: int) -> SpqrNode:
 
 def delete_edge(tree: SpqrTree, e: int) -> ChangeLog:
     """Delete real edge ``e`` from the block maintained by ``tree``."""
-    x = _take_real(tree, e)
-    if x.kind == "P":
-        return _finish("delete", e, _p_remove(tree, x, e))
-    if x.kind == "R":
-        return _finish("delete", e, _r_remove(tree, x, e))
-    pieces = _s_remove(tree, x, e)
-    return ChangeLog(op="delete", edge=e, kind="path", pieces=pieces)
+    return _remove(tree, _take_real(tree, e), e)
 
 
 def contract_edge(tree: SpqrTree, e: int) -> ChangeLog:
@@ -1527,13 +1460,4 @@ def contract_edge(tree: SpqrTree, e: int) -> ChangeLog:
     x = _take_real(tree, e)
     u, w = x.graph.endpoints(e)
     assert u != w, "skeletons carry no self-loops"
-    keep, dying = (u, w) if u < w else (w, u)
-    if x.kind == "S":
-        return _finish("contract", e, _s_contract(tree, x, e, keep, dying),
-                       merged=keep, retired=dying)
-    if x.kind == "R":
-        return _finish("contract", e, _r_contract(tree, x, e, keep, dying),
-                       merged=keep, retired=dying)
-    pieces = _p_star(tree, x, e, keep, dying)
-    return ChangeLog(op="contract", edge=e, kind="star", pieces=pieces,
-                     merged_vertex=keep, retired_vertex=dying)
+    return _contract(tree, x, e, min(u, w), max(u, w))

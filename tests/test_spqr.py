@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,8 +17,12 @@ from planarconn.embed import (
     UnknownEdge,
     from_straight_line_drawing,
 )
-from planarconn.generators import random_planar
-from planarconn.oracle import canonical_spqr, separation_classes
+from planarconn.generators import random_delaunay, random_planar
+from planarconn.oracle import (
+    canonical_spqr,
+    is_biconnected,
+    separation_classes,
+)
 from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
 from .graphs import parallel_bundle, path
@@ -43,6 +48,43 @@ def test_build_rejects_bad_input():
         build_spqr(path(4))
     with pytest.raises(TooFewEdges):
         build_spqr(parallel_bundle(2))  # only 2 edges
+
+
+def test_biconnectivity_from_faces_matches_oracle():
+    # random deletions and contractions (a loop is deleted, never
+    # contracted) walk from biconnected graphs down to one vertex,
+    # through every way a graph can fail to be biconnected; a graph with
+    # a cut vertex counts under "bridge" when one of its edges is one
+    rng = random.Random(0)
+    seen: Counter[str] = Counter()
+    for seed in range(40):
+        g = random_planar(12, seed) if seed % 2 else random_delaunay(10, seed)
+        while g.n_edges:
+            want = is_biconnected(g)
+            assert spqr.is_biconnected_embedded(g) == want, seed
+            n_comps = len(g.components())
+            loops = any(g.is_loop(e) for e in g.edge_ids())
+            seen["biconnected"] += want
+            seen["loop"] += loops
+            seen["components"] += n_comps > 1
+            seen["bundle"] += g.n_vertices == 2 and g.n_edges >= 2
+            if not (want or loops) and n_comps == 1 and g.n_vertices >= 3:
+                seen["bridge" if any(_splits(g, e) for e in g.edge_ids())
+                     else "cut vertex"] += 1
+            e = rng.choice(sorted(g.edge_ids()))
+            if g.is_loop(e) or rng.random() < 0.5:
+                g.delete_edge(e)
+            else:
+                g.contract_edge(e)
+    assert all(seen[k] for k in ("biconnected", "loop", "components",
+                                 "bundle", "cut vertex", "bridge")), seen
+
+
+def _splits(g, e) -> bool:
+    """Whether deleting edge ``e`` disconnects g."""
+    h = g.copy()
+    h.delete_edge(e)
+    return len(h.components()) > len(g.components())
 
 
 def test_delete_links_two_r_nodes():
