@@ -8,9 +8,7 @@ face-preserving separator tree, a set ``K`` of tracked vertices (the
 node's separator at an internal node, every vertex at a leaf) and the
 complete table of length-2 paths between pairs of ``K``.  Two such
 paths with distinct middle vertices form a 4-cycle, and a constant-time
-face walk decides whether it is separating; a pair connected through at
-least four distinct middles has every one of its path edges on a
-separating 4-cycle, so no walks are needed once a pair saturates.
+face walk decides whether it is separating.
 
 Any 4-cycle is either confined to one side of a node's separation, in
 which case a descendant tracks it, or it crosses with its two
@@ -25,20 +23,26 @@ paths.  That is why leaves stay of bounded size.
 There are three mutations.  An insertion splits a face and a
 contraction merges the two ends of an edge.  A merge across a face
 does both at once: it inserts the diagonal between two opposite
-corners and contracts it.  A contraction re-seats only the paths with
-a leg at the endpoint whose label retires; the others keep their pair,
-legs and middle.  A merge across a face discovers nothing about its
-diagonal.  An insertion changes only the face it splits, so the one
-4-cycle avoiding the diagonal that can turn separating is that face's
-boundary, which the contraction destroys, and every cycle through the
-diagonal dies with it.
+corners and contracts it.  A contraction keeps the label of the
+endpoint with more edges (see ``SeparatorTree.apply_contraction``) and
+re-seats only the paths with a leg at the other endpoint, whose label
+retires; the others keep their pair, legs and middle.  A merge across
+a face logs nothing about its diagonal.  An insertion changes only the
+face it splits, so the one 4-cycle avoiding the diagonal that can turn
+separating is that face's boundary, which the contraction destroys,
+and every cycle through the diagonal dies with it.
 
-Every discovery goes into one op log: at construction, the pairs
-that already close a separating 4-cycle; during a mutation, each new
-path's separating cycles (or its pair, once saturated) and a split
-4-face whose boundary turned separating.  The single query,
-:meth:`Detector.separating_now`, re-validates the logged pairs against
-the current graph and lists the 4-cycles that are separating now.
+Mutations only keep the tables and write one op log.  The one 4-cycle
+a mutation walks is the boundary of a face that an inserted edge
+splits, in each node the edge enters (a contraction inserts the edges
+it brings into a node that held one endpoint).  The log holds, at construction, the pairs that already close a separating
+4-cycle; during a mutation, the pair and legs of every new path and a
+split 4-face whose boundary turned separating.  A 4-cycle that turns
+separating either gains a path or is such a face, so its pair is
+logged.  Discovery happens at the single query,
+:meth:`Detector.separating_now`, which walks the current path table of
+every logged pair and lists the 4-cycles that are separating now.  A
+caller that resets the log without asking walks nothing.
 
 Every mutation is charged against an exact integer potential.  With
 ``debug`` enabled (off by default) each mutation takes the potential of
@@ -53,6 +57,7 @@ from .embed import (
     EmbeddedMultigraph,
     EmbedError,
     SelfLoopContraction,
+    UnknownEdge,
     dart,
     edge_of,
     quasi_induced_degree,
@@ -78,12 +83,13 @@ def _legkey(e1: int, e2: int) -> tuple[int, int]:
 def _derive(h: EmbeddedMultigraph, e1: int, e2: int):
     """(pair, middle) of the length-2 path with legs e1, e2 in h, or
     None when the two edges no longer form one."""
-    if not (h.has_edge(e1) and h.has_edge(e2)):
+    try:
+        a1, b1 = h.endpoints(e1)
+        a2, b2 = h.endpoints(e2)
+    except UnknownEdge:
         return None
-    if h.is_loop(e1) or h.is_loop(e2):
+    if a1 == b1 or a2 == b2:
         return None
-    a1, b1 = h.endpoints(e1)
-    a2, b2 = h.endpoints(e2)
     for m in (a1, b1):
         if m in (a2, b2):
             z1 = b1 if m == a1 else a1
@@ -93,20 +99,18 @@ def _derive(h: EmbeddedMultigraph, e1: int, e2: int):
     return None
 
 
-def _dart_at(h: EmbeddedMultigraph, e: int, v: int) -> int:
-    d = dart(e, 0)
-    return d if h.vertex_of_dart(d) == v else d ^ 1
-
-
 def cycle_is_separating(h: EmbeddedMultigraph,
                         a: int, m1: int, b: int, m2: int,
                         e1: int, e2: int, f2: int, f1: int) -> bool:
     """Whether the 4-cycle a -e1- m1 -e2- b -f2- m2 -f1- a bounds no
-    face of h (both walks of its two sides fail to close a face)."""
-    s1 = (_dart_at(h, e1, a), _dart_at(h, e2, m1),
-          _dart_at(h, f2, b), _dart_at(h, f1, m2))
-    s2 = (_dart_at(h, f1, a), _dart_at(h, f2, m2),
-          _dart_at(h, e2, b), _dart_at(h, e1, m1))
+    face of h (both walks of its two sides fail to close a face).  The
+    darts of one side leave a, m1, b and m2; the other side walks the
+    same edges backwards, so its darts are their reverses."""
+    s1 = [dart(e1, 0), dart(e2, 0), dart(f2, 0), dart(f1, 0)]
+    for i, v in enumerate((a, m1, b, m2)):
+        if h.vertex_of_dart(s1[i]) != v:
+            s1[i] = rev(s1[i])
+    s2 = [rev(d) for d in reversed(s1)]
     for seq in (s1, s2):
         if all(h.face_next(seq[i]) == seq[(i + 1) % 4] for i in range(4)):
             return False
@@ -172,11 +176,11 @@ class Detector:
     """Maintains the separating 4-cycles of a plane multigraph under
     three mutations: :meth:`insert_edge`, :meth:`contract_edge` and
     :meth:`merge_across`, which contracts a face's diagonal without
-    ever discovering it.
+    ever logging it.
 
     :meth:`separating_now` is the one answer: the 4-cycles that are
-    separating now, found through the op log that construction and
-    every mutation write to.
+    separating now, found by walking the pairs in the op log that
+    construction and every mutation write to.
     """
 
     def __init__(self, g: EmbeddedMultigraph, *, debug: bool = False):
@@ -190,7 +194,10 @@ class Detector:
                 raise EmbedError("input has a monogon face: not quasi-simple")
         self.debug = debug
         self.candidates_total = 0
-        # (node state, pair, legs of a logged cycle or ())
+        # paths a contraction lifted out of their tables to re-seat them
+        self.lifted_total = 0
+        # (node state, pair, legs of a new path or of a split face's
+        # cycle, or () at construction)
         self._op_items: list[tuple] = []
         # per node: retired label -> the label that replaced it
         self._op_renames: dict[int, dict[int, int]] = {}
@@ -229,17 +236,18 @@ class Detector:
                      after_u: int | None, after_w: int | None) -> int:
         """Merge two opposite corners of one face, the corners after
         ``after_u`` at u and after ``after_w`` at w, and return the
-        merged label: the diagonal across the face is inserted and
-        contracted at once, restoring quasi-simplicity and logging any
-        4-cycle that turned separating.  Raises SelfLoopContraction
-        when u == w and NotOnFace when the corners lie on different
-        faces, before anything changes.
+        merged label, that of the endpoint with more edges (the smaller
+        label on a tie): the diagonal across the face is inserted and
+        contracted at once, restoring quasi-simplicity and logging the
+        pair of every new path.  Raises SelfLoopContraction when u == w
+        and NotOnFace when the corners lie on different faces, before
+        anything changes.
 
         Only the contraction's events are processed: the diagonal is
-        never discovered.  An insertion changes only the face it
-        splits, so the one 4-cycle avoiding the diagonal that can turn
-        separating is that face's boundary, which the contraction
-        destroys, and every cycle through the diagonal dies with it."""
+        never logged.  An insertion changes only the face it splits, so
+        the one 4-cycle avoiding the diagonal that can turn separating
+        is that face's boundary, which the contraction destroys, and
+        every cycle through the diagonal dies with it."""
         if u == w:
             raise SelfLoopContraction(
                 f"corners of vertex {u} cannot merge with each other")
@@ -247,12 +255,14 @@ class Detector:
         inserted = self.tree.apply_insertion(u, w, after_u, after_w)
         return self._contract(inserted[0][2], inserted)
 
-    def contract_edge(self, e: int) -> None:
-        """Contract a non-loop edge everywhere and restore quasi-
-        simplicity, logging any 4-cycle that turned separating; raises
-        UnknownEdge or SelfLoopContraction before anything changes."""
+    def contract_edge(self, e: int) -> int:
+        """Contract a non-loop edge everywhere, restore quasi-simplicity
+        and log the pair of every new path; return the merged label,
+        that of the endpoint with more edges (the smaller label on a
+        tie).  Raises UnknownEdge or SelfLoopContraction before
+        anything changes."""
         self._begin_op()
-        self._contract(e, [])
+        return self._contract(e, [])
 
     def _contract(self, e: int, inserted: list[tuple]) -> int:
         """Contract e, quasi-simplify and process the contraction's
@@ -280,28 +290,30 @@ class Detector:
         :meth:`reset_op_log` was last called (construction logs the
         cycles separating at the start).
 
-        Every 4-cycle that turns separating is discovered by some
-        mutation's path or split-face check and logged; each logged
-        pair's current path table is re-checked against the current
-        graph, which filters out the cycles that were only transiently
-        separating.  A cycle is ``(pair, m1, lk1, m2, lk2)``: its
-        diagonal pair, the two middle vertices and the two leg edge
-        pairs; one cycle held by two node tables is listed twice."""
+        Every 4-cycle that turns separating gains a path in some
+        mutation, or is the boundary of a split face, and its pair is
+        logged.  This is where the walks happen: each logged pair with
+        at least two paths has its current path table checked against
+        the current graph, which also filters out the cycles that were
+        only transiently separating.  A cycle is ``(pair, m1, lk1, m2,
+        lk2)``: its diagonal pair, the two middle vertices and the two
+        leg edge pairs; one cycle held by two node tables is listed
+        twice."""
         cycles: list[tuple] = []
         done: set[tuple[int, tuple[int, int]]] = set()
 
         def check_pair(st, pair):
             key = (id(st), pair)
-            if key in done:
+            if key in done or len(st.paths.get(pair, ())) < 2:
                 return
             done.add(key)
             for lk1, m1, lk2, m2 in self._separating(st, pair):
                 cycles.append((pair, m1, lk1, m2, lk2))
 
         for st, pair, legs in self._op_items:
-            # a logged cycle certifies its pair; sibling cycles of the
-            # same pair may have turned separating too, so recheck the
-            # whole current path table
+            # a logged path may have moved to another pair since, and
+            # the logged pair may have been renamed: check both, each
+            # with its whole current path table
             for lk in legs:
                 g = _derive(st.node.graph, *lk)
                 if g is not None:
@@ -448,20 +460,6 @@ class Detector:
                         h, pair, lk1, m1, lk2, m2):
                     yield lk1, m1, lk2, m2
 
-    def _on_new_path(self, st, pair, lk, middle) -> None:
-        h = st.node.graph
-        d = st.paths[pair]
-        if len(set(d.values())) >= 4:
-            # saturated: every stored path has at least three partners
-            # with other middles, at most two of which can close a face
-            self._op_items.append((st, pair, ()))
-            return
-        for lk2, m2 in list(d.items()):
-            if lk2 == lk or m2 == middle:
-                continue
-            if self._pair_cycle_separating(h, pair, lk, middle, lk2, m2):
-                self._op_items.append((st, pair, (lk, lk2)))
-
     # -- per-node updates --------------------------------------------------
 
     def _process_merge(self, st, x: int, u: int, w: int,
@@ -479,12 +477,13 @@ class Detector:
         affected = set()
         for f in (fw if x == u else fu):
             affected |= st.by_edge.get(f, set())
+        self.lifted_total += len(affected)
         for pair, lk in affected:
             st.remove(pair, lk)
         # 2) re-seat the lifted paths that survive; a path whose pair
         # changed may close new 4-cycles with paths it never shared a
-        # pair with before
-        changed = []
+        # pair with before, so it is logged like a new path
+        moved_pairs = set()
         for pair, lk in affected:
             got = _derive(h, *lk)
             if got is None:
@@ -492,15 +491,10 @@ class Detector:
             npair, nmid = got
             if npair[0] not in K or npair[1] not in K:
                 continue
-            if npair == pair:
-                st.add(npair, lk, nmid)
-            else:
-                changed.append((npair, lk, nmid))
-        moved_pairs = set()
-        for npair, lk, nmid in changed:
-            if st.add(npair, lk, nmid):
+            st.add(npair, lk, nmid)
+            if npair != pair:
                 moved_pairs.add(npair)
-                self._on_new_path(st, npair, lk, nmid)
+                self._op_items.append((st, npair, (lk,)))
         self._cand(st, len(moved_pairs))
         # 3) new paths with the merged vertex as middle: one former-u
         # leg and one former-w leg
@@ -515,7 +509,7 @@ class Detector:
                 npair = _pairkey(z1, z2)
                 lk = _legkey(f1, f2)
                 if st.add(npair, lk, x):
-                    self._on_new_path(st, npair, lk, x)
+                    self._op_items.append((st, npair, (lk,)))
         self._cand(st, len(seen_pairs))
         # 4) when exactly one endpoint was tracked, the other side's
         # former edges now start paths at a tracked vertex
@@ -523,10 +517,11 @@ class Detector:
             outlegs = fw if ku else fu
             seen = set()
             for f in set(outlegs):
-                if not h.has_edge(f) or h.is_loop(f):
+                try:
+                    a, b = h.endpoints(f)
+                except UnknownEdge:
                     continue
-                a, b = h.endpoints(f)
-                if x not in (a, b):
+                if a == b or x not in (a, b):
                     continue
                 m = a + b - x
                 for d2 in h.rotation(m):
@@ -539,17 +534,18 @@ class Detector:
                     seen.add((m, z))
                     lk = _legkey(f, g2)
                     if st.add(_pairkey(x, z), lk, m):
-                        self._on_new_path(st, _pairkey(x, z), lk, m)
+                        self._op_items.append((st, _pairkey(x, z), (lk,)))
             self._cand(st, len(seen))
 
     @staticmethod
     def _k_legs(h, fs, x, K):
         out = []
         for f in set(fs):
-            if not h.has_edge(f) or h.is_loop(f):
+            try:
+                a, b = h.endpoints(f)
+            except UnknownEdge:
                 continue
-            a, b = h.endpoints(f)
-            if x not in (a, b):
+            if a == b or x not in (a, b):
                 continue
             z = a + b - x
             if z in K:
@@ -595,7 +591,7 @@ class Detector:
                 seen.add(z)
                 lk = _legkey(eid, g2)
                 if st.add(_pairkey(a, z), lk, b):
-                    self._on_new_path(st, _pairkey(a, z), lk, b)
+                    self._op_items.append((st, _pairkey(a, z), (lk,)))
             self._cand(st, len(seen))
 
     def _recheck_split_face(self, st, eid: int) -> None:

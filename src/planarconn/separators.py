@@ -537,6 +537,9 @@ class SeparatorTree:
     def apply_contraction(self, e: int) -> list[tuple]:
         """Contract edge e of the root graph everywhere it appears.
 
+        The merged vertex x keeps the label of the endpoint with more
+        edges in the root graph, or the smaller label on a tie, so the
+        work at the retired endpoint is charged to the smaller side.
         Nodes holding one endpoint have the merged vertex relabeled and
         gain the induced edges the merge brings in.  Returns the change
         list in root-first order: ``("contract", node, e, x, u, w, fu,
@@ -545,8 +548,10 @@ class SeparatorTree:
         ``("rename", node, old, x)`` and ``("insert", node, f)``.  An
         unknown edge or a self-loop raises before anything changes.
         """
-        u, w = self.root.graph.endpoints(e)
-        x = min(u, w)
+        h = self.root.graph
+        u, w = h.endpoints(e)
+        du, dw = h.degree(u), h.degree(w)
+        x = u if du > dw else w if dw > du else min(u, w)
         events: list[tuple] = []
         self._contract(self.root, e, u, w, x, events)
         return events
@@ -555,7 +560,7 @@ class SeparatorTree:
         h = node.graph
         fu = sorted({edge_of(d) for d in h.rotation(u)})
         fw = sorted({edge_of(d) for d in h.rotation(w)})
-        h.contract_edge(e)
+        h.contract_edge(e, keep=x)
         events.append(("contract", node, e, x, u, w, fu, fw))
         for child in node.children:
             self._propagate_merge(child, h, u, w, x, e, events)

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from planarconn import fourcycle
-from planarconn.embed import NotOnFace, SelfLoopContraction, UnknownEdge
+from planarconn.embed import NotOnFace, SelfLoopContraction, UnknownEdge, edge_of
 from planarconn.fourcycle import MAX_FACE_DEGREE, Detector, FaceDegreeExceeded
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import separating_4cycles
@@ -354,12 +354,51 @@ def test_merge_across_exact(monkeypatch):
             u, w = h.vertex_of_dart(f[i]), h.vertex_of_dart(f[i - 2])
             if u == w:
                 continue
+            # the endpoint with more edges keeps its label, the smaller
+            # label on a tie
+            du, dw = h.degree(u), h.degree(w)
+            keep = u if du > dw else w if dw > du else min(u, w)
             x = det.merge_across(u, w, h.rotation_prev(f[i]),
                                  h.rotation_prev(f[i - 2]))
-            assert x == min(u, w) and not h.has_vertex(max(u, w))
+            assert x == keep and not h.has_vertex(u + w - keep)
             assert sep_edges(det) == separating_4cycles(h), f"step {step}"
         det.check()
         assert diagonals and not diagonals & discovered
+
+
+def test_mutations_walk_no_cycle(monkeypatch):
+    # merges and contractions only keep the tables and log the pairs of
+    # their new paths; every 4-cycle walk happens at the query
+    walks = []
+    walk = fourcycle.cycle_is_separating
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(fourcycle, "cycle_is_separating", counted)
+    queried = 0
+    for det, rng in _radial_detectors(debug=False):
+        h = det.tree.root.graph
+        for step in range(30):
+            quads = [f for f in h.faces() if len(f) == 4]
+            walks.clear()
+            if quads and step % 2:
+                f = rng.choice(quads)
+                i = rng.randrange(4)
+                u, w = h.vertex_of_dart(f[i]), h.vertex_of_dart(f[i - 2])
+                if u == w:
+                    continue
+                det.merge_across(u, w, h.rotation_prev(f[i]),
+                                 h.rotation_prev(f[i - 2]))
+            else:
+                det.contract_edge(rng.choice(
+                    [e for e in h.edge_ids() if not h.is_loop(e)]))
+            assert not walks, f"step {step}"
+            assert sep_edges(det) == separating_4cycles(h), f"step {step}"
+            queried += len(walks)
+        det.check()
+    assert queried
 
 
 @pytest.mark.usefixtures("leaves")
@@ -392,6 +431,50 @@ def test_contraction_lifts_only_retired_side(monkeypatch):
             det.contract_edge(rng.choice(
                 [e for e in h.edge_ids() if not h.is_loop(e)]))
             det.check()
+    assert lifted and not stray
+
+
+def test_contraction_keeps_busier_endpoint(monkeypatch):
+    # where the larger label has more edges, the two survivor rules
+    # disagree: the busier endpoint keeps its label, and only the paths
+    # with a leg at the other one are lifted out and re-seated
+    retiring, lifted, stray = [], [], []
+    merge = Detector._process_merge
+    remove = fourcycle._NodeState.remove
+
+    def spy_merge(self, st, x, u, w, fu, fw):
+        retiring.append(True)
+        try:
+            merge(self, st, x, u, w, fu, fw)
+        finally:
+            retiring.pop()
+
+    def spy_remove(self, pair, lk):
+        if retiring:
+            lifted.append(lk)
+            if not gone_edges & set(lk):
+                stray.append(lk)
+        remove(self, pair, lk)
+
+    monkeypatch.setattr(Detector, "_process_merge", spy_merge)
+    monkeypatch.setattr(fourcycle._NodeState, "remove", spy_remove)
+    for seed in range(4):
+        # in a vertex-face graph every face vertex has the larger label
+        # and degree 3, so a triangulation's labels serve better here
+        det = Detector(random_delaunay(40, seed))
+        rng = random.Random(seed)
+        h = det.tree.root.graph
+        for _ in range(10):
+            cand = []
+            for e in h.edge_ids():
+                lo, hi = sorted(h.endpoints(e))
+                if lo != hi and h.degree(hi) > h.degree(lo):
+                    cand.append((e, lo, hi))
+            e, lo, hi = rng.choice(cand)
+            gone_edges = {edge_of(d) for d in h.rotation(lo)}
+            assert det.contract_edge(e) == hi
+            assert h.has_vertex(hi) and not h.has_vertex(lo)
+        det.check()
     assert lifted and not stray
 
 

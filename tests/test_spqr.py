@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from planarconn import separators, spqr
+from planarconn import fourcycle, separators, spqr
 from planarconn.embed import (
     EmbeddedMultigraph,
     EmbedError,
@@ -348,6 +348,39 @@ def test_updates_never_count_separation_pairs(monkeypatch):
             monkeypatch.undo()
             assert tree.serialize() == want
     assert calls["update"] == 0
+
+
+def test_r_cut_walks_no_cycle(monkeypatch):
+    # the surgeries of a cut log pairs that the split resets unread, so
+    # none of them may walk a 4-cycle of the detector (these skeletons'
+    # separator trees are single leaves, so no contraction inserts an
+    # edge into a child node and walks the face it splits)
+    r_cut = spqr._r_cut
+    walk = fourcycle.cycle_is_separating
+    seen = {"inside": 0, "cuts": 0, "walks": 0}
+
+    def counted_cut(*args):
+        seen["inside"] += 1
+        seen["cuts"] += 1
+        try:
+            return r_cut(*args)
+        finally:
+            seen["inside"] -= 1
+
+    def counted_walk(*args):
+        seen["walks"] += bool(seen["inside"])
+        return walk(*args)
+
+    monkeypatch.setattr(spqr, "_r_cut", counted_cut)
+    monkeypatch.setattr(fourcycle, "cycle_is_separating", counted_walk)
+    for seed in REPLAY_SEEDS:
+        g, ops, wants = _replay_case(seed)
+        tree = build_spqr(g)
+        for (op, e), want in zip(ops, wants):
+            fn = delete_edge if op == "d" else spqr.contract_edge
+            tree = fn(tree, e).tree
+            assert tree.serialize() == want
+    assert seen["cuts"] and not seen["walks"]
 
 
 def test_path_classes_are_never_copied(monkeypatch):
