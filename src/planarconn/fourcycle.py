@@ -30,16 +30,25 @@ retires; the others keep their pair, legs and middle.  A merge across
 a face logs nothing about its diagonal.  An insertion changes only the
 face it splits, so the one 4-cycle avoiding the diagonal that can turn
 separating is that face's boundary, which the contraction destroys,
-and every cycle through the diagonal dies with it.
+and every cycle through the diagonal dies with it.  Of each pair of
+parallel edges a contraction leaves, the larger id survives.
+
+One merge across a face needs none of that: when the endpoint that
+retires has degree 2 and the face is a quad of four distinct corners,
+the merge only removes that endpoint, whose two edges would each end
+up parallel to one of the survivor's.  It is retired in place, its
+edges deleted and, in a separator-tree node without the survivor, its
+label renamed to the survivor's; the survivor's edges stay.
 
 Mutations only keep the tables and write one op log.  The one 4-cycle
 a mutation walks is the boundary of a face that an inserted edge
-splits, in each node the edge enters (a contraction inserts the edges
-it brings into a node that held one endpoint).  The log holds, at construction, the pairs that already close a separating
-4-cycle; during a mutation, the pair and legs of every new path and a
-split 4-face whose boundary turned separating.  A 4-cycle that turns
-separating either gains a path or is such a face, so its pair is
-logged.  Discovery happens at the single query,
+splits, in each node the edge enters (a contraction or a retirement
+inserts the survivor's edges into a node that held only the other
+endpoint).  The log holds, at construction, the pairs that already
+close a separating 4-cycle; during a mutation, the pair and legs of
+every new path and a split 4-face whose boundary turned separating.  A
+4-cycle that turns separating either gains a path or is such a face,
+so its pair is logged.  Discovery happens at the single query,
 :meth:`Detector.separating_now`, which walks the current path table of
 every logged pair and lists the 4-cycles that are separating now.  A
 caller that resets the log without asking walks nothing.
@@ -63,7 +72,7 @@ from .embed import (
     quasi_induced_degree,
     rev,
 )
-from .separators import SeparatorTree
+from .separators import SeparatorTree, merge_survivor
 
 MAX_FACE_DEGREE = 64
 
@@ -97,6 +106,24 @@ def _derive(h: EmbeddedMultigraph, e1: int, e2: int):
             if z1 != z2:
                 return _pairkey(z1, z2), m
     return None
+
+
+def _opposite_on_quad(h: EmbeddedMultigraph, u: int, w: int,
+                      after_u: int | None, after_w: int | None) -> bool:
+    """Whether the corner after ``after_u`` at u and the one after
+    ``after_w`` at w are opposite corners of a face of degree 4 whose
+    four corners are distinct vertices."""
+    for v, a in ((u, after_u), (w, after_w)):
+        if a is None or not h.has_dart(a) or h.vertex_of_dart(a) != v:
+            return False
+    d0 = h.rotation_next(after_u)
+    if h.face_degree_at_most(d0, 4) != 4:
+        return False
+    d1 = h.face_next(d0)
+    d2 = h.face_next(d1)
+    m1, m2 = h.vertex_of_dart(d1), h.vertex_of_dart(h.face_next(d2))
+    return (d2 == h.rotation_next(after_w) and m1 != m2
+            and not {m1, m2} & {u, w})
 
 
 def cycle_is_separating(h: EmbeddedMultigraph,
@@ -247,11 +274,29 @@ class Detector:
         never logged.  An insertion changes only the face it splits, so
         the one 4-cycle avoiding the diagonal that can turn separating
         is that face's boundary, which the contraction destroys, and
-        every cycle through the diagonal dies with it."""
+        every cycle through the diagonal dies with it.  Of each pair of
+        parallel edges the merge leaves, the larger id survives.
+
+        When the endpoint that retires has degree 2 and the face is a
+        quad of four distinct corners, the merge only removes that
+        endpoint: its two edges would each end up parallel to one of
+        the survivor's and be simplified away.  So it is retired in
+        place (``SeparatorTree.apply_retire``), with no diagonal,
+        contraction or lifted path, and the survivor's edges are the
+        ones that stay."""
         if u == w:
             raise SelfLoopContraction(
                 f"corners of vertex {u} cannot merge with each other")
         self._begin_op()
+        h = self.tree.root.graph
+        if _opposite_on_quad(h, u, w, after_u, after_w):
+            x = merge_survivor(h, u, w)
+            r = u + w - x
+            if h.degree(r) == 2:
+                tevents = self.tree.apply_retire(r, x)
+                self._process_events(tevents)
+                self._end_op(tevents)
+                return x
         inserted = self.tree.apply_insertion(u, w, after_u, after_w)
         return self._contract(inserted[0][2], inserted)
 
@@ -431,6 +476,8 @@ class Detector:
             st = self._states[id(node)]
             if kind == "contract":
                 self._process_merge(st, *ev[3:])
+            elif kind == "retire":
+                self._process_retire(st, ev[2], ev[3])
             elif kind == "insert":
                 self._process_insert_paths(st, ev[2])
                 self._recheck_split_face(st, ev[2])
@@ -514,28 +561,48 @@ class Detector:
         # 4) when exactly one endpoint was tracked, the other side's
         # former edges now start paths at a tracked vertex
         if ku != kw:
-            outlegs = fw if ku else fu
-            seen = set()
-            for f in set(outlegs):
-                try:
-                    a, b = h.endpoints(f)
-                except UnknownEdge:
+            self._paths_from(st, x, fw if ku else fu)
+
+    def _process_retire(self, st, r: int, x: int) -> None:
+        """r left a node that holds x (``SeparatorTree.apply_retire``);
+        its edges' deletions already purged every path through it.  If
+        r was tracked, x now stands where r stood in the separation: it
+        is tracked too, and any of its edges can start a new path."""
+        self._op_renames.setdefault(id(st.node), {})[r] = x
+        if r in st.K:
+            st.K.discard(r)
+            if x not in st.K:
+                st.K.add(x)
+                h = st.node.graph
+                self._paths_from(st, x, [edge_of(d) for d in h.rotation(x)])
+
+    def _paths_from(self, st, x: int, legs) -> None:
+        """x just became tracked: add and log every path from x whose
+        first leg is one of ``legs`` (edge ids; those no longer at x are
+        skipped)."""
+        h = st.node.graph
+        K = st.K
+        seen = set()
+        for f in set(legs):
+            try:
+                a, b = h.endpoints(f)
+            except UnknownEdge:
+                continue
+            if a == b or x not in (a, b):
+                continue
+            m = a + b - x
+            for d2 in h.rotation(m):
+                g2 = edge_of(d2)
+                if g2 == f:
                     continue
-                if a == b or x not in (a, b):
+                z = h.vertex_of_dart(rev(d2))
+                if z == m or z == x or z not in K:
                     continue
-                m = a + b - x
-                for d2 in h.rotation(m):
-                    g2 = edge_of(d2)
-                    if g2 == f:
-                        continue
-                    z = h.vertex_of_dart(rev(d2))
-                    if z == m or z == x or z not in K:
-                        continue
-                    seen.add((m, z))
-                    lk = _legkey(f, g2)
-                    if st.add(_pairkey(x, z), lk, m):
-                        self._op_items.append((st, _pairkey(x, z), (lk,)))
-            self._cand(st, len(seen))
+                seen.add((m, z))
+                lk = _legkey(f, g2)
+                if st.add(_pairkey(x, z), lk, m):
+                    self._op_items.append((st, _pairkey(x, z), (lk,)))
+        self._cand(st, len(seen))
 
     @staticmethod
     def _k_legs(h, fs, x, K):

@@ -2,8 +2,8 @@
 
 Builds a binary tree of induced embedded subgraphs where every internal
 node carries a balanced, small, face-preserving separation, and keeps
-the whole tree consistent under edge contractions and
-embedding-respecting insertions in the root graph.
+the whole tree consistent under edge contractions, embedding-respecting
+insertions and retirements of a degree-2 vertex in the root graph.
 """
 
 from __future__ import annotations
@@ -427,10 +427,17 @@ class SepNode:
                           B=frozenset(z.graph.vertices()))
 
 
+def merge_survivor(h: EmbeddedMultigraph, u: int, w: int) -> int:
+    """The one of u and w whose label survives their merge: the one
+    with more edges in h, the smaller label on a tie."""
+    du, dw = h.degree(u), h.degree(w)
+    return u if du > dw else w if dw > du else min(u, w)
+
+
 class SeparatorTree:
     """Binary separator tree over a copy of an embedded graph, with
-    contraction and insertion maintenance that keeps every node an
-    induced embedded subgraph of its parent."""
+    contraction, insertion and retirement maintenance that keeps every
+    node an induced embedded subgraph of its parent."""
 
     def __init__(self, g: EmbeddedMultigraph):
         self.root = self._build(g.copy(), 0)
@@ -548,10 +555,8 @@ class SeparatorTree:
         ``("rename", node, old, x)`` and ``("insert", node, f)``.  An
         unknown edge or a self-loop raises before anything changes.
         """
-        h = self.root.graph
-        u, w = h.endpoints(e)
-        du, dw = h.degree(u), h.degree(w)
-        x = u if du > dw else w if dw > du else min(u, w)
+        u, w = self.root.graph.endpoints(e)
+        x = merge_survivor(self.root.graph, u, w)
         events: list[tuple] = []
         self._contract(self.root, e, u, w, x, events)
         return events
@@ -577,20 +582,61 @@ class SeparatorTree:
         if old != x:
             node.graph.rename_vertex(old, x)
             events.append(("rename", node, old, x))
+        self._gain_edges(node, parent_h, x, events)
+        for child in node.children:
+            self._propagate_merge(child, node.graph, u, w, x, e, events)
+
+    def _gain_edges(self, node, parent_h, x, events):
+        """Insert into ``node`` every edge at x in its parent's graph
+        ``parent_h`` whose other end the node holds but which the node
+        lacks, at the parent's rotation positions, and propagate each
+        into the children that hold both of its ends."""
+        h = node.graph
         gained = []
         for d in parent_h.rotation(x):
             f = edge_of(d)
-            other = parent_h.vertex_of_dart(rev(d))
-            if not node.graph.has_edge(f) and node.graph.has_vertex(other):
+            if not h.has_edge(f) and h.has_vertex(
+                    parent_h.vertex_of_dart(rev(d))):
                 gained.append(f)
         for f in gained:
-            if node.graph.has_edge(f):
+            if h.has_edge(f):
                 continue  # both darts of a gained loop show up once each
-            self._aligned_insert(parent_h, node.graph, f)
+            self._aligned_insert(parent_h, h, f)
             events.append(("insert", node, f))
             self._propagate_insertion(node, f, events)
+
+    def apply_retire(self, r: int, x: int) -> list[tuple]:
+        """Remove vertex r of the root graph, which has degree 2 and
+        whose two neighbours are also neighbours of x across a quad
+        face: the outcome of merging r into x across that face, with
+        x's edges kept where the merge would leave parallel pairs.
+
+        r's edges are deleted first (:meth:`apply_deletion`).  Then,
+        walking down the nodes that hold r, root first, a node that
+        also holds x deletes r (``("retire", node, r, x)``), and one
+        without x renames r to x (``("rename", node, r, x)``) and gains
+        x's edges from its parent (``("insert", node, f)``), the step a
+        contraction takes in a node holding one endpoint, so every node
+        ends up holding the vertices it would hold after the merge.
+        """
+        events: list[tuple] = []
+        for f in [edge_of(d) for d in self.root.graph.rotation(r)]:
+            events += self.apply_deletion(f)
+        self._retire(self.root, None, r, x, events)
+        return events
+
+    def _retire(self, node, parent_h, r, x, events):
+        h = node.graph
+        if h.has_vertex(x):
+            h.delete_vertex(r)
+            events.append(("retire", node, r, x))
+        else:
+            h.rename_vertex(r, x)
+            events.append(("rename", node, r, x))
+            self._gain_edges(node, parent_h, x, events)
         for child in node.children:
-            self._propagate_merge(child, node.graph, u, w, x, e, events)
+            if child.graph.has_vertex(r):
+                self._retire(child, h, r, x, events)
 
     def apply_insertion(self, u: int, w: int,
                         after_u: int | None, after_w: int | None,

@@ -619,9 +619,13 @@ def _fv_split_contract(x: SpqrNode, f: list[int], i: int) -> int:
 
 
 def _cmap_merge(x: SpqrNode, keep_dart: int, gone_dart: int) -> None:
-    """Two corners merged in the vertex-face graph; the larger of their
-    edge ids survives and now belongs to ``keep_dart``."""
-    x.cmap[keep_dart] = max(x.cmap[keep_dart], x.cmap.pop(gone_dart))
+    """Two corners merged in the vertex-face graph, whose edges became
+    parallel and lost one of the two; the one the graph still holds
+    now belongs to ``keep_dart``."""
+    kept, gone = x.cmap[keep_dart], x.cmap.pop(gone_dart)
+    if not x.det.tree.root.graph.has_edge(kept):
+        kept = gone
+    x.cmap[keep_dart] = kept
 
 
 def _r_delete_edge(x: SpqrNode, e: int) -> None:
@@ -722,7 +726,11 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
     class, so the skeleton work is that of the classes that leave.
     Every step is also one detector op: a merge across a face of the
     vertex-face graph for a deletion or a contraction, an edge
-    contraction for a pendant removal."""
+    contraction for a pendant removal.  Most merges here retire a
+    corner of degree 2, a skeleton vertex of degree 2 or the face
+    between two parallel edges, which the detector removes in place
+    without a diagonal or a contraction (see
+    :meth:`Detector.merge_across`)."""
     g = x.graph
     across = []
     for e in sorted(gone):

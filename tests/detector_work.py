@@ -11,8 +11,11 @@ one line per kind:
   that decides whether one 4-cycle separates;
 - ``mutations``: calls of ``Detector.insert_edge``, ``contract_edge``
   and ``merge_across``;
-- ``renames``: ``rename`` events of ``SeparatorTree.apply_contraction``,
-  one per separator-tree node that relabels the one endpoint it holds;
+- ``renames``: ``rename`` events of ``SeparatorTree.apply_contraction``
+  and ``SeparatorTree.apply_retire``, one per separator-tree node that
+  relabels the one endpoint it holds;
+- ``retired``: calls of ``SeparatorTree.apply_retire``, the merges that
+  ``Detector.merge_across`` does by retiring a degree-2 corner in place;
 - ``candidates`` and ``lifted``: the growth of ``Detector``'s
   ``candidates_total`` and ``lifted_total`` over the mutations.
 
@@ -37,6 +40,7 @@ def _count(mods, work: Counter) -> None:
     Detector, SeparatorTree = fourcycle.Detector, separators.SeparatorTree
     walk = fourcycle.cycle_is_separating
     contraction = SeparatorTree.apply_contraction
+    retire = SeparatorTree.apply_retire
 
     def counted_walk(*args):
         work["walks"] += 1
@@ -44,6 +48,12 @@ def _count(mods, work: Counter) -> None:
 
     def counted_contraction(self, e):
         events = contraction(self, e)
+        work["renames"] += sum(ev[0] == "rename" for ev in events)
+        return events
+
+    def counted_retire(self, r, x):
+        events = retire(self, r, x)
+        work["retired"] += 1
         work["renames"] += sum(ev[0] == "rename" for ev in events)
         return events
 
@@ -60,6 +70,7 @@ def _count(mods, work: Counter) -> None:
 
     fourcycle.cycle_is_separating = counted_walk
     SeparatorTree.apply_contraction = counted_contraction
+    SeparatorTree.apply_retire = counted_retire
     for name in MUTATIONS:
         setattr(Detector, name, counted_mutation(getattr(Detector, name)))
 
@@ -81,6 +92,7 @@ def main() -> int:
             failed += sum(bool(r.failure) for r in res.records)
         print(f"{kind}: walks {work['walks']}, mutations "
               f"{work['mutations']}, renames {work['renames']}, "
+              f"retired {work['retired']}, "
               f"candidates {work['candidates']}, lifted {work['lifted']}")
     return 1 if failed else 0
 

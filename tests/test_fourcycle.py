@@ -478,6 +478,137 @@ def test_contraction_keeps_busier_endpoint(monkeypatch):
     assert lifted and not stray
 
 
+def _retiring_merges(h):
+    """``(r, x, after_r, after_x)`` for every corner r of degree 2 on a
+    quad face of four distinct corners whose opposite corner x keeps
+    its label when the two merge across that face."""
+    out = []
+    for f in h.faces():
+        vs = [h.vertex_of_dart(d) for d in f]
+        if len(f) != 4 or len(set(vs)) != 4:
+            continue
+        for i in range(4):
+            r, x = vs[i], vs[i - 2]
+            if h.degree(r) == 2 and (h.degree(x) > 2 or x < r):
+                out.append((r, x, h.rotation_prev(f[i]),
+                            h.rotation_prev(f[i - 2])))
+    return out
+
+
+def _merge_random_quad(det, rng):
+    """Merge the opposite corners of a random quad face, if distinct."""
+    h = det.tree.root.graph
+    f = rng.choice([f for f in h.faces() if len(f) == 4])
+    i = rng.randrange(4)
+    u, w = h.vertex_of_dart(f[i]), h.vertex_of_dart(f[i - 2])
+    if u != w:
+        det.merge_across(u, w, h.rotation_prev(f[i]),
+                         h.rotation_prev(f[i - 2]))
+
+
+def _retire_stream(det, rng, steps):
+    """A seeded stream of merges that retire a degree-2 corner r into
+    x across a quad: yields ``(r, x, args)``, for the caller to do
+    ``det.merge_across(*args)``, with the corners in either order.  The
+    steps with no such corner, and every third step, merge a random
+    quad instead, which makes more."""
+    h = det.tree.root.graph
+    for step in range(steps):
+        merges = _retiring_merges(h)
+        if not merges or step % 3 == 0:
+            _merge_random_quad(det, rng)
+            continue
+        r, x, after_r, after_x = rng.choice(merges)
+        yield r, x, ((r, x, after_r, after_x) if step % 2
+                     else (x, r, after_x, after_r))
+
+
+@pytest.mark.usefixtures("leaves")
+def test_degree2_corner_retires_in_place(monkeypatch):
+    # merging a degree-2 corner across a quad only removes that corner,
+    # so it inserts no diagonal and contracts nothing; the busier
+    # endpoint's label and corner edges are the ones that stay, so its
+    # rotation is untouched
+    calls = []
+    for name in ("apply_insertion", "apply_contraction"):
+        method = getattr(fourcycle.SeparatorTree, name)
+
+        def spy(self, *args, _method=method, **kw):
+            calls.append(args)
+            return _method(self, *args, **kw)
+        monkeypatch.setattr(fourcycle.SeparatorTree, name, spy)
+    retired = 0
+    for det, rng in _radial_detectors(debug=True):
+        h = det.tree.root.graph
+        for r, x, args in _retire_stream(det, rng, 40):
+            before = h.rotation(x)
+            calls.clear()
+            assert det.merge_across(*args) == x
+            assert not calls
+            assert not h.has_vertex(r) and h.rotation(x) == before
+            assert sep_edges(det) == separating_4cycles(h)
+            retired += 1
+        det.check()
+    assert retired
+
+
+@pytest.mark.usefixtures("leaves")
+def test_degree2_corner_on_large_face_merges(monkeypatch):
+    # a degree-2 corner merged across a face of degree 6 or more takes
+    # the general path: diagonal, contraction, quasi-simplification
+    retire = fourcycle.SeparatorTree.apply_retire
+    retired = []
+
+    def spy(self, r, x):
+        retired.append(r)
+        return retire(self, r, x)
+
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_retire", spy)
+    for rows, cols in ((5, 5), (4, 6), (2, 3)):
+        det = Detector(grid(rows, cols), debug=True)
+        h = det.tree.root.graph
+        outer = max(h.faces(), key=len)
+        assert len(outer) >= 6
+        corners = [d for d in outer if h.degree(h.vertex_of_dart(d)) == 2]
+        d_u, d_w = corners[0], corners[len(corners) // 2]
+        u, w = h.vertex_of_dart(d_u), h.vertex_of_dart(d_w)
+        x = det.merge_across(u, w, h.rotation_prev(d_u), h.rotation_prev(d_w))
+        assert x == min(u, w) and not h.has_vertex(max(u, w))
+        assert_exact(det)
+        det.check()
+    assert not retired
+
+
+@pytest.mark.usefixtures("small_leaves")
+def test_retire_renames_and_enters_separator(monkeypatch):
+    # with leaves of 16 vertices the retirements reach internal
+    # separator-tree nodes: one that holds r but not x renames r to x
+    # and gains x's edges, and where r was a separator vertex and x was
+    # not, x joins the separator and its paths join the table
+    retire = fourcycle.SeparatorTree.apply_retire
+    process = Detector._process_retire
+    seen = {"rename": 0, "enter": 0}
+
+    def spy_retire(self, r, x):
+        events = retire(self, r, x)
+        seen["rename"] += sum(ev[0] == "rename" for ev in events)
+        return events
+
+    def spy_process(self, st, r, x):
+        seen["enter"] += r in st.K and x not in st.K
+        return process(self, st, r, x)
+
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_retire", spy_retire)
+    monkeypatch.setattr(Detector, "_process_retire", spy_process)
+    det, rng = next(_radial_detectors(debug=True))
+    h = det.tree.root.graph
+    for _r, _x, args in _retire_stream(det, rng, 40):
+        det.merge_across(*args)
+        assert sep_edges(det) == separating_4cycles(h)
+        det.check()
+    assert seen["rename"] and seen["enter"]
+
+
 def test_contract_to_nothing():
     det = Detector(random_planar(20, 1, keep_biconnected=False),
                    debug=True)

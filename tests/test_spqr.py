@@ -383,6 +383,80 @@ def test_r_cut_walks_no_cycle(monkeypatch):
     assert seen["cuts"] and not seen["walks"]
 
 
+def test_r_cut_retires_degree2_corners_in_place(monkeypatch):
+    # a cut step whose merge retires a corner of degree 2 across a quad
+    # of the vertex-face graph (a skeleton vertex of degree 2, or the
+    # face between two parallel edges) removes that corner in place:
+    # it inserts no diagonal into the separator tree
+    r_cut = spqr._r_cut
+    merge = fourcycle.Detector.merge_across
+    insertion = separators.SeparatorTree.apply_insertion
+    seen = {"inside": 0, "retiring": 0, "inserts": 0}
+
+    def counted_cut(*args):
+        seen["inside"] += 1
+        try:
+            return r_cut(*args)
+        finally:
+            seen["inside"] -= 1
+
+    def checked_merge(self, u, w, after_u, after_w):
+        h = self.tree.root.graph
+        f = h.trace_face(h.rotation_next(after_u))
+        gone = u + w - separators.merge_survivor(h, u, w)
+        retiring = (seen["inside"] and h.degree(gone) == 2 and len(f) == 4
+                    and len({h.vertex_of_dart(d) for d in f}) == 4)
+        inserts = seen["inserts"]
+        x = merge(self, u, w, after_u, after_w)
+        if retiring:
+            seen["retiring"] += 1
+            assert seen["inserts"] == inserts, "a retiring cut step inserted"
+        return x
+
+    def counted_insertion(self, *args, **kw):
+        seen["inserts"] += 1
+        return insertion(self, *args, **kw)
+
+    monkeypatch.setattr(spqr, "_r_cut", counted_cut)
+    monkeypatch.setattr(fourcycle.Detector, "merge_across", checked_merge)
+    monkeypatch.setattr(separators.SeparatorTree, "apply_insertion",
+                        counted_insertion)
+    for seed in REPLAY_SEEDS:
+        g, ops, wants = _replay_case(seed)
+        tree = build_spqr(g)
+        for (op, e), want in zip(ops, wants):
+            fn = delete_edge if op == "d" else spqr.contract_edge
+            tree = fn(tree, e).tree
+            assert tree.serialize() == want
+    assert seen["retiring"]
+
+
+@pytest.mark.usefixtures("small_leaves")
+def test_potential_audit_holds_on_r_nodes(monkeypatch):
+    # the detector's debug audit (every mutation's candidates paid by
+    # the potential drop it causes) holds on the vertex-face graphs that
+    # R nodes feed it, with separator trees that have internal nodes
+    detector = fourcycle.Detector
+    phi = detector._phi
+    calls = {"phi": 0}
+
+    def counted_phi(self, node, K):
+        calls["phi"] += 1
+        return phi(self, node, K)
+
+    monkeypatch.setattr(spqr, "Detector",
+                        functools.partial(detector, debug=True))
+    monkeypatch.setattr(detector, "_phi", counted_phi)
+    for seed in REPLAY_SEEDS:
+        g, ops, wants = _replay_case(seed)
+        tree = build_spqr(g)
+        for (op, e), want in zip(ops, wants):
+            fn = delete_edge if op == "d" else spqr.contract_edge
+            tree = fn(tree, e).tree
+            assert tree.serialize() == want
+    assert calls["phi"]
+
+
 def test_path_classes_are_never_copied(monkeypatch):
     # builds and R splits share one decomposition: in both, a listed
     # class whose inner vertices all have degree 2 is a path, recorded
