@@ -89,15 +89,23 @@ class EmbeddedMultigraph:
         self._anchor: dict[int, int | None] = {}
         self._deg: dict[int, int] = {}
         self._next_eid = 0
+        self._next_token = -1   # fresh tokens for labels whose own is taken
 
     # ------------------------------------------------------------------
     # vertex identity
 
     def add_vertex(self, v: int) -> None:
-        if v in self._root_label or v in self._label_root:
+        """Add isolated vertex ``v``.  Its token is ``v`` unless a
+        contraction left another label on that token; then it takes a
+        fresh negative one."""
+        if v in self._label_root:
             raise ValueError(f"vertex label {v} already used")
-        self._root_label[v] = v
-        self._label_root[v] = v
+        token = v
+        while token in self._root_label:
+            token = self._next_token
+            self._next_token -= 1
+        self._root_label[token] = v
+        self._label_root[v] = token
         self._anchor[v] = None
         self._deg[v] = 0
 
@@ -568,6 +576,7 @@ class EmbeddedMultigraph:
         g._anchor = dict(self._anchor)
         g._deg = dict(self._deg)
         g._next_eid = self._next_eid
+        g._next_token = -1
         return g
 
     def induced(self, vs: set[int]) -> "EmbeddedMultigraph":

@@ -32,7 +32,10 @@ An R node keeps a separating-4-cycle detector over the vertex-face
 graph of its skeleton, which reports the separation pairs an operation
 creates.  The construction's decomposition then runs on the skeleton
 the node keeps: the pieces that leave inherit the reported pairs, so an
-update never counts pairs, and the node keeps its detector.
+update never counts pairs, and the node keeps its detector.  Two S or
+two P nodes that an update leaves adjacent merge by a 2-sum in place:
+the smaller skeleton is spliced into the larger one, whose node lives
+on, so a merge costs the smaller side and never rebuilds a skeleton.
 Instrumentation counters record re-parented nodes and the edges in the
 non-largest pieces.
 """
@@ -206,7 +209,10 @@ def _split_classes(g: EmbeddedMultigraph, a: int,
 def _skeleton(kind: str,
               edges: list[tuple[int, int, int]]) -> EmbeddedMultigraph:
     """Canonical embedding of an S skeleton (a simple cycle) or a P
-    skeleton (a parallel bundle) given as (eid, u, w)."""
+    skeleton (a parallel bundle) given as (eid, u, w).  The embedding
+    is canonical only at creation: later merges splice edges in where
+    the twin edge was (:func:`_splice`), and nothing reads the order of
+    a bundle's rotation."""
     if kind == "S":
         adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for e, u, w in edges:
@@ -223,16 +229,6 @@ def _skeleton(kind: str,
     ends = {e: (u, w) for e, u, w in edges}
     return EmbeddedMultigraph.build(
         [a, b], [(e, *ends[e]) for e in ids], {a: rot_a, b: rot_b})
-
-
-def _merged_skeleton(x: "SpqrNode", ex: int,
-                     y: "SpqrNode", ey: int) -> EmbeddedMultigraph:
-    """The skeleton of equal-kind S or P nodes x and y merged across
-    the twin pair (x, ex)-(y, ey), which disappears."""
-    edges = [(e, *z.graph.endpoints(e))
-             for z, drop in ((x, ex), (y, ey))
-             for e in sorted(z.graph.edge_ids()) if e != drop]
-    return _skeleton(x.kind, edges)
 
 
 def _class_run(g: EmbeddedMultigraph, v: int, cls: set[int]) -> list[int]:
@@ -1034,17 +1030,19 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
 def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
                     n2: SpqrNode, e2: int) -> SpqrNode:
     """Merge two adjacent equal-kind S or P nodes linked by the twin
-    pair (n1,e1)-(n2,e2).  The node with more children keeps its
-    identity (so its children keep their parent pointers for free) and
-    receives a rebuilt canonical skeleton; the other node's twin links,
-    real edges and children are re-seated onto it."""
+    pair (n1,e1)-(n2,e2) by a 2-sum in place.  The node with more
+    skeleton edges (``n1`` on a tie) keeps its identity and its graph,
+    into which :func:`_splice` puts the other skeleton; the other
+    node's real edges, twin links and children are re-seated onto it.
+    Every step walks only the smaller skeleton, so a merge costs
+    O(smaller), and a long cycle or bundle that keeps absorbing small
+    pieces is never rebuilt."""
     assert n1.kind == n2.kind and n1.kind in "SP"
-    if len(_children(n1)) >= len(_children(n2)):
-        keep, loser = n1, n2
+    if n1.graph.n_edges >= n2.graph.n_edges:
+        keep, ek, loser, el = n1, e1, n2, e2
     else:
-        keep, loser = n2, n1
-    skel = _merged_skeleton(n1, e1, n2, e2)
-    loser_reals = loser.real_ids()
+        keep, ek, loser, el = n2, e2, n1, e1
+    _splice(keep.kind, keep.graph, ek, loser.graph, el)
     n1.unlink(e1)
     # splice the dead node out of the rooted tree
     if keep.parent is loser:
@@ -1052,14 +1050,48 @@ def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
     for c in _children(loser):
         tree.set_parent(c, keep)
     loser.parent = None
-    keep.graph = skel
-    for e in list(loser.twin):
-        loser.move_twin(e, keep)
-    for e in loser_reals:
-        tree.shared.node_of_edge[e] = keep
+    for e in loser.graph.edge_ids():
+        if e in loser.twin:
+            loser.move_twin(e, keep)
+        elif e != el:
+            tree.shared.node_of_edge[e] = keep
     if tree._root is loser:
         tree._root = keep
     return keep
+
+
+def _splice(kind: str, g: EmbeddedMultigraph, ek: int,
+            h: EmbeddedMultigraph, el: int) -> None:
+    """2-sum of equal-kind S or P skeletons in place: replace edge
+    ``ek`` of g by the edges of h other than ``el``, where ``ek`` and
+    ``el`` join the same vertex pair.  Edge ids and orientations carry
+    over.  A cycle takes h's path between the pair, whose inner
+    vertices are new to g; a bundle takes h's other edges in h's
+    rotation order at the first end of ``ek``, right where ``ek`` was,
+    and in reverse at the second end, so it stays planar."""
+    d = dart(ek, 0)
+    a, b = g.vertex_of_dart(d), g.vertex_of_dart(rev(d))
+    if kind == "P":
+        after = {a: g.rotation_prev(d), b: g.rotation_prev(rev(d))}
+        rot = h.rotation(a)
+        i = next(i for i, x in enumerate(rot) if edge_of(x) == el)
+        g.delete_edge(ek)
+        for x in rot[i + 1:] + rot[:i]:
+            e = edge_of(x)
+            u, w = h.endpoints(e)
+            g.insert_edge(u, w, after[u], after[w], eid=e)
+            # x is now e's dart at a in g too: the next edge goes after
+            # it at a, and before it at b
+            after[a] = x
+        return
+    g.delete_edge(ek)
+    for v in h.vertices():
+        if v != a and v != b:
+            g.add_vertex(v)
+    for e in h.edge_ids():
+        if e != el:
+            u, w = h.endpoints(e)
+            g.insert_edge(u, w, g.any_dart(u), g.any_dart(w), eid=e)
 
 
 def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:

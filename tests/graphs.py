@@ -141,6 +141,13 @@ def grid(rows: int, cols: int) -> EmbeddedMultigraph:
     return from_straight_line_drawing(coords, edges)
 
 
+def inner_rungs(g: EmbeddedMultigraph, k: int) -> list[int]:
+    """The ids of the rungs c - (c + k) of the ladder ``g = grid(2, k)``
+    for c = 1 .. k - 2, in order."""
+    rung = {frozenset(g.endpoints(e)): e for e in g.edge_ids()}
+    return [rung[frozenset((c, c + k))] for c in range(1, k - 1)]
+
+
 def parallel_bundle(k: int, ids: list[int] | None = None) -> EmbeddedMultigraph:
     """Two vertices joined by k parallel edges."""
     if ids is None:

@@ -1,0 +1,93 @@
+"""Update scaling: time per op as the graph doubles, family by family.
+
+    python -m tests.scale_updates
+
+Run from the root of a checkout; pytest does not collect this file.
+The one family so far is the ladder ``grid(2, k)`` for k = 100, 200,
+400 and 800.  Deleting its inner rungs left to right dissolves one P
+node per op and merges the S node that keeps growing with the next
+square, so an update that costs the merged skeleton's size adds up to
+Theta(k^2).  For each k it prints the edge count m, the best of three
+passes in microseconds per op, the ratio to the time at k / 2 and the
+``EmbeddedMultigraph.build`` calls made inside the updates of one pass.
+An update cost that grows with the block doubles per doubling; a ratio
+above 1.6 is marked ``<-``.  Every final tree then goes through
+``check()``, outside the timing, and the exit status is 1 if any check
+failed.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+# the package's source directory, as pytest's ``pythonpath`` setting
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from planarconn.embed import EmbeddedMultigraph
+from planarconn.spqr import build_spqr, delete_edge
+
+from .graphs import grid, inner_rungs
+
+SIZES = (100, 200, 400, 800)
+REPEATS = 3
+RATIO_MARK = 1.6
+
+
+def ladder_pass(k: int) -> tuple[int, float, int, object]:
+    """Delete the inner rungs of ``grid(2, k)`` in order: the edge
+    count, seconds per op, ``build`` calls during the updates and the
+    final tree."""
+    g = grid(2, k)
+    tree = build_spqr(g)
+    ops = inner_rungs(g, k)
+    saved = EmbeddedMultigraph.__dict__["build"]
+    build = saved.__func__
+    calls = 0
+
+    def counting_build(cls, *args):
+        nonlocal calls
+        calls += 1
+        return build(cls, *args)
+
+    EmbeddedMultigraph.build = classmethod(counting_build)
+    try:
+        t0 = time.perf_counter()
+        for e in ops:
+            tree = delete_edge(tree, e).tree
+        secs = time.perf_counter() - t0
+    finally:
+        EmbeddedMultigraph.build = saved
+    return g.n_edges, secs / len(ops), calls, tree
+
+
+def main() -> int:
+    failed = 0
+    print("ladder grid(2, k), inner rungs deleted in order")
+    print(f"{'k':>5} {'m':>6} {'us_per_op':>10} {'builds':>7} {'ratio':>6}")
+    prev = None
+    for k in SIZES:
+        runs = [ladder_pass(k) for _ in range(REPEATS)]
+        secs = min(s for _, s, _, _ in runs)
+        m, _, calls, tree = runs[-1]
+        note = ""
+        if prev is not None:
+            note = f"{secs / prev:6.2f}"
+            if secs > RATIO_MARK * prev:
+                note += " <-"
+        try:
+            tree.check()
+        except AssertionError as ex:
+            failed += 1
+            note += f" check failed: {ex}"
+        print(f"{k:>5} {m:>6} {secs * 1e6:>10.1f} {calls:>7} {note}",
+              flush=True)
+        prev = secs
+    if failed:
+        print(f"{failed} trees failed check()")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

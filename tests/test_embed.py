@@ -185,6 +185,24 @@ def test_contract_explicit_survivor():
     assert not g.has_vertex(0)
 
 
+def test_add_vertex_takes_a_label_freed_by_contraction():
+    # contracting 1-2 into 1 moves vertex 1's one dart onto the token of
+    # the busier vertex 2, so label 2 is free while its number is
+    # still a token
+    g = EmbeddedMultigraph.build(
+        [1, 2, 3], [(0, 1, 2), (1, 2, 3)],
+        {1: [(0, 0)], 2: [(0, 1), (1, 0)], 3: [(1, 1)]})
+    g.contract_edge(0, keep=1)
+    g.add_vertex(2)
+    e = g.insert_edge(2, 3, None, g.any_dart(3))
+    assert sorted(g.vertices()) == [1, 2, 3]
+    assert g.endpoints(1) == (1, 3) and g.endpoints(e) == (2, 3)
+    g.check()
+    g.contract_edge(e, keep=2)
+    assert g.endpoints(1) == (1, 2)
+    g.check()
+
+
 def test_contract_only_edge():
     g = single_edge()
     g.contract_edge(0)

@@ -25,7 +25,7 @@ from planarconn.oracle import (
 )
 from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
-from .graphs import parallel_bundle, path
+from .graphs import grid, inner_rungs, parallel_bundle, path
 
 
 # (n, max face degree, seeds): face degree 24 leaves long chains of S
@@ -525,3 +525,95 @@ def test_renames_follow_label_order():
     assert _theta_renames(k, range(k, k // 2, -1)) == [
         k - j for j in range(k // 2)]
     assert _theta_renames(k, range(1, k // 2 + 1)) == [k] + [0] * (k // 2 - 1)
+
+
+def test_ladder_merges_splice_in_place(monkeypatch):
+    # deleting the inner rungs of the ladder grid(2, k) in order
+    # dissolves one P node per op and merges the growing S node with
+    # the next square: the smaller skeleton is spliced into the larger,
+    # so no update builds a graph, and a merge inserts at most the
+    # smaller skeleton's edge count
+    k = 30
+    g = grid(2, k)
+    tree = build_spqr(g)
+    build = EmbeddedMultigraph.build.__func__
+    insert = EmbeddedMultigraph.insert_edge
+    merge = spqr._merge_adjacent
+    seen = {"builds": 0, "inserts": 0, "merges": 0}
+
+    def counting_build(cls, *args):
+        seen["builds"] += 1
+        return build(cls, *args)
+
+    def counting_insert(self, *args, **kw):
+        seen["inserts"] += 1
+        return insert(self, *args, **kw)
+
+    def checked_merge(tree, n1, e1, n2, e2):
+        smaller = min(n1.graph.n_edges, n2.graph.n_edges)
+        inserts = seen["inserts"]
+        seen["merges"] += 1
+        out = merge(tree, n1, e1, n2, e2)
+        assert seen["inserts"] - inserts <= smaller
+        return out
+
+    monkeypatch.setattr(EmbeddedMultigraph, "build",
+                        classmethod(counting_build))
+    monkeypatch.setattr(EmbeddedMultigraph, "insert_edge", counting_insert)
+    monkeypatch.setattr(spqr, "_merge_adjacent", checked_merge)
+    for e in inner_rungs(g, k):
+        g.delete_edge(e)
+        log = delete_edge(tree, e)
+        assert log.kind == "intact"
+        tree = log.tree
+        tree.check()
+    monkeypatch.undo()
+    assert seen["builds"] == 0
+    assert seen["merges"] == k - 2
+    assert tree.serialize() == canonical_spqr(g)
+
+
+# The twin pair of a merge, with the other node's child: (kind, larger
+# skeleton, smaller skeleton less its virtual edge 11, the child), as
+# (eid, u, w) lists; the larger node's virtual edge 10 joins 0 and 1,
+# and virtual edge 12 links the smaller node with the child
+_MERGE_CASES = {
+    "S": ([(0, 0, 2), (1, 2, 3), (2, 3, 1), (10, 0, 1)],
+          [(12, 1, 4), (4, 4, 0)],
+          ("P", [(12, 1, 4), (5, 1, 4), (6, 4, 1)])),
+    "P": ([(0, 0, 1), (1, 0, 1), (2, 1, 0), (10, 0, 1)],
+          [(12, 0, 1), (4, 1, 0)],
+          ("S", [(12, 0, 1), (5, 0, 2), (6, 2, 1)])),
+}
+
+
+@pytest.mark.parametrize("larger_first", (True, False))
+@pytest.mark.parametrize("flipped", (False, True))
+@pytest.mark.parametrize("kind", "SP")
+def test_merge_keeps_the_larger_skeleton(kind, flipped, larger_first):
+    # the node with more skeleton edges keeps its identity, whichever
+    # side of the call it is on and however the twin pair is oriented;
+    # the smaller node is the root and has the only child, which
+    # follows the merge
+    big, small, (child_kind, child) = _MERGE_CASES[kind]
+    small = [*small, (11, 1, 0) if flipped else (11, 0, 1)]
+    x = spqr.SpqrNode(kind, spqr._skeleton(kind, big), {10})
+    y = spqr.SpqrNode(kind, spqr._skeleton(kind, small), {11, 12})
+    z = spqr.SpqrNode(child_kind, spqr._skeleton(child_kind, child), {12})
+    x.link(10, y, 11)
+    y.link(12, z, 12)
+    shared = spqr._Shared(spqr._Vids(13))
+    for nd in (x, y, z):
+        for e in nd.real_ids():
+            shared.node_of_edge[e] = nd
+    tree = spqr.SpqrTree(y, shared)
+    tree._reroot(y)
+    ends = {e: (u, w) for e, u, w in big + small if e not in (10, 11)}
+    args = (x, 10, y, 11) if larger_first else (y, 11, x, 10)
+    assert spqr._merge_adjacent(tree, *args) is x
+    tree.check()
+    assert tree.root is x and z.parent is x
+    assert x.twin == {12: (z, 12)}
+    assert {e: x.graph.endpoints(e) for e in x.graph.edge_ids()} == ends
+    assert all(shared.node_of_edge[e] is x for e in x.real_ids())
+    assert x.real_ids() == sorted(set(ends) - {12})
