@@ -16,28 +16,30 @@ pair of vertices is a separation pair exactly when the number of
 graph exceeds the number of edges joining them, because every such
 4-cycle that does not bound a quadrilateral vertex-face-graph face
 witnesses a separation and the facial ones correspond one-to-one to the
-joining edges.  The count runs once per decomposition: every split
-piece inherits the pairs of the graph that lie inside it, less the
-split pair, read off an index of the pairs by vertex.  At a split,
-searches from the pair find the separation classes and stop once only
-one class is still growing; of the classes they finished, a path
-becomes an S piece as it is and any other is copied out into a fresh
-piece, and the last one is cut free in the graph itself, so a split
-costs about its smaller side.  S and P pieces stay edge lists until
-equal-kind neighbours are merged, so each S or P skeleton is built
-once.
+joining edges.  The same count gives each pair its number of separation
+classes, its number of common faces.  The count runs once per
+decomposition: every split piece inherits the pairs of the graph that
+lie inside it, less the split pair, with their class counts, read off
+an index of the pairs by vertex.  At a split, searches from the pair
+find the separation classes and stop as soon as all classes but one are
+complete; of the classes they finished, a path becomes an S piece as
+it is and any other is copied out into a fresh piece, and the last one
+is cut free in the graph itself, so a split costs about its smaller
+side.  S and P pieces stay edge lists until equal-kind neighbours are
+merged, so each S or P skeleton is assembled once, edge by edge,
+without re-validation.
 
 Edge deletions and contractions keep the tree in step with the graph.
 An R node keeps a separating-4-cycle detector over the vertex-face
 graph of its skeleton, which reports the separation pairs an operation
-creates.  The construction's decomposition then runs on the skeleton
-the node keeps: the pieces that leave inherit the reported pairs, so an
-update never counts pairs, and the node keeps its detector.  Two S or
-two P nodes that an update leaves adjacent merge by a 2-sum in place:
-the smaller skeleton is spliced into the larger one, whose node lives
-on, so a merge costs the smaller side and never rebuilds a skeleton.
-Instrumentation counters record re-parented nodes and the edges in the
-non-largest pieces.
+creates, and their common faces.  The construction's decomposition then
+runs on the skeleton the node keeps: the pieces that leave inherit the
+reported pairs, so an update never counts pairs, and the node keeps its
+detector.  Two S or two P nodes that an update leaves adjacent merge by
+a 2-sum in place: the smaller skeleton is spliced into the larger one,
+whose node lives on, so a merge costs the smaller side and never
+rebuilds a skeleton.  Instrumentation counters record re-parented nodes
+and the edges in the non-largest pieces.
 """
 
 from __future__ import annotations
@@ -112,46 +114,56 @@ def _edge_multiplicity(g: EmbeddedMultigraph) -> dict[tuple[int, int], int]:
     return cnt
 
 
-def separation_pairs_embedded(g: EmbeddedMultigraph) -> set[tuple[int, int]]:
-    """All separation pairs of a biconnected embedded multigraph.
+def separation_pairs_embedded(
+        g: EmbeddedMultigraph) -> dict[tuple[int, int], int]:
+    """All separation pairs of a biconnected embedded multigraph, each
+    with its number of separation classes.
 
     A pair is separating exactly when its 4-cycle count through common
     faces in the vertex-face graph exceeds its joining-edge count; the
     count for a pair is elementary symmetric in its per-face corner
-    products.
+    products.  Its classes are the sectors of a's rotation between the
+    faces that hold b too, each a-b edge counting as one, so there are
+    as many as the pair has common faces.
     """
     emult = _edge_multiplicity(g)
-    out: set[tuple[int, int]] = set()
+    out: dict[tuple[int, int], int] = {}
     for pair, ps in _pair_products(g).items():
         if len(ps) < 2:
             continue
         s = sum(ps)
         cycles = (s * s - sum(p * p for p in ps)) // 2
         if cycles > emult.get(pair, 0):
-            out.add(pair)
+            out[pair] = len(ps)
     return out
 
 
 # ----------------------------------------------------------------------
 # separation classes
 
-def _split_classes(g: EmbeddedMultigraph, a: int,
-                   b: int) -> tuple[list[int], list[tuple[set[int], list[int]]]]:
-    """The separation classes of g's edges at the pair (a, b), all but
-    one, which is explored as little as possible.
+def _split_classes(
+        g: EmbeddedMultigraph, a: int, b: int, k: int
+) -> tuple[list[int], list[tuple[set[int], list[int]]]]:
+    """The ``k`` separation classes of g's edges at the pair (a, b), all
+    but one, which is explored as little as possible.
 
     Edges joining a and b are singletons.  One search starts at each
-    neighbour of a other than b; the searches take turns scanning one
-    vertex of g - {a, b} and merge when they meet, so a search that runs
-    dry has found a whole class.  They stop once at most one search
-    still grows: its class is the one left out, or the largest class if
-    every search ran dry.  Returns the singleton edges and, per listed
-    class, its edge set and its vertices other than a and b.
+    neighbour of a other than b; in every round each search scans one
+    vertex of g - {a, b}, and searches merge when they meet, so a search
+    that runs dry has found a whole class.  They stop once k - 1
+    classes are complete, the singletons and the dry searches: every
+    search still growing then belongs to the class left out.  If the
+    last two classes finish in the same round, the largest is left out.
+    So a call scans at most deg(a) vertices per round, for as many
+    rounds as its largest listed class has vertices.  Returns the
+    singleton edges and, per listed class, its edge set and its vertices
+    other than a and b.
     """
     singles: list[int] = []
     owner: dict[int, int] = {}      # vertex -> search that claimed it
     up: list[int] = []              # union-find over searches
     todo: list[list[int]] = []      # per search: claimed, not yet scanned
+    rots: dict[int, list[int]] = {}     # scanned vertex -> its rotation
     rotation, vertex_of = g.rotation, g.vertex_of_dart
     for d in rotation(a):
         w = vertex_of(rev(d))
@@ -168,14 +180,15 @@ def _split_classes(g: EmbeddedMultigraph, a: int,
             s = up[s]
         return s
 
-    growing = list(range(len(up)))
-    while len(growing) > 1:
+    roots = list(range(len(up)))
+    growing = roots
+    while growing and len(singles) + len(roots) - len(growing) < k - 1:
         for s in growing:
-            s = find(s)
-            if not todo[s]:
-                continue
+            if up[s] != s or not todo[s]:
+                continue    # merged into another search this round
             v = todo[s].pop()
-            for d in rotation(v):
+            rots[v] = rot = rotation(v)
+            for d in rot:
                 w = vertex_of(rev(d))
                 if w == a or w == b:
                     continue
@@ -192,11 +205,12 @@ def _split_classes(g: EmbeddedMultigraph, a: int,
                     up[t] = s
                     todo[s] += todo[t]
                     todo[t] = []
-        growing = [s for s in dict.fromkeys(map(find, growing)) if todo[s]]
+        roots = [s for s in roots if up[s] == s]
+        growing = [s for s in roots if todo[s]]
     inner: dict[int, list[int]] = defaultdict(list)
     for v, s in owner.items():
         inner[find(s)].append(v)
-    done = [({edge_of(d) for v in vs for d in rotation(v)}, vs)
+    done = [({edge_of(d) for v in vs for d in rots[v]}, vs)
             for s, vs in inner.items() if not todo[s]]
     if not growing:
         done.remove(max(done, key=lambda c: len(c[0])))
@@ -209,26 +223,32 @@ def _split_classes(g: EmbeddedMultigraph, a: int,
 def _skeleton(kind: str,
               edges: list[tuple[int, int, int]]) -> EmbeddedMultigraph:
     """Canonical embedding of an S skeleton (a simple cycle) or a P
-    skeleton (a parallel bundle) given as (eid, u, w).  The embedding
-    is canonical only at creation: later merges splice edges in where
-    the twin edge was (:func:`_splice`), and nothing reads the order of
-    a bundle's rotation."""
+    skeleton (a parallel bundle) given as (eid, u, w), assembled with
+    ``add_vertex`` and ``insert_edge`` in increasing id order: a cycle
+    and a bundle are plane by construction, so nothing is re-validated.
+    A bundle's rotation follows the ids at its smaller pole and runs in
+    reverse at the other.  The embedding is canonical only at creation:
+    later merges splice edges in where the twin edge was
+    (:func:`_splice`), and nothing reads the order of a bundle's
+    rotation."""
+    edges = sorted(edges)
+    g = EmbeddedMultigraph()
+    for v in sorted({x for _, u, w in edges for x in (u, w)}):
+        g.add_vertex(v)
     if kind == "S":
-        adj: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for e, u, w in edges:
-            adj[u].append((e, 0))
-            adj[w].append((e, 1))
-        assert all(len(ds) == 2 for ds in adj.values()), "not a cycle"
-        rotations = {v: sorted(ds) for v, ds in adj.items()}
-        return EmbeddedMultigraph.build(sorted(adj), edges, rotations)
-    (a, b) = sorted({x for _, u, w in edges for x in (u, w)})
-    ids = sorted(e for e, _, _ in edges)
-    side_at_a = {e: (0 if u == a else 1) for e, u, _ in edges}
-    rot_a = [(e, side_at_a[e]) for e in ids]
-    rot_b = [(e, 1 - side_at_a[e]) for e in reversed(ids)]
-    ends = {e: (u, w) for e, u, w in edges}
-    return EmbeddedMultigraph.build(
-        [a, b], [(e, *ends[e]) for e in ids], {a: rot_a, b: rot_b})
+            g.insert_edge(u, w, g.any_dart(u), g.any_dart(w), eid=e)
+        assert all(g.degree(v) == 2 for v in g.vertices()), "not a cycle"
+        return g
+    a, b = g.vertices()
+    last = None
+    for e, u, w in edges:
+        # each new dart goes after the last one at a, and right after
+        # the first one at b, which reverses the order there
+        after = {a: last, b: g.any_dart(b)}
+        g.insert_edge(u, w, after[u], after[w], eid=e)
+        last = dart(e, 0 if u == a else 1)
+    return g
 
 
 def _class_run(g: EmbeddedMultigraph, v: int, cls: set[int]) -> list[int]:
@@ -670,21 +690,33 @@ def _r_contract_edge(x: SpqrNode, e: int, keep: int) -> None:
     g.contract_edge(e, keep=keep)
 
 
-def _r_pairs(x: SpqrNode) -> set[tuple[int, int]]:
-    """The separation pairs of R node ``x``'s skeleton, read off the
-    separating 4-cycles its detector found since its last reset: a
-    cycle's two skeleton vertices are its diagonal or its two middle
-    vertices."""
-    pairs: set[tuple[int, int]] = set()
+def _r_pairs(x: SpqrNode) -> dict[tuple[int, int], int]:
+    """The separation pairs of R node ``x``'s skeleton, each with its
+    class count, read off the separating 4-cycles its detector found
+    since its last reset: a cycle's two skeleton vertices are its
+    diagonal or its two middle vertices, and its other two are faces
+    that hold both.  A pair's count is its number of common faces, which
+    are its cycles' faces and the faces beside its joining edges, read
+    through the corner map at its first vertex's darts to the second:
+    any other common face lies on a separating cycle with each second
+    one."""
+    faces: dict[tuple[int, int], set[int]] = defaultdict(set)
     for (a, b), m1, _lk1, m2, _lk2 in x.det.separating_now():
         if a in x.vvf:
             assert b in x.vvf and m1 not in x.vvf and m2 not in x.vvf
-            p, q = x.vvf[a], x.vvf[b]
+            p, q, f1, f2 = x.vvf[a], x.vvf[b], m1, m2
         else:
             assert m1 in x.vvf and m2 in x.vvf
-            p, q = x.vvf[m1], x.vvf[m2]
-        pairs.add((p, q) if p < q else (q, p))
-    return pairs
+            p, q, f1, f2 = x.vvf[m1], x.vvf[m2], a, b
+        faces[(p, q) if p < q else (q, p)].update((f1, f2))
+    g, fv = x.graph, x.det.tree.root.graph
+    for (p, q), fs in faces.items():
+        for d in g.rotation(p):
+            if g.vertex_of_dart(rev(d)) == q:
+                for c in (x.cmap[d], x.cmap[g.rotation_prev(d)]):
+                    u, w = fv.endpoints(c)
+                    fs.add(w if u in x.vvf else u)
+    return {pair: len(fs) for pair, fs in faces.items()}
 
 
 def _r_pendant_delete(x: SpqrNode, e: int) -> None:
@@ -758,20 +790,25 @@ def _rebuilt(g: EmbeddedMultigraph) -> EmbeddedMultigraph:
 
 
 class _PairIndex:
-    """The separation pairs of one working graph, indexed by vertex and
-    sorted.  A round of :func:`_decompose` takes the smallest pair and
-    then touches only the pairs at the vertices it cuts.  Pairs are
-    only ever removed, so the smallest one left is never before the
-    last one taken, and one pass over the sorted pairs serves every
-    round."""
+    """The separation pairs of one working graph with their class
+    counts, indexed by vertex and sorted.  A round of
+    :func:`_decompose` takes the smallest pair and then touches only the
+    pairs at the vertices it cuts.  Pairs are only ever removed, so the
+    smallest one left is never before the last one taken, and one pass
+    over the sorted pairs serves every round.  A count is the pair's
+    number of common faces, and it holds for as long as the pair does:
+    a cut at another pair removes no face that holds a surviving pair,
+    it only shortens the two faces beside the cut, and a piece copied
+    out keeps the faces of its pairs the same way."""
 
-    __slots__ = ("at", "order", "next", "n")
+    __slots__ = ("at", "count", "order", "next", "n")
 
-    def __init__(self, pairs: set[tuple[int, int]]):
+    def __init__(self, pairs: dict[tuple[int, int], int]):
         self.at: dict[int, set[tuple[int, int]]] = defaultdict(set)
         for q in pairs:
             self.at[q[0]].add(q)
             self.at[q[1]].add(q)
+        self.count = pairs
         self.order = sorted(pairs)
         self.next = 0
         self.n = len(pairs)
@@ -779,8 +816,9 @@ class _PairIndex:
     def __bool__(self) -> bool:
         return self.n > 0
 
-    def pop(self) -> tuple[int, int]:
-        """Remove and return the smallest pair, skipping those dropped."""
+    def pop(self) -> tuple[tuple[int, int], int]:
+        """Remove the smallest pair, skipping those dropped, and return
+        it with its class count."""
         while True:
             q = self.order[self.next]
             self.next += 1
@@ -788,13 +826,13 @@ class _PairIndex:
                 self.at[q[0]].discard(q)
                 self.at[q[1]].discard(q)
                 self.n -= 1
-                return q
+                return q, self.count[q]
 
     def inside(self, inner: list[int],
-               verts: set[int]) -> set[tuple[int, int]]:
+               verts: set[int]) -> dict[tuple[int, int], int]:
         """The pairs with an end in ``inner`` and both ends in
-        ``verts``."""
-        return {q for v in inner for q in self.at.get(v, ())
+        ``verts``, with their class counts."""
+        return {q: self.count[q] for v in inner for q in self.at.get(v, ())
                 if q[0] in verts and q[1] in verts}
 
     def drop_at(self, cut: set[int]) -> None:
@@ -805,22 +843,25 @@ class _PairIndex:
                 self.n -= 1
 
 
-def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
+def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
                vids, vid_base: int, pieces: list[tuple],
                r: SpqrNode | None = None) -> list[int]:
     """Append the S, P and R pieces of g to ``pieces``, drawing virtual
-    ids (all at or above ``vid_base``) from ``vids``.  ``pairs`` are the
-    separation pairs of g; g is consumed.  Returns the sizes of the
-    top-level split: the edge count of each class that leaves and of
-    each hub's joining edges, then that of what is left.
+    ids (all at or above ``vid_base``) from ``vids``.  ``pairs`` maps
+    the separation pairs of g to their class counts; g is consumed.
+    Returns the sizes of the top-level split: the edge count of each
+    class that leaves and of each hub's joining edges, then that of
+    what is left.
 
     A piece is ``(kind, body, virt)``: ``virt`` holds its virtual ids,
     and ``body`` is the skeleton graph of an R piece but only the
     ``(eid, u, w)`` edge list of an S or P piece, whose skeleton
-    :func:`_merge_same_kind` builds once per final node.
+    :func:`_merge_same_kind` assembles once per final node.
 
     Each round splits on the smallest pair (a, b), which a
-    :class:`_PairIndex` keeps at hand.  A separation class that
+    :class:`_PairIndex` keeps at hand with its class count, so the
+    searches of :func:`_split_classes` stop at the last class they
+    list.  A separation class that
     :func:`_split_classes` lists is a path when its inner vertices all
     have degree 2: with a virtual edge a-b it is an S piece, recorded
     as is.  Every other listed class is copied out into a fresh piece
@@ -861,8 +902,9 @@ def _decompose(g: EmbeddedMultigraph, pairs: set[tuple[int, int]],
                 pieces.append((kind, [(e, *g.endpoints(e))
                                       for e in g.edge_ids()], virt))
             return sizes
-        a, b = pair = index.pop()
-        singles, done = _split_classes(g, a, b)
+        pair, k = index.pop()
+        a, b = pair
+        singles, done = _split_classes(g, a, b, k)
         assert done or len(singles) >= 2, \
             "singleton class in a two-class split"
         gone = set(singles).union(*(cls for cls, _ in done))
@@ -956,15 +998,14 @@ def _merge_same_kind(pieces: list[tuple]) -> list[SpqrNode]:
         if kind == "R":
             out.append(SpqrNode(kind, body, virt))
             continue
-        edges = sorted(t for _, es, _ in group for t in es
-                       if t[0] not in inner)
+        edges = [t for _, es, _ in group for t in es if t[0] not in inner]
         out.append(SpqrNode(kind, _skeleton(kind, edges),
                             set().union(*(v for _, _, v in group)) - inner))
     return out
 
 
 def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph,
-                pairs: set[tuple[int, int]], r: SpqrNode | None = None
+                pairs: dict[tuple[int, int], int], r: SpqrNode | None = None
                 ) -> tuple[list[SpqrNode], list[int]]:
     """Decompose an embedded graph with separation pairs ``pairs``
     into SPQR nodes, drawing virtual ids from the shared source and

@@ -5,11 +5,15 @@
 Run from the root of a checkout; pytest does not collect this file.
 For each maximum face degree f in 8 and 24 it builds the SPQR-tree of
 ``random_planar(n, 1, max_face_degree=f)`` for n = 400, 800, ... 6400
-and prints n, the edge count m, the best of three build times and the
-ratio to the time at n / 2.  A near-linear build doubles per doubling;
-a ratio above 3.0 is marked ``<-``.  Every tree then goes through
-``check()``, outside the timing, and the exit status is 1 if any check
-failed.
+and prints n, the edge count m, the best of three build times, the
+ratio to the time at n / 2 and, from one more build outside the
+timing, the vertices that ``spqr._split_classes`` scanned per inner
+vertex of the classes it listed.  A near-linear build doubles per
+doubling; a ratio above 3.0 is marked ``<-``.  A split scans at most
+deg(a) vertices per round for as many rounds as its largest listed
+class has vertices, so the scan ratio stays a small constant.  Every
+tree then goes through ``check()``, outside the timing, and the exit
+status is 1 if any check failed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from pathlib import Path
 # the package's source directory, as pytest's ``pythonpath`` setting
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from planarconn import spqr
 from planarconn.generators import random_planar
 from planarconn.spqr import build_spqr
 
@@ -40,11 +45,41 @@ def best_build(g) -> tuple[float, object]:
     return best, tree
 
 
+def split_scans(g) -> float:
+    """The vertices ``spqr._split_classes`` scans per inner vertex of the
+    classes it lists, over one build of g: every rotation it reads but
+    the one at the pair's first vertex."""
+    split_classes = spqr._split_classes
+    seen = {"scanned": 0, "listed": 0}
+
+    def counted(h, a, b, k):
+        rotation = h.rotation
+
+        def counting(v):
+            seen["scanned"] += v != a
+            return rotation(v)
+
+        h.rotation = counting
+        try:
+            singles, done = split_classes(h, a, b, k)
+        finally:
+            del h.rotation
+        seen["listed"] += sum(len(inner) for _, inner in done)
+        return singles, done
+
+    spqr._split_classes = counted
+    try:
+        build_spqr(g)
+    finally:
+        spqr._split_classes = split_classes
+    return seen["scanned"] / max(1, seen["listed"])
+
+
 def main() -> int:
     failed = 0
     for f in FACE_DEGREES:
         print(f"max_face_degree {f}")
-        print(f"{'n':>6} {'m':>7} {'build_s':>9} {'ratio':>6}")
+        print(f"{'n':>6} {'m':>7} {'build_s':>9} {'scans':>6} {'ratio':>6}")
         prev = None
         for n in SIZES:
             g = random_planar(n, 1, max_face_degree=f)
@@ -59,7 +94,8 @@ def main() -> int:
             except AssertionError as ex:
                 failed += 1
                 note += f" check failed: {ex}"
-            print(f"{n:>6} {g.n_edges:>7} {secs:>9.3f} {note}", flush=True)
+            print(f"{n:>6} {g.n_edges:>7} {secs:>9.3f} {split_scans(g):>6.2f} "
+                  f"{note}", flush=True)
             prev = secs
     if failed:
         print(f"{failed} trees failed check()")

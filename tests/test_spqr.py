@@ -15,6 +15,7 @@ from planarconn.embed import (
     NotBiconnected,
     TooFewEdges,
     UnknownEdge,
+    edge_of,
     from_straight_line_drawing,
 )
 from planarconn.generators import random_delaunay, random_planar
@@ -154,7 +155,7 @@ def test_pairs_of_a_piece_are_inherited(n):
                 verts = _vertices(g, cls)
                 piece = spqr._piece_graph(g, cls, *p, vid)
                 assert spqr.separation_pairs_embedded(piece) == {
-                    q for q in pairs
+                    q: k for q, k in pairs.items()
                     if q != p and q[0] in verts and q[1] in verts}
 
 
@@ -163,9 +164,9 @@ def test_split_classes_match_oracle(max_face_degree):
     for seed in range(3):
         g = random_planar(28, seed, max_face_degree)
         every = set(g.edge_ids())
-        for a, b in spqr.separation_pairs_embedded(g):
+        for (a, b), k in spqr.separation_pairs_embedded(g).items():
             want = set(separation_classes(g, a, b))
-            singles, done = spqr._split_classes(g, a, b)
+            singles, done = spqr._split_classes(g, a, b, k)
             listed = {frozenset([e]) for e in singles}
             for cls, inner in done:
                 assert set(inner) == _vertices(g, cls) - {a, b}
@@ -176,6 +177,67 @@ def test_split_classes_match_oracle(max_face_degree):
             assert want - listed == {frozenset(rest)}
 
 
+@pytest.mark.parametrize("max_face_degree", (8, 24))
+def test_pair_counts_are_class_counts(max_face_degree):
+    # the classes at (a, b) are the sectors of a's rotation between the
+    # faces that hold b too, an a-b edge counting as one, so a pair's
+    # number of common faces is its number of classes
+    for seed in range(6):
+        g = random_planar(40, seed, max_face_degree)
+        for (a, b), k in spqr.separation_pairs_embedded(g).items():
+            assert k == len(separation_classes(g, a, b)), (seed, a, b)
+
+
+def test_skeletons_are_assembled_in_place(monkeypatch):
+    # a cycle and a bundle are plane by construction, so _skeleton puts
+    # them together edge by edge and never validates a rotation system
+    # through EmbeddedMultigraph.build; a bundle runs in id order at its
+    # smaller pole and in reverse at the other
+    build = EmbeddedMultigraph.build.__func__
+    skeleton = spqr._skeleton
+    seen = {"inside": False, "builds": 0, "S": 0, "P": 0}
+
+    def counting_build(cls, vertices, edges, rotations):
+        seen["builds"] += seen["inside"]
+        return build(cls, vertices, edges, rotations)
+
+    def checked_skeleton(kind, edges):
+        edges = list(edges)
+        seen["inside"] = True
+        try:
+            g = skeleton(kind, edges)
+        finally:
+            seen["inside"] = False
+        g.check()
+        assert sorted(g.edge_ids()) == sorted(e for e, _, _ in edges)
+        assert all(g.endpoints(e) == (u, w) for e, u, w in edges)
+        if kind == "S":
+            assert len(g.components()) == 1
+            assert all(g.degree(v) == 2 for v in g.vertices())
+        else:
+            a, b = sorted(g.vertices())
+            at_a = [edge_of(d) for d in g.rotation(a)]
+            at_b = [edge_of(d) for d in g.rotation(b)]
+            i = at_a.index(min(at_a))
+            assert at_a[i:] + at_a[:i] == sorted(at_a)
+            i = at_b.index(max(at_b))
+            assert at_b[i:] + at_b[:i] == sorted(at_b, reverse=True)
+        seen[kind] += 1
+        return g
+
+    monkeypatch.setattr(EmbeddedMultigraph, "build",
+                        classmethod(counting_build))
+    monkeypatch.setattr(spqr, "_skeleton", checked_skeleton)
+    for seed in range(4):
+        g = random_planar(40, seed, 24)
+        tree = build_spqr(g)
+        assert tree.serialize() == canonical_spqr(g)
+        tree.check()
+    assert seen["builds"] == 0 and seen["S"] and seen["P"]
+    with pytest.raises(AssertionError, match="not a cycle"):
+        skeleton("S", [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)])
+
+
 def test_build_counts_pairs_once(monkeypatch):
     # every piece inherits its separation pairs, only the classes that
     # finish first are copied out, a path class is recorded as an S
@@ -183,9 +245,10 @@ def test_build_counts_pairs_once(monkeypatch):
     # their nodes are known.  So the count runs once, _skeleton runs
     # once per S or P node, and the edges handed to
     # EmbeddedMultigraph.build stay within 3m: the skeletons hold m
-    # real edges and two per tree edge, plus the few copied classes.
-    # A recount and copy per level hands over Theta(m^2), and a
-    # skeleton built per piece and again per merged node about m log m
+    # real edges and two per tree edge, and only the few copied classes
+    # and the R pieces go through build.  A recount and copy per level
+    # hands over Theta(m^2), and a skeleton built per piece and again
+    # per merged node about m log m
     build = EmbeddedMultigraph.build.__func__
     count_pairs = spqr.separation_pairs_embedded
     skeleton = spqr._skeleton
@@ -474,8 +537,8 @@ def test_path_classes_are_never_copied(monkeypatch):
         seen["copies"] += 1
         return piece_graph(g, cls, a, b, vid)
 
-    def counted_split_classes(g, a, b):
-        singles, done = split_classes(g, a, b)
+    def counted_split_classes(g, a, b, k):
+        singles, done = split_classes(g, a, b, k)
         seen["paths"] += sum(is_path(g, cls, a, b) for cls, _ in done)
         return singles, done
 
@@ -493,6 +556,51 @@ def test_path_classes_are_never_copied(monkeypatch):
             tree = fn(tree, e).tree
             assert tree.serialize() == want
     assert seen["copies"] and seen["paths"]
+
+
+@pytest.mark.parametrize("seeds", ("replays", "builds"))
+def test_split_scans_stop_at_the_class_count(seeds, monkeypatch):
+    # a split runs one search per neighbour of a, one scan each per
+    # round, and stops once all classes but one are complete, which
+    # takes as many rounds as its largest listed class has vertices: so
+    # it reads at most deg(a) x (that count + 1) rotations, the one at a
+    # and the listed classes' edges included, however large the class
+    # it leaves out is
+    split_classes = spqr._split_classes
+    seen = {"calls": 0, "listed": 0}
+
+    def bounded(g, a, b, *rest):
+        rotation = g.rotation
+        reads = [0]
+
+        def counted(v):
+            reads[0] += 1
+            return rotation(v)
+
+        g.rotation = counted
+        try:
+            singles, done = split_classes(g, a, b, *rest)
+        finally:
+            del g.rotation
+        largest = max((len(inner) for _, inner in done), default=0)
+        assert reads[0] <= g.degree(a) * (largest + 1), (a, b, reads[0])
+        seen["calls"] += 1
+        seen["listed"] += len(done)
+        return singles, done
+
+    monkeypatch.setattr(spqr, "_split_classes", bounded)
+    if seeds == "builds":
+        for seed in range(4):
+            build_spqr(random_planar(100, seed, 24))
+    else:
+        for seed in REPLAY_SEEDS:
+            g, ops, wants = _replay_case(seed)
+            tree = build_spqr(g)
+            for (op, e), want in zip(ops, wants):
+                fn = delete_edge if op == "d" else spqr.contract_edge
+                tree = fn(tree, e).tree
+                assert tree.serialize() == want
+    assert seen["calls"] and seen["listed"]
 
 
 def _theta_renames(k: int, order) -> list[int]:
