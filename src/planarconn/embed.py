@@ -271,27 +271,33 @@ class EmbeddedMultigraph:
             x = self.face_next(x)
         return False
 
-    def faces(self) -> list[list[int]]:
-        seen: set[int] = set()
-        out: list[list[int]] = []
+    def _face_orbits(self) -> tuple[list[list[int]], dict[int, int]]:
+        """Every face as its dart cycle, and the index in that list of
+        the face traced from each dart: the one walk over all faces,
+        which every face enumeration here reads."""
+        cycles: list[list[int]] = []
+        face_of: dict[int, int] = {}
+        nxt = self._nxt     # trace_face's walk, inlined for speed
         for d in self._home:
-            if d in seen:
+            if d in face_of:
                 continue
-            cycle = self.trace_face(d)
-            seen.update(cycle)
-            out.append(cycle)
-        return out
+            i = face_of[d] = len(cycles)
+            cyc = [d]
+            x = nxt[d ^ 1]
+            while x != d:
+                cyc.append(x)
+                face_of[x] = i
+                x = nxt[x ^ 1]
+            cycles.append(cyc)
+        return cycles, face_of
+
+    def faces(self) -> list[list[int]]:
+        return self._face_orbits()[0]
 
     def n_faces(self) -> int:
         """Face count, including one face per isolated vertex."""
-        seen: set[int] = set()
-        n = 0
-        for d in self._home:
-            if d not in seen:
-                seen.update(self.trace_face(d))
-                n += 1
-        n += sum(1 for v, a in self._anchor.items() if a is None)
-        return n
+        return (len(self._face_orbits()[0])
+                + sum(1 for a in self._anchor.values() if a is None))
 
     # ------------------------------------------------------------------
     # construction
@@ -339,13 +345,7 @@ class EmbeddedMultigraph:
                     raise MalformedRotation(f"dart {e}:{side} listed twice")
                 placed.add(d)
                 darts.append(d)
-            for i, d in enumerate(darts):
-                g._home[d] = v
-                g._nxt[d] = darts[(i + 1) % len(darts)]
-                g._prv[d] = darts[(i - 1) % len(darts)]
-            if darts:
-                g._anchor[v] = darts[0]
-                g._deg[v] = len(darts)
+            g._set_rotation(v, darts)
         if len(placed) != len(expected):
             missing = next(iter(set(expected) - placed))
             raise MalformedRotation(
@@ -353,6 +353,24 @@ class EmbeddedMultigraph:
         if not g.euler_ok():
             raise EulerViolation("rotation system fails Euler's formula")
         return g
+
+    def _set_rotation(self, v: int, darts: Sequence[int]) -> None:
+        """Make ``darts`` the clockwise rotation of ``v``, a vertex with
+        no darts yet, unchecked: the darts must be in no other rotation.
+        Every whole rotation is written here, by :meth:`build`, which
+        validates first, and by the derived graphs, which need not."""
+        if not darts:
+            return
+        token = self._label_root[v]
+        home, nxt, prv = self._home, self._nxt, self._prv
+        last = darts[-1]
+        for d in darts:
+            home[d] = token
+            prv[d] = last
+            nxt[last] = d
+            last = d
+        self._anchor[v] = darts[0]
+        self._deg[v] = len(darts)
 
     # ------------------------------------------------------------------
     # mutations
@@ -542,14 +560,7 @@ class EmbeddedMultigraph:
         return out
 
     def euler_ok(self) -> bool:
-        face_id: dict[int, int] = {}
-        nf = 0
-        for d in self._home:
-            if d in face_id:
-                continue
-            for x in self.trace_face(d):
-                face_id[x] = nf
-            nf += 1
+        face_id = self._face_orbits()[1]
         for comp in self.components():
             nv = len(comp)
             ne = 0
@@ -588,13 +599,7 @@ class EmbeddedMultigraph:
         for v in vs:
             kept = [d for d in self.rotation(v)
                     if self.vertex_of_dart(d ^ 1) in vs]
-            for i, d in enumerate(kept):
-                g._home[d] = v
-                g._nxt[d] = kept[(i + 1) % len(kept)]
-                g._prv[d] = kept[(i - 1) % len(kept)]
-            if kept:
-                g._anchor[v] = kept[0]
-                g._deg[v] = len(kept)
+            g._set_rotation(v, kept)
             for d in kept:
                 g._edges[edge_of(d)] = None
         return g
@@ -609,27 +614,13 @@ class EmbeddedMultigraph:
         rotation at a face is its face cycle, which makes the double
         dual the identity on darts.
         """
-        face_of: dict[int, int] = {}
-        cycles: list[list[int]] = []
-        for d in self._home:
-            if d in face_of:
-                continue
-            cyc = self.trace_face(d)
-            for x in cyc:
-                face_of[x] = len(cycles)
-            cycles.append(cyc)
+        cycles, face_of = self._face_orbits()
         g = EmbeddedMultigraph()
-        for i in range(len(cycles)):
-            g.add_vertex(i)
         g._next_eid = self._next_eid
         g._edges = dict(self._edges)
         for i, cyc in enumerate(cycles):
-            for k, d in enumerate(cyc):
-                g._home[d] = i
-                g._nxt[d] = cyc[(k + 1) % len(cyc)]
-                g._prv[d] = cyc[(k - 1) % len(cyc)]
-            g._anchor[i] = cyc[0]
-            g._deg[i] = len(cyc)
+            g.add_vertex(i)
+            g._set_rotation(i, cyc)
         return g, face_of
 
     def corners(self) -> list[int]:
@@ -646,15 +637,7 @@ class EmbeddedMultigraph:
         face through the corner, which is the face orbit containing
         ``rotation_next(d)``.
         """
-        face_of: dict[int, int] = {}
-        cycles: list[list[int]] = []
-        for d in self._home:
-            if d in face_of:
-                continue
-            cyc = self.trace_face(d)
-            for x in cyc:
-                face_of[x] = len(cycles)
-            cycles.append(cyc)
+        cycles, face_of = self._face_orbits()
         offset = (max(self._label_root) + 1) if self._label_root else 0
         fv = EmbeddedMultigraph()
         for v in self._label_root:
@@ -670,27 +653,13 @@ class EmbeddedMultigraph:
         fv._edges = dict.fromkeys(range(ne))
         # vertex-side rotations follow the primal rotations
         for v in self._label_root:
-            rot = self.rotation(v)
-            darts = [dart(fv_edge_of_corner[d], 0) for d in rot]
-            for i, fd in enumerate(darts):
-                fv._home[fd] = v
-                fv._nxt[fd] = darts[(i + 1) % len(darts)]
-                fv._prv[fd] = darts[(i - 1) % len(darts)]
-            if darts:
-                fv._anchor[v] = darts[0]
-                fv._deg[v] = len(darts)
+            fv._set_rotation(v, [dart(fv_edge_of_corner[d], 0)
+                                 for d in self.rotation(v)])
         # face-side rotations follow the face cycles; corner d lies on
         # the face traced from nxt[d], between rev(d) and nxt[d]
         for i, cyc in enumerate(cycles):
-            fdarts = [dart(fv_edge_of_corner[x ^ 1], 1) for x in cyc]
-            fdarts.reverse()
-            v = offset + i
-            for k, fd in enumerate(fdarts):
-                fv._home[fd] = v
-                fv._nxt[fd] = fdarts[(k + 1) % len(fdarts)]
-                fv._prv[fd] = fdarts[(k - 1) % len(fdarts)]
-            fv._anchor[v] = fdarts[0]
-            fv._deg[v] = len(fdarts)
+            fv._set_rotation(offset + i, [dart(fv_edge_of_corner[x ^ 1], 1)
+                                          for x in reversed(cyc)])
         return fv, FvInfo(offset=offset,
                           face_of_dart=face_of,
                           fv_edge_of_corner=fv_edge_of_corner)

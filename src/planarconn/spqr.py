@@ -10,24 +10,27 @@ has a twin in the neighboring node's skeleton spanning the same
 separation pair, and no two adjacent nodes have equal kind S or P.
 
 Construction splits on separation pairs.  Separation pairs of an
-embedded graph are found by counting, which only needs the faces: a
-pair of vertices is a separation pair exactly when the number of
-4-cycles through them and two of their common faces in the vertex-face
-graph exceeds the number of edges joining them, because every such
-4-cycle that does not bound a quadrilateral vertex-face-graph face
-witnesses a separation and the facial ones correspond one-to-one to the
-joining edges.  The same count gives each pair its number of separation
-classes, its number of common faces.  The count runs once per
+embedded graph are found by counting, which only needs the faces.  A
+face walk of a biconnected graph meets each vertex at most once, so a
+pair of vertices with k common faces lies on k(k - 1)/2 4-cycles
+through two of those faces in the vertex-face graph.  The pair is a
+separation pair exactly when that number exceeds the number of edges
+joining them, because every such 4-cycle that does not bound a
+quadrilateral vertex-face-graph face witnesses a separation and the
+facial ones correspond one-to-one to the joining edges.  The same k is
+the pair's number of separation classes.  The count runs once per
 decomposition: every split piece inherits the pairs of the graph that
 lie inside it, less the split pair, with their class counts, read off
 an index of the pairs by vertex.  At a split, searches from the pair
 find the separation classes and stop as soon as all classes but one are
 complete; of the classes they finished, a path becomes an S piece as
-it is and any other is copied out into a fresh piece, and the last one
-is cut free in the graph itself, so a split costs about its smaller
-side.  S and P pieces stay edge lists until equal-kind neighbours are
-merged, so each S or P skeleton is assembled once, edge by edge,
-without re-validation.
+it is and any other is copied out into a fresh piece, the subgraph its
+vertices induce, and the last one is cut free in the graph itself, so
+a split costs about its smaller side.  S and P pieces stay edge lists
+until equal-kind neighbours are merged, so each S or P skeleton is
+assembled once, edge by edge.  No skeleton goes through the validated
+``EmbeddedMultigraph.build``: every one is cut, induced or assembled
+from a plane graph, and ``SpqrTree.check`` re-checks them.
 
 Edge deletions and contractions keep the tree in step with the graph.
 An R node keeps a separating-4-cycle detector over the vertex-face
@@ -44,8 +47,9 @@ and the edges in the non-largest pieces.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
 from .embed import (
     EmbeddedMultigraph,
@@ -62,21 +66,10 @@ from .fourcycle import Detector
 # ----------------------------------------------------------------------
 # biconnectivity and separation pairs, both read off the faces
 
-def _face_incidences(g: EmbeddedMultigraph):
-    """Per face: the multiplicity of each vertex on its boundary."""
-    seen: set[int] = set()
-    out: list[dict[int, int]] = []
-    for d in g.corners():
-        if d in seen:
-            continue
-        cyc = g.trace_face(d)
-        seen.update(cyc)
-        mult: dict[int, int] = {}
-        for x in cyc:
-            v = g.vertex_of_dart(x)
-            mult[v] = mult.get(v, 0) + 1
-        out.append(mult)
-    return out
+def _face_vertices(g: EmbeddedMultigraph) -> list[list[int]]:
+    """Per face: the vertices its walk meets, in walk order."""
+    vertex_of = g.vertex_of_dart
+    return [[vertex_of(x) for x in cyc] for cyc in g.faces()]
 
 
 def is_biconnected_embedded(g: EmbeddedMultigraph) -> bool:
@@ -89,20 +82,7 @@ def is_biconnected_embedded(g: EmbeddedMultigraph) -> bool:
         return False
     if g.n_vertices == 2:
         return g.n_edges >= 2
-    return all(k == 1 for mult in _face_incidences(g) for k in mult.values())
-
-
-def _pair_products(g: EmbeddedMultigraph):
-    """For each vertex pair on a common face, the list of per-face
-    corner-multiplicity products."""
-    prods: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for mult in _face_incidences(g):
-        vs = sorted(mult)
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                a, b = vs[i], vs[j]
-                prods[(a, b)].append(mult[a] * mult[b])
-    return prods
+    return all(len(set(vs)) == len(vs) for vs in _face_vertices(g))
 
 
 def _edge_multiplicity(g: EmbeddedMultigraph) -> dict[tuple[int, int], int]:
@@ -119,23 +99,18 @@ def separation_pairs_embedded(
     """All separation pairs of a biconnected embedded multigraph, each
     with its number of separation classes.
 
-    A pair is separating exactly when its 4-cycle count through common
-    faces in the vertex-face graph exceeds its joining-edge count; the
-    count for a pair is elementary symmetric in its per-face corner
-    products.  Its classes are the sectors of a's rotation between the
-    faces that hold b too, each a-b edge counting as one, so there are
-    as many as the pair has common faces.
+    A face walk of a biconnected graph meets each vertex at most once,
+    so a pair with k common faces lies on k(k - 1)/2 4-cycles through
+    two of them in the vertex-face graph, and it is separating exactly
+    when that exceeds its joining-edge count.  Its classes are the
+    sectors of a's rotation between the faces that hold b too, each a-b
+    edge counting as one, so there are k of them.
     """
+    common = Counter(pair for vs in _face_vertices(g)
+                     for pair in combinations(sorted(vs), 2))
     emult = _edge_multiplicity(g)
-    out: dict[tuple[int, int], int] = {}
-    for pair, ps in _pair_products(g).items():
-        if len(ps) < 2:
-            continue
-        s = sum(ps)
-        cycles = (s * s - sum(p * p for p in ps)) // 2
-        if cycles > emult.get(pair, 0):
-            out[pair] = len(ps)
-    return out
+    return {pair: k for pair, k in common.items()
+            if k * (k - 1) // 2 > emult.get(pair, 0)}
 
 
 # ----------------------------------------------------------------------
@@ -272,23 +247,18 @@ def _class_run(g: EmbeddedMultigraph, v: int, cls: set[int]) -> list[int]:
 def _piece_graph(g: EmbeddedMultigraph, cls: set[int],
                  a: int, b: int, vid: int) -> EmbeddedMultigraph:
     """The embedded split piece: one separation class plus a virtual
-    edge ``vid`` joining a and b, inserted at the class's run boundary."""
-    verts = {a, b}
-    edges = []
-    for e in sorted(cls):
-        u, w = g.endpoints(e)
-        verts.update((u, w))
-        edges.append((e, u, w))
-    edges.append((vid, a, b))
-    rotations: dict[int, list[tuple[int, int]]] = {}
-    for v in verts:
-        if v in (a, b):
-            run = [(edge_of(d), d & 1) for d in _class_run(g, v, cls)]
-            run.append((vid, 0 if v == a else 1))
-            rotations[v] = run
-        else:
-            rotations[v] = [(edge_of(d), d & 1) for d in g.rotation(v)]
-    return EmbeddedMultigraph.build(sorted(verts), edges, rotations)
+    edge ``vid`` joining a and b, right after the class's run at a and
+    at b.  The class holds every edge at its inner vertices, so the
+    subgraph induced by its vertices is the class plus the a-b edges
+    outside it; a subgraph of a plane graph, closed by an edge inside
+    one face, is plane, so nothing is re-validated."""
+    piece = g.induced(dict.fromkeys(sorted(
+        {a, b}.union(*(g.endpoints(e) for e in cls)))))
+    for e in [e for e in piece.edge_ids() if e not in cls]:
+        piece.delete_edge(e)
+    piece.insert_edge(a, b, _class_run(g, a, cls)[-1],
+                      _class_run(g, b, cls)[-1], eid=vid)
+    return piece
 
 
 def _is_simple_cycle_graph(g: EmbeddedMultigraph) -> bool:
@@ -780,15 +750,6 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
     return across[0]
 
 
-def _rebuilt(g: EmbeddedMultigraph) -> EmbeddedMultigraph:
-    """A fresh, validated copy of g with the same rotations."""
-    return EmbeddedMultigraph.build(
-        sorted(g.vertices()),
-        [(e, *g.endpoints(e)) for e in sorted(g.edge_ids())],
-        {v: [(edge_of(d), d & 1) for d in g.rotation(v)]
-         for v in g.vertices()})
-
-
 class _PairIndex:
     """The separation pairs of one working graph with their class
     counts, indexed by vertex and sorted.  A round of
@@ -884,7 +845,6 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
     costs the pieces that leave.
     """
     index = _PairIndex(pairs)
-    peeled = False
     sizes: list[int] = []
     while True:
         kind = ("P" if g.n_vertices == 2
@@ -897,7 +857,7 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
                 r.kind = kind
                 r.twin.update(dict.fromkeys(sorted(virt)))
             elif kind == "R":
-                pieces.append((kind, _rebuilt(g) if peeled else g, virt))
+                pieces.append((kind, g, virt))
             else:
                 pieces.append((kind, [(e, *g.endpoints(e))
                                       for e in g.edge_ids()], virt))
@@ -946,7 +906,6 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
             for v in cut:
                 g.delete_vertex(v)
             g.insert_edge(a, b, *after, eid=vid)
-        peeled = True
         index.drop_at(cut)
 
 

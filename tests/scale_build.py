@@ -4,16 +4,19 @@
 
 Run from the root of a checkout; pytest does not collect this file.
 For each maximum face degree f in 8 and 24 it builds the SPQR-tree of
-``random_planar(n, 1, max_face_degree=f)`` for n = 400, 800, ... 6400
-and prints n, the edge count m, the best of three build times, the
-ratio to the time at n / 2 and, from one more build outside the
-timing, the vertices that ``spqr._split_classes`` scanned per inner
-vertex of the classes it listed.  A near-linear build doubles per
-doubling; a ratio above 3.0 is marked ``<-``.  A split scans at most
-deg(a) vertices per round for as many rounds as its largest listed
-class has vertices, so the scan ratio stays a small constant.  Every
-tree then goes through ``check()``, outside the timing, and the exit
-status is 1 if any check failed.
+``random_planar(n, 1, max_face_degree=f)`` for n = 400, 800, ... 6400,
+then that of the ladder ``grid(2, k)``, the cycle ``cycle(n)`` and the
+wheel ``wheel(k)`` for sizes 200, 400 and 800, whose long faces hold
+many co-facial vertex pairs.  Per row it prints the size, the edge
+count m, the best of three build times, the ratio to the time at half
+the size and, from one more build outside the timing, the vertices
+that ``spqr._split_classes`` scanned per inner vertex of the classes it
+listed.  A near-linear build doubles per doubling; a ratio above 3.0
+is marked ``<-``.  A split scans at most deg(a) vertices per round for
+as many rounds as its largest listed class has vertices, so the scan
+ratio stays a small constant.  Every tree then goes through
+``check()``, outside the timing, and the exit status is 1 if any check
+failed.
 """
 
 from __future__ import annotations
@@ -29,8 +32,19 @@ from planarconn import spqr
 from planarconn.generators import random_planar
 from planarconn.spqr import build_spqr
 
-FACE_DEGREES = (8, 24)
+from .graphs import cycle, grid, wheel
+
 SIZES = (400, 800, 1600, 3200, 6400)
+FAMILY_SIZES = (200, 400, 800)
+# (title, size column, graph of a size, sizes)
+FAMILIES = (
+    *((f"max_face_degree {f}", "n",
+       lambda n, f=f: random_planar(n, 1, max_face_degree=f), SIZES)
+      for f in (8, 24)),
+    ("ladder grid(2, k)", "k", lambda k: grid(2, k), FAMILY_SIZES),
+    ("cycle(n)", "n", cycle, FAMILY_SIZES),
+    ("wheel(k)", "k", wheel, FAMILY_SIZES),
+)
 REPEATS = 3
 RATIO_MARK = 3.0
 
@@ -77,12 +91,12 @@ def split_scans(g) -> float:
 
 def main() -> int:
     failed = 0
-    for f in FACE_DEGREES:
-        print(f"max_face_degree {f}")
-        print(f"{'n':>6} {'m':>7} {'build_s':>9} {'scans':>6} {'ratio':>6}")
+    for title, size, make, sizes in FAMILIES:
+        print(title)
+        print(f"{size:>6} {'m':>7} {'build_s':>9} {'scans':>6} {'ratio':>6}")
         prev = None
-        for n in SIZES:
-            g = random_planar(n, 1, max_face_degree=f)
+        for n in sizes:
+            g = make(n)
             secs, tree = best_build(g)
             note = ""
             if prev is not None:

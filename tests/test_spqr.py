@@ -15,6 +15,7 @@ from planarconn.embed import (
     NotBiconnected,
     TooFewEdges,
     UnknownEdge,
+    dart,
     edge_of,
     from_straight_line_drawing,
 )
@@ -23,10 +24,23 @@ from planarconn.oracle import (
     canonical_spqr,
     is_biconnected,
     separation_classes,
+    separation_pairs,
 )
 from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
-from .graphs import grid, inner_rungs, parallel_bundle, path
+from .graphs import (
+    bigon,
+    cube,
+    cycle,
+    diamond,
+    grid,
+    inner_rungs,
+    k4,
+    k24,
+    parallel_bundle,
+    path,
+    wheel,
+)
 
 
 # (n, max face degree, seeds): face degree 24 leaves long chains of S
@@ -143,7 +157,10 @@ def _vertices(g, edges) -> set[int]:
 def test_pairs_of_a_piece_are_inherited(n):
     # the split-component lemma the construction rests on: the
     # separation pairs of a split piece are the graph's pairs inside it,
-    # less the split pair
+    # less the split pair.  A piece is an induced subgraph closed by its
+    # virtual edge, never validated by EmbeddedMultigraph.build, so it
+    # must pass check() itself and carry the class's run of darts at a
+    # and at b followed by the virtual edge
     for seed in range(4):
         g = random_planar(n, seed, 24)
         pairs = spqr.separation_pairs_embedded(g)
@@ -154,6 +171,12 @@ def test_pairs_of_a_piece_are_inherited(n):
                     continue
                 verts = _vertices(g, cls)
                 piece = spqr._piece_graph(g, cls, *p, vid)
+                piece.check()
+                for side, v in enumerate(p):
+                    want = [*spqr._class_run(g, v, cls), dart(vid, side)]
+                    rot = piece.rotation(v)
+                    i = rot.index(want[0])
+                    assert rot[i:] + rot[:i] == want, (seed, p, v)
                 assert spqr.separation_pairs_embedded(piece) == {
                     q: k for q, k in pairs.items()
                     if q != p and q[0] in verts and q[1] in verts}
@@ -177,37 +200,51 @@ def test_split_classes_match_oracle(max_face_degree):
             assert want - listed == {frozenset(rest)}
 
 
-@pytest.mark.parametrize("max_face_degree", (8, 24))
-def test_pair_counts_are_class_counts(max_face_degree):
+@pytest.mark.parametrize("case", (8, 24, "fixed"))
+def test_pair_counts_are_class_counts(case):
     # the classes at (a, b) are the sectors of a's rotation between the
     # faces that hold b too, an a-b edge counting as one, so a pair's
-    # number of common faces is its number of classes
-    for seed in range(6):
-        g = random_planar(40, seed, max_face_degree)
-        for (a, b), k in spqr.separation_pairs_embedded(g).items():
-            assert k == len(separation_classes(g, a, b)), (seed, a, b)
+    # number of common faces is its number of classes; and the pairs
+    # are exactly the oracle's.  The fixed graphs have long faces or
+    # pairs joined by parallel edges, unlike random_planar's
+    if case == "fixed":
+        graphs = [*map(parallel_bundle, range(3, 7)), bigon(), k24(),
+                  *map(cycle, range(3, 8)), *map(wheel, (3, 5, 8)),
+                  cube(), diamond(), k4()]
+    else:
+        graphs = [random_planar(40, seed, case) for seed in range(6)]
+    for i, g in enumerate(graphs):
+        pairs = spqr.separation_pairs_embedded(g)
+        assert {frozenset(p) for p in pairs} == separation_pairs(g), i
+        for (a, b), k in pairs.items():
+            assert k == len(separation_classes(g, a, b)), (i, a, b)
 
 
 def test_skeletons_are_assembled_in_place(monkeypatch):
-    # a cycle and a bundle are plane by construction, so _skeleton puts
-    # them together edge by edge and never validates a rotation system
-    # through EmbeddedMultigraph.build; a bundle runs in id order at its
-    # smaller pole and in reverse at the other
+    # every skeleton is made from a plane graph spqr holds: S and P
+    # skeletons edge by edge in _skeleton, copied pieces as induced
+    # subgraphs, the last piece in the graph itself.  So nothing inside
+    # build_spqr, delete_edge or contract_edge validates a rotation
+    # system through EmbeddedMultigraph.build.  A bundle runs in id
+    # order at its smaller pole and in reverse at the other
     build = EmbeddedMultigraph.build.__func__
     skeleton = spqr._skeleton
-    seen = {"inside": False, "builds": 0, "S": 0, "P": 0}
+    seen = {"inside": False, "builds": 0, "S": 0, "P": 0, "ops": 0}
 
     def counting_build(cls, vertices, edges, rotations):
         seen["builds"] += seen["inside"]
         return build(cls, vertices, edges, rotations)
 
-    def checked_skeleton(kind, edges):
-        edges = list(edges)
+    def inside(fn, *args):
         seen["inside"] = True
         try:
-            g = skeleton(kind, edges)
+            return fn(*args)
         finally:
             seen["inside"] = False
+
+    def checked_skeleton(kind, edges):
+        edges = list(edges)
+        g = skeleton(kind, edges)
         g.check()
         assert sorted(g.edge_ids()) == sorted(e for e, _, _ in edges)
         assert all(g.endpoints(e) == (u, w) for e, u, w in edges)
@@ -230,10 +267,19 @@ def test_skeletons_are_assembled_in_place(monkeypatch):
     monkeypatch.setattr(spqr, "_skeleton", checked_skeleton)
     for seed in range(4):
         g = random_planar(40, seed, 24)
-        tree = build_spqr(g)
+        tree = inside(build_spqr, g)
         assert tree.serialize() == canonical_spqr(g)
         tree.check()
-    assert seen["builds"] == 0 and seen["S"] and seen["P"]
+    for seed in REPLAY_SEEDS:
+        g, ops, wants = _replay_case(seed)
+        tree = inside(build_spqr, g)
+        for (op, e), want in zip(ops, wants):
+            fn = delete_edge if op == "d" else contract_edge
+            tree = inside(fn, tree, e).tree
+            seen["ops"] += 1
+            assert tree.serialize() == want
+        tree.check()
+    assert seen["builds"] == 0 and seen["S"] and seen["P"] and seen["ops"]
     with pytest.raises(AssertionError, match="not a cycle"):
         skeleton("S", [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)])
 
@@ -245,10 +291,10 @@ def test_build_counts_pairs_once(monkeypatch):
     # their nodes are known.  So the count runs once, _skeleton runs
     # once per S or P node, and the edges handed to
     # EmbeddedMultigraph.build stay within 3m: the skeletons hold m
-    # real edges and two per tree edge, and only the few copied classes
-    # and the R pieces go through build.  A recount and copy per level
-    # hands over Theta(m^2), and a skeleton built per piece and again
-    # per merged node about m log m
+    # real edges and two per tree edge (no piece goes through build at
+    # all, which test_skeletons_are_assembled_in_place asserts).  A
+    # recount and copy per level hands over Theta(m^2), and a skeleton
+    # built per piece and again per merged node about m log m
     build = EmbeddedMultigraph.build.__func__
     count_pairs = spqr.separation_pairs_embedded
     skeleton = spqr._skeleton
