@@ -242,33 +242,39 @@ class EmbeddedMultigraph:
     def face_next(self, d: int) -> int:
         return self._nxt[d ^ 1]
 
+    # the face walks below step through ``_nxt`` directly: a face_next
+    # call per dart would cost more than the step itself
+
     def trace_face(self, d: int) -> list[int]:
+        nxt = self._nxt
         out = [d]
-        x = self.face_next(d)
+        x = nxt[d ^ 1]
         while x != d:
             out.append(x)
-            x = self.face_next(x)
+            x = nxt[x ^ 1]
         return out
 
     def face_degree_at_most(self, d: int, k: int) -> int | None:
         """Degree of the face through ``d`` if it is <= k, else None."""
+        nxt = self._nxt
         n = 1
-        x = self.face_next(d)
+        x = nxt[d ^ 1]
         while x != d:
             n += 1
             if n > k:
                 return None
-            x = self.face_next(x)
+            x = nxt[x ^ 1]
         return n
 
     def same_face(self, d1: int, d2: int) -> bool:
         if d1 == d2:
             return True
-        x = self.face_next(d1)
+        nxt = self._nxt
+        x = nxt[d1 ^ 1]
         while x != d1:
             if x == d2:
                 return True
-            x = self.face_next(x)
+            x = nxt[x ^ 1]
         return False
 
     def _face_orbits(self) -> tuple[list[list[int]], dict[int, int]]:
@@ -277,7 +283,7 @@ class EmbeddedMultigraph:
         which every face enumeration here reads."""
         cycles: list[list[int]] = []
         face_of: dict[int, int] = {}
-        nxt = self._nxt     # trace_face's walk, inlined for speed
+        nxt = self._nxt
         for d in self._home:
             if d in face_of:
                 continue

@@ -639,27 +639,13 @@ class Detector:
                 st.add(npair, lk, nmid)
 
     def _process_insert_paths(self, st, eid: int) -> None:
+        """Edge ``eid`` was inserted: it is the first leg of new paths
+        from each of its tracked ends."""
         h = st.node.graph
-        if not h.has_edge(eid) or h.is_loop(eid):
-            return
-        u, w = h.endpoints(eid)
-        K = st.K
-        for a, b in ((u, w), (w, u)):
-            if a not in K:
-                continue
-            seen = set()
-            for d2 in h.rotation(b):
-                g2 = edge_of(d2)
-                if g2 == eid:
-                    continue
-                z = h.vertex_of_dart(rev(d2))
-                if z == b or z == a or z not in K:
-                    continue
-                seen.add(z)
-                lk = _legkey(eid, g2)
-                if st.add(_pairkey(a, z), lk, b):
-                    self._op_items.append((st, _pairkey(a, z), (lk,)))
-            self._cand(st, len(seen))
+        if h.has_edge(eid):
+            for a in h.endpoints(eid):
+                if a in st.K:
+                    self._paths_from(st, a, [eid])
 
     def _recheck_split_face(self, st, eid: int) -> None:
         """An insertion splits one face; if that face had degree 4, its

@@ -41,8 +41,10 @@ reported pairs, so an update never counts pairs, and the node keeps its
 detector.  Two S or two P nodes that an update leaves adjacent merge by
 a 2-sum in place: the smaller skeleton is spliced into the larger one,
 whose node lives on, so a merge costs the smaller side and never
-rebuilds a skeleton.  Instrumentation counters record re-parented nodes
-and the edges in the non-largest pieces.
+rebuilds a skeleton.  A node leaves the tree without breaking up its
+block in one way only, absorbed by a neighbour.  Instrumentation
+counters record re-parented nodes that stay and the edges in the
+non-largest pieces.
 """
 
 from __future__ import annotations
@@ -373,13 +375,15 @@ class SpqrTree:
 
     The tree edges are the twin maps of the nodes (``SpqrNode.twin``),
     walked from the root.  ``node_of_edge`` locates the skeleton holding
-    each real edge.  ``parent_changes`` counts nodes whose parent
-    pointer was rewritten by update operations, ``split_edges``
-    totals the skeleton edges placed in non-largest pieces of skeleton
-    splits, and ``renames`` counts the node-vertex incidences that
-    rename cascades rewrote.  All of them live in the shared registry,
-    so handles over blocks of the same origin report combined
-    counters.
+    each real edge.  ``parent_changes`` counts the parent pointers that
+    update operations rewrite (:meth:`set_parent`), and only on nodes
+    that stay in a tree: a node that leaves, absorbed by a neighbour
+    (:func:`_absorb`) or broken up with its block, is reset without
+    counting.  ``split_edges`` totals the skeleton edges placed in
+    non-largest pieces of skeleton splits, and ``renames`` counts the
+    node-vertex incidences that rename cascades rewrote.  All of them
+    live in the shared registry, so handles over blocks of the same
+    origin report combined counters.
     """
 
     def __init__(self, root: SpqrNode, shared: _Shared):
@@ -1032,11 +1036,10 @@ def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
     """Merge two adjacent equal-kind S or P nodes linked by the twin
     pair (n1,e1)-(n2,e2) by a 2-sum in place.  The node with more
     skeleton edges (``n1`` on a tie) keeps its identity and its graph,
-    into which :func:`_splice` puts the other skeleton; the other
-    node's real edges, twin links and children are re-seated onto it.
-    Every step walks only the smaller skeleton, so a merge costs
-    O(smaller), and a long cycle or bundle that keeps absorbing small
-    pieces is never rebuilt."""
+    into which :func:`_splice` puts the other skeleton; :func:`_absorb`
+    then takes the other node out of the tree.  Every step walks only
+    the smaller skeleton, so a merge costs O(smaller), and a long cycle
+    or bundle that keeps absorbing small pieces is never rebuilt."""
     assert n1.kind == n2.kind and n1.kind in "SP"
     if n1.graph.n_edges >= n2.graph.n_edges:
         keep, ek, loser, el = n1, e1, n2, e2
@@ -1044,11 +1047,27 @@ def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
         keep, ek, loser, el = n2, e2, n1, e1
     _splice(keep.kind, keep.graph, ek, loser.graph, el)
     n1.unlink(e1)
-    # splice the dead node out of the rooted tree
+    _absorb(tree, keep, loser, el)
+    return keep
+
+
+def _absorb(tree: SpqrTree, keep: SpqrNode, loser: SpqrNode,
+            el: int) -> None:
+    """Take node ``loser`` out of the tree once its skeleton, less edge
+    ``el``, has gone into ``keep``'s and ``el`` is unlinked: the one
+    way a node leaves the tree without breaking up its block.  Its twin
+    links and real edges move to ``keep``, and so does its place in the
+    rooted tree: ``keep`` takes its parent if it was its child (none if
+    ``loser`` was the root, whose pointer may still name the node its
+    block was cut from) and its root role, and its children hang on
+    ``keep``.  A child of ``keep``'s kind S or P is left alone: it
+    merges with ``keep`` next, so only nodes that stay are re-pointed.
+    ``loser``'s own reset is not a parent change."""
     if keep.parent is loser:
-        tree.set_parent(keep, loser.parent)
+        tree.set_parent(keep, None if tree._root is loser else loser.parent)
     for c in _children(loser):
-        tree.set_parent(c, keep)
+        if c.kind != keep.kind or c.kind == "R":
+            tree.set_parent(c, keep)
     loser.parent = None
     for e in loser.graph.edge_ids():
         if e in loser.twin:
@@ -1057,7 +1076,6 @@ def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
             tree.shared.node_of_edge[e] = keep
     if tree._root is loser:
         tree._root = keep
-    return keep
 
 
 def _splice(kind: str, g: EmbeddedMultigraph, ek: int,
@@ -1098,85 +1116,67 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
     """After a surgery on R node ``x``, split its skeleton at the
     separation pairs its detector reports: :func:`_decompose` runs on
     the skeleton ``x`` keeps, and the pieces that leave inherit those
-    pairs instead of a recount.  The seams are then merged and the
-    region re-anchored in the rooted tree."""
+    pairs instead of a recount.
+
+    The region of new nodes and ``x`` then merges two S or two P nodes
+    wherever they meet, from a worklist that takes each survivor back.
+    ``x`` and its children are cut loose from their parents meanwhile,
+    so no merge re-points a node of the region or one that may yet
+    merge; they get their pointers back afterwards.  The region's
+    children then point at a region node or at ``x``, so its one
+    outside neighbour that is not a child is its parent, and the region
+    node beside it is the anchor; with no such neighbour the anchor is
+    the tree's root.  A walk from the anchor hangs the region and its
+    children, and counts each pointer it changes from before the
+    split."""
     shared = tree.shared
     pairs = _r_pairs(x)
     if not pairs:
         x.det.reset_op_log()
         return
-    old_parent = x.parent
-    parent_key = None
-    if old_parent is not None:
-        parent_key = next(e for e, (y, _) in old_parent.twin.items()
-                          if y is x)
+    up, kids = x.parent, _children(x)
     nodes, sizes = _mini_nodes(shared, x.graph, pairs, x)
     _adopt(shared, nodes, x)
     if x.kind == "R":
         x.det.reset_op_log()
     else:
         x.det = x.cmap = x.fvv = x.vvf = None
-    anchor_survivor = x
     shared.split_edges += sum(sizes) - max(sizes)
 
-    # dissolve same-kind S/P adjacencies created at the seams; the
-    # region is kept in creation order
-    regset = dict.fromkeys([*nodes, x])
-    changed = True
-    while changed:
-        changed = False
-        for nd in list(regset):
-            if nd.kind not in "SP":
-                continue
-            for e in sorted(nd.twin):
-                m, f = nd.twin[e]
-                if m.kind != nd.kind:
-                    continue
-                if m is old_parent:
-                    # the region grows over the parent; re-anchor above
-                    pp = m.parent
-                    if pp is None:
-                        old_parent = parent_key = None
-                    else:
-                        parent_key = next(
-                            k for k, (z, _) in pp.twin.items() if z is m)
-                        old_parent = pp
+    for nd in (x, *kids):
+        nd.parent = None
+    region = {*nodes, x}
+    work = [*nodes, x]
+    while work:
+        nd = work.pop()
+        if nd not in region or nd.kind == "R":
+            continue
+        for e, (m, f) in nd.twin.items():
+            if m.kind == nd.kind:
+                region -= {nd, m}
                 merged = _merge_adjacent(tree, nd, e, m, f)
-                regset.pop(nd, None)
-                regset.pop(m, None)
-                regset[merged] = None
-                if nd is anchor_survivor or m is anchor_survivor:
-                    anchor_survivor = merged
-                changed = True
+                region.add(merged)
+                work.append(merged)
                 break
-            if changed:
-                break
+    x.parent = up
+    for c in kids:
+        c.parent = x
 
-    # re-anchor the region in the rooted tree and orient its parents
-    if old_parent is not None:
-        anchor, _ = old_parent.twin[parent_key]
-        assert anchor in regset
-        tree.set_parent(anchor, old_parent)
-    else:
-        anchor = anchor_survivor
-        tree.set_parent(anchor, None)
-        tree._root = anchor
-    seen = {anchor}
-    stack = [anchor]
+    anchor, above = next(((nd, m) for nd in region
+                          for m, _ in nd.twin.values()
+                          if m not in region and m.parent is not x
+                          and m.parent not in region), (tree.root, None))
+    tree.set_parent(anchor, above)
+    stack, reached = [anchor], 1
     while stack:
         cur = stack.pop()
-        for e in sorted(cur.twin):
-            m, _f = cur.twin[e]
-            if m is cur.parent:
-                continue
-            if m in regset:
-                if m not in seen:
-                    seen.add(m)
-                    tree.set_parent(m, cur)
-                    stack.append(m)
-            elif m.parent is not cur:
+        for m, _ in cur.twin.values():
+            if m is not cur.parent:
                 tree.set_parent(m, cur)
-    assert seen == regset.keys(), "split region not connected"
+                if m in region:
+                    stack.append(m)
+                    reached += 1
+    assert reached == len(region), "split region not connected"
 
 
 # ----------------------------------------------------------------------
@@ -1273,69 +1273,37 @@ def _rekey(nd: SpqrNode, old: int, new: int) -> None:
             nd.cmap[dart(new, s)] = nd.cmap.pop(dart(old, s))
 
 
-def _splice_out(tree: SpqrTree, x: SpqrNode, m: SpqrNode) -> None:
-    """Remove dissolved node ``x`` (whose only neighbor is ``m``) from
-    the rooted tree, letting ``m`` take its place."""
-    if x.parent is m:
-        tree.set_parent(x, None)
-    else:
-        assert x.parent is None
-        tree.set_parent(m, None)
-        tree._root = m
-
-
-def _splice_link(tree: SpqrTree, x: SpqrNode,
-                 m1: SpqrNode, m2: SpqrNode) -> None:
-    """Remove dissolved node ``x`` (whose neighbors are ``m1`` and
-    ``m2``, now linked directly) from the rooted tree."""
-    if x.parent is None:
-        tree.set_parent(m1, None)
-        tree._root = m1
-        tree.set_parent(m2, m1)
-    elif x.parent is m1:
-        tree.set_parent(x, None)
-        tree.set_parent(m2, m1)
-    else:
-        assert x.parent is m2
-        tree.set_parent(x, None)
-        tree.set_parent(m1, m2)
-
-
 def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode
                        ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Case ladder for a node whose skeleton is down to two edges
-    joining one vertex pair: 0 virtual edges ⇒ the whole block is those
-    two real edges and the tree is gone; 1 ⇒ the node dissolves and the
-    neighbor's twin becomes real; 2 ⇒ the node dissolves and its two
-    neighbors are linked directly, merging them if both are S or both
-    are P (two R neighbors stay apart).  Returns ``(ends, edge ids)``
-    of the pair in the first case and None when the tree lives on."""
+    joining one vertex pair.  With no virtual edge the whole block is
+    those two real edges and the tree is gone.  Otherwise one virtual
+    edge is unlinked, its twin takes the id of ``x``'s other edge, real
+    or virtual, and :func:`_absorb` lets the neighbour take ``x``'s
+    place; two S or two P nodes that are now linked merge (two R
+    neighbours stay apart).  Returns ``(ends, edge ids)`` of the pair
+    in the first case and None when the tree lives on."""
     shared = tree.shared
     g = x.graph
     r1, r2 = sorted(g.edge_ids())
-    vs = [v for v in (r1, r2) if v in x.twin]
-    u, w = g.endpoints(r1)
-    ends = (u, w) if u < w else (w, u)
-    if not vs:
+    if r1 not in x.twin and r2 not in x.twin:
+        u, w = g.endpoints(r1)
         shared.node_of_edge.pop(r1, None)
         shared.node_of_edge.pop(r2, None)
-        tree.set_parent(x, None)
-        return ends, (r1, r2)
-    if len(vs) == 1:
-        v = vs[0]
-        r = r2 if v == r1 else r1
-        # the neighbor's virtual edge f becomes the real edge r
-        m, f = x.unlink(v)
-        _rekey(m, f, r)
-        shared.node_of_edge[r] = m
-        _splice_out(tree, x, m)
-        return None
-    m1, f1 = x.unlink(r1)
-    m2, f2 = x.unlink(r2)
-    m1.link(f1, m2, f2)
-    _splice_link(tree, x, m1, m2)
-    if m1.kind == m2.kind and m1.kind in "SP":
-        _merge_adjacent(tree, m1, f1, m2, f2)
+        return ((u, w) if u < w else (w, u)), (r1, r2)
+    v, o = (r1, r2) if r1 in x.twin else (r2, r1)
+    m = x.twin[v][0]
+    m2 = x.twin[o][0] if o in x.twin else None
+    merge = m2 is not None and m.kind == m2.kind and m.kind in "SP"
+    # of two neighbours that merge, the larger takes x's place, so that
+    # it survives the merge
+    if merge and m2.graph.n_edges > m.graph.n_edges:
+        v, o = o, v
+    m, f = x.unlink(v)
+    _rekey(m, f, o)
+    _absorb(tree, m, x, v)
+    if merge:
+        _merge_adjacent(tree, m, o, *m.twin[o])
     return None
 
 
@@ -1353,43 +1321,34 @@ def _whole(tree: SpqrTree, x: SpqrNode, op: str, e: int,
                      merged_vertex=keep, retired_vertex=dying)
 
 
-def _detach_fragment(tree: SpqrTree, x: SpqrNode,
-                     m: SpqrNode) -> SpqrTree:
-    """After popping the twin link between dying node ``x`` and its
-    neighbor ``m``, hand the neighbor's subtree its own tree handle,
-    rooted at ``m`` unless the fragment contains the old root."""
-    if m.parent is x:
-        frag = SpqrTree(m, tree.shared)
-        tree.set_parent(m, None)
-    else:
-        # m is on the old root's side of x
-        frag = SpqrTree(tree._root, tree.shared)
-        tree.set_parent(x, None)
-    return frag
-
-
 def _break_up(tree: SpqrTree, x: SpqrNode, slots, recurse) -> list[Piece]:
     """Dissolve node ``x`` into one block per remaining skeleton edge,
     given in ``slots`` as ``(attach, edge id)``.  A real edge becomes a
     one-edge block; a virtual edge's subtree becomes a block of its own
     in which ``recurse(fragment tree, twin node, twin id)`` removes the
-    twin."""
+    twin.  A fragment below ``x`` is rooted at the twin node, whose
+    pointer at ``x`` is cleared once ``recurse`` is done: it counts
+    only if that node is still there."""
     shared = tree.shared
     jobs: list[tuple] = []
     for attach, f in slots:
         if f in x.twin:
             m, f2 = x.unlink(f)
-            jobs.append((attach, _detach_fragment(tree, x, m), m, f2))
+            # the fragment holding x's parent keeps the old root
+            frag = SpqrTree(m if m.parent is x else tree._root, shared)
+            jobs.append((attach, frag, m, f2))
         else:
             shared.node_of_edge.pop(f, None)
             jobs.append((attach, None, None, f))
-    tree.set_parent(x, None)
+    x.parent = None
     pieces: list[Piece] = []
     for attach, frag, m, f in jobs:
         if frag is None:
             pieces.append(Piece(attach, None, (f,)))
             continue
         log = recurse(frag, m, f)
+        if log.tree is not None:
+            tree.set_parent(log.tree.root, None)
         pieces.append(Piece(attach, log.tree, log.pair_edges or ()))
     return pieces
 

@@ -148,6 +148,23 @@ def inner_rungs(g: EmbeddedMultigraph, k: int) -> list[int]:
     return [rung[frozenset((c, c + k))] for c in range(1, k - 1)]
 
 
+def k4_chain(k: int) -> EmbeddedMultigraph:
+    """k K4s glued in a row along edges.  The zigzag v_0 .. v_(k+1),
+    with v_j at (j, 1) or (j, -1), cuts a strip into k triangles
+    v_i v_(i+1) v_(i+2), and a vertex inside each is joined to its
+    corners.  Edge j is the zigzag edge v_j v_(j+1), so edges 1 .. k - 1
+    are the seams, each shared by two K4s."""
+    coords = {j: (float(j), 1.0 if j % 2 == 0 else -1.0)
+              for j in range(k + 2)}
+    edges = [(j, j, j + 1) for j in range(k + 1)]
+    for i in range(k):
+        w = k + 2 + i
+        coords[w] = (i + 1.0, coords[i][1] / 3)
+        edges.append((len(edges), i, i + 2))
+        edges += [(len(edges) + c, w, i + c) for c in range(3)]
+    return from_straight_line_drawing(coords, edges)
+
+
 def parallel_bundle(k: int, ids: list[int] | None = None) -> EmbeddedMultigraph:
     """Two vertices joined by k parallel edges."""
     if ids is None:

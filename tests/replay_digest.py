@@ -9,9 +9,11 @@ with the fixture's digests, and prints the number of per-op records
 (the builds included), how many failed, the summed ``parent_changes``
 and ``split_edges`` counters and a sha256 prefix over every record's
 graph, op index, op, node kind hit, outcome and failure, in fixture
-order.  Two checkouts that print the same line made the same trees,
-reached them through the same node kinds and outcomes and counted the
-same tree work.  It only reads from ``perfbench``; the exit status is
+order.  ``parent_changes`` counts the parent pointers rewritten on
+nodes that stay in a tree; a node that leaves is not counted.  Two
+checkouts that print the same line made the same trees, reached them
+through the same node kinds and outcomes and counted the same tree
+work.  It only reads from ``perfbench``; the exit status is
 1 if any op failed.  It takes under ten seconds.
 """
 

@@ -3,17 +3,22 @@
     python -m tests.scale_updates
 
 Run from the root of a checkout; pytest does not collect this file.
-The one family so far is the ladder ``grid(2, k)`` for k = 100, 200,
-400 and 800.  Deleting its inner rungs left to right dissolves one P
-node per op and merges the S node that keeps growing with the next
-square, so an update that costs the merged skeleton's size adds up to
-Theta(k^2).  For each k it prints the edge count m, the best of three
-passes in microseconds per op, the ratio to the time at k / 2 and the
-``EmbeddedMultigraph.build`` calls made inside the updates of one pass.
-An update cost that grows with the block doubles per doubling; a ratio
-above 1.6 is marked ``<-``.  Every final tree then goes through
-``check()``, outside the timing, and the exit status is 1 if any check
-failed.
+Each family is run for k = 100, 200, 400 and 800:
+
+- the ladder ``grid(2, k)``.  Deleting its inner rungs left to right
+  dissolves one P node per op and merges the S node that keeps growing
+  with the next square, so an update that costs the merged skeleton's
+  size adds up to Theta(k^2);
+- the chain ``k4_chain(k)`` of k K4s glued along edges.  Deleting its
+  seams left to right dissolves one two-edge P node between two R
+  nodes per op, which are then linked directly and stay apart.
+
+For each k it prints the edge count m, the best of three passes in
+microseconds per op, the ``EmbeddedMultigraph.build`` calls made inside
+the updates of one pass and the ratio to the time at k / 2.  An update
+cost that grows with the block doubles per doubling; a ratio above 1.6
+is marked ``<-``.  Every final tree then goes through ``check()``,
+outside the timing, and the exit status is 1 if any check failed.
 """
 
 from __future__ import annotations
@@ -28,20 +33,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from planarconn.embed import EmbeddedMultigraph
 from planarconn.spqr import build_spqr, delete_edge
 
-from .graphs import grid, inner_rungs
+from .graphs import grid, inner_rungs, k4_chain
 
 SIZES = (100, 200, 400, 800)
 REPEATS = 3
 RATIO_MARK = 1.6
 
 
-def ladder_pass(k: int) -> tuple[int, float, int, object]:
-    """Delete the inner rungs of ``grid(2, k)`` in order: the edge
-    count, seconds per op, ``build`` calls during the updates and the
-    final tree."""
+def ladder(k: int) -> tuple[EmbeddedMultigraph, list[int]]:
     g = grid(2, k)
+    return g, inner_rungs(g, k)
+
+
+def chain(k: int) -> tuple[EmbeddedMultigraph, list[int]]:
+    return k4_chain(k), list(range(1, k))
+
+
+FAMILIES = (("ladder grid(2, k), inner rungs deleted in order", ladder),
+            ("chain of k K4s glued along edges, seams deleted in order",
+             chain))
+
+
+def update_pass(family, k: int) -> tuple[int, float, int, object]:
+    """Delete the family's edges in order: the edge count, seconds per
+    op, ``build`` calls during the updates and the final tree."""
+    g, ops = family(k)
     tree = build_spqr(g)
-    ops = inner_rungs(g, k)
     saved = EmbeddedMultigraph.__dict__["build"]
     build = saved.__func__
     calls = 0
@@ -64,26 +81,28 @@ def ladder_pass(k: int) -> tuple[int, float, int, object]:
 
 def main() -> int:
     failed = 0
-    print("ladder grid(2, k), inner rungs deleted in order")
-    print(f"{'k':>5} {'m':>6} {'us_per_op':>10} {'builds':>7} {'ratio':>6}")
-    prev = None
-    for k in SIZES:
-        runs = [ladder_pass(k) for _ in range(REPEATS)]
-        secs = min(s for _, s, _, _ in runs)
-        m, _, calls, tree = runs[-1]
-        note = ""
-        if prev is not None:
-            note = f"{secs / prev:6.2f}"
-            if secs > RATIO_MARK * prev:
-                note += " <-"
-        try:
-            tree.check()
-        except AssertionError as ex:
-            failed += 1
-            note += f" check failed: {ex}"
-        print(f"{k:>5} {m:>6} {secs * 1e6:>10.1f} {calls:>7} {note}",
-              flush=True)
-        prev = secs
+    for title, family in FAMILIES:
+        print(title)
+        print(f"{'k':>5} {'m':>6} {'us_per_op':>10} {'builds':>7} "
+              f"{'ratio':>6}")
+        prev = None
+        for k in SIZES:
+            runs = [update_pass(family, k) for _ in range(REPEATS)]
+            secs = min(s for _, s, _, _ in runs)
+            m, _, calls, tree = runs[-1]
+            note = ""
+            if prev is not None:
+                note = f"{secs / prev:6.2f}"
+                if secs > RATIO_MARK * prev:
+                    note += " <-"
+            try:
+                tree.check()
+            except AssertionError as ex:
+                failed += 1
+                note += f" check failed: {ex}"
+            print(f"{k:>5} {m:>6} {secs * 1e6:>10.1f} {calls:>7} {note}",
+                  flush=True)
+            prev = secs
     if failed:
         print(f"{failed} trees failed check()")
     return 1 if failed else 0

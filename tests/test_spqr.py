@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 from collections import Counter
@@ -105,20 +106,32 @@ def _splits(g, e) -> bool:
 def test_delete_links_two_r_nodes():
     # two K4s sharing {0, 1} plus the real edge 0-1: deleting that edge
     # dissolves the two-edge P node between the R nodes, which are then
-    # linked directly and stay apart
+    # linked directly and stay apart.  Rooted at each of its three
+    # nodes in turn, the P node is the root, the child of one R node
+    # and the child of the other: the three ways a node leaves the
+    # tree through spqr._absorb.  Only the R nodes that stay are
+    # re-pointed, two when the P node was the root and one otherwise
     coords = {0: (0, 1), 1: (0, -1), 2: (-1, 0), 3: (-2, 0), 4: (1, 0),
               5: (2, 0)}
     edges = [(0, 0, 1), (1, 0, 2), (2, 1, 2), (3, 0, 3), (4, 1, 3),
              (5, 2, 3), (6, 0, 4), (7, 1, 4), (8, 0, 5), (9, 1, 5),
              (10, 4, 5)]
     g = from_straight_line_drawing(coords, edges)
-    tree = build_spqr(g)
     h = g.copy()
     h.delete_edge(0)
-    log = delete_edge(tree, 0)
-    assert log.kind == "intact"
-    assert log.tree.serialize() == canonical_spqr(h)
-    log.tree.check()
+    roots = []
+    for i in range(3):
+        tree = build_spqr(g)
+        root = tree.nodes()[i]
+        tree._reroot(root)
+        tree.check()
+        roots.append((root.kind, sorted(x.kind for x in spqr._children(root))))
+        log = delete_edge(tree, 0)
+        assert log.kind == "intact"
+        assert log.tree.serialize() == canonical_spqr(h)
+        log.tree.check()
+        assert log.tree.parent_changes == (2 if root.kind == "P" else 1)
+    assert sorted(roots) == [("P", ["R", "R"]), ("R", ["P"]), ("R", ["P"])]
 
 
 def test_split_pieces_own_their_real_edges():
@@ -367,22 +380,47 @@ def _replay_case(seed: int, n: int = REPLAY_N):
     return start, tuple(ops), tuple(wants)
 
 
+@contextlib.contextmanager
+def parent_moves():
+    """The nodes whose parent pointer a counted ``SpqrTree.set_parent``
+    call changes inside the block, in call order.  Only nodes that stay
+    in a tree may count, so after an update they must all be in the
+    trees it returns."""
+    moved: list[spqr.SpqrNode] = []
+    set_parent = spqr.SpqrTree.set_parent
+
+    def recording(tree, node, parent):
+        if node.parent is not parent:
+            moved.append(node)
+        set_parent(tree, node, parent)
+
+    spqr.SpqrTree.set_parent = recording
+    try:
+        yield moved
+    finally:
+        spqr.SpqrTree.set_parent = set_parent
+
+
 @functools.cache
 def _replay(seed: int, extra_calls: bool, n0: int) -> tuple[str, ...]:
     """Per op: the tree's serialization after ``check()``, or the first
     failed check, which ends the replay.  ``extra_calls`` adds pure
     queries between ops, which must not change anything.  ``n0`` is
     ``separators.N0`` at the call: the R nodes' separator trees are
-    built with it, so the cache keys on it."""
+    built with it, so the cache keys on it.  Every node an op counts
+    as re-parented must be in the tree it returns."""
     g, ops, _ = _replay_case(seed)
     tree = build_spqr(g)
     out = []
     for op, e in ops:
         fn = delete_edge if op == "d" else spqr.contract_edge
         try:
-            log = fn(tree, e)
+            with parent_moves() as moved:
+                log = fn(tree, e)
             assert log.kind == "intact", log.kind
             tree = log.tree
+            assert set(moved) <= set(tree.nodes()), \
+                "a node that left the tree counted as re-parented"
             if extra_calls:
                 tree.serialize()
                 tree.nodes()

@@ -4,8 +4,9 @@ A state machine keeps every live block of a random plane graph with
 its SPQR-tree and deletes or contracts real edges of any of them, so it
 also reaches the outcomes that break a block: "path" (an S deletion),
 "star" (a P contraction) and "pair" (two edges left).  After each step
-the blocks an update reports must be the blocks of the graph, and each
-block's tree must pass ``check()`` and equal the oracle's.  A
+the blocks an update reports must be the blocks of the graph, each
+block's tree must pass ``check()`` and equal the oracle's, and every
+node the update counted as re-parented must be in one of those trees.  A
 contraction renames the retired vertex in the other blocks holding it,
 as a block-cut layer would.  The run is derandomized and keeps no
 example database, so one checkout repeats it exactly; hypothesis also
@@ -29,6 +30,8 @@ from planarconn import spqr
 from planarconn.embed import edge_of, rev
 from planarconn.generators import random_planar
 from planarconn.oracle import canonical_spqr
+
+from .test_spqr import parent_moves
 
 
 def _blocks(g) -> list[frozenset[int]]:
@@ -102,12 +105,13 @@ class SpqrMachine(RuleBasedStateMachine):
         g, tree, _ = self.blocks.pop(i)
         e = data.draw(st.sampled_from(sorted(g.edge_ids())), label="edge")
         h = g.copy()
-        if op == "d":
-            h.delete_edge(e)
-            log = spqr.delete_edge(tree, e)
-        else:
-            h.contract_edge(e)
-            log = spqr.contract_edge(tree, e)
+        with parent_moves() as moved:
+            if op == "d":
+                h.delete_edge(e)
+                log = spqr.delete_edge(tree, e)
+            else:
+                h.contract_edge(e)
+                log = spqr.contract_edge(tree, e)
         if log.kind == "intact":
             parts = [(log.tree, _real_edges(log.tree))]
         elif log.kind == "pair":
@@ -120,6 +124,7 @@ class SpqrMachine(RuleBasedStateMachine):
                       else frozenset(p.edges)) for p in log.pieces]
         assert sorted(map(sorted, (es for _t, es in parts))) == \
             sorted(map(sorted, _blocks(h)))
+        assert set(moved) <= {x for t, _es in parts if t for x in t.nodes()}
         for t, es in parts:
             if t is None:
                 assert len(es) < 3
