@@ -33,6 +33,13 @@ assembled once, edge by edge.  No skeleton goes through the validated
 from a plane graph, and ``SpqrTree.check`` re-checks them.
 
 Edge deletions and contractions keep the tree in step with the graph.
+The two are dual: deleting an edge of a plane graph contracts it in the
+dual graph, whose SPQR-tree is the same tree with S and P swapped.  So
+one update routine serves both, with S and P trading cases: an S
+deletion or a P contraction breaks the block up, a P deletion or an S
+contraction takes the edge out of its skeleton, and an R node's
+surgery merges, across the edge's quad in the vertex-face graph, the
+two faces beside a deleted edge or the two ends of a contracted one.
 An R node keeps a separating-4-cycle detector over the vertex-face
 graph of its skeleton, which reports the separation pairs an operation
 creates, and their common faces.  The construction's decomposition then
@@ -595,19 +602,6 @@ def _fv_quad(x: SpqrNode, e: int) -> list[int]:
     return f
 
 
-def _fv_split_contract(x: SpqrNode, f: list[int], i: int) -> int:
-    """Merge the vertices at positions ``i`` and ``i + 2`` of quad face
-    ``f`` of the maintained vertex-face graph across the face, in one
-    detector op (:meth:`Detector.merge_across`), and return the label
-    the detector keeps."""
-    fv = x.det.tree.root.graph
-    j = (i + 2) % 4
-    return x.det.merge_across(fv.vertex_of_dart(f[i]),
-                              fv.vertex_of_dart(f[j]),
-                              fv.rotation_prev(f[i]),
-                              fv.rotation_prev(f[j]))
-
-
 def _cmap_merge(x: SpqrNode, keep_dart: int, gone_dart: int) -> None:
     """Two corners merged in the vertex-face graph, whose edges became
     parallel and lost one of the two; the one the graph still holds
@@ -618,47 +612,33 @@ def _cmap_merge(x: SpqrNode, keep_dart: int, gone_dart: int) -> None:
     x.cmap[keep_dart] = kept
 
 
-def _r_delete_edge(x: SpqrNode, e: int) -> None:
-    """Delete skeleton edge ``e`` (no pendant endpoint, not a bridge)
-    and mirror the change in the vertex-face graph: the two faces of
-    ``e`` merge and its four corners pair up."""
-    g = x.graph
+def _r_remove(x: SpqrNode, e: int, keep: int | None = None) -> None:
+    """Delete skeleton edge ``e`` of R node ``x`` (no pendant end, not a
+    bridge), or with ``keep`` contract it (the only edge joining its
+    ends) into ``keep``, and mirror the change in the vertex-face graph
+    by one merge across ``e``'s quad face (:meth:`Detector.merge_across`):
+    a deletion merges its two face corners, the faces beside ``e``, and
+    a contraction its two vertex corners, the ends of ``e``.  Either way
+    the four corners flanking ``e`` pair up, on each side of ``e`` for a
+    deletion and across it for a contraction."""
+    g, fv = x.graph, x.det.tree.root.graph
     d0, d1 = dart(e, 0), dart(e, 1)
     rp0, rp1 = g.rotation_prev(d0), g.rotation_prev(d1)
     assert rp0 != d0 and rp1 != d1, "pendant endpoint needs pendant removal"
     f = _fv_quad(x, e)
-    fv = x.det.tree.root.graph
+    contract = int(keep is not None)
     i = next(i for i, z in enumerate(f)
-             if fv.vertex_of_dart(z) not in x.vvf)
-    assert fv.vertex_of_dart(f[(i + 2) % 4]) not in x.vvf
-    _fv_split_contract(x, f, i)
-    _cmap_merge(x, rp0, d0)
-    _cmap_merge(x, rp1, d1)
-    g.delete_edge(e)
-
-
-def _r_contract_edge(x: SpqrNode, e: int, keep: int) -> None:
-    """Contract skeleton edge ``e`` (the only edge joining its
-    endpoints) into ``keep`` and mirror the change in the vertex-face
-    graph: the two endpoint vertices merge and the corners flanking
-    ``e`` pair up across it."""
-    g = x.graph
-    d0, d1 = dart(e, 0), dart(e, 1)
-    u, w = g.vertex_of_dart(d0), g.vertex_of_dart(d1)
-    assert keep in (u, w) and u != w
-    rp0, rp1 = g.rotation_prev(d0), g.rotation_prev(d1)
-    f = _fv_quad(x, e)
-    fv = x.det.tree.root.graph
-    i = next(i for i, z in enumerate(f)
-             if fv.vertex_of_dart(z) in x.vvf)
-    assert fv.vertex_of_dart(f[(i + 2) % 4]) in x.vvf
-    merged = _fv_split_contract(x, f, i)
-    _cmap_merge(x, rp0, d1)
-    _cmap_merge(x, rp1, d0)
-    fu = x.fvv.pop(u)
-    fw = x.fvv.pop(w)
-    del x.vvf[fu]
-    del x.vvf[fw]
+             if (fv.vertex_of_dart(z) in x.vvf) == contract)
+    merged = x.det.merge_across(
+        fv.vertex_of_dart(f[i]), fv.vertex_of_dart(f[i - 2]),
+        fv.rotation_prev(f[i]), fv.rotation_prev(f[i - 2]))
+    _cmap_merge(x, rp0, dart(e, contract))
+    _cmap_merge(x, rp1, dart(e, 1 - contract))
+    if not contract:
+        g.delete_edge(e)
+        return
+    for v in g.endpoints(e):
+        del x.vvf[x.fvv.pop(v)]
     x.fvv[keep] = merged
     x.vvf[merged] = keep
     g.contract_edge(e, keep=keep)
@@ -743,14 +723,14 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
         z = w if u in (a, b) else u
         if sum(1 for d in g.rotation(z)
                if set(g.endpoints(edge_of(d))) == {u, w}) >= 2:
-            _r_delete_edge(x, e)
+            _r_remove(x, e)
         elif g.degree(u) == 1 or g.degree(w) == 1:
             _r_pendant_delete(x, e)
         else:
-            _r_contract_edge(x, e, u if u in (a, b) else
-                             w if w in (a, b) else min(u, w))
+            _r_remove(x, e, u if u in (a, b) else
+                      w if w in (a, b) else min(u, w))
     for e in across[1:]:
-        _r_delete_edge(x, e)
+        _r_remove(x, e)
     return across[0]
 
 
@@ -1182,16 +1162,20 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
 # ----------------------------------------------------------------------
 # public update operations
 #
-# The case analysis on the kind of the node holding the edge is written
-# once: _remove for a deletion, _contract for a contraction.  Each
-# switches on the kind and returns a ChangeLog.  The public operations
-# call them on the node of a real edge, and a path or star split calls
-# them again on the twin of each virtual edge it cuts, inside the
-# subtree that becomes a block of its own.  Most cases keep the block in
-# one piece and only reshape the tree; deleting a cycle (S) edge breaks
-# the block into a path of smaller blocks, and contracting a parallel
-# (P) edge breaks it into a star of blocks around the merged vertex.
-# The ChangeLog lets the block-cutpoint layer restructure accordingly.
+# Deletion and contraction are dual: deleting e from a plane graph G is
+# contracting e in its dual G*, whose SPQR-tree is G's with S and P
+# swapped.  So the case analysis on the kind of the node holding the
+# edge is written once for both, in _update, which returns a ChangeLog.
+# Deleting a cycle (S) edge breaks the block into a path of smaller
+# blocks, and contracting a parallel (P) edge breaks it into a star
+# around the merged vertex, both in _break_up; deleting a P edge or
+# contracting an S edge only takes the edge out of its skeleton; an R
+# edge goes through one surgery, _r_remove, which merges the two faces
+# or the two ends of the edge, and the skeleton then splits.  The public
+# operations call _update on the node of a real edge, and _break_up
+# calls it again on the twin of each virtual edge it cuts, inside the
+# subtree that becomes a block of its own.  The ChangeLog lets the
+# block-cutpoint layer restructure accordingly.
 
 @dataclass
 class Piece:
@@ -1280,9 +1264,11 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode
     those two real edges and the tree is gone.  Otherwise one virtual
     edge is unlinked, its twin takes the id of ``x``'s other edge, real
     or virtual, and :func:`_absorb` lets the neighbour take ``x``'s
-    place; two S or two P nodes that are now linked merge (two R
-    neighbours stay apart).  Returns ``(ends, edge ids)`` of the pair
-    in the first case and None when the tree lives on."""
+    place.  Two S or two P neighbours are instead linked to each other
+    and merge, and the larger takes ``x``'s place, so that it survives
+    the merge (two R neighbours stay apart).  Returns ``(ends, edge
+    ids)`` of the pair in the first case and None when the tree lives
+    on."""
     shared = tree.shared
     g = x.graph
     r1, r2 = sorted(g.edge_ids())
@@ -1294,42 +1280,45 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode
     v, o = (r1, r2) if r1 in x.twin else (r2, r1)
     m = x.twin[v][0]
     m2 = x.twin[o][0] if o in x.twin else None
-    merge = m2 is not None and m.kind == m2.kind and m.kind in "SP"
-    # of two neighbours that merge, the larger takes x's place, so that
-    # it survives the merge
-    if merge and m2.graph.n_edges > m.graph.n_edges:
+    if m2 is None or m.kind != m2.kind or m.kind == "R":
+        m, f = x.unlink(v)
+        _rekey(m, f, o)
+        _absorb(tree, m, x, v)
+        return None
+    if m2.graph.n_edges > m.graph.n_edges:
         v, o = o, v
-    m, f = x.unlink(v)
-    _rekey(m, f, o)
+    (m, f), (m2, f2) = x.unlink(v), x.unlink(o)
+    m.link(f, m2, f2)
+    g.delete_edge(o)
     _absorb(tree, m, x, v)
-    if merge:
-        _merge_adjacent(tree, m, o, *m.twin[o])
+    _merge_adjacent(tree, m, f, m2, f2)
     return None
 
 
-def _whole(tree: SpqrTree, x: SpqrNode, op: str, e: int,
-           keep: int | None = None, dying: int | None = None) -> ChangeLog:
-    """The log of an update that leaves one block: ``pair`` when node
-    ``x`` is down to two edges that are all the block has left,
-    ``intact`` otherwise."""
-    pair = _dissolve_two_edge(tree, x) if x.graph.n_edges < 3 else None
-    if pair is None:
-        return ChangeLog(op, e, "intact", tree,
-                         merged_vertex=keep, retired_vertex=dying)
-    ends, ids = pair
-    return ChangeLog(op, e, "pair", pair_edges=ids, pair_ends=ends,
-                     merged_vertex=keep, retired_vertex=dying)
-
-
-def _break_up(tree: SpqrTree, x: SpqrNode, slots, recurse) -> list[Piece]:
-    """Dissolve node ``x`` into one block per remaining skeleton edge,
-    given in ``slots`` as ``(attach, edge id)``.  A real edge becomes a
-    one-edge block; a virtual edge's subtree becomes a block of its own
-    in which ``recurse(fragment tree, twin node, twin id)`` removes the
-    twin.  A fragment below ``x`` is rooted at the twin node, whose
-    pointer at ``x`` is cleared once ``recurse`` is done: it counts
-    only if that node is still there."""
-    shared = tree.shared
+def _break_up(tree: SpqrTree, x: SpqrNode, e: int, keep: int | None,
+              dying: int | None) -> list[Piece]:
+    """Dissolve node ``x``, a cycle (S) losing edge ``e`` or a bundle
+    (P) contracting it, into one block per other skeleton edge.  After
+    the deletion every other vertex of the cycle is an articulation
+    point, and the blocks come in path order from one end of ``e`` to
+    the other, each attached at its two ends; after the contraction the
+    poles are one vertex, ``keep``, and the blocks come in id order, all
+    hanging on it.  A real edge becomes a one-edge block (a self-loop
+    after a contraction); a virtual edge's subtree becomes a block of
+    its own, from which :func:`_update` takes out the twin the same
+    way.  A fragment below ``x`` is rooted at the twin node, whose
+    pointer at ``x`` is cleared once that is done: it counts only if
+    that node is still there."""
+    shared, g = tree.shared, x.graph
+    if keep is None:
+        slots, v, f = [], g.endpoints(e)[0], e
+        while len(slots) < g.n_edges - 1:
+            f = next(edge_of(d) for d in g.rotation(v) if edge_of(d) != f)
+            w = sum(g.endpoints(f)) - v
+            slots.append(((v, w), f))
+            v = w
+    else:
+        slots = [((keep, keep), f) for f in sorted(g.edge_ids()) if f != e]
     jobs: list[tuple] = []
     for attach, f in slots:
         if f in x.twin:
@@ -1346,90 +1335,45 @@ def _break_up(tree: SpqrTree, x: SpqrNode, slots, recurse) -> list[Piece]:
         if frag is None:
             pieces.append(Piece(attach, None, (f,)))
             continue
-        log = recurse(frag, m, f)
+        log = _update(frag, m, f, keep, dying)
         if log.tree is not None:
             tree.set_parent(log.tree.root, None)
         pieces.append(Piece(attach, log.tree, log.pair_edges or ()))
     return pieces
 
 
-def _s_remove(tree: SpqrTree, x: SpqrNode, e: int) -> list[Piece]:
-    """Delete real edge ``e`` from S node ``x``: every other vertex of
-    the cycle becomes an articulation point, so the block falls apart
-    into one piece per remaining cycle edge, reported in path order
-    from one endpoint of ``e`` to the other."""
-    g = x.graph
-    u, w = g.endpoints(e)
-    # walk the cycle from u to w avoiding e
-    order: list[tuple[int, int, int]] = []
-    cur, prev_e = u, e
-    while True:
-        da, db = g.rotation(cur)
-        nd_ = da if edge_of(da) != prev_e else db
-        ne = edge_of(nd_)
-        p, q = g.endpoints(ne)
-        nxt = q if p == cur else p
-        order.append((ne, cur, nxt))
-        if nxt == w:
-            break
-        cur, prev_e = nxt, ne
-    assert len(order) == g.n_edges - 1
-    return _break_up(tree, x, [((va, vb), ne) for ne, va, vb in order],
-                     _remove)
-
-
-def _p_star(tree: SpqrTree, x: SpqrNode, e: int,
-            keep: int, dying: int) -> list[Piece]:
-    """Contract real edge ``e`` of P node ``x``: the pole pair merges
-    into one vertex, every parallel class becomes its own block hanging
-    on it.  Other real edges of the bundle turn into self-loops (single
-    edge blocks); each virtual edge's subtree becomes a block in which
-    the twin is contracted recursively."""
-    g = x.graph
-    g.delete_edge(e)
-    slots = [((keep, keep), f) for f in sorted(g.edge_ids())]
-    return _break_up(tree, x, slots,
-                     lambda frag, m, f: _contract(frag, m, f, keep, dying))
-
-
-def _remove(tree: SpqrTree, x: SpqrNode, e: int) -> ChangeLog:
+def _update(tree: SpqrTree, x: SpqrNode, e: int, keep: int | None = None,
+            dying: int | None = None) -> ChangeLog:
     """Delete edge ``e`` (real, or virtual and already unlinked) from
-    node ``x`` of ``tree``.  An S edge breaks the block into a path.  A
-    P edge leaves its bundle, which dissolves when two edges are left.
-    An R edge goes through the synchronized surgery, and the skeleton
-    then splits at the separation pairs its detector reports."""
-    if x.kind == "S":
-        return ChangeLog("delete", e, "path", pieces=_s_remove(tree, x, e))
-    if x.kind == "P":
+    node ``x`` of ``tree``, or with ``keep`` contract it, merging
+    ``dying`` into ``keep``; a contraction first renames ``dying`` in
+    the neighbours that share it.  Deleting an S edge or contracting a
+    P edge breaks the block up.  Deleting a P edge or contracting an S
+    edge takes the edge out of the skeleton, which dissolves when two
+    edges are left.  An R edge goes through the synchronized surgery,
+    and the skeleton then splits at the separation pairs its detector
+    reports."""
+    log = ChangeLog("delete" if keep is None else "contract", e, "intact",
+                    tree, merged_vertex=keep, retired_vertex=dying)
+    if x.kind == ("S" if keep is None else "P"):
+        log.kind = "path" if keep is None else "star"
+        log.tree, log.pieces = None, _break_up(tree, x, e, keep, dying)
+        return log
+    if keep is not None:
+        for m, f in _twins_at(x, dying):
+            _rename_cascade(tree.shared, m, f, dying, keep)
+    if x.kind == "R":
+        _r_remove(x, e, keep)
+        _split_r_node(tree, x)
+    elif keep is None:
         x.graph.delete_edge(e)
     else:
-        _r_delete_edge(x, e)
-        _split_r_node(tree, x)
-    return _whole(tree, x, "delete", e)
-
-
-def _contract(tree: SpqrTree, x: SpqrNode, e: int,
-              keep: int, dying: int) -> ChangeLog:
-    """Contract edge ``e`` (real, or virtual and already unlinked) of
-    node ``x`` of ``tree``, merging ``dying`` into ``keep``.  A P edge
-    breaks the block into a star.  An S or R skeleton loses the edge
-    and the rename cascades into the neighbors that share ``dying``;
-    an S skeleton dissolves when two edges are left, and an R skeleton
-    splits at the separation pairs its detector reports."""
-    if x.kind == "P":
-        return ChangeLog("contract", e, "star",
-                         pieces=_p_star(tree, x, e, keep, dying),
-                         merged_vertex=keep, retired_vertex=dying)
-    targets = _twins_at(x, dying)
-    if x.kind == "S":
         x.graph.contract_edge(e, keep=keep)
-    else:
-        _r_contract_edge(x, e, keep)
-    for m, f in targets:
-        _rename_cascade(tree.shared, m, f, dying, keep)
-    if x.kind == "R":
-        _split_r_node(tree, x)
-    return _whole(tree, x, "contract", e, keep, dying)
+    pair = _dissolve_two_edge(tree, x) if x.graph.n_edges < 3 else None
+    if pair is not None:
+        log.kind, log.tree = "pair", None
+        log.pair_ends, log.pair_edges = pair
+    return log
 
 
 def _take_real(tree: SpqrTree, e: int) -> SpqrNode:
@@ -1450,7 +1394,7 @@ def _take_real(tree: SpqrTree, e: int) -> SpqrNode:
 
 def delete_edge(tree: SpqrTree, e: int) -> ChangeLog:
     """Delete real edge ``e`` from the block maintained by ``tree``."""
-    return _remove(tree, _take_real(tree, e), e)
+    return _update(tree, _take_real(tree, e), e)
 
 
 def contract_edge(tree: SpqrTree, e: int) -> ChangeLog:
@@ -1459,4 +1403,4 @@ def contract_edge(tree: SpqrTree, e: int) -> ChangeLog:
     x = _take_real(tree, e)
     u, w = x.graph.endpoints(e)
     assert u != w, "skeletons carry no self-loops"
-    return _contract(tree, x, e, min(u, w), max(u, w))
+    return _update(tree, x, e, min(u, w), max(u, w))

@@ -5,11 +5,16 @@
 Run from the root of a checkout; pytest does not collect this file.
 Every run replays ``_replay_case(seed, n)`` of ``tests/test_spqr.py``
 for n in 20, 24, 32 and 40 and seed in 0-39: up to 25 ops, each one
-keeping one loop-free biconnected block of at least three edges.  After
-each op the outcome must be ``intact``, ``check()`` must pass and the
-tree must equal the oracle's.  Every failing run is printed as
-``n seed step error``, and the exit status is 1 if any run failed.  It
-takes about two minutes on one core.
+keeping one loop-free biconnected block of at least three edges.  Each
+run is replayed on two sides: the primal side on the tree of the start
+graph, and the dual side on the tree of its dual, with each op swapped,
+a contraction for a deletion and the other way round.  After each op
+the outcome must be ``intact`` and ``check()`` must pass on both sides;
+the primal tree must equal the oracle's, and the dual tree must have
+the primal tree's shape with S and P swapped (see ``test_duality.py``).
+Every failing run is printed as ``n seed step side error``, and the
+exit status is 1 if any run failed.  It takes a little over two
+minutes on one core, nearly all of it in the oracle.
 """
 
 from __future__ import annotations
@@ -22,25 +27,35 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
+from .test_duality import shape
 from .test_spqr import _replay_case
 
 SIZES = (20, 24, 32, 40)
 SEEDS = range(40)
 
 
-def first_failure(n: int, seed: int) -> tuple[int, str] | None:
-    """The first failing step of one run and its error, or None."""
+def first_failure(n: int, seed: int) -> tuple[int, str, str] | None:
+    """The first failing step of one run, its side and its error, or
+    None."""
     g, ops, wants = _replay_case(seed, n)
-    tree = build_spqr(g)
+    trees = {"primal": build_spqr(g), "dual": build_spqr(g.dual()[0])}
     for step, ((op, e), want) in enumerate(zip(ops, wants)):
-        try:
-            log = (delete_edge if op == "d" else contract_edge)(tree, e)
-            assert log.kind == "intact", f"outcome {log.kind}"
-            tree = log.tree
-            tree.check()
-            assert tree.serialize() == want, "tree differs from the oracle's"
-        except Exception as ex:
-            return step, f"{type(ex).__name__}: {ex}"
+        for side in trees:
+            try:
+                fn = delete_edge if (op == "d") == (side == "primal") \
+                    else contract_edge
+                log = fn(trees[side], e)
+                assert log.kind == "intact", f"outcome {log.kind}"
+                tree = trees[side] = log.tree
+                tree.check()
+                if side == "primal":
+                    assert tree.serialize() == want, \
+                        "tree differs from the oracle's"
+                else:
+                    assert shape(tree, True) == shape(trees["primal"]), \
+                        "tree differs from the primal tree's dual"
+            except Exception as ex:
+                return step, side, f"{type(ex).__name__}: {ex}"
     return None
 
 

@@ -8,15 +8,17 @@ For each maximum face degree f in 8 and 24 it builds the SPQR-tree of
 then that of the ladder ``grid(2, k)``, the cycle ``cycle(n)`` and the
 wheel ``wheel(k)`` for sizes 200, 400 and 800, whose long faces hold
 many co-facial vertex pairs.  Per row it prints the size, the edge
-count m, the best of three build times, the ratio to the time at half
-the size and, from one more build outside the timing, the vertices
-that ``spqr._split_classes`` scanned per inner vertex of the classes it
-listed.  A near-linear build doubles per doubling; a ratio above 3.0
-is marked ``<-``.  A split scans at most deg(a) vertices per round for
-as many rounds as its largest listed class has vertices, so the scan
-ratio stays a small constant.  Every tree then goes through
-``check()``, outside the timing, and the exit status is 1 if any check
-failed.
+count m, the fastest and the slowest of three build times, the ratio
+of the fastest to the fastest at half the size and, from one more
+build outside the timing, the vertices that ``spqr._split_classes``
+scanned per inner vertex of the classes it listed.  A near-linear
+build doubles per doubling.  A row is marked ``<-`` only when its
+fastest build is above 3.0 times the slowest build at half the size,
+so that the spread between repeats does not mark it.  A split scans at
+most deg(a) vertices per round for as many rounds as its largest
+listed class has vertices, so the scan ratio stays a small constant.
+Every tree then goes through ``check()``, outside the timing, and the
+exit status is 1 if any check failed.
 """
 
 from __future__ import annotations
@@ -49,14 +51,15 @@ REPEATS = 3
 RATIO_MARK = 3.0
 
 
-def best_build(g) -> tuple[float, object]:
-    """The fastest of REPEATS builds of g, and the last tree built."""
-    best = float("inf")
+def timed_builds(g) -> tuple[float, float, object]:
+    """The fastest and the slowest of REPEATS builds of g, and the last
+    tree built."""
+    times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         tree = build_spqr(g)
-        best = min(best, time.perf_counter() - t0)
-    return best, tree
+        times.append(time.perf_counter() - t0)
+    return min(times), max(times), tree
 
 
 def split_scans(g) -> float:
@@ -93,24 +96,25 @@ def main() -> int:
     failed = 0
     for title, size, make, sizes in FAMILIES:
         print(title)
-        print(f"{size:>6} {'m':>7} {'build_s':>9} {'scans':>6} {'ratio':>6}")
+        print(f"{size:>6} {'m':>7} {'min_s':>7} {'max_s':>7} {'scans':>6} "
+              f"{'ratio':>6}")
         prev = None
         for n in sizes:
             g = make(n)
-            secs, tree = best_build(g)
+            secs, slowest, tree = timed_builds(g)
             note = ""
             if prev is not None:
-                note = f"{secs / prev:6.2f}"
-                if secs > RATIO_MARK * prev:
+                note = f"{secs / prev[0]:6.2f}"
+                if secs > RATIO_MARK * prev[1]:
                     note += " <-"
             try:
                 tree.check()
             except AssertionError as ex:
                 failed += 1
                 note += f" check failed: {ex}"
-            print(f"{n:>6} {g.n_edges:>7} {secs:>9.3f} {split_scans(g):>6.2f} "
-                  f"{note}", flush=True)
-            prev = secs
+            print(f"{n:>6} {g.n_edges:>7} {secs:>7.3f} {slowest:>7.3f} "
+                  f"{split_scans(g):>6.2f} {note}", flush=True)
+            prev = secs, slowest
     if failed:
         print(f"{failed} trees failed check()")
     return 1 if failed else 0

@@ -1,0 +1,100 @@
+"""Plane duality as an oracle for SPQR-trees and their updates.
+
+Deleting edge e of a plane graph G is contracting e in its dual G*, and
+the SPQR-tree of G* is that of G with S and P swapped: the same real
+edges in each node, each R skeleton dualised.  ``dual()`` keeps edge
+ids, so the two sides compare directly, by shape: no oracle is needed,
+and the check reaches any n.  Each update on one side runs the other
+side's case code: an S deletion's path split against a P contraction's
+star split, an R deletion's face merge against an R contraction's
+vertex merge.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from planarconn.generators import random_planar
+from planarconn.spqr import build_spqr, contract_edge, delete_edge
+
+SWAP = {"S": "P", "P": "S", "R": "R", "path": "star", "star": "path"}
+
+
+def real_edges(tree) -> tuple[int, ...]:
+    return tuple(sorted(e for x in tree.nodes() for e in x.real_ids()))
+
+
+def shape(tree, dual: bool = False) -> tuple:
+    """The tree up to vertex labels: per node its kind (S and P swapped
+    with ``dual``), its sorted real edge ids and its children's shapes,
+    sorted, rooted at the node that holds the smallest real edge."""
+    def walk(x, via):
+        kids = sorted(walk(y, f) for e, (y, f) in x.twin.items() if e != via)
+        return ((SWAP[x.kind] if dual else x.kind), tuple(x.real_ids()),
+                tuple(kids))
+
+    return walk(tree.node_of_edge[real_edges(tree)[0]], None)
+
+
+def outcome(log, dual: bool = False) -> tuple:
+    """An update's outcome up to vertex labels: its kind (path and star
+    swapped with ``dual``) and its blocks sorted by their real edges,
+    each with its shape, or None for a block of fewer than three
+    edges."""
+    if log.kind == "intact":
+        blocks = [(log.tree, ())]
+    elif log.kind == "pair":
+        blocks = [(None, log.pair_edges)]
+    else:
+        blocks = [(p.tree, p.edges) for p in log.pieces]
+    return (SWAP.get(log.kind, log.kind) if dual else log.kind,
+            sorted((real_edges(t), shape(t, dual)) if t
+                   else (tuple(sorted(es)), None) for t, es in blocks))
+
+
+def trees_by_edges(log) -> dict[tuple[int, ...], object]:
+    """The trees an update leaves, keyed by their real edges."""
+    trees = ([log.tree] if log.kind == "intact" else
+             [p.tree for p in log.pieces or () if p.tree])
+    return {real_edges(t): t for t in trees}
+
+
+def paired_ops(g, steps: int, seed: int) -> int:
+    """Run up to ``steps`` random deletions and contractions on the tree
+    of g and each swapped on the tree of its dual, following the largest
+    block; every outcome must match.  Returns the ops made."""
+    rng = random.Random(seed)
+    prim, dual = build_spqr(g), build_spqr(g.dual()[0])
+    assert shape(prim) == shape(dual, True)
+    for step in range(steps):
+        e = rng.choice(real_edges(prim))
+        swap = rng.random() < 0.5
+        log = (contract_edge if swap else delete_edge)(prim, e)
+        dlog = (delete_edge if swap else contract_edge)(dual, e)
+        assert outcome(log) == outcome(dlog, True), (step, e, swap)
+        trees, dtrees = trees_by_edges(log), trees_by_edges(dlog)
+        if not trees:
+            return step + 1
+        key = max(trees, key=len)
+        prim, dual = trees[key], dtrees[key]
+    return steps
+
+
+# (n, max face degree, seeds, ops per seed); face degree 24 leaves long
+# chains of S nodes and P hubs, so S deletions and P contractions split
+DUAL_CASES = [
+    pytest.param(40, 8, 10, 40, id="40"),
+    pytest.param(40, 24, 10, 40, id="40-sparse"),
+    pytest.param(200, 8, 3, 50, id="200"),
+    pytest.param(200, 24, 3, 50, id="200-sparse"),
+    pytest.param(400, 8, 2, 100, id="400"),
+]
+
+
+@pytest.mark.parametrize("n, max_face_degree, seeds, steps", DUAL_CASES)
+def test_updates_commute_with_duality(n, max_face_degree, seeds, steps):
+    ops = sum(paired_ops(random_planar(n, seed, max_face_degree), steps,
+                         seed) for seed in range(seeds))
+    assert ops >= seeds

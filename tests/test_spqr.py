@@ -724,14 +724,16 @@ def test_ladder_merges_splice_in_place(monkeypatch):
     # dissolves one P node per op and merges the growing S node with
     # the next square: the smaller skeleton is spliced into the larger,
     # so no update builds a graph, and a merge inserts at most the
-    # smaller skeleton's edge count
+    # smaller skeleton's edge count; the dissolved P node's two S
+    # neighbours are linked directly, so no edge is renamed
     k = 30
     g = grid(2, k)
     tree = build_spqr(g)
     build = EmbeddedMultigraph.build.__func__
     insert = EmbeddedMultigraph.insert_edge
+    rename = EmbeddedMultigraph.rename_edge
     merge = spqr._merge_adjacent
-    seen = {"builds": 0, "inserts": 0, "merges": 0}
+    seen = {"builds": 0, "inserts": 0, "merges": 0, "renames": 0}
 
     def counting_build(cls, *args):
         seen["builds"] += 1
@@ -740,6 +742,10 @@ def test_ladder_merges_splice_in_place(monkeypatch):
     def counting_insert(self, *args, **kw):
         seen["inserts"] += 1
         return insert(self, *args, **kw)
+
+    def counting_rename(self, *args):
+        seen["renames"] += 1
+        return rename(self, *args)
 
     def checked_merge(tree, n1, e1, n2, e2):
         smaller = min(n1.graph.n_edges, n2.graph.n_edges)
@@ -752,6 +758,7 @@ def test_ladder_merges_splice_in_place(monkeypatch):
     monkeypatch.setattr(EmbeddedMultigraph, "build",
                         classmethod(counting_build))
     monkeypatch.setattr(EmbeddedMultigraph, "insert_edge", counting_insert)
+    monkeypatch.setattr(EmbeddedMultigraph, "rename_edge", counting_rename)
     monkeypatch.setattr(spqr, "_merge_adjacent", checked_merge)
     for e in inner_rungs(g, k):
         g.delete_edge(e)
@@ -762,6 +769,7 @@ def test_ladder_merges_splice_in_place(monkeypatch):
     monkeypatch.undo()
     assert seen["builds"] == 0
     assert seen["merges"] == k - 2
+    assert seen["renames"] == 0
     assert tree.serialize() == canonical_spqr(g)
 
 

@@ -6,13 +6,17 @@ also reaches the outcomes that break a block: "path" (an S deletion),
 "star" (a P contraction) and "pair" (two edges left).  After each step
 the blocks an update reports must be the blocks of the graph, each
 block's tree must pass ``check()`` and equal the oracle's, and every
-node the update counted as re-parented must be in one of those trees.  A
-contraction renames the retired vertex in the other blocks holding it,
-as a block-cut layer would.  The run is derandomized and keeps no
-example database, so one checkout repeats it exactly; hypothesis also
-draws constants from the source files, so an edit elsewhere can change
-the examples.  ``conftest.py`` keeps hypothesis's storage out of the
-checkout.
+node the update counted as re-parented must be in one of those trees.
+Each block also carries the SPQR-tree of its own dual, which takes the
+swapped op, a contraction for a deletion and the other way round: the
+two outcomes must match, block by block, up to swapping S and P (see
+``test_duality.py``).  A contraction renames the retired vertex in the
+other blocks holding it, as a block-cut layer would; shapes carry no
+vertex labels, so only the primal trees are renamed.  The run is
+derandomized and keeps no example database, so one checkout repeats it
+exactly; hypothesis also draws constants from the source files, so an
+edit elsewhere can change the examples.  ``conftest.py`` keeps
+hypothesis's storage out of the checkout.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from planarconn.embed import edge_of, rev
 from planarconn.generators import random_planar
 from planarconn.oracle import canonical_spqr
 
+from .test_duality import outcome, real_edges, shape, trees_by_edges
 from .test_spqr import parent_moves
 
 
@@ -80,17 +85,15 @@ def _edge_subgraph(g, edges):
     return h
 
 
-def _real_edges(tree) -> frozenset[int]:
-    return frozenset(e for x in tree.nodes() for e in x.real_ids())
-
-
 class SpqrMachine(RuleBasedStateMachine):
-    """Live blocks as ``[graph, tree, the oracle's serialization]``."""
+    """Live blocks as ``[graph, tree, the oracle's serialization, the
+    tree of the graph's dual]``."""
 
     @initialize(n=st.integers(12, 24), seed=st.integers(0, 999))
     def build(self, n, seed):
         g = random_planar(n, seed)
-        self.blocks = [[g, spqr.build_spqr(g), canonical_spqr(g)]]
+        self.blocks = [[g, spqr.build_spqr(g), canonical_spqr(g),
+                        spqr.build_spqr(g.dual()[0])]]
 
     @rule(data=st.data(), op=st.sampled_from("dc"))
     def update(self, data, op):
@@ -102,7 +105,7 @@ class SpqrMachine(RuleBasedStateMachine):
         # hold the R nodes
         self.blocks.sort(key=lambda b: -b[0].n_edges)
         i = data.draw(st.integers(0, len(self.blocks) - 1), label="block")
-        g, tree, _ = self.blocks.pop(i)
+        g, tree, _, dual = self.blocks.pop(i)
         e = data.draw(st.sampled_from(sorted(g.edge_ids())), label="edge")
         h = g.copy()
         with parent_moves() as moved:
@@ -112,15 +115,18 @@ class SpqrMachine(RuleBasedStateMachine):
             else:
                 h.contract_edge(e)
                 log = spqr.contract_edge(tree, e)
+        dlog = (spqr.contract_edge if op == "d" else spqr.delete_edge)(dual, e)
+        assert outcome(log) == outcome(dlog, True)
+        duals = trees_by_edges(dlog)
         if log.kind == "intact":
-            parts = [(log.tree, _real_edges(log.tree))]
+            parts = [(log.tree, real_edges(log.tree))]
         elif log.kind == "pair":
             assert h.n_edges == 2
             assert log.pair_ends == tuple(sorted(h.vertices()))
             parts = [(None, frozenset(log.pair_edges))]
         else:
             assert log.kind == ("path" if op == "d" else "star")
-            parts = [(p.tree, _real_edges(p.tree) if p.tree
+            parts = [(p.tree, real_edges(p.tree) if p.tree
                       else frozenset(p.edges)) for p in log.pieces]
         assert sorted(map(sorted, (es for _t, es in parts))) == \
             sorted(map(sorted, _blocks(h)))
@@ -133,14 +139,14 @@ class SpqrMachine(RuleBasedStateMachine):
             sub = _edge_subgraph(h, es)
             want = canonical_spqr(sub)
             assert t.serialize() == want
-            self.blocks.append([sub, t, want])
+            self.blocks.append([sub, t, want, duals[real_edges(t)]])
         if op == "c":
             self._rename(log.retired_vertex, log.merged_vertex)
 
     def _rename(self, dying, keep):
         # the blocks just made hold ``keep`` only: they come from h
         for block in self.blocks:
-            g, t, _ = block
+            g, t, _, _ = block
             if not g.has_vertex(dying):
                 continue
             node = next(x for x in t.nodes() if x.graph.has_vertex(dying))
@@ -150,9 +156,10 @@ class SpqrMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_block_matches_oracle(self):
-        for _g, t, want in self.blocks:
+        for _g, t, want, dual in self.blocks:
             t.check()
             assert t.serialize() == want
+            assert shape(t) == shape(dual, True)
 
 
 SpqrMachine.TestCase.settings = settings(
