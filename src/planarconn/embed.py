@@ -8,11 +8,12 @@ traced with the next-dart rule (reverse the dart, then take the
 clockwise successor at its vertex), so corners, duals and the
 vertex-face graph are purely combinatorial.
 
-The two primitive mutations are edge deletion and edge contraction, both
-implemented as splices on the rotation lists.  Every dart carries the
-token of its vertex; a contraction moves the darts of the smaller
-rotation to the larger one's token, so a dart changes token O(log n)
-times, and the token carries the surviving vertex label.
+The primitive mutations are edge deletion, edge contraction and the
+merge of one vertex into another, all implemented as splices on the
+rotation lists.  Every dart carries the token of its vertex; a
+contraction or a merge moves the darts of the smaller rotation to the
+larger one's token, so a dart changes token O(log n) times, and the
+token carries the surviving vertex label.
 """
 
 from __future__ import annotations
@@ -512,6 +513,38 @@ class EmbeddedMultigraph:
         del self._deg[gone]
         self._anchor[keep] = anchor
         del self._anchor[gone]
+
+    def merge_vertex(self, x: int, r: int, after_x: int | None,
+                     first_r: int | None) -> None:
+        """Merge vertex r into x, retiring r's label: r's rotation, read
+        clockwise from dart ``first_r``, goes into x's right after dart
+        ``after_x``.  Either dart is None for an end with no darts.  As
+        in :meth:`contract_edge`, the darts of the smaller rotation move
+        to the larger one's token."""
+        nxt, prv = self._nxt, self._prv
+        dx, dr = self._deg[x], self._deg.pop(r)
+        tx, tr = self._label_root[x], self._label_root.pop(r)
+        moving = first_r
+        if dr > dx:
+            tx, tr, moving = tr, tx, after_x
+            self._label_root[x] = tx
+            self._root_label[tx] = x
+        del self._root_label[tr]
+        d = moving
+        while d is not None:
+            self._home[d] = tx
+            d = nxt[d]
+            if d == moving:
+                break
+        if first_r is not None:
+            if after_x is None:
+                self._anchor[x] = first_r
+            else:
+                last, b = prv[first_r], nxt[after_x]
+                nxt[after_x], prv[first_r] = first_r, after_x
+                nxt[last], prv[b] = b, last
+        self._deg[x] = dx + dr
+        del self._anchor[r]
 
     def bigon_at(self, d: int) -> tuple[int, int] | None:
         """If the face through dart ``d`` is a bigon of two distinct

@@ -21,29 +21,31 @@ vertex, so a leaf around a vertex of degree d stores about d^2 / 2
 paths.  That is why leaves stay of bounded size.
 
 There are three mutations.  An insertion splits a face and a
-contraction merges the two ends of an edge.  A merge across a face
-does both at once: it inserts the diagonal between two opposite
-corners and contracts it.  A contraction keeps the label of the
-endpoint with more edges (see ``SeparatorTree.apply_contraction``) and
-re-seats only the paths with a leg at the other endpoint, whose label
-retires; the others keep their pair, legs and middle.  A merge across
-a face logs nothing about its diagonal.  An insertion changes only the
-face it splits, so the one 4-cycle avoiding the diagonal that can turn
-separating is that face's boundary, which the contraction destroys,
-and every cycle through the diagonal dies with it.  Of each pair of
-parallel edges a contraction leaves, the larger id survives.
+contraction merges the two ends of an edge.  A contraction keeps the
+label of the endpoint with more edges (see
+``SeparatorTree.apply_contraction``) and re-seats only the paths with a
+leg at the other endpoint, whose label retires; the others keep their
+pair, legs and middle.  Of each pair of parallel edges a contraction
+leaves, the larger id survives.
 
-One merge across a face needs none of that: when the endpoint that
-retires has degree 2 and the face is a quad of four distinct corners,
-the merge only removes that endpoint, whose two edges would each end
-up parallel to one of the survivor's.  It is retired in place, its
-edges deleted and, in a separator-tree node without the survivor, its
-label renamed to the survivor's; the survivor's edges stay.
+A merge of two opposite corners across a face is the third.  Across a
+quad of four distinct corners, the only face an R-node surgery merges
+across, it is done in place (``SeparatorTree.apply_merge``): the
+endpoint r that retires loses its two quad edges, which would each end
+up parallel to one of the survivor x's, and its other edges join x's
+rotation where the face was.  So x's quad edges survive, and the paths
+re-seated are those with a leg at r, as in a contraction.  Across any
+other face the merge inserts the diagonal between the two corners and
+contracts it, and logs nothing about the diagonal: an insertion
+changes only the face it splits, so the one 4-cycle avoiding the
+diagonal that can turn separating is that face's boundary, which the
+contraction destroys, and every cycle through the diagonal dies with
+it.
 
 Mutations only keep the tables and write one op log.  The one 4-cycle
 a mutation walks is the boundary of a face that an inserted edge
-splits, in each node the edge enters (a contraction or a retirement
-inserts the survivor's edges into a node that held only the other
+splits, in each node the edge enters (a contraction or a merge
+inserts the survivor's edges into a node that held only one
 endpoint).  The log holds, at construction, the pairs that already
 close a separating 4-cycle; during a mutation, the pair and legs of
 every new path and a split 4-face whose boundary turned separating.  A
@@ -72,7 +74,7 @@ from .embed import (
     quasi_induced_degree,
     rev,
 )
-from .separators import SeparatorTree, merge_survivor
+from .separators import SeparatorTree
 
 MAX_FACE_DEGREE = 64
 
@@ -202,8 +204,7 @@ class _NodeState:
 class Detector:
     """Maintains the separating 4-cycles of a plane multigraph under
     three mutations: :meth:`insert_edge`, :meth:`contract_edge` and
-    :meth:`merge_across`, which contracts a face's diagonal without
-    ever logging it.
+    :meth:`merge_across`, which merges two opposite corners of a face.
 
     :meth:`separating_now` is the one answer: the 4-cycles that are
     separating now, found by walking the pairs in the op log that
@@ -262,41 +263,33 @@ class Detector:
     def merge_across(self, u: int, w: int,
                      after_u: int | None, after_w: int | None) -> int:
         """Merge two opposite corners of one face, the corners after
-        ``after_u`` at u and after ``after_w`` at w, and return the
-        merged label, that of the endpoint with more edges (the smaller
-        label on a tie): the diagonal across the face is inserted and
-        contracted at once, restoring quasi-simplicity and logging the
-        pair of every new path.  Raises SelfLoopContraction when u == w
-        and NotOnFace when the corners lie on different faces, before
-        anything changes.
+        ``after_u`` at u and after ``after_w`` at w, log the pair of
+        every new path and return the merged label, that of the
+        endpoint with more edges (the smaller label on a tie).  Raises
+        SelfLoopContraction when u == w and NotOnFace when the corners
+        lie on different faces, before anything changes.
 
-        Only the contraction's events are processed: the diagonal is
-        never logged.  An insertion changes only the face it splits, so
-        the one 4-cycle avoiding the diagonal that can turn separating
-        is that face's boundary, which the contraction destroys, and
-        every cycle through the diagonal dies with it.  Of each pair of
-        parallel edges the merge leaves, the larger id survives.
+        Across a quad of four distinct corners, the face of every
+        R-node surgery, the merge is done in place
+        (``SeparatorTree.apply_merge``): the retiring endpoint's two
+        quad edges are deleted and its other edges join the survivor's
+        rotation, so the survivor's quad edges are the ones that stay.
+        Nothing is inserted, contracted or quasi-simplified.
 
-        When the endpoint that retires has degree 2 and the face is a
-        quad of four distinct corners, the merge only removes that
-        endpoint: its two edges would each end up parallel to one of
-        the survivor's and be simplified away.  So it is retired in
-        place (``SeparatorTree.apply_retire``), with no diagonal,
-        contraction or lifted path, and the survivor's edges are the
-        ones that stay."""
+        Across any other face the diagonal is inserted and contracted,
+        and quasi-simplicity is restored.  Only the contraction's events
+        are processed: the diagonal is never logged.  Of each pair of
+        parallel edges this merge leaves, the larger id survives."""
         if u == w:
             raise SelfLoopContraction(
                 f"corners of vertex {u} cannot merge with each other")
         self._begin_op()
         h = self.tree.root.graph
         if _opposite_on_quad(h, u, w, after_u, after_w):
-            x = merge_survivor(h, u, w)
-            r = u + w - x
-            if h.degree(r) == 2:
-                tevents = self.tree.apply_retire(r, x)
-                self._process_events(tevents)
-                self._end_op(tevents)
-                return x
+            tevents = self.tree.apply_merge(u, w, after_u, after_w)
+            self._process_events(tevents)
+            self._end_op(tevents)
+            return u if h.has_vertex(u) else w
         inserted = self.tree.apply_insertion(u, w, after_u, after_w)
         return self._contract(inserted[0][2], inserted)
 
@@ -381,6 +374,9 @@ class Detector:
     def check(self) -> None:
         """Assert detector invariants against from-scratch recomputation."""
         self.tree.check()
+        # in-place merges run no quasi-simplification to remove bigons
+        assert not any(len(f) == 2 and edge_of(f[0]) != edge_of(f[1])
+                       for f in self.tree.root.graph.faces()), "doubled face"
         for st in self._states.values():
             node = st.node
             expected_K = (set(node.graph.vertices()) if node.is_leaf
@@ -564,10 +560,11 @@ class Detector:
             self._paths_from(st, x, fw if ku else fu)
 
     def _process_retire(self, st, r: int, x: int) -> None:
-        """r left a node that holds x (``SeparatorTree.apply_retire``);
-        its edges' deletions already purged every path through it.  If
-        r was tracked, x now stands where r stood in the separation: it
-        is tracked too, and any of its edges can start a new path."""
+        """r left a node that holds x with no edge left there
+        (``SeparatorTree.apply_merge``); its edges' deletions already
+        purged every path through it.  If r was tracked, x now stands
+        where r stood in the separation: it is tracked too, and any of
+        its edges can start a new path."""
         self._op_renames.setdefault(id(st.node), {})[r] = x
         if r in st.K:
             st.K.discard(r)

@@ -3,7 +3,8 @@
 Builds a binary tree of induced embedded subgraphs where every internal
 node carries a balanced, small, face-preserving separation, and keeps
 the whole tree consistent under edge contractions, embedding-respecting
-insertions and retirements of a degree-2 vertex in the root graph.
+insertions, deletions and merges of opposite corners across a quad
+face of the root graph.
 """
 
 from __future__ import annotations
@@ -436,8 +437,12 @@ def merge_survivor(h: EmbeddedMultigraph, u: int, w: int) -> int:
 
 class SeparatorTree:
     """Binary separator tree over a copy of an embedded graph, with
-    contraction, insertion and retirement maintenance that keeps every
-    node an induced embedded subgraph of its parent."""
+    contraction, insertion, deletion and quad-merge maintenance that
+    keeps every node an induced embedded subgraph of its parent.
+
+    A contraction and a quad merge share one walk (:meth:`_merge`).  A
+    quad merge inserts nothing: of the two edges that each retiring
+    quad edge would end up parallel to, the survivor's stays."""
 
     def __init__(self, g: EmbeddedMultigraph):
         self.root = self._build(g.copy(), 0)
@@ -558,33 +563,9 @@ class SeparatorTree:
         u, w = self.root.graph.endpoints(e)
         x = merge_survivor(self.root.graph, u, w)
         events: list[tuple] = []
-        self._contract(self.root, e, u, w, x, events)
+        self._merge(self.root, None, (x, u + w - x, u, w, e),
+                    lambda h: h.contract_edge(e, keep=x), events)
         return events
-
-    def _contract(self, node, e, u, w, x, events):
-        h = node.graph
-        fu = sorted({edge_of(d) for d in h.rotation(u)})
-        fw = sorted({edge_of(d) for d in h.rotation(w)})
-        h.contract_edge(e, keep=x)
-        events.append(("contract", node, e, x, u, w, fu, fw))
-        for child in node.children:
-            self._propagate_merge(child, h, u, w, x, e, events)
-
-    def _propagate_merge(self, node, parent_h, u, w, x, e, events):
-        has_u = node.graph.has_vertex(u)
-        has_w = node.graph.has_vertex(w)
-        if not (has_u or has_w):
-            return
-        if has_u and has_w:
-            self._contract(node, e, u, w, x, events)
-            return
-        old = u if has_u else w
-        if old != x:
-            node.graph.rename_vertex(old, x)
-            events.append(("rename", node, old, x))
-        self._gain_edges(node, parent_h, x, events)
-        for child in node.children:
-            self._propagate_merge(child, node.graph, u, w, x, e, events)
 
     def _gain_edges(self, node, parent_h, x, events):
         """Insert into ``node`` every edge at x in its parent's graph
@@ -605,29 +586,79 @@ class SeparatorTree:
             events.append(("insert", node, f))
             self._propagate_insertion(node, f, events)
 
-    def apply_retire(self, r: int, x: int) -> list[tuple]:
-        """Remove vertex r of the root graph, which has degree 2 and
-        whose two neighbours are also neighbours of x across a quad
-        face: the outcome of merging r into x across that face, with
-        x's edges kept where the merge would leave parallel pairs.
+    def apply_merge(self, u: int, w: int,
+                    after_u: int, after_w: int) -> list[tuple]:
+        """Merge the opposite corners of a face of the root graph that
+        is a quad of four distinct corners, the corners after
+        ``after_u`` at u and after ``after_w`` at w, in place: the
+        outcome of contracting the quad's diagonal and deleting one edge
+        of each parallel pair that leaves, with no diagonal inserted.
 
-        r's edges are deleted first (:meth:`apply_deletion`).  Then,
-        walking down the nodes that hold r, root first, a node that
-        also holds x deletes r (``("retire", node, r, x)``), and one
-        without x renames r to x (``("rename", node, r, x)``) and gains
-        x's edges from its parent (``("insert", node, f)``), the step a
-        contraction takes in a node holding one endpoint, so every node
-        ends up holding the vertices it would hold after the merge.
+        The survivor x is :func:`merge_survivor`'s, and the endpoint r
+        that retires loses its two quad edges (:meth:`apply_deletion`),
+        so x's quad edges are the ones that stay.  Then, walking down
+        the nodes that hold r or x, root first, a node that holds both
+        splices r's remaining darts into x's rotation right after x's
+        quad edge ``after_x``, each node in the root's order restricted
+        to its own darts (``("contract", node, None, x, u, w, fu, fw)``,
+        with ``fu`` and ``fw`` the sorted ids of the edges left at u and
+        at w); where r has no edge left, as everywhere when it had
+        degree 2, it deletes r instead (``("retire", node, r, x)``).  A
+        node with r alone renames it to x (``("rename", node, r, x)``),
+        and one with r or x alone gains x's edges from its parent
+        (``("insert", node, f)``), as in a contraction.
         """
+        h = self.root.graph
+        x = merge_survivor(h, u, w)
+        r, after_r, after_x = (u, after_u, after_w) if x == w else (
+            w, after_w, after_u)
+        # r's darts after its two quad edges, and x's back from after_x:
+        # a node splices after the first of those it holds, and none
+        # does when r keeps no dart
+        quad = (after_r, h.rotation_next(after_r))
+        rest, d = [], h.rotation_next(quad[1])
+        while d != after_r:
+            rest.append(d)
+            d = h.rotation_next(d)
+        back, d = [after_x], h.rotation_prev(after_x)
+        while rest and d != after_x:
+            back.append(d)
+            d = h.rotation_prev(d)
         events: list[tuple] = []
-        for f in [edge_of(d) for d in self.root.graph.rotation(r)]:
-            events += self.apply_deletion(f)
-        self._retire(self.root, None, r, x, events)
+        for d in quad:
+            events += self.apply_deletion(edge_of(d))
+
+        def splice(g):
+            has = g.has_dart
+            g.merge_vertex(x, r, next((d for d in back if has(d)), None),
+                           next((d for d in rest if has(d)), None))
+
+        self._merge(self.root, None, (x, r, u, w, None), splice, events)
         return events
 
-    def _retire(self, node, parent_h, r, x, events):
+    def _merge(self, node, parent_h, ends, join, events):
+        """The walk of a merge of r into x, root first, over the nodes
+        that hold either.  In a node that holds both, ``join`` merges
+        them, unless r has no edge left there and is deleted; a node
+        with r alone renames it to x, and one with either alone gains
+        x's edges from its parent.
+        ``ends`` is ``(x, r, u, w, e)``: u and w are the ends as the
+        caller named them, and e is the contracted edge, or None for a
+        quad merge."""
+        x, r, u, w, e = ends
         h = node.graph
-        if h.has_vertex(x):
+        if not h.has_vertex(r):
+            # what x gains here reaches every descendant holding both ends
+            self._gain_edges(node, parent_h, x, events)
+            return
+        # only then can a child with x alone gain r's edges
+        spliced = h.has_vertex(x) and h.degree(r) > 0
+        if spliced:
+            fu = sorted({edge_of(d) for d in h.rotation(u)})
+            fw = sorted({edge_of(d) for d in h.rotation(w)})
+            join(h)
+            events.append(("contract", node, e, x, u, w, fu, fw))
+        elif h.has_vertex(x):
             h.delete_vertex(r)
             events.append(("retire", node, r, x))
         else:
@@ -635,8 +666,9 @@ class SeparatorTree:
             events.append(("rename", node, r, x))
             self._gain_edges(node, parent_h, x, events)
         for child in node.children:
-            if child.graph.has_vertex(r):
-                self._retire(child, h, r, x, events)
+            if child.graph.has_vertex(r) or (
+                    spliced and child.graph.has_vertex(x)):
+                self._merge(child, h, ends, join, events)
 
     def apply_insertion(self, u: int, w: int,
                         after_u: int | None, after_w: int | None,

@@ -12,10 +12,15 @@ one line per kind:
 - ``mutations``: calls of ``Detector.insert_edge``, ``contract_edge``
   and ``merge_across``;
 - ``renames``: ``rename`` events of ``SeparatorTree.apply_contraction``
-  and ``SeparatorTree.apply_retire``, one per separator-tree node that
+  and ``SeparatorTree.apply_merge``, one per separator-tree node that
   relabels the one endpoint it holds;
-- ``retired``: calls of ``SeparatorTree.apply_retire``, the merges that
-  ``Detector.merge_across`` does by retiring a degree-2 corner in place;
+- ``in-place merges``: calls of ``SeparatorTree.apply_merge``, the
+  merges that ``Detector.merge_across`` does in place across a quad of
+  four distinct corners, split by the degree of the endpoint that
+  retires (2, or more);
+- ``diagonal merges``: the other calls of ``Detector.merge_across``,
+  which insert a diagonal, contract it and quasi-simplify; no R
+  surgery makes one;
 - ``candidates`` and ``lifted``: the growth of ``Detector``'s
   ``candidates_total`` and ``lifted_total`` over the mutations.
 
@@ -40,7 +45,7 @@ def _count(mods, work: Counter) -> None:
     Detector, SeparatorTree = fourcycle.Detector, separators.SeparatorTree
     walk = fourcycle.cycle_is_separating
     contraction = SeparatorTree.apply_contraction
-    retire = SeparatorTree.apply_retire
+    merge = SeparatorTree.apply_merge
 
     def counted_walk(*args):
         work["walks"] += 1
@@ -51,9 +56,11 @@ def _count(mods, work: Counter) -> None:
         work["renames"] += sum(ev[0] == "rename" for ev in events)
         return events
 
-    def counted_retire(self, r, x):
-        events = retire(self, r, x)
-        work["retired"] += 1
+    def counted_merge(self, u, w, *corners):
+        h = self.root.graph
+        r = u + w - separators.merge_survivor(h, u, w)
+        work["in-place 2" if h.degree(r) == 2 else "in-place >2"] += 1
+        events = merge(self, u, w, *corners)
         work["renames"] += sum(ev[0] == "rename" for ev in events)
         return events
 
@@ -64,13 +71,14 @@ def _count(mods, work: Counter) -> None:
                 return method(self, *args, **kw)
             finally:
                 work["mutations"] += 1
+                work[method.__name__] += 1
                 work["candidates"] += self.candidates_total - c0
                 work["lifted"] += self.lifted_total - l0
         return run
 
     fourcycle.cycle_is_separating = counted_walk
     SeparatorTree.apply_contraction = counted_contraction
-    SeparatorTree.apply_retire = counted_retire
+    SeparatorTree.apply_merge = counted_merge
     for name in MUTATIONS:
         setattr(Detector, name, counted_mutation(getattr(Detector, name)))
 
@@ -90,9 +98,12 @@ def main() -> int:
                 mods, harness.read_graph(mods["embed"], name),
                 harness.read_sequence(name), harness.Clock())
             failed += sum(bool(r.failure) for r in res.records)
+        in_place = work["in-place 2"] + work["in-place >2"]
         print(f"{kind}: walks {work['walks']}, mutations "
               f"{work['mutations']}, renames {work['renames']}, "
-              f"retired {work['retired']}, "
+              f"in-place merges {in_place} (degree 2: "
+              f"{work['in-place 2']}, more: {work['in-place >2']}), "
+              f"diagonal merges {work['merge_across'] - in_place}, "
               f"candidates {work['candidates']}, lifted {work['lifted']}")
     return 1 if failed else 0
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from planarconn.embed import NotOnFace, SelfLoopContraction, UnknownEdge, edge_o
 from planarconn.fourcycle import MAX_FACE_DEGREE, Detector, FaceDegreeExceeded
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import separating_4cycles
+from planarconn.separators import merge_survivor
 
 from .graphs import cube, cycle, grid, hub, k4, k24, triangle, wheel
 
@@ -321,32 +323,21 @@ def leaves(request):
 
 @pytest.mark.usefixtures("leaves")
 def test_merge_across_exact(monkeypatch):
-    # merge opposite corners of random quad faces; the diagonal is
-    # never handed to discovery, and the query stays exact
-    diagonals, discovered = set(), set()
+    # merge opposite corners of random quad faces: a merge across a quad
+    # of four distinct corners happens in place, with no diagonal
+    # inserted, and the query stays exact
+    diagonals, distinct = set(), [False]
     insertion = fourcycle.SeparatorTree.apply_insertion
 
     def record_diagonal(self, *args, **kw):
         events = insertion(self, *args, **kw)
-        diagonals.add(events[0][2])
+        if distinct[0]:
+            diagonals.add(events[0][2])
         return events
-
-    def record_discovery(name):
-        method = getattr(Detector, name)
-
-        def spy(self, st, eid):
-            discovered.add(eid)
-            return method(self, st, eid)
-        monkeypatch.setattr(Detector, name, spy)
 
     monkeypatch.setattr(fourcycle.SeparatorTree, "apply_insertion",
                         record_diagonal)
-    record_discovery("_process_insert_paths")
-    record_discovery("_recheck_split_face")
     for det, rng in _radial_detectors(debug=True):
-        # edge ids repeat across detectors
-        diagonals.clear()
-        discovered.clear()
         h = det.tree.root.graph
         for step in range(40):
             f = rng.choice([f for f in h.faces() if len(f) == 4])
@@ -358,12 +349,13 @@ def test_merge_across_exact(monkeypatch):
             # label on a tie
             du, dw = h.degree(u), h.degree(w)
             keep = u if du > dw else w if dw > du else min(u, w)
+            distinct[0] = len({h.vertex_of_dart(d) for d in f}) == 4
             x = det.merge_across(u, w, h.rotation_prev(f[i]),
                                  h.rotation_prev(f[i - 2]))
             assert x == keep and not h.has_vertex(u + w - keep)
             assert sep_edges(det) == separating_4cycles(h), f"step {step}"
         det.check()
-        assert diagonals and not diagonals & discovered
+    assert not diagonals
 
 
 def test_mutations_walk_no_cycle(monkeypatch):
@@ -556,14 +548,14 @@ def test_degree2_corner_retires_in_place(monkeypatch):
 def test_degree2_corner_on_large_face_merges(monkeypatch):
     # a degree-2 corner merged across a face of degree 6 or more takes
     # the general path: diagonal, contraction, quasi-simplification
-    retire = fourcycle.SeparatorTree.apply_retire
+    apply_merge = fourcycle.SeparatorTree.apply_merge
     retired = []
 
-    def spy(self, r, x):
-        retired.append(r)
-        return retire(self, r, x)
+    def spy(self, *args):
+        retired.append(args)
+        return apply_merge(self, *args)
 
-    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_retire", spy)
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy)
     for rows, cols in ((5, 5), (4, 6), (2, 3)):
         det = Detector(grid(rows, cols), debug=True)
         h = det.tree.root.graph
@@ -585,12 +577,12 @@ def test_retire_renames_and_enters_separator(monkeypatch):
     # separator-tree nodes: one that holds r but not x renames r to x
     # and gains x's edges, and where r was a separator vertex and x was
     # not, x joins the separator and its paths join the table
-    retire = fourcycle.SeparatorTree.apply_retire
+    apply_merge = fourcycle.SeparatorTree.apply_merge
     process = Detector._process_retire
     seen = {"rename": 0, "enter": 0}
 
-    def spy_retire(self, r, x):
-        events = retire(self, r, x)
+    def spy_merge(self, *args):
+        events = apply_merge(self, *args)
         seen["rename"] += sum(ev[0] == "rename" for ev in events)
         return events
 
@@ -598,7 +590,7 @@ def test_retire_renames_and_enters_separator(monkeypatch):
         seen["enter"] += r in st.K and x not in st.K
         return process(self, st, r, x)
 
-    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_retire", spy_retire)
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy_merge)
     monkeypatch.setattr(Detector, "_process_retire", spy_process)
     det, rng = next(_radial_detectors(debug=True))
     h = det.tree.root.graph
@@ -607,6 +599,46 @@ def test_retire_renames_and_enters_separator(monkeypatch):
         assert sep_edges(det) == separating_4cycles(h)
         det.check()
     assert seen["rename"] and seen["enter"]
+
+
+@pytest.mark.usefixtures("small_leaves")
+def test_general_merges_reach_every_node_case(monkeypatch):
+    # with leaves of 16 vertices, in-place merges of a corner r of degree
+    # 3 or more into x reach every kind of node below the root: one that
+    # holds both splices r's darts left there into x's rotation, one
+    # with r alone renames it to x and gains x's edges, and one with x
+    # alone gains r's former edges
+    apply_merge = fourcycle.SeparatorTree.apply_merge
+    walk = fourcycle.SeparatorTree._merge
+    general, cases = [False], Counter()
+
+    def spy_merge(self, u, w, *corners):
+        h = self.root.graph
+        general[0] = h.degree(u + w - merge_survivor(h, u, w)) > 2
+        return apply_merge(self, u, w, *corners)
+
+    def spy_walk(self, node, parent_h, ends, join, events):
+        x, r = ends[:2]
+        g = node.graph
+        if general[0] and parent_h is not None:
+            if not g.has_vertex(r):
+                cases["x"] += 1
+            elif not g.has_vertex(x):
+                cases["r"] += 1
+            elif g.degree(r):
+                cases["both"] += 1
+        return walk(self, node, parent_h, ends, join, events)
+
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy_merge)
+    monkeypatch.setattr(fourcycle.SeparatorTree, "_merge", spy_walk)
+    det, rng = next(_radial_detectors(debug=False))
+    h = det.tree.root.graph
+    for _ in range(30):
+        general[0] = False
+        _merge_random_quad(det, rng)
+        assert sep_edges(det) == separating_4cycles(h)
+        det.check()
+    assert cases["both"] and cases["r"] and cases["x"], cases
 
 
 def test_contract_to_nothing():

@@ -353,13 +353,13 @@ REPLAY_STEPS = 25
 REPLAY_SEEDS = (*range(12), 18, 21, 25, 26, 36, 39)
 
 
-@functools.cache
-def _replay_case(seed: int, n: int = REPLAY_N):
-    """The start graph of ``n`` vertices, the op sequence and the
-    oracle's tree after each op."""
+def _replay_ops(seed: int, n: int = REPLAY_N):
+    """The start graph of ``n`` vertices, up to ``REPLAY_STEPS`` ops
+    that each keep one loop-free biconnected block of at least three
+    edges, and the graph after each op."""
     rng = random.Random(seed * 1000 + n)
     g = random_planar(n, seed)
-    start, ops, wants = g.copy(), [], []
+    start, ops, graphs = g.copy(), [], []
     for _ in range(REPLAY_STEPS):
         ids = sorted(g.edge_ids())
         rng.shuffle(ids)
@@ -375,9 +375,17 @@ def _replay_case(seed: int, n: int = REPLAY_N):
         else:
             break
         ops.append((op, e))
-        wants.append(canonical_spqr(h))
+        graphs.append(h)
         g = h
-    return start, tuple(ops), tuple(wants)
+    return start, tuple(ops), graphs
+
+
+@functools.cache
+def _replay_case(seed: int, n: int = REPLAY_N):
+    """The start graph of ``n`` vertices, the op sequence and the
+    oracle's tree after each op."""
+    start, ops, graphs = _replay_ops(seed, n)
+    return start, ops, tuple(canonical_spqr(h) for h in graphs)
 
 
 @contextlib.contextmanager
@@ -530,15 +538,16 @@ def test_r_cut_walks_no_cycle(monkeypatch):
     assert seen["cuts"] and not seen["walks"]
 
 
-def test_r_cut_retires_degree2_corners_in_place(monkeypatch):
-    # a cut step whose merge retires a corner of degree 2 across a quad
-    # of the vertex-face graph (a skeleton vertex of degree 2, or the
-    # face between two parallel edges) removes that corner in place:
-    # it inserts no diagonal into the separator tree
+def test_r_merges_insert_no_diagonal(monkeypatch):
+    # every merge of an R surgery, a top-level update's or a cut step's,
+    # is across a quad of four distinct corners of the vertex-face graph
+    # and happens in place, whatever the degree of the corner that
+    # retires: it inserts no diagonal into the separator tree
     r_cut = spqr._r_cut
     merge = fourcycle.Detector.merge_across
     insertion = separators.SeparatorTree.apply_insertion
-    seen = {"inside": 0, "retiring": 0, "inserts": 0}
+    seen = {"inside": 0, "inserts": 0}
+    merges = Counter()
 
     def counted_cut(*args):
         seen["inside"] += 1
@@ -549,15 +558,12 @@ def test_r_cut_retires_degree2_corners_in_place(monkeypatch):
 
     def checked_merge(self, u, w, after_u, after_w):
         h = self.tree.root.graph
-        f = h.trace_face(h.rotation_next(after_u))
         gone = u + w - separators.merge_survivor(h, u, w)
-        retiring = (seen["inside"] and h.degree(gone) == 2 and len(f) == 4
-                    and len({h.vertex_of_dart(d) for d in f}) == 4)
+        merges["cut" if seen["inside"] else "top",
+               h.degree(gone) == 2] += 1
         inserts = seen["inserts"]
         x = merge(self, u, w, after_u, after_w)
-        if retiring:
-            seen["retiring"] += 1
-            assert seen["inserts"] == inserts, "a retiring cut step inserted"
+        assert seen["inserts"] == inserts, "an R merge inserted"
         return x
 
     def counted_insertion(self, *args, **kw):
@@ -575,7 +581,8 @@ def test_r_cut_retires_degree2_corners_in_place(monkeypatch):
             fn = delete_edge if op == "d" else spqr.contract_edge
             tree = fn(tree, e).tree
             assert tree.serialize() == want
-    assert seen["retiring"]
+    assert not seen["inserts"]
+    assert merges["top", False] and merges["cut", False], merges
 
 
 @pytest.mark.usefixtures("small_leaves")
