@@ -46,14 +46,17 @@ Mutations only keep the tables and write one op log.  The one 4-cycle
 a mutation walks is the boundary of a face that an inserted edge
 splits, in each node the edge enters (a contraction or a merge
 inserts the survivor's edges into a node that held only one
-endpoint).  The log holds, at construction, the pairs that already
-close a separating 4-cycle; during a mutation, the pair and legs of
-every new path and a split 4-face whose boundary turned separating.  A
-4-cycle that turns separating either gains a path or is such a face,
-so its pair is logged.  Discovery happens at the single query,
+endpoint).  Construction walks no cycle either: it logs every pair
+with two or more paths, any of which may close a separating 4-cycle.
+During a mutation the log takes the pair and legs of every new path
+and a split 4-face whose boundary turned separating.  A 4-cycle that
+turns separating either gains a path or is such a face, so its pair is
+logged.  Discovery happens at the single query,
 :meth:`Detector.separating_now`, which walks the current path table of
-every logged pair and lists the 4-cycles that are separating now.  A
-caller that resets the log without asking walks nothing.
+each logged pair once and lists the 4-cycles that are separating now.
+A caller that resets the log without asking walks nothing; the
+skeleton of an R node is triconnected when its detector is built, so
+``spqr`` resets without asking.
 
 Every mutation is charged against an exact integer potential.  With
 ``debug`` enabled (off by default) each mutation takes the potential of
@@ -134,16 +137,19 @@ def cycle_is_separating(h: EmbeddedMultigraph,
     """Whether the 4-cycle a -e1- m1 -e2- b -f2- m2 -f1- a bounds no
     face of h (both walks of its two sides fail to close a face).  The
     darts of one side leave a, m1, b and m2; the other side walks the
-    same edges backwards, so its darts are their reverses."""
-    s1 = [dart(e1, 0), dart(e2, 0), dart(f2, 0), dart(f1, 0)]
-    for i, v in enumerate((a, m1, b, m2)):
-        if h.vertex_of_dart(s1[i]) != v:
-            s1[i] = rev(s1[i])
-    s2 = [rev(d) for d in reversed(s1)]
-    for seq in (s1, s2):
-        if all(h.face_next(seq[i]) == seq[(i + 1) % 4] for i in range(4)):
-            return False
-    return True
+    same edges backwards, so its darts are their reverses.  Edge e owns
+    darts 2e and 2e + 1, and ``d ^ 1`` reverses dart d (see ``embed``);
+    the walk is spelt out because the query makes it for every cycle."""
+    at, step = h.vertex_of_dart, h.face_next
+    d1 = 2 * e1 if at(2 * e1) == a else 2 * e1 + 1
+    d2 = 2 * e2 if at(2 * e2) == m1 else 2 * e2 + 1
+    d3 = 2 * f2 if at(2 * f2) == b else 2 * f2 + 1
+    d4 = 2 * f1 if at(2 * f1) == m2 else 2 * f1 + 1
+    if step(d1) == d2 and step(d2) == d3 and step(d3) == d4 \
+            and step(d4) == d1:
+        return False
+    return not (step(d4 ^ 1) == d3 ^ 1 and step(d3 ^ 1) == d2 ^ 1
+                and step(d2 ^ 1) == d1 ^ 1 and step(d1 ^ 1) == d4 ^ 1)
 
 
 class _NodeState:
@@ -183,22 +189,27 @@ class _NodeState:
                     del self.by_edge[e]
 
     def scan_all(self) -> None:
-        """Fill the table from scratch from the live node graph."""
+        """Fill the empty table from the live node graph, in one pass
+        that writes both indexes.  Two legs at one middle name their
+        path alone, so no path is met twice."""
         h = self.node.graph
+        K, paths, by_edge = self.K, self.paths, self.by_edge
+        at = h.vertex_of_dart
         for m in h.vertices():
-            legs = []
-            for d in h.rotation(m):
-                z = h.vertex_of_dart(rev(d))
-                if z == m or z not in self.K:
-                    continue
-                legs.append((edge_of(d), z))
-            for i in range(len(legs)):
-                e1, z1 = legs[i]
-                for j in range(i + 1, len(legs)):
-                    e2, z2 = legs[j]
-                    if z1 == z2 or e1 == e2:
+            # (edge, far end) of m's edges into K: d >> 1 is edge_of(d)
+            # and d ^ 1 is rev(d)
+            legs = [(d >> 1, z) for d in h.rotation(m)
+                    if (z := at(d ^ 1)) != m and z in K]
+            for i, (e1, z1) in enumerate(legs):
+                for e2, z2 in legs[i + 1:]:
+                    if z1 == z2:
                         continue
-                    self.add(_pairkey(z1, z2), _legkey(e1, e2), m)
+                    pair = (z1, z2) if z1 < z2 else (z2, z1)
+                    lk = (e1, e2) if e1 < e2 else (e2, e1)
+                    paths.setdefault(pair, {})[lk] = m
+                    item = (pair, lk)
+                    by_edge.setdefault(e1, set()).add(item)
+                    by_edge.setdefault(e2, set()).add(item)
 
 
 class Detector:
@@ -208,7 +219,10 @@ class Detector:
 
     :meth:`separating_now` is the one answer: the 4-cycles that are
     separating now, found by walking the pairs in the op log that
-    construction and every mutation write to.
+    construction and every mutation write to.  Construction only logs:
+    a caller that knows no 4-cycle separates at the start, as for the
+    radial graph of a triconnected skeleton, resets the log and never
+    pays for the walks that would confirm it.
     """
 
     def __init__(self, g: EmbeddedMultigraph, *, debug: bool = False):
@@ -239,9 +253,8 @@ class Detector:
             st = _NodeState(node, K)
             st.scan_all()
             self._states[id(node)] = st
-            for pair in st.paths:
-                if next(self._separating(st, pair), None) is not None:
-                    self._op_items.append((st, pair, ()))
+            self._op_items += [(st, pair, ()) for pair, d in st.paths.items()
+                               if len(d) > 1]
 
     # -- public operations ----------------------------------------------
 
@@ -319,57 +332,67 @@ class Detector:
 
         The log accumulates across operations so that a caller issuing
         several mutations as one logical step can validate them as a
-        unit."""
+        unit.  A caller that resets right after construction, because
+        it knows that no 4-cycle separates yet, skips every walk of the
+        pairs construction logged."""
         self._op_items = []
         self._op_renames = {}
 
     def separating_now(self) -> list[tuple]:
         """Every 4-cycle that is separating now, provided none was when
-        :meth:`reset_op_log` was last called (construction logs the
+        :meth:`reset_op_log` was last called (construction logs every
+        pair that has two paths, so a query before any reset lists the
         cycles separating at the start).
 
         Every 4-cycle that turns separating gains a path in some
         mutation, or is the boundary of a split face, and its pair is
-        logged.  This is where the walks happen: each logged pair with
-        at least two paths has its current path table checked against
-        the current graph, which also filters out the cycles that were
-        only transiently separating.  A cycle is ``(pair, m1, lk1, m2,
-        lk2)``: its diagonal pair, the two middle vertices and the two
-        leg edge pairs; one cycle held by two node tables is listed
-        twice."""
-        cycles: list[tuple] = []
-        done: set[tuple[int, tuple[int, int]]] = set()
-
-        def check_pair(st, pair):
-            key = (id(st), pair)
-            if key in done or len(st.paths.get(pair, ())) < 2:
-                return
-            done.add(key)
-            for lk1, m1, lk2, m2 in self._separating(st, pair):
-                cycles.append((pair, m1, lk1, m2, lk2))
-
+        logged.  This is where the walks happen: each logged pair of a
+        node with at least two paths has its current path table checked
+        against the current graph, once however often it was logged,
+        which also filters out the cycles that were only transiently
+        separating.  A cycle is ``(pair, m1, lk1, m2, lk2)``: its
+        diagonal pair, the two middle vertices and the two leg edge
+        pairs; one cycle held by two node tables is listed twice."""
+        # (node state, current pair), each once, in the order met
+        todo: dict[tuple[_NodeState, tuple[int, int]], None] = {}
         for st, pair, legs in self._op_items:
             # a logged path may have moved to another pair since, and
-            # the logged pair may have been renamed: check both, each
-            # with its whole current path table
+            # the logged pair may have been renamed: check both
+            d = st.paths.get(pair)
             for lk in legs:
-                g = _derive(st.node.graph, *lk)
-                if g is not None:
-                    check_pair(st, g[0])
-            check_pair(st, self._translate_pair(st, pair))
+                if d is None or lk not in d:
+                    got = _derive(st.node.graph, *lk)
+                    if got is not None:
+                        todo[st, got[0]] = None
+            renames = self._op_renames.get(id(st.node))
+            if renames:
+                # a retired label never re-enters its node
+                a, b = pair
+                while a in renames:
+                    a = renames[a]
+                while b in renames:
+                    b = renames[b]
+                pair = _pairkey(a, b)
+            todo[st, pair] = None
+        cycles: list[tuple] = []
+        for st, pair in todo:
+            d = st.paths.get(pair)
+            if d is None or len(d) < 2:
+                continue
+            # orient each path's legs: the one at a first
+            h = st.node.graph
+            a, b = pair
+            entries = []
+            for lk, m in d.items():
+                p, q = lk
+                entries.append((lk, m, p, q) if a in h.endpoints(p)
+                               else (lk, m, q, p))
+            for i, (lk1, m1, e1, e2) in enumerate(entries):
+                for lk2, m2, f1, f2 in entries[i + 1:]:
+                    if m1 != m2 and cycle_is_separating(
+                            h, a, m1, b, m2, e1, e2, f2, f1):
+                        cycles.append((pair, m1, lk1, m2, lk2))
         return cycles
-
-    def _translate_pair(self, st, pair):
-        """The current labels of a logged pair: each end follows the
-        chain of renames in its node, which a retired label never
-        re-enters."""
-        renames = self._op_renames.get(id(st.node), {})
-        a, b = pair
-        while a in renames:
-            a = renames[a]
-        while b in renames:
-            b = renames[b]
-        return _pairkey(a, b)
 
     def check(self) -> None:
         """Assert detector invariants against from-scratch recomputation."""
@@ -477,31 +500,6 @@ class Detector:
             elif kind == "insert":
                 self._process_insert_paths(st, ev[2])
                 self._recheck_split_face(st, ev[2])
-
-    # -- discovery ---------------------------------------------------------
-
-    def _pair_cycle_separating(self, h, pair, lk1, m1, lk2, m2) -> bool:
-        a, b = pair
-        p, q = lk1
-        e1, e2 = (p, q) if a in h.endpoints(p) else (q, p)
-        p, q = lk2
-        f1, f2 = (p, q) if a in h.endpoints(p) else (q, p)
-        return cycle_is_separating(h, a, m1, b, m2, e1, e2, f2, f1)
-
-    def _separating(self, st, pair):
-        """Yield ``(lk1, m1, lk2, m2)`` for every two stored paths of
-        the pair with distinct middles that close a separating
-        4-cycle."""
-        d = st.paths.get(pair)
-        if not d:
-            return
-        h = st.node.graph
-        entries = list(d.items())
-        for i, (lk1, m1) in enumerate(entries):
-            for lk2, m2 in entries[i + 1:]:
-                if m1 != m2 and self._pair_cycle_separating(
-                        h, pair, lk1, m1, lk2, m2):
-                    yield lk1, m1, lk2, m2
 
     # -- per-node updates --------------------------------------------------
 

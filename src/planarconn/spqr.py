@@ -543,11 +543,12 @@ def _attach_r(x: SpqrNode) -> None:
     """Equip an R node with its split-detection machinery: a
     separating-4-cycle detector over the vertex-face graph of the
     skeleton, plus the corner and label correspondences the surgeries
-    keep in sync."""
+    keep in sync.  The skeleton is triconnected, so no 4-cycle of its
+    radial graph separates yet: the pairs the detector logs when built
+    are dropped unwalked, and ``SpqrTree.check()`` asserts the same fact
+    as the skeleton's lack of separation pairs."""
     fv, info = x.graph.vertex_face_graph()
     x.det = Detector(fv)
-    assert not x.det.separating_now(), \
-        "triconnected skeleton has a separating 4-cycle in its radial graph"
     x.det.reset_op_log()
     x.cmap = dict(info.fv_edge_of_corner)
     x.fvv = {v: v for v in x.graph.vertices()}
@@ -829,21 +830,24 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
     :func:`_r_cut`, which keep its detector in step, the edge left
     across the pair takes the fresh virtual id, and ``r`` takes the kind
     of what is left instead of a new piece being appended.  A split then
-    costs the pieces that leave.
+    costs the pieces that leave: ``kept`` follows the fresh ids that
+    ``r`` holds, so its skeleton is never scanned for them.
     """
     index = _PairIndex(pairs)
     sizes: list[int] = []
+    kept: set[int] = set()
     while True:
         kind = ("P" if g.n_vertices == 2
                 else "S" if _is_simple_cycle_graph(g)
                 else "R" if not index else None)
         if kind is not None:
             sizes.append(g.n_edges)
-            virt = {e for e in g.edge_ids() if e >= vid_base}
             if r is not None:
                 r.kind = kind
-                r.twin.update(dict.fromkeys(sorted(virt)))
-            elif kind == "R":
+                r.twin.update(dict.fromkeys(sorted(kept)))
+                return sizes
+            virt = {e for e in g.edge_ids() if e >= vid_base}
+            if kind == "R":
                 pieces.append((kind, g, virt))
             else:
                 pieces.append((kind, [(e, *g.endpoints(e))
@@ -881,6 +885,8 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
         cut = {v for _, inner in done for v in inner}
         if r is not None:
             _rekey(r, _r_cut(r, gone, a, b), vid)
+            kept -= gone
+            kept.add(vid)
         else:
             # the class that stays gets its virtual edge where
             # _piece_graph puts it: right after the last dart of its run
@@ -899,7 +905,7 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
 def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
     """Virtual ids drawn by one decomposition are unique, so each names
     one twin pair; map every id not linked yet to its (node, id)
-    slots in ``nodes``."""
+    slots in ``nodes``, the fresh nodes of the decomposition."""
     own: dict[int, list[tuple[SpqrNode, int]]] = defaultdict(list)
     for x in nodes:
         for e, slot in x.twin.items():
@@ -960,14 +966,18 @@ def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph,
     builds every S and P skeleton, once per node.  Edges that predate
     the call (reals, virtual ids of ``r``) are left for :func:`_adopt`.
     ``sg`` is consumed.  With ``r``, the R node whose skeleton ``sg``
-    is, see :func:`_decompose`.  Returns the fresh nodes and the
-    top-level piece sizes."""
+    is, see :func:`_decompose`: a fresh id that only one fresh node
+    holds is one that ``r`` keeps, so ``r``'s slots are never walked.
+    Returns the fresh nodes and the top-level piece sizes."""
     vid_base = shared.vids.peek()
     pieces: list[tuple] = []
     sizes = _decompose(sg, pairs, shared.vids, vid_base, pieces, r)
     nodes = _merge_same_kind(pieces)
-    for vid, slots in _owners(nodes if r is None
-                              else [*nodes, r]).items():
+    for vid, slots in _owners(nodes).items():
+        if r is not None and len(slots) == 1:
+            assert vid in r.twin and r.twin[vid] is None, \
+                f"virtual edge {vid} not kept by r"
+            slots.append((r, vid))
         assert len(slots) == 2, f"virtual edge {vid} not paired"
         (x, e), (y, f) = slots
         x.link(e, y, f)

@@ -8,7 +8,9 @@ It replays the dense and then the sparse fixtures of
 one line per kind:
 
 - ``walks``: calls of ``fourcycle.cycle_is_separating``, the face walk
-  that decides whether one 4-cycle separates;
+  that decides whether one 4-cycle separates, counted apart inside
+  ``spqr.build_spqr`` (``build``; a detector walks nothing when built
+  and ``spqr`` queries none it has just built) and in the updates;
 - ``mutations``: calls of ``Detector.insert_edge``, ``contract_edge``
   and ``merge_across``;
 - ``renames``: ``rename`` events of ``SeparatorTree.apply_contraction``
@@ -41,14 +43,26 @@ MUTATIONS = ("insert_edge", "contract_edge", "merge_across")
 
 def _count(mods, work: Counter) -> None:
     """Wrap the counted functions so that they add to ``work``."""
-    fourcycle, separators = mods["fourcycle"], mods["separators"]
+    fourcycle, separators, spqr = (mods["fourcycle"], mods["separators"],
+                                   mods["spqr"])
     Detector, SeparatorTree = fourcycle.Detector, separators.SeparatorTree
     walk = fourcycle.cycle_is_separating
+    build = spqr.build_spqr
     contraction = SeparatorTree.apply_contraction
     merge = SeparatorTree.apply_merge
 
+    building = False
+
+    def counted_build(g):
+        nonlocal building
+        building = True
+        try:
+            return build(g)
+        finally:
+            building = False
+
     def counted_walk(*args):
-        work["walks"] += 1
+        work["build walks" if building else "walks"] += 1
         return walk(*args)
 
     def counted_contraction(self, e):
@@ -76,6 +90,7 @@ def _count(mods, work: Counter) -> None:
                 work["lifted"] += self.lifted_total - l0
         return run
 
+    spqr.build_spqr = counted_build
     fourcycle.cycle_is_separating = counted_walk
     SeparatorTree.apply_contraction = counted_contraction
     SeparatorTree.apply_merge = counted_merge
@@ -99,7 +114,8 @@ def main() -> int:
                 harness.read_sequence(name), harness.Clock())
             failed += sum(bool(r.failure) for r in res.records)
         in_place = work["in-place 2"] + work["in-place >2"]
-        print(f"{kind}: walks {work['walks']}, mutations "
+        print(f"{kind}: walks build {work['build walks']}, updates "
+              f"{work['walks']}, mutations "
               f"{work['mutations']}, renames {work['renames']}, "
               f"in-place merges {in_place} (degree 2: "
               f"{work['in-place 2']}, more: {work['in-place >2']}), "

@@ -52,11 +52,25 @@ def test_k4_matches_brute_force():
     assert sep_edges(det) == set(range(6))
 
 
-def test_initial_reports_match_brute_force():
+def test_initial_reports_match_brute_force(monkeypatch):
+    # construction only logs its pairs: every walk happens at the query
+    walks = []
+    walk = fourcycle.cycle_is_separating
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(fourcycle, "cycle_is_separating", counted)
+    queried = 0
     for make in (cube, lambda: wheel(6), lambda: grid(4, 5), triangle):
+        walks.clear()
         det = Detector(make(), debug=True)
+        assert not walks
         assert_exact(det)
         det.check()
+        queried += len(walks)
+    assert queried
 
 
 @pytest.mark.usefixtures("small_leaves")

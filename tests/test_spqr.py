@@ -353,14 +353,14 @@ REPLAY_STEPS = 25
 REPLAY_SEEDS = (*range(12), 18, 21, 25, 26, 36, 39)
 
 
-def _replay_ops(seed: int, n: int = REPLAY_N):
-    """The start graph of ``n`` vertices, up to ``REPLAY_STEPS`` ops
-    that each keep one loop-free biconnected block of at least three
-    edges, and the graph after each op."""
+def _replay_ops(seed: int, n: int = REPLAY_N, steps: int = REPLAY_STEPS):
+    """The start graph of ``n`` vertices, up to ``steps`` ops that each
+    keep one loop-free biconnected block of at least three edges, and
+    the graph after each op."""
     rng = random.Random(seed * 1000 + n)
     g = random_planar(n, seed)
     start, ops, graphs = g.copy(), [], []
-    for _ in range(REPLAY_STEPS):
+    for _ in range(steps):
         ids = sorted(g.edge_ids())
         rng.shuffle(ids)
         for e in ids:
@@ -509,7 +509,9 @@ def test_r_cut_walks_no_cycle(monkeypatch):
     # the surgeries of a cut log pairs that the split resets unread, so
     # none of them may walk a 4-cycle of the detector (these skeletons'
     # separator trees are single leaves, so no contraction inserts an
-    # edge into a child node and walks the face it splits)
+    # edge into a child node and walks the face it splits); nor may a
+    # build, whose R skeletons are triconnected: their detectors log
+    # pairs that _attach_r resets unread
     r_cut = spqr._r_cut
     walk = fourcycle.cycle_is_separating
     seen = {"inside": 0, "cuts": 0, "walks": 0}
@@ -528,6 +530,10 @@ def test_r_cut_walks_no_cycle(monkeypatch):
 
     monkeypatch.setattr(spqr, "_r_cut", counted_cut)
     monkeypatch.setattr(fourcycle, "cycle_is_separating", counted_walk)
+    seen["inside"] += 1
+    tree = build_spqr(random_planar(100, 1))
+    seen["inside"] -= 1
+    assert any(x.kind == "R" for x in tree.nodes())
     for seed in REPLAY_SEEDS:
         g, ops, wants = _replay_case(seed)
         tree = build_spqr(g)
