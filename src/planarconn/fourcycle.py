@@ -29,18 +29,19 @@ pair, legs and middle.  Of each pair of parallel edges a contraction
 leaves, the larger id survives.
 
 A merge of two opposite corners across a face is the third.  Across a
-quad of four distinct corners, the only face an R-node surgery merges
-across, it is done in place (``SeparatorTree.apply_merge``): the
-endpoint r that retires loses its two quad edges, which would each end
-up parallel to one of the survivor x's, and its other edges join x's
+quad of four distinct corners, the face of nearly every R-node surgery,
+it is done in place (``SeparatorTree.apply_merge``): the endpoint r
+that retires loses its two quad edges, which would each end up
+parallel to one of the survivor x's, and its other edges join x's
 rotation where the face was.  So x's quad edges survive, and the paths
 re-seated are those with a leg at r, as in a contraction.  Across any
-other face the merge inserts the diagonal between the two corners and
-contracts it, and logs nothing about the diagonal: an insertion
-changes only the face it splits, so the one 4-cycle avoiding the
-diagonal that can turn separating is that face's boundary, which the
-contraction destroys, and every cycle through the diagonal dies with
-it.
+other face, such as the quad of a bridge that an R split's cut
+contracts, whose two sides are one face, the merge inserts the
+diagonal between the two corners and contracts it, and logs nothing
+about the diagonal: an insertion changes only the face it splits, so
+the one 4-cycle avoiding the diagonal that can turn separating is that
+face's boundary, which the contraction destroys, and every cycle
+through the diagonal dies with it.
 
 Mutations only keep the tables and write one op log.  The one 4-cycle
 a mutation walks is the boundary of a face that an inserted edge
@@ -282,17 +283,20 @@ class Detector:
         SelfLoopContraction when u == w and NotOnFace when the corners
         lie on different faces, before anything changes.
 
-        Across a quad of four distinct corners, the face of every
-        R-node surgery, the merge is done in place
+        Across a quad of four distinct corners, the face of nearly
+        every R-node surgery, the merge is done in place
         (``SeparatorTree.apply_merge``): the retiring endpoint's two
         quad edges are deleted and its other edges join the survivor's
         rotation, so the survivor's quad edges are the ones that stay.
         Nothing is inserted, contracted or quasi-simplified.
 
         Across any other face the diagonal is inserted and contracted,
-        and quasi-simplicity is restored.  Only the contraction's events
-        are processed: the diagonal is never logged.  Of each pair of
-        parallel edges this merge leaves, the larger id survives."""
+        and quasi-simplicity is restored.  An R surgery reaches this
+        path when an R split's cut contracts a bridge of the skeleton it
+        has partly cut: the bridge's quad repeats the face on both its
+        sides.  Only the contraction's events are processed: the
+        diagonal is never logged.  Of each pair of parallel edges this
+        merge leaves, the larger id survives."""
         if u == w:
             raise SelfLoopContraction(
                 f"corners of vertex {u} cannot merge with each other")

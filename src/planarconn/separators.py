@@ -696,8 +696,11 @@ class SeparatorTree:
         """Delete edge e from every node holding it, root first.
 
         Intended for edges whose removal merges a face into a neighbor
-        sharing the same vertex set (the losing edge of a doubled pair),
-        which keeps every separation face-preserving.
+        sharing the same vertex set, which keeps every separation
+        face-preserving.  It has two uses: the losing edge of a doubled
+        pair that quasi-simplification removes, and the two quad edges
+        of the corner that retires in :meth:`apply_merge`, each parallel
+        to one of the survivor's once the quad merges.
         """
         events: list[tuple] = []
 

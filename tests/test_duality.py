@@ -13,9 +13,11 @@ vertex merge.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from planarconn import fourcycle, separators
 from planarconn.generators import random_planar
 from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
@@ -61,10 +63,11 @@ def trees_by_edges(log) -> dict[tuple[int, ...], object]:
     return {real_edges(t): t for t in trees}
 
 
-def paired_ops(g, steps: int, seed: int) -> int:
+def paired_ops(g, steps: int, seed: int, after=None) -> int:
     """Run up to ``steps`` random deletions and contractions on the tree
     of g and each swapped on the tree of its dual, following the largest
-    block; every outcome must match.  Returns the ops made."""
+    block; every outcome must match.  ``after``, if given, is called
+    with the trees of both sides after each op.  Returns the ops made."""
     rng = random.Random(seed)
     prim, dual = build_spqr(g), build_spqr(g.dual()[0])
     assert shape(prim) == shape(dual, True)
@@ -75,6 +78,8 @@ def paired_ops(g, steps: int, seed: int) -> int:
         dlog = (delete_edge if swap else contract_edge)(dual, e)
         assert outcome(log) == outcome(dlog, True), (step, e, swap)
         trees, dtrees = trees_by_edges(log), trees_by_edges(dlog)
+        if after is not None:
+            after([*trees.values(), *dtrees.values()])
         if not trees:
             return step + 1
         key = max(trees, key=len)
@@ -82,19 +87,51 @@ def paired_ops(g, steps: int, seed: int) -> int:
     return steps
 
 
-# (n, max face degree, seeds, ops per seed); face degree 24 leaves long
-# chains of S nodes and P hubs, so S deletions and P contractions split
+# (n, max face degree, seeds, ops per seed, whether an R surgery merges
+# across a face that is no quad of four distinct corners); face degree
+# 24 leaves long chains of S nodes and P hubs, so S deletions and P
+# contractions split
 DUAL_CASES = [
-    pytest.param(40, 8, 10, 40, id="40"),
-    pytest.param(40, 24, 10, 40, id="40-sparse"),
-    pytest.param(200, 8, 3, 50, id="200"),
-    pytest.param(200, 24, 3, 50, id="200-sparse"),
-    pytest.param(400, 8, 2, 100, id="400"),
+    pytest.param(40, 8, 10, 40, False, id="40"),
+    pytest.param(40, 24, 10, 40, False, id="40-sparse"),
+    pytest.param(200, 8, 3, 50, False, id="200"),
+    pytest.param(200, 24, 3, 50, True, id="200-sparse"),
+    pytest.param(400, 8, 2, 100, False, id="400"),
 ]
 
 
-@pytest.mark.parametrize("n, max_face_degree, seeds, steps", DUAL_CASES)
-def test_updates_commute_with_duality(n, max_face_degree, seeds, steps):
+@pytest.mark.parametrize("n, max_face_degree, seeds, steps, diagonal",
+                         DUAL_CASES)
+def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
+                                      seeds, steps, diagonal):
+    # an R split's cut can contract a bridge of the partly cut skeleton,
+    # whose quad repeats the face on both its sides (seed 1 of
+    # 200-sparse, step 11); the detector then merges by its diagonal
+    # path, and every tree on both sides must still pass check()
+    merge = fourcycle.Detector.merge_across
+    in_place = separators.SeparatorTree.apply_merge
+    seen = Counter()
+
+    def counted_merge(self, *args):
+        seen["merges"] += 1
+        return merge(self, *args)
+
+    def counted_in_place(self, *args):
+        seen["in place"] += 1
+        return in_place(self, *args)
+
+    def check_after_diagonal(trees):
+        if seen["merges"] > seen["in place"]:
+            seen["diagonal ops"] += 1
+            for tree in trees:
+                tree.check()
+        seen["merges"] = seen["in place"] = 0
+
+    monkeypatch.setattr(fourcycle.Detector, "merge_across", counted_merge)
+    monkeypatch.setattr(separators.SeparatorTree, "apply_merge",
+                        counted_in_place)
     ops = sum(paired_ops(random_planar(n, seed, max_face_degree), steps,
-                         seed) for seed in range(seeds))
+                         seed, check_after_diagonal)
+              for seed in range(seeds))
     assert ops >= seeds
+    assert seen["diagonal ops"] or not diagonal

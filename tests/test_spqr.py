@@ -341,8 +341,8 @@ def test_build_counts_pairs_once(monkeypatch):
 
 
 # Update replay: seeded deletions and contractions on small random
-# graphs; tests/fuzz_updates.py runs the same cases at more sizes and
-# seeds.  A step shuffles the edge ids, draws an op per candidate and
+# graphs; the fuzz section of ``python -m tests.standing`` runs the same
+# cases at more sizes and seeds.  A step shuffles the edge ids, draws an op per candidate and
 # takes the first candidate that leaves a loop-free biconnected graph
 # with at least three edges, so every op keeps one block.
 REPLAY_N = 20
@@ -545,10 +545,13 @@ def test_r_cut_walks_no_cycle(monkeypatch):
 
 
 def test_r_merges_insert_no_diagonal(monkeypatch):
-    # every merge of an R surgery, a top-level update's or a cut step's,
-    # is across a quad of four distinct corners of the vertex-face graph
-    # and happens in place, whatever the degree of the corner that
-    # retires: it inserts no diagonal into the separator tree
+    # on these replays every merge of an R surgery, a top-level update's
+    # or a cut step's, is across a quad of four distinct corners of the
+    # vertex-face graph and happens in place, whatever the degree of the
+    # corner that retires: it inserts no diagonal into the separator
+    # tree.  A cut that contracts a bridge of the partly cut skeleton
+    # merges across a face that repeats a corner, by the diagonal path;
+    # test_duality.py reaches that case
     r_cut = spqr._r_cut
     merge = fourcycle.Detector.merge_across
     insertion = separators.SeparatorTree.apply_insertion
