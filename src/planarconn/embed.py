@@ -8,12 +8,13 @@ traced with the next-dart rule (reverse the dart, then take the
 clockwise successor at its vertex), so corners, duals and the
 vertex-face graph are purely combinatorial.
 
-The primitive mutations are edge deletion, edge contraction and the
+The primitive mutations are edge insertion, edge deletion and the
 merge of one vertex into another, all implemented as splices on the
-rotation lists.  Every dart carries the token of its vertex; a
-contraction or a merge moves the darts of the smaller rotation to the
-larger one's token, so a dart changes token O(log n) times, and the
-token carries the surviving vertex label.
+rotation lists; an edge contraction is a deletion followed by a merge
+of the edge's ends where it was.  Every dart carries the token of its
+vertex; a merge moves the darts of the smaller rotation to the larger
+one's token, so a dart changes token O(log n) times, and the token
+carries the surviving vertex label.
 """
 
 from __future__ import annotations
@@ -96,9 +97,9 @@ class EmbeddedMultigraph:
     # vertex identity
 
     def add_vertex(self, v: int) -> None:
-        """Add isolated vertex ``v``.  Its token is ``v`` unless a
-        contraction left another label on that token; then it takes a
-        fresh negative one."""
+        """Add isolated vertex ``v``.  Its token is ``v`` unless a merge
+        left another label on that token; then it takes a fresh negative
+        one."""
         if v in self._label_root:
             raise ValueError(f"vertex label {v} already used")
         token = v
@@ -383,12 +384,10 @@ class EmbeddedMultigraph:
     # mutations
 
     def _attach_after(self, d: int, v: int, after: int | None) -> None:
-        """Link dart ``d`` into the rotation of live vertex ``v``."""
+        """Link dart ``d`` into the rotation of live vertex ``v``, after
+        dart ``after``, or as its only dart when ``after`` is None."""
         self._home[d] = self._label_root[v]
         if after is None:
-            if self._anchor[v] is not None:
-                raise MalformedRotation(
-                    f"insertion at {v} needs a position dart")
             self._nxt[d] = d
             self._prv[d] = d
             self._anchor[v] = d
@@ -399,19 +398,6 @@ class EmbeddedMultigraph:
             self._nxt[d] = b
             self._prv[b] = d
         self._deg[v] += 1
-
-    def _unlink(self, d: int) -> None:
-        v = self.vertex_of_dart(d)
-        a, b = self._prv[d], self._nxt[d]
-        if b == d:
-            self._anchor[v] = None
-        else:
-            self._nxt[a] = b
-            self._prv[b] = a
-            if self._anchor[v] == d:
-                self._anchor[v] = b
-        del self._nxt[d], self._prv[d], self._home[d]
-        self._deg[v] -= 1
 
     def insert_edge(self,
                     u: int,
@@ -434,6 +420,11 @@ class EmbeddedMultigraph:
             raise NotOnFace(f"dart {after_u} is not at vertex {u}")
         if after_w is not None and self.vertex_of_dart(after_w) != w:
             raise NotOnFace(f"dart {after_w} is not at vertex {w}")
+        # a loop's second dart goes after its first when after_w is None
+        for v, a in ((u, after_u), (w, after_u if u == w else after_w)):
+            if a is None and self._anchor[v] is not None:
+                raise MalformedRotation(
+                    f"insertion at {v} needs a position dart")
         if require_same_face:
             if after_u is None or after_w is None:
                 raise NotOnFace("isolated endpoint has no face corner")
@@ -458,14 +449,27 @@ class EmbeddedMultigraph:
         ``perfbench`` still passes it."""
         if e not in self._edges:
             raise UnknownEdge(f"edge {e}")
-        self._unlink(dart(e, 0))
-        self._unlink(dart(e, 1))
+        nxt, prv, anchor = self._nxt, self._prv, self._anchor
+        for d in (2 * e, 2 * e + 1):
+            v = self._root_label[self._home.pop(d)]
+            a, b = prv.pop(d), nxt.pop(d)
+            if b == d:
+                anchor[v] = None
+            else:
+                nxt[a], prv[b] = b, a
+                if anchor[v] == d:
+                    anchor[v] = b
+            self._deg[v] -= 1
         del self._edges[e]
 
     def contract_edge(self, e: int, keep: int | None = None,
                       report: bool = False) -> None:
         """Merge the ends of non-loop edge ``e`` into ``keep`` (by default
-        the smaller label).  ``report`` is ignored, as in ``delete_edge``."""
+        the smaller label): delete ``e``, then merge the other end into
+        ``keep`` where ``e`` was (:meth:`merge_vertex`).  The merged
+        rotation starts at the dart after ``e`` at its first end, or at
+        its second if the first has no other.  ``report`` is ignored, as
+        in ``delete_edge``."""
         u, w = self.endpoints(e)
         if u == w:
             raise SelfLoopContraction(f"edge {e} is a self-loop")
@@ -473,54 +477,32 @@ class EmbeddedMultigraph:
             keep = min(u, w)
         if keep not in (u, w):
             raise ValueError(f"survivor {keep} is not an endpoint of {e}")
-        gone = w if keep == u else u
-        du, dw = dart(e, 0), dart(e, 1)
-        if self.vertex_of_dart(du) != u:
-            du, dw = dw, du
-        degu, degw = self._deg[u], self._deg[w]
-        # the smaller rotation's darts move to the larger one's token
-        small, big = (u, w) if degu <= degw else (w, u)
-        token = self._label_root[big]
-        home = self._home
-        start = d = self._anchor[small]
-        while True:
-            home[d] = token
-            d = self._nxt[d]
-            if d == start:
-                break
-        nxt, prv = self._nxt, self._prv
-        if degu == 1 and degw == 1:
-            anchor = None
-        elif degu == 1:
-            a, anchor = prv[dw], nxt[dw]
-            nxt[a], prv[anchor] = anchor, a
-        elif degw == 1:
-            a, anchor = prv[du], nxt[du]
-            nxt[a], prv[anchor] = anchor, a
-        else:
-            a, anchor = prv[du], nxt[du]
-            c, f = prv[dw], nxt[dw]
-            nxt[a], prv[f] = f, a
-            nxt[c], prv[anchor] = anchor, c
-        for x in (du, dw):
-            del nxt[x], prv[x], home[x]
-        del self._edges[e]
-        del self._root_label[self._label_root[small]]
-        del self._label_root[gone]
-        self._label_root[keep] = token
-        self._root_label[token] = keep
-        self._deg[keep] = degu + degw - 2
-        del self._deg[gone]
+        nxt, d0, d1 = self._nxt, 2 * e, 2 * e + 1
+        anchor = (nxt[d0] if nxt[d0] != d0 else
+                  nxt[d1] if nxt[d1] != d1 else None)
+        after_x, first_r = self.contraction_corners(e, keep)
+        self.delete_edge(e)
+        self.merge_vertex(keep, u + w - keep, after_x, first_r)
         self._anchor[keep] = anchor
-        del self._anchor[gone]
+
+    def contraction_corners(self, e: int, keep: int) -> tuple:
+        """Where a contraction of ``e`` into its end ``keep`` merges the
+        ends once ``e`` is gone: the dart before ``e`` at ``keep`` and
+        the dart after ``e`` at the other end, each None where ``e`` is
+        that end's only dart (the arguments ``after_x`` and ``first_r``
+        of :meth:`merge_vertex`)."""
+        dx = 2 * e if self._root_label[self._home[2 * e]] == keep \
+            else 2 * e + 1
+        after_x, first_r = self._prv[dx], self._nxt[dx ^ 1]
+        return (None if after_x == dx else after_x,
+                None if first_r == dx ^ 1 else first_r)
 
     def merge_vertex(self, x: int, r: int, after_x: int | None,
                      first_r: int | None) -> None:
         """Merge vertex r into x, retiring r's label: r's rotation, read
         clockwise from dart ``first_r``, goes into x's right after dart
-        ``after_x``.  Either dart is None for an end with no darts.  As
-        in :meth:`contract_edge`, the darts of the smaller rotation move
-        to the larger one's token."""
+        ``after_x``.  Either dart is None for an end with no darts.  The
+        darts of the smaller rotation move to the larger one's token."""
         nxt, prv = self._nxt, self._prv
         dx, dr = self._deg[x], self._deg.pop(r)
         tx, tr = self._label_root[x], self._label_root.pop(r)
@@ -530,9 +512,9 @@ class EmbeddedMultigraph:
             self._label_root[x] = tx
             self._root_label[tx] = x
         del self._root_label[tr]
-        d = moving
+        home, d = self._home, moving
         while d is not None:
-            self._home[d] = tx
+            home[d] = tx
             d = nxt[d]
             if d == moving:
                 break
@@ -780,7 +762,11 @@ def from_straight_line_drawing(
     elist = list(edges)
     for e, u, w in elist:
         if u == w:
-            raise ValueError("no straight-line drawing of a loop")
+            raise MalformedRotation(f"edge {e} is a loop: it has no "
+                                    "straight-line drawing")
+        if u not in coords or w not in coords:
+            raise MalformedRotation(f"edge {e} touches a vertex with no "
+                                    "coordinates")
         incident[u].append(dart(e, 0))
         incident[w].append(dart(e, 1))
     other = {}

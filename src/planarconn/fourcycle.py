@@ -20,28 +20,21 @@ length-2 path of its graph, one per pair of edges at each middle
 vertex, so a leaf around a vertex of degree d stores about d^2 / 2
 paths.  That is why leaves stay of bounded size.
 
-There are three mutations.  An insertion splits a face and a
-contraction merges the two ends of an edge.  A contraction keeps the
-label of the endpoint with more edges (see
-``SeparatorTree.apply_contraction``) and re-seats only the paths with a
-leg at the other endpoint, whose label retires; the others keep their
-pair, legs and middle.  Of each pair of parallel edges a contraction
-leaves, the larger id survives.
-
-A merge of two opposite corners across a face is the third.  Across a
-quad of four distinct corners, the face of nearly every R-node surgery,
-it is done in place (``SeparatorTree.apply_merge``): the endpoint r
-that retires loses its two quad edges, which would each end up
-parallel to one of the survivor x's, and its other edges join x's
-rotation where the face was.  So x's quad edges survive, and the paths
-re-seated are those with a leg at r, as in a contraction.  Across any
-other face, such as the quad of a bridge that an R split's cut
-contracts, whose two sides are one face, the merge inserts the
-diagonal between the two corners and contracts it, and logs nothing
-about the diagonal: an insertion changes only the face it splits, so
-the one 4-cycle avoiding the diagonal that can turn separating is that
-face's boundary, which the contraction destroys, and every cycle
-through the diagonal dies with it.
+There are three mutations.  An insertion splits a face, and a merge
+joins two corners of one face, retiring one vertex into another where
+the face was (``SeparatorTree.apply_merge``).  The vertex that keeps
+its label is the one with more edges, and only the paths with a leg at
+the other, whose label retires, are re-seated; the others keep their
+pair, legs and middle.  A contraction is a merge of the edge's two
+ends once the edge is deleted (``SeparatorTree.apply_contraction``).
+Across a quad of four distinct corners, the face of nearly every R-node
+surgery, the retiring corner first loses its two quad edges, which
+would each end up parallel to one of the survivor's, so the survivor's
+stay.  Across any other face, such as the quad of a bridge that an R
+split's cut contracts, whose two sides are one face, and after a
+contraction, quasi-simplicity is restored once the vertices have
+merged: of each pair of parallel edges left, the larger id survives.
+No mutation but an insertion adds an edge to the root graph.
 
 Mutations only keep the tables and write one op log.  The one 4-cycle
 a mutation walks is the boundary of a face that an inserted edge
@@ -71,6 +64,7 @@ from __future__ import annotations
 from .embed import (
     EmbeddedMultigraph,
     EmbedError,
+    NotOnFace,
     SelfLoopContraction,
     UnknownEdge,
     dart,
@@ -78,7 +72,7 @@ from .embed import (
     quasi_induced_degree,
     rev,
 )
-from .separators import SeparatorTree
+from .separators import SeparatorTree, merge_survivor
 
 MAX_FACE_DEGREE = 64
 
@@ -114,22 +108,18 @@ def _derive(h: EmbeddedMultigraph, e1: int, e2: int):
     return None
 
 
-def _opposite_on_quad(h: EmbeddedMultigraph, u: int, w: int,
-                      after_u: int | None, after_w: int | None) -> bool:
-    """Whether the corner after ``after_u`` at u and the one after
-    ``after_w`` at w are opposite corners of a face of degree 4 whose
-    four corners are distinct vertices."""
-    for v, a in ((u, after_u), (w, after_w)):
-        if a is None or not h.has_dart(a) or h.vertex_of_dart(a) != v:
-            return False
+def _opposite_on_quad(h: EmbeddedMultigraph, after_u: int,
+                      after_w: int) -> bool:
+    """Whether the corner after dart ``after_u`` and the one after
+    ``after_w`` are opposite corners of a face of degree 4 whose four
+    corners are distinct vertices."""
     d0 = h.rotation_next(after_u)
     if h.face_degree_at_most(d0, 4) != 4:
         return False
     d1 = h.face_next(d0)
     d2 = h.face_next(d1)
-    m1, m2 = h.vertex_of_dart(d1), h.vertex_of_dart(h.face_next(d2))
-    return (d2 == h.rotation_next(after_w) and m1 != m2
-            and not {m1, m2} & {u, w})
+    return d2 == h.rotation_next(after_w) and len(
+        {h.vertex_of_dart(d) for d in (d0, d1, d2, h.face_next(d2))}) == 4
 
 
 def cycle_is_separating(h: EmbeddedMultigraph,
@@ -283,32 +273,47 @@ class Detector:
         SelfLoopContraction when u == w and NotOnFace when the corners
         lie on different faces, before anything changes.
 
-        Across a quad of four distinct corners, the face of nearly
-        every R-node surgery, the merge is done in place
-        (``SeparatorTree.apply_merge``): the retiring endpoint's two
-        quad edges are deleted and its other edges join the survivor's
-        rotation, so the survivor's quad edges are the ones that stay.
-        Nothing is inserted, contracted or quasi-simplified.
-
-        Across any other face the diagonal is inserted and contracted,
-        and quasi-simplicity is restored.  An R surgery reaches this
-        path when an R split's cut contracts a bridge of the skeleton it
-        has partly cut: the bridge's quad repeats the face on both its
-        sides.  Only the contraction's events are processed: the
-        diagonal is never logged.  Of each pair of parallel edges this
-        merge leaves, the larger id survives."""
+        The endpoint r that retires merges into the survivor x where the
+        face was (``SeparatorTree.apply_merge``), with nothing inserted
+        or contracted.  Across a quad of four distinct corners, the face
+        of nearly every R-node surgery, r's two quad edges would each
+        end up parallel to one of x's, so they are deleted first and
+        x's stay.  Across any other face, such as the quad of a bridge
+        that an R split's cut contracts, whose two sides are one face,
+        the merge comes first and quasi-simplicity is restored after
+        it: of each pair of parallel edges the merge leaves, the larger
+        id survives.  That is the graph that inserting the diagonal
+        between the two corners and contracting it would give."""
         if u == w:
             raise SelfLoopContraction(
                 f"corners of vertex {u} cannot merge with each other")
-        self._begin_op()
         h = self.tree.root.graph
-        if _opposite_on_quad(h, u, w, after_u, after_w):
-            tevents = self.tree.apply_merge(u, w, after_u, after_w)
-            self._process_events(tevents)
-            self._end_op(tevents)
-            return u if h.has_vertex(u) else w
-        inserted = self.tree.apply_insertion(u, w, after_u, after_w)
-        return self._contract(inserted[0][2], inserted)
+        for v, a in ((u, after_u), (w, after_w)):
+            if a is None or not h.has_dart(a) or h.vertex_of_dart(a) != v:
+                raise NotOnFace(f"dart {a} is not at vertex {v}")
+        quad = _opposite_on_quad(h, after_u, after_w)
+        if not quad and not h.same_face(h.rotation_next(after_u),
+                                        h.rotation_next(after_w)):
+            raise NotOnFace("corners lie on different faces")
+        self._begin_op()
+        x = merge_survivor(h, u, w)
+        r, after_r, after_x = (u, after_u, after_w) if x == w else (
+            w, after_w, after_u)
+        first_r = h.rotation_next(after_r)
+        if quad:
+            # r's darts after its two quad edges, if it has any
+            quad_edges = (edge_of(after_r), edge_of(first_r))
+            first_r = h.rotation_next(first_r)
+            tevents = [ev for f in quad_edges
+                       for ev in self.tree.apply_deletion(f)]
+            tevents += self.tree.apply_merge(
+                x, r, after_x, None if first_r == after_r else first_r)
+        else:
+            tevents = self.tree.apply_merge(x, r, after_x, first_r)
+            tevents += self._simplify_around(list(h.rotation(x)))
+        self._process_events(tevents)
+        self._end_op(tevents)
+        return x
 
     def contract_edge(self, e: int) -> int:
         """Contract a non-loop edge everywhere, restore quasi-simplicity
@@ -317,18 +322,13 @@ class Detector:
         tie).  Raises UnknownEdge or SelfLoopContraction before
         anything changes."""
         self._begin_op()
-        return self._contract(e, [])
-
-    def _contract(self, e: int, inserted: list[tuple]) -> int:
-        """Contract e, quasi-simplify and process the contraction's
-        events; the debug audit also covers the ``inserted`` events of
-        the same op.  Returns the merged label."""
+        h = self.tree.root.graph
+        u, w = h.endpoints(e)
         tevents = self.tree.apply_contraction(e)
-        x = tevents[0][3]
-        tevents += self._simplify_around(
-            list(self.tree.root.graph.rotation(x)))
+        x = u if h.has_vertex(u) else w
+        tevents += self._simplify_around(list(h.rotation(x)))
         self._process_events(tevents)
-        self._end_op(inserted + tevents)
+        self._end_op(tevents)
         return x
 
     def reset_op_log(self) -> None:
@@ -497,8 +497,8 @@ class Detector:
         for ev in tevents:
             kind, node = ev[0], ev[1]
             st = self._states[id(node)]
-            if kind == "contract":
-                self._process_merge(st, *ev[3:])
+            if kind == "merge":
+                self._process_merge(st, *ev[2:])
             elif kind == "retire":
                 self._process_retire(st, ev[2], ev[3])
             elif kind == "insert":
@@ -507,20 +507,20 @@ class Detector:
 
     # -- per-node updates --------------------------------------------------
 
-    def _process_merge(self, st, x: int, u: int, w: int,
-                       fu: list[int], fw: list[int]) -> None:
+    def _process_merge(self, st, x: int, r: int,
+                       fx: list[int], fr: list[int]) -> None:
+        """r merged into x, which held the edges ``fx`` and r the edges
+        ``fr`` before."""
         h = st.node.graph
         K = st.K
-        ku, kw = u in K, w in K
-        if ku or kw:
-            K.discard(u)
-            K.discard(w)
+        kx, kr = x in K, r in K
+        if kx or kr:
+            K.discard(r)
             K.add(x)
-        # 1) lift out every path with a leg at the retired endpoint,
-        # whose edges include e and every u-w parallel; a path with no
-        # leg there keeps its pair, legs and middle
+        # 1) lift out every path with a leg at r, whose label retired; a
+        # path with no leg there keeps its pair, legs and middle
         affected = set()
-        for f in (fw if x == u else fu):
+        for f in fr:
             affected |= st.by_edge.get(f, set())
         self.lifted_total += len(affected)
         for pair, lk in affected:
@@ -541,13 +541,13 @@ class Detector:
                 moved_pairs.add(npair)
                 self._op_items.append((st, npair, (lk,)))
         self._cand(st, len(moved_pairs))
-        # 3) new paths with the merged vertex as middle: one former-u
-        # leg and one former-w leg
-        ulegs = self._k_legs(h, fu, x, K)
-        wlegs = self._k_legs(h, fw, x, K)
+        # 3) new paths with the merged vertex as middle: one former-x
+        # leg and one former-r leg
+        xlegs = self._k_legs(h, fx, x, K)
+        rlegs = self._k_legs(h, fr, x, K)
         seen_pairs = set()
-        for f1, z1 in ulegs:
-            for f2, z2 in wlegs:
+        for f1, z1 in xlegs:
+            for f2, z2 in rlegs:
                 if z1 == z2 or f1 == f2:
                     continue
                 seen_pairs.add(_pairkey(z1, z2))
@@ -556,10 +556,10 @@ class Detector:
                 if st.add(npair, lk, x):
                     self._op_items.append((st, npair, (lk,)))
         self._cand(st, len(seen_pairs))
-        # 4) when exactly one endpoint was tracked, the other side's
+        # 4) when exactly one of the two was tracked, the other one's
         # former edges now start paths at a tracked vertex
-        if ku != kw:
-            self._paths_from(st, x, fw if ku else fu)
+        if kx != kr:
+            self._paths_from(st, x, fr if kx else fx)
 
     def _process_retire(self, st, r: int, x: int) -> None:
         """r left a node that holds x with no edge left there

@@ -2,9 +2,9 @@
 
 Builds a binary tree of induced embedded subgraphs where every internal
 node carries a balanced, small, face-preserving separation, and keeps
-the whole tree consistent under edge contractions, embedding-respecting
-insertions, deletions and merges of opposite corners across a quad
-face of the root graph.
+the whole tree consistent under embedding-respecting insertions, edge
+deletions and vertex merges.  A contraction is a deletion followed by
+a merge of the edge's ends where it was.
 """
 
 from __future__ import annotations
@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from planarconn.embed import EmbeddedMultigraph, EmbedError, dart, edge_of, rev
+from planarconn.embed import (
+    EmbeddedMultigraph,
+    EmbedError,
+    SelfLoopContraction,
+    dart,
+    edge_of,
+    rev,
+)
 
 
 # a node of at most N0 vertices is a leaf; an internal node's open
@@ -428,6 +435,17 @@ class SepNode:
                           B=frozenset(z.graph.vertices()))
 
 
+def _first_held(h: EmbeddedMultigraph, step, d: int | None,
+                v: int) -> int | None:
+    """The first dart from ``d`` on, by ``step``, that ``h`` holds, if
+    it is at ``v`` in ``h``; None otherwise or if ``d`` is None."""
+    if d is None:
+        return None
+    while not h.has_dart(d):
+        d = step(d)
+    return d if h.vertex_of_dart(d) == v else None
+
+
 def merge_survivor(h: EmbeddedMultigraph, u: int, w: int) -> int:
     """The one of u and w whose label survives their merge: the one
     with more edges in h, the smaller label on a tie."""
@@ -437,12 +455,10 @@ def merge_survivor(h: EmbeddedMultigraph, u: int, w: int) -> int:
 
 class SeparatorTree:
     """Binary separator tree over a copy of an embedded graph, with
-    contraction, insertion, deletion and quad-merge maintenance that
-    keeps every node an induced embedded subgraph of its parent.
-
-    A contraction and a quad merge share one walk (:meth:`_merge`).  A
-    quad merge inserts nothing: of the two edges that each retiring
-    quad edge would end up parallel to, the survivor's stays."""
+    insertion, deletion, merge and contraction maintenance that keeps
+    every node an induced embedded subgraph of its parent.  Every merge
+    of two vertices, a contraction's included, is one walk
+    (:meth:`_merge`)."""
 
     def __init__(self, g: EmbeddedMultigraph):
         self.root = self._build(g.copy(), 0)
@@ -547,25 +563,22 @@ class SeparatorTree:
     # -- maintenance ---------------------------------------------------
 
     def apply_contraction(self, e: int) -> list[tuple]:
-        """Contract edge e of the root graph everywhere it appears.
-
-        The merged vertex x keeps the label of the endpoint with more
-        edges in the root graph, or the smaller label on a tie, so the
-        work at the retired endpoint is charged to the smaller side.
-        Nodes holding one endpoint have the merged vertex relabeled and
-        gain the induced edges the merge brings in.  Returns the change
-        list in root-first order: ``("contract", node, e, x, u, w, fu,
-        fw)`` when e's ends u and w merge into x, with ``fu`` and ``fw``
-        the sorted ids of the edges at u and at w before the merge;
-        ``("rename", node, old, x)`` and ``("insert", node, f)``.  An
-        unknown edge or a self-loop raises before anything changes.
-        """
-        u, w = self.root.graph.endpoints(e)
-        x = merge_survivor(self.root.graph, u, w)
-        events: list[tuple] = []
-        self._merge(self.root, None, (x, u + w - x, u, w, e),
-                    lambda h: h.contract_edge(e, keep=x), events)
-        return events
+        """Contract edge e of the root graph everywhere it appears:
+        delete it (:meth:`apply_deletion`), then merge its ends where it
+        was (:meth:`apply_merge`).  The merged vertex keeps the label of
+        the endpoint with more edges in the root graph, or the smaller
+        label on a tie (:func:`merge_survivor`), so the work at the
+        retired endpoint is charged to the smaller side.  Returns both
+        change lists, the deletion's first.  An unknown edge or a
+        self-loop raises before anything changes."""
+        h = self.root.graph
+        u, w = h.endpoints(e)
+        if u == w:
+            raise SelfLoopContraction(f"edge {e} is a self-loop")
+        x = merge_survivor(h, u, w)
+        corners = h.contraction_corners(e, x)
+        return self.apply_deletion(e) + self.apply_merge(x, u + w - x,
+                                                         *corners)
 
     def _gain_edges(self, node, parent_h, x, events):
         """Insert into ``node`` every edge at x in its parent's graph
@@ -586,78 +599,49 @@ class SeparatorTree:
             events.append(("insert", node, f))
             self._propagate_insertion(node, f, events)
 
-    def apply_merge(self, u: int, w: int,
-                    after_u: int, after_w: int) -> list[tuple]:
-        """Merge the opposite corners of a face of the root graph that
-        is a quad of four distinct corners, the corners after
-        ``after_u`` at u and after ``after_w`` at w, in place: the
-        outcome of contracting the quad's diagonal and deleting one edge
-        of each parallel pair that leaves, with no diagonal inserted.
+    def apply_merge(self, x: int, r: int, after_x: int | None,
+                    first_r: int | None) -> list[tuple]:
+        """Merge vertex r of the root graph into x in every node that
+        holds either, root first: the tree-wide
+        :meth:`EmbeddedMultigraph.merge_vertex`.  r's rotation, read
+        clockwise from dart ``first_r``, goes into x's right after dart
+        ``after_x``; either is None for an end with no darts.
 
-        The survivor x is :func:`merge_survivor`'s, and the endpoint r
-        that retires loses its two quad edges (:meth:`apply_deletion`),
-        so x's quad edges are the ones that stay.  Then, walking down
-        the nodes that hold r or x, root first, a node that holds both
-        splices r's remaining darts into x's rotation right after x's
-        quad edge ``after_x``, each node in the root's order restricted
-        to its own darts (``("contract", node, None, x, u, w, fu, fw)``,
-        with ``fu`` and ``fw`` the sorted ids of the edges left at u and
-        at w); where r has no edge left, as everywhere when it had
-        degree 2, it deletes r instead (``("retire", node, r, x)``).  A
-        node with r alone renames it to x (``("rename", node, r, x)``),
-        and one with r or x alone gains x's edges from its parent
-        (``("insert", node, f)``), as in a contraction.
+        A node that holds both splices its own darts the same way, in
+        the root's order restricted to them (``("merge", node, x, r, fx,
+        fr)``, with ``fx`` and ``fr`` the sorted ids of the edges at x
+        and at r before the merge); where r has no edge, it deletes r
+        instead (``("retire", node, r, x)``).  A node with r alone
+        renames it to x (``("rename", node, r, x)``), and one with r or
+        x alone gains x's edges from its parent (``("insert", node,
+        f)``).  Returns the change list in that root-first order.
         """
-        h = self.root.graph
-        x = merge_survivor(h, u, w)
-        r, after_r, after_x = (u, after_u, after_w) if x == w else (
-            w, after_w, after_u)
-        # r's darts after its two quad edges, and x's back from after_x:
-        # a node splices after the first of those it holds, and none
-        # does when r keeps no dart
-        quad = (after_r, h.rotation_next(after_r))
-        rest, d = [], h.rotation_next(quad[1])
-        while d != after_r:
-            rest.append(d)
-            d = h.rotation_next(d)
-        back, d = [after_x], h.rotation_prev(after_x)
-        while rest and d != after_x:
-            back.append(d)
-            d = h.rotation_prev(d)
         events: list[tuple] = []
-        for d in quad:
-            events += self.apply_deletion(edge_of(d))
-
-        def splice(g):
-            has = g.has_dart
-            g.merge_vertex(x, r, next((d for d in back if has(d)), None),
-                           next((d for d in rest if has(d)), None))
-
-        self._merge(self.root, None, (x, r, u, w, None), splice, events)
+        self._merge(self.root, None, x, r, after_x, first_r, events)
         return events
 
-    def _merge(self, node, parent_h, ends, join, events):
-        """The walk of a merge of r into x, root first, over the nodes
-        that hold either.  In a node that holds both, ``join`` merges
-        them, unless r has no edge left there and is deleted; a node
-        with r alone renames it to x, and one with either alone gains
-        x's edges from its parent.
-        ``ends`` is ``(x, r, u, w, e)``: u and w are the ends as the
-        caller named them, and e is the contracted edge, or None for a
-        quad merge."""
-        x, r, u, w, e = ends
+    def _merge(self, node, parent_h, x, r, after_x, first_r, events):
+        """The walk of :meth:`apply_merge` at ``node``.  ``after_x`` and
+        ``first_r`` are darts of ``parent_h``, which has merged already,
+        or of the root graph at the root."""
         h = node.graph
         if not h.has_vertex(r):
-            # what x gains here reaches every descendant holding both ends
+            # what x gains here reaches every descendant holding both
             self._gain_edges(node, parent_h, x, events)
             return
         # only then can a child with x alone gain r's edges
         spliced = h.has_vertex(x) and h.degree(r) > 0
         if spliced:
-            fu = sorted({edge_of(d) for d in h.rotation(u)})
-            fw = sorted({edge_of(d) for d in h.rotation(w)})
-            join(h)
-            events.append(("contract", node, e, x, u, w, fu, fw))
+            if parent_h is not None:
+                # the parent's rotation of x runs back from after_x over
+                # x's darts and then r's, and on from first_r over r's:
+                # the first of each that h holds places h's splice
+                after_x = _first_held(h, parent_h.rotation_prev, after_x, x)
+                first_r = _first_held(h, parent_h.rotation_next, first_r, r)
+            fx = sorted({edge_of(d) for d in h.rotation(x)})
+            fr = sorted({edge_of(d) for d in h.rotation(r)})
+            h.merge_vertex(x, r, after_x, first_r)
+            events.append(("merge", node, x, r, fx, fr))
         elif h.has_vertex(x):
             h.delete_vertex(r)
             events.append(("retire", node, r, x))
@@ -668,7 +652,7 @@ class SeparatorTree:
         for child in node.children:
             if child.graph.has_vertex(r) or (
                     spliced and child.graph.has_vertex(x)):
-                self._merge(child, h, ends, join, events)
+                self._merge(child, h, x, r, after_x, first_r, events)
 
     def apply_insertion(self, u: int, w: int,
                         after_u: int | None, after_w: int | None,
@@ -697,10 +681,12 @@ class SeparatorTree:
 
         Intended for edges whose removal merges a face into a neighbor
         sharing the same vertex set, which keeps every separation
-        face-preserving.  It has two uses: the losing edge of a doubled
-        pair that quasi-simplification removes, and the two quad edges
-        of the corner that retires in :meth:`apply_merge`, each parallel
-        to one of the survivor's once the quad merges.
+        face-preserving.  It has three uses: the losing edge of a
+        doubled pair that quasi-simplification removes, the two quad
+        edges of the corner that retires in a merge across a quad face,
+        each parallel to one of the survivor's once the quad merges, and
+        a contracted edge (:meth:`apply_contraction`), whose two faces
+        stay merged only until the merge of its ends splits them again.
         """
         events: list[tuple] = []
 

@@ -623,11 +623,12 @@ def _r_remove(x: SpqrNode, e: int, keep: int | None = None) -> None:
     the four corners flanking ``e`` pair up, on each side of ``e`` for a
     deletion and across it for a contraction, and of each pair
     ``_cmap_merge`` maps the pair to whichever edge the vertex-face
-    graph kept.  The quad has four distinct corners, and the detector
-    merges it in place, keeping the corner edges at the merge's
-    survivor, unless ``e`` is a bridge that ``_r_cut`` contracts in a
-    partly cut skeleton: then the faces beside it are one, the quad
-    repeats that face, and the detector merges by its diagonal path."""
+    graph kept.  The detector merges in place and inserts nothing.
+    The quad has four distinct corners, and the corner edges at the
+    merge's survivor stay, unless ``e`` is a bridge that ``_r_cut``
+    contracts in a partly cut skeleton: then the faces beside it are
+    one, the quad repeats that face, and the detector quasi-simplifies
+    after the merge, keeping the larger id of each parallel pair."""
     g, fv = x.graph, x.det.tree.root.graph
     d0, d1 = dart(e, 0), dart(e, 1)
     rp0, rp1 = g.rotation_prev(d0), g.rotation_prev(d1)
@@ -715,13 +716,12 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
     class, so the skeleton work is that of the classes that leave.
     Every step is also one detector op: a merge across a quad of the
     vertex-face graph for a deletion or a contraction, an edge
-    contraction for a pendant removal.  A merge across a quad of four
-    distinct corners is done in place, with no diagonal, contraction or
-    quasi-simplification (see :meth:`Detector.merge_across`); most
-    retire a corner of degree 2, a skeleton vertex of degree 2 or the
-    face between two parallel edges, which leaves nothing to splice.
-    A contraction of an edge that the cut has left a bridge has the
-    same face on both sides, and its merge takes the diagonal path."""
+    contraction for a pendant removal.  Every merge is done in place,
+    with no diagonal (see :meth:`Detector.merge_across`); most retire a
+    corner of degree 2, a skeleton vertex of degree 2 or the face
+    between two parallel edges, which leaves nothing to splice.  A
+    contraction of an edge that the cut has left a bridge has the same
+    face on both sides, and its merge is quasi-simplified after it."""
     g = x.graph
     across = []
     for e in sorted(gone):

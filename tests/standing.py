@@ -19,10 +19,11 @@ edits the JSON and says why.  The sections:
   digest of each record's graph, op, node kind hit, outcome and
   failure, and per graph kind the ``DETECTOR`` counts: face walks
   (``cycle_is_separating``) in builds and in updates, ``Detector``
-  mutations, rename events of separator-tree contractions and merges,
-  merges in place (``apply_merge``) by the degree of the corner that
-  retires and by a diagonal, and ``candidates_total`` and
-  ``lifted_total``.
+  mutations, rename events of separator-tree merges (``apply_merge``,
+  which every contraction runs through), ``Detector.merge_across``
+  calls across a quad of four distinct corners by the degree of the
+  corner that retires and across any other face, and
+  ``candidates_total`` and ``lifted_total``.
 - ``fuzz``: each op of ``_replay_ops`` on the primal tree and, swapped,
   on the dual's: ``intact``, ``check()`` on both sides, the same shape
   with S and P swapped, and in the oracle leg the oracle's tree.
@@ -65,7 +66,7 @@ REPEATS = 3
 RATIO_MARK = {"build": 3.0, "updates": 1.6}
 # per graph kind, the detector counters of the replay
 DETECTOR = ("walks build", "walks updates", "mutations", "renames",
-            "in-place degree 2", "in-place more", "diagonal merges",
+            "in-place degree 2", "in-place more", "non-quad merges",
             "candidates", "lifted")
 # (leg, sizes, seeds, whether the oracle checks every primal tree)
 FUZZ_LEGS = (("oracle", (20, 24, 32, 40), range(40), True),
@@ -132,8 +133,8 @@ def replay() -> dict:
     work = {kind: Counter() for kind in harness.FACE_DEGREE}
     build = spqr.build_spqr
     walk = fourcycle.cycle_is_separating
-    contraction = separators.SeparatorTree.apply_contraction
     merge = separators.SeparatorTree.apply_merge
+    merge_across = fourcycle.Detector.merge_across
 
     def counted_build(g):
         walks = now["walks"]
@@ -145,19 +146,20 @@ def replay() -> dict:
         now["walks"] += 1
         return walk(*args)
 
-    def renamed(events):
+    def counted_merge(self, *args):
+        events = merge(self, *args)
         now["renames"] += sum(ev[0] == "rename" for ev in events)
         return events
 
-    def counted_contraction(self, e):
-        return renamed(contraction(self, e))
-
-    def counted_merge(self, u, w, *corners):
-        h = self.root.graph
-        r = u + w - separators.merge_survivor(h, u, w)
-        now["in-place degree 2" if h.degree(r) == 2
-            else "in-place more"] += 1
-        return renamed(merge(self, u, w, *corners))
+    def classified_merge_across(self, u, w, after_u, after_w):
+        h = self.tree.root.graph
+        if fourcycle._opposite_on_quad(h, after_u, after_w):
+            r = u + w - separators.merge_survivor(h, u, w)
+            now["in-place degree 2" if h.degree(r) == 2
+                else "in-place more"] += 1
+        else:
+            now["non-quad merges"] += 1
+        return merge_across(self, u, w, after_u, after_w)
 
     def counted_mutation(method):
         def run(self, *args, **kw):
@@ -166,7 +168,6 @@ def replay() -> dict:
                 return method(self, *args, **kw)
             finally:
                 now["mutations"] += 1
-                now[method.__name__] += 1
                 now["candidates"] += self.candidates_total - c0
                 now["lifted"] += self.lifted_total - l0
         return run
@@ -176,11 +177,11 @@ def replay() -> dict:
     Detector, SeparatorTree = fourcycle.Detector, separators.SeparatorTree
     with patched((spqr, "build_spqr", counted_build),
                  (fourcycle, "cycle_is_separating", counted_walk),
-                 (SeparatorTree, "apply_contraction", counted_contraction),
                  (SeparatorTree, "apply_merge", counted_merge),
-                 *((Detector, name, counted_mutation(getattr(Detector, name)))
-                   for name in ("insert_edge", "contract_edge",
-                                "merge_across"))):
+                 *((Detector, name, counted_mutation(method)) for name, method
+                   in (("insert_edge", Detector.insert_edge),
+                       ("contract_edge", Detector.contract_edge),
+                       ("merge_across", classified_merge_across)))):
         for kind, n, seed in harness.pool_entries():
             now = work[kind]
             name = harness.graph_name(kind, n, seed)
@@ -199,8 +200,6 @@ def replay() -> dict:
     print("  " + ", ".join(f"{k} {v}" for k, v in out.items()))
     for kind, w in work.items():
         w["walks updates"] = w["walks"] - w["walks build"]
-        w["diagonal merges"] = (w["merge_across"] - w["in-place degree 2"]
-                                - w["in-place more"])
         out[kind] = {k: w[k] for k in DETECTOR}
         print(f"  {kind}: " + ", ".join(f"{k} {v}"
                                         for k, v in out[kind].items()))

@@ -100,38 +100,43 @@ DUAL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n, max_face_degree, seeds, steps, diagonal",
+@pytest.mark.parametrize("n, max_face_degree, seeds, steps, non_quad",
                          DUAL_CASES)
 def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
-                                      seeds, steps, diagonal):
+                                      seeds, steps, non_quad):
     # an R split's cut can contract a bridge of the partly cut skeleton,
     # whose quad repeats the face on both its sides (seed 1 of
-    # 200-sparse, step 11); the detector then merges by its diagonal
-    # path, and every tree on both sides must still pass check()
+    # 200-sparse, step 11); the detector then merges in place and
+    # quasi-simplifies, and every tree on both sides must still pass
+    # check().  No update inserts an edge into a detector's separator
+    # tree, there or anywhere else
     merge = fourcycle.Detector.merge_across
-    in_place = separators.SeparatorTree.apply_merge
+    insertion = separators.SeparatorTree.apply_insertion
     seen = Counter()
 
-    def counted_merge(self, *args):
-        seen["merges"] += 1
-        return merge(self, *args)
+    def counted_merge(self, u, w, after_u, after_w):
+        h = self.tree.root.graph
+        if not fourcycle._opposite_on_quad(h, after_u, after_w):
+            seen["non-quad"] += 1
+        return merge(self, u, w, after_u, after_w)
 
-    def counted_in_place(self, *args):
-        seen["in place"] += 1
-        return in_place(self, *args)
+    def counted_insertion(self, *args, **kw):
+        seen["inserts"] += 1
+        return insertion(self, *args, **kw)
 
-    def check_after_diagonal(trees):
-        if seen["merges"] > seen["in place"]:
-            seen["diagonal ops"] += 1
+    def check_after_non_quad(trees):
+        if seen["non-quad"]:
+            seen["non-quad ops"] += 1
             for tree in trees:
                 tree.check()
-        seen["merges"] = seen["in place"] = 0
+        seen["non-quad"] = 0
 
     monkeypatch.setattr(fourcycle.Detector, "merge_across", counted_merge)
-    monkeypatch.setattr(separators.SeparatorTree, "apply_merge",
-                        counted_in_place)
+    monkeypatch.setattr(separators.SeparatorTree, "apply_insertion",
+                        counted_insertion)
     ops = sum(paired_ops(random_planar(n, seed, max_face_degree), steps,
-                         seed, check_after_diagonal)
+                         seed, check_after_non_quad)
               for seed in range(seeds))
     assert ops >= seeds
-    assert seen["diagonal ops"] or not diagonal
+    assert not seen["inserts"]
+    assert seen["non-quad ops"] or not non_quad

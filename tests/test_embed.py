@@ -14,6 +14,7 @@ from planarconn.embed import (
     UnknownEdge,
     dart,
     edge_of,
+    from_straight_line_drawing,
     parse_graph_text,
     quasi_induced_degree,
     write_graph_text,
@@ -69,6 +70,14 @@ def test_dart_at_wrong_vertex_rejected():
     with pytest.raises(MalformedRotation):
         EmbeddedMultigraph.build(
             [0, 1], [(0, 0, 1)], {0: [(0, 1)], 1: [(0, 0)]})
+
+
+@pytest.mark.parametrize("edges", [[(0, 0, 1), (1, 1, 2)],
+                                   [(0, 0, 1), (1, 1, 1)]],
+                         ids=["endpoint without coordinates", "loop"])
+def test_drawing_rejects_bad_edges(edges):
+    with pytest.raises(MalformedRotation):
+        from_straight_line_drawing({0: (0.0, 0.0), 1: (1.0, 0.0)}, edges)
 
 
 def test_interleaved_loops_fail_euler():
@@ -276,6 +285,19 @@ def test_insert_not_on_face_rejected():
         for du in g.rotation(0):
             for dw in g.rotation(6):
                 g.insert_edge(0, 6, du, dw, require_same_face=True)
+
+
+@pytest.mark.parametrize("missing", ["u", "w"])
+def test_insert_without_position_dart_changes_nothing(missing):
+    # both positions are checked before anything is written
+    g = cycle(4)
+    before = write_graph_text(g)
+    du, dw = g.any_dart(0), g.any_dart(2)
+    with pytest.raises(MalformedRotation):
+        g.insert_edge(0, 2, None if missing == "u" else du,
+                      None if missing == "w" else dw)
+    assert write_graph_text(g) == before
+    g.check()
 
 
 def test_insert_between_isolated_vertices():

@@ -337,17 +337,15 @@ def leaves(request):
 
 @pytest.mark.usefixtures("leaves")
 def test_merge_across_exact(monkeypatch):
-    # merge opposite corners of random quad faces: a merge across a quad
-    # of four distinct corners happens in place, with no diagonal
-    # inserted, and the query stays exact
-    diagonals, distinct = set(), [False]
+    # merge opposite corners of random quad faces: every merge, across
+    # a quad of four distinct corners or not, happens in place, with no
+    # diagonal inserted, and the query stays exact
+    diagonals = []
     insertion = fourcycle.SeparatorTree.apply_insertion
 
     def record_diagonal(self, *args, **kw):
-        events = insertion(self, *args, **kw)
-        if distinct[0]:
-            diagonals.add(events[0][2])
-        return events
+        diagonals.append(args)
+        return insertion(self, *args, **kw)
 
     monkeypatch.setattr(fourcycle.SeparatorTree, "apply_insertion",
                         record_diagonal)
@@ -363,7 +361,6 @@ def test_merge_across_exact(monkeypatch):
             # label on a tie
             du, dw = h.degree(u), h.degree(w)
             keep = u if du > dw else w if dw > du else min(u, w)
-            distinct[0] = len({h.vertex_of_dart(d) for d in f}) == 4
             x = det.merge_across(u, w, h.rotation_prev(f[i]),
                                  h.rotation_prev(f[i - 2]))
             assert x == keep and not h.has_vertex(u + w - keep)
@@ -415,10 +412,10 @@ def test_contraction_lifts_only_retired_side(monkeypatch):
     merge = Detector._process_merge
     remove = fourcycle._NodeState.remove
 
-    def spy_merge(self, st, x, u, w, fu, fw):
-        retired.append(set(fw if x == u else fu))
+    def spy_merge(self, st, x, r, fx, fr):
+        retired.append(set(fr))
         try:
-            merge(self, st, x, u, w, fu, fw)
+            merge(self, st, x, r, fx, fr)
         finally:
             retired.pop()
 
@@ -448,10 +445,10 @@ def test_contraction_keeps_busier_endpoint(monkeypatch):
     merge = Detector._process_merge
     remove = fourcycle._NodeState.remove
 
-    def spy_merge(self, st, x, u, w, fu, fw):
+    def spy_merge(self, st, x, r, fx, fr):
         retiring.append(True)
         try:
-            merge(self, st, x, u, w, fu, fw)
+            merge(self, st, x, r, fx, fr)
         finally:
             retiring.pop()
 
@@ -558,31 +555,88 @@ def test_degree2_corner_retires_in_place(monkeypatch):
     assert retired
 
 
+def _cyclic(seq):
+    """A cyclic sequence read from its smallest entry."""
+    i = seq.index(min(seq))
+    return tuple(seq[i:] + seq[:i])
+
+
+def _embedding(h):
+    """The faces and the cyclic rotations of h, by dart."""
+    return ({_cyclic(f) for f in h.faces()},
+            {v: _cyclic(h.rotation(v)) for v in h.vertices()})
+
+
+def _cycles(det):
+    """:meth:`Detector.separating_now`'s cycles, as a set that ignores
+    which of a cycle's two paths is listed first."""
+    return {(pair, frozenset({(m1, lk1), (m2, lk2)}))
+            for pair, m1, lk1, m2, lk2 in det.separating_now()}
+
+
+def _large_face_merges():
+    """``(graph, after_u, after_w)``: two corners of distinct,
+    non-adjacent vertices on a face of degree 6 or more.  The grids
+    merge two degree-2 corners of their outer face; the radial graphs
+    of triangulations, whose faces are all quads, first lose a few
+    edges between two quads, and merge opposite corners of a hexagon
+    that leaves."""
+    for rows, cols in ((5, 5), (4, 6), (2, 3)):
+        g = grid(rows, cols)
+        outer = max(g.faces(), key=len)
+        assert len(outer) >= 6
+        corners = [d for d in outer if g.degree(g.vertex_of_dart(d)) == 2]
+        d_u, d_w = corners[0], corners[len(corners) // 2]
+        yield g, g.rotation_prev(d_u), g.rotation_prev(d_w)
+    for seed in range(4):
+        g = random_delaunay(24, seed).vertex_face_graph()[0]
+        rng = random.Random(seed)
+        for e in rng.sample(sorted(g.edge_ids()), 6):
+            d0, d1 = 2 * e, 2 * e + 1
+            if g.face_degree_at_most(d0, 4) == g.face_degree_at_most(
+                    d1, 4) == 4 and not g.same_face(d0, d1):
+                g.delete_edge(e)
+        for f in g.faces():
+            if len(f) == 6:
+                i = rng.randrange(3)
+                yield g, g.rotation_prev(f[i]), g.rotation_prev(f[i + 3])
+
+
 @pytest.mark.usefixtures("leaves")
 def test_degree2_corner_on_large_face_merges(monkeypatch):
-    # a degree-2 corner merged across a face of degree 6 or more takes
-    # the general path: diagonal, contraction, quasi-simplification
-    apply_merge = fourcycle.SeparatorTree.apply_merge
-    retired = []
+    # a merge across a face of degree 6 or more splices r into x in
+    # place, with no diagonal, and restores quasi-simplicity: the same
+    # root graph, separating cycles and node tables as inserting the
+    # diagonal between the two corners and contracting it on a twin
+    inserts = []
+    insertion = fourcycle.SeparatorTree.apply_insertion
 
-    def spy(self, *args):
-        retired.append(args)
-        return apply_merge(self, *args)
+    def counted_insertion(self, *args, **kw):
+        inserts.append(args)
+        return insertion(self, *args, **kw)
 
-    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy)
-    for rows, cols in ((5, 5), (4, 6), (2, 3)):
-        det = Detector(grid(rows, cols), debug=True)
-        h = det.tree.root.graph
-        outer = max(h.faces(), key=len)
-        assert len(outer) >= 6
-        corners = [d for d in outer if h.degree(h.vertex_of_dart(d)) == 2]
-        d_u, d_w = corners[0], corners[len(corners) // 2]
-        u, w = h.vertex_of_dart(d_u), h.vertex_of_dart(d_w)
-        x = det.merge_across(u, w, h.rotation_prev(d_u), h.rotation_prev(d_w))
-        assert x == min(u, w) and not h.has_vertex(max(u, w))
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_insertion",
+                        counted_insertion)
+    merged = 0
+    for g, after_u, after_w in _large_face_merges():
+        det, twin = Detector(g, debug=True), Detector(g, debug=True)
+        h, th = det.tree.root.graph, twin.tree.root.graph
+        u, w = h.vertex_of_dart(after_u), h.vertex_of_dart(after_w)
+        assert u != w and h.face_degree_at_most(h.rotation_next(after_u),
+                                                5) is None
+        keep = merge_survivor(h, u, w)
+        inserts.clear()
+        assert det.merge_across(u, w, after_u, after_w) == keep
+        assert not inserts and not h.has_vertex(u + w - keep)
+        e = twin.insert_edge(u, w, after_u, after_w)
+        assert twin.contract_edge(e) == keep
+        assert _embedding(h) == _embedding(th)
+        assert _cycles(det) == _cycles(twin)
         assert_exact(det)
         det.check()
-    assert not retired
+        twin.check()
+        merged += 1
+    assert merged > 3  # the three grids and at least one hexagon
 
 
 @pytest.mark.usefixtures("small_leaves")
@@ -626,13 +680,12 @@ def test_general_merges_reach_every_node_case(monkeypatch):
     walk = fourcycle.SeparatorTree._merge
     general, cases = [False], Counter()
 
-    def spy_merge(self, u, w, *corners):
-        h = self.root.graph
-        general[0] = h.degree(u + w - merge_survivor(h, u, w)) > 2
-        return apply_merge(self, u, w, *corners)
+    def spy_merge(self, x, r, *corners):
+        # r has lost its two quad edges already
+        general[0] = self.root.graph.degree(r) > 0
+        return apply_merge(self, x, r, *corners)
 
-    def spy_walk(self, node, parent_h, ends, join, events):
-        x, r = ends[:2]
+    def spy_walk(self, node, parent_h, x, r, *corners_and_events):
         g = node.graph
         if general[0] and parent_h is not None:
             if not g.has_vertex(r):
@@ -641,7 +694,7 @@ def test_general_merges_reach_every_node_case(monkeypatch):
                 cases["r"] += 1
             elif g.degree(r):
                 cases["both"] += 1
-        return walk(self, node, parent_h, ends, join, events)
+        return walk(self, node, parent_h, x, r, *corners_and_events)
 
     monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy_merge)
     monkeypatch.setattr(fourcycle.SeparatorTree, "_merge", spy_walk)

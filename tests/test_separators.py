@@ -427,13 +427,23 @@ def test_contraction_update_rules():
                    if x.graph.has_vertex(u) and x.graph.has_vertex(w)}
         events = t.apply_contraction(e)
         t.check()
-        # each contract entry carries its node's edges at u and w from
-        # before the call, and every node holding both ends has one
-        merges = [ev for ev in events if ev[0] == "contract"]
-        assert sorted(id(ev[1]) for ev in merges) == sorted(at_ends)
-        for _, x, f, m, eu, ew, fu, fw in merges:
-            assert (f, m, eu, ew) == (e, keep, u, w)
-            assert [fu, fw] == at_ends[id(x)]
+        # the contraction deletes e from every node holding both ends
+        # first, then merges the retiring end r into keep in each: a
+        # merge entry carries the node's edges at keep and at r from
+        # before the call, e left out, and a node where e was r's only
+        # edge retires r instead
+        r = u + w - keep
+        deleted = [id(ev[1]) for ev in events if ev[0] == "delete"]
+        assert [ev[0] for ev in events[:len(deleted)]] == ["delete"] * len(
+            deleted)
+        assert all(ev[2] == e for ev in events[:len(deleted)])
+        merged = {id(ev[1]): ev[2:] for ev in events
+                  if ev[0] in ("merge", "retire")}
+        assert sorted(deleted) == sorted(merged) == sorted(at_ends)
+        for nid, (fu, fw) in at_ends.items():
+            fx, fr = ([f for f in fs if f != e]
+                      for fs in ((fu, fw) if keep == u else (fw, fu)))
+            assert merged[nid] == ((keep, r, fx, fr) if fr else (r, keep))
         for x in t.nodes():
             if x.is_leaf or id(x) not in before:
                 continue

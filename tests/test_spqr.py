@@ -545,13 +545,13 @@ def test_r_cut_walks_no_cycle(monkeypatch):
 
 
 def test_r_merges_insert_no_diagonal(monkeypatch):
-    # on these replays every merge of an R surgery, a top-level update's
-    # or a cut step's, is across a quad of four distinct corners of the
-    # vertex-face graph and happens in place, whatever the degree of the
-    # corner that retires: it inserts no diagonal into the separator
-    # tree.  A cut that contracts a bridge of the partly cut skeleton
-    # merges across a face that repeats a corner, by the diagonal path;
-    # test_duality.py reaches that case
+    # every merge of an R surgery, a top-level update's or a cut step's,
+    # happens in place, whatever the degree of the corner that retires:
+    # it inserts no diagonal into the separator tree.  On these replays
+    # each is across a quad of four distinct corners of the vertex-face
+    # graph; a cut that contracts a bridge of the partly cut skeleton
+    # merges across a face that repeats a corner, and test_duality.py
+    # reaches that case
     r_cut = spqr._r_cut
     merge = fourcycle.Detector.merge_across
     insertion = separators.SeparatorTree.apply_insertion

@@ -17,11 +17,11 @@ def test_compare_names_changed_missing_and_new_keys():
     expected = {"replay": {"digest": "abc", "dense": {"walks build": 0}},
                 "fuzz": {"large": {"failed": 0}}}
     got = {"replay": {"digest": "abd", "dense": {"walks build": 0,
-                                                 "diagonal merges": 1}}}
+                                                 "non-quad merges": 1}}}
     assert standing.compare(expected, expected) == []
     assert standing.compare(expected, got) == [
         "fuzz/large/failed: expected 0, got nothing",
-        "replay/dense/diagonal merges: expected nothing, got 1",
+        "replay/dense/non-quad merges: expected nothing, got 1",
         "replay/digest: expected 'abc', got 'abd'",
     ]
 
@@ -30,3 +30,13 @@ def test_expectations_hold_the_four_sections():
     expected = json.loads(standing.EXPECTED.read_text())
     assert list(expected) == list(standing.SECTIONS)
     assert all(expected.values())
+
+
+def test_replay_expects_every_detector_count():
+    # each graph kind's block holds exactly the counters the replay
+    # produces, so a renamed counter cannot linger in the JSON
+    replay = json.loads(standing.EXPECTED.read_text())["replay"]
+    kinds = {k: v for k, v in replay.items() if isinstance(v, dict)}
+    assert set(kinds) == set(standing.harness.FACE_DEGREE)
+    for block in kinds.values():
+        assert list(block) == list(standing.DETECTOR)
