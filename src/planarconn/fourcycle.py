@@ -31,10 +31,13 @@ Across a quad of four distinct corners, the face of nearly every R-node
 surgery, the retiring corner first loses its two quad edges, which
 would each end up parallel to one of the survivor's, so the survivor's
 stay.  Across any other face, such as the quad of a bridge that an R
-split's cut contracts, whose two sides are one face, and after a
-contraction, quasi-simplicity is restored once the vertices have
-merged: of each pair of parallel edges left, the larger id survives.
-No mutation but an insertion adds an edge to the root graph.
+split's cut contracts, whose two sides are one face (a pendant edge's
+quad among them), and after a contraction, quasi-simplicity is
+restored once the vertices have merged: of each pair of parallel edges
+left, the larger id survives.  No mutation but an insertion adds an
+edge to the root graph.  Every R-node surgery of ``spqr`` is one merge;
+insertions and contractions serve the tests and the tracer in
+``perfbench/tracing.py``.
 
 Mutations only keep the tables and write one op log.  The one 4-cycle
 a mutation walks is the boundary of a face that an inserted edge
@@ -207,6 +210,7 @@ class Detector:
     """Maintains the separating 4-cycles of a plane multigraph under
     three mutations: :meth:`insert_edge`, :meth:`contract_edge` and
     :meth:`merge_across`, which merges two opposite corners of a face.
+    SPQR updates make only merges.
 
     :meth:`separating_now` is the one answer: the 4-cycles that are
     separating now, found by walking the pairs in the op log that
@@ -254,7 +258,8 @@ class Detector:
                     eid: int | None = None) -> int:
         """Insert an edge splitting the face shared by the two corners
         and return its id; raises NotOnFace when the corners lie on
-        different faces."""
+        different faces.  No update calls it: it stays for the tests
+        and for the tracer in ``perfbench/tracing.py``."""
         self._begin_op()
         tevents = self.tree.apply_insertion(u, w, after_u, after_w, eid=eid)
         eid = tevents[0][2]
@@ -279,10 +284,10 @@ class Detector:
         of nearly every R-node surgery, r's two quad edges would each
         end up parallel to one of x's, so they are deleted first and
         x's stay.  Across any other face, such as the quad of a bridge
-        that an R split's cut contracts, whose two sides are one face,
-        the merge comes first and quasi-simplicity is restored after
-        it: of each pair of parallel edges the merge leaves, the larger
-        id survives.  That is the graph that inserting the diagonal
+        that an R split's cut contracts, whose two sides are one face
+        (a pendant edge's among them), the merge comes first and
+        quasi-simplicity is restored after it: of each pair of parallel
+        edges the merge leaves, the larger id survives.  That is the graph that inserting the diagonal
         between the two corners and contracting it would give."""
         if u == w:
             raise SelfLoopContraction(
@@ -320,7 +325,8 @@ class Detector:
         and log the pair of every new path; return the merged label,
         that of the endpoint with more edges (the smaller label on a
         tie).  Raises UnknownEdge or SelfLoopContraction before
-        anything changes."""
+        anything changes.  No update calls it: it stays for the tests
+        and for the tracer in ``perfbench/tracing.py``."""
         self._begin_op()
         h = self.tree.root.graph
         u, w = h.endpoints(e)

@@ -570,7 +570,9 @@ class SeparatorTree:
         label on a tie (:func:`merge_survivor`), so the work at the
         retired endpoint is charged to the smaller side.  Returns both
         change lists, the deletion's first.  An unknown edge or a
-        self-loop raises before anything changes."""
+        self-loop raises before anything changes.  No update calls it:
+        it stays for the tests and for the tracer in
+        ``perfbench/tracing.py``."""
         h = self.root.graph
         u, w = h.endpoints(e)
         if u == w:
@@ -660,7 +662,9 @@ class SeparatorTree:
         """Insert an edge into the root graph across the face that the
         corners after ``after_u`` and ``after_w`` share, and duplicate
         it into every descendant holding both endpoints.  Corners on
-        different faces raise NotOnFace before anything changes."""
+        different faces raise NotOnFace before anything changes.  No
+        update calls it: it stays for the tests and for the tracer in
+        ``perfbench/tracing.py``."""
         eid = self.root.graph.insert_edge(u, w, after_u, after_w, eid=eid,
                                           require_same_face=True)
         events: list[tuple] = [("insert", self.root, eid)]

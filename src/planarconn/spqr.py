@@ -576,11 +576,7 @@ def _check_r_sync(x: SpqrNode) -> None:
             other = b if a == fl else a
             assert fl in (a, b) and other not in x.vvf
     # every face of the maintained graph is the quad of one skeleton edge
-    quads = []
-    for e in g.edge_ids():
-        d0, d1 = dart(e, 0), dart(e, 1)
-        quads.append(sorted((x.cmap[g.rotation_prev(d0)], x.cmap[d0],
-                             x.cmap[g.rotation_prev(d1)], x.cmap[d1])))
+    quads = [_quad_corners(x, e) for e in g.edge_ids()]
     faces = []
     for f in fv.faces():
         assert len(f) == 4, "non-quad face in a maintained radial graph"
@@ -588,17 +584,23 @@ def _check_r_sync(x: SpqrNode) -> None:
     assert sorted(quads) == sorted(faces)
 
 
+def _quad_corners(x: SpqrNode, e: int) -> list[int]:
+    """The corner edges of the vertex-face graph at the four corners
+    that flank skeleton edge ``e``, sorted; a pendant end's one corner
+    counts twice."""
+    g = x.graph
+    d0, d1 = dart(e, 0), dart(e, 1)
+    return sorted((x.cmap[g.rotation_prev(d0)], x.cmap[d0],
+                   x.cmap[g.rotation_prev(d1)], x.cmap[d1]))
+
+
 def _fv_quad(x: SpqrNode, e: int) -> list[int]:
     """The face of the maintained vertex-face graph that is the quad of
     skeleton edge ``e``, as its dart cycle: the face traced from the
     vertex end (dart 0) of the corner edge of ``e``'s dart 0.  It must
     be the quad of the four corners that flank ``e``."""
-    g = x.graph
-    d0, d1 = dart(e, 0), dart(e, 1)
-    f = x.det.tree.root.graph.trace_face(dart(x.cmap[d0], 0))
-    if sorted(edge_of(z) for z in f) != sorted(
-            (x.cmap[g.rotation_prev(d0)], x.cmap[d0],
-             x.cmap[g.rotation_prev(d1)], x.cmap[d1])):
+    f = x.det.tree.root.graph.trace_face(dart(x.cmap[dart(e, 0)], 0))
+    if sorted(edge_of(z) for z in f) != _quad_corners(x, e):
         raise AssertionError(f"no quad face for skeleton edge {e}")
     return f
 
@@ -606,7 +608,8 @@ def _fv_quad(x: SpqrNode, e: int) -> list[int]:
 def _cmap_merge(x: SpqrNode, keep_dart: int, gone_dart: int) -> None:
     """Two corners merged in the vertex-face graph, whose edges became
     parallel and lost one of the two; the one the graph still holds
-    now belongs to ``keep_dart``."""
+    now belongs to ``keep_dart``.  A pendant's one corner edge and the
+    two at its other end become three parallel edges, and one stays."""
     kept, gone = x.cmap[keep_dart], x.cmap.pop(gone_dart)
     if not x.det.tree.root.graph.has_edge(kept):
         kept = gone
@@ -614,12 +617,12 @@ def _cmap_merge(x: SpqrNode, keep_dart: int, gone_dart: int) -> None:
 
 
 def _r_remove(x: SpqrNode, e: int, keep: int | None = None) -> None:
-    """Delete skeleton edge ``e`` of R node ``x`` (no pendant end, not a
-    bridge), or with ``keep`` contract it (the only edge joining its
-    ends) into ``keep``, and mirror the change in the vertex-face graph
-    by one merge across ``e``'s quad face (:meth:`Detector.merge_across`):
-    a deletion merges its two face corners, the faces beside ``e``, and
-    a contraction its two vertex corners, the ends of ``e``.  Either way
+    """Delete skeleton edge ``e`` of R node ``x`` (not a bridge), or
+    with ``keep`` contract it (the only edge joining its ends) into
+    ``keep``, and mirror the change in the vertex-face graph by one
+    merge across ``e``'s quad face (:meth:`Detector.merge_across`): a
+    deletion merges its two face corners, the faces beside ``e``, and a
+    contraction its two vertex corners, the ends of ``e``.  Either way
     the four corners flanking ``e`` pair up, on each side of ``e`` for a
     deletion and across it for a contraction, and of each pair
     ``_cmap_merge`` maps the pair to whichever edge the vertex-face
@@ -628,11 +631,12 @@ def _r_remove(x: SpqrNode, e: int, keep: int | None = None) -> None:
     merge's survivor stay, unless ``e`` is a bridge that ``_r_cut``
     contracts in a partly cut skeleton: then the faces beside it are
     one, the quad repeats that face, and the detector quasi-simplifies
-    after the merge, keeping the larger id of each parallel pair."""
+    after the merge, keeping the larger id of each parallel pair.  A
+    pendant edge is such a bridge, with quad z, f, w, f for its pendant
+    end z, which merges into its other end w."""
     g, fv = x.graph, x.det.tree.root.graph
     d0, d1 = dart(e, 0), dart(e, 1)
     rp0, rp1 = g.rotation_prev(d0), g.rotation_prev(d1)
-    assert rp0 != d0 and rp1 != d1, "pendant endpoint needs pendant removal"
     f = _fv_quad(x, e)
     contract = int(keep is not None)
     i = next(i for i, z in enumerate(f)
@@ -640,8 +644,11 @@ def _r_remove(x: SpqrNode, e: int, keep: int | None = None) -> None:
     merged = x.det.merge_across(
         fv.vertex_of_dart(f[i]), fv.vertex_of_dart(f[i - 2]),
         fv.rotation_prev(f[i]), fv.rotation_prev(f[i - 2]))
-    _cmap_merge(x, rp0, dart(e, contract))
-    _cmap_merge(x, rp1, dart(e, 1 - contract))
+    pairs = [(rp0, dart(e, contract)), (rp1, dart(e, 1 - contract))]
+    if rp1 == d1:  # a pendant second end: its one corner maps first
+        pairs.reverse()
+    for keep_dart, gone_dart in pairs:
+        _cmap_merge(x, keep_dart, gone_dart)
     if not contract:
         g.delete_edge(e)
         return
@@ -681,28 +688,6 @@ def _r_pairs(x: SpqrNode) -> dict[tuple[int, int], int]:
     return {pair: len(fs) for pair, fs in faces.items()}
 
 
-def _r_pendant_delete(x: SpqrNode, e: int) -> None:
-    """Delete skeleton edge ``e`` with a pendant endpoint, removing the
-    pendant vertex; in the vertex-face graph the pendant's single
-    corner edge contracts away and the two corners at the other end
-    pair up."""
-    g = x.graph
-    d0, d1 = dart(e, 0), dart(e, 1)
-    if g.degree(g.vertex_of_dart(d1)) == 1:
-        d0, d1 = d1, d0
-    z = g.vertex_of_dart(d0)
-    w = g.vertex_of_dart(d1)
-    assert g.degree(z) == 1 and g.degree(w) >= 2
-    rp1 = g.rotation_prev(d1)
-    c_z = x.cmap.pop(d0)
-    x.det.contract_edge(c_z)
-    _cmap_merge(x, rp1, d1)
-    fz = x.fvv.pop(z)
-    del x.vvf[fz]
-    g.delete_edge(e)
-    g.delete_vertex(z)
-
-
 def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
     """Remove the edges ``gone``, the separation classes at (a, b) that
     leave R node ``x``, from its skeleton through the synchronized
@@ -710,18 +695,18 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
 
     Edges joining a and b wait until the end, and all but one are
     deleted.  Every other edge has an end inside its class: it is
-    deleted if it has a parallel copy, removed with that end if the end
-    is pendant, and contracted otherwise, into a or b when it touches
-    them.  Every step removes an edge of the class and scans only the
-    class, so the skeleton work is that of the classes that leave.
-    Every step is also one detector op: a merge across a quad of the
-    vertex-face graph for a deletion or a contraction, an edge
-    contraction for a pendant removal.  Every merge is done in place,
-    with no diagonal (see :meth:`Detector.merge_across`); most retire a
-    corner of degree 2, a skeleton vertex of degree 2 or the face
-    between two parallel edges, which leaves nothing to splice.  A
-    contraction of an edge that the cut has left a bridge has the same
-    face on both sides, and its merge is quasi-simplified after it."""
+    deleted if it has a parallel copy and contracted otherwise, into a
+    or b when it touches them and out of a pendant end.  Every step
+    removes an edge of the class and scans only the class, so the
+    skeleton work is that of the classes that leave.  Every step is
+    also one detector op, a merge across the edge's quad in the
+    vertex-face graph (:func:`_r_remove`).  Every merge is done in
+    place, with no diagonal (see :meth:`Detector.merge_across`); most
+    retire a corner of degree 2, a skeleton vertex of degree 2 or the
+    face between two parallel edges, which leaves nothing to splice.  A
+    contraction of an edge that the cut has left a bridge, a pendant
+    edge among them, has the same face on both sides, and its merge is
+    quasi-simplified after it."""
     g = x.graph
     across = []
     for e in sorted(gone):
@@ -733,11 +718,9 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
         if sum(1 for d in g.rotation(z)
                if set(g.endpoints(edge_of(d))) == {u, w}) >= 2:
             _r_remove(x, e)
-        elif g.degree(u) == 1 or g.degree(w) == 1:
-            _r_pendant_delete(x, e)
         else:
-            _r_remove(x, e, u if u in (a, b) else
-                      w if w in (a, b) else min(u, w))
+            _r_remove(x, e, min((u, w), key=lambda v: (
+                v not in (a, b), g.degree(v) == 1, v)))
     for e in across[1:]:
         _r_remove(x, e)
     return across[0]

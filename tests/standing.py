@@ -22,7 +22,8 @@ edits the JSON and says why.  The sections:
   mutations, rename events of separator-tree merges (``apply_merge``,
   which every contraction runs through), ``Detector.merge_across``
   calls across a quad of four distinct corners by the degree of the
-  corner that retires and across any other face, and
+  corner that retires, across the quad of a pendant edge, whose
+  retiring corner has degree 1, and across any other face, and
   ``candidates_total`` and ``lifted_total``.
 - ``fuzz``: each op of ``_replay_ops`` on the primal tree and, swapped,
   on the dual's: ``intact``, ``check()`` on both sides, the same shape
@@ -66,8 +67,8 @@ REPEATS = 3
 RATIO_MARK = {"build": 3.0, "updates": 1.6}
 # per graph kind, the detector counters of the replay
 DETECTOR = ("walks build", "walks updates", "mutations", "renames",
-            "in-place degree 2", "in-place more", "non-quad merges",
-            "candidates", "lifted")
+            "in-place degree 2", "in-place more", "pendant merges",
+            "non-quad merges", "candidates", "lifted")
 # (leg, sizes, seeds, whether the oracle checks every primal tree)
 FUZZ_LEGS = (("oracle", (20, 24, 32, 40), range(40), True),
              ("large", (200, 400), range(20), False))
@@ -153,12 +154,13 @@ def replay() -> dict:
 
     def classified_merge_across(self, u, w, after_u, after_w):
         h = self.tree.root.graph
+        r = u + w - separators.merge_survivor(h, u, w)
         if fourcycle._opposite_on_quad(h, after_u, after_w):
-            r = u + w - separators.merge_survivor(h, u, w)
             now["in-place degree 2" if h.degree(r) == 2
                 else "in-place more"] += 1
         else:
-            now["non-quad merges"] += 1
+            now["pendant merges" if h.degree(r) == 1
+                else "non-quad merges"] += 1
         return merge_across(self, u, w, after_u, after_w)
 
     def counted_mutation(method):

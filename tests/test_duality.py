@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from planarconn import fourcycle, separators
+from planarconn import fourcycle, separators, spqr
 from planarconn.generators import random_planar
 from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
@@ -88,30 +88,34 @@ def paired_ops(g, steps: int, seed: int, after=None) -> int:
 
 
 # (n, max face degree, seeds, ops per seed, whether an R surgery merges
-# across a face that is no quad of four distinct corners); face degree
-# 24 leaves long chains of S nodes and P hubs, so S deletions and P
-# contractions split
+# across a face that is no quad of four distinct corners, the ends (0
+# or 1, by dart) at which an R split's cut contracts a pendant edge);
+# face degree 24 leaves long chains of S nodes and P hubs, so S
+# deletions and P contractions split
 DUAL_CASES = [
-    pytest.param(40, 8, 10, 40, False, id="40"),
-    pytest.param(40, 24, 10, 40, False, id="40-sparse"),
-    pytest.param(200, 8, 3, 50, False, id="200"),
-    pytest.param(200, 24, 3, 50, True, id="200-sparse"),
-    pytest.param(400, 8, 2, 100, False, id="400"),
+    pytest.param(40, 8, 10, 40, True, {0, 1}, id="40"),
+    pytest.param(40, 24, 10, 40, False, set(), id="40-sparse"),
+    pytest.param(200, 8, 3, 50, True, {0}, id="200"),
+    pytest.param(200, 24, 3, 50, True, {0, 1}, id="200-sparse"),
+    pytest.param(400, 8, 2, 100, True, {0, 1}, id="400"),
 ]
 
 
-@pytest.mark.parametrize("n, max_face_degree, seeds, steps, non_quad",
-                         DUAL_CASES)
+@pytest.mark.parametrize(
+    "n, max_face_degree, seeds, steps, non_quad, pendant_ends", DUAL_CASES)
 def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
-                                      seeds, steps, non_quad):
+                                      seeds, steps, non_quad, pendant_ends):
     # an R split's cut can contract a bridge of the partly cut skeleton,
-    # whose quad repeats the face on both its sides (seed 1 of
-    # 200-sparse, step 11); the detector then merges in place and
-    # quasi-simplifies, and every tree on both sides must still pass
-    # check().  No update inserts an edge into a detector's separator
-    # tree, there or anywhere else
+    # such as a pendant edge, whose quad repeats the face on both its
+    # sides (a bridge with no pendant end in seed 1 of 200-sparse, step
+    # 11); the detector then merges in place and quasi-simplifies,
+    # and every tree on both sides must still pass check().  No update inserts an edge into a
+    # detector's separator tree or contracts one there: merge_across is
+    # the one detector mutation updates make
     merge = fourcycle.Detector.merge_across
     insertion = separators.SeparatorTree.apply_insertion
+    contraction = fourcycle.Detector.contract_edge
+    r_remove = spqr._r_remove
     seen = Counter()
 
     def counted_merge(self, u, w, after_u, after_w):
@@ -124,6 +128,16 @@ def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
         seen["inserts"] += 1
         return insertion(self, *args, **kw)
 
+    def counted_contraction(self, *args, **kw):
+        seen["contractions"] += 1
+        return contraction(self, *args, **kw)
+
+    def counted_remove(x, e, keep=None):
+        for end, v in enumerate(x.graph.endpoints(e)):
+            if x.graph.degree(v) == 1:
+                seen[f"pendant end {end}"] += 1
+        return r_remove(x, e, keep)
+
     def check_after_non_quad(trees):
         if seen["non-quad"]:
             seen["non-quad ops"] += 1
@@ -134,9 +148,14 @@ def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
     monkeypatch.setattr(fourcycle.Detector, "merge_across", counted_merge)
     monkeypatch.setattr(separators.SeparatorTree, "apply_insertion",
                         counted_insertion)
+    monkeypatch.setattr(fourcycle.Detector, "contract_edge",
+                        counted_contraction)
+    monkeypatch.setattr(spqr, "_r_remove", counted_remove)
     ops = sum(paired_ops(random_planar(n, seed, max_face_degree), steps,
                          seed, check_after_non_quad)
               for seed in range(seeds))
     assert ops >= seeds
     assert not seen["inserts"]
+    assert not seen["contractions"]
     assert seen["non-quad ops"] or not non_quad
+    assert all(seen[f"pendant end {end}"] for end in pendant_ends)
