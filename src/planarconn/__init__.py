@@ -11,12 +11,16 @@ from planarconn.embed import (
     EmbedError,
     EulerViolation,
     GraphFormatError,
+    LabelInUse,
     MalformedRotation,
+    NotAnEndpoint,
     NotBiconnected,
     NotOnFace,
     SelfLoopContraction,
     TooFewEdges,
     UnknownEdge,
+    UnknownVertex,
+    VertexNotIsolated,
     parse_graph_text,
     write_graph_text,
 )
@@ -26,12 +30,16 @@ __all__ = [
     "EmbedError",
     "EulerViolation",
     "GraphFormatError",
+    "LabelInUse",
     "MalformedRotation",
+    "NotAnEndpoint",
     "NotBiconnected",
     "NotOnFace",
     "SelfLoopContraction",
     "TooFewEdges",
     "UnknownEdge",
+    "UnknownVertex",
+    "VertexNotIsolated",
     "parse_graph_text",
     "write_graph_text",
 ]

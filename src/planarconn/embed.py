@@ -55,6 +55,22 @@ class TooFewEdges(EmbedError):
     """An SPQR-tree needs at least three edges."""
 
 
+class UnknownVertex(EmbedError, ValueError):
+    """The vertex label is not present in the graph."""
+
+
+class LabelInUse(EmbedError, ValueError):
+    """The vertex label or edge id is already taken."""
+
+
+class VertexNotIsolated(EmbedError, ValueError):
+    """Only a vertex without edges can be removed."""
+
+
+class NotAnEndpoint(EmbedError, ValueError):
+    """A contraction's survivor must be an end of the edge."""
+
+
 class GraphFormatError(EmbedError):
     """A graph text file failed to parse.  Carries the 1-based line."""
 
@@ -101,7 +117,7 @@ class EmbeddedMultigraph:
         left another label on that token; then it takes a fresh negative
         one."""
         if v in self._label_root:
-            raise ValueError(f"vertex label {v} already used")
+            raise LabelInUse(f"vertex label {v} already used")
         token = v
         while token in self._root_label:
             token = self._next_token
@@ -114,9 +130,9 @@ class EmbeddedMultigraph:
     def delete_vertex(self, v: int) -> None:
         """Remove an isolated vertex."""
         if v not in self._label_root:
-            raise ValueError(f"unknown vertex {v}")
+            raise UnknownVertex(f"unknown vertex {v}")
         if self._anchor[v] is not None:
-            raise ValueError(f"vertex {v} still has edges")
+            raise VertexNotIsolated(f"vertex {v} still has edges")
         root = self._label_root.pop(v)
         del self._root_label[root]
         del self._anchor[v]
@@ -127,9 +143,9 @@ class EmbeddedMultigraph:
         if old == new:
             return
         if old not in self._label_root:
-            raise ValueError(f"unknown vertex {old}")
+            raise UnknownVertex(f"unknown vertex {old}")
         if new in self._label_root:
-            raise ValueError(f"vertex label {new} already used")
+            raise LabelInUse(f"vertex label {new} already used")
         root = self._label_root.pop(old)
         self._label_root[new] = root
         self._root_label[root] = new
@@ -144,7 +160,7 @@ class EmbeddedMultigraph:
         if old not in self._edges:
             raise UnknownEdge(f"edge {old}")
         if new in self._edges:
-            raise ValueError(f"edge id {new} already used")
+            raise LabelInUse(f"edge id {new} already used")
         self._edges[new] = self._edges.pop(old)
         self.bump_edge_id(new)
         remap = {dart(old, 0): dart(new, 0), dart(old, 1): dart(new, 1)}
@@ -434,7 +450,7 @@ class EmbeddedMultigraph:
             eid = self.new_edge_id()
         else:
             if eid in self._edges:
-                raise ValueError(f"edge id {eid} already used")
+                raise LabelInUse(f"edge id {eid} already used")
             self.bump_edge_id(eid)
         self._edges[eid] = None
         d0, d1 = dart(eid, 0), dart(eid, 1)
@@ -476,7 +492,8 @@ class EmbeddedMultigraph:
         if keep is None:
             keep = min(u, w)
         if keep not in (u, w):
-            raise ValueError(f"survivor {keep} is not an endpoint of {e}")
+            raise NotAnEndpoint(
+                f"survivor {keep} is not an endpoint of {e}")
         nxt, d0, d1 = self._nxt, 2 * e, 2 * e + 1
         anchor = (nxt[d0] if nxt[d0] != d0 else
                   nxt[d1] if nxt[d1] != d1 else None)

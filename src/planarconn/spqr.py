@@ -62,9 +62,11 @@ from itertools import combinations
 
 from .embed import (
     EmbeddedMultigraph,
+    LabelInUse,
     NotBiconnected,
     TooFewEdges,
     UnknownEdge,
+    UnknownVertex,
     dart,
     edge_of,
     rev,
@@ -292,20 +294,15 @@ class SpqrNode:
     real.  ``parent`` orients the tree: the children of a node are its
     twin neighbors whose parent it is."""
 
-    __slots__ = ("kind", "graph", "twin", "parent",
-                 "det", "cmap", "fvv", "vvf")
+    __slots__ = ("kind", "graph", "twin", "parent", "det", "cmap", "vvf")
 
-    def __init__(self, kind: str, graph: EmbeddedMultigraph,
-                 virt: set[int]):
+    def __init__(self, kind: str, graph: EmbeddedMultigraph):
         self.kind = kind
         self.graph = graph
-        # slots are filled when the twins are linked
-        self.twin: dict[int, tuple[SpqrNode, int]] = dict.fromkeys(
-            sorted(virt))
+        self.twin: dict[int, tuple[SpqrNode, int]] = {}
         self.parent: SpqrNode | None = None
         self.det = None    # four-cycle detector over fv(skeleton), R only
         self.cmap = None   # skeleton dart -> vertex-face-graph edge id
-        self.fvv = None    # skeleton vertex -> vertex-face-graph label
         self.vvf = None    # vertex-face-graph label -> skeleton vertex
 
     def real_ids(self) -> list[int]:
@@ -542,39 +539,39 @@ class SpqrTree:
 def _attach_r(x: SpqrNode) -> None:
     """Equip an R node with its split-detection machinery: a
     separating-4-cycle detector over the vertex-face graph of the
-    skeleton, plus the corner and label correspondences the surgeries
-    keep in sync.  The skeleton is triconnected, so no 4-cycle of its
+    skeleton, plus the corner map and the label map the surgeries keep
+    in sync.  Every corner edge runs from its vertex (dart 0) to its
+    face, so a skeleton vertex's label is the vertex end of any of its
+    corner edges.  The skeleton is triconnected, so no 4-cycle of its
     radial graph separates yet: the pairs the detector logs when built
     are dropped unwalked, and ``SpqrTree.check()`` asserts the same fact
     as the skeleton's lack of separation pairs."""
     fv, info = x.graph.vertex_face_graph()
     x.det = Detector(fv)
     x.det.reset_op_log()
-    x.cmap = dict(info.fv_edge_of_corner)
-    x.fvv = {v: v for v in x.graph.vertices()}
-    x.vvf = dict(x.fvv)
+    x.cmap = info.fv_edge_of_corner
+    x.vvf = {v: v for v in x.graph.vertices()}
 
 
 def _check_r_sync(x: SpqrNode) -> None:
     """Assert that the maintained vertex-face graph, the corner map and
-    the label maps of an R node agree with its skeleton."""
+    the label map of an R node agree with its skeleton."""
     g = x.graph
     fv = x.det.tree.root.graph
     assert set(x.cmap) == set(g.corners())
     assert sorted(x.cmap.values()) == sorted(fv.edge_ids())
-    assert set(x.fvv) == set(g.vertices())
-    assert x.vvf == {f: v for v, f in x.fvv.items()}
+    assert sorted(x.vvf.values()) == sorted(g.vertices())
     for v in g.vertices():
-        fl = x.fvv[v]
         prim = [x.cmap[d] for d in g.rotation(v)]
+        fl = fv.endpoints(prim[0])[0]
+        assert x.vvf[fl] == v, "label map disagrees with the corners"
         rot = [edge_of(d) for d in fv.rotation(fl)]
         assert len(rot) == len(prim)
         i = rot.index(prim[0])
         assert rot[i:] + rot[:i] == prim, "rotation mismatch at a vertex"
         for e in prim:
             a, b = fv.endpoints(e)
-            other = b if a == fl else a
-            assert fl in (a, b) and other not in x.vvf
+            assert a == fl and b not in x.vvf, "corner edge misoriented"
     # every face of the maintained graph is the quad of one skeleton edge
     quads = [_quad_corners(x, e) for e in g.edge_ids()]
     faces = []
@@ -598,10 +595,15 @@ def _fv_quad(x: SpqrNode, e: int) -> list[int]:
     """The face of the maintained vertex-face graph that is the quad of
     skeleton edge ``e``, as its dart cycle: the face traced from the
     vertex end (dart 0) of the corner edge of ``e``'s dart 0.  It must
-    be the quad of the four corners that flank ``e``."""
-    f = x.det.tree.root.graph.trace_face(dart(x.cmap[dart(e, 0)], 0))
+    be the quad of the four corners that flank ``e``.  So darts 0 and 2
+    leave the ends of ``e``, in the order of ``e``'s darts, and darts 1
+    and 3 leave the faces beside it."""
+    fv = x.det.tree.root.graph
+    f = fv.trace_face(dart(x.cmap[dart(e, 0)], 0))
     if sorted(edge_of(z) for z in f) != _quad_corners(x, e):
         raise AssertionError(f"no quad face for skeleton edge {e}")
+    u, w = x.graph.endpoints(e)
+    assert [x.vvf.get(fv.vertex_of_dart(z)) for z in f] == [u, None, w, None]
     return f
 
 
@@ -637,13 +639,11 @@ def _r_remove(x: SpqrNode, e: int, keep: int | None = None) -> None:
     g, fv = x.graph, x.det.tree.root.graph
     d0, d1 = dart(e, 0), dart(e, 1)
     rp0, rp1 = g.rotation_prev(d0), g.rotation_prev(d1)
-    f = _fv_quad(x, e)
     contract = int(keep is not None)
-    i = next(i for i, z in enumerate(f)
-             if (fv.vertex_of_dart(z) in x.vvf) == contract)
-    merged = x.det.merge_across(
-        fv.vertex_of_dart(f[i]), fv.vertex_of_dart(f[i - 2]),
-        fv.rotation_prev(f[i]), fv.rotation_prev(f[i - 2]))
+    # the ends of e for a contraction, the faces beside it for a deletion
+    f = _fv_quad(x, e)[1 - contract::2]
+    ends = [fv.vertex_of_dart(z) for z in f]
+    merged = x.det.merge_across(*ends, *map(fv.rotation_prev, f))
     pairs = [(rp0, dart(e, contract)), (rp1, dart(e, 1 - contract))]
     if rp1 == d1:  # a pendant second end: its one corner maps first
         pairs.reverse()
@@ -652,9 +652,8 @@ def _r_remove(x: SpqrNode, e: int, keep: int | None = None) -> None:
     if not contract:
         g.delete_edge(e)
         return
-    for v in g.endpoints(e):
-        del x.vvf[x.fvv.pop(v)]
-    x.fvv[keep] = merged
+    for label in ends:
+        del x.vvf[label]
     x.vvf[merged] = keep
     g.contract_edge(e, keep=keep)
 
@@ -781,19 +780,18 @@ class _PairIndex:
 
 
 def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
-               vids, vid_base: int, pieces: list[tuple],
+               vids, pieces: list[tuple],
                r: SpqrNode | None = None) -> list[int]:
     """Append the S, P and R pieces of g to ``pieces``, drawing virtual
-    ids (all at or above ``vid_base``) from ``vids``.  ``pairs`` maps
-    the separation pairs of g to their class counts; g is consumed.
-    Returns the sizes of the top-level split: the edge count of each
-    class that leaves and of each hub's joining edges, then that of
-    what is left.
+    ids from ``vids``.  ``pairs`` maps the separation pairs of g to
+    their class counts; g is consumed.  Returns the sizes of the
+    top-level split: the edge count of each class that leaves and of
+    each hub's joining edges, then that of what is left.
 
-    A piece is ``(kind, body, virt)``: ``virt`` holds its virtual ids,
-    and ``body`` is the skeleton graph of an R piece but only the
-    ``(eid, u, w)`` edge list of an S or P piece, whose skeleton
-    :func:`_merge_same_kind` assembles once per final node.
+    A piece is ``(kind, body)``: ``body`` is the skeleton graph of an R
+    piece but only the ``(eid, u, w)`` edge list of an S or P piece,
+    whose skeleton :func:`_merge_same_kind` assembles once per final
+    node.
 
     Each round splits on the smallest pair (a, b), which a
     :class:`_PairIndex` keeps at hand with its class count, so the
@@ -818,12 +816,12 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
     :func:`_r_cut`, which keep its detector in step, the edge left
     across the pair takes the fresh virtual id, and ``r`` takes the kind
     of what is left instead of a new piece being appended.  A split then
-    costs the pieces that leave: ``kept`` follows the fresh ids that
-    ``r`` holds, so its skeleton is never scanned for them.
+    costs the pieces that leave: the fresh ids that ``r`` keeps are
+    found in the pieces that hold their twins, so ``r``'s skeleton is
+    never scanned for them.
     """
     index = _PairIndex(pairs)
     sizes: list[int] = []
-    kept: set[int] = set()
     while True:
         kind = ("P" if g.n_vertices == 2
                 else "S" if _is_simple_cycle_graph(g)
@@ -832,14 +830,11 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
             sizes.append(g.n_edges)
             if r is not None:
                 r.kind = kind
-                r.twin.update(dict.fromkeys(sorted(kept)))
-                return sizes
-            virt = {e for e in g.edge_ids() if e >= vid_base}
-            if kind == "R":
-                pieces.append((kind, g, virt))
+            elif kind == "R":
+                pieces.append((kind, g))
             else:
                 pieces.append((kind, [(e, *g.endpoints(e))
-                                      for e in g.edge_ids()], virt))
+                                      for e in g.edge_ids()]))
             return sizes
         pair, k = index.pop()
         a, b = pair
@@ -852,14 +847,12 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
             vid = next(vids)
             hub.append((vid, a, b))
             if all(g.degree(v) == 2 for v in inner):
-                path = [(e, *g.endpoints(e)) for e in cls]
-                path.append((vid, a, b))
-                pieces.append(("S", path, {e for e, _, _ in path
-                                           if e >= vid_base}))
+                pieces.append(("S", [(e, *g.endpoints(e)) for e in cls]
+                               + [(vid, a, b)]))
             else:
                 _decompose(_piece_graph(g, cls, a, b, vid),
                            index.inside(inner, {a, b, *inner}),
-                           vids, vid_base, pieces)
+                           vids, pieces)
             sizes.append(len(cls))
         if len(hub) == 1:
             # two classes share one virtual edge
@@ -867,14 +860,11 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
         else:
             vid = next(vids)
             hub.append((vid, a, b))
-            pieces.append(("P", hub, {e for e, _, _ in hub
-                                      if e >= vid_base}))
+            pieces.append(("P", hub))
             sizes.append(len(singles))
         cut = {v for _, inner in done for v in inner}
         if r is not None:
             _rekey(r, _r_cut(r, gone, a, b), vid)
-            kept -= gone
-            kept.add(vid)
         else:
             # the class that stays gets its virtual edge where
             # _piece_graph puts it: right after the last dart of its run
@@ -890,25 +880,18 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
         index.drop_at(cut)
 
 
-def _owners(nodes: list[SpqrNode]) -> dict[int, list[tuple[SpqrNode, int]]]:
-    """Virtual ids drawn by one decomposition are unique, so each names
-    one twin pair; map every id not linked yet to its (node, id)
-    slots in ``nodes``, the fresh nodes of the decomposition."""
-    own: dict[int, list[tuple[SpqrNode, int]]] = defaultdict(list)
-    for x in nodes:
-        for e, slot in x.twin.items():
-            if slot is None:
-                own[e].append((x, e))
-    return own
-
-
-def _merge_same_kind(pieces: list[tuple]) -> list[SpqrNode]:
-    """The nodes of the pieces of :func:`_decompose`, in piece order.
-    Every group of equal-kind S or P pieces joined by virtual edges
-    becomes one node: the shared virtual edges disappear, and the
-    group's canonical skeleton is built here, by one :func:`_skeleton`
-    call per node, from the edge lists the pieces kept.  An R piece
-    brings its skeleton."""
+def _merge_same_kind(pieces: list[tuple], vid_base: int,
+                     r: SpqrNode | None) -> list[SpqrNode]:
+    """The nodes of the pieces of :func:`_decompose`, in piece order,
+    with every twin pair they draw linked.  Virtual ids drawn by one
+    decomposition (those at or above ``vid_base``) are unique, so each
+    names one twin pair.  Every group of equal-kind S or P pieces
+    joined by virtual edges becomes one node: the shared virtual edges
+    disappear, and the group's canonical skeleton is built here, by one
+    :func:`_skeleton` call per node, from the edge lists the pieces
+    kept.  An R piece brings its skeleton.  Every other id links its two
+    holders, or its one holder to ``r``, the R node being split, which
+    holds it as an edge with no twin yet."""
     up = list(range(len(pieces)))
 
     def find(i: int) -> int:
@@ -918,76 +901,66 @@ def _merge_same_kind(pieces: list[tuple]) -> list[SpqrNode]:
         return i
 
     holders: dict[int, list[int]] = defaultdict(list)
-    for i, (_, _, virt) in enumerate(pieces):
-        for e in virt:
-            holders[e].append(i)
+    for i, (kind, body) in enumerate(pieces):
+        for e in body.edge_ids() if kind == "R" else (t[0] for t in body):
+            if e >= vid_base:
+                holders[e].append(i)
     inner: set[int] = set()
     for vid, held in holders.items():
-        if len(held) < 2:
-            continue    # the twin is in the R node being split
-        i, j = held
-        if pieces[i][0] == pieces[j][0] != "R":
-            inner.add(vid)
-            up[find(i)] = find(j)
+        if len(held) == 2:
+            i, j = held
+            if pieces[i][0] == pieces[j][0] != "R":
+                inner.add(vid)
+                up[find(i)] = find(j)
     groups: dict[int, list[tuple]] = defaultdict(list)
     for i, piece in enumerate(pieces):
         groups[find(i)].append(piece)
-    out = []
-    for group in groups.values():
-        kind, body, virt = group[0]
-        if kind == "R":
-            out.append(SpqrNode(kind, body, virt))
-            continue
-        edges = [t for _, es, _ in group for t in es if t[0] not in inner]
-        out.append(SpqrNode(kind, _skeleton(kind, edges),
-                            set().union(*(v for _, _, v in group)) - inner))
-    return out
+    node_of: dict[int, SpqrNode] = {}
+    for root, group in groups.items():
+        kind, body = group[0]
+        if kind != "R":
+            body = _skeleton(kind, [t for _, es in group for t in es
+                                    if t[0] not in inner])
+        node_of[root] = SpqrNode(kind, body)
+    for vid in sorted(holders.keys() - inner):
+        held = [node_of[find(i)] for i in holders[vid]]
+        if len(held) == 1:
+            assert r is not None and r.graph.has_edge(vid) \
+                and vid not in r.twin, f"virtual edge {vid} not kept by r"
+            held.append(r)
+        held[0].link(vid, held[1], vid)
+    return list(node_of.values())
 
 
 def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph,
                 pairs: dict[tuple[int, int], int], r: SpqrNode | None = None
                 ) -> tuple[list[SpqrNode], list[int]]:
     """Decompose an embedded graph with separation pairs ``pairs``
-    into SPQR nodes, drawing virtual ids from the shared source and
-    linking the twins among the fresh nodes and ``r``.  The pieces of
-    :func:`_decompose` become nodes in :func:`_merge_same_kind`, which
-    builds every S and P skeleton, once per node.  Edges that predate
-    the call (reals, virtual ids of ``r``) are left for :func:`_adopt`.
-    ``sg`` is consumed.  With ``r``, the R node whose skeleton ``sg``
-    is, see :func:`_decompose`: a fresh id that only one fresh node
-    holds is one that ``r`` keeps, so ``r``'s slots are never walked.
-    Returns the fresh nodes and the top-level piece sizes."""
+    into SPQR nodes, drawing virtual ids from the shared source.  The
+    pieces of :func:`_decompose` become nodes in
+    :func:`_merge_same_kind`, which builds every S and P skeleton, once
+    per node, and links the twins it drew.  ``sg`` is consumed.  With
+    ``r``, the R node whose skeleton ``sg`` is, see :func:`_decompose`.
+    Every other edge of a fresh node predates the call: a virtual edge
+    of ``r`` moves with its twin link from ``r`` to the fresh node
+    holding it, and every other one is real.  R nodes get their
+    machinery.  Returns the fresh nodes and the top-level piece
+    sizes."""
     vid_base = shared.vids.peek()
     pieces: list[tuple] = []
-    sizes = _decompose(sg, pairs, shared.vids, vid_base, pieces, r)
-    nodes = _merge_same_kind(pieces)
-    for vid, slots in _owners(nodes).items():
-        if r is not None and len(slots) == 1:
-            assert vid in r.twin and r.twin[vid] is None, \
-                f"virtual edge {vid} not kept by r"
-            slots.append((r, vid))
-        assert len(slots) == 2, f"virtual edge {vid} not paired"
-        (x, e), (y, f) = slots
-        x.link(e, y, f)
-    return nodes, sizes
-
-
-def _adopt(shared: _Shared, nodes: list[SpqrNode],
-           old: SpqrNode | None) -> None:
-    """Classify the edges of fresh nodes that predate them.  A virtual
-    edge of ``old``, the node they were cut from, moves with its twin
-    link from ``old`` to the fresh node holding it; every other such
-    edge is real.  R nodes get their machinery."""
+    sizes = _decompose(sg, pairs, shared.vids, pieces, r)
+    nodes = _merge_same_kind(pieces, vid_base, r)
     for nd in nodes:
         for e in sorted(nd.graph.edge_ids()):
             if e in nd.twin:
                 continue
-            if old is not None and e in old.twin:
-                old.move_twin(e, nd)
+            if r is not None and e in r.twin:
+                r.move_twin(e, nd)
             else:
                 shared.node_of_edge[e] = nd
         if nd.kind == "R":
             _attach_r(nd)
+    return nodes, sizes
 
 
 def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
@@ -999,7 +972,6 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
         raise NotBiconnected("SPQR-tree of a non-biconnected graph")
     shared = _Shared(_Vids(max(g.edge_ids()) + 1))
     nodes, _ = _mini_nodes(shared, g.copy(), separation_pairs_embedded(g))
-    _adopt(shared, nodes, None)
     tree = SpqrTree(nodes[0], shared)
     tree._reroot(nodes[0])
     return tree
@@ -1117,11 +1089,10 @@ def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
         return
     up, kids = x.parent, _children(x)
     nodes, sizes = _mini_nodes(shared, x.graph, pairs, x)
-    _adopt(shared, nodes, x)
     if x.kind == "R":
         x.det.reset_op_log()
     else:
-        x.det = x.cmap = x.fvv = x.vvf = None
+        x.det = x.cmap = x.vvf = None
     shared.split_edges += sum(sizes) - max(sizes)
 
     for nd in (x, *kids):
@@ -1236,16 +1207,21 @@ def _rename_cascade(shared: _Shared, node: SpqrNode, via: int | None,
         g.rename_vertex(dying, keep)
         shared.renames += 1
         if nd.kind == "R":
-            fl = nd.fvv.pop(dying)
-            nd.fvv[keep] = fl
-            nd.vvf[fl] = keep
+            corner = nd.cmap[g.any_dart(keep)]
+            nd.vvf[nd.det.tree.root.graph.endpoints(corner)[0]] = keep
 
 
 def rename_vertex_in_block(tree: SpqrTree, node: SpqrNode,
                            dying: int, keep: int) -> None:
     """Rename a vertex throughout one block's tree, entering at any
     node whose skeleton contains it (used when a contraction elsewhere
-    merges an articulation vertex this block shares)."""
+    merges an articulation vertex this block shares).  Raises
+    ``UnknownVertex`` or ``LabelInUse``, before any write, when
+    ``node`` lacks ``dying`` or already holds ``keep``."""
+    if not node.graph.has_vertex(dying):
+        raise UnknownVertex(f"vertex {dying} not in the entry node")
+    if node.graph.has_vertex(keep):
+        raise LabelInUse(f"vertex label {keep} already used")
     _rename_cascade(tree.shared, node, None, dying, keep)
 
 

@@ -1,4 +1,5 @@
-"""Plane duality as an oracle for SPQR-trees and their updates.
+"""Plane duality and mirroring as oracles for SPQR-trees and their
+updates.
 
 Deleting edge e of a plane graph G is contracting e in its dual G*, and
 the SPQR-tree of G* is that of G with S and P swapped: the same real
@@ -8,6 +9,13 @@ and the check reaches any n.  Each update on one side runs the other
 side's case code: an S deletion's path split against a P contraction's
 star split, an R deletion's face merge against an R contraction's
 vertex merge.
+
+The mirror of G, every rotation reversed, has the same SPQR-tree with
+the same labels, so the same op on both sides must return trees that
+serialize alike.  It runs the same case code with every choice that
+follows rotation order made the other way round: which class a split
+leaves unlisted, the order of a quad's corners, the order of the twin
+maps.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from collections import Counter
 import pytest
 
 from planarconn import fourcycle, separators, spqr
+from planarconn.embed import EmbeddedMultigraph, edge_of
 from planarconn.generators import random_planar
 from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
@@ -63,27 +72,49 @@ def trees_by_edges(log) -> dict[tuple[int, ...], object]:
     return {real_edges(t): t for t in trees}
 
 
-def paired_ops(g, steps: int, seed: int, after=None) -> int:
+def mirror(g):
+    """g with every rotation reversed, through the validated
+    ``EmbeddedMultigraph.build``."""
+    return EmbeddedMultigraph.build(
+        g.vertices(), [(e, *g.endpoints(e)) for e in g.edge_ids()],
+        {v: [(edge_of(d), d & 1) for d in reversed(g.rotation(v))]
+         for v in g.vertices()})
+
+
+# a twin: how it is made from g, and whether an op on g is the other op
+# on it, with S and P swapped
+DUAL = (lambda g: g.dual()[0], True)
+MIRROR = (mirror, False)
+
+
+def paired_ops(g, twin, steps: int, seed: int, after=None) -> int:
     """Run up to ``steps`` random deletions and contractions on the tree
-    of g and each swapped on the tree of its dual, following the largest
-    block; every outcome must match.  ``after``, if given, is called
-    with the trees of both sides after each op.  Returns the ops made."""
+    of g and each, swapped for the dual, on the tree of g's ``twin``,
+    following the largest block; every outcome must match, and on the
+    mirror so must the serialization of every tree an op leaves.
+    ``after``, if given, is called with the trees of both sides after
+    each op.  Returns the ops made."""
+    make, dual = twin
     rng = random.Random(seed)
-    prim, dual = build_spqr(g), build_spqr(g.dual()[0])
-    assert shape(prim) == shape(dual, True)
+    prim, other = build_spqr(g), build_spqr(make(g))
+    assert shape(prim) == shape(other, dual)
     for step in range(steps):
         e = rng.choice(real_edges(prim))
         swap = rng.random() < 0.5
         log = (contract_edge if swap else delete_edge)(prim, e)
-        dlog = (delete_edge if swap else contract_edge)(dual, e)
-        assert outcome(log) == outcome(dlog, True), (step, e, swap)
-        trees, dtrees = trees_by_edges(log), trees_by_edges(dlog)
+        tlog = (contract_edge if swap != dual else delete_edge)(other, e)
+        assert outcome(log) == outcome(tlog, dual), (step, e, swap)
+        trees, ttrees = trees_by_edges(log), trees_by_edges(tlog)
+        if not dual:
+            assert ({k: t.serialize() for k, t in trees.items()}
+                    == {k: t.serialize() for k, t in ttrees.items()}), \
+                (step, e, swap)
         if after is not None:
-            after([*trees.values(), *dtrees.values()])
+            after([*trees.values(), *ttrees.values()])
         if not trees:
             return step + 1
         key = max(trees, key=len)
-        prim, dual = trees[key], dtrees[key]
+        prim, other = trees[key], ttrees[key]
     return steps
 
 
@@ -151,11 +182,23 @@ def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
     monkeypatch.setattr(fourcycle.Detector, "contract_edge",
                         counted_contraction)
     monkeypatch.setattr(spqr, "_r_remove", counted_remove)
-    ops = sum(paired_ops(random_planar(n, seed, max_face_degree), steps,
-                         seed, check_after_non_quad)
+    ops = sum(paired_ops(random_planar(n, seed, max_face_degree), DUAL,
+                         steps, seed, check_after_non_quad)
               for seed in range(seeds))
     assert ops >= seeds
     assert not seen["inserts"]
     assert not seen["contractions"]
     assert seen["non-quad ops"] or not non_quad
     assert all(seen[f"pendant end {end}"] for end in pendant_ends)
+
+
+@pytest.mark.parametrize("n, max_face_degree, seeds, steps", [
+    pytest.param(40, 8, 10, 40, id="40"),
+    pytest.param(40, 24, 10, 40, id="40-sparse"),
+    pytest.param(200, 8, 3, 50, id="200"),
+])
+def test_updates_commute_with_mirroring(n, max_face_degree, seeds, steps):
+    ops = sum(paired_ops(random_planar(n, seed, max_face_degree), MIRROR,
+                         steps, seed)
+              for seed in range(seeds))
+    assert ops >= seeds

@@ -6,12 +6,17 @@ import pytest
 
 from planarconn.embed import (
     EmbeddedMultigraph,
+    EmbedError,
     EulerViolation,
     GraphFormatError,
+    LabelInUse,
     MalformedRotation,
+    NotAnEndpoint,
     NotOnFace,
     SelfLoopContraction,
     UnknownEdge,
+    UnknownVertex,
+    VertexNotIsolated,
     dart,
     edge_of,
     from_straight_line_drawing,
@@ -285,6 +290,35 @@ def test_insert_not_on_face_rejected():
         for du in g.rotation(0):
             for dw in g.rotation(6):
                 g.insert_edge(0, 6, du, dw, require_same_face=True)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda g: g.add_vertex(1), LabelInUse, id="add_vertex"),
+    pytest.param(lambda g: g.delete_vertex(7), UnknownVertex,
+                 id="delete_vertex-unknown"),
+    pytest.param(lambda g: g.delete_vertex(0), VertexNotIsolated,
+                 id="delete_vertex-with-edges"),
+    pytest.param(lambda g: g.rename_vertex(7, 8), UnknownVertex,
+                 id="rename_vertex-unknown"),
+    pytest.param(lambda g: g.rename_vertex(0, 1), LabelInUse,
+                 id="rename_vertex-used"),
+    pytest.param(lambda g: g.rename_edge(0, 1), LabelInUse, id="rename_edge"),
+    pytest.param(lambda g: g.insert_edge(0, 1, g.any_dart(0),
+                                         g.any_dart(1), eid=2),
+                 LabelInUse, id="insert_edge"),
+    pytest.param(lambda g: g.contract_edge(0, keep=2), NotAnEndpoint,
+                 id="contract_edge"),
+])
+def test_label_conflicts_raise_typed_errors(call, error):
+    # each is an EmbedError and, for callers that catch it so, a
+    # ValueError; it is raised before anything is written
+    assert issubclass(error, EmbedError) and issubclass(error, ValueError)
+    g = triangle()
+    before = write_graph_text(g)
+    with pytest.raises(error):
+        call(g)
+    assert write_graph_text(g) == before
+    g.check()
 
 
 @pytest.mark.parametrize("missing", ["u", "w"])

@@ -13,9 +13,11 @@ from planarconn import fourcycle, separators, spqr
 from planarconn.embed import (
     EmbeddedMultigraph,
     EmbedError,
+    LabelInUse,
     NotBiconnected,
     TooFewEdges,
     UnknownEdge,
+    UnknownVertex,
     dart,
     edge_of,
     from_straight_line_drawing,
@@ -813,9 +815,9 @@ def test_merge_keeps_the_larger_skeleton(kind, flipped, larger_first):
     # follows the merge
     big, small, (child_kind, child) = _MERGE_CASES[kind]
     small = [*small, (11, 1, 0) if flipped else (11, 0, 1)]
-    x = spqr.SpqrNode(kind, spqr._skeleton(kind, big), {10})
-    y = spqr.SpqrNode(kind, spqr._skeleton(kind, small), {11, 12})
-    z = spqr.SpqrNode(child_kind, spqr._skeleton(child_kind, child), {12})
+    x = spqr.SpqrNode(kind, spqr._skeleton(kind, big))
+    y = spqr.SpqrNode(kind, spqr._skeleton(kind, small))
+    z = spqr.SpqrNode(child_kind, spqr._skeleton(child_kind, child))
     x.link(10, y, 11)
     y.link(12, z, 12)
     shared = spqr._Shared(spqr._Vids(13))
@@ -833,3 +835,18 @@ def test_merge_keeps_the_larger_skeleton(kind, flipped, larger_first):
     assert {e: x.graph.endpoints(e) for e in x.graph.edge_ids()} == ends
     assert all(shared.node_of_edge[e] is x for e in x.real_ids())
     assert x.real_ids() == sorted(set(ends) - {12})
+
+
+@pytest.mark.parametrize("dying, keep, error", [
+    pytest.param(2, 5, UnknownVertex, id="dying-missing"),
+    pytest.param(1, 0, LabelInUse, id="keep-present"),
+])
+def test_rename_in_block_rejects_before_writing(dying, keep, error):
+    # the entry node is the S node 0-1-3 of the diamond
+    tree = build_spqr(diamond())
+    node = tree.node_of_edge[0]
+    before = tree.serialize()
+    with pytest.raises(error):
+        spqr.rename_vertex_in_block(tree, node, dying, keep)
+    assert tree.serialize() == before and tree.renames == 0
+    tree.check()
