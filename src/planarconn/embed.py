@@ -295,10 +295,11 @@ class EmbeddedMultigraph:
             x = nxt[x ^ 1]
         return False
 
-    def _face_orbits(self) -> tuple[list[list[int]], dict[int, int]]:
+    def face_orbits(self) -> tuple[list[list[int]], dict[int, int]]:
         """Every face as its dart cycle, and the index in that list of
         the face traced from each dart: the one walk over all faces,
-        which every face enumeration here reads."""
+        which every face enumeration reads, the separation records of
+        ``spqr`` too."""
         cycles: list[list[int]] = []
         face_of: dict[int, int] = {}
         nxt = self._nxt
@@ -316,11 +317,11 @@ class EmbeddedMultigraph:
         return cycles, face_of
 
     def faces(self) -> list[list[int]]:
-        return self._face_orbits()[0]
+        return self.face_orbits()[0]
 
     def n_faces(self) -> int:
         """Face count, including one face per isolated vertex."""
-        return (len(self._face_orbits()[0])
+        return (len(self.face_orbits()[0])
                 + sum(1 for a in self._anchor.values() if a is None))
 
     # ------------------------------------------------------------------
@@ -598,7 +599,7 @@ class EmbeddedMultigraph:
         return out
 
     def euler_ok(self) -> bool:
-        face_id = self._face_orbits()[1]
+        face_id = self.face_orbits()[1]
         for comp in self.components():
             nv = len(comp)
             ne = 0
@@ -652,7 +653,7 @@ class EmbeddedMultigraph:
         rotation at a face is its face cycle, which makes the double
         dual the identity on darts.
         """
-        cycles, face_of = self._face_orbits()
+        cycles, face_of = self.face_orbits()
         g = EmbeddedMultigraph()
         g._next_eid = self._next_eid
         g._edges = dict(self._edges)
@@ -675,7 +676,7 @@ class EmbeddedMultigraph:
         face through the corner, which is the face orbit containing
         ``rotation_next(d)``.
         """
-        cycles, face_of = self._face_orbits()
+        cycles, face_of = self.face_orbits()
         offset = (max(self._label_root) + 1) if self._label_root else 0
         fv = EmbeddedMultigraph()
         for v in self._label_root:

@@ -9,24 +9,29 @@ are either real edges of the graph or virtual edges; each virtual edge
 has a twin in the neighboring node's skeleton spanning the same
 separation pair, and no two adjacent nodes have equal kind S or P.
 
-Construction splits on separation pairs.  Separation pairs of an
-embedded graph are found by counting, which only needs the faces.  A
-face walk of a biconnected graph meets each vertex at most once, so a
-pair of vertices with k common faces lies on k(k - 1)/2 4-cycles
+Construction splits on separation records, which only need the faces.
+A face walk of a biconnected graph meets each vertex at most once, so
+a pair of vertices with k common faces lies on k(k - 1)/2 4-cycles
 through two of those faces in the vertex-face graph.  The pair is a
 separation pair exactly when that number exceeds the number of edges
 joining them, because every such 4-cycle that does not bound a
 quadrilateral vertex-face-graph face witnesses a separation and the
 facial ones correspond one-to-one to the joining edges.  The same k is
-the pair's number of separation classes.  The count runs once per
-decomposition: every split piece inherits the pairs of the graph that
-lie inside it, less the split pair, with their class counts, read off
-an index of the pairs by vertex.  At a split, searches from the pair
-find the separation classes and stop as soon as all classes but one are
-complete; of the classes they finished, a path becomes an S piece as
-it is and any other is copied out into a fresh piece, the subgraph its
-vertices induce, and the last one is cut free in the graph itself, so
-a split costs about its smaller side.  S and P pieces stay edge lists
+the pair's number of separation classes.  Two faces with three or more
+common vertices hold one S node, whose cycle those vertices are, and
+every pair among them: the face pair is one S record, and every other
+separation pair is a pair record with its k.  One listing that meets
+each 4-cycle once finds them all in linear time.  It runs once per
+decomposition: every split piece inherits the records of the graph
+that lie inside it, less the split pair, read off an index of the
+records by vertex.  At a split, searches from the record find the
+separation classes and stop as soon as all classes but one are
+complete, at an S record all its arcs but one; of the classes they
+finished, a path becomes an S piece as it is and any other is copied
+out into a fresh piece, the subgraph its vertices induce, and what is
+left is cut free in the graph itself, so a split costs about its
+smaller side, and an S node is cut whole in one round.  S and P pieces
+stay edge lists
 until equal-kind neighbours are merged, so each S or P skeleton is
 assembled once, edge by edge.  No skeleton goes through the validated
 ``EmbeddedMultigraph.build``: every one is cut, induced or assembled
@@ -105,45 +110,197 @@ def _edge_multiplicity(g: EmbeddedMultigraph) -> dict[tuple[int, int], int]:
     return cnt
 
 
+class _SRecord(tuple):
+    """An S record: the common vertices of two faces, at least three, in
+    the order of one face's walk.  Hashed by identity, so that a set of
+    records never hashes a whole cycle; no two S records hold the same
+    vertices."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
+def separation_records(g: EmbeddedMultigraph) -> dict[tuple[int, ...], int]:
+    """The separation records of a biconnected embedded multigraph, each
+    with its class count: every face pair with three or more common
+    vertices as one S record (an :class:`_SRecord`) with its number of
+    vertices, which is its number of arcs, and every other separation
+    pair (a, b), a < b, with its number of common faces k.  The S
+    record is exactly one S node of the SPQR-tree, and its vertices are
+    the node's cycle.
+
+    A face walk of a biconnected graph meets each vertex at most once,
+    so a pair with k common faces lies on k(k - 1)/2 4-cycles of the
+    vertex-face graph, and it is separating exactly when that exceeds
+    its joining-edge count: the facial 4-cycles, an edge and the faces
+    beside it, witness nothing.  Its classes are the sectors of a's
+    rotation between the faces that hold b too, each a-b edge counting
+    as one, so there are k of them.  A pair of an S record is left to
+    the record when its common faces are the record's two: any two of
+    its vertices but consecutive ones joined by an edge, with two
+    classes.
+
+    Each 4-cycle is listed once, as in Chiba and Nishizeki ("Arboricity
+    and subgraph listing algorithms", SIAM J. Comput. 1985): vertices
+    and faces are taken by decreasing degree, and each one lists the
+    4-cycles through it, grouped by the node opposite it, before it is
+    deleted: per vertex the common faces still there, per face the
+    common vertices still there.  That is linear in the edges of a
+    plane graph, so a hub or a long face is listed once, not once per
+    pair it holds.  The degree order splits the 4-cycles of a record
+    between the two views, so candidates are read off both and then
+    checked on their smaller side.  A group of two that is a facial
+    4-cycle names no candidate.
+    - Face pairs: a face and a face grouped with two or more common
+      vertices, two faces that are a vertex's group of two, and two
+      faces consecutive around a vertex among three or more in its
+      group (faces that hold two vertices with three or more common
+      faces share a third vertex only if they are consecutive around
+      either).  The common vertices of a face pair are those of its
+      smaller face's walk that the other face holds.
+    - Vertex pairs: a vertex and a vertex grouped with two or more
+      common faces, two vertices that are a face's group of two, and
+      two vertices consecutive in an S record (the theta's poles are
+      seen only there), unless their 4-cycle with the record's faces
+      is facial.  The common faces of a vertex pair are counted around
+      its vertex of smaller degree.
+    """
+    cycles, face_of = g.face_orbits()
+    rotation, vertex_of = g.rotation, g.vertex_of_dart
+    walks: list[list[int]] = []
+    corners: dict[int, list[int]] = defaultdict(list)
+    facial: set[tuple[int, int, int, int]] = set()  # faces, then ends
+    for f, cyc in enumerate(cycles):
+        vs = [vertex_of(x) for x in cyc]
+        walks.append(vs)
+        for x, u, w in zip(cyc, vs, vs[1:] + vs[:1]):
+            corners[u].append(f)
+            if not x & 1:   # each edge once, at its dart 0
+                h = face_of[x ^ 1]
+                if u > w:
+                    u, w = w, u
+                facial.add((f, h, u, w) if f < h else (h, f, u, w))
+
+    def witness(f: int, h: int, u: int, w: int) -> tuple[int, int] | None:
+        """The vertex pair of 4-cycle u f w h, or None if it is facial."""
+        if u > w:
+            u, w = w, u
+        return None if ((f, h, u, w) if f < h else (h, f, u, w)) in facial \
+            else (u, w)
+
+    gone_vertices: set[int] = set()
+    gone_faces: set[int] = set()
+
+    def listed(x, near, far, gone_near, gone_far) -> dict[int, list[int]]:
+        """Per node opposite ``x``, the nodes between them still there."""
+        gone_far.add(x)
+        groups: dict[int, list[int]] = {}
+        for y in near[x]:
+            if y not in gone_near:
+                for z in far[y]:
+                    if z not in gone_far:
+                        groups.setdefault(z, []).append(y)
+        return groups
+
+    face_pairs: dict[tuple[int, int], None] = {}
+    vertex_pairs: dict[tuple[int, int], None] = {}
+    for _, is_vertex, x in sorted(
+            [(len(fs), 1, v) for v, fs in corners.items()]
+            + [(len(vs), 0, f) for f, vs in enumerate(walks)], reverse=True):
+        if is_vertex:
+            groups = listed(x, corners, walks, gone_faces, gone_vertices)
+            for z, fs in groups.items():
+                if len(fs) == 2:
+                    q = witness(*fs, x, z)
+                    if q is not None:
+                        vertex_pairs[q] = None
+                        face_pairs[tuple(sorted(fs))] = None
+                elif len(fs) > 2:
+                    vertex_pairs[(x, z) if x < z else (z, x)] = None
+                    at = {face_of[d]: i for i, d in enumerate(rotation(x))}
+                    fs.sort(key=at.__getitem__)
+                    for f, h in zip(fs, fs[1:] + fs[:1]):
+                        face_pairs[(f, h) if f < h else (h, f)] = None
+        else:
+            groups = listed(x, walks, corners, gone_vertices, gone_faces)
+            for z, vs in groups.items():
+                if len(vs) > 2:
+                    face_pairs[(x, z) if x < z else (z, x)] = None
+                elif len(vs) == 2:
+                    q = witness(x, z, *vs)
+                    if q is not None:
+                        vertex_pairs[q] = None
+                        face_pairs[(x, z) if x < z else (z, x)] = None
+    holds = [set(vs) for vs in walks]
+    s_faces = set()
+    records: dict[tuple[int, ...], int] = {}
+    for f, h in face_pairs:
+        small, large = (f, h) if len(walks[f]) <= len(walks[h]) else (h, f)
+        common = [v for v in walks[small] if v in holds[large]]
+        if len(common) >= 3:
+            s_faces.add((f, h))
+            records[_SRecord(common)] = len(common)
+            for u, w in zip(common, common[1:] + common[:1]):
+                q = witness(f, h, u, w)
+                if q is not None:
+                    vertex_pairs[q] = None
+    for a, b in vertex_pairs:
+        u, w = (a, b) if len(corners[a]) <= len(corners[b]) else (b, a)
+        fs = [f for f in corners[u] if w in holds[f]]
+        k = len(fs)
+        joins = sum(vertex_of(rev(d)) == w for d in rotation(u))
+        if k * (k - 1) // 2 > joins and (
+                k > 2 or tuple(sorted(fs)) not in s_faces):
+            records[(a, b)] = k
+    return records
+
+
 def separation_pairs_embedded(
         g: EmbeddedMultigraph) -> dict[tuple[int, int], int]:
     """All separation pairs of a biconnected embedded multigraph, each
-    with its number of separation classes.
-
-    A face walk of a biconnected graph meets each vertex at most once,
-    so a pair with k common faces lies on k(k - 1)/2 4-cycles through
-    two of them in the vertex-face graph, and it is separating exactly
-    when that exceeds its joining-edge count.  Its classes are the
-    sectors of a's rotation between the faces that hold b too, each a-b
-    edge counting as one, so there are k of them.
-    """
-    common = Counter(pair for vs in _face_vertices(g)
-                     for pair in combinations(sorted(vs), 2))
+    with its number of separation classes: the pair records of
+    :func:`separation_records`, and every two vertices of an S record
+    not joined by an edge, with two classes.  Quadratic in the length
+    of an S record, so builds read the records; ``SpqrTree.check`` and
+    the tests read this."""
+    records = separation_records(g)
+    pairs = {q: k for q, k in records.items() if len(q) == 2}
     emult = _edge_multiplicity(g)
-    return {pair: k for pair, k in common.items()
-            if k * (k - 1) // 2 > emult.get(pair, 0)}
+    for q in records:
+        if len(q) > 2:
+            for pair in combinations(sorted(q), 2):
+                if pair not in pairs and pair not in emult:
+                    pairs[pair] = 2
+    return pairs
 
 
 # ----------------------------------------------------------------------
 # separation classes
 
 def _split_classes(
-        g: EmbeddedMultigraph, a: int, b: int, k: int
+        g: EmbeddedMultigraph, rec: tuple[int, ...], k: int
 ) -> tuple[list[int], list[tuple[set[int], list[int]]]]:
-    """The ``k`` separation classes of g's edges at the pair (a, b), all
+    """The ``k`` separation classes of g's edges at record ``rec``, all
     but one, which is explored as little as possible.
 
-    Edges joining a and b are singletons.  One search starts at each
-    neighbour of a other than b; in every round each search scans one
-    vertex of g - {a, b}, and searches merge when they meet, so a search
-    that runs dry has found a whole class.  They stop once k - 1
-    classes are complete, the singletons and the dry searches: every
-    search still growing then belongs to the class left out.  If the
-    last two classes finish in the same round, the largest is left out.
-    So a call scans at most deg(a) vertices per round, for as many
-    rounds as its largest listed class has vertices.  Returns the
-    singleton edges and, per listed class, its edge set and its vertices
-    other than a and b.
+    At a pair (a, b) the classes are its k separation classes.  The c
+    vertices of an S record cut g into c arcs, each joining two
+    consecutive record vertices, and every arc is one class once the
+    pairs at its ends are cut, so k = c.  A class is an edge joining two
+    record vertices, a singleton, or the edges at the vertices of one
+    component of g less the record.  One search starts at each
+    neighbour off the record of every record vertex but the last, which
+    reaches every class, since each touches the two ends of its arc.
+    In every round each search scans one vertex off the record, and
+    searches merge when they meet, so a search that runs dry has found
+    a whole class.  They stop once k - 1 classes are complete, the
+    singletons and the dry searches: every search still growing then
+    belongs to the class left out.  If the last two classes finish in
+    the same round, the largest is left out.  So a call scans at most
+    the record's degree sum per round, for as many rounds as its
+    largest listed class has vertices.  Returns the singleton edges
+    and, per listed class, its edge set and its vertices off the
+    record.
     """
     singles: list[int] = []
     owner: dict[int, int] = {}      # vertex -> search that claimed it
@@ -151,14 +308,20 @@ def _split_classes(
     todo: list[list[int]] = []      # per search: claimed, not yet scanned
     rots: dict[int, list[int]] = {}     # scanned vertex -> its rotation
     rotation, vertex_of = g.rotation, g.vertex_of_dart
-    for d in rotation(a):
-        w = vertex_of(rev(d))
-        if w == b:
-            singles.append(edge_of(d))
-        elif w not in owner:
-            owner[w] = len(up)
-            up.append(len(up))
-            todo.append([w])
+    at = {v: i for i, v in enumerate(rec)}
+    last = len(rec) - 1
+    for i, v in enumerate(rec[:-1]):
+        for d in rotation(v):
+            w = vertex_of(rev(d))
+            if w in at:
+                # each edge along the record once: from its first end,
+                # or from rec[0] for the one that closes the cycle
+                if at[w] == i + 1 or i == 0 and at[w] == last:
+                    singles.append(edge_of(d))
+            elif w not in owner:
+                owner[w] = len(up)
+                up.append(len(up))
+                todo.append([w])
 
     def find(s: int) -> int:
         while up[s] != s:
@@ -176,7 +339,7 @@ def _split_classes(
             rots[v] = rot = rotation(v)
             for d in rot:
                 w = vertex_of(rev(d))
-                if w == a or w == b:
+                if w in at:
                     continue
                 t = owner.get(w)
                 if t is None:
@@ -726,101 +889,144 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
 
 
 class _PairIndex:
-    """The separation pairs of one working graph with their class
-    counts, indexed by vertex and sorted.  A round of
-    :func:`_decompose` takes the smallest pair and then touches only the
-    pairs at the vertices it cuts.  Pairs are only ever removed, so the
-    smallest one left is never before the last one taken, and one pass
-    over the sorted pairs serves every round.  A count is the pair's
+    """The separation records of one working graph with their class
+    counts, indexed by vertex and sorted: the pairs first, then the S
+    records, each kind by its sorted vertices.  A round of
+    :func:`_decompose` takes the first record and then touches only the
+    records at the vertices it cuts.  Records are only ever removed, so
+    the first one left is never before the last one taken, and one pass
+    over the sorted records serves every round.  A pair's count is its
     number of common faces, and it holds for as long as the pair does:
-    a cut at another pair removes no face that holds a surviving pair,
-    it only shortens the two faces beside the cut, and a piece copied
-    out keeps the faces of its pairs the same way."""
+    a cut at another record removes no face that holds a surviving
+    pair, it only shortens the two faces beside the cut, and a piece
+    copied out keeps the faces of its pairs the same way.  An S record
+    keeps its cycle likewise: a cut elsewhere leaves all its vertices on
+    one side, and at most turns one of its arcs into one virtual edge.
+    Its count is its number of arcs, each of them one class by the time
+    it is taken: a pair at the ends of an arc with several classes is
+    taken before it, and leaves one virtual edge there, in the graph or
+    in the piece the record moves to."""
 
     __slots__ = ("at", "count", "order", "next", "n")
 
-    def __init__(self, pairs: dict[tuple[int, int], int]):
-        self.at: dict[int, set[tuple[int, int]]] = defaultdict(set)
-        for q in pairs:
-            self.at[q[0]].add(q)
-            self.at[q[1]].add(q)
-        self.count = pairs
-        self.order = sorted(pairs)
+    def __init__(self, records: dict[tuple[int, ...], int]):
+        self.at: dict[int, set[tuple[int, ...]]] = defaultdict(set)
+        for q in records:
+            for v in q:
+                self.at[v].add(q)
+        self.count = records
+        self.order = (sorted(q for q in records if len(q) == 2)
+                      + sorted((q for q in records if len(q) > 2), key=sorted))
         self.next = 0
-        self.n = len(pairs)
+        self.n = len(records)
 
     def __bool__(self) -> bool:
         return self.n > 0
 
-    def pop(self) -> tuple[tuple[int, int], int]:
-        """Remove the smallest pair, skipping those dropped, and return
+    def pop(self) -> tuple[tuple[int, ...], int]:
+        """Remove the first record, skipping those dropped, and return
         it with its class count."""
         while True:
             q = self.order[self.next]
             self.next += 1
             if q in self.at.get(q[0], ()):
-                self.at[q[0]].discard(q)
-                self.at[q[1]].discard(q)
+                for v in q:
+                    self.at[v].discard(q)
                 self.n -= 1
                 return q, self.count[q]
 
     def inside(self, inner: list[int],
-               verts: set[int]) -> dict[tuple[int, int], int]:
-        """The pairs with an end in ``inner`` and both ends in
+               verts: set[int]) -> dict[tuple[int, ...], int]:
+        """The records with a vertex in ``inner`` and all of them in
         ``verts``, with their class counts."""
-        return {q: self.count[q] for v in inner for q in self.at.get(v, ())
-                if q[0] in verts and q[1] in verts}
+        found = {q for v in inner for q in self.at.get(v, ())}
+        return {q: self.count[q] for q in found if verts.issuperset(q)}
 
     def drop_at(self, cut: set[int]) -> None:
-        """Drop every pair with an end in ``cut``."""
+        """Drop every record with a vertex in ``cut``."""
         for v in cut:
             for q in self.at.pop(v, ()):
-                self.at[q[0] + q[1] - v].discard(q)
+                for u in q:
+                    if u != v and u in self.at:
+                        self.at[u].discard(q)
                 self.n -= 1
 
 
-def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
+def _leave(g: EmbeddedMultigraph, a: int, b: int, singles: list[int],
+           done: list[tuple[set[int], list[int]]], vids, pieces: list[tuple],
+           index: _PairIndex, sizes: list[int]) -> int:
+    """Append the pieces of the classes listed at (a, b), a < b: a path
+    class as an S piece, any other class copied out and decomposed
+    with the records inside it, each closed by a fresh virtual edge
+    a-b; several classes also make a P hub of the singletons and one
+    virtual edge per class.  Returns the virtual edge a-b that stands
+    for them all in what is left: that of the lone class or a fresh one
+    of the hub."""
+    hub = [(e, a, b) for e in singles]
+    for cls, inner in done:
+        vid = next(vids)
+        hub.append((vid, a, b))
+        if all(g.degree(v) == 2 for v in inner):
+            pieces.append(("S", [(e, *g.endpoints(e)) for e in cls]
+                           + [(vid, a, b)]))
+        else:
+            _decompose(_piece_graph(g, cls, a, b, vid),
+                       index.inside(inner, {a, b, *inner}), vids, pieces)
+        sizes.append(len(cls))
+    if len(hub) == 1:
+        return hub[0][0]
+    vid = next(vids)
+    hub.append((vid, a, b))
+    pieces.append(("P", hub))
+    sizes.append(len(singles))
+    return vid
+
+
+def _decompose(g: EmbeddedMultigraph, records: dict[tuple[int, ...], int],
                vids, pieces: list[tuple],
                r: SpqrNode | None = None) -> list[int]:
     """Append the S, P and R pieces of g to ``pieces``, drawing virtual
-    ids from ``vids``.  ``pairs`` maps the separation pairs of g to
-    their class counts; g is consumed.  Returns the sizes of the
-    top-level split: the edge count of each class that leaves and of
-    each hub's joining edges, then that of what is left.
+    ids from ``vids``.  ``records`` maps the separation records of g
+    (:func:`separation_records`) to their class counts; g is consumed.
+    Returns the sizes of the top-level split: the edge count of each
+    class that leaves and of each hub's joining edges, then that of
+    what is left.
 
     A piece is ``(kind, body)``: ``body`` is the skeleton graph of an R
     piece but only the ``(eid, u, w)`` edge list of an S or P piece,
     whose skeleton :func:`_merge_same_kind` assembles once per final
     node.
 
-    Each round splits on the smallest pair (a, b), which a
-    :class:`_PairIndex` keeps at hand with its class count, so the
-    searches of :func:`_split_classes` stop at the last class they
-    list.  A separation class that
-    :func:`_split_classes` lists is a path when its inner vertices all
-    have degree 2: with a virtual edge a-b it is an S piece, recorded
-    as is.  Every other listed class is copied out into a fresh piece
-    closed by a virtual edge a-b and decomposed recursively, with the
-    pairs the index holds at its inner vertices; the class it leaves
-    unlisted is cut free in g itself, closed the same way, the pairs at
-    the cut vertices are dropped, and the loop goes on with it.
-    Several classes also make a P hub of the edges joining a and b and
-    one virtual edge per class.  No piece needs a fresh count: by the
-    split-component lemma of Hopcroft and Tarjan ("Dividing a graph
-    into triconnected components", SIAM J. Comput. 1973), the
-    separation pairs of a split piece are exactly the pairs of the
-    graph with both ends in the piece, other than (a, b).
+    Each round takes the first record that a :class:`_PairIndex` keeps
+    at hand, with its class count, so the searches of
+    :func:`_split_classes` stop at the last class they list, and
+    :func:`_leave` makes the pieces of the listed classes.  At a pair
+    (a, b) they are all classes but one, and several make a P hub.  At
+    an S record they are all arcs but one, each one class: a lone edge
+    stays an edge of the S piece, and any other arc leaves closed by a
+    virtual edge that the S piece holds too.  The S piece is closed by a
+    fresh virtual edge across the arc that stays, so an S node is cut in
+    one round, whatever its length.  What is left out is cut free in g
+    itself and closed the same way, the records at the cut vertices are
+    dropped (the inner vertices of the listed classes, and the record
+    vertices off the arc that stays), and the loop goes on with it.  No
+    piece needs a fresh count: by the split-component lemma of Hopcroft
+    and Tarjan ("Dividing a graph into triconnected components", SIAM J.
+    Comput. 1973), the separation pairs of a split piece are exactly
+    the pairs of the graph with both ends in the piece, other than
+    (a, b), and so its S records are the graph's records inside it.
 
-    With ``r``, the R node whose skeleton g is, the unlisted class stays
-    in ``r``: the leaving classes are cut through the R surgeries of
-    :func:`_r_cut`, which keep its detector in step, the edge left
-    across the pair takes the fresh virtual id, and ``r`` takes the kind
-    of what is left instead of a new piece being appended.  A split then
-    costs the pieces that leave: the fresh ids that ``r`` keeps are
-    found in the pieces that hold their twins, so ``r``'s skeleton is
-    never scanned for them.
+    With ``r``, the R node whose skeleton g is, the records are the
+    pairs its detector reported, never an S record, and the unlisted
+    class stays in ``r``: the leaving classes are cut through the R
+    surgeries of :func:`_r_cut`, which keep its detector in step, the
+    edge left across the pair takes the fresh virtual id, and ``r``
+    takes the kind of what is left instead of a new piece being
+    appended.  A split then costs the pieces that leave: the fresh ids
+    that ``r`` keeps are found in the pieces that hold their twins, so
+    ``r``'s skeleton is never scanned for them.
     """
-    index = _PairIndex(pairs)
+    index = _PairIndex(records)
     sizes: list[int] = []
     while True:
         kind = ("P" if g.n_vertices == 2
@@ -836,42 +1042,40 @@ def _decompose(g: EmbeddedMultigraph, pairs: dict[tuple[int, int], int],
                 pieces.append((kind, [(e, *g.endpoints(e))
                                       for e in g.edge_ids()]))
             return sizes
-        pair, k = index.pop()
-        a, b = pair
-        singles, done = _split_classes(g, a, b, k)
-        assert done or len(singles) >= 2, \
-            "singleton class in a two-class split"
+        rec, k = index.pop()
+        singles, done = _split_classes(g, rec, k)
         gone = set(singles).union(*(cls for cls, _ in done))
-        hub = [(e, a, b) for e in singles]
-        for cls, inner in done:
-            vid = next(vids)
-            hub.append((vid, a, b))
-            if all(g.degree(v) == 2 for v in inner):
-                pieces.append(("S", [(e, *g.endpoints(e)) for e in cls]
-                               + [(vid, a, b)]))
-            else:
-                _decompose(_piece_graph(g, cls, a, b, vid),
-                           index.inside(inner, {a, b, *inner}),
-                           vids, pieces)
-            sizes.append(len(cls))
-        if len(hub) == 1:
-            # two classes share one virtual edge
-            ((vid, _, _),) = hub
-        else:
-            vid = next(vids)
-            hub.append((vid, a, b))
-            pieces.append(("P", hub))
-            sizes.append(len(singles))
         cut = {v for _, inner in done for v in inner}
+        if len(rec) == 2:
+            assert done or len(singles) >= 2, \
+                "singleton class in a two-class split"
+            a, b = rec
+            vid = _leave(g, a, b, singles, done, vids, pieces, index, sizes)
+        else:
+            assert r is None, "an R split got an S record"
+            on = set(rec)
+            cycle = [(e, *g.endpoints(e)) for e in singles]
+            sizes += [1] * len(singles)
+            for cls, inner in done:
+                u, w = sorted({v for e in cls for v in g.endpoints(e)
+                               if v in on})
+                cycle.append((_leave(g, u, w, [], [(cls, inner)], vids,
+                                     pieces, index, sizes), u, w))
+            # every record vertex ends two arcs: those of the arc that
+            # stays end only one listed arc
+            ends = Counter(v for _, u, w in cycle for v in (u, w))
+            a, b = sorted(v for v in rec if ends[v] == 1)
+            cut |= on - {a, b}
+            vid = next(vids)
+            pieces.append(("S", [*cycle, (vid, a, b)]))
         if r is not None:
             _rekey(r, _r_cut(r, gone, a, b), vid)
         else:
-            # the class that stays gets its virtual edge where
-            # _piece_graph puts it: right after the last dart of its run
-            # at a and at b, which is right before the run of the
-            # classes that leave
+            # what stays gets its virtual edge where _piece_graph puts
+            # it: right after the last dart of its run at a and at b,
+            # which is right before the run of what leaves
             after = [g.rotation_prev(_class_run(g, v, gone)[0])
-                     for v in pair]
+                     for v in (a, b)]
             for e in gone:
                 g.delete_edge(e)
             for v in cut:
@@ -933,9 +1137,10 @@ def _merge_same_kind(pieces: list[tuple], vid_base: int,
 
 
 def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph,
-                pairs: dict[tuple[int, int], int], r: SpqrNode | None = None
+                records: dict[tuple[int, ...], int],
+                r: SpqrNode | None = None
                 ) -> tuple[list[SpqrNode], list[int]]:
-    """Decompose an embedded graph with separation pairs ``pairs``
+    """Decompose an embedded graph with separation records ``records``
     into SPQR nodes, drawing virtual ids from the shared source.  The
     pieces of :func:`_decompose` become nodes in
     :func:`_merge_same_kind`, which builds every S and P skeleton, once
@@ -948,7 +1153,7 @@ def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph,
     sizes."""
     vid_base = shared.vids.peek()
     pieces: list[tuple] = []
-    sizes = _decompose(sg, pairs, shared.vids, pieces, r)
+    sizes = _decompose(sg, records, shared.vids, pieces, r)
     nodes = _merge_same_kind(pieces, vid_base, r)
     for nd in nodes:
         for e in sorted(nd.graph.edge_ids()):
@@ -971,7 +1176,7 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
     if not is_biconnected_embedded(g):
         raise NotBiconnected("SPQR-tree of a non-biconnected graph")
     shared = _Shared(_Vids(max(g.edge_ids()) + 1))
-    nodes, _ = _mini_nodes(shared, g.copy(), separation_pairs_embedded(g))
+    nodes, _ = _mini_nodes(shared, g.copy(), separation_records(g))
     tree = SpqrTree(nodes[0], shared)
     tree._reroot(nodes[0])
     return tree

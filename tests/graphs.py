@@ -124,6 +124,40 @@ def k24() -> EmbeddedMultigraph:
     return from_straight_line_drawing(coords, edges)
 
 
+def theta(lengths) -> EmbeddedMultigraph:
+    """Poles 0 and 1 joined by one path per entry of ``lengths``, with
+    that many edges; ``theta([2] * k)`` is K_{2,k}.  The paths leave
+    pole 0 in order and reach pole 1 in reverse."""
+    edges: list[tuple[int, int, int]] = []
+    rotations: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
+    n = 2
+    for length in lengths:
+        path = [0, *range(n, n + length - 1), 1]
+        n += length - 1
+        for u, w in zip(path, path[1:]):
+            rotations.setdefault(u, []).append((len(edges), 0))
+            rotations.setdefault(w, []).append((len(edges), 1))
+            edges.append((len(edges), u, w))
+    rotations[1].reverse()
+    return EmbeddedMultigraph.build(range(n), edges, rotations)
+
+
+def prism(k: int) -> EmbeddedMultigraph:
+    """Two k-cycles, 0..k-1 around k..2k-1, joined by the rungs
+    i - (i + k): triconnected for k >= 3."""
+    coords = {}
+    for i in range(k):
+        a = 2 * math.pi * i / k
+        coords[i] = (2 * math.cos(a), 2 * math.sin(a))
+        coords[i + k] = (math.cos(a), math.sin(a))
+    edges = []
+    for i in range(k):
+        edges += [(len(edges), i, (i + 1) % k),
+                  (len(edges) + 1, i + k, (i + 1) % k + k),
+                  (len(edges) + 2, i, i + k)]
+    return from_straight_line_drawing(coords, edges)
+
+
 def grid(rows: int, cols: int) -> EmbeddedMultigraph:
     coords = {r * cols + c: (float(c), float(r))
               for r in range(rows) for c in range(cols)}

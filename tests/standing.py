@@ -28,11 +28,13 @@ edits the JSON and says why.  The sections:
 - ``fuzz``: each op of ``_replay_ops`` on the primal tree and, swapped,
   on the dual's: ``intact``, ``check()`` on both sides, the same shape
   with S and P swapped, and in the oracle leg the oracle's tree.
-- ``build``: edges, ``check()``, and the vertices ``_split_classes``
-  scans (rotations read but at the pair's first vertex) and lists
-  (inner vertices of its classes) in one build; the printed scans per
-  listed vertex stay a small constant, also on the long faces of the
-  ladder, cycle and wheel.
+- ``build``: edges, ``check()``, the S records and pair records that
+  ``separation_records`` lists, and the vertices ``_split_classes``
+  scans (rotations read but at the record's vertices) and lists (inner
+  vertices of its classes) in one build, at pairs and at S records
+  alike; the printed scans per listed vertex stay a small constant,
+  also on the long faces of the ladder, cycle and wheel and at the
+  theta's poles.
 - ``updates``: ops, ``EmbeddedMultigraph.build`` and
   ``SpqrTree.set_parent`` calls in one pass, and ``check()`` on the
   final tree; most dense ops split one large R node.
@@ -57,7 +59,7 @@ from planarconn.embed import EmbeddedMultigraph
 from planarconn.generators import random_planar
 from planarconn.spqr import SpqrTree, build_spqr, contract_edge, delete_edge
 
-from .graphs import cycle, grid, inner_rungs, k4_chain, wheel
+from .graphs import cycle, grid, inner_rungs, k4_chain, theta, wheel
 from .test_duality import shape
 from .test_spqr import _replay_case, _replay_ops
 
@@ -72,13 +74,16 @@ DETECTOR = ("walks build", "walks updates", "mutations", "renames",
 # (leg, sizes, seeds, whether the oracle checks every primal tree)
 FUZZ_LEGS = (("oracle", (20, 24, 32, 40), range(40), True),
              ("large", (200, 400), range(20), False))
+FAMILY_SIZES = (200, 400, 800, 1600, 3200, 6400)
 BUILDS = (*((f"random_planar f {f}", f"random_planar(n, 1, {f})",
              lambda n, f=f: random_planar(n, 1, max_face_degree=f),
              (400, 800, 1600, 3200, 6400)) for f in (8, 24)),
           ("ladder", "ladder grid(2, k)", lambda k: grid(2, k),
-           (200, 400, 800)),
-          ("cycle", "cycle(n)", cycle, (200, 400, 800)),
-          ("wheel", "wheel(k)", wheel, (200, 400, 800)))
+           FAMILY_SIZES),
+          ("cycle", "cycle(n)", cycle, FAMILY_SIZES),
+          ("wheel", "wheel(k)", wheel, FAMILY_SIZES),
+          ("theta", "theta: poles joined by k paths of length 2",
+           lambda k: theta([2] * k), FAMILY_SIZES))
 UPDATES = (("ladder", "ladder grid(2, k), inner rungs deleted in order",
             lambda k: ((g := grid(2, k)),
                        [("d", e) for e in inner_rungs(g, k)]),
@@ -289,16 +294,16 @@ def split_scans(g) -> dict:
     split_classes = spqr._split_classes
     seen = Counter()
 
-    def counted(h, a, b, k):
+    def counted(h, rec, k):
         rotation = h.rotation
 
         def counting(v):
-            seen["scanned"] += v != a
+            seen["scanned"] += v not in rec
             return rotation(v)
 
         h.rotation = counting
         try:
-            singles, done = split_classes(h, a, b, k)
+            singles, done = split_classes(h, rec, k)
         finally:
             del h.rotation
         seen["listed"] += sum(len(inner) for _, inner in done)
@@ -317,8 +322,12 @@ def build() -> dict:
             t0 = time.perf_counter()
             tree = build_spqr(g)
             times.append(time.perf_counter() - t0)
+        records = spqr.separation_records(g)
+        cycles = sum(len(q) > 2 for q in records)
         scans = split_scans(g)
-        return (min(times), max(times), tree, {"m": g.n_edges, **scans},
+        return (min(times), max(times), tree,
+                {"m": g.n_edges, "S records": cycles,
+                 "pair records": len(records) - cycles, **scans},
                 f"scans {scans['scanned'] / max(1, scans['listed']):.2f}")
 
     return rows("build", BUILDS, measure)

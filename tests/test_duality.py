@@ -16,6 +16,12 @@ serialize alike.  It runs the same case code with every choice that
 follows rotation order made the other way round: which class a split
 leaves unlisted, the order of a quad's corners, the order of the twin
 maps.
+
+G with its vertex labels permuted, edge ids kept, has the same
+SPQR-tree up to the labels, so the same op on both sides must have the
+same outcome up to labels.  It runs the same case code with every choice
+that follows the labels made another way: which record a decomposition
+takes first, which end of a contracted edge survives.
 """
 
 from __future__ import annotations
@@ -81,20 +87,35 @@ def mirror(g):
          for v in g.vertices()})
 
 
-# a twin: how it is made from g, and whether an op on g is the other op
-# on it, with S and P swapped
-DUAL = (lambda g: g.dual()[0], True)
-MIRROR = (mirror, False)
+def relabel(g, seed: int = 0):
+    """g with its vertex labels permuted by a seeded permutation, edge
+    ids and rotations kept, through the validated
+    ``EmbeddedMultigraph.build``."""
+    old = sorted(g.vertices())
+    new = dict(zip(old, random.Random(seed).sample(old, len(old))))
+    return EmbeddedMultigraph.build(
+        new.values(),
+        [(e, *(new[v] for v in g.endpoints(e))) for e in g.edge_ids()],
+        {new[v]: [(edge_of(d), d & 1) for d in g.rotation(v)]
+         for v in old})
+
+
+# a twin: how it is made from g, whether an op on g is the other op on
+# it, with S and P swapped, and whether it keeps g's labels, so that the
+# trees an op leaves must serialize alike
+DUAL = (lambda g: g.dual()[0], True, False)
+MIRROR = (mirror, False, True)
+RELABEL = (relabel, False, False)
 
 
 def paired_ops(g, twin, steps: int, seed: int, after=None) -> int:
     """Run up to ``steps`` random deletions and contractions on the tree
     of g and each, swapped for the dual, on the tree of g's ``twin``,
-    following the largest block; every outcome must match, and on the
-    mirror so must the serialization of every tree an op leaves.
-    ``after``, if given, is called with the trees of both sides after
-    each op.  Returns the ops made."""
-    make, dual = twin
+    following the largest block; every outcome must match, and on a
+    twin that keeps the labels so must the serialization of every tree
+    an op leaves.  ``after``, if given, is called with the trees of both
+    sides after each op.  Returns the ops made."""
+    make, dual, same_labels = twin
     rng = random.Random(seed)
     prim, other = build_spqr(g), build_spqr(make(g))
     assert shape(prim) == shape(other, dual)
@@ -105,7 +126,7 @@ def paired_ops(g, twin, steps: int, seed: int, after=None) -> int:
         tlog = (contract_edge if swap != dual else delete_edge)(other, e)
         assert outcome(log) == outcome(tlog, dual), (step, e, swap)
         trees, ttrees = trees_by_edges(log), trees_by_edges(tlog)
-        if not dual:
+        if same_labels:
             assert ({k: t.serialize() for k, t in trees.items()}
                     == {k: t.serialize() for k, t in ttrees.items()}), \
                 (step, e, swap)
@@ -199,6 +220,18 @@ def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
 ])
 def test_updates_commute_with_mirroring(n, max_face_degree, seeds, steps):
     ops = sum(paired_ops(random_planar(n, seed, max_face_degree), MIRROR,
+                         steps, seed)
+              for seed in range(seeds))
+    assert ops >= seeds
+
+
+@pytest.mark.parametrize("n, max_face_degree, seeds, steps", [
+    pytest.param(40, 8, 10, 40, id="40"),
+    pytest.param(40, 24, 10, 40, id="40-sparse"),
+    pytest.param(200, 8, 3, 50, id="200"),
+])
+def test_updates_commute_with_relabelling(n, max_face_degree, seeds, steps):
+    ops = sum(paired_ops(random_planar(n, seed, max_face_degree), RELABEL,
                          steps, seed)
               for seed in range(seeds))
     assert ops >= seeds

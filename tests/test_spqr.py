@@ -42,6 +42,8 @@ from .graphs import (
     k24,
     parallel_bundle,
     path,
+    prism,
+    theta,
     wheel,
 )
 
@@ -199,12 +201,16 @@ def test_pairs_of_a_piece_are_inherited(n):
 
 @pytest.mark.parametrize("max_face_degree", (8, 24))
 def test_split_classes_match_oracle(max_face_degree):
+    # at a pair all classes but one are listed; at an S record all arcs
+    # but one, each one class once the pairs at its ends are cut, as in
+    # a build: a lone edge, or the class at its ends that does not hold
+    # the rest of the record
     for seed in range(3):
         g = random_planar(28, seed, max_face_degree)
         every = set(g.edge_ids())
         for (a, b), k in spqr.separation_pairs_embedded(g).items():
             want = set(separation_classes(g, a, b))
-            singles, done = spqr._split_classes(g, a, b, k)
+            singles, done = spqr._split_classes(g, (a, b), k)
             listed = {frozenset([e]) for e in singles}
             for cls, inner in done:
                 assert set(inner) == _vertices(g, cls) - {a, b}
@@ -213,6 +219,35 @@ def test_split_classes_match_oracle(max_face_degree):
             assert listed < want
             rest = every.difference(*listed)
             assert want - listed == {frozenset(rest)}
+        records = spqr.separation_records(g)
+        for rec in (q for q in records if len(q) > 2):
+            arcs = {frozenset(q) for q in zip(rec, rec[1:] + rec[:1])}
+            if any(len(q) == 2 and frozenset(q) in arcs for q in records):
+                continue    # an arc of several classes, cut first
+            singles, done = spqr._split_classes(g, rec, len(rec))
+            got = [frozenset([e]) for e in singles]
+            for cls, inner in done:
+                assert set(inner) == _vertices(g, cls) - set(rec)
+                got.append(frozenset(cls))
+            assert len(got) == len(rec) - 1
+            ends = [frozenset(_vertices(g, c) & set(rec)) for c in got]
+            assert len(set(ends)) == len(got) and set(ends) < arcs
+            for c, q in zip(got, ends):
+                assert c in separation_classes(g, *q) or len(c) == 1
+            (stay,) = arcs - set(ends)
+            assert _vertices(g, every.difference(*got)) & set(rec) == stay
+
+
+def _fixed_graphs() -> list:
+    """Long faces, hubs, poles shared by many S nodes, and pairs joined
+    by parallel edges, unlike random_planar's: thetas of 3 and 4 paths
+    of length 2 and 3, K_{2,4} and K_{2,6}, ladders, cycles, wheels and
+    a prism."""
+    return [k24(), *map(cycle, range(3, 8)), *map(wheel, range(3, 9)),
+            cube(), diamond(), k4(), prism(5),
+            *map(theta, ((2, 3, 2), (3, 3, 3), (2, 2, 3, 3), (3, 2, 3, 2),
+                         (2,) * 6)),
+            *(grid(2, k) for k in range(3, 7))]
 
 
 @pytest.mark.parametrize("case", (8, 24, "fixed"))
@@ -223,9 +258,8 @@ def test_pair_counts_are_class_counts(case):
     # are exactly the oracle's.  The fixed graphs have long faces or
     # pairs joined by parallel edges, unlike random_planar's
     if case == "fixed":
-        graphs = [*map(parallel_bundle, range(3, 7)), bigon(), k24(),
-                  *map(cycle, range(3, 8)), *map(wheel, (3, 5, 8)),
-                  cube(), diamond(), k4()]
+        graphs = [*map(parallel_bundle, range(3, 7)), bigon(),
+                  *_fixed_graphs()]
     else:
         graphs = [random_planar(40, seed, case) for seed in range(6)]
     for i, g in enumerate(graphs):
@@ -233,6 +267,62 @@ def test_pair_counts_are_class_counts(case):
         assert {frozenset(p) for p in pairs} == separation_pairs(g), i
         for (a, b), k in pairs.items():
             assert k == len(separation_classes(g, a, b)), (i, a, b)
+
+
+def _record_set(records) -> set:
+    """Records up to the walk that lists them: a pair with its count,
+    an S record as its vertices and its consecutive pairs."""
+    return {(q, k) if len(q) == 2 else
+            (frozenset(q), frozenset(map(frozenset, zip(q, q[1:] + q[:1]))))
+            for q, k in records.items()}
+
+
+def test_s_records_are_s_nodes():
+    # a face pair with three or more common vertices is one S node, its
+    # common vertices in the order of the node's cycle, so the S nodes
+    # of a build are its S records.  In K_{2,k} each of them is seen
+    # only from the poles, as two faces consecutive around one; the
+    # prism, triconnected, has no record at all
+    assert spqr.separation_records(prism(6)) == {}
+    graphs = [random_planar(40, seed, 24) for seed in range(6)]
+    for i, g in enumerate(graphs + _fixed_graphs()):
+        cycles = {q: k for q, k in spqr.separation_records(g).items()
+                  if len(q) > 2}
+        nodes = [x.graph for x in build_spqr(g).nodes() if x.kind == "S"]
+        assert len(cycles) == len(nodes) and (nodes or i >= len(graphs))
+        assert _record_set(cycles) == {
+            (frozenset(h.vertices()), frozenset(
+                frozenset(h.endpoints(e)) for e in h.edge_ids()))
+            for h in nodes}
+
+
+@pytest.mark.parametrize("n", (16, 24))
+def test_records_of_a_piece_are_inherited(n):
+    # the split-component lemma for records: a piece copied out at a
+    # pair record, or at the ends of an S record's arc, has exactly the
+    # records of the graph inside it, less the pair it was split at
+    for seed in range(4):
+        g = random_planar(n, seed, 24)
+        records = spqr.separation_records(g)
+        vid = max(g.edge_ids()) + 1
+        splits = []
+        for q in records:
+            if len(q) == 2:
+                splits += [(q, c) for c in separation_classes(g, *q)]
+                continue
+            for u, w in zip(q, q[1:] + q[:1]):
+                p = (u, w) if u < w else (w, u)
+                splits += [(p, c) for c in separation_classes(g, *p)
+                           if not (set(q) - set(p)) & _vertices(g, c)]
+        assert splits
+        for p, cls in splits:
+            if len(cls) < 2:
+                continue
+            verts = _vertices(g, cls)
+            piece = spqr._piece_graph(g, cls, *p, vid)
+            assert _record_set(spqr.separation_records(piece)) == \
+                _record_set({q: k for q, k in records.items()
+                             if q != p and verts.issuperset(q)}), (seed, p)
 
 
 def test_skeletons_are_assembled_in_place(monkeypatch):
@@ -300,10 +390,10 @@ def test_skeletons_are_assembled_in_place(monkeypatch):
 
 
 def test_build_counts_pairs_once(monkeypatch):
-    # every piece inherits its separation pairs, only the classes that
-    # finish first are copied out, a path class is recorded as an S
-    # piece without a copy, and S and P pieces stay edge lists until
-    # their nodes are known.  So the count runs once, _skeleton runs
+    # every piece inherits its separation records, only the classes
+    # that finish first are copied out, a path class is recorded as an
+    # S piece without a copy, and S and P pieces stay edge lists until
+    # their nodes are known.  So the listing runs once, _skeleton runs
     # once per S or P node, and the edges handed to
     # EmbeddedMultigraph.build stay within 3m: the skeletons hold m
     # real edges and two per tree edge (no piece goes through build at
@@ -311,7 +401,7 @@ def test_build_counts_pairs_once(monkeypatch):
     # recount and copy per level hands over Theta(m^2), and a skeleton
     # built per piece and again per merged node about m log m
     build = EmbeddedMultigraph.build.__func__
-    count_pairs = spqr.separation_pairs_embedded
+    list_records = spqr.separation_records
     skeleton = spqr._skeleton
     seen = {"counts": 0, "edges": 0, "skeletons": 0}
 
@@ -320,9 +410,9 @@ def test_build_counts_pairs_once(monkeypatch):
         seen["edges"] += len(edges)
         return build(cls, vertices, edges, rotations)
 
-    def counting_pairs(g):
+    def counting_records(g):
         seen["counts"] += 1
-        return count_pairs(g)
+        return list_records(g)
 
     def counting_skeleton(kind, edges):
         seen["skeletons"] += 1
@@ -330,7 +420,7 @@ def test_build_counts_pairs_once(monkeypatch):
 
     monkeypatch.setattr(EmbeddedMultigraph, "build",
                         classmethod(counting_build))
-    monkeypatch.setattr(spqr, "separation_pairs_embedded", counting_pairs)
+    monkeypatch.setattr(spqr, "separation_records", counting_records)
     monkeypatch.setattr(spqr, "_skeleton", counting_skeleton)
     for seed in range(4):
         g = random_planar(40, seed, 24)
@@ -486,25 +576,29 @@ def test_detector_reports_every_separation_pair(seed, monkeypatch):
 
 def test_updates_never_count_separation_pairs(monkeypatch):
     # the pieces of an R split inherit the pairs the detector reported,
-    # so an update never counts pairs; construction counts them once and
-    # is left out of the count
-    count_pairs = spqr.separation_pairs_embedded
-    calls = {"update": 0}
+    # so an update never lists records or counts pairs; construction
+    # lists them once and is left out of the count
+    calls = Counter()
 
-    def counted(g):
-        calls["update"] += 1
-        return count_pairs(g)
+    def counted(name):
+        fn = getattr(spqr, name)
+
+        def run(g):
+            calls[name] += 1
+            return fn(g)
+        return run
 
     for seed in REPLAY_SEEDS:
         g, ops, wants = _replay_case(seed)
         tree = build_spqr(g)
         for (op, e), want in zip(ops, wants):
             fn = delete_edge if op == "d" else spqr.contract_edge
-            monkeypatch.setattr(spqr, "separation_pairs_embedded", counted)
+            for name in ("separation_records", "separation_pairs_embedded"):
+                monkeypatch.setattr(spqr, name, counted(name))
             tree = fn(tree, e).tree
             monkeypatch.undo()
             assert tree.serialize() == want
-    assert calls["update"] == 0
+    assert not calls
 
 
 def test_r_cut_walks_no_cycle(monkeypatch):
@@ -631,17 +725,17 @@ def test_path_classes_are_never_copied(monkeypatch):
     split_classes = spqr._split_classes
     seen = {"copies": 0, "paths": 0}
 
-    def is_path(g, cls, a, b):
-        return all(g.degree(v) == 2 for v in _vertices(g, cls) - {a, b})
+    def is_path(g, cls, rec):
+        return all(g.degree(v) == 2 for v in _vertices(g, cls) - set(rec))
 
     def checked_piece_graph(g, cls, a, b, vid):
-        assert not is_path(g, cls, a, b), "a path class was copied out"
+        assert not is_path(g, cls, (a, b)), "a path class was copied out"
         seen["copies"] += 1
         return piece_graph(g, cls, a, b, vid)
 
-    def counted_split_classes(g, a, b, k):
-        singles, done = split_classes(g, a, b, k)
-        seen["paths"] += sum(is_path(g, cls, a, b) for cls, _ in done)
+    def counted_split_classes(g, rec, k):
+        singles, done = split_classes(g, rec, k)
+        seen["paths"] += sum(is_path(g, cls, rec) for cls, _ in done)
         return singles, done
 
     monkeypatch.setattr(spqr, "_piece_graph", checked_piece_graph)
@@ -662,16 +756,17 @@ def test_path_classes_are_never_copied(monkeypatch):
 
 @pytest.mark.parametrize("seeds", ("replays", "builds"))
 def test_split_scans_stop_at_the_class_count(seeds, monkeypatch):
-    # a split runs one search per neighbour of a, one scan each per
-    # round, and stops once all classes but one are complete, which
-    # takes as many rounds as its largest listed class has vertices: so
-    # it reads at most deg(a) x (that count + 1) rotations, the one at a
-    # and the listed classes' edges included, however large the class
-    # it leaves out is
+    # a split runs one search per neighbour of the record's vertices
+    # (a pair's first one), one scan each per round, and stops once all
+    # classes but one are complete (at an S record, all arcs but one),
+    # which takes as many rounds as its largest listed class has
+    # vertices: so it reads at most the record's degree sum x (that
+    # count + 1) rotations, those at the record and the listed classes'
+    # edges included, however large what it leaves out is
     split_classes = spqr._split_classes
-    seen = {"calls": 0, "listed": 0}
+    seen = {"calls": 0, "listed": 0, "S": 0}
 
-    def bounded(g, a, b, *rest):
+    def bounded(g, rec, *rest):
         rotation = g.rotation
         reads = [0]
 
@@ -681,13 +776,15 @@ def test_split_scans_stop_at_the_class_count(seeds, monkeypatch):
 
         g.rotation = counted
         try:
-            singles, done = split_classes(g, a, b, *rest)
+            singles, done = split_classes(g, rec, *rest)
         finally:
             del g.rotation
         largest = max((len(inner) for _, inner in done), default=0)
-        assert reads[0] <= g.degree(a) * (largest + 1), (a, b, reads[0])
+        assert reads[0] <= sum(map(g.degree, rec[:-1])) * (largest + 1), \
+            (rec, reads[0])
         seen["calls"] += 1
         seen["listed"] += len(done)
+        seen["S"] += len(rec) > 2
         return singles, done
 
     monkeypatch.setattr(spqr, "_split_classes", bounded)
@@ -702,7 +799,7 @@ def test_split_scans_stop_at_the_class_count(seeds, monkeypatch):
                 fn = delete_edge if op == "d" else spqr.contract_edge
                 tree = fn(tree, e).tree
                 assert tree.serialize() == want
-    assert seen["calls"] and seen["listed"]
+    assert seen["calls"] and seen["listed"] and seen["S"]
 
 
 def _theta_renames(k: int, order) -> list[int]:
