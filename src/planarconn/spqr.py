@@ -209,6 +209,7 @@ def separation_records(g: EmbeddedMultigraph) -> dict[tuple[int, ...], int]:
             + [(len(vs), 0, f) for f, vs in enumerate(walks)], reverse=True):
         if is_vertex:
             groups = listed(x, corners, walks, gone_faces, gone_vertices)
+            at = None   # x's faces by rotation position, read once
             for z, fs in groups.items():
                 if len(fs) == 2:
                     q = witness(*fs, x, z)
@@ -217,7 +218,9 @@ def separation_records(g: EmbeddedMultigraph) -> dict[tuple[int, ...], int]:
                         face_pairs[tuple(sorted(fs))] = None
                 elif len(fs) > 2:
                     vertex_pairs[(x, z) if x < z else (z, x)] = None
-                    at = {face_of[d]: i for i, d in enumerate(rotation(x))}
+                    if at is None:
+                        at = {face_of[d]: i
+                              for i, d in enumerate(rotation(x))}
                     fs.sort(key=at.__getitem__)
                     for f, h in zip(fs, fs[1:] + fs[:1]):
                         face_pairs[(f, h) if f < h else (h, f)] = None

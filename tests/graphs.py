@@ -142,6 +142,25 @@ def theta(lengths) -> EmbeddedMultigraph:
     return EmbeddedMultigraph.build(range(n), edges, rotations)
 
 
+def flower(t: int, petal: int = 3) -> EmbeddedMultigraph:
+    """Hub 0 and a rim cycle 1..t, each rim vertex joined to the hub by
+    ``petal`` paths of length 2, a K_{2,petal} petal: the hub shares
+    four faces with every rim vertex."""
+    coords = {0: (0.0, 0.0)}
+    edges = []
+    for i in range(t):
+        a = 2 * math.pi * i / t
+        z = i + 1
+        coords[z] = (2 * math.cos(a), 2 * math.sin(a))
+        edges.append((len(edges), z, z % t + 1))
+        for j in range(petal):
+            m = t + 1 + i * petal + j
+            b = a + math.pi / t * (j + 1 - (petal + 1) / 2) / petal
+            coords[m] = (math.cos(b), math.sin(b))
+            edges += [(len(edges), 0, m), (len(edges) + 1, m, z)]
+    return from_straight_line_drawing(coords, edges)
+
+
 def prism(k: int) -> EmbeddedMultigraph:
     """Two k-cycles, 0..k-1 around k..2k-1, joined by the rungs
     i - (i + k): triconnected for k >= 3."""

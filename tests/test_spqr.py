@@ -36,6 +36,7 @@ from .graphs import (
     cube,
     cycle,
     diamond,
+    flower,
     grid,
     inner_rungs,
     k4,
@@ -170,6 +171,14 @@ def _vertices(g, edges) -> set[int]:
     return {v for e in edges for v in g.endpoints(e)}
 
 
+def _record_set(records) -> set:
+    """Records up to the walk that lists them: a pair with its count,
+    an S record as its vertices and its consecutive pairs."""
+    return {(q, k) if len(q) == 2 else
+            (frozenset(q), frozenset(map(frozenset, zip(q, q[1:] + q[:1]))))
+            for q, k in records.items()}
+
+
 @pytest.mark.parametrize("n", (16, 20, 24))
 def test_pairs_of_a_piece_are_inherited(n):
     # the split-component lemma the construction rests on: the
@@ -177,10 +186,17 @@ def test_pairs_of_a_piece_are_inherited(n):
     # less the split pair.  A piece is an induced subgraph closed by its
     # virtual edge, never validated by EmbeddedMultigraph.build, so it
     # must pass check() itself and carry the class's run of darts at a
-    # and at b followed by the virtual edge
+    # and at b followed by the virtual edge.  A split that cuts no S
+    # record, at a pair record or at the ends of an S record's arc,
+    # taking the arc, leaves the piece exactly the records inside it
+    compared = 0
     for seed in range(4):
         g = random_planar(n, seed, 24)
         pairs = spqr.separation_pairs_embedded(g)
+        records = spqr.separation_records(g)
+        rest_of_arc = {tuple(sorted(q)): set(rec) - set(q)
+                       for rec in records if len(rec) > 2
+                       for q in zip(rec, rec[1:] + rec[:1])}
         vid = max(g.edge_ids()) + 1
         for p in pairs:
             for cls in separation_classes(g, *p):
@@ -197,6 +213,13 @@ def test_pairs_of_a_piece_are_inherited(n):
                 assert spqr.separation_pairs_embedded(piece) == {
                     q: k for q, k in pairs.items()
                     if q != p and q[0] in verts and q[1] in verts}
+                if p in records or not rest_of_arc.get(p, verts) & verts:
+                    compared += 1
+                    assert _record_set(spqr.separation_records(piece)) == \
+                        _record_set({q: k for q, k in records.items()
+                                     if q != p and verts.issuperset(q)}), \
+                        (seed, p)
+    assert compared
 
 
 @pytest.mark.parametrize("max_face_degree", (8, 24))
@@ -241,10 +264,11 @@ def test_split_classes_match_oracle(max_face_degree):
 def _fixed_graphs() -> list:
     """Long faces, hubs, poles shared by many S nodes, and pairs joined
     by parallel edges, unlike random_planar's: thetas of 3 and 4 paths
-    of length 2 and 3, K_{2,4} and K_{2,6}, ladders, cycles, wheels and
-    a prism."""
+    of length 2 and 3, K_{2,4} and K_{2,6}, ladders, cycles, wheels,
+    flowers (a hub sharing three or four faces with each rim vertex)
+    and a prism."""
     return [k24(), *map(cycle, range(3, 8)), *map(wheel, range(3, 9)),
-            cube(), diamond(), k4(), prism(5),
+            cube(), diamond(), k4(), prism(5), flower(4), flower(5, 2),
             *map(theta, ((2, 3, 2), (3, 3, 3), (2, 2, 3, 3), (3, 2, 3, 2),
                          (2,) * 6)),
             *(grid(2, k) for k in range(3, 7))]
@@ -269,14 +293,6 @@ def test_pair_counts_are_class_counts(case):
             assert k == len(separation_classes(g, a, b)), (i, a, b)
 
 
-def _record_set(records) -> set:
-    """Records up to the walk that lists them: a pair with its count,
-    an S record as its vertices and its consecutive pairs."""
-    return {(q, k) if len(q) == 2 else
-            (frozenset(q), frozenset(map(frozenset, zip(q, q[1:] + q[:1]))))
-            for q, k in records.items()}
-
-
 def test_s_records_are_s_nodes():
     # a face pair with three or more common vertices is one S node, its
     # common vertices in the order of the node's cycle, so the S nodes
@@ -294,35 +310,6 @@ def test_s_records_are_s_nodes():
             (frozenset(h.vertices()), frozenset(
                 frozenset(h.endpoints(e)) for e in h.edge_ids()))
             for h in nodes}
-
-
-@pytest.mark.parametrize("n", (16, 24))
-def test_records_of_a_piece_are_inherited(n):
-    # the split-component lemma for records: a piece copied out at a
-    # pair record, or at the ends of an S record's arc, has exactly the
-    # records of the graph inside it, less the pair it was split at
-    for seed in range(4):
-        g = random_planar(n, seed, 24)
-        records = spqr.separation_records(g)
-        vid = max(g.edge_ids()) + 1
-        splits = []
-        for q in records:
-            if len(q) == 2:
-                splits += [(q, c) for c in separation_classes(g, *q)]
-                continue
-            for u, w in zip(q, q[1:] + q[:1]):
-                p = (u, w) if u < w else (w, u)
-                splits += [(p, c) for c in separation_classes(g, *p)
-                           if not (set(q) - set(p)) & _vertices(g, c)]
-        assert splits
-        for p, cls in splits:
-            if len(cls) < 2:
-                continue
-            verts = _vertices(g, cls)
-            piece = spqr._piece_graph(g, cls, *p, vid)
-            assert _record_set(spqr.separation_records(piece)) == \
-                _record_set({q: k for q, k in records.items()
-                             if q != p and verts.issuperset(q)}), (seed, p)
 
 
 def test_skeletons_are_assembled_in_place(monkeypatch):
