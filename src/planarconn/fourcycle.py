@@ -4,8 +4,7 @@ corners across a face.
 
 A 4-cycle of a plane multigraph is *separating* when neither of its two
 sides is a face.  The :class:`Detector` keeps, for every node of a
-face-preserving separator tree, a set ``K`` of tracked vertices (the
-node's separator at an internal node, every vertex at a leaf) and the
+face-preserving separator tree, a set ``K`` of tracked vertices and the
 complete table of length-2 paths between pairs of ``K``.  Two such
 paths with distinct middle vertices form a 4-cycle, and a constant-time
 face walk decides whether it is separating.
@@ -13,12 +12,33 @@ face walk decides whether it is separating.
 Any 4-cycle is either confined to one side of a node's separation, in
 which case a descendant tracks it, or it crosses with its two
 separator vertices opposite on the cycle, in which case the node's own
-pair table sees it.  Leaves track all pairs, closing the recursion.
-A leaf is a node of at most ``separators.N0`` vertices, or one that has
-no balanced face-preserving separation.  Its table holds every
-length-2 path of its graph, one per pair of edges at each middle
-vertex, so a leaf around a vertex of degree d stores about d^2 / 2
-paths.  That is why leaves stay of bounded size.
+pair table sees it, with ``K`` the node's separator.  A leaf closes
+the recursion: a node of at most ``separators.N0`` vertices, or one
+that has no balanced face-preserving separation.  It needs one
+diagonal of every 4-cycle inside it in ``K``.  In general that takes
+all its vertices, and its table holds every length-2 path of its
+graph, one per pair of edges at each middle vertex, so a leaf around a
+vertex of degree d stores about d^2 / 2 paths.  That is why leaves
+stay of bounded size.
+
+The input SPQR-trees give, the vertex-face graph of a skeleton, is
+bipartite: skeleton vertices on one side, faces on the other.  A plane
+graph is bipartite exactly when every face walk has even length, and
+then a 4-cycle alternates the two colour classes, so each of its two
+diagonals lies in one class.  While the graph is bipartite, a leaf's
+``K`` is therefore its vertices in one class ``T``, the class whose
+pairs have fewer length-2 paths (those with a middle in the other
+class): usually the skeleton vertices, whose paths run through faces
+of small degree, while the paths through a hub of high degree are
+never stored.  Every merge an update makes joins two corners of one
+class and keeps one of their labels, so the labels of ``T`` stay one
+class.  A mutation that would join the two classes (a contraction, an
+insertion inside one class, a merge of corners of different classes;
+only tests and the tracer make them) first *widens* the detector for
+good: every leaf's ``K`` becomes all its vertices and its table is
+scanned again.  The op log needs nothing then, since every cycle that
+turned separating was logged through its tracked diagonal, which the
+wider table still holds.
 
 There are three mutations.  An insertion splits a face, and a merge
 joins two corners of one face, retiring one vertex into another where
@@ -48,12 +68,14 @@ with two or more paths, any of which may close a separating 4-cycle.
 During a mutation the log takes the pair and legs of every new path
 and a split 4-face whose boundary turned separating.  A 4-cycle that
 turns separating either gains a path or is such a face, so its pair is
-logged.  Discovery happens at the single query,
-:meth:`Detector.separating_now`, which walks the current path table of
-each logged pair once and lists the 4-cycles that are separating now.
-A caller that resets the log without asking walks nothing; the
-skeleton of an R node is triconnected when its detector is built, so
-``spqr`` resets without asking.
+logged.  Each edge of a 4-cycle is a leg of one path on each diagonal,
+so a cycle that gains a path gains one on its tracked diagonal too,
+and a split face logs the diagonal its node tracks.  Discovery happens
+at the single query, :meth:`Detector.separating_now`, which walks the
+current path table of each logged pair once and lists the 4-cycles
+that are separating now.  A caller that resets the log without asking
+walks nothing; the skeleton of an R node is triconnected when its
+detector is built, so ``spqr`` resets without asking.
 
 Every mutation is charged against an exact integer potential.  With
 ``debug`` enabled (off by default) each mutation takes the potential of
@@ -146,8 +168,39 @@ def cycle_is_separating(h: EmbeddedMultigraph,
                 and step(d2 ^ 1) == d1 ^ 1 and step(d1 ^ 1) == d4 ^ 1)
 
 
+def _colour_class(g: EmbeddedMultigraph) -> set[int]:
+    """The colour class of bipartite g whose pairs have fewer length-2
+    paths: with the classes coloured by a BFS from the smallest label
+    of each component, the one whose *other* class has the smaller sum
+    of C(deg m, 2) over its vertices m, the class of the smallest label
+    on a tie."""
+    colour: dict[int, int] = {}
+    for s in sorted(g.vertices()):
+        if s in colour:
+            continue
+        colour[s] = 0
+        queue = [s]
+        for v in queue:
+            c = 1 - colour[v]
+            for d in g.rotation(v):
+                z = g.vertex_of_dart(rev(d))
+                if z not in colour:
+                    colour[z] = c
+                    queue.append(z)
+    paths = [0, 0]
+    for v, c in colour.items():
+        k = g.degree(v)
+        paths[c] += k * (k - 1) // 2
+    # the pairs of class c meet at middles of class 1 - c
+    t = 0 if paths[1] <= paths[0] else 1
+    return {v for v, c in colour.items() if c == t}
+
+
 class _NodeState:
-    """Per-node pair table: all length-2 paths between K vertices."""
+    """Per-node pair table: all length-2 paths between K vertices, with
+    ``K`` the node's separator at an internal node and, at a leaf, its
+    vertices in the detector's tracked class (all of them once the
+    detector widened)."""
 
     __slots__ = ("node", "K", "paths", "by_edge")
 
@@ -218,9 +271,14 @@ class Detector:
     a caller that knows no 4-cycle separates at the start, as for the
     radial graph of a triconnected skeleton, resets the log and never
     pays for the walks that would confirm it.
+
+    On a bipartite input, such as that radial graph, the leaves track
+    one colour class (``_tracked``) until a mutation that joins the two
+    classes widens them (:meth:`_widen`); see the module docstring.
     """
 
     def __init__(self, g: EmbeddedMultigraph, *, debug: bool = False):
+        bipartite = True
         for f in g.faces():
             if len(f) > MAX_FACE_DEGREE:
                 raise FaceDegreeExceeded(
@@ -229,6 +287,10 @@ class Detector:
                 raise EmbedError("input has a doubled face: not quasi-simple")
             if len(f) == 1:
                 raise EmbedError("input has a monogon face: not quasi-simple")
+            bipartite = bipartite and len(f) % 2 == 0
+        # the labels of the class the leaves track, or None once they
+        # track every vertex
+        self._tracked = _colour_class(g) if bipartite else None
         self.debug = debug
         self.candidates_total = 0
         # paths a contraction lifted out of their tables to re-seat them
@@ -243,13 +305,32 @@ class Detector:
         self._phi_pre: dict[int, int] = {}
         self._cand_node: dict[int, int] = {}
         for node in self.tree.nodes():
-            K = (set(node.graph.vertices()) if node.is_leaf
-                 else set(node.separator()))
-            st = _NodeState(node, K)
+            st = _NodeState(node, self._tracked_at(node))
             st.scan_all()
             self._states[id(node)] = st
             self._op_items += [(st, pair, ()) for pair, d in st.paths.items()
                                if len(d) > 1]
+
+    def _tracked_at(self, node) -> set[int]:
+        """The vertices a node's table tracks (``_NodeState.K``)."""
+        if not node.is_leaf:
+            return set(node.separator())
+        if self._tracked is None:
+            return set(node.graph.vertices())
+        T = self._tracked
+        return {v for v in node.graph.vertices() if v in T}
+
+    def _widen(self) -> None:
+        """Stop tracking one colour class, for good, before a mutation
+        that joins the two: every leaf's ``K`` becomes all its vertices
+        and its table is scanned again.  The op log stays as it is."""
+        self._tracked = None
+        for st in self._states.values():
+            if st.node.is_leaf:
+                st.K = self._tracked_at(st.node)
+                st.paths.clear()
+                st.by_edge.clear()
+                st.scan_all()
 
     # -- public operations ----------------------------------------------
 
@@ -260,6 +341,9 @@ class Detector:
         and return its id; raises NotOnFace when the corners lie on
         different faces.  No update calls it: it stays for the tests
         and for the tracer in ``perfbench/tracing.py``."""
+        T = self._tracked
+        if T is not None and (u in T) == (w in T):
+            self._widen()
         self._begin_op()
         tevents = self.tree.apply_insertion(u, w, after_u, after_w, eid=eid)
         eid = tevents[0][2]
@@ -300,6 +384,9 @@ class Detector:
         if not quad and not h.same_face(h.rotation_next(after_u),
                                         h.rotation_next(after_w)):
             raise NotOnFace("corners lie on different faces")
+        T = self._tracked
+        if T is not None and (u in T) != (w in T):
+            self._widen()
         self._begin_op()
         x = merge_survivor(h, u, w)
         r, after_r, after_x = (u, after_u, after_w) if x == w else (
@@ -327,9 +414,12 @@ class Detector:
         tie).  Raises UnknownEdge or SelfLoopContraction before
         anything changes.  No update calls it: it stays for the tests
         and for the tracer in ``perfbench/tracing.py``."""
-        self._begin_op()
         h = self.tree.root.graph
         u, w = h.endpoints(e)
+        # an edge always joins the two classes
+        if self._tracked is not None:
+            self._widen()
+        self._begin_op()
         tevents = self.tree.apply_contraction(e)
         x = u if h.has_vertex(u) else w
         tevents += self._simplify_around(list(h.rotation(x)))
@@ -360,9 +450,10 @@ class Detector:
         node with at least two paths has its current path table checked
         against the current graph, once however often it was logged,
         which also filters out the cycles that were only transiently
-        separating.  A cycle is ``(pair, m1, lk1, m2, lk2)``: its
-        diagonal pair, the two middle vertices and the two leg edge
-        pairs; one cycle held by two node tables is listed twice."""
+        separating.  A cycle is ``(pair, m1, lk1, m2, lk2)``: the
+        diagonal its node tracks, the two middle vertices and the two
+        leg edge pairs; one cycle held by two node tables is listed
+        twice."""
         # (node state, current pair), each once, in the order met
         todo: dict[tuple[_NodeState, tuple[int, int]], None] = {}
         for st, pair, legs in self._op_items:
@@ -405,16 +496,24 @@ class Detector:
         return cycles
 
     def check(self) -> None:
-        """Assert detector invariants against from-scratch recomputation."""
+        """Assert detector invariants against from-scratch recomputation:
+        every node's ``K`` is its separator, its vertices in the tracked
+        class at a leaf while one is tracked and all of them otherwise,
+        and its table equals a fresh scan of ``K``; while a class is
+        tracked, every edge of the root graph joins the two classes."""
         self.tree.check()
+        root = self.tree.root.graph
         # in-place merges run no quasi-simplification to remove bigons
         assert not any(len(f) == 2 and edge_of(f[0]) != edge_of(f[1])
-                       for f in self.tree.root.graph.faces()), "doubled face"
+                       for f in root.faces()), "doubled face"
+        T = self._tracked
+        if T is not None:
+            for e in root.edge_ids():
+                a, b = root.endpoints(e)
+                assert (a in T) != (b in T), f"edge {e} inside one class"
         for st in self._states.values():
             node = st.node
-            expected_K = (set(node.graph.vertices()) if node.is_leaf
-                          else set(node.separator()))
-            assert st.K == expected_K
+            assert st.K == self._tracked_at(node)
             fresh = _NodeState(node, set(st.K))
             fresh.scan_all()
             assert fresh.paths == st.paths
@@ -672,9 +771,15 @@ class Detector:
             return
         a, m1, b, m2 = verts
         e1, e2, g2, g1 = eds
-        if cycle_is_separating(h, a, m1, b, m2, e1, e2, g2, g1):
+        if not cycle_is_separating(h, a, m1, b, m2, e1, e2, g2, g1):
+            return
+        # log the diagonal whose ends the node tracks
+        if a in st.K and b in st.K:
             self._op_items.append(
                 (st, _pairkey(a, b), (_legkey(e1, e2), _legkey(g1, g2))))
+        else:
+            self._op_items.append(
+                (st, _pairkey(m1, m2), (_legkey(e1, g1), _legkey(e2, g2))))
 
     # -- potential ------------------------------------------------------------
 

@@ -34,14 +34,17 @@ from planarconn.embed import (
 # the dense benchmark fixtures' detectors are of graphs of at most 24
 # vertices, and a third of those find no separation.  On the dense
 # workload (seed 1) sequence_s reads 3.75 / 2.11 / 1.45 / 1.35 / 1.23 /
-# 1.12 s at N0 = 16 / 32 / 64 / 96 / 128 / 256.  N0 must stay bounded,
-# though: a leaf tracks every length-2 path between its vertices, which
-# a high-degree vertex makes quadratic.  For hub(1200) of tests/graphs.py
-# build_spqr plus 150 ops took 29.7 / 18.8 / 17.7 / 15.7 / 16.1 / 17.1 s
-# at the same N0, and 192 s and 1.3 GB as one leaf; hub(200)'s detector
-# stores 7,900 paths at 128 and 11,900 at 256.  Past 128 the benchmark
-# gains little and the worst-case table keeps growing.  The runs are in
-# BENCH_leaf_size.json.
+# 1.12 s at N0 = 16 / 32 / 64 / 96 / 128 / 256 (BENCH_leaf_size.json).
+# N0 must stay bounded, though: a leaf tracks every length-2 path
+# between its vertices of one colour class (of all of them once the
+# detector widens), so a high-degree vertex of the other class makes
+# its table quadratic.  On a vertex-face graph the tracked class is the
+# one whose paths are fewer, which leaves out the hub of hub(200) of
+# tests/graphs.py: its detector stores 1,329 paths at 128, 1,264 at 256
+# and 1,212 as one leaf.  The vertex-face graph of wheel(200) has a
+# vertex and a face of degree 200, one in each class, and stores 5,836
+# at 128, 10,712 at 256 and 20,500 as one leaf.  Past 128 the benchmark
+# gains little and the worst-case table keeps growing.
 N0 = 128
 ALPHA = 0.75
 C_SEP = 8.0

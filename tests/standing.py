@@ -23,8 +23,9 @@ edits the JSON and says why.  The sections:
   which every contraction runs through), ``Detector.merge_across``
   calls across a quad of four distinct corners by the degree of the
   corner that retires, across the quad of a pendant edge, whose
-  retiring corner has degree 1, and across any other face, and
-  ``candidates_total`` and ``lifted_total``.
+  retiring corner has degree 1, and across any other face,
+  ``candidates_total`` and ``lifted_total``, and the paths the tables
+  of every ``Detector`` hold right after its construction.
 - ``fuzz``: each op of ``_replay_ops`` on the primal tree and, swapped,
   on the dual's: ``intact``, ``check()`` on both sides, the same shape
   with S and P swapped, and in the oracle leg the oracle's tree.
@@ -70,7 +71,7 @@ RATIO_MARK = {"build": 3.0, "updates": 1.6}
 # per graph kind, the detector counters of the replay
 DETECTOR = ("walks build", "walks updates", "mutations", "renames",
             "in-place degree 2", "in-place more", "pendant merges",
-            "non-quad merges", "candidates", "lifted")
+            "non-quad merges", "candidates", "lifted", "paths built")
 # (leg, sizes, seeds, whether the oracle checks every primal tree)
 FUZZ_LEGS = (("oracle", (20, 24, 32, 40), range(40), True),
              ("large", (200, 400), range(20), False))
@@ -141,6 +142,7 @@ def replay() -> dict:
     walk = fourcycle.cycle_is_separating
     merge = separators.SeparatorTree.apply_merge
     merge_across = fourcycle.Detector.merge_across
+    init = fourcycle.Detector.__init__
 
     def counted_build(g):
         walks = now["walks"]
@@ -168,6 +170,11 @@ def replay() -> dict:
                 else "non-quad merges"] += 1
         return merge_across(self, u, w, after_u, after_w)
 
+    def counted_init(self, *args, **kw):
+        init(self, *args, **kw)
+        now["paths built"] += sum(len(legs) for st in self._states.values()
+                                  for legs in st.paths.values())
+
     def counted_mutation(method):
         def run(self, *args, **kw):
             c0, l0 = self.candidates_total, self.lifted_total
@@ -185,6 +192,7 @@ def replay() -> dict:
     with patched((spqr, "build_spqr", counted_build),
                  (fourcycle, "cycle_is_separating", counted_walk),
                  (SeparatorTree, "apply_merge", counted_merge),
+                 (Detector, "__init__", counted_init),
                  *((Detector, name, counted_mutation(method)) for name, method
                    in (("insert_edge", Detector.insert_edge),
                        ("contract_edge", Detector.contract_edge),

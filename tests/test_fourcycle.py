@@ -15,6 +15,7 @@ from planarconn.fourcycle import MAX_FACE_DEGREE, Detector, FaceDegreeExceeded
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import separating_4cycles
 from planarconn.separators import merge_survivor
+from planarconn.spqr import build_spqr
 
 from .graphs import cube, cycle, grid, hub, k4, k24, triangle, wheel
 
@@ -108,18 +109,23 @@ def test_dropped_detector_is_freed_at_once():
         gc.enable()
 
 
+def _stored(states):
+    """The paths the given node states hold."""
+    return sum(len(legs) for st in states for legs in st.paths.values())
+
+
 def test_hub_splits_and_stores_few_paths():
     # the hub's vertex-face graph (608 vertices) must still split at the
-    # production leaf size.  As one leaf it stores every length-2 path
-    # of the graph, most of them through the hub: 29,500 in all (48.5
-    # per vertex).  Split with leaves of 16 to 128 vertices it stores
-    # 4,900 to 7,900 (8 to 13 per vertex), with leaves of 256 11,900
+    # production leaf size.  Its leaves track the skeleton vertices,
+    # whose paths run through triangles, and never the paths through
+    # the hub: 1,329 in all at the production leaf size (2.2 per
+    # vertex), 1,212 as one leaf, 3,107 with leaves of 16.  Tracking
+    # every vertex at the leaves stored 7,862 here and 29,500 as one
+    # leaf, most of them through the hub
     fv = hub(200).vertex_face_graph()[0]
     det = Detector(fv)
     assert not det.tree.root.is_leaf
-    stored = sum(len(legs) for st in det._states.values()
-                 for legs in st.paths.values())
-    assert stored <= 16 * fv.n_vertices
+    assert _stored(det._states.values()) <= 3 * fv.n_vertices
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +324,44 @@ def test_exactness_fuzz_radial():
         assert det.separating_now() == []
         run_script(det, random.Random(seed), 40)
         det.check()
+
+
+@pytest.mark.usefixtures("small_leaves")
+def test_split_face_logs_the_tracked_diagonal(monkeypatch):
+    # a split 4-face whose boundary turned separating is logged through
+    # a diagonal its node tracks, when one is, so that once the mutation
+    # is done the node's own table holds the logged paths; internal
+    # nodes whose separator holds one diagonal of the face but not the
+    # other show the difference
+    recheck, end_op = Detector._recheck_split_face, Detector._end_op
+    logged, seen = [], Counter()
+
+    def spy_recheck(self, st, eid):
+        n = len(self._op_items)
+        recheck(self, st, eid)
+        logged.extend(self._op_items[n:])
+
+    def spy_end_op(self, tevents):
+        # the node's edges a later event of the mutation inserts may be
+        # legs of the cycle, so the tables are read once it is done
+        for st, pair, legs in logged:
+            h = st.node.graph
+            other = {fourcycle._derive(h, *lk)[1] for lk in legs}
+            tracked = [set(pair) <= st.K, other <= st.K]
+            if any(tracked):
+                seen["one" if tracked[0] != tracked[1] else "both"] += 1
+                table = st.paths.get(pair, {})
+                assert all(lk in table for lk in legs), (pair, legs)
+        logged.clear()
+        end_op(self, tevents)
+
+    monkeypatch.setattr(Detector, "_recheck_split_face", spy_recheck)
+    monkeypatch.setattr(Detector, "_end_op", spy_end_op)
+    for seed in (100, 101):
+        g = random_planar(56, seed, max_face_degree=8,
+                          keep_biconnected=False)
+        run_script(Detector(g), random.Random(seed), 50)
+    assert seen["one"] and seen["both"], seen
 
 
 def _radial_detectors(debug):
@@ -574,6 +618,20 @@ def _cycles(det):
             for pair, m1, lk1, m2, lk2 in det.separating_now()}
 
 
+def _radial_with_hexagons(seed):
+    """The vertex-face graph of ``random_delaunay(24, seed)`` less a few
+    edges between two quads, which leave hexagons, and the seeded
+    stream that chose them."""
+    g = random_delaunay(24, seed).vertex_face_graph()[0]
+    rng = random.Random(seed)
+    for e in rng.sample(sorted(g.edge_ids()), 6):
+        d0, d1 = 2 * e, 2 * e + 1
+        if g.face_degree_at_most(d0, 4) == g.face_degree_at_most(
+                d1, 4) == 4 and not g.same_face(d0, d1):
+            g.delete_edge(e)
+    return g, rng
+
+
 def _large_face_merges():
     """``(graph, after_u, after_w)``: two corners of distinct,
     non-adjacent vertices on a face of degree 6 or more.  The grids
@@ -589,13 +647,7 @@ def _large_face_merges():
         d_u, d_w = corners[0], corners[len(corners) // 2]
         yield g, g.rotation_prev(d_u), g.rotation_prev(d_w)
     for seed in range(4):
-        g = random_delaunay(24, seed).vertex_face_graph()[0]
-        rng = random.Random(seed)
-        for e in rng.sample(sorted(g.edge_ids()), 6):
-            d0, d1 = 2 * e, 2 * e + 1
-            if g.face_degree_at_most(d0, 4) == g.face_degree_at_most(
-                    d1, 4) == 4 and not g.same_face(d0, d1):
-                g.delete_edge(e)
+        g, rng = _radial_with_hexagons(seed)
         for f in g.faces():
             if len(f) == 6:
                 i = rng.randrange(3)
@@ -753,3 +805,110 @@ def test_ledger_counters_exact_integers():
     c0 = det.candidates_total
     det.contract_edge(0)
     assert det.candidates_total >= c0
+
+
+# ----------------------------------------------------------------------
+# one colour class at the leaves of a bipartite input
+
+def _classes(h):
+    """The two colour classes of bipartite h."""
+    colour = {}
+    for s in h.vertices():
+        if s in colour:
+            continue
+        colour[s] = 0
+        stack = [s]
+        while stack:
+            v = stack.pop()
+            for d in h.rotation(v):
+                z = h.vertex_of_dart(d ^ 1)
+                if z not in colour:
+                    colour[z] = 1 - colour[v]
+                    stack.append(z)
+                assert colour[z] != colour[v], "not bipartite"
+    return [{v for v, c in colour.items() if c == i} for i in (0, 1)]
+
+
+def _assert_one_class(det):
+    """Every leaf tracks its vertices in one and the same colour class,
+    and its table is a fresh scan of them.  Together the leaves hold at
+    most half the paths of all-pairs scans of the same leaves; one leaf
+    of 16 vertices may hold more, up to 0.63 of them as measured."""
+    assert det._tracked is not None
+    classes = _classes(det.tree.root.graph)
+    tracked, leaves, every = set(), [], []
+    for st in det._states.values():
+        if not st.node.is_leaf:
+            continue
+        vs = set(st.node.graph.vertices())
+        tracked |= {i for i in (0, 1) if st.K == vs & classes[i]}
+        fresh = fourcycle._NodeState(st.node, set(st.K))
+        fresh.scan_all()
+        assert fresh.paths == st.paths
+        leaves.append(st)
+        every.append(fourcycle._NodeState(st.node, vs))
+        every[-1].scan_all()
+    assert len(tracked) == 1
+    assert 2 * _stored(leaves) <= _stored(every)
+
+
+@pytest.mark.usefixtures("leaves")
+def test_leaves_track_one_colour_class():
+    # the vertex-face graphs of triangulations, and those that the R
+    # nodes of an SPQR-tree build detectors over
+    dets = [det for det, _rng in _radial_detectors(debug=False)]
+    for n, seed, face_degree in ((60, 0, 8), (120, 1, 8), (60, 2, 24),
+                                 (120, 3, 24)):
+        tree = build_spqr(random_planar(n, seed, face_degree))
+        dets += [x.det for x in tree.nodes() if x.kind == "R"]
+    assert len(dets) > 4
+    for det in dets:
+        _assert_one_class(det)
+
+
+@pytest.mark.usefixtures("leaves")
+@pytest.mark.parametrize("kind", ["contract", "insert inside",
+                                  "merge across", "insert across"])
+def test_joining_the_classes_widens(kind):
+    # a contraction, an insertion inside one class and a merge of
+    # corners of different classes join the two classes: every leaf
+    # then tracks all its vertices for good, and the query stays exact.
+    # An insertion across the classes keeps the graph bipartite and the
+    # leaves on their class
+    mutated = 0
+    for seed in range(4):
+        g, rng = _radial_with_hexagons(seed)
+        hexagons = [f for f in g.faces() if len(f) == 6]
+        if "across" in kind and not hexagons:
+            continue
+        mutated += 1
+        det = Detector(g, debug=True)
+        h = det.tree.root.graph
+        _assert_one_class(det)
+        if kind == "contract":
+            det.contract_edge(rng.choice(sorted(h.edge_ids())))
+        else:
+            f = rng.choice(hexagons if "across" in kind else
+                           [f for f in h.faces() if len(f) == 4])
+            u, w = h.vertex_of_dart(f[0]), h.vertex_of_dart(f[len(f) // 2])
+            args = (u, w, h.rotation_prev(f[0]),
+                    h.rotation_prev(f[len(f) // 2]))
+            if kind == "merge across":
+                det.merge_across(*args)
+            else:
+                det.insert_edge(*args)
+        assert_exact(det)
+        det.check()
+        if kind == "insert across":
+            _assert_one_class(det)
+            for _ in range(20):
+                _merge_random_quad(det, rng)
+                assert_exact(det)
+            _assert_one_class(det)
+        else:
+            assert det._tracked is None
+            assert all(st.K == set(st.node.graph.vertices())
+                       for st in det._states.values() if st.node.is_leaf)
+            run_script(det, rng, 20)
+        det.check()
+    assert mutated

@@ -677,6 +677,32 @@ def test_r_merges_insert_no_diagonal(monkeypatch):
     assert merges["top", False] and merges["cut", False], merges
 
 
+def test_r_detectors_never_widen(monkeypatch):
+    # every R surgery merges two corners of one colour class of the
+    # vertex-face graph, a deletion two faces and a contraction two
+    # skeleton vertices, so the leaves of every R node's detector track
+    # one class for the detector's whole life
+    widen = fourcycle.Detector._widen
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return widen(self)
+
+    monkeypatch.setattr(fourcycle.Detector, "_widen", counted)
+    narrowed = 0
+    for seed in REPLAY_SEEDS:
+        g, ops, wants = _replay_case(seed)
+        tree = build_spqr(g)
+        for (op, e), want in zip(ops, wants):
+            fn = delete_edge if op == "d" else spqr.contract_edge
+            tree = fn(tree, e).tree
+            assert tree.serialize() == want
+            narrowed += sum(x.det._tracked is not None
+                            for x in tree.nodes() if x.kind == "R")
+    assert narrowed and not calls
+
+
 @pytest.mark.usefixtures("small_leaves")
 def test_potential_audit_holds_on_r_nodes(monkeypatch):
     # the detector's debug audit (every mutation's candidates paid by
