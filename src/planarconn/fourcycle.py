@@ -13,13 +13,14 @@ Any 4-cycle is either confined to one side of a node's separation, in
 which case a descendant tracks it, or it crosses with its two
 separator vertices opposite on the cycle, in which case the node's own
 pair table sees it, with ``K`` the node's separator.  A leaf closes
-the recursion: a node of at most ``separators.N0`` vertices, or one
-that has no balanced face-preserving separation.  It needs one
-diagonal of every 4-cycle inside it in ``K``.  In general that takes
-all its vertices, and its table holds every length-2 path of its
-graph, one per pair of edges at each middle vertex, so a leaf around a
-vertex of degree d stores about d^2 / 2 paths.  That is why leaves
-stay of bounded size.
+the recursion.  It needs one diagonal of every 4-cycle inside it in
+``K``.  In general that takes all its vertices, and its table holds
+every length-2 path of its graph, one per pair of edges at each middle
+vertex, so a leaf around a vertex of degree d stores about d^2 / 2
+paths.  That is why a node is a leaf when its graph has at most
+``separators.LEAF_PATHS`` such paths (or no balanced face-preserving
+separation), whatever its number of vertices: the budget bounds the
+table itself.
 
 The input SPQR-trees give, the vertex-face graph of a skeleton, is
 bipartite: skeleton vertices on one side, faces on the other.  A plane

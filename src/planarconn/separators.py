@@ -22,30 +22,36 @@ from planarconn.embed import (
 )
 
 
-# a node of at most N0 vertices is a leaf; an internal node's open
-# sides hold at most ALPHA * n vertices each, and its separator should
-# hold at most C_SEP * sqrt(n); at most MAX_CANDIDATES fundamental
-# cycles are tried per BFS root
+# a node whose graph has at most LEAF_PATHS length-2 paths, the sum of
+# C(deg v, 2) over its vertices v (:func:`length2_paths`), is a leaf; an
+# internal node's open sides hold at most ALPHA * n vertices each, and
+# its separator should hold at most C_SEP * sqrt(n); at most
+# MAX_CANDIDATES fundamental cycles are tried per BFS root
 #
-# N0 is measured, not derived.  The paper's O(log^2 n) amortized bound
-# needs only leaves of constant size, and the detector is exact at any
-# leaf size, so N0 moves cost alone.  Small graphs are cheaper to track
-# whole than to split: at N0 = 16, two thirds of the splits that build
-# the dense benchmark fixtures' detectors are of graphs of at most 24
-# vertices, and a third of those find no separation.  On the dense
-# workload (seed 1) sequence_s reads 3.75 / 2.11 / 1.45 / 1.35 / 1.23 /
-# 1.12 s at N0 = 16 / 32 / 64 / 96 / 128 / 256 (BENCH_leaf_size.json).
-# N0 must stay bounded, though: a leaf tracks every length-2 path
-# between its vertices of one colour class (of all of them once the
-# detector widens), so a high-degree vertex of the other class makes
-# its table quadratic.  On a vertex-face graph the tracked class is the
-# one whose paths are fewer, which leaves out the hub of hub(200) of
-# tests/graphs.py: its detector stores 1,329 paths at 128, 1,264 at 256
-# and 1,212 as one leaf.  The vertex-face graph of wheel(200) has a
-# vertex and a face of degree 200, one in each class, and stores 5,836
-# at 128, 10,712 at 256 and 20,500 as one leaf.  Past 128 the benchmark
-# gains little and the worst-case table keeps growing.
-N0 = 128
+# What must stay bounded is the table a leaf stores, not its vertex
+# count.  A leaf tracks every length-2 path between its vertices of one
+# colour class, of all of them once the detector widens, so a vertex of
+# high degree makes its table quadratic; the path count is the all-pairs
+# table, exactly what a widened leaf holds and an upper bound on a
+# one-class table.  The paper's O(log^2 n) amortized bound needs only
+# leaves of constant size: every vertex of degree 2 or more adds at
+# least one path, so a leaf holds at most LEAF_PATHS of them, and in the
+# vertex-face graph of a biconnected skeleton every vertex has degree 2
+# or more.  The detector is exact over any separator tree, so the budget
+# moves cost alone.  It replaced a bound of 128 vertices, which cut the
+# vertex-face graph of every dense benchmark R node above 128 vertices
+# into 3-7 nodes although those graphs hold only 6.4-6.6 paths per
+# vertex.  At 4096 every R node of the benchmark is one leaf, the largest
+# (dense_n400_s2) of 385 vertices and 2,545 paths: dense build_s went
+# 0.137 -> 0.067 s and update_amortized_us 269 -> 225 against 128
+# vertices (BENCH_leaf_paths.json), where 2048 read about 0.090 s and
+# 238 us.  wheel(k) keeps the trees it had at 128 vertices at 4096 and
+# 8192 (5,836 stored paths at k = 200); hub(200) stores 1,264 paths
+# (1,329 before).  build_spqr(random_planar(6400, 1, 8)) took 1.51 s at
+# 128 vertices and 0.98 / 0.83 / 0.68 s at 2048 / 4096 / 8192.  8192
+# builds the benchmark's trees as 4096 does and doubles the largest
+# table a leaf may hold.
+LEAF_PATHS = 4096
 ALPHA = 0.75
 C_SEP = 8.0
 MAX_CANDIDATES = 64
@@ -403,6 +409,17 @@ def cycle_separations(snap: _Snapshot, root: int):
 # ----------------------------------------------------------------------
 # the separator tree
 
+def length2_paths(h: EmbeddedMultigraph) -> int:
+    """Σ C(deg v, 2) over the vertices of h: the length-2 paths, one
+    per pair of edges at each middle, that a leaf tracking all its
+    vertices stores."""
+    total = 0
+    for v in h.vertices():
+        k = h.degree(v)
+        total += k * (k - 1) // 2
+    return total
+
+
 def _induce(h: EmbeddedMultigraph, vs) -> EmbeddedMultigraph:
     """The subgraph of h induced by vs, its vertices in h's order.
 
@@ -527,7 +544,7 @@ class SeparatorTree:
 
     def _build(self, h: EmbeddedMultigraph, depth: int) -> SepNode:
         node = SepNode(graph=h, depth=depth, n_build=h.n_vertices)
-        if h.n_vertices <= N0:
+        if length2_paths(h) <= LEAF_PATHS:
             return node
         sep = self._split_sets(h)
         if sep is None:

@@ -29,11 +29,12 @@ def pytest_unconfigure(config):
 
 @pytest.fixture
 def small_leaves(monkeypatch):
-    """Separator trees with leaves of at most 16 vertices.
+    """Separator trees whose leaves hold at most 32 length-2 paths.
 
-    At the production leaf size every graph of up to ``separators.N0``
-    vertices is a single leaf, so the small inputs of a test would
-    never reach internal nodes, their separations, or the detector's
-    separator pair tables.
+    At the production budget, ``separators.LEAF_PATHS``, the small
+    inputs of a test are single leaves, so they would never reach
+    internal nodes, their separations, or the detector's separator pair
+    tables.  32 is about what a leaf of 16 vertices held: over the
+    tier-1 graphs such leaves held a median of 40 paths.
     """
-    monkeypatch.setattr(separators, "N0", 16)
+    monkeypatch.setattr(separators, "LEAF_PATHS", 32)

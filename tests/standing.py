@@ -25,7 +25,8 @@ edits the JSON and says why.  The sections:
   corner that retires, across the quad of a pendant edge, whose
   retiring corner has degree 1, and across any other face,
   ``candidates_total`` and ``lifted_total``, and the paths the tables
-  of every ``Detector`` hold right after its construction.
+  of every ``Detector`` hold and the nodes of its separator tree right
+  after its construction.
 - ``fuzz``: each op of ``_replay_ops`` on the primal tree and, swapped,
   on the dual's: ``intact``, ``check()`` on both sides, the same shape
   with S and P swapped, and in the oracle leg the oracle's tree.
@@ -71,7 +72,8 @@ RATIO_MARK = {"build": 3.0, "updates": 1.6}
 # per graph kind, the detector counters of the replay
 DETECTOR = ("walks build", "walks updates", "mutations", "renames",
             "in-place degree 2", "in-place more", "pendant merges",
-            "non-quad merges", "candidates", "lifted", "paths built")
+            "non-quad merges", "candidates", "lifted", "paths built",
+            "tree nodes built")
 # (leg, sizes, seeds, whether the oracle checks every primal tree)
 FUZZ_LEGS = (("oracle", (20, 24, 32, 40), range(40), True),
              ("large", (200, 400), range(20), False))
@@ -174,6 +176,7 @@ def replay() -> dict:
         init(self, *args, **kw)
         now["paths built"] += sum(len(legs) for st in self._states.values()
                                   for legs in st.paths.values())
+        now["tree nodes built"] += len(self._states)
 
     def counted_mutation(method):
         def run(self, *args, **kw):

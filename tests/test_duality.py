@@ -139,24 +139,50 @@ def paired_ops(g, twin, steps: int, seed: int, after=None) -> int:
     return steps
 
 
-# (n, max face degree, seeds, ops per seed, whether an R surgery merges
-# across a face that is no quad of four distinct corners, the ends (0
-# or 1, by dart) at which an R split's cut contracts a pendant edge);
-# face degree 24 leaves long chains of S nodes and P hubs, so S
-# deletions and P contractions split
+def split_detectors(trees) -> int:
+    """The R nodes of the given SPQR-trees whose detector's separator
+    tree has internal nodes."""
+    return sum(not x.det.tree.root.is_leaf
+               for tree in trees for x in tree.nodes() if x.kind == "R")
+
+
+def leaves_for(request, small: bool, seen: Counter):
+    """With ``small``, separator trees with small leaves (the
+    ``small_leaves`` fixture); returns an ``after`` for
+    :func:`paired_ops` that counts in ``seen["split detectors"]`` the R
+    nodes whose detector has internal nodes.  At the production leaf
+    budget the R nodes of the dense graphs of 200 and 400 vertices are
+    each one leaf, so those cases take small leaves, which the R
+    surgeries of both sides then edit."""
+    if small:
+        request.getfixturevalue("small_leaves")
+
+    def count(trees):
+        seen["split detectors"] += split_detectors(trees)
+
+    return count
+
+
+# (n, max face degree, seeds, ops per seed, whether separator trees get
+# small leaves, whether an R surgery merges across a face that is no
+# quad of four distinct corners, the ends (0 or 1, by dart) at which an
+# R split's cut contracts a pendant edge); face degree 24 leaves long
+# chains of S nodes and P hubs, so S deletions and P contractions split
 DUAL_CASES = [
-    pytest.param(40, 8, 10, 40, True, {0, 1}, id="40"),
-    pytest.param(40, 24, 10, 40, False, set(), id="40-sparse"),
-    pytest.param(200, 8, 3, 50, True, {0}, id="200"),
-    pytest.param(200, 24, 3, 50, True, {0, 1}, id="200-sparse"),
-    pytest.param(400, 8, 2, 100, True, {0, 1}, id="400"),
+    pytest.param(40, 8, 10, 40, False, True, {0, 1}, id="40"),
+    pytest.param(40, 24, 10, 40, False, False, set(), id="40-sparse"),
+    pytest.param(200, 8, 3, 50, True, True, {0}, id="200"),
+    pytest.param(200, 24, 3, 50, False, True, {0, 1}, id="200-sparse"),
+    pytest.param(400, 8, 2, 100, True, True, {0, 1}, id="400"),
 ]
 
 
 @pytest.mark.parametrize(
-    "n, max_face_degree, seeds, steps, non_quad, pendant_ends", DUAL_CASES)
-def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
-                                      seeds, steps, non_quad, pendant_ends):
+    "n, max_face_degree, seeds, steps, small, non_quad, pendant_ends",
+    DUAL_CASES)
+def test_updates_commute_with_duality(request, monkeypatch, n,
+                                      max_face_degree, seeds, steps, small,
+                                      non_quad, pendant_ends):
     # an R split's cut can contract a bridge of the partly cut skeleton,
     # such as a pendant edge, whose quad repeats the face on both its
     # sides (a bridge with no pendant end in seed 1 of 200-sparse, step
@@ -190,12 +216,15 @@ def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
                 seen[f"pendant end {end}"] += 1
         return r_remove(x, e, keep)
 
+    count = leaves_for(request, small, seen)
+
     def check_after_non_quad(trees):
         if seen["non-quad"]:
             seen["non-quad ops"] += 1
             for tree in trees:
                 tree.check()
         seen["non-quad"] = 0
+        count(trees)
 
     monkeypatch.setattr(fourcycle.Detector, "merge_across", counted_merge)
     monkeypatch.setattr(separators.SeparatorTree, "apply_insertion",
@@ -211,27 +240,36 @@ def test_updates_commute_with_duality(monkeypatch, n, max_face_degree,
     assert not seen["contractions"]
     assert seen["non-quad ops"] or not non_quad
     assert all(seen[f"pendant end {end}"] for end in pendant_ends)
+    assert seen["split detectors"] or not small
 
 
-@pytest.mark.parametrize("n, max_face_degree, seeds, steps", [
-    pytest.param(40, 8, 10, 40, id="40"),
-    pytest.param(40, 24, 10, 40, id="40-sparse"),
-    pytest.param(200, 8, 3, 50, id="200"),
+@pytest.mark.parametrize("n, max_face_degree, seeds, steps, small", [
+    pytest.param(40, 8, 10, 40, False, id="40"),
+    pytest.param(40, 24, 10, 40, False, id="40-sparse"),
+    pytest.param(200, 8, 3, 50, True, id="200"),
 ])
-def test_updates_commute_with_mirroring(n, max_face_degree, seeds, steps):
+def test_updates_commute_with_mirroring(request, n, max_face_degree, seeds,
+                                        steps, small):
+    seen = Counter()
+    count = leaves_for(request, small, seen)
     ops = sum(paired_ops(random_planar(n, seed, max_face_degree), MIRROR,
-                         steps, seed)
+                         steps, seed, count)
               for seed in range(seeds))
     assert ops >= seeds
+    assert seen["split detectors"] or not small
 
 
-@pytest.mark.parametrize("n, max_face_degree, seeds, steps", [
-    pytest.param(40, 8, 10, 40, id="40"),
-    pytest.param(40, 24, 10, 40, id="40-sparse"),
-    pytest.param(200, 8, 3, 50, id="200"),
+@pytest.mark.parametrize("n, max_face_degree, seeds, steps, small", [
+    pytest.param(40, 8, 10, 40, False, id="40"),
+    pytest.param(40, 24, 10, 40, False, id="40-sparse"),
+    pytest.param(200, 8, 3, 50, True, id="200"),
 ])
-def test_updates_commute_with_relabelling(n, max_face_degree, seeds, steps):
+def test_updates_commute_with_relabelling(request, n, max_face_degree, seeds,
+                                          steps, small):
+    seen = Counter()
+    count = leaves_for(request, small, seen)
     ops = sum(paired_ops(random_planar(n, seed, max_face_degree), RELABEL,
-                         steps, seed)
+                         steps, seed, count)
               for seed in range(seeds))
     assert ops >= seeds
+    assert seen["split detectors"] or not small

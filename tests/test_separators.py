@@ -5,11 +5,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from planarconn import separators
-from planarconn.embed import EmbeddedMultigraph, dart, edge_of
+from planarconn.embed import (EmbeddedMultigraph, dart, edge_of,
+                              parse_graph_text)
 from planarconn.fourcycle import Detector
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import simple_4cycles
@@ -18,10 +20,14 @@ from planarconn.separators import (
     SeparatorTree,
     _Snapshot,
     cycle_separations,
+    length2_paths,
     triangulate,
 )
+from planarconn.spqr import build_spqr
 
-from .graphs import cube, cycle, grid, k4, path, triangle, wheel
+from .graphs import cube, cycle, grid, hub, k4, path, triangle, wheel
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +211,7 @@ def _counted_graphs(g):
     """g and every connected graph the separator tree of g tried to
     split, down to its deepest levels."""
     return [x.graph for x in SeparatorTree(g).nodes()
-            if x.graph.n_vertices > separators.N0
+            if length2_paths(x.graph) > separators.LEAF_PATHS
             and len(x.graph.components()) == 1]
 
 
@@ -297,7 +303,10 @@ def test_tree_invariants_delaunay():
     g = random_delaunay(300, 2)
     t = SeparatorTree(g)
     t.check()
-    assert t.height <= math.log(300 / separators.N0, 4 / 3) + 2
+    assert not t.root.is_leaf
+    # the sizes shrink geometrically from the root down to the leaves
+    smallest = min(x.n_build for x in t.nodes() if x.is_leaf)
+    assert t.height <= math.log(300 / smallest, 4 / 3) + 2
     by_level: dict[int, int] = {}
     for x in t.nodes():
         by_level[x.depth] = by_level.get(x.depth, 0) + x.graph.n_vertices
@@ -370,42 +379,98 @@ def _tree_digest(t):
 @pytest.mark.usefixtures("small_leaves")
 @pytest.mark.parametrize("make, digest", [
     (lambda: grid(5, 5),
-     "5edd2b48b826e0ba505d55327fbe012e897459d21f824048454cf7fe9215aee8"),
+     "f2eab7e74e3d67238b1cf03a76b235e34968037cb4633bd034ecabc2d2da0565"),
     (lambda: grid(2, 50),
      "b9f78fddf7b0fc73e2934af466589d03fd6840add3bd75afb4c6563a68a78d3f"),
     (lambda: random_delaunay(40, 0).vertex_face_graph()[0],
-     "73aa03f158d6759b79730f49ce8d8f56aeaa4d771e3d51bc2c2fcd1f76589610"),
+     "90bc2257df9fcbb59e4a089db13f33abe05f40484db93b0e88ad0dc33084c083"),
     (lambda: random_planar(32, 1, 8),
      "e3a004bccfdf6e3384921e1aec3ef32c84e410386b83cffd3294af6a64aa044a"),
     (lambda: random_planar(32, 1, 24),
      "849d826c548f7462b81d8368dbf62e9e119f8e880318cc225aea9c29adcd6e92"),
     (lambda: random_planar(60, 1, 8).vertex_face_graph()[0],
-     "d5dca9670919b0293e75cbd54d145922afe65478a6f761ecf5a376b717d94798"),
+     "74c6b835c91768edb19730285bb1b82285358fe808f2da1f63f7af492dd6ffa2"),
 ], ids=["grid5x5", "grid2x50", "delaunay40fv", "planar32d8", "planar32d24",
         "planar60fv"])
 def test_tree_pinned(make, digest):
-    # the trees with leaves of at most 16 vertices and each child
+    # the trees with leaves of at most 32 paths and each child
     # induced in its parent's vertex order; a change of roots, candidate
     # order, key, tie-break or child order shows here (planar60fv
-    # changed when children stopped following the order of a hashed set)
+    # changed when children stopped following the order of a hashed set;
+    # grid5x5, delaunay40fv and planar60fv when leaves were bounded by
+    # their paths instead of their 16 vertices)
     assert _tree_digest(SeparatorTree(make())) == digest
 
 
 def test_tree_pinned_at_leaf_size():
-    # the same at the production leaf size, on a graph large enough
+    # the same at the production leaf budget, on a graph large enough
     # that the root's children split again
-    g = random_planar(200, 1, 8).vertex_face_graph()[0]
-    assert g.n_vertices > 2 * separators.N0
-    assert _tree_digest(SeparatorTree(g)) == (
-        "36db6a5e0fc4a58c9673e109d42a913e6f59d9a39a1e3daaa576e586abbb002c")
+    g = random_planar(1000, 1, 8).vertex_face_graph()[0]
+    assert length2_paths(g) > 2 * separators.LEAF_PATHS
+    t = SeparatorTree(g)
+    assert not any(x.is_leaf for x in t.root.children)
+    assert _tree_digest(t) == (
+        "b2ab11fcca5a53cacd467e3fef29dc4f1176662db9e8da8fb5ed5d9d26c0d678")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_planar(800, 1, 8).vertex_face_graph()[0],
+    lambda: random_planar(800, 1, 24).vertex_face_graph()[0],
+    lambda: wheel(400).vertex_face_graph()[0],
+    lambda: hub(400).vertex_face_graph()[0],
+], ids=["planar800d8fv", "planar800d24fv", "wheel400fv", "hub400fv"])
+def test_leaves_are_sized_by_their_paths(make):
+    # a node is split when its graph has more than LEAF_PATHS length-2
+    # paths, whatever its vertex count, and is otherwise a leaf; a leaf
+    # above the budget has no balanced face-preserving separation
+    t = SeparatorTree(make())
+    assert not t.root.is_leaf
+    for x in t.nodes():
+        paths = length2_paths(x.graph)
+        if not x.is_leaf:
+            assert paths > separators.LEAF_PATHS
+        elif paths > separators.LEAF_PATHS:
+            assert t._split_sets(x.graph) is None
+
+
+def test_dense_corpus_r_nodes_are_one_leaf():
+    # the R nodes of the dense benchmark fixtures hold up to 2,545
+    # length-2 paths in their vertex-face graphs, so each detector's
+    # separator tree is one leaf
+    dets = []
+    for path_ in sorted((CORPUS / "graphs").glob("dense_*.txt")):
+        tree = build_spqr(parse_graph_text(path_.read_text()))
+        dets += [x.det for x in tree.nodes() if x.kind == "R"]
+    assert len(dets) >= 12
+    assert all(det.tree.root.is_leaf for det in dets)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_planar(800, 1, 8).vertex_face_graph()[0],
+    lambda: wheel(400).vertex_face_graph()[0],
+], ids=["planar800d8fv", "wheel400fv"])
+def test_widened_leaves_hold_at_most_the_budget(make):
+    # once the detector tracks every vertex, a leaf's table holds every
+    # length-2 path of its (simple) graph, and so at most LEAF_PATHS
+    det = Detector(make())
+    assert det._tracked is not None and not det.tree.root.is_leaf
+    det._widen()
+    for st in det._states.values():
+        if st.node.is_leaf:
+            stored = sum(len(legs) for legs in st.paths.values())
+            assert stored == length2_paths(st.node.graph)
+            assert stored <= separators.LEAF_PATHS
 
 
 # ----------------------------------------------------------------------
 # maintenance under contractions and insertions
 
 def test_contraction_update_rules():
-    g = random_delaunay(150, 4)
+    # the smallest triangulations whose trees split at the production
+    # leaf budget hold about 300 vertices
+    g = random_delaunay(300, 4)
     t = SeparatorTree(g)
+    assert not t.root.is_leaf
     rng = random.Random(0)
     for _ in range(100):
         h = t.root.graph
@@ -452,28 +517,31 @@ def test_contraction_update_rules():
             if in_s.get(id(x)):
                 # both endpoints in the separator: shrinks by exactly 1
                 assert s_now == before[id(x)] - 1
-    assert t.root.graph.n_vertices < 150
+    assert t.root.graph.n_vertices < 300
 
 
 def test_contraction_in_one_side_leaves_other_untouched():
-    g = random_delaunay(200, 8)
+    g = random_delaunay(400, 8)
     t = SeparatorTree(g)
     y, z = t.root.children
     sep = t.root.separation()
     h = t.root.graph
-    e = next(e for e in h.edge_ids()
-             if set(h.endpoints(e)) <= sep.A - sep.B)
-    z_sig = z.graph.signature()
+    a_only = sep.A - sep.B
+    e = next(e for e in h.edge_ids() if set(h.endpoints(e)) <= a_only)
+    # the rotations by dart name z's vertices, edges and embedding
+    z_rotations = {v: z.graph.rotation(v) for v in z.graph.vertices()}
     events = t.apply_contraction(e)
     t.check()
     touched = {id(ev[1]) for ev in events}
     assert id(z) not in touched
-    assert z.graph.signature() == z_sig
+    assert {v: z.graph.rotation(v)
+            for v in z.graph.vertices()} == z_rotations
 
 
 def test_insertion_reaches_only_nodes_with_both_endpoints():
-    g = random_delaunay(200, 8)
+    g = random_delaunay(400, 8)
     t = SeparatorTree(g)
+    assert not t.root.is_leaf
     rng = random.Random(3)
     for _ in range(25):
         h = t.root.graph

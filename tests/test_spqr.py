@@ -489,13 +489,15 @@ def parent_moves():
 
 
 @functools.cache
-def _replay(seed: int, extra_calls: bool, n0: int) -> tuple[str, ...]:
+def _replay(seed: int, extra_calls: bool,
+            leaf_paths: int) -> tuple[str, ...]:
     """Per op: the tree's serialization after ``check()``, or the first
     failed check, which ends the replay.  ``extra_calls`` adds pure
-    queries between ops, which must not change anything.  ``n0`` is
-    ``separators.N0`` at the call: the R nodes' separator trees are
-    built with it, so the cache keys on it.  Every node an op counts
-    as re-parented must be in the tree it returns."""
+    queries between ops, which must not change anything.
+    ``leaf_paths`` is ``separators.LEAF_PATHS`` at the call: the R
+    nodes' separator trees are built with it, so the cache keys on it.
+    Every node an op counts as re-parented must be in the tree it
+    returns."""
     g, ops, _ = _replay_case(seed)
     tree = build_spqr(g)
     out = []
@@ -521,13 +523,14 @@ def _replay(seed: int, extra_calls: bool, n0: int) -> tuple[str, ...]:
 
 @pytest.mark.parametrize("seed", REPLAY_SEEDS)
 def test_update_replay_is_deterministic(seed):
-    n0 = separators.N0
-    assert _replay(seed, False, n0) == _replay(seed, True, n0)
+    leaf_paths = separators.LEAF_PATHS
+    assert _replay(seed, False, leaf_paths) == _replay(seed, True, leaf_paths)
 
 
 @pytest.mark.parametrize("seed", REPLAY_SEEDS)
 def test_update_replay_matches_oracle(seed):
-    assert _replay(seed, False, separators.N0) == _replay_case(seed)[2]
+    assert (_replay(seed, False, separators.LEAF_PATHS)
+            == _replay_case(seed)[2])
 
 
 @pytest.mark.usefixtures("small_leaves")
@@ -535,7 +538,11 @@ def test_update_replay_matches_oracle(seed):
 def test_update_replay_matches_oracle_small_leaves(seed):
     # the same updates with detectors whose trees have internal nodes,
     # so real SPQR updates drive the separator maintenance in them
-    assert _replay(seed, False, separators.N0) == _replay_case(seed)[2]
+    tree = build_spqr(_replay_ops(seed)[0])
+    assert any(not x.det.tree.root.is_leaf
+               for x in tree.nodes() if x.kind == "R")
+    assert (_replay(seed, False, separators.LEAF_PATHS)
+            == _replay_case(seed)[2])
 
 
 @pytest.mark.parametrize("seed", REPLAY_SEEDS)
