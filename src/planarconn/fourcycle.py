@@ -60,23 +60,27 @@ edge to the root graph.  Every R-node surgery of ``spqr`` is one merge;
 insertions and contractions serve the tests and the tracer in
 ``perfbench/tracing.py``.
 
-Mutations only keep the tables and write one op log.  The one 4-cycle
-a mutation walks is the boundary of a face that an inserted edge
-splits, in each node the edge enters (a contraction or a merge
-inserts the survivor's edges into a node that held only one
-endpoint).  Construction walks no cycle either: it logs every pair
-with two or more paths, any of which may close a separating 4-cycle.
-During a mutation the log takes the pair and legs of every new path
-and a split 4-face whose boundary turned separating.  A 4-cycle that
-turns separating either gains a path or is such a face, so its pair is
-logged.  Each edge of a 4-cycle is a leg of one path on each diagonal,
-so a cycle that gains a path gains one on its tracked diagonal too,
-and a split face logs the diagonal its node tracks.  Discovery happens
-at the single query, :meth:`Detector.separating_now`, which walks the
-current path table of each logged pair once and lists the 4-cycles
-that are separating now.  A caller that resets the log without asking
-walks nothing; the skeleton of an R node is triconnected when its
-detector is built, so ``spqr`` resets without asking.
+Mutations walk no 4-cycle: they keep the tables and write one op log
+of paths, each entry a node and the legs of one path in its table.
+Construction logs every path of each pair with two or more paths, any
+of which may close a separating 4-cycle.  A mutation logs every path
+it adds to a table or moves to another pair and, in each node an
+inserted edge enters (a contraction or a merge inserts the survivor's
+edges into a node that held only one endpoint), one path of each
+diagonal of the face the edge splits when that face had degree 4.  A
+4-cycle that turns separating either gains a path or is such a face.
+Each edge of a 4-cycle is a leg of one path on each diagonal, so a
+cycle that gains a path gains one on its tracked diagonal too.
+Discovery happens at the single query, :meth:`Detector.separating_now`.
+It reads each logged path's pair off the node graph as it is now,
+which holds every rename and move since; a path that no longer exists
+names nothing, and a pair the node does not track has no table.  It
+walks each pair's path table once and lists the 4-cycles that are
+separating now.  The walk is exact for every pair, so a logged path
+that closes no separating cycle costs one walk and never a wrong
+answer.  A caller that resets the log without asking walks nothing;
+the skeleton of an R node is triconnected when its detector is built,
+so ``spqr`` resets without asking.
 
 Every mutation is charged against an exact integer potential.  With
 ``debug`` enabled (off by default) each mutation takes the potential of
@@ -296,11 +300,8 @@ class Detector:
         self.candidates_total = 0
         # paths a contraction lifted out of their tables to re-seat them
         self.lifted_total = 0
-        # (node state, pair, legs of a new path or of a split face's
-        # cycle, or () at construction)
-        self._op_items: list[tuple] = []
-        # per node: retired label -> the label that replaced it
-        self._op_renames: dict[int, dict[int, int]] = {}
+        # (node state, legkey of a path logged for the query)
+        self._op_items: list[tuple[_NodeState, tuple[int, int]]] = []
         self.tree = SeparatorTree(g)
         self._states: dict[int, _NodeState] = {}
         self._phi_pre: dict[int, int] = {}
@@ -309,8 +310,9 @@ class Detector:
             st = _NodeState(node, self._tracked_at(node))
             st.scan_all()
             self._states[id(node)] = st
-            self._op_items += [(st, pair, ()) for pair, d in st.paths.items()
-                               if len(d) > 1]
+            # every path: any one may be gone by the query
+            self._op_items += [(st, lk) for d in st.paths.values()
+                               if len(d) > 1 for lk in d]
 
     def _tracked_at(self, node) -> set[int]:
         """The vertices a node's table tracks (``_NodeState.K``)."""
@@ -357,9 +359,9 @@ class Detector:
     def merge_across(self, u: int, w: int,
                      after_u: int | None, after_w: int | None) -> int:
         """Merge two opposite corners of one face, the corners after
-        ``after_u`` at u and after ``after_w`` at w, log the pair of
-        every new path and return the merged label, that of the
-        endpoint with more edges (the smaller label on a tie).  Raises
+        ``after_u`` at u and after ``after_w`` at w, log every new
+        path and return the merged label, that of the endpoint with
+        more edges (the smaller label on a tie).  Raises
         SelfLoopContraction when u == w and NotOnFace when the corners
         lie on different faces, before anything changes.
 
@@ -372,8 +374,9 @@ class Detector:
         that an R split's cut contracts, whose two sides are one face
         (a pendant edge's among them), the merge comes first and
         quasi-simplicity is restored after it: of each pair of parallel
-        edges the merge leaves, the larger id survives.  That is the graph that inserting the diagonal
-        between the two corners and contracting it would give."""
+        edges the merge leaves, the larger id survives.  That is the
+        graph that inserting the diagonal between the two corners and
+        contracting it would give."""
         if u == w:
             raise SelfLoopContraction(
                 f"corners of vertex {u} cannot merge with each other")
@@ -410,7 +413,7 @@ class Detector:
 
     def contract_edge(self, e: int) -> int:
         """Contract a non-loop edge everywhere, restore quasi-simplicity
-        and log the pair of every new path; return the merged label,
+        and log every new path; return the merged label,
         that of the endpoint with more edges (the smaller label on a
         tie).  Raises UnknownEdge or SelfLoopContraction before
         anything changes.  No update calls it: it stays for the tests
@@ -429,53 +432,38 @@ class Detector:
         return x
 
     def reset_op_log(self) -> None:
-        """Clear the discovery log consulted by :meth:`separating_now`.
+        """Clear the path log consulted by :meth:`separating_now`.
 
         The log accumulates across operations so that a caller issuing
         several mutations as one logical step can validate them as a
         unit.  A caller that resets right after construction, because
         it knows that no 4-cycle separates yet, skips every walk of the
-        pairs construction logged."""
+        pairs whose paths construction logged."""
         self._op_items = []
-        self._op_renames = {}
 
     def separating_now(self) -> list[tuple]:
         """Every 4-cycle that is separating now, provided none was when
         :meth:`reset_op_log` was last called (construction logs every
-        pair that has two paths, so a query before any reset lists the
-        cycles separating at the start).
+        path of a pair that has two, so a query before any reset lists
+        the cycles separating at the start).
 
         Every 4-cycle that turns separating gains a path in some
-        mutation, or is the boundary of a split face, and its pair is
-        logged.  This is where the walks happen: each logged pair of a
-        node with at least two paths has its current path table checked
-        against the current graph, once however often it was logged,
-        which also filters out the cycles that were only transiently
-        separating.  A cycle is ``(pair, m1, lk1, m2, lk2)``: the
-        diagonal its node tracks, the two middle vertices and the two
-        leg edge pairs; one cycle held by two node tables is listed
-        twice."""
+        mutation, or is the boundary of a split face, and a path of its
+        tracked diagonal is logged.  This is where the walks happen:
+        each logged path's pair is read off its node's graph as it is
+        now, and the pair's current path table, if it has two or more
+        paths, is checked against the current graph, once however often
+        it was met, which also filters out the cycles that were only
+        transiently separating.  A cycle is ``(pair, m1, lk1, m2,
+        lk2)``: the diagonal its node tracks, the two middle vertices
+        and the two leg edge pairs; one cycle held by two node tables is
+        listed twice."""
         # (node state, current pair), each once, in the order met
         todo: dict[tuple[_NodeState, tuple[int, int]], None] = {}
-        for st, pair, legs in self._op_items:
-            # a logged path may have moved to another pair since, and
-            # the logged pair may have been renamed: check both
-            d = st.paths.get(pair)
-            for lk in legs:
-                if d is None or lk not in d:
-                    got = _derive(st.node.graph, *lk)
-                    if got is not None:
-                        todo[st, got[0]] = None
-            renames = self._op_renames.get(id(st.node))
-            if renames:
-                # a retired label never re-enters its node
-                a, b = pair
-                while a in renames:
-                    a = renames[a]
-                while b in renames:
-                    b = renames[b]
-                pair = _pairkey(a, b)
-            todo[st, pair] = None
+        for st, lk in self._op_items:
+            got = _derive(st.node.graph, *lk)
+            if got is not None:
+                todo[st, got[0]] = None
         cycles: list[tuple] = []
         for st, pair in todo:
             d = st.paths.get(pair)
@@ -645,7 +633,7 @@ class Detector:
             st.add(npair, lk, nmid)
             if npair != pair:
                 moved_pairs.add(npair)
-                self._op_items.append((st, npair, (lk,)))
+                self._op_items.append((st, lk))
         self._cand(st, len(moved_pairs))
         # 3) new paths with the merged vertex as middle: one former-x
         # leg and one former-r leg
@@ -660,7 +648,7 @@ class Detector:
                 npair = _pairkey(z1, z2)
                 lk = _legkey(f1, f2)
                 if st.add(npair, lk, x):
-                    self._op_items.append((st, npair, (lk,)))
+                    self._op_items.append((st, lk))
         self._cand(st, len(seen_pairs))
         # 4) when exactly one of the two was tracked, the other one's
         # former edges now start paths at a tracked vertex
@@ -673,7 +661,6 @@ class Detector:
         purged every path through it.  If r was tracked, x now stands
         where r stood in the separation: it is tracked too, and any of
         its edges can start a new path."""
-        self._op_renames.setdefault(id(st.node), {})[r] = x
         if r in st.K:
             st.K.discard(r)
             if x not in st.K:
@@ -706,7 +693,7 @@ class Detector:
                 seen.add((m, z))
                 lk = _legkey(f, g2)
                 if st.add(_pairkey(x, z), lk, m):
-                    self._op_items.append((st, _pairkey(x, z), (lk,)))
+                    self._op_items.append((st, lk))
         self._cand(st, len(seen))
 
     @staticmethod
@@ -725,7 +712,6 @@ class Detector:
         return out
 
     def _process_rename(self, st, old: int, new: int) -> None:
-        self._op_renames.setdefault(id(st.node), {})[old] = new
         if old in st.K:
             st.K.discard(old)
             st.K.add(new)
@@ -754,7 +740,9 @@ class Detector:
 
     def _recheck_split_face(self, st, eid: int) -> None:
         """An insertion splits one face; if that face had degree 4, its
-        boundary cycle may just have turned from facial to separating."""
+        boundary cycle may just have turned from facial to separating.
+        One path of each of its two diagonals is logged, and the query
+        walks the one its node tracks and decides."""
         h = st.node.graph
         if not h.has_edge(eid):
             return
@@ -763,24 +751,12 @@ class Detector:
         f2 = h.trace_face(d1)
         if len(f1) + len(f2) - 2 != 4:
             return
+        # the boundary a -e1- m1 -e2- b - m2 -g1- a of the split face
         i0 = f1.index(d0)
         j0 = f2.index(d1)
         seq = f1[i0 + 1:] + f1[:i0] + f2[j0 + 1:] + f2[:j0]
-        verts = [h.vertex_of_dart(d) for d in seq]
-        eds = [edge_of(d) for d in seq]
-        if len(set(verts)) != 4 or len(set(eds)) != 4:
-            return
-        a, m1, b, m2 = verts
-        e1, e2, g2, g1 = eds
-        if not cycle_is_separating(h, a, m1, b, m2, e1, e2, g2, g1):
-            return
-        # log the diagonal whose ends the node tracks
-        if a in st.K and b in st.K:
-            self._op_items.append(
-                (st, _pairkey(a, b), (_legkey(e1, e2), _legkey(g1, g2))))
-        else:
-            self._op_items.append(
-                (st, _pairkey(m1, m2), (_legkey(e1, g1), _legkey(e2, g2))))
+        e1, e2, g1 = edge_of(seq[0]), edge_of(seq[1]), edge_of(seq[3])
+        self._op_items += [(st, _legkey(e1, e2)), (st, _legkey(e1, g1))]
 
     # -- potential ------------------------------------------------------------
 

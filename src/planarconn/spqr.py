@@ -1379,7 +1379,10 @@ class ChangeLog:
     into pieces sharing the merged vertex).  Besides ``op`` and
     ``edge``, ``intact`` sets ``tree``; ``pair`` sets ``pair_edges``
     and ``pair_ends``; ``path`` and ``star`` set ``pieces``.  Every
-    contraction also sets ``merged_vertex`` and ``retired_vertex``."""
+    contraction also sets ``merged_vertex`` and ``retired_vertex``.
+    After a ``path`` or ``star`` split the handle the op was called on
+    is retired: each piece's edges are reached through the piece's own
+    tree, and an op through the old handle raises ``UnknownEdge``."""
     op: str
     edge: int
     kind: str
@@ -1493,7 +1496,8 @@ def _break_up(tree: SpqrTree, x: SpqrNode, e: int, keep: int | None,
     its own, from which :func:`_update` takes out the twin the same
     way.  A fragment below ``x`` is rooted at the twin node, whose
     pointer at ``x`` is cleared once that is done: it counts only if
-    that node is still there."""
+    that node is still there.  ``tree`` is retired last: with no root,
+    :func:`_take_real` refuses every edge through it."""
     shared, g = tree.shared, x.graph
     if keep is None:
         slots, v, f = [], g.endpoints(e)[0], e
@@ -1524,6 +1528,7 @@ def _break_up(tree: SpqrTree, x: SpqrNode, e: int, keep: int | None,
         if log.tree is not None:
             tree.set_parent(log.tree.root, None)
         pieces.append(Piece(attach, log.tree, log.pair_edges or ()))
+    tree._root = None
     return pieces
 
 
@@ -1578,13 +1583,17 @@ def _take_real(tree: SpqrTree, e: int) -> SpqrNode:
 
 
 def delete_edge(tree: SpqrTree, e: int) -> ChangeLog:
-    """Delete real edge ``e`` from the block maintained by ``tree``."""
+    """Delete real edge ``e`` from the block maintained by ``tree``.
+    When the block breaks up (a ``path`` split), ``tree`` is retired and
+    every later op through it raises ``UnknownEdge``; the pieces carry
+    their own trees."""
     return _update(tree, _take_real(tree, e), e)
 
 
 def contract_edge(tree: SpqrTree, e: int) -> ChangeLog:
     """Contract real edge ``e`` of the block maintained by ``tree``;
-    the smaller endpoint label survives."""
+    the smaller endpoint label survives.  A ``star`` split retires
+    ``tree`` as a ``path`` split does in :func:`delete_edge`."""
     x = _take_real(tree, e)
     u, w = x.graph.endpoints(e)
     assert u != w, "skeletons carry no self-loops"

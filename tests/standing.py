@@ -1,12 +1,15 @@
 """Standing checks: every count a change must keep or explain, compared
 with the committed ``tests/standing.json``.
 
-    python -m tests.standing
+    python -m tests.standing [section ...]
 
-Run from the root of a checkout; pytest does not collect this file.  It
-takes about four minutes.  Counts, digests, failures and ``check()``
-results are compared: a key that differs, that the JSON lacks or that
-was not produced prints one line naming it, and the exit status is 1.
+Run from the root of a checkout; pytest does not collect this file.
+With no argument it runs all four sections, in about four minutes.
+Named sections run alone and are compared alone, so ``python -m
+tests.standing replay`` takes seconds.  Counts, digests, failures and
+``check()`` results are compared: a key that differs, that the JSON
+lacks or that was not produced prints one line naming it, and the exit
+status is 1.
 Timings are only printed: the fastest and slowest of three repeats, the
 ratio to the fastest at the size before, and ``<-`` where the fastest
 is above ``RATIO_MARK`` times the slowest there, so that the spread
@@ -382,19 +385,29 @@ SECTIONS = {"replay": replay, "fuzz": fuzz, "build": build,
             "updates": updates}
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    """Run the named sections, all of them when none is named, and
+    compare their values with the JSON's for those sections; exit
+    status 2 for an unknown name, before any section runs."""
+    unknown = [name for name in names if name not in SECTIONS]
+    if unknown:
+        print(f"unknown section {', '.join(unknown)}; the sections are "
+              f"{', '.join(SECTIONS)}")
+        return 2
     expected = json.loads(EXPECTED.read_text())
     got = {}
     for name, run in SECTIONS.items():
+        if names and name not in names:
+            continue
         print(name, flush=True)
         t0 = time.perf_counter()
         got[name] = run()
         print(f"  {name}: {time.perf_counter() - t0:.1f} s", flush=True)
-    lines = compare(expected, got)
+    lines = compare({name: expected.get(name, {}) for name in got}, got)
     print("\n".join([*lines, f"{len(flatten(got))} values compared with "
                      f"{EXPECTED.name}, {len(lines)} differ"]))
     return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -213,10 +213,13 @@ def test_fourth_path_saturates_pair():
 
 def test_insertion_splitting_quad_makes_cycle_separating():
     # a cube face's boundary is facial; inserting its diagonal splits
-    # it, and the query matches brute force afterwards
+    # it, and the query matches brute force afterwards.  Nothing
+    # separates at first, so the log is reset: the split face's own
+    # entries are what the query has
     g = cube()
     det = Detector(g, debug=True)
     assert det.separating_now() == []
+    det.reset_op_log()
     h = det.tree.root.graph
     f = next(f for f in h.faces() if len(f) == 4)
     u = h.vertex_of_dart(f[0])
@@ -327,41 +330,64 @@ def test_exactness_fuzz_radial():
 
 
 @pytest.mark.usefixtures("small_leaves")
-def test_split_face_logs_the_tracked_diagonal(monkeypatch):
-    # a split 4-face whose boundary turned separating is logged through
-    # a diagonal its node tracks, when one is, so that once the mutation
-    # is done the node's own table holds the logged paths; internal
-    # nodes whose separator holds one diagonal of the face but not the
-    # other show the difference
-    recheck, end_op = Detector._recheck_split_face, Detector._end_op
-    logged, seen = [], Counter()
+def test_split_face_query_is_exact(monkeypatch):
+    # an insertion that splits a 4-face logs one path of each of the
+    # face's diagonals, and the query decides whether its boundary
+    # separates.  The log is reset before an insertion when no 4-cycle
+    # separates, so that the split face's own entries are what the
+    # query has.  Internal nodes whose separator holds one diagonal of
+    # the face but not the other are reached, and there the query walks
+    # the tracked one
+    recheck, insert = Detector._recheck_split_face, Detector.insert_edge
+    split, seen = [], Counter()
 
     def spy_recheck(self, st, eid):
-        n = len(self._op_items)
+        h = st.node.graph
+        if h.has_edge(eid):
+            f1, f2 = h.trace_face(2 * eid), h.trace_face(2 * eid + 1)
+            if len(f1) + len(f2) == 6:
+                i, j = f1.index(2 * eid), f2.index(2 * eid + 1)
+                seq = f1[i + 1:] + f1[:i] + f2[j + 1:] + f2[:j]
+                split.append((st, [h.vertex_of_dart(d) for d in seq],
+                              [edge_of(d) for d in seq]))
         recheck(self, st, eid)
-        logged.extend(self._op_items[n:])
 
-    def spy_end_op(self, tevents):
-        # the node's edges a later event of the mutation inserts may be
-        # legs of the cycle, so the tables are read once it is done
-        for st, pair, legs in logged:
-            h = st.node.graph
-            other = {fourcycle._derive(h, *lk)[1] for lk in legs}
-            tracked = [set(pair) <= st.K, other <= st.K]
+    def spy_insert(self, *args, **kw):
+        split.clear()
+        h = self.tree.root.graph
+        fresh = not separating_4cycles(h)
+        if fresh:
+            self.reset_op_log()
+        eid = insert(self, *args, **kw)
+        if split:
+            assert sep_edges(self) == separating_4cycles(h)
+        listed = {frozenset(lk1 + lk2)
+                  for _pair, _m1, lk1, _m2, lk2 in self.separating_now()}
+        for st, (a, m1, b, m2), eds in split:
+            g = st.node.graph
+            if len({a, m1, b, m2}) < 4 or not all(map(g.has_edge, eds)) \
+                    or not fourcycle.cycle_is_separating(g, a, m1, b, m2,
+                                                         *eds):
+                continue
+            tracked = [{a, b} <= st.K, {m1, m2} <= st.K]
             if any(tracked):
-                seen["one" if tracked[0] != tracked[1] else "both"] += 1
-                table = st.paths.get(pair, {})
-                assert all(lk in table for lk in legs), (pair, legs)
-        logged.clear()
-        end_op(self, tevents)
+                kind = "one" if tracked[0] != tracked[1] else "both"
+                seen[kind] += 1
+                if fresh:
+                    # the face's boundary is listed as a cycle
+                    assert frozenset(eds) in listed
+                    seen[kind + " after a reset"] += 1
+        return eid
 
     monkeypatch.setattr(Detector, "_recheck_split_face", spy_recheck)
-    monkeypatch.setattr(Detector, "_end_op", spy_end_op)
-    for seed in (100, 101):
+    monkeypatch.setattr(Detector, "insert_edge", spy_insert)
+    # seed 120 reaches a node that tracks one diagonal after a reset
+    for seed in (100, 101, 120):
         g = random_planar(56, seed, max_face_degree=8,
                           keep_biconnected=False)
         run_script(Detector(g), random.Random(seed), 50)
-    assert seen["one"] and seen["both"], seen
+    assert all(seen[kind + when] for kind in ("one", "both")
+               for when in ("", " after a reset")), seen
 
 
 def _radial_detectors(debug):
@@ -741,6 +767,34 @@ def test_retire_renames_and_enters_separator(monkeypatch):
         assert sep_edges(det) == separating_4cycles(h)
         det.check()
     assert seen["rename"] and seen["enter"]
+
+
+@pytest.mark.usefixtures("small_leaves")
+def test_query_follows_renamed_logged_paths(monkeypatch):
+    # the log holds paths, not pairs: a separator-tree rename that
+    # moves a path logged earlier in the same step to a new pair needs
+    # no record of its own, since the query reads the pair off the node
+    # graph.  With small leaves, merges on radial graphs reach such
+    # renames, and the query stays exact after each merge
+    process = Detector._process_rename
+    reached = [0]
+
+    def spy(self, st, old, new):
+        logged = {lk for s, lk in self._op_items if s is st}
+        reached[0] += any(old in pair and not logged.isdisjoint(d)
+                          for pair, d in st.paths.items())
+        return process(self, st, old, new)
+
+    monkeypatch.setattr(Detector, "_process_rename", spy)
+    for det, rng in _radial_detectors(debug=False):
+        # no 4-cycle separates yet, so the log may start empty
+        det.reset_op_log()
+        h = det.tree.root.graph
+        for _ in range(30):
+            _merge_random_quad(det, rng)
+            assert sep_edges(det) == separating_4cycles(h)
+        det.check()
+    assert reached[0]
 
 
 @pytest.mark.usefixtures("small_leaves")

@@ -167,6 +167,34 @@ def test_split_pieces_own_their_real_edges():
     right.check()
 
 
+def test_split_retires_the_old_handle():
+    # a path or star split retires the handle the op went through: an
+    # op through it on an edge of any piece, the one that kept the old
+    # root among them, raises UnknownEdge before anything changes
+    kinds = Counter()
+    for seed in range(6):
+        tree = build_spqr(random_planar(30, seed, max_face_degree=8))
+        rng = random.Random(seed)
+        while True:
+            e = rng.choice(sorted(tree.node_of_edge))
+            log = rng.choice((delete_edge, contract_edge))(tree, e)
+            if log.kind != "intact":
+                break
+            tree = log.tree
+        kinds[log.kind] += 1
+        for p in log.pieces or ():
+            edges = p.edges if p.tree is None else [
+                e for x in p.tree.nodes() for e in x.graph.edge_ids()
+                if tree.node_of_edge.get(e) is x]
+            for e in edges:
+                for op in (delete_edge, contract_edge):
+                    with pytest.raises(UnknownEdge):
+                        op(tree, e)
+            if p.tree is not None:
+                p.tree.check()
+    assert kinds["path"] and kinds["star"], kinds
+
+
 def _vertices(g, edges) -> set[int]:
     return {v for e in edges for v in g.endpoints(e)}
 

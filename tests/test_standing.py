@@ -3,7 +3,8 @@ committed expectations names every key that moved.
 
 ``python -m tests.standing`` takes minutes, so tier-1 runs none of its
 sections; importing it catches a rename in the package or the tests
-that would break it, and the comparison is checked on small documents.
+that would break it, and the comparison and the choice of sections are
+checked on small documents.
 """
 
 from __future__ import annotations
@@ -40,3 +41,44 @@ def test_replay_expects_every_detector_count():
     assert set(kinds) == set(standing.harness.FACE_DEGREE)
     for block in kinds.values():
         assert list(block) == list(standing.DETECTOR)
+
+
+def _run(monkeypatch, tmp_path, capsys, names, expected):
+    """``standing.main(names)`` over two small stand-in sections; the
+    exit status, the sections that ran and the printed lines."""
+    ran = []
+
+    def section(name, value):
+        def run():
+            ran.append(name)
+            return value
+        return run
+
+    monkeypatch.setattr(standing, "SECTIONS", {
+        "a": section("a", {"x": 1}), "b": section("b", {"y": 2, "z": 3})})
+    path = tmp_path / "standing.json"
+    path.write_text(json.dumps(expected))
+    monkeypatch.setattr(standing, "EXPECTED", path)
+    status = standing.main(names)
+    return status, ran, capsys.readouterr().out.splitlines()
+
+
+def test_named_sections_run_and_compare_alone(monkeypatch, tmp_path,
+                                              capsys):
+    # section a differs from the JSON, so only a run that leaves it out
+    # exits 0, and it names only b's values
+    expected = {"a": {"x": 0}, "b": {"y": 2, "z": 3}}
+    status, ran, out = _run(monkeypatch, tmp_path, capsys, ["b"], expected)
+    assert (status, ran) == (0, ["b"])
+    assert out[-1] == "2 values compared with standing.json, 0 differ"
+    status, ran, out = _run(monkeypatch, tmp_path, capsys, [], expected)
+    assert (status, ran) == (1, ["a", "b"])
+    assert out[-2:] == ["a/x: expected 0, got 1",
+                        "3 values compared with standing.json, 1 differ"]
+
+
+def test_unknown_section_runs_nothing(monkeypatch, tmp_path, capsys):
+    status, ran, out = _run(monkeypatch, tmp_path, capsys, ["b", "c"],
+                            {"a": {"x": 1}, "b": {"y": 2, "z": 3}})
+    assert (status, ran) == (2, [])
+    assert out == ["unknown section c; the sections are a, b"]
