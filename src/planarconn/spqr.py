@@ -31,11 +31,11 @@ finished, a path becomes an S piece as it is and any other is copied
 out into a fresh piece, the subgraph its vertices induce, and what is
 left is cut free in the graph itself, so a split costs about its
 smaller side, and an S node is cut whole in one round.  S and P pieces
-stay edge lists
-until equal-kind neighbours are merged, so each S or P skeleton is
-assembled once, edge by edge.  No skeleton goes through the validated
-``EmbeddedMultigraph.build``: every one is cut, induced or assembled
-from a plane graph, and ``SpqrTree.check`` re-checks them.
+stay edge lists until equal-kind neighbours are joined, so each S or P
+skeleton is assembled once, edge by edge.  No skeleton goes through
+the validated ``EmbeddedMultigraph.build``: every one is cut, induced
+or assembled from a plane graph, and ``SpqrTree.check`` re-checks
+them.
 
 Edge deletions and contractions keep the tree in step with the graph.
 The two are dual: deleting an edge of a plane graph contracts it in the
@@ -50,13 +50,17 @@ graph of its skeleton, which reports the separation pairs an operation
 creates, and their common faces.  The construction's decomposition then
 runs on the skeleton the node keeps: the pieces that leave inherit the
 reported pairs, so an update never counts pairs, and the node keeps its
-detector.  Two S or two P nodes that an update leaves adjacent merge by
-a 2-sum in place: the smaller skeleton is spliced into the larger one,
-whose node lives on, so a merge costs the smaller side and never
-rebuilds a skeleton.  A node leaves the tree without breaking up its
-block in one way only, absorbed by a neighbour.  Instrumentation
-counters record re-parented nodes that stay and the edges in the
-non-largest pieces.
+detector.  Every equal-kind join a split makes is resolved once: the
+pieces that leave join each other, the node that stays and its old
+neighbours, and a group that holds an old node keeps one, into whose
+skeleton the others are spliced by a 2-sum in place.  Two S or two P
+nodes that a dissolved node leaves adjacent merge the same way, the
+smaller skeleton into the larger.  So a join costs the fresh edges and
+the smaller old sides and never rebuilds a skeleton, and a split
+re-hangs only the nodes whose neighbour changed.  A node leaves the
+tree without breaking up its block in one way only, handed over to a
+neighbour.  Instrumentation counters record re-parented nodes that
+stay and the edges in the non-largest pieces.
 """
 
 from __future__ import annotations
@@ -380,9 +384,8 @@ def _skeleton(kind: str,
     and a bundle are plane by construction, so nothing is re-validated.
     A bundle's rotation follows the ids at its smaller pole and runs in
     reverse at the other.  The embedding is canonical only at creation:
-    later merges splice edges in where the twin edge was
-    (:func:`_splice`), and nothing reads the order of a bundle's
-    rotation."""
+    later joins splice edges in where a twin edge was (:func:`_splice`),
+    and nothing reads the order of a bundle's rotation."""
     edges = sorted(edges)
     g = EmbeddedMultigraph()
     for v in sorted({x for _, u, w in edges for x in (u, w)}):
@@ -547,13 +550,18 @@ class SpqrTree:
     walked from the root.  ``node_of_edge`` locates the skeleton holding
     each real edge.  ``parent_changes`` counts the parent pointers that
     update operations rewrite (:meth:`set_parent`), and only on nodes
-    that stay in a tree: a node that leaves, absorbed by a neighbour
-    (:func:`_absorb`) or broken up with its block, is reset without
-    counting.  ``split_edges`` totals the skeleton edges placed in
-    non-largest pieces of skeleton splits, and ``renames`` counts the
-    node-vertex incidences that rename cascades rewrote.  All of them
-    live in the shared registry, so handles over blocks of the same
-    origin report combined counters.
+    that stay in a tree: a node that leaves, handed over to a neighbour
+    (:func:`_hand_over`) or broken up with its block, is reset without
+    counting.  An R split rewrites the pointers of its fresh nodes, of
+    the old nodes that took another's place in a join, of the old
+    neighbours whose twin moved, of the children of nodes that left,
+    and of the node it split when that no longer holds its parent link,
+    so the count follows what leaves, not what stays.  ``split_edges``
+    totals the skeleton edges placed in non-largest pieces of skeleton
+    splits, and ``renames`` counts the node-vertex incidences that
+    rename cascades rewrote.  All of them live in the shared registry,
+    so handles over blocks of the same origin report combined
+    counters.
     """
 
     def __init__(self, root: SpqrNode, shared: _Shared):
@@ -879,9 +887,10 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
         if {u, w} == {a, b}:
             across.append(e)
             continue
-        z = w if u in (a, b) else u
-        if sum(1 for d in g.rotation(z)
-               if set(g.endpoints(edge_of(d))) == {u, w}) >= 2:
+        z, far = (w, u) if u in (a, b) else (u, w)
+        # a dart at z is a copy of e when its far end is e's other end:
+        # R skeletons carry no loops
+        if sum(g.vertex_of_dart(rev(d)) == far for d in g.rotation(z)) >= 2:
             _r_remove(x, e)
         else:
             _r_remove(x, e, min((u, w), key=lambda v: (
@@ -997,8 +1006,8 @@ def _decompose(g: EmbeddedMultigraph, records: dict[tuple[int, ...], int],
 
     A piece is ``(kind, body)``: ``body`` is the skeleton graph of an R
     piece but only the ``(eid, u, w)`` edge list of an S or P piece,
-    whose skeleton :func:`_merge_same_kind` assembles once per final
-    node.
+    which :func:`_merge_same_kind` assembles once per node it makes, or
+    splices into the old node its join keeps.
 
     Each round takes the first record that a :class:`_PairIndex` keeps
     at hand, with its class count, so the searches of
@@ -1087,19 +1096,44 @@ def _decompose(g: EmbeddedMultigraph, records: dict[tuple[int, ...], int],
         index.drop_at(cut)
 
 
-def _merge_same_kind(pieces: list[tuple], vid_base: int,
-                     r: SpqrNode | None) -> list[SpqrNode]:
-    """The nodes of the pieces of :func:`_decompose`, in piece order,
-    with every twin pair they draw linked.  Virtual ids drawn by one
-    decomposition (those at or above ``vid_base``) are unique, so each
-    names one twin pair.  Every group of equal-kind S or P pieces
-    joined by virtual edges becomes one node: the shared virtual edges
-    disappear, and the group's canonical skeleton is built here, by one
-    :func:`_skeleton` call per node, from the edge lists the pieces
-    kept.  An R piece brings its skeleton.  Every other id links its two
-    holders, or its one holder to ``r``, the R node being split, which
-    holds it as an edge with no twin yet."""
-    up = list(range(len(pieces)))
+def _merge_same_kind(shared: _Shared, pieces: list[tuple], vid_base: int,
+                     r: SpqrNode | None) -> tuple[list[SpqrNode], tuple]:
+    """The fresh nodes of the pieces of :func:`_decompose`, in piece
+    order, with every equal-kind join made once, every twin pair the
+    pieces draw linked and every real edge indexed; called by
+    :func:`_mini_nodes`, for a build with no ``r`` and for a split of R
+    node ``r``.  Virtual ids at or above ``vid_base`` were drawn by this
+    decomposition, so each names one twin pair: two pieces, or a piece
+    and ``r``, which holds it as an edge with no twin yet.  Every other
+    edge of a piece is real or one that ``r`` hands over, with its twin
+    in an old neighbour of ``r``.
+
+    Two S or two P members that share an edge join: two pieces, a piece
+    and ``r`` once :func:`_decompose` has left ``r`` S or P (only then
+    are ``r``'s twins read), a piece and the old node holding the twin
+    of an edge ``r`` handed it, and ``r`` and an old neighbour.  The
+    shared edges disappear, and each group becomes one node.  A group of
+    pieces only is built by one :func:`_skeleton` call.  In a group with
+    old nodes one lives on: the one with most skeleton edges, on a tie
+    ``r``, then the one holding the smallest real edge id, then the one
+    with the smallest sorted vertex labels, so no virtual id decides
+    (only two P nodes of one pair with no real edge and as many edges,
+    which a contraction of ``r`` can bring together, stay tied, and the
+    first met lives on).  The other members are spliced into it once
+    (:func:`_splice`) and handed over to it (:func:`_hand_over`), so a
+    join costs the fresh edges plus the old nodes that leave, none
+    larger than the one that stays.  An R piece never joins.
+
+    Besides the fresh nodes, returns for :func:`_split_r_node` the node
+    pairs that fresh ids link, the old neighbours of ``r`` whose twin
+    moved, each with its new node, the children of the old nodes that
+    left, each with the node that took their place, and the node each
+    old member of a group ended in."""
+    n = len(pieces)
+    up = list(range(n))     # union-find over the pieces, then old nodes
+    old: list[SpqrNode] = []
+    at: dict[SpqrNode, int] = {}
+    seams: dict[SpqrNode, list[int]] = defaultdict(list)
 
     def find(i: int) -> int:
         while up[i] != i:
@@ -1107,68 +1141,135 @@ def _merge_same_kind(pieces: list[tuple], vid_base: int,
             i = up[i]
         return i
 
+    def member(nd: SpqrNode) -> int:
+        if nd not in at:
+            at[nd] = len(up)
+            up.append(len(up))
+            old.append(nd)
+        return at[nd]
+
+    ids = [list(body.edge_ids()) if kind == "R" else [t[0] for t in body]
+           for kind, body in pieces]
     holders: dict[int, list[int]] = defaultdict(list)
-    for i, (kind, body) in enumerate(pieces):
-        for e in body.edge_ids() if kind == "R" else (t[0] for t in body):
+    handed: list[tuple[int, int]] = []  # (piece, edge r hands it)
+    for i, es in enumerate(ids):
+        for e in es:
             if e >= vid_base:
                 holders[e].append(i)
-    inner: set[int] = set()
+            elif r is not None and e in r.twin:
+                handed.append((i, e))
+    inner: set[int] = set()     # the seams among the pieces' edges
     for vid, held in holders.items():
-        if len(held) == 2:
-            i, j = held
-            if pieces[i][0] == pieces[j][0] != "R":
-                inner.add(vid)
-                up[find(i)] = find(j)
-    groups: dict[int, list[tuple]] = defaultdict(list)
-    for i, piece in enumerate(pieces):
-        groups[find(i)].append(piece)
-    node_of: dict[int, SpqrNode] = {}
-    for root, group in groups.items():
-        kind, body = group[0]
-        if kind != "R":
-            body = _skeleton(kind, [t for _, es in group for t in es
-                                    if t[0] not in inner])
-        node_of[root] = SpqrNode(kind, body)
+        other = pieces[held[1]][0] if len(held) == 2 else r.kind
+        if pieces[held[0]][0] == other != "R":
+            inner.add(vid)
+            if len(held) == 1:
+                seams[r].append(vid)
+            up[find(held[0])] = find(held[1] if len(held) == 2
+                                     else member(r))
+    for i, e in handed:
+        if r.twin[e][0].kind == pieces[i][0] != "R":
+            inner.add(e)
+            m, f = r.unlink(e)
+            seams[m].append(f)
+            up[find(i)] = find(member(m))
+    if r is not None and r.kind != "R":
+        for e, (m, f) in list(r.twin.items()):
+            if m.kind == r.kind and r.graph.has_edge(e):
+                r.unlink(e)
+                seams[r].append(e)
+                seams[m].append(f)
+                up[find(member(r))] = find(member(m))
+
+    groups: dict[int, list[int]] = defaultdict(list)
+    for i in range(len(up)):
+        groups[find(i)].append(i)
+    node_of: list[SpqrNode | None] = [None] * len(up)
+    nodes: list[SpqrNode] = []
+    joins = []
+
+    def rank(nd: SpqrNode) -> tuple[int, bool]:
+        return nd.graph.n_edges, nd is r
+
+    for group in groups.values():
+        if group[-1] >= n:      # the old members come last
+            olds = [old[i - n] for i in group if i >= n]
+            fresh = [i for i in group if i < n]
+            nd = max(olds, key=rank)
+            tied = [m for m in olds if rank(m) == rank(nd)]
+            if len(tied) > 1:
+                nd = min(tied, key=lambda m: (
+                    min(m.real_ids(), default=float("inf")),
+                    sorted(m.graph.vertices())))
+            joins.append((nd, olds, fresh))
+        else:
+            kind, body = pieces[group[0]]
+            if kind != "R":
+                body = _skeleton(kind, [t for i in group for t in pieces[i][1]
+                                        if t[0] not in inner])
+            nd = SpqrNode(kind, body)
+            nodes.append(nd)
+        for i in group:
+            node_of[i] = nd
+    into = {m: nd for nd, olds, _ in joins for m in olds}
+    links = []
     for vid in sorted(holders.keys() - inner):
-        held = [node_of[find(i)] for i in holders[vid]]
+        held = [node_of[i] for i in holders[vid]]
         if len(held) == 1:
             assert r is not None and r.graph.has_edge(vid) \
                 and vid not in r.twin, f"virtual edge {vid} not kept by r"
             held.append(r)
         held[0].link(vid, held[1], vid)
-    return list(node_of.values())
+        links.append((held[0], into.get(held[1], held[1])))
+    kids = []
+    for nd, olds, fresh in joins:
+        edges = [t for i in fresh for t in pieces[i][1] if t[0] not in inner]
+        leave = [m for m in olds if m is not nd]
+        for m in leave:
+            cut = set(seams[m])
+            edges += [(e, *m.graph.endpoints(e))
+                      for e in m.graph.edge_ids() if e not in cut]
+        _splice(nd.kind, nd.graph, seams[nd], edges)
+        for m in leave:
+            # an old child of r that joined a piece is linked to r by a
+            # fresh id now, and hangs where the links say
+            kids += [(c, nd) for c in _hand_over(shared, nd, m, seams[m])
+                     if c not in into]
+    for i, es in enumerate(ids):
+        for e in es:
+            if e < vid_base:    # real, or handed over and unindexed next
+                shared.node_of_edge[e] = node_of[i]
+    moved = []
+    for i, e in handed:
+        del shared.node_of_edge[e]
+        if e not in inner:
+            moved.append((r.twin[e][0], node_of[i]))
+            r.move_twin(e, node_of[i])
+    return nodes, (links, moved, kids, into)
 
 
 def _mini_nodes(shared: _Shared, sg: EmbeddedMultigraph,
                 records: dict[tuple[int, ...], int],
                 r: SpqrNode | None = None
-                ) -> tuple[list[SpqrNode], list[int]]:
+                ) -> tuple[list[SpqrNode], list[int], tuple]:
     """Decompose an embedded graph with separation records ``records``
-    into SPQR nodes, drawing virtual ids from the shared source.  The
-    pieces of :func:`_decompose` become nodes in
-    :func:`_merge_same_kind`, which builds every S and P skeleton, once
-    per node, and links the twins it drew.  ``sg`` is consumed.  With
-    ``r``, the R node whose skeleton ``sg`` is, see :func:`_decompose`.
-    Every other edge of a fresh node predates the call: a virtual edge
-    of ``r`` moves with its twin link from ``r`` to the fresh node
-    holding it, and every other one is real.  R nodes get their
-    machinery.  Returns the fresh nodes and the top-level piece
-    sizes."""
+    into SPQR nodes, drawing virtual ids from the shared source; called
+    by :func:`build_spqr`, and by :func:`_split_r_node` with ``r``, the
+    R node whose skeleton ``sg`` is (see :func:`_decompose`).  ``sg`` is
+    consumed.  The pieces of :func:`_decompose` become nodes in
+    :func:`_merge_same_kind`, which joins them with each other and with
+    ``r``'s old neighbours, moves the twins ``r`` hands over and indexes
+    the real edges.  Fresh R nodes get their machinery.  Returns the
+    fresh nodes, the top-level piece sizes and what the split
+    re-hangs."""
     vid_base = shared.vids.peek()
     pieces: list[tuple] = []
     sizes = _decompose(sg, records, shared.vids, pieces, r)
-    nodes = _merge_same_kind(pieces, vid_base, r)
+    nodes, rehang = _merge_same_kind(shared, pieces, vid_base, r)
     for nd in nodes:
-        for e in sorted(nd.graph.edge_ids()):
-            if e in nd.twin:
-                continue
-            if r is not None and e in r.twin:
-                r.move_twin(e, nd)
-            else:
-                shared.node_of_edge[e] = nd
         if nd.kind == "R":
             _attach_r(nd)
-    return nodes, sizes
+    return nodes, sizes, rehang
 
 
 def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
@@ -1179,164 +1280,176 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
     if not is_biconnected_embedded(g):
         raise NotBiconnected("SPQR-tree of a non-biconnected graph")
     shared = _Shared(_Vids(max(g.edge_ids()) + 1))
-    nodes, _ = _mini_nodes(shared, g.copy(), separation_records(g))
+    nodes, _, _ = _mini_nodes(shared, g.copy(), separation_records(g))
     tree = SpqrTree(nodes[0], shared)
     tree._reroot(nodes[0])
     return tree
 
 
 # ----------------------------------------------------------------------
-# splitting a maintained R node after a deletion or contraction
+# merging S and P nodes, and splitting a maintained R node
 #
-# The skeleton is decomposed in place by _decompose, as in construction;
-# then the seams between the new nodes and the old neighbours are merged
-# where two S or two P nodes meet, and the region is re-anchored.
+# An R node's skeleton is decomposed in place by _decompose, as in
+# construction, and _merge_same_kind joins the pieces with each other,
+# with the kept node and with its old neighbours; _split_r_node then
+# re-hangs what changed.  _merge_adjacent joins two nodes that a
+# dissolved two-edge node leaves adjacent.
 
 def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
                     n2: SpqrNode, e2: int) -> SpqrNode:
     """Merge two adjacent equal-kind S or P nodes linked by the twin
-    pair (n1,e1)-(n2,e2) by a 2-sum in place.  The node with more
-    skeleton edges (``n1`` on a tie) keeps its identity and its graph,
-    into which :func:`_splice` puts the other skeleton; :func:`_absorb`
-    then takes the other node out of the tree.  Every step walks only
-    the smaller skeleton, so a merge costs O(smaller), and a long cycle
-    or bundle that keeps absorbing small pieces is never rebuilt."""
+    pair (n1,e1)-(n2,e2) by a 2-sum in place; called by
+    :func:`_dissolve_two_edge` only, as an R split joins its nodes in
+    :func:`_merge_same_kind`.  The node with more skeleton edges
+    (``n1`` on a tie) keeps its identity and its graph, into which
+    :func:`_splice` puts the other skeleton, so a merge costs the
+    smaller side and a long cycle or bundle that keeps absorbing small
+    pieces is never rebuilt; :func:`_absorb` then takes the other node
+    out of the tree."""
     assert n1.kind == n2.kind and n1.kind in "SP"
     if n1.graph.n_edges >= n2.graph.n_edges:
         keep, ek, loser, el = n1, e1, n2, e2
     else:
         keep, ek, loser, el = n2, e2, n1, e1
-    _splice(keep.kind, keep.graph, ek, loser.graph, el)
+    h = loser.graph
+    _splice(keep.kind, keep.graph, [ek],
+            [(e, *h.endpoints(e)) for e in h.edge_ids() if e != el])
     n1.unlink(e1)
     _absorb(tree, keep, loser, el)
     return keep
 
 
+def _hand_over(shared: _Shared, keep: SpqrNode, loser: SpqrNode,
+               gone: list[int]) -> list[SpqrNode]:
+    """Move node ``loser``'s twin links and real edges to ``keep`` once
+    its skeleton, less the unlinked edges ``gone``, has gone into
+    ``keep``'s, and reset its parent pointer, which is not a parent
+    change; return the nodes that were its children.  The one way a node
+    leaves the tree without breaking up its block: through
+    :func:`_absorb`, or in :func:`_merge_same_kind` for the old nodes an
+    R split joins, where :func:`_split_r_node` re-hangs the children."""
+    kids = []
+    gone = set(gone)
+    for e in loser.graph.edge_ids():
+        if e in loser.twin:
+            c = loser.twin[e][0]
+            if c.parent is loser:
+                kids.append(c)
+            loser.move_twin(e, keep)
+        elif e not in gone:
+            shared.node_of_edge[e] = keep
+    loser.parent = None
+    return kids
+
+
 def _absorb(tree: SpqrTree, keep: SpqrNode, loser: SpqrNode,
             el: int) -> None:
     """Take node ``loser`` out of the tree once its skeleton, less edge
-    ``el``, has gone into ``keep``'s and ``el`` is unlinked: the one
-    way a node leaves the tree without breaking up its block.  Its twin
-    links and real edges move to ``keep``, and so does its place in the
-    rooted tree: ``keep`` takes its parent if it was its child (none if
-    ``loser`` was the root, whose pointer may still name the node its
-    block was cut from) and its root role, and its children hang on
-    ``keep``.  A child of ``keep``'s kind S or P is left alone: it
-    merges with ``keep`` next, so only nodes that stay are re-pointed.
-    ``loser``'s own reset is not a parent change."""
+    ``el``, has gone into ``keep``'s and ``el`` is unlinked; called by
+    :func:`_merge_adjacent` and :func:`_dissolve_two_edge`.
+    :func:`_hand_over` moves its links and real edges, and ``keep``
+    takes its place in the rooted tree: its parent if ``keep`` was its
+    child (none if ``loser`` was the root, whose pointer may still name
+    the node its block was cut from), its root role, and its children.
+    A child of ``keep``'s kind S or P is left alone: it merges with
+    ``keep`` next, so only nodes that stay are re-pointed."""
     if keep.parent is loser:
         tree.set_parent(keep, None if tree._root is loser else loser.parent)
-    for c in _children(loser):
+    for c in _hand_over(tree.shared, keep, loser, [el]):
         if c.kind != keep.kind or c.kind == "R":
             tree.set_parent(c, keep)
-    loser.parent = None
-    for e in loser.graph.edge_ids():
-        if e in loser.twin:
-            loser.move_twin(e, keep)
-        elif e != el:
-            tree.shared.node_of_edge[e] = keep
     if tree._root is loser:
         tree._root = keep
 
 
-def _splice(kind: str, g: EmbeddedMultigraph, ek: int,
-            h: EmbeddedMultigraph, el: int) -> None:
-    """2-sum of equal-kind S or P skeletons in place: replace edge
-    ``ek`` of g by the edges of h other than ``el``, where ``ek`` and
-    ``el`` join the same vertex pair.  Edge ids and orientations carry
-    over.  A cycle takes h's path between the pair, whose inner
-    vertices are new to g; a bundle takes h's other edges in h's
-    rotation order at the first end of ``ek``, right where ``ek`` was,
-    and in reverse at the second end, so it stays planar."""
-    d = dart(ek, 0)
-    a, b = g.vertex_of_dart(d), g.vertex_of_dart(rev(d))
+def _splice(kind: str, g: EmbeddedMultigraph, cut: list[int],
+            edges: list[tuple[int, int, int]]) -> None:
+    """2-sum in place of S or P skeleton g with equal-kind skeletons
+    joined to it at its edges ``cut``: those edges go, and ``edges``,
+    the other skeletons' edges as (eid, u, w) less the edges they were
+    joined at, come in, with their ids and orientations.  A cycle takes
+    the new vertices and edges anywhere, since every vertex of a cycle
+    has one rotation.  A bundle takes every new edge right after the
+    first cut edge at its first end and right before it at the second,
+    where the rotation runs in reverse, so it stays plane; nothing reads
+    the order of a bundle's rotation."""
     if kind == "P":
-        after = {a: g.rotation_prev(d), b: g.rotation_prev(rev(d))}
-        rot = h.rotation(a)
-        i = next(i for i, x in enumerate(rot) if edge_of(x) == el)
-        g.delete_edge(ek)
-        for x in rot[i + 1:] + rot[:i]:
-            e = edge_of(x)
-            u, w = h.endpoints(e)
+        d = dart(cut[0], 0)
+        a, b = g.vertex_of_dart(d), g.vertex_of_dart(rev(d))
+        after = {a: d, b: g.rotation_prev(rev(d))}
+        for e, u, w in edges:
             g.insert_edge(u, w, after[u], after[w], eid=e)
-            # x is now e's dart at a in g too: the next edge goes after
-            # it at a, and before it at b
-            after[a] = x
-        return
-    g.delete_edge(ek)
-    for v in h.vertices():
-        if v != a and v != b:
-            g.add_vertex(v)
-    for e in h.edge_ids():
-        if e != el:
-            u, w = h.endpoints(e)
+            # the next edge goes after this one at a, before it at b
+            after[a] = dart(e, 0 if u == a else 1)
+    for e in cut:
+        g.delete_edge(e)
+    if kind == "S":
+        for e, u, w in edges:
+            for v in (u, w):
+                if not g.has_vertex(v):
+                    g.add_vertex(v)
             g.insert_edge(u, w, g.any_dart(u), g.any_dart(w), eid=e)
 
 
 def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
     """After a surgery on R node ``x``, split its skeleton at the
     separation pairs its detector reports: :func:`_decompose` runs on
-    the skeleton ``x`` keeps, and the pieces that leave inherit those
-    pairs instead of a recount.
+    the skeleton ``x`` keeps, the pieces that leave inherit those pairs
+    instead of a recount, and :func:`_merge_same_kind` makes every
+    equal-kind join once, so ``x`` lives on unless it ends S or P beside
+    a larger old neighbour.
 
-    The region of new nodes and ``x`` then merges two S or two P nodes
-    wherever they meet, from a worklist that takes each survivor back.
-    ``x`` and its children are cut loose from their parents meanwhile,
-    so no merge re-points a node of the region or one that may yet
-    merge; they get their pointers back afterwards.  The region's
-    children then point at a region node or at ``x``, so its one
-    outside neighbour that is not a child is its parent, and the region
-    node beside it is the anchor; with no such neighbour the anchor is
-    the tree's root.  A walk from the anchor hangs the region and its
-    children, and counts each pointer it changes from before the
-    split."""
+    Parents are then set only where a neighbour changed, so a split
+    costs what leaves, not what ``x`` keeps.  The anchor is the node
+    that now holds ``x``'s parent link: the node that took the parent's
+    place in a join, or else the node the link moved to, or else ``x``
+    or the node that took its place; it hangs on ``x``'s parent (none at
+    the root).  A walk from it over the links of the fresh ids hangs the
+    fresh nodes, the nodes a join kept and ``x``.  An old neighbour whose
+    twin moved hangs on the node it moved to, and a child of a node that
+    left on the node that took its place."""
     shared = tree.shared
     pairs = _r_pairs(x)
     if not pairs:
         x.det.reset_op_log()
         return
-    up, kids = x.parent, _children(x)
-    nodes, sizes = _mini_nodes(shared, x.graph, pairs, x)
+    up = None if tree._root is x else x.parent
+    # the parent of x's parent, read before a join hands its place over
+    top = None if up is None or tree._root is up else up.parent
+    nodes, sizes, (links, moved, kids, into) = _mini_nodes(
+        shared, x.graph, pairs, x)
     if x.kind == "R":
         x.det.reset_op_log()
     else:
         x.det = x.cmap = x.vvf = None
     shared.split_edges += sum(sizes) - max(sizes)
 
-    for nd in (x, *kids):
-        nd.parent = None
-    region = {*nodes, x}
-    work = [*nodes, x]
-    while work:
-        nd = work.pop()
-        if nd not in region or nd.kind == "R":
-            continue
-        for e, (m, f) in nd.twin.items():
-            if m.kind == nd.kind:
-                region -= {nd, m}
-                merged = _merge_adjacent(tree, nd, e, m, f)
-                region.add(merged)
-                work.append(merged)
-                break
-    x.parent = up
-    for c in kids:
-        c.parent = x
-
-    anchor, above = next(((nd, m) for nd in region
-                          for m, _ in nd.twin.values()
-                          if m not in region and m.parent is not x
-                          and m.parent not in region), (tree.root, None))
+    anchor, above = into.get(x, x), up
+    if up in into:
+        anchor, above = into[up], top
+    elif up is not None:
+        anchor = next((nd for c, nd in moved if c is up), anchor)
+    if tree._root in into:
+        tree._root = into[tree._root]
     tree.set_parent(anchor, above)
-    stack, reached = [anchor], 1
+    near: dict[SpqrNode, list[SpqrNode]] = defaultdict(list)
+    for n1, n2 in links:
+        near[n1].append(n2)
+        near[n2].append(n1)
+    stack, reached = [anchor], {anchor}
     while stack:
         cur = stack.pop()
-        for m, _ in cur.twin.values():
-            if m is not cur.parent:
+        for m in near[cur]:
+            if m not in reached:
+                reached.add(m)
                 tree.set_parent(m, cur)
-                if m in region:
-                    stack.append(m)
-                    reached += 1
-    assert reached == len(region), "split region not connected"
+                stack.append(m)
+    assert reached.issuperset(nodes), "split region not connected"
+    for c, nd in moved:
+        if c is not up:
+            tree.set_parent(c, nd)
+    for c, nd in kids:
+        tree.set_parent(c, nd)
 
 
 # ----------------------------------------------------------------------

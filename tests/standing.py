@@ -13,8 +13,10 @@ status is 1.
 Timings are only printed: the fastest and slowest of three repeats, the
 ratio to the fastest at the size before, and ``<-`` where the fastest
 is above ``RATIO_MARK`` times the slowest there, so that the spread
-between repeats marks no row.  A change that moves an expected value
-edits the JSON and says why.  The sections:
+between repeats marks no row.  Each row also prints one count per unit
+of work, marked ``<-`` where it is above ``COUNT_MARK`` times that of
+the size before, where the section states a factor.  A change that
+moves an expected value edits the JSON and says why.  The sections:
 
 - ``replay``: the ``perfbench/corpus`` fixtures through
   ``harness.replay``, which compares every tree with the fixture's.  It
@@ -42,7 +44,10 @@ edits the JSON and says why.  The sections:
   theta's poles.
 - ``updates``: ops, ``EmbeddedMultigraph.build`` and
   ``SpqrTree.set_parent`` calls in one pass, and ``check()`` on the
-  final tree; most dense ops split one large R node.
+  final tree; most dense ops split one large R node.  The parents per
+  op are marked where they grow by more than ``COUNT_MARK`` per
+  doubling: an update that re-hangs what stays, not what leaves, grows
+  them with the graph.
 """
 
 from __future__ import annotations
@@ -72,6 +77,9 @@ EXPECTED = Path(__file__).with_name("standing.json")
 REPEATS = 3
 # per section, how much slower than the size before marks a row
 RATIO_MARK = {"build": 3.0, "updates": 1.6}
+# per section, how much larger than at the size before marks a row's
+# count per unit of work
+COUNT_MARK = {"updates": 1.5}
 # per graph kind, the detector counters of the replay
 DETECTOR = ("walks build", "walks updates", "mutations", "renames",
             "in-place degree 2", "in-place more", "pendant merges",
@@ -277,28 +285,30 @@ def rows(section: str, families, measure) -> dict:
     """Print and collect the rows of each ``(key, title, make, sizes)``
     family.  ``measure(make, size)`` returns the fastest and slowest
     repeat in seconds, the final tree, the row's counts and a
-    printed-only ratio; the counts and the tree's ``check()`` are
-    kept."""
+    printed-only count per unit of work with its label; the counts and
+    the tree's ``check()`` are kept."""
     scale, unit = (1, "s") if section == "build" else (1e6, "us")
     out = {}
     for key, title, make, sizes in families:
         print(f"  {title}: fastest and slowest {unit}, ratio")
         out[key], prev = {}, None
         for size in sizes:
-            fast, slow, tree, counts, shown = measure(make, size)
+            fast, slow, tree, counts, (label, per) = measure(make, size)
             note = "" if prev is None else f"{fast / prev[0]:.2f}" + (
                 " <-" if fast > RATIO_MARK[section] * prev[1] else "")
+            grown = prev is not None and section in COUNT_MARK \
+                and per > COUNT_MARK[section] * prev[2]
             try:
                 tree.check()
                 counts["check"] = "ok"
             except AssertionError as ex:
                 counts["check"] = f"failed: {ex}"
             print(f"  {size:>6} {fast * scale:9.3f} {slow * scale:9.3f} "
-                  f"{note:>8}  {shown}, "
+                  f"{note:>8}  {label} {per:.2f}{' <-' * grown}, "
                   + ", ".join(f"{k} {v}" for k, v in counts.items()),
                   flush=True)
             out[key][str(size)] = counts
-            prev = fast, slow
+            prev = fast, slow, per
     return out
 
 
@@ -342,7 +352,7 @@ def build() -> dict:
         return (min(times), max(times), tree,
                 {"m": g.n_edges, "S records": cycles,
                  "pair records": len(records) - cycles, **scans},
-                f"scans {scans['scanned'] / max(1, scans['listed']):.2f}")
+                ("scans", scans["scanned"] / max(1, scans["listed"])))
 
     return rows("build", BUILDS, measure)
 
@@ -374,7 +384,7 @@ def updates() -> dict:
         return (min(times), max(times), tree,
                 {"m": g.n_edges, "ops": len(ops), "builds": calls["builds"],
                  "set_parent": calls["set_parent"]},
-                f"parents per op {calls['set_parent'] / len(ops):.1f}")
+                ("parents per op", calls["set_parent"] / len(ops)))
 
     with patched((EmbeddedMultigraph, "build", classmethod(counting_build)),
                  (SpqrTree, "set_parent", counting_set_parent)):

@@ -936,6 +936,148 @@ def test_ladder_merges_splice_in_place(monkeypatch):
     assert tree.serialize() == canonical_spqr(g)
 
 
+def test_a_split_costs_what_leaves(monkeypatch):
+    # deleting an edge at a vertex of degree 3 of the large R node x of
+    # a dense graph leaves that vertex of degree 2, and its two edges
+    # leave x as an S piece, alone or with a P hub.  x holds about 150
+    # twins, and the split re-hangs only what changed: a few set_parent
+    # calls, none per twin of x.  Equal-kind joins are made in
+    # _merge_same_kind, so the split calls no _merge_adjacent, and a
+    # piece whose group holds an old node is spliced into it, so every
+    # _skeleton call makes a node that is new in the tree
+    g = random_planar(400, 0, 8)
+    tree = build_spqr(g)
+    x = max(tree.nodes(), key=lambda nd: nd.graph.n_edges)
+    assert x.kind == "R" and len(x.twin) >= 50
+    seen = Counter()
+    inside = []
+
+    def counting(name, fn):
+        def run(*args, **kw):
+            seen[name] += 1
+            if inside:
+                seen[name + " in split"] += 1
+            return fn(*args, **kw)
+        monkeypatch.setattr(spqr, name, run)
+
+    def split(tree, node):
+        inside.append(node)
+        try:
+            split_r_node(tree, node)
+        finally:
+            inside.pop()
+
+    split_r_node = spqr._split_r_node
+    monkeypatch.setattr(spqr, "_split_r_node", split)
+    for name in ("_merge_adjacent", "_skeleton", "_splice"):
+        counting(name, getattr(spqr, name))
+    set_parent = spqr.SpqrTree.set_parent
+    monkeypatch.setattr(spqr.SpqrTree, "set_parent", lambda *args: (
+        seen.update(["set_parent"]), set_parent(*args)))
+    peels = 0
+    while True:
+        h = x.graph
+        v = next((v for v in sorted(h.vertices()) if h.degree(v) == 3
+                  and not any(edge_of(d) in x.twin for d in h.rotation(v))),
+                 None)
+        if v is None:
+            break
+        e = min(edge_of(d) for d in h.rotation(v))
+        before = set(tree.nodes())
+        seen["set_parent"] = seen["_skeleton"] = 0
+        log = delete_edge(tree, e)
+        g.delete_edge(e)
+        assert log.kind == "intact" and x.kind == "R"
+        tree = log.tree
+        assert seen["set_parent"] <= 6, (peels, len(x.twin))
+        assert seen["_skeleton"] == sum(nd.kind in "SP" for nd in tree.nodes()
+                                        if nd not in before)
+        peels += 1
+    monkeypatch.undo()
+    assert peels >= 20 and len(x.twin) >= 150
+    assert seen["_merge_adjacent in split"] == 0
+    assert seen["_splice in split"], "no piece joined an old node"
+    tree.check()
+    assert tree.serialize() == build_spqr(g).serialize()
+
+
+@contextlib.contextmanager
+def join_kinds():
+    """Per kind, the equal-kind joins of R splits that hold an old node,
+    as ``_merge_same_kind`` splices them: ``one old`` is a fresh piece
+    joining one old neighbour of the split node x, ``bridge`` fresh
+    pieces joining two or more, ``x`` the split node, left S or P,
+    joining fresh pieces and an old neighbour, and ``x leaves`` a join
+    in which x goes into a larger old neighbour.  A piece counts when it
+    brings an edge no old member of the group held.  Every join keeps an
+    old node with most skeleton edges, x on a tie."""
+    seen = Counter()
+    merge, splice = spqr._merge_same_kind, spqr._splice
+    spliced = []
+
+    def recording_splice(kind, g, cut, edges):
+        spliced.append((g, g.n_edges, [e for e, _, _ in edges]))
+        return splice(kind, g, cut, edges)
+
+    def classifying_merge(shared, pieces, vid_base, r):
+        spliced.clear()
+        nodes, rehang = merge(shared, pieces, vid_base, r)
+        into = rehang[-1]
+        for g, size, ids in spliced:
+            keep = next(m for m in into if m.graph is g)
+            olds = [m for m, s in into.items() if s is keep]
+            assert all(m.graph.n_edges <= size for m in olds if m is not keep)
+            assert r not in olds or r is keep or r.graph.n_edges < size
+            seen["x leaves"] += r in olds and r is not keep
+            held = {e for m in olds if m is not keep
+                    for e in m.graph.edge_ids()}
+            if all(e in held for e in ids):
+                continue
+            others = sum(m is not r for m in olds)
+            if r in olds:
+                seen["x"] += others >= 1
+            else:
+                seen["one old" if others == 1 else "bridge"] += 1
+        return nodes, rehang
+
+    spqr._merge_same_kind, spqr._splice = classifying_merge, recording_splice
+    try:
+        yield seen
+    finally:
+        spqr._merge_same_kind, spqr._splice = merge, splice
+
+
+# (join, n, seed): a replay of _replay_ops(seed, n) that reaches the join
+_JOIN_CASES = [pytest.param("one old", 16, 8, id="one-old"),
+               pytest.param("bridge", 12, 3, id="bridge"),
+               pytest.param("x", 14, 39, id="x-ends-S"),
+               pytest.param("x leaves", 18, 46, id="x-leaves")]
+
+
+@pytest.mark.parametrize("join, n, seed", _JOIN_CASES)
+def test_r_split_joins(join, n, seed):
+    # each join of an R split that holds an old node leaves the tree a
+    # fresh build and the oracle make, and every node an op counts as
+    # re-parented stays in the tree
+    g, ops, graphs = _replay_ops(seed, n)
+    tree = build_spqr(g)
+    reached = 0
+    for (op, e), h in zip(ops, graphs):
+        fn = delete_edge if op == "d" else contract_edge
+        with join_kinds() as seen, parent_moves() as moved:
+            log = fn(tree, e)
+        assert log.kind == "intact"
+        tree = log.tree
+        tree.check()
+        assert set(moved) <= set(tree.nodes())
+        assert tree.serialize() == build_spqr(h).serialize()
+        if seen[join]:
+            reached += 1
+            if h.n_edges <= 40:
+                assert tree.serialize() == canonical_spqr(h)
+    assert reached
+
+
 # The twin pair of a merge, with the other node's child: (kind, larger
 # skeleton, smaller skeleton less its virtual edge 11, the child), as
 # (eid, u, w) lists; the larger node's virtual edge 10 joins 0 and 1,
