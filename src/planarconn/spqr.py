@@ -53,10 +53,11 @@ reported pairs, so an update never counts pairs, and the node keeps its
 detector.  Every equal-kind join a split makes is resolved once: the
 pieces that leave join each other, the node that stays and its old
 neighbours, and a group that holds an old node keeps one, into whose
-skeleton the others are spliced by a 2-sum in place.  Two S or two P
-nodes that a dissolved node leaves adjacent merge the same way, the
-smaller skeleton into the larger.  So a join costs the fresh edges and
-the smaller old sides and never rebuilds a skeleton, and a split
+skeleton the others are spliced by a 2-sum in place.  A node that an
+update leaves with two edges dissolves: a neighbour takes its place,
+and when its two neighbours are two S or two P nodes they join by the
+same rule, through the same join.  So a join costs the fresh edges and
+the smaller old sides and never rebuilds a skeleton, and an update
 re-hangs only the nodes whose neighbour changed.  A node leaves the
 tree without breaking up its block in one way only, handed over to a
 neighbour.  Instrumentation counters record re-parented nodes that
@@ -67,7 +68,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .embed import (
     EmbeddedMultigraph,
@@ -376,36 +377,6 @@ def _split_classes(
 # ----------------------------------------------------------------------
 # skeleton builders
 
-def _skeleton(kind: str,
-              edges: list[tuple[int, int, int]]) -> EmbeddedMultigraph:
-    """Canonical embedding of an S skeleton (a simple cycle) or a P
-    skeleton (a parallel bundle) given as (eid, u, w), assembled with
-    ``add_vertex`` and ``insert_edge`` in increasing id order: a cycle
-    and a bundle are plane by construction, so nothing is re-validated.
-    A bundle's rotation follows the ids at its smaller pole and runs in
-    reverse at the other.  The embedding is canonical only at creation:
-    later joins splice edges in where a twin edge was (:func:`_splice`),
-    and nothing reads the order of a bundle's rotation."""
-    edges = sorted(edges)
-    g = EmbeddedMultigraph()
-    for v in sorted({x for _, u, w in edges for x in (u, w)}):
-        g.add_vertex(v)
-    if kind == "S":
-        for e, u, w in edges:
-            g.insert_edge(u, w, g.any_dart(u), g.any_dart(w), eid=e)
-        assert all(g.degree(v) == 2 for v in g.vertices()), "not a cycle"
-        return g
-    a, b = g.vertices()
-    last = None
-    for e, u, w in edges:
-        # each new dart goes after the last one at a, and right after
-        # the first one at b, which reverses the order there
-        after = {a: last, b: g.any_dart(b)}
-        g.insert_edge(u, w, after[u], after[w], eid=e)
-        last = dart(e, 0 if u == a else 1)
-    return g
-
-
 def _class_run(g: EmbeddedMultigraph, v: int, cls: set[int]) -> list[int]:
     """The darts of ``cls`` at v, which occupy one circular run of v's
     rotation, in rotation order."""
@@ -555,8 +526,11 @@ class SpqrTree:
     counting.  An R split rewrites the pointers of its fresh nodes, of
     the old nodes that took another's place in a join, of the old
     neighbours whose twin moved, of the children of nodes that left,
-    and of the node it split when that no longer holds its parent link,
-    so the count follows what leaves, not what stays.  ``split_edges``
+    and of the node it split when that no longer holds its parent link.
+    A dissolve rewrites the pointer of the node that takes the
+    dissolved node's place, unless that node was the top-most, and
+    those of the children of the nodes that left.  So the count
+    follows what leaves, not what stays.  ``split_edges``
     totals the skeleton edges placed in non-largest pieces of skeleton
     splits, and ``renames`` counts the node-vertex incidences that
     rename cascades rewrote.  All of them live in the shared registry,
@@ -1113,15 +1087,11 @@ def _merge_same_kind(shared: _Shared, pieces: list[tuple], vid_base: int,
     are ``r``'s twins read), a piece and the old node holding the twin
     of an edge ``r`` handed it, and ``r`` and an old neighbour.  The
     shared edges disappear, and each group becomes one node.  A group of
-    pieces only is built by one :func:`_skeleton` call.  In a group with
-    old nodes one lives on: the one with most skeleton edges, on a tie
-    ``r``, then the one holding the smallest real edge id, then the one
-    with the smallest sorted vertex labels, so no virtual id decides
-    (only two P nodes of one pair with no real edge and as many edges,
-    which a contraction of ``r`` can bring together, stay tied, and the
-    first met lives on).  The other members are spliced into it once
-    (:func:`_splice`) and handed over to it (:func:`_hand_over`), so a
-    join costs the fresh edges plus the old nodes that leave, none
+    pieces only is one fresh skeleton, spliced into an empty graph in
+    edge-id order (:func:`_splice`).  In a group with old nodes the
+    :func:`_survivor` lives on, ``r`` on a tie, and :func:`_join`
+    splices the fresh edges and the other old members into it once, so
+    a join costs the fresh edges plus the old nodes that leave, none
     larger than the one that stays.  An R piece never joins.
 
     Besides the fresh nodes, returns for :func:`_split_r_node` the node
@@ -1188,25 +1158,18 @@ def _merge_same_kind(shared: _Shared, pieces: list[tuple], vid_base: int,
     nodes: list[SpqrNode] = []
     joins = []
 
-    def rank(nd: SpqrNode) -> tuple[int, bool]:
-        return nd.graph.n_edges, nd is r
-
     for group in groups.values():
         if group[-1] >= n:      # the old members come last
             olds = [old[i - n] for i in group if i >= n]
-            fresh = [i for i in group if i < n]
-            nd = max(olds, key=rank)
-            tied = [m for m in olds if rank(m) == rank(nd)]
-            if len(tied) > 1:
-                nd = min(tied, key=lambda m: (
-                    min(m.real_ids(), default=float("inf")),
-                    sorted(m.graph.vertices())))
-            joins.append((nd, olds, fresh))
+            nd = _survivor(olds, r)
+            joins.append((nd, olds, [i for i in group if i < n]))
         else:
             kind, body = pieces[group[0]]
             if kind != "R":
-                body = _skeleton(kind, [t for i in group for t in pieces[i][1]
-                                        if t[0] not in inner])
+                body = EmbeddedMultigraph()
+                _splice(kind, body, [], sorted(t for i in group
+                                               for t in pieces[i][1]
+                                               if t[0] not in inner))
             nd = SpqrNode(kind, body)
             nodes.append(nd)
         for i in group:
@@ -1224,17 +1187,10 @@ def _merge_same_kind(shared: _Shared, pieces: list[tuple], vid_base: int,
     kids = []
     for nd, olds, fresh in joins:
         edges = [t for i in fresh for t in pieces[i][1] if t[0] not in inner]
-        leave = [m for m in olds if m is not nd]
-        for m in leave:
-            cut = set(seams[m])
-            edges += [(e, *m.graph.endpoints(e))
-                      for e in m.graph.edge_ids() if e not in cut]
-        _splice(nd.kind, nd.graph, seams[nd], edges)
-        for m in leave:
-            # an old child of r that joined a piece is linked to r by a
-            # fresh id now, and hangs where the links say
-            kids += [(c, nd) for c in _hand_over(shared, nd, m, seams[m])
-                     if c not in into]
+        # an old child of r that joined a piece is linked to r by a fresh
+        # id now, and hangs where the links say
+        kids += [(c, nd) for c in _join(shared, nd, olds, seams, edges)
+                 if c not in into]
     for i, es in enumerate(ids):
         for e in es:
             if e < vid_base:    # real, or handed over and unindexed next
@@ -1287,36 +1243,51 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
 
 
 # ----------------------------------------------------------------------
-# merging S and P nodes, and splitting a maintained R node
+# joining S and P nodes, and splitting a maintained R node
 #
-# An R node's skeleton is decomposed in place by _decompose, as in
-# construction, and _merge_same_kind joins the pieces with each other,
-# with the kept node and with its old neighbours; _split_r_node then
-# re-hangs what changed.  _merge_adjacent joins two nodes that a
-# dissolved two-edge node leaves adjacent.
+# Two adjacent S nodes join into one cycle, and two adjacent P nodes
+# into one bundle, by a 2-sum at the edges they share.  Every such join
+# goes through _join, with the node that lives on picked by _survivor:
+# the joins of an R split, which _merge_same_kind groups, and the join
+# of the two S or two P neighbours that a dissolved two-edge node leaves
+# adjacent (_dissolve_two_edge).  _splice writes every S and P
+# skeleton, a fresh one into an empty graph.  An R node's skeleton is
+# decomposed in place by _decompose, as in construction, and
+# _split_r_node then re-hangs what changed.
 
-def _merge_adjacent(tree: SpqrTree, n1: SpqrNode, e1: int,
-                    n2: SpqrNode, e2: int) -> SpqrNode:
-    """Merge two adjacent equal-kind S or P nodes linked by the twin
-    pair (n1,e1)-(n2,e2) by a 2-sum in place; called by
-    :func:`_dissolve_two_edge` only, as an R split joins its nodes in
-    :func:`_merge_same_kind`.  The node with more skeleton edges
-    (``n1`` on a tie) keeps its identity and its graph, into which
-    :func:`_splice` puts the other skeleton, so a merge costs the
-    smaller side and a long cycle or bundle that keeps absorbing small
-    pieces is never rebuilt; :func:`_absorb` then takes the other node
-    out of the tree."""
-    assert n1.kind == n2.kind and n1.kind in "SP"
-    if n1.graph.n_edges >= n2.graph.n_edges:
-        keep, ek, loser, el = n1, e1, n2, e2
-    else:
-        keep, ek, loser, el = n2, e2, n1, e1
-    h = loser.graph
-    _splice(keep.kind, keep.graph, [ek],
-            [(e, *h.endpoints(e)) for e in h.edge_ids() if e != el])
-    n1.unlink(e1)
-    _absorb(tree, keep, loser, el)
-    return keep
+def _survivor(olds: list[SpqrNode], r: SpqrNode | None = None) -> SpqrNode:
+    """The node that lives on when the equal-kind S or P nodes ``olds``
+    join: the one with most skeleton edges, on a tie ``r`` (the R node
+    a split left S or P), then the one holding the smallest real edge
+    id, then the one with the smallest sorted vertex labels.  So no
+    virtual id decides, save between P nodes of one pair with no real
+    edge and as many edges, which a contraction can bring together:
+    the first of them in ``olds`` lives on."""
+    most = max(m.graph.n_edges for m in olds)
+    tied = [m for m in olds if m.graph.n_edges == most]
+    if r in tied:
+        return r
+    return tied[0] if len(tied) == 1 else min(tied, key=lambda m: (
+        min(m.real_ids(), default=float("inf")), sorted(m.graph.vertices())))
+
+
+def _join(shared: _Shared, nd: SpqrNode, olds: list[SpqrNode],
+          seams: dict[SpqrNode, list[int]],
+          edges: list[tuple[int, int, int]]) -> list[SpqrNode]:
+    """Join the equal-kind S or P nodes ``olds`` into ``nd``, one of
+    them, by a 2-sum in place: each loses its ``seams``, the edges it
+    was joined at, already unlinked, and :func:`_splice` puts the fresh
+    ``edges`` and the other skeletons into ``nd``'s, which is never
+    rebuilt.  The others are handed over to ``nd``
+    (:func:`_hand_over`); returns the nodes that were their children,
+    which the caller re-hangs."""
+    leave = [m for m in olds if m is not nd]
+    for m in leave:
+        cut = set(seams[m])
+        edges += [(e, *m.graph.endpoints(e))
+                  for e in m.graph.edge_ids() if e not in cut]
+    _splice(nd.kind, nd.graph, seams[nd], edges)
+    return [c for m in leave for c in _hand_over(shared, nd, m, seams[m])]
 
 
 def _hand_over(shared: _Shared, keep: SpqrNode, loser: SpqrNode,
@@ -1325,9 +1296,9 @@ def _hand_over(shared: _Shared, keep: SpqrNode, loser: SpqrNode,
     its skeleton, less the unlinked edges ``gone``, has gone into
     ``keep``'s, and reset its parent pointer, which is not a parent
     change; return the nodes that were its children.  The one way a node
-    leaves the tree without breaking up its block: through
-    :func:`_absorb`, or in :func:`_merge_same_kind` for the old nodes an
-    R split joins, where :func:`_split_r_node` re-hangs the children."""
+    leaves the tree without breaking up its block: in :func:`_join`, for
+    every node a join does not keep, and in :func:`_dissolve_two_edge`,
+    for the dissolved node."""
     kids = []
     gone = set(gone)
     for e in loser.graph.edge_ids():
@@ -1342,39 +1313,29 @@ def _hand_over(shared: _Shared, keep: SpqrNode, loser: SpqrNode,
     return kids
 
 
-def _absorb(tree: SpqrTree, keep: SpqrNode, loser: SpqrNode,
-            el: int) -> None:
-    """Take node ``loser`` out of the tree once its skeleton, less edge
-    ``el``, has gone into ``keep``'s and ``el`` is unlinked; called by
-    :func:`_merge_adjacent` and :func:`_dissolve_two_edge`.
-    :func:`_hand_over` moves its links and real edges, and ``keep``
-    takes its place in the rooted tree: its parent if ``keep`` was its
-    child (none if ``loser`` was the root, whose pointer may still name
-    the node its block was cut from), its root role, and its children.
-    A child of ``keep``'s kind S or P is left alone: it merges with
-    ``keep`` next, so only nodes that stay are re-pointed."""
-    if keep.parent is loser:
-        tree.set_parent(keep, None if tree._root is loser else loser.parent)
-    for c in _hand_over(tree.shared, keep, loser, [el]):
-        if c.kind != keep.kind or c.kind == "R":
-            tree.set_parent(c, keep)
-    if tree._root is loser:
-        tree._root = keep
-
-
 def _splice(kind: str, g: EmbeddedMultigraph, cut: list[int],
             edges: list[tuple[int, int, int]]) -> None:
-    """2-sum in place of S or P skeleton g with equal-kind skeletons
-    joined to it at its edges ``cut``: those edges go, and ``edges``,
-    the other skeletons' edges as (eid, u, w) less the edges they were
-    joined at, come in, with their ids and orientations.  A cycle takes
-    the new vertices and edges anywhere, since every vertex of a cycle
-    has one rotation.  A bundle takes every new edge right after the
-    first cut edge at its first end and right before it at the second,
-    where the rotation runs in reverse, so it stays plane; nothing reads
-    the order of a bundle's rotation."""
+    """Write S or P skeleton g: with ``cut``, a 2-sum in place with
+    equal-kind skeletons joined to g at those edges, which go; with no
+    ``cut``, a fresh skeleton into an empty g, whose first edge goes in
+    alone.  ``edges``, the other skeletons' edges as (eid, u, w) less
+    the edges they were joined at, come in with their ids and
+    orientations, so a splice costs them and not g.  A cycle takes the
+    new vertices and edges anywhere, since every vertex of a cycle has
+    one rotation; a fresh one asserts that it is a cycle.  A bundle
+    takes every new edge right after the anchor, its first cut edge or
+    its first edge, at its smaller pole and right before it at the
+    other, where the rotation runs in reverse, so it stays plane: a
+    fresh bundle given in id order runs in id order at its smaller
+    pole.  Nothing reads the order of a bundle's rotation."""
+    if not cut:
+        (e, u, w), *edges = edges
+        g.add_vertex(u)
+        g.add_vertex(w)
+        g.insert_edge(u, w, None, None, eid=e)
+    anchor = cut[0] if cut else e
     if kind == "P":
-        d = dart(cut[0], 0)
+        d = min(dart(anchor, 0), dart(anchor, 1), key=g.vertex_of_dart)
         a, b = g.vertex_of_dart(d), g.vertex_of_dart(rev(d))
         after = {a: d, b: g.rotation_prev(rev(d))}
         for e, u, w in edges:
@@ -1389,6 +1350,8 @@ def _splice(kind: str, g: EmbeddedMultigraph, cut: list[int],
                 if not g.has_vertex(v):
                     g.add_vertex(v)
             g.insert_edge(u, w, g.any_dart(u), g.any_dart(w), eid=e)
+        assert cut or all(g.degree(v) == 2 for v in g.vertices()), \
+            "not a cycle"
 
 
 def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:
@@ -1562,37 +1525,46 @@ def _dissolve_two_edge(tree: SpqrTree, x: SpqrNode
                        ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """Case ladder for a node whose skeleton is down to two edges
     joining one vertex pair.  With no virtual edge the whole block is
-    those two real edges and the tree is gone.  Otherwise one virtual
-    edge is unlinked, its twin takes the id of ``x``'s other edge, real
-    or virtual, and :func:`_absorb` lets the neighbour take ``x``'s
-    place.  Two S or two P neighbours are instead linked to each other
-    and merge, and the larger takes ``x``'s place, so that it survives
-    the merge (two R neighbours stay apart).  Returns ``(ends, edge
-    ids)`` of the pair in the first case and None when the tree lives
-    on."""
+    those two real edges and the tree is gone.  Otherwise ``x`` leaves
+    the tree, handed over (:func:`_hand_over`) to the node that takes
+    its place.  When its two neighbours are two S or two P nodes, both
+    links are unlinked and the neighbours join through :func:`_join`,
+    and the :func:`_survivor` takes the place of the top-most of ``x``
+    and the two.  Otherwise the neighbour across a virtual edge takes
+    the id of ``x``'s other edge, real or virtual, and ``x``'s place
+    (two R neighbours stay apart).  Only pointers that change are set:
+    the taker's, unless it was top-most, and those of the children of
+    the nodes that left.  Returns ``(ends, edge ids)`` of the pair in
+    the first case and None when the tree lives on."""
     shared = tree.shared
     g = x.graph
     r1, r2 = sorted(g.edge_ids())
     if r1 not in x.twin and r2 not in x.twin:
-        u, w = g.endpoints(r1)
         shared.node_of_edge.pop(r1, None)
         shared.node_of_edge.pop(r2, None)
-        return ((u, w) if u < w else (w, u)), (r1, r2)
+        return tuple(sorted(g.endpoints(r1))), (r1, r2)
     v, o = (r1, r2) if r1 in x.twin else (r2, r1)
     m = x.twin[v][0]
     m2 = x.twin[o][0] if o in x.twin else None
-    if m2 is None or m.kind != m2.kind or m.kind == "R":
+    joined = m2 is not None and m.kind == m2.kind != "R"
+    up = None if tree._root is x else x.parent
+    top = up if up is not None and (joined or up is m) else x
+    above = None if tree._root is top else top.parent
+    if joined:
+        (m, f), (m2, f2) = x.unlink(v), x.unlink(o)
+        nd = _survivor([m, m2])
+        kids = _join(shared, nd, [m, m2], {m: [f], m2: [f2]}, [])
+        kids += _hand_over(shared, nd, x, [v, o])
+    else:
         m, f = x.unlink(v)
         _rekey(m, f, o)
-        _absorb(tree, m, x, v)
-        return None
-    if m2.graph.n_edges > m.graph.n_edges:
-        v, o = o, v
-    (m, f), (m2, f2) = x.unlink(v), x.unlink(o)
-    m.link(f, m2, f2)
-    g.delete_edge(o)
-    _absorb(tree, m, x, v)
-    _merge_adjacent(tree, m, f, m2, f2)
+        nd, kids = m, _hand_over(shared, m, x, [v])
+    if nd is not top:
+        tree.set_parent(nd, above)
+    for c in kids:
+        tree.set_parent(c, nd)
+    if tree._root is top:
+        tree._root = nd
     return None
 
 
@@ -1684,11 +1656,19 @@ def _take_real(tree: SpqrTree, e: int) -> SpqrNode:
 
     The edge belongs to this block when its node's parent chain ends
     at this tree's root; blocks of one origin share ``node_of_edge``.
+    Each tree edge holds a distinct virtual id, and every one drawn is
+    below ``vids.peek()``, so a chain that climbs that far is a cycle,
+    and the op fails with an ``AssertionError`` naming the edge.
     """
     x = tree.shared.node_of_edge.get(e)
     top = x
-    while top is not None and top.parent is not None:
-        top = top.parent
+    if x is not None:
+        for _ in repeat(None, tree.shared.vids.peek()):
+            if (up := top.parent) is None:
+                break
+            top = up
+        else:
+            raise AssertionError(f"edge {e}: parent pointers form a cycle")
     if x is None or top is not tree._root:
         raise UnknownEdge(f"edge {e} is not a real edge of this block")
     del tree.shared.node_of_edge[e]

@@ -218,6 +218,36 @@ def k4_chain(k: int) -> EmbeddedMultigraph:
     return from_straight_line_drawing(coords, edges)
 
 
+def nested(k: int) -> EmbeddedMultigraph:
+    """k concentric triangles a_i b_i c_i = 3i, 3i + 1, 3i + 2 at radius
+    i + 1, each joined to the next by the radial edges a_i a_(i+1),
+    b_i b_(i+1) and c_i c_(i+1): triconnected for k >= 2, with n = 3k and
+    m = 6k - 3.  Edges 6i, 6i + 1 and 6i + 2 are triangle i's a-b, b-c
+    and c-a, and 6i + 3, 6i + 4 and 6i + 5 its radial a-, b- and c-edge
+    to triangle i + 1.  Deleting the radial a-edge between triangles i
+    and i + 1 makes {b_i, c_i} and {b_(i+1), c_(i+1)} separation pairs."""
+    coords, edges = {}, []
+    for i in range(k):
+        for j in range(3):
+            a = math.pi / 2 + 2 * math.pi * j / 3
+            coords[3 * i + j] = ((i + 1) * math.cos(a), (i + 1) * math.sin(a))
+        edges += [(6 * i + j, 3 * i + j, 3 * i + (j + 1) % 3)
+                  for j in range(3)]
+        if i + 1 < k:
+            edges += [(6 * i + 3 + j, 3 * i + j, 3 * i + 3 + j)
+                      for j in range(3)]
+    return from_straight_line_drawing(coords, edges)
+
+
+def bisection(lo: int, hi: int) -> list[int]:
+    """lo .. hi - 1 in bisection order: the middle one, then those
+    before it and those after it, each in bisection order."""
+    if lo >= hi:
+        return []
+    mid = (lo + hi) // 2
+    return [mid, *bisection(lo, mid), *bisection(mid + 1, hi)]
+
+
 def parallel_bundle(k: int, ids: list[int] | None = None) -> EmbeddedMultigraph:
     """Two vertices joined by k parallel edges."""
     if ids is None:

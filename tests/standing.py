@@ -48,12 +48,23 @@ moves an expected value edits the JSON and says why.  The sections:
   op are marked where they grow by more than ``COUNT_MARK`` per
   doubling: an update that re-hangs what stays, not what leaves, grows
   them with the graph.
+
+The ``replay`` and ``updates`` sections also audit their reach: a
+``sys.setprofile`` hook records the functions they enter, and each
+keeps, as its ``unreached`` key, the sorted names of the package's
+functions and methods it never enters, so a change that strands code or
+narrows a workload's reach moves that key.  ``UNREACHED`` gives each
+listed function its reason.  The hook is off while ``updates`` times
+its repeats, and one untimed pass of each row's ops before them is
+audited instead.  On a 2-core x86-64 box the hook takes the replay from
+about 2.3 to 6.4 s, and the updates section from 3.2 to 11.3 s.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -64,7 +75,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from perfbench import harness
-from planarconn import fourcycle, separators, spqr
+from planarconn import (embed, fourcycle, generators, oracle, separators,
+                        spqr)
 from planarconn.embed import EmbeddedMultigraph
 from planarconn.generators import random_planar
 from planarconn.spqr import SpqrTree, build_spqr, contract_edge, delete_edge
@@ -74,6 +86,7 @@ from .test_duality import shape
 from .test_spqr import _replay_case, _replay_ops
 
 EXPECTED = Path(__file__).with_name("standing.json")
+PACKAGE = Path(spqr.__file__).resolve().parent
 REPEATS = 3
 # per section, how much slower than the size before marks a row
 RATIO_MARK = {"build": 3.0, "updates": 1.6}
@@ -108,6 +121,66 @@ UPDATES = (("ladder", "ladder grid(2, k), inner rungs deleted in order",
            ("dense", "dense random_planar(k, 1), 100 ops that keep one block",
             lambda k: _replay_ops(1, k, 100)[:2],
             (200, 400, 800, 1600)))
+
+
+def package_functions() -> dict:
+    """The code object of every function and method in the package's
+    source files, mapped to its name ``module.qualname``; functions
+    nested in others are left to their parents."""
+    found = {}
+    for mod in (embed, fourcycle, generators, oracle, separators, spqr):
+        for top in vars(mod).values():
+            for obj in vars(top).values() if inspect.isclass(top) else [top]:
+                fns = ((obj.fget, obj.fset, obj.fdel)
+                       if isinstance(obj, property)
+                       else [getattr(obj, "__func__", obj)])
+                for fn in fns:
+                    code = getattr(fn, "__code__", None)
+                    if code and Path(code.co_filename).parent == PACKAGE:
+                        found[code] = (fn.__module__.removeprefix(
+                            "planarconn.") + "." + fn.__qualname__)
+    return found
+
+
+@contextlib.contextmanager
+def reach():
+    """The code objects of the functions entered inside, recorded with
+    ``sys.setprofile``; :func:`unprofiled` leaves a stretch out."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        yield codes
+    finally:
+        sys.setprofile(None)
+
+
+@contextlib.contextmanager
+def unprofiled():
+    """Suspend the profile hook inside, so that what is timed there is
+    not slowed by it."""
+    hook = sys.getprofile()
+    sys.setprofile(None)
+    try:
+        yield
+    finally:
+        sys.setprofile(hook)
+
+
+def unreached(codes: set) -> list[str]:
+    """The package functions whose code is not in ``codes``, sorted; the
+    count is printed, and each one :data:`UNREACHED` gives no reason."""
+    names = sorted(name for code, name in package_functions().items()
+                   if code not in codes)
+    print(f"  {len(names)} package functions unreached")
+    for name in names:
+        if name not in UNREACHED:
+            print(f"  unreached, with no reason given: {name}")
+    return names
 
 
 @contextlib.contextmanager
@@ -370,17 +443,22 @@ def updates() -> dict:
         calls["set_parent"] += 1
         set_parent(self, node, parent)
 
+    def play(tree, ops):
+        for op, e in ops:
+            tree = (delete_edge if op == "d" else contract_edge)(tree, e).tree
+        return tree
+
     def measure(family, k):
         g, ops = family(k)
+        play(build_spqr(g), ops)    # untimed, for the reach audit
         times = []
         for _ in range(REPEATS):
             tree = build_spqr(g)
             calls.clear()
-            t0 = time.perf_counter()
-            for op, e in ops:
-                fn = delete_edge if op == "d" else contract_edge
-                tree = fn(tree, e).tree
-            times.append((time.perf_counter() - t0) / len(ops))
+            with unprofiled():
+                t0 = time.perf_counter()
+                tree = play(tree, ops)
+                times.append((time.perf_counter() - t0) / len(ops))
         return (min(times), max(times), tree,
                 {"m": g.n_edges, "ops": len(ops), "builds": calls["builds"],
                  "set_parent": calls["set_parent"]},
@@ -393,6 +471,114 @@ def updates() -> dict:
 
 SECTIONS = {"replay": replay, "fuzz": fuzz, "build": build,
             "updates": updates}
+# the sections whose reach is audited
+AUDITED = ("replay", "updates")
+# why a package function that an audited section never enters is left
+# out, one line per function
+CHECK = "an invariant check: check() runs in updates and fuzz, not replay"
+DEBUG = "debugging: an aid or the debug audit, which no operation calls"
+INPUT = "makes or reads inputs: the tests, the standing families, the bench"
+INNER = "separator-tree work below a root: every corpus R node is one leaf"
+MUTATION = "serves detector mutations no SPQR update makes: to be deleted"
+ORACLE = "the brute-force oracle, which only the tests compare against"
+READ = "read by the tests and the benchmark harness, not the updates rows"
+SPLIT = "a path or star split or a block-cut rename: updates keeps one block"
+TESTS = "tests only"
+UNREACHED = {
+    "embed.EmbeddedMultigraph._component_signature": TESTS,
+    "embed.EmbeddedMultigraph.check": CHECK,
+    "embed.EmbeddedMultigraph.corners": CHECK,
+    "embed.EmbeddedMultigraph.dual": TESTS,
+    "embed.EmbeddedMultigraph.n_faces": TESTS,
+    "embed.EmbeddedMultigraph.new_edge_id": INNER,
+    "embed.EmbeddedMultigraph.quasi_simplify": DEBUG,
+    "embed.EmbeddedMultigraph.signature": TESTS,
+    "embed.GraphFormatError.__init__": "raised on malformed graph text only",
+    "embed.from_straight_line_drawing": INPUT,
+    "embed.parse_graph_text": INPUT,
+    "embed.quasi_induced_degree": DEBUG,
+    "embed.write_graph_text": INPUT,
+    "fourcycle.Detector._paths_from": INNER,
+    "fourcycle.Detector._phi": DEBUG,
+    "fourcycle.Detector._process_insert_paths": INNER,
+    "fourcycle.Detector._process_rename": INNER,
+    "fourcycle.Detector._recheck_split_face": INNER,
+    "fourcycle.Detector._widen": MUTATION,
+    "fourcycle.Detector.check": CHECK,
+    "fourcycle.Detector.contract_edge": MUTATION,
+    "fourcycle.Detector.insert_edge": MUTATION,
+    "generators._delaunay_edges": INPUT,
+    "generators._incircle": INPUT,
+    "generators._orient": INPUT,
+    "generators._random53": INPUT,
+    "generators._seed_words": INPUT,
+    "generators.random_delaunay": INPUT,
+    "generators.random_planar": INPUT,
+    "generators.thin": INPUT,
+    "oracle._circularly_consecutive": ORACLE,
+    "oracle._connected_on": ORACLE,
+    "oracle._cycle_sides": ORACLE,
+    "oracle._decompose": ORACLE,
+    "oracle._edge_list": ORACLE,
+    "oracle._is_simple_cycle": ORACLE,
+    "oracle._merge_same_kind": ORACLE,
+    "oracle._quad_face_sets": ORACLE,
+    "oracle._virtual_owners": ORACLE,
+    "oracle.canonical_spqr": ORACLE,
+    "oracle.four_cycle_edges": ORACLE,
+    "oracle.fv_correspondence_check": ORACLE,
+    "oracle.fv_face_of_edge": ORACLE,
+    "oracle.is_biconnected": ORACLE,
+    "oracle.is_separation_pair_classes": ORACLE,
+    "oracle.menger_k": ORACLE,
+    "oracle.oracle_report": ORACLE,
+    "oracle.separating_4cycles": ORACLE,
+    "oracle.separation_classes": ORACLE,
+    "oracle.separation_classes_of_edges": ORACLE,
+    "oracle.separation_pairs": ORACLE,
+    "oracle.simple_4cycles": ORACLE,
+    "separators.SepNode.separation": CHECK,
+    "separators.SepNode.separator": INNER,
+    "separators.Separation.is_balanced": CHECK,
+    "separators.Separation.is_face_preserving": CHECK,
+    "separators.Separation.separator": INNER,
+    "separators.SeparatorTree._aligned_insert": INNER,
+    "separators.SeparatorTree._gain_edges": INNER,
+    "separators.SeparatorTree._propagate_insertion": INNER,
+    "separators.SeparatorTree._split_disconnected": TESTS,
+    "separators.SeparatorTree._split_sets": INNER,
+    "separators.SeparatorTree.apply_contraction": MUTATION,
+    "separators.SeparatorTree.apply_insertion": MUTATION,
+    "separators.SeparatorTree.check": CHECK,
+    "separators.SeparatorTree.dump": DEBUG,
+    "separators.SeparatorTree.height": DEBUG,
+    "separators._RootScan.__init__": INNER,
+    "separators._RootScan.materialise": INNER,
+    "separators._Snapshot.__init__": INNER,
+    "separators._Snapshot._bfs_roots": INNER,
+    "separators._Snapshot.tree": INNER,
+    "separators._first_held": INNER,
+    "separators._induce": INNER,
+    "separators._is_induced_subgraph": INNER,
+    "separators._lca_tables": INNER,
+    "separators._preorder": INNER,
+    "separators.cycle_separations": INNER,
+    "separators.triangulate": INNER,
+    "spqr.SpqrNode.__repr__": DEBUG,
+    "spqr.SpqrTree.check": CHECK,
+    "spqr.SpqrTree.node_of_edge": READ,
+    "spqr.SpqrTree.parent_changes": READ,
+    "spqr.SpqrTree.renames": TESTS,
+    "spqr.SpqrTree.root": READ,
+    "spqr.SpqrTree.serialize": READ,
+    "spqr.SpqrTree.split_edges": READ,
+    "spqr._break_up": SPLIT,
+    "spqr._check_r_sync": CHECK,
+    "spqr._children": CHECK,
+    "spqr._edge_multiplicity": CHECK,
+    "spqr.rename_vertex_in_block": SPLIT,
+    "spqr.separation_pairs_embedded": CHECK,
+}
 
 
 def main(names: list[str]) -> int:
@@ -411,7 +597,12 @@ def main(names: list[str]) -> int:
             continue
         print(name, flush=True)
         t0 = time.perf_counter()
-        got[name] = run()
+        if name in AUDITED:
+            with reach() as codes:
+                got[name] = run()
+            got[name]["unreached"] = unreached(codes)
+        else:
+            got[name] = run()
         print(f"  {name}: {time.perf_counter() - t0:.1f} s", flush=True)
     lines = compare({name: expected.get(name, {}) for name in got}, got)
     print("\n".join([*lines, f"{len(flatten(got))} values compared with "

@@ -33,6 +33,7 @@ from planarconn.spqr import build_spqr, contract_edge, delete_edge
 
 from .graphs import (
     bigon,
+    bisection,
     cube,
     cycle,
     diamond,
@@ -41,6 +42,7 @@ from .graphs import (
     inner_rungs,
     k4,
     k24,
+    nested,
     parallel_bundle,
     path,
     prism,
@@ -113,8 +115,9 @@ def test_delete_links_two_r_nodes():
     # dissolves the two-edge P node between the R nodes, which are then
     # linked directly and stay apart.  Rooted at each of its three
     # nodes in turn, the P node is the root, the child of one R node
-    # and the child of the other: the three ways a node leaves the
-    # tree through spqr._absorb.  Only the R nodes that stay are
+    # and the child of the other: the three ways a dissolved node
+    # leaves the tree when one neighbour takes its place
+    # (spqr._dissolve_two_edge).  Only the R nodes that stay are
     # re-pointed, two when the P node was the root and one otherwise
     coords = {0: (0, 1), 1: (0, -1), 2: (-1, 0), 3: (-2, 0), 4: (1, 0),
               5: (2, 0)}
@@ -342,13 +345,14 @@ def test_s_records_are_s_nodes():
 
 def test_skeletons_are_assembled_in_place(monkeypatch):
     # every skeleton is made from a plane graph spqr holds: S and P
-    # skeletons edge by edge in _skeleton, copied pieces as induced
-    # subgraphs, the last piece in the graph itself.  So nothing inside
-    # build_spqr, delete_edge or contract_edge validates a rotation
-    # system through EmbeddedMultigraph.build.  A bundle runs in id
-    # order at its smaller pole and in reverse at the other
+    # skeletons edge by edge by _splice, a fresh one into an empty graph,
+    # copied pieces as induced subgraphs, the last piece in the graph
+    # itself.  So nothing inside build_spqr, delete_edge or
+    # contract_edge validates a rotation system through
+    # EmbeddedMultigraph.build.  A fresh bundle runs in id order at its
+    # smaller pole and in reverse at the other
     build = EmbeddedMultigraph.build.__func__
-    skeleton = spqr._skeleton
+    splice = spqr._splice
     seen = {"inside": False, "builds": 0, "S": 0, "P": 0, "ops": 0}
 
     def counting_build(cls, vertices, edges, rotations):
@@ -362,9 +366,13 @@ def test_skeletons_are_assembled_in_place(monkeypatch):
         finally:
             seen["inside"] = False
 
-    def checked_skeleton(kind, edges):
+    def checked_splice(kind, g, cut, edges):
         edges = list(edges)
-        g = skeleton(kind, edges)
+        fresh = not g.n_edges
+        splice(kind, g, cut, edges)
+        if not fresh:
+            return
+        assert not cut
         g.check()
         assert sorted(g.edge_ids()) == sorted(e for e, _, _ in edges)
         assert all(g.endpoints(e) == (u, w) for e, u, w in edges)
@@ -380,11 +388,10 @@ def test_skeletons_are_assembled_in_place(monkeypatch):
             i = at_b.index(max(at_b))
             assert at_b[i:] + at_b[:i] == sorted(at_b, reverse=True)
         seen[kind] += 1
-        return g
 
     monkeypatch.setattr(EmbeddedMultigraph, "build",
                         classmethod(counting_build))
-    monkeypatch.setattr(spqr, "_skeleton", checked_skeleton)
+    monkeypatch.setattr(spqr, "_splice", checked_splice)
     for seed in range(4):
         g = random_planar(40, seed, 24)
         tree = inside(build_spqr, g)
@@ -400,16 +407,20 @@ def test_skeletons_are_assembled_in_place(monkeypatch):
             assert tree.serialize() == want
         tree.check()
     assert seen["builds"] == 0 and seen["S"] and seen["P"] and seen["ops"]
+    # the first edge of a bundle may run from its larger pole
+    checked_splice("P", EmbeddedMultigraph(), [],
+                   [(0, 1, 0), (1, 0, 1), (2, 1, 0), (3, 0, 1)])
     with pytest.raises(AssertionError, match="not a cycle"):
-        skeleton("S", [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)])
+        splice("S", EmbeddedMultigraph(), [],
+               [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 0, 3)])
 
 
 def test_build_counts_pairs_once(monkeypatch):
     # every piece inherits its separation records, only the classes
     # that finish first are copied out, a path class is recorded as an
     # S piece without a copy, and S and P pieces stay edge lists until
-    # their nodes are known.  So the listing runs once, _skeleton runs
-    # once per S or P node, and the edges handed to
+    # their nodes are known.  So the listing runs once, _splice writes
+    # one fresh skeleton per S or P node, and the edges handed to
     # EmbeddedMultigraph.build stay within 3m: the skeletons hold m
     # real edges and two per tree edge (no piece goes through build at
     # all, which test_skeletons_are_assembled_in_place asserts).  A
@@ -417,7 +428,7 @@ def test_build_counts_pairs_once(monkeypatch):
     # built per piece and again per merged node about m log m
     build = EmbeddedMultigraph.build.__func__
     list_records = spqr.separation_records
-    skeleton = spqr._skeleton
+    splice = spqr._splice
     seen = {"counts": 0, "edges": 0, "skeletons": 0}
 
     def counting_build(cls, vertices, edges, rotations):
@@ -429,14 +440,14 @@ def test_build_counts_pairs_once(monkeypatch):
         seen["counts"] += 1
         return list_records(g)
 
-    def counting_skeleton(kind, edges):
-        seen["skeletons"] += 1
-        return skeleton(kind, edges)
+    def counting_splice(kind, g, cut, edges):
+        seen["skeletons"] += not g.n_edges
+        return splice(kind, g, cut, edges)
 
     monkeypatch.setattr(EmbeddedMultigraph, "build",
                         classmethod(counting_build))
     monkeypatch.setattr(spqr, "separation_records", counting_records)
-    monkeypatch.setattr(spqr, "_skeleton", counting_skeleton)
+    monkeypatch.setattr(spqr, "_splice", counting_splice)
     for seed in range(4):
         g = random_planar(40, seed, 24)
         m = g.n_edges
@@ -885,17 +896,17 @@ def test_renames_follow_label_order():
 def test_ladder_merges_splice_in_place(monkeypatch):
     # deleting the inner rungs of the ladder grid(2, k) in order
     # dissolves one P node per op and merges the growing S node with
-    # the next square: the smaller skeleton is spliced into the larger,
-    # so no update builds a graph, and a merge inserts at most the
-    # smaller skeleton's edge count; the dissolved P node's two S
-    # neighbours are linked directly, so no edge is renamed
+    # the next square: the smaller skeleton is spliced into the larger
+    # by _join, so no update builds a graph, and a join inserts at most
+    # the smaller skeleton's edge count; the dissolved P node's two S
+    # neighbours are joined directly, so no edge is renamed
     k = 30
     g = grid(2, k)
     tree = build_spqr(g)
     build = EmbeddedMultigraph.build.__func__
     insert = EmbeddedMultigraph.insert_edge
     rename = EmbeddedMultigraph.rename_edge
-    merge = spqr._merge_adjacent
+    join = spqr._join
     seen = {"builds": 0, "inserts": 0, "merges": 0, "renames": 0}
 
     def counting_build(cls, *args):
@@ -910,11 +921,11 @@ def test_ladder_merges_splice_in_place(monkeypatch):
         seen["renames"] += 1
         return rename(self, *args)
 
-    def checked_merge(tree, n1, e1, n2, e2):
-        smaller = min(n1.graph.n_edges, n2.graph.n_edges)
+    def checked_join(shared, nd, olds, seams, edges):
+        smaller = min(m.graph.n_edges for m in olds)
         inserts = seen["inserts"]
         seen["merges"] += 1
-        out = merge(tree, n1, e1, n2, e2)
+        out = join(shared, nd, olds, seams, edges)
         assert seen["inserts"] - inserts <= smaller
         return out
 
@@ -922,7 +933,7 @@ def test_ladder_merges_splice_in_place(monkeypatch):
                         classmethod(counting_build))
     monkeypatch.setattr(EmbeddedMultigraph, "insert_edge", counting_insert)
     monkeypatch.setattr(EmbeddedMultigraph, "rename_edge", counting_rename)
-    monkeypatch.setattr(spqr, "_merge_adjacent", checked_merge)
+    monkeypatch.setattr(spqr, "_join", checked_join)
     for e in inner_rungs(g, k):
         g.delete_edge(e)
         log = delete_edge(tree, e)
@@ -942,9 +953,9 @@ def test_a_split_costs_what_leaves(monkeypatch):
     # leave x as an S piece, alone or with a P hub.  x holds about 150
     # twins, and the split re-hangs only what changed: a few set_parent
     # calls, none per twin of x.  Equal-kind joins are made in
-    # _merge_same_kind, so the split calls no _merge_adjacent, and a
-    # piece whose group holds an old node is spliced into it, so every
-    # _skeleton call makes a node that is new in the tree
+    # _merge_same_kind, so no node dissolves inside the split, and a
+    # piece whose group holds an old node is spliced into it by _join,
+    # so every fresh skeleton _splice writes is a node new in the tree
     g = random_planar(400, 0, 8)
     tree = build_spqr(g)
     x = max(tree.nodes(), key=lambda nd: nd.graph.n_edges)
@@ -954,9 +965,11 @@ def test_a_split_costs_what_leaves(monkeypatch):
 
     def counting(name, fn):
         def run(*args, **kw):
-            seen[name] += 1
+            fresh = name == "_splice" and not args[1].n_edges
+            key = "fresh _splice" if fresh else name
+            seen[key] += 1
             if inside:
-                seen[name + " in split"] += 1
+                seen[key + " in split"] += 1
             return fn(*args, **kw)
         monkeypatch.setattr(spqr, name, run)
 
@@ -969,7 +982,7 @@ def test_a_split_costs_what_leaves(monkeypatch):
 
     split_r_node = spqr._split_r_node
     monkeypatch.setattr(spqr, "_split_r_node", split)
-    for name in ("_merge_adjacent", "_skeleton", "_splice"):
+    for name in ("_dissolve_two_edge", "_join", "_splice"):
         counting(name, getattr(spqr, name))
     set_parent = spqr.SpqrTree.set_parent
     monkeypatch.setattr(spqr.SpqrTree, "set_parent", lambda *args: (
@@ -984,48 +997,92 @@ def test_a_split_costs_what_leaves(monkeypatch):
             break
         e = min(edge_of(d) for d in h.rotation(v))
         before = set(tree.nodes())
-        seen["set_parent"] = seen["_skeleton"] = 0
+        seen["set_parent"] = seen["fresh _splice"] = 0
         log = delete_edge(tree, e)
         g.delete_edge(e)
         assert log.kind == "intact" and x.kind == "R"
         tree = log.tree
         assert seen["set_parent"] <= 6, (peels, len(x.twin))
-        assert seen["_skeleton"] == sum(nd.kind in "SP" for nd in tree.nodes()
-                                        if nd not in before)
+        assert seen["fresh _splice"] == sum(
+            nd.kind in "SP" for nd in tree.nodes() if nd not in before)
         peels += 1
     monkeypatch.undo()
     assert peels >= 20 and len(x.twin) >= 150
-    assert seen["_merge_adjacent in split"] == 0
+    assert seen["_dissolve_two_edge in split"] == 0
+    assert seen["_splice in split"] == seen["_join in split"]
     assert seen["_splice in split"], "no piece joined an old node"
     tree.check()
     assert tree.serialize() == build_spqr(g).serialize()
 
 
+@pytest.mark.parametrize("k", (7, 64))
+def test_nested_bisection(k, monkeypatch):
+    # nested(k) is one R node, and deleting the radial a-edge between
+    # triangles i and i + 1 cuts the R node holding it in two.
+    # Bisection deletes the middle a-edge of every interval of
+    # triangles, so every op is intact and every split halves an R
+    # node; the later splits leave S pieces beside the P nodes of the
+    # earlier ones, which they join through _join inside _split_r_node.
+    # Every tree is compared with the oracle's at k = 7 (m = 39) and
+    # with a fresh build's at k = 64
+    split_r_node, join = spqr._split_r_node, spqr._join
+    seen = Counter()
+    inside = []
+
+    def split(tree, node):
+        inside.append(node)
+        try:
+            split_r_node(tree, node)
+        finally:
+            inside.pop()
+
+    def counted_join(*args):
+        seen["in split" if inside else "outside"] += 1
+        return join(*args)
+
+    monkeypatch.setattr(spqr, "_split_r_node", split)
+    monkeypatch.setattr(spqr, "_join", counted_join)
+    g = nested(k)
+    tree = build_spqr(g)
+    assert [x.kind for x in tree.nodes()] == ["R"]
+    for i in bisection(0, k - 1):
+        g.delete_edge(6 * i + 3)
+        log = delete_edge(tree, 6 * i + 3)
+        assert log.kind == "intact"
+        tree = log.tree
+        want = canonical_spqr(g) if k <= 7 else build_spqr(g).serialize()
+        assert tree.serialize() == want, i
+    tree.check()
+    assert seen["in split"], seen
+
+
 @contextlib.contextmanager
 def join_kinds():
     """Per kind, the equal-kind joins of R splits that hold an old node,
-    as ``_merge_same_kind`` splices them: ``one old`` is a fresh piece
-    joining one old neighbour of the split node x, ``bridge`` fresh
-    pieces joining two or more, ``x`` the split node, left S or P,
-    joining fresh pieces and an old neighbour, and ``x leaves`` a join
-    in which x goes into a larger old neighbour.  A piece counts when it
-    brings an edge no old member of the group held.  Every join keeps an
-    old node with most skeleton edges, x on a tie."""
+    as ``_merge_same_kind`` makes them through ``_join``: ``one old`` is
+    a fresh piece joining one old neighbour of the split node x,
+    ``bridge`` fresh pieces joining two or more, ``x`` the split node,
+    left S or P, joining fresh pieces and an old neighbour, and ``x
+    leaves`` a join in which x goes into a larger old neighbour.  A
+    piece counts when it brings an edge no old member of the group held.
+    Every join keeps an old node with most skeleton edges, x on a tie,
+    and splices the others into it in place."""
     seen = Counter()
-    merge, splice = spqr._merge_same_kind, spqr._splice
-    spliced = []
+    merge, join = spqr._merge_same_kind, spqr._join
+    joined = []
 
-    def recording_splice(kind, g, cut, edges):
-        spliced.append((g, g.n_edges, [e for e, _, _ in edges]))
-        return splice(kind, g, cut, edges)
+    def recording_join(shared, nd, olds, seams, edges):
+        g = nd.graph
+        joined.append((nd, nd.graph.n_edges, list(olds),
+                       [e for e, _, _ in edges]))
+        kids = join(shared, nd, olds, seams, edges)
+        assert nd.graph is g
+        return kids
 
     def classifying_merge(shared, pieces, vid_base, r):
-        spliced.clear()
+        joined.clear()
         nodes, rehang = merge(shared, pieces, vid_base, r)
-        into = rehang[-1]
-        for g, size, ids in spliced:
-            keep = next(m for m in into if m.graph is g)
-            olds = [m for m, s in into.items() if s is keep]
+        for keep, size, olds, ids in joined:
             assert all(m.graph.n_edges <= size for m in olds if m is not keep)
             assert r not in olds or r is keep or r.graph.n_edges < size
             seen["x leaves"] += r in olds and r is not keep
@@ -1040,11 +1097,11 @@ def join_kinds():
                 seen["one old" if others == 1 else "bridge"] += 1
         return nodes, rehang
 
-    spqr._merge_same_kind, spqr._splice = classifying_merge, recording_splice
+    spqr._merge_same_kind, spqr._join = classifying_merge, recording_join
     try:
         yield seen
     finally:
-        spqr._merge_same_kind, spqr._splice = merge, splice
+        spqr._merge_same_kind, spqr._join = merge, join
 
 
 # (join, n, seed): a replay of _replay_ops(seed, n) that reaches the join
@@ -1078,7 +1135,7 @@ def test_r_split_joins(join, n, seed):
     assert reached
 
 
-# The twin pair of a merge, with the other node's child: (kind, larger
+# The twin pair of a join, with the other node's child: (kind, larger
 # skeleton, smaller skeleton less its virtual edge 11, the child), as
 # (eid, u, w) lists; the larger node's virtual edge 10 joins 0 and 1,
 # and virtual edge 12 links the smaller node with the child
@@ -1092,36 +1149,148 @@ _MERGE_CASES = {
 }
 
 
+def _fresh_node(kind, edges):
+    """An S or P node with the skeleton ``_splice`` writes from edges."""
+    g = EmbeddedMultigraph()
+    spqr._splice(kind, g, [], sorted(edges))
+    return spqr.SpqrNode(kind, g)
+
+
 @pytest.mark.parametrize("larger_first", (True, False))
 @pytest.mark.parametrize("flipped", (False, True))
 @pytest.mark.parametrize("kind", "SP")
 def test_merge_keeps_the_larger_skeleton(kind, flipped, larger_first):
-    # the node with more skeleton edges keeps its identity, whichever
-    # side of the call it is on and however the twin pair is oriented;
-    # the smaller node is the root and has the only child, which
-    # follows the merge
+    # two equal-kind nodes x and y with a two-edge node w of the other
+    # kind between them: w dissolves, and x and y join.  The node with
+    # more skeleton edges keeps its identity and its graph, whichever
+    # of w's edges links it and however the twin pair is oriented; the
+    # smaller node is the root and has the only child, which follows
+    # the join, and x takes the root's place
     big, small, (child_kind, child) = _MERGE_CASES[kind]
     small = [*small, (11, 1, 0) if flipped else (11, 0, 1)]
-    x = spqr.SpqrNode(kind, spqr._skeleton(kind, big))
-    y = spqr.SpqrNode(kind, spqr._skeleton(kind, small))
-    z = spqr.SpqrNode(child_kind, spqr._skeleton(child_kind, child))
-    x.link(10, y, 11)
+    x = _fresh_node(kind, big)
+    y = _fresh_node(kind, small)
+    z = _fresh_node(child_kind, child)
+    w = _fresh_node("P" if kind == "S" else "S", [(20, 0, 1), (21, 1, 0)])
+    to_x, to_y = (20, 21) if larger_first else (21, 20)
+    x.link(10, w, to_x)
+    w.link(to_y, y, 11)
     y.link(12, z, 12)
-    shared = spqr._Shared(spqr._Vids(13))
+    shared = spqr._Shared(spqr._Vids(22))
     for nd in (x, y, z):
         for e in nd.real_ids():
             shared.node_of_edge[e] = nd
     tree = spqr.SpqrTree(y, shared)
     tree._reroot(y)
     ends = {e: (u, w) for e, u, w in big + small if e not in (10, 11)}
-    args = (x, 10, y, 11) if larger_first else (y, 11, x, 10)
-    assert spqr._merge_adjacent(tree, *args) is x
+    g = x.graph
+    assert spqr._survivor([x, y]) is x and spqr._survivor([y, x]) is x
+    assert spqr._dissolve_two_edge(tree, w) is None
     tree.check()
+    assert tree.nodes() == [x, z] and x.graph is g
     assert tree.root is x and z.parent is x
     assert x.twin == {12: (z, 12)}
     assert {e: x.graph.endpoints(e) for e in x.graph.edge_ids()} == ends
     assert all(shared.node_of_edge[e] is x for e in x.real_ids())
     assert x.real_ids() == sorted(set(ends) - {12})
+
+
+def test_survivor_states_the_join_rule():
+    # most skeleton edges; on a tie the split node r, then the smallest
+    # real edge id, then the smallest sorted vertex labels; of P nodes
+    # of one pair with no real edge and as many edges, the first
+    big = _fresh_node("S", [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 0)])
+    a = _fresh_node("S", [(4, 1, 2), (5, 2, 3), (6, 3, 1)])
+    b = _fresh_node("S", [(7, 0, 1), (8, 1, 2), (9, 2, 0)])
+    assert spqr._survivor([a, big, b]) is big
+    assert spqr._survivor([a, big, b], r=a) is big
+    assert spqr._survivor([b, a]) is a and spqr._survivor([a, b], b) is b
+    p, q = (_fresh_node("P", [(i, 0, 1), (i + 1, 1, 0), (i + 2, 0, 1)])
+            for i in (10, 20))
+    for nd in (a, b, p, q):
+        for e in nd.graph.edge_ids():
+            nd.link(e, spqr.SpqrNode("R", EmbeddedMultigraph()), e)
+    assert spqr._survivor([a, b]) is b and spqr._survivor([b, a]) is b
+    assert spqr._survivor([q, p]) is q and spqr._survivor([p, q]) is p
+
+
+def _tie_graph(left_first: bool):
+    """Two 4-cycles 0-2-3-1 and 0-4-5-1 of one S node each around the
+    chord 0-1, edge 0, whose P node sits between them; a diamond on 2-3
+    and one on 4-5 hang an R node below each.  The other real ids run
+    over the left side first or the right side first."""
+    coords = {0: (0, 1), 1: (0, -1), 2: (-1, 0.5), 3: (-1, -0.5),
+              6: (-1.3, 0), 7: (-0.7, 0), 4: (1, 0.5), 5: (1, -0.5),
+              8: (0.7, 0), 9: (1.3, 0)}
+    left = [(0, 2), (3, 1), (2, 6), (6, 3), (2, 7), (7, 3), (6, 7)]
+    right = [(0, 4), (5, 1), (4, 8), (8, 5), (4, 9), (9, 5), (8, 9)]
+    sides = left + right if left_first else right + left
+    return from_straight_line_drawing(
+        coords, [(0, 0, 1), *((i, u, w) for i, (u, w) in
+                              enumerate(sides, 1))])
+
+
+def test_dissolve_joins_by_the_split_rule():
+    # deleting the chord leaves its P node x with two edges between two
+    # S nodes of four edges each, and contracting it in the dual leaves
+    # an S node between two P nodes: x dissolves, and its neighbours
+    # join through _join.  On this tie the node holding the smallest
+    # real id lives on, as in an R split, whichever neighbour x reaches
+    # through its smaller edge id.  Rooted at each node in turn, x is
+    # the root, the child of either neighbour, or below a neighbour
+    # that hangs below an R node; the tree is a fresh build's and the
+    # oracle's, and every node counted as re-parented stays in it
+    seen = Counter()
+    for dual in (False, True):
+        for left_first in (False, True):
+            g = _tie_graph(left_first)
+            if dual:
+                g = g.dual()[0]
+            h = g.copy()
+            (h.contract_edge if dual else h.delete_edge)(0)
+            for i in range(5):
+                tree = build_spqr(g)
+                root = tree.nodes()[i]
+                tree._reroot(root)
+                x = tree.node_of_edge[0]
+                sides = [m for m, _ in x.twin.values()]
+                assert len(sides) == 2 and x.graph.n_edges == 3
+                assert sides[0].graph.n_edges == sides[1].graph.n_edges
+                first = min(min(m.real_ids()) for m in sides)
+                holder = tree.node_of_edge[first]
+                seen["n1 differs", x.kind] += \
+                    x.twin[min(x.twin)][0] is not holder
+                seen["root" if x is root else (
+                    "under the survivor" if x.parent is holder
+                    else "under the other") + (
+                    "" if x.parent is root else " below an R node")] += 1
+                with parent_moves() as moved:
+                    log = (contract_edge if dual else delete_edge)(tree, 0)
+                assert log.kind == "intact"
+                tree = log.tree
+                tree.check()
+                assert set(moved) <= set(tree.nodes())
+                assert tree.node_of_edge[first] is holder
+                assert holder in tree.nodes() and len(tree.nodes()) == 3
+                assert tree.serialize() == build_spqr(h).serialize()
+                assert tree.serialize() == canonical_spqr(h)
+    assert seen.pop(("n1 differs", "P")) and seen.pop(("n1 differs", "S"))
+    assert seen == Counter({
+        "root": 4, "under the survivor": 4, "under the other": 4,
+        "under the survivor below an R node": 4,
+        "under the other below an R node": 4}), seen
+
+
+def test_a_parent_cycle_fails_the_op():
+    # an op climbs from the edge's node to the root; with two parent
+    # pointers turned at each other that climb has no end, and the op
+    # fails naming the edge instead of looping
+    tree = build_spqr(diamond())
+    a = next(x for x in tree.nodes() if x.parent is not None and x.real_ids())
+    a.parent.parent = a
+    e = a.real_ids()[0]
+    with pytest.raises(AssertionError, match=f"edge {e}: parent pointers"):
+        delete_edge(tree, e)
 
 
 @pytest.mark.parametrize("dying, keep, error", [

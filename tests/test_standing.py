@@ -82,3 +82,27 @@ def test_unknown_section_runs_nothing(monkeypatch, tmp_path, capsys):
                             {"a": {"x": 1}, "b": {"y": 2, "z": 3}})
     assert (status, ran) == (2, [])
     assert out == ["unknown section c; the sections are a, b"]
+
+
+def test_every_unreached_function_has_a_reason():
+    # the reach audit commits, per audited section, the package functions
+    # the section never enters: each one the package defines, each with
+    # a reason in standing.UNREACHED, and no reason left for a function
+    # that is reached or gone
+    expected = json.loads(standing.EXPECTED.read_text())
+    listed = {name for section in standing.AUDITED
+              for name in expected[section]["unreached"]}
+    names = set(standing.package_functions().values())
+    assert listed == set(standing.UNREACHED)
+    assert listed <= names
+    assert {"spqr._join", "spqr.SpqrTree.check",
+            "separators.SeparatorTree.apply_merge"} <= names
+
+
+def test_reach_records_what_runs_unprofiled_leaves_out():
+    with standing.reach() as codes:
+        standing.flatten({})
+        with standing.unprofiled():
+            standing.compare({}, {})
+    assert standing.flatten.__code__ in codes
+    assert standing.compare.__code__ not in codes
