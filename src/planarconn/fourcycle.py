@@ -60,27 +60,28 @@ edge to the root graph.  Every R-node surgery of ``spqr`` is one merge;
 insertions and contractions serve the tests and the tracer in
 ``perfbench/tracing.py``.
 
-Mutations walk no 4-cycle: they keep the tables and write one op log
-of paths, each entry a node and the legs of one path in its table.
-Construction logs every path of each pair with two or more paths, any
-of which may close a separating 4-cycle.  A mutation logs every path
-it adds to a table or moves to another pair and, in each node an
-inserted edge enters (a contraction or a merge inserts the survivor's
-edges into a node that held only one endpoint), one path of each
-diagonal of the face the edge splits when that face had degree 4.  A
-4-cycle that turns separating either gains a path or is such a face.
-Each edge of a 4-cycle is a leg of one path on each diagonal, so a
-cycle that gains a path gains one on its tracked diagonal too.
-Discovery happens at the single query, :meth:`Detector.separating_now`.
-It reads each logged path's pair off the node graph as it is now,
-which holds every rename and move since; a path that no longer exists
-names nothing, and a pair the node does not track has no table.  It
-walks each pair's path table once and lists the 4-cycles that are
-separating now.  The walk is exact for every pair, so a logged path
-that closes no separating cycle costs one walk and never a wrong
-answer.  A caller that resets the log without asking walks nothing;
-the skeleton of an R node is triconnected when its detector is built,
-so ``spqr`` resets without asking.
+Mutations walk no 4-cycle: they keep the tables and write one op log of
+paths, each entry a node, the legs of one path in its table and the pair
+the path was written under.  Construction logs every path of each pair
+with two or more paths, any of which may close a separating 4-cycle.  A
+mutation logs every path it adds to a table or moves to another pair
+and, in each node an inserted edge enters (a contraction or a merge
+inserts the survivor's edges into a node that held only one endpoint),
+one path of each diagonal of the face the edge splits when that face had
+degree 4.  A 4-cycle that turns separating either gains a path or is
+such a face.  Each edge of a 4-cycle is a leg of one path on each
+diagonal, so a cycle that gains a path gains one on its tracked diagonal
+too.  Discovery happens at the single query,
+:meth:`Detector.separating_now`.  A logged path still in the table of
+the pair it was written under has that pair now; the pair of one that
+left it is read off the node graph as it is now, which holds every
+rename and move since.  A path that no longer exists names nothing, and
+a pair the node does not track has no table.  It walks each pair's path
+table once and lists the 4-cycles that are separating now.  The walk is
+exact for every pair, so a logged path that closes no separating cycle
+costs one walk and never a wrong answer.  A caller that resets the log
+without asking walks nothing; the skeleton of an R node is triconnected
+when its detector is built, so ``spqr`` resets without asking.
 
 Every mutation is charged against an exact integer potential.  With
 ``debug`` enabled (off by default) each mutation takes the potential of
@@ -142,14 +143,14 @@ def _opposite_on_quad(h: EmbeddedMultigraph, after_u: int,
                       after_w: int) -> bool:
     """Whether the corner after dart ``after_u`` and the one after
     ``after_w`` are opposite corners of a face of degree 4 whose four
-    corners are distinct vertices."""
+    corners are distinct vertices, by one walk of four darts."""
+    step, at = h.face_next, h.vertex_of_dart
     d0 = h.rotation_next(after_u)
-    if h.face_degree_at_most(d0, 4) != 4:
-        return False
-    d1 = h.face_next(d0)
-    d2 = h.face_next(d1)
-    return d2 == h.rotation_next(after_w) and len(
-        {h.vertex_of_dart(d) for d in (d0, d1, d2, h.face_next(d2))}) == 4
+    d1 = step(d0)
+    d2 = step(d1)
+    d3 = step(d2)
+    return step(d3) == d0 and d2 == h.rotation_next(after_w) and len(
+        {at(d0), at(d1), at(d2), at(d3)}) == 4
 
 
 def cycle_is_separating(h: EmbeddedMultigraph,
@@ -226,19 +227,24 @@ class _NodeState:
             self.by_edge.setdefault(e, set()).add((pair, lk))
         return True
 
-    def remove(self, pair, lk) -> None:
-        d = self.paths.get(pair)
-        if d is None or lk not in d:
-            return
-        del d[lk]
-        if not d:
-            del self.paths[pair]
-        for e in lk:
-            s = self.by_edge.get(e)
-            if s is not None:
-                s.discard((pair, lk))
-                if not s:
-                    del self.by_edge[e]
+    def purge(self, e: int) -> set:
+        """Drop every path with a leg e and return them as ``(pair,
+        legkey)`` items: e's index entry goes whole, and each path
+        leaves its table and its other leg's entry."""
+        paths, by_edge = self.paths, self.by_edge
+        items = by_edge.pop(e, set())
+        for item in items:
+            pair, lk = item
+            d = paths[pair]
+            del d[lk]
+            if not d:
+                del paths[pair]
+            f = lk[1] if lk[0] == e else lk[0]
+            s = by_edge[f]
+            s.discard(item)
+            if not s:
+                del by_edge[f]
+        return items
 
     def scan_all(self) -> None:
         """Fill the empty table from the live node graph, in one pass
@@ -300,10 +306,12 @@ class Detector:
         self.candidates_total = 0
         # paths a contraction lifted out of their tables to re-seat them
         self.lifted_total = 0
-        # (node state, legkey of a path logged for the query)
-        self._op_items: list[tuple[_NodeState, tuple[int, int]]] = []
+        # (node state, legkey of a path logged for the query, the pair
+        # the path was written under)
+        self._op_items: list[tuple[_NodeState, tuple, tuple]] = []
         self.tree = SeparatorTree(g)
         self._states: dict[int, _NodeState] = {}
+        # the debug ledger's potentials and candidates per node
         self._phi_pre: dict[int, int] = {}
         self._cand_node: dict[int, int] = {}
         for node in self.tree.nodes():
@@ -311,7 +319,8 @@ class Detector:
             st.scan_all()
             self._states[id(node)] = st
             # every path: any one may be gone by the query
-            self._op_items += [(st, lk) for d in st.paths.values()
+            self._op_items += [(st, lk, pair)
+                               for pair, d in st.paths.items()
                                if len(d) > 1 for lk in d]
 
     def _tracked_at(self, node) -> set[int]:
@@ -359,24 +368,26 @@ class Detector:
     def merge_across(self, u: int, w: int,
                      after_u: int | None, after_w: int | None) -> int:
         """Merge two opposite corners of one face, the corners after
-        ``after_u`` at u and after ``after_w`` at w, log every new
-        path and return the merged label, that of the endpoint with
-        more edges (the smaller label on a tie).  Raises
-        SelfLoopContraction when u == w and NotOnFace when the corners
-        lie on different faces, before anything changes.
+        ``after_u`` at u and after ``after_w`` at w, log every new path
+        and return the merged label, that of the endpoint with more
+        edges (the smaller label on a tie).  Raises SelfLoopContraction
+        when u == w and NotOnFace when the corners lie on different
+        faces, before anything changes.
 
         The endpoint r that retires merges into the survivor x where the
         face was (``SeparatorTree.apply_merge``), with nothing inserted
         or contracted.  Across a quad of four distinct corners, the face
         of nearly every R-node surgery, r's two quad edges would each
-        end up parallel to one of x's, so they are deleted first and
-        x's stay.  Across any other face, such as the quad of a bridge
-        that an R split's cut contracts, whose two sides are one face
-        (a pendant edge's among them), the merge comes first and
-        quasi-simplicity is restored after it: of each pair of parallel
-        edges the merge leaves, the larger id survives.  That is the
-        graph that inserting the diagonal between the two corners and
-        contracting it would give."""
+        end up parallel to one of x's, so they are deleted and x's stay:
+        each separator-tree node deletes them and merges in one
+        root-first walk (``SeparatorTree.apply_quad_merge``).  Across
+        any other face, such as the quad of a bridge that an R split's
+        cut contracts, whose two sides are one face (a pendant edge's
+        among them), the merge comes first and quasi-simplicity is
+        restored after it: of each pair of parallel edges the merge
+        leaves, the larger id survives.  That is the graph that
+        inserting the diagonal between the two corners and contracting
+        it would give."""
         if u == w:
             raise SelfLoopContraction(
                 f"corners of vertex {u} cannot merge with each other")
@@ -400,10 +411,9 @@ class Detector:
             # r's darts after its two quad edges, if it has any
             quad_edges = (edge_of(after_r), edge_of(first_r))
             first_r = h.rotation_next(first_r)
-            tevents = [ev for f in quad_edges
-                       for ev in self.tree.apply_deletion(f)]
-            tevents += self.tree.apply_merge(
-                x, r, after_x, None if first_r == after_r else first_r)
+            tevents = self.tree.apply_quad_merge(
+                x, r, after_x, None if first_r == after_r else first_r,
+                quad_edges)
         else:
             tevents = self.tree.apply_merge(x, r, after_x, first_r)
             tevents += self._simplify_around(list(h.rotation(x)))
@@ -450,20 +460,24 @@ class Detector:
         Every 4-cycle that turns separating gains a path in some
         mutation, or is the boundary of a split face, and a path of its
         tracked diagonal is logged.  This is where the walks happen:
-        each logged path's pair is read off its node's graph as it is
-        now, and the pair's current path table, if it has two or more
-        paths, is checked against the current graph, once however often
-        it was met, which also filters out the cycles that were only
-        transiently separating.  A cycle is ``(pair, m1, lk1, m2,
-        lk2)``: the diagonal its node tracks, the two middle vertices
-        and the two leg edge pairs; one cycle held by two node tables is
-        listed twice."""
+        each logged path's pair is the one it was logged under while the
+        path is still in that pair's table, and is read off its node's
+        graph as it is now otherwise, and the pair's current path table,
+        if it has two or more paths, is checked against the current
+        graph, once however often it was met, which also filters out the
+        cycles that were only transiently separating.  A cycle is
+        ``(pair, m1, lk1, m2, lk2)``: the diagonal its node tracks, the
+        two middle vertices and the two leg edge pairs; one cycle held
+        by two node tables is listed twice."""
         # (node state, current pair), each once, in the order met
         todo: dict[tuple[_NodeState, tuple[int, int]], None] = {}
-        for st, lk in self._op_items:
-            got = _derive(st.node.graph, *lk)
-            if got is not None:
-                todo[st, got[0]] = None
+        for st, lk, pair in self._op_items:
+            if lk not in st.paths.get(pair, ()):
+                got = _derive(st.node.graph, *lk)
+                if got is None:
+                    continue
+                pair = got[0]
+            todo[st, pair] = None
         cycles: list[tuple] = []
         for st, pair in todo:
             d = st.paths.get(pair)
@@ -546,8 +560,8 @@ class Detector:
     # -- event processing -------------------------------------------------
 
     def _begin_op(self) -> None:
-        self._cand_node = {}
         if self.debug:
+            self._cand_node = {}
             self._phi_pre = {nid: self._phi(st.node, st.K)["phi"]
                              for nid, st in self._states.items()}
 
@@ -573,8 +587,9 @@ class Detector:
     def _cand(self, st: _NodeState, k: int) -> None:
         if k:
             self.candidates_total += k
-            nid = id(st.node)
-            self._cand_node[nid] = self._cand_node.get(nid, 0) + k
+            if self.debug:
+                nid = id(st.node)
+                self._cand_node[nid] = self._cand_node.get(nid, 0) + k
 
     def _process_events(self, tevents: list[tuple]) -> None:
         # hygiene first: every node's graph is already final, so purge
@@ -586,8 +601,7 @@ class Detector:
             if kind == "rename":
                 self._process_rename(st, ev[2], ev[3])
             elif kind == "delete":
-                for pair, lk in list(st.by_edge.get(ev[2], ())):
-                    st.remove(pair, lk)
+                st.purge(ev[2])
         for ev in tevents:
             kind, node = ev[0], ev[1]
             st = self._states[id(node)]
@@ -615,10 +629,8 @@ class Detector:
         # path with no leg there keeps its pair, legs and middle
         affected = set()
         for f in fr:
-            affected |= st.by_edge.get(f, set())
+            affected |= st.purge(f)
         self.lifted_total += len(affected)
-        for pair, lk in affected:
-            st.remove(pair, lk)
         # 2) re-seat the lifted paths that survive; a path whose pair
         # changed may close new 4-cycles with paths it never shared a
         # pair with before, so it is logged like a new path
@@ -633,7 +645,7 @@ class Detector:
             st.add(npair, lk, nmid)
             if npair != pair:
                 moved_pairs.add(npair)
-                self._op_items.append((st, lk))
+                self._op_items.append((st, lk, npair))
         self._cand(st, len(moved_pairs))
         # 3) new paths with the merged vertex as middle: one former-x
         # leg and one former-r leg
@@ -648,7 +660,7 @@ class Detector:
                 npair = _pairkey(z1, z2)
                 lk = _legkey(f1, f2)
                 if st.add(npair, lk, x):
-                    self._op_items.append((st, lk))
+                    self._op_items.append((st, lk, npair))
         self._cand(st, len(seen_pairs))
         # 4) when exactly one of the two was tracked, the other one's
         # former edges now start paths at a tracked vertex
@@ -691,9 +703,9 @@ class Detector:
                 if z == m or z == x or z not in K:
                     continue
                 seen.add((m, z))
-                lk = _legkey(f, g2)
-                if st.add(_pairkey(x, z), lk, m):
-                    self._op_items.append((st, lk))
+                lk, pair = _legkey(f, g2), _pairkey(x, z)
+                if st.add(pair, lk, m):
+                    self._op_items.append((st, lk, pair))
         self._cand(st, len(seen))
 
     @staticmethod
@@ -718,9 +730,7 @@ class Detector:
         h = st.node.graph
         moved = set()
         for d in h.rotation(new):
-            moved |= st.by_edge.get(edge_of(d), set())
-        for pair, lk in moved:
-            st.remove(pair, lk)
+            moved |= st.purge(edge_of(d))
         for pair, lk in moved:
             got = _derive(h, *lk)
             if got is None:
@@ -756,7 +766,9 @@ class Detector:
         j0 = f2.index(d1)
         seq = f1[i0 + 1:] + f1[:i0] + f2[j0 + 1:] + f2[:j0]
         e1, e2, g1 = edge_of(seq[0]), edge_of(seq[1]), edge_of(seq[3])
-        self._op_items += [(st, _legkey(e1, e2)), (st, _legkey(e1, g1))]
+        a, m1, b, m2 = map(h.vertex_of_dart, seq)
+        self._op_items += [(st, _legkey(e1, e2), _pairkey(a, b)),
+                           (st, _legkey(e1, g1), _pairkey(m1, m2))]
 
     # -- potential ------------------------------------------------------------
 

@@ -478,7 +478,7 @@ class SeparatorTree:
     insertion, deletion, merge and contraction maintenance that keeps
     every node an induced embedded subgraph of its parent.  Every merge
     of two vertices, a contraction's included, is one walk
-    (:meth:`_merge`)."""
+    (:meth:`_merge`), which also deletes a quad merge's two quad edges."""
 
     def __init__(self, g: EmbeddedMultigraph):
         self.root = self._build(g.copy(), 0)
@@ -639,14 +639,32 @@ class SeparatorTree:
         f)``).  Returns the change list in that root-first order.
         """
         events: list[tuple] = []
-        self._merge(self.root, None, x, r, after_x, first_r, events)
+        self._merge(self.root, None, x, r, after_x, first_r, (), events)
         return events
 
-    def _merge(self, node, parent_h, x, r, after_x, first_r, events):
-        """The walk of :meth:`apply_merge` at ``node``.  ``after_x`` and
-        ``first_r`` are darts of ``parent_h``, which has merged already,
-        or of the root graph at the root."""
+    def apply_quad_merge(self, x: int, r: int, after_x: int,
+                         first_r: int | None,
+                         quad: tuple[int, int]) -> list[tuple]:
+        """Merge r into x across a quad face of four distinct corners
+        whose two edges at r, ``quad``, would each end up parallel to
+        one of x's, in one root-first walk: each node deletes the quad
+        edges it holds (``("delete", node, f)``, as
+        :meth:`apply_deletion`), then merges as :meth:`apply_merge`.
+        ``first_r`` is None when r has no edge but ``quad``."""
+        events: list[tuple] = []
+        self._merge(self.root, None, x, r, after_x, first_r, quad, events)
+        return events
+
+    def _merge(self, node, parent_h, x, r, after_x, first_r, gone, events):
+        """The walk of :meth:`apply_merge` at ``node``, which first
+        deletes the edges ``gone`` that it holds, all at r.  ``after_x``
+        and ``first_r`` are darts of ``parent_h``, which has merged
+        already, or of the root graph at the root."""
         h = node.graph
+        for f in gone:
+            if h.has_edge(f):
+                h.delete_edge(f)
+                events.append(("delete", node, f))
         if not h.has_vertex(r):
             # what x gains here reaches every descendant holding both
             self._gain_edges(node, parent_h, x, events)
@@ -674,7 +692,8 @@ class SeparatorTree:
         for child in node.children:
             if child.graph.has_vertex(r) or (
                     spliced and child.graph.has_vertex(x)):
-                self._merge(child, h, x, r, after_x, first_r, events)
+                self._merge(child, h, x, r, after_x, first_r, gone,
+                            events)
 
     def apply_insertion(self, u: int, w: int,
                         after_u: int | None, after_w: int | None,
@@ -705,12 +724,12 @@ class SeparatorTree:
 
         Intended for edges whose removal merges a face into a neighbor
         sharing the same vertex set, which keeps every separation
-        face-preserving.  It has three uses: the losing edge of a
-        doubled pair that quasi-simplification removes, the two quad
-        edges of the corner that retires in a merge across a quad face,
-        each parallel to one of the survivor's once the quad merges, and
-        a contracted edge (:meth:`apply_contraction`), whose two faces
-        stay merged only until the merge of its ends splits them again.
+        face-preserving.  It has two uses: the losing edge of a doubled
+        pair that quasi-simplification removes, and a contracted edge
+        (:meth:`apply_contraction`), whose two faces stay merged only
+        until the merge of its ends splits them again.  The two quad
+        edges that a merge across a quad face deletes go in that merge's
+        own walk (:meth:`apply_quad_merge`).
         """
         events: list[tuple] = []
 

@@ -742,15 +742,19 @@ def _quad_corners(x: SpqrNode, e: int) -> list[int]:
 def _fv_quad(x: SpqrNode, e: int) -> list[int]:
     """The face of the maintained vertex-face graph that is the quad of
     skeleton edge ``e``, as its dart cycle: the face traced from the
-    vertex end (dart 0) of the corner edge of ``e``'s dart 0.  It must
-    be the quad of the four corners that flank ``e``.  So darts 0 and 2
-    leave the ends of ``e``, in the order of ``e``'s darts, and darts 1
-    and 3 leave the faces beside it."""
-    fv = x.det.tree.root.graph
-    f = fv.trace_face(dart(x.cmap[dart(e, 0)], 0))
-    if sorted(edge_of(z) for z in f) != _quad_corners(x, e):
+    vertex end (dart 0) of the corner edge of ``e``'s dart 0.  Its edges
+    must be, in walk order, the corners that flank ``e`` at its dart 0,
+    before its dart 1, at its dart 1 and before its dart 0.  So darts 0
+    and 2 leave the ends of ``e``, in the order of ``e``'s darts, and
+    darts 1 and 3 leave the faces beside it."""
+    g, fv, cmap = x.graph, x.det.tree.root.graph, x.cmap
+    d0, d1 = dart(e, 0), dart(e, 1)
+    want = [cmap[d0], cmap[g.rotation_prev(d1)], cmap[d1],
+            cmap[g.rotation_prev(d0)]]
+    f = fv.trace_face(dart(want[0], 0))
+    if [edge_of(z) for z in f] != want:
         raise AssertionError(f"no quad face for skeleton edge {e}")
-    u, w = x.graph.endpoints(e)
+    u, w = g.endpoints(e)
     assert [x.vvf.get(fv.vertex_of_dart(z)) for z in f] == [u, None, w, None]
     return f
 
@@ -1263,8 +1267,13 @@ def _survivor(olds: list[SpqrNode], r: SpqrNode | None = None) -> SpqrNode:
     virtual id decides, save between P nodes of one pair with no real
     edge and as many edges, which a contraction can bring together:
     the first of them in ``olds`` lives on."""
-    most = max(m.graph.n_edges for m in olds)
-    tied = [m for m in olds if m.graph.n_edges == most]
+    most, tied = -1, []
+    for m in olds:
+        k = m.graph.n_edges
+        if k > most:
+            most, tied = k, [m]
+        elif k == most:
+            tied.append(m)
     if r in tied:
         return r
     return tied[0] if len(tied) == 1 else min(tied, key=lambda m: (

@@ -25,7 +25,8 @@ moves an expected value edits the JSON and says why.  The sections:
   failure, and per graph kind the ``DETECTOR`` counts: face walks
   (``cycle_is_separating``) in builds and in updates, ``Detector``
   mutations, rename events of separator-tree merges (``apply_merge``,
-  which every contraction runs through), ``Detector.merge_across``
+  which every contraction runs through, and ``apply_quad_merge``, the
+  walk of every merge across a quad), ``Detector.merge_across``
   calls across a quad of four distinct corners by the degree of the
   corner that retires, across the quad of a pendant edge, whose
   retiring corner has degree 1, and across any other face,
@@ -44,10 +45,12 @@ moves an expected value edits the JSON and says why.  The sections:
   theta's poles.
 - ``updates``: ops, ``EmbeddedMultigraph.build`` and
   ``SpqrTree.set_parent`` calls in one pass, and ``check()`` on the
-  final tree; most dense ops split one large R node.  The parents per
-  op are marked where they grow by more than ``COUNT_MARK`` per
-  doubling: an update that re-hangs what stays, not what leaves, grows
-  them with the graph.
+  final tree; most dense ops split one large R node.  Every op of the
+  nested family halves an R node whose detector, at k >= 128, has
+  internal separator-tree nodes, which no corpus R node has.  The
+  parents per op are marked where they grow by more than
+  ``COUNT_MARK`` per doubling: an update that re-hangs what stays, not
+  what leaves, grows them with the graph.
 
 The ``replay`` and ``updates`` sections also audit their reach: a
 ``sys.setprofile`` hook records the functions they enter, and each
@@ -81,7 +84,8 @@ from planarconn.embed import EmbeddedMultigraph
 from planarconn.generators import random_planar
 from planarconn.spqr import SpqrTree, build_spqr, contract_edge, delete_edge
 
-from .graphs import cycle, grid, inner_rungs, k4_chain, theta, wheel
+from .graphs import (bisection, cycle, grid, inner_rungs, k4_chain, nested,
+                     theta, wheel)
 from .test_duality import shape
 from .test_spqr import _replay_case, _replay_ops
 
@@ -120,7 +124,11 @@ UPDATES = (("ladder", "ladder grid(2, k), inner rungs deleted in order",
             (100, 200, 400, 800)),
            ("dense", "dense random_planar(k, 1), 100 ops that keep one block",
             lambda k: _replay_ops(1, k, 100)[:2],
-            (200, 400, 800, 1600)))
+            (200, 400, 800, 1600)),
+           ("nested", "nested(k), radial a-edges deleted in bisection order",
+            lambda k: (nested(k),
+                       [("d", 6 * i + 3) for i in bisection(0, k - 1)]),
+            (64, 128, 256, 512)))
 
 
 def package_functions() -> dict:
@@ -226,7 +234,6 @@ def replay() -> dict:
     work = {kind: Counter() for kind in harness.FACE_DEGREE}
     build = spqr.build_spqr
     walk = fourcycle.cycle_is_separating
-    merge = separators.SeparatorTree.apply_merge
     merge_across = fourcycle.Detector.merge_across
     init = fourcycle.Detector.__init__
 
@@ -240,10 +247,12 @@ def replay() -> dict:
         now["walks"] += 1
         return walk(*args)
 
-    def counted_merge(self, *args):
-        events = merge(self, *args)
-        now["renames"] += sum(ev[0] == "rename" for ev in events)
-        return events
+    def counted_merge(merge):
+        def run(self, *args):
+            events = merge(self, *args)
+            now["renames"] += sum(ev[0] == "rename" for ev in events)
+            return events
+        return run
 
     def classified_merge_across(self, u, w, after_u, after_w):
         h = self.tree.root.graph
@@ -278,7 +287,9 @@ def replay() -> dict:
     Detector, SeparatorTree = fourcycle.Detector, separators.SeparatorTree
     with patched((spqr, "build_spqr", counted_build),
                  (fourcycle, "cycle_is_separating", counted_walk),
-                 (SeparatorTree, "apply_merge", counted_merge),
+                 *((SeparatorTree, name,
+                    counted_merge(getattr(SeparatorTree, name)))
+                   for name in ("apply_merge", "apply_quad_merge")),
                  (Detector, "__init__", counted_init),
                  *((Detector, name, counted_mutation(method)) for name, method
                    in (("insert_edge", Detector.insert_edge),
@@ -489,6 +500,7 @@ UNREACHED = {
     "embed.EmbeddedMultigraph.check": CHECK,
     "embed.EmbeddedMultigraph.corners": CHECK,
     "embed.EmbeddedMultigraph.dual": TESTS,
+    "embed.EmbeddedMultigraph.face_degree_at_most": INNER,
     "embed.EmbeddedMultigraph.n_faces": TESTS,
     "embed.EmbeddedMultigraph.new_edge_id": INNER,
     "embed.EmbeddedMultigraph.quasi_simplify": DEBUG,
@@ -576,6 +588,7 @@ UNREACHED = {
     "spqr._check_r_sync": CHECK,
     "spqr._children": CHECK,
     "spqr._edge_multiplicity": CHECK,
+    "spqr._quad_corners": CHECK,
     "spqr.rename_vertex_in_block": SPLIT,
     "spqr.separation_pairs_embedded": CHECK,
 }

@@ -499,10 +499,11 @@ def test_mutations_walk_no_cycle(monkeypatch):
 @pytest.mark.usefixtures("leaves")
 def test_contraction_lifts_only_retired_side(monkeypatch):
     # a path with no leg at the endpoint whose label retires keeps its
-    # pair, legs and middle, so the merge leaves it in place
+    # pair, legs and middle, so the merge leaves it in place: every path
+    # it lifts out of a table (_NodeState.purge) has a leg there
     retired, lifted, stray = [], [], []
     merge = Detector._process_merge
-    remove = fourcycle._NodeState.remove
+    purge = fourcycle._NodeState.purge
 
     def spy_merge(self, st, x, r, fx, fr):
         retired.append(set(fr))
@@ -511,15 +512,16 @@ def test_contraction_lifts_only_retired_side(monkeypatch):
         finally:
             retired.pop()
 
-    def spy_remove(self, pair, lk):
-        if retired:
+    def spy_purge(self, e):
+        items = purge(self, e)
+        for _pair, lk in items if retired else ():
             lifted.append(lk)
             if not retired[-1] & set(lk):
                 stray.append(lk)
-        remove(self, pair, lk)
+        return items
 
     monkeypatch.setattr(Detector, "_process_merge", spy_merge)
-    monkeypatch.setattr(fourcycle._NodeState, "remove", spy_remove)
+    monkeypatch.setattr(fourcycle._NodeState, "purge", spy_purge)
     for det, rng in _radial_detectors(debug=False):
         h = det.tree.root.graph
         for _ in range(20):
@@ -535,7 +537,7 @@ def test_contraction_keeps_busier_endpoint(monkeypatch):
     # with a leg at the other one are lifted out and re-seated
     retiring, lifted, stray = [], [], []
     merge = Detector._process_merge
-    remove = fourcycle._NodeState.remove
+    purge = fourcycle._NodeState.purge
 
     def spy_merge(self, st, x, r, fx, fr):
         retiring.append(True)
@@ -544,15 +546,16 @@ def test_contraction_keeps_busier_endpoint(monkeypatch):
         finally:
             retiring.pop()
 
-    def spy_remove(self, pair, lk):
-        if retiring:
+    def spy_purge(self, e):
+        items = purge(self, e)
+        for _pair, lk in items if retiring else ():
             lifted.append(lk)
             if not gone_edges & set(lk):
                 stray.append(lk)
-        remove(self, pair, lk)
+        return items
 
     monkeypatch.setattr(Detector, "_process_merge", spy_merge)
-    monkeypatch.setattr(fourcycle._NodeState, "remove", spy_remove)
+    monkeypatch.setattr(fourcycle._NodeState, "purge", spy_purge)
     for seed in range(4):
         # in a vertex-face graph every face vertex has the larger label
         # and degree 3, so a triangulation's labels serve better here
@@ -744,21 +747,26 @@ def test_retire_renames_and_enters_separator(monkeypatch):
     # with small leaves the retirements reach internal
     # separator-tree nodes: one that holds r but not x renames r to x
     # and gains x's edges, and where r was a separator vertex and x was
-    # not, x joins the separator and its paths join the table
-    apply_merge = fourcycle.SeparatorTree.apply_merge
+    # not, x joins the separator and its paths join the table.  Merges
+    # across a quad walk the tree in apply_quad_merge, any other in
+    # apply_merge, and the renames of both are counted
     process = Detector._process_retire
     seen = {"rename": 0, "enter": 0}
 
-    def spy_merge(self, *args):
-        events = apply_merge(self, *args)
-        seen["rename"] += sum(ev[0] == "rename" for ev in events)
-        return events
+    def spy_merge(method):
+        def run(self, *args):
+            events = method(self, *args)
+            seen["rename"] += sum(ev[0] == "rename" for ev in events)
+            return events
+        return run
 
     def spy_process(self, st, r, x):
         seen["enter"] += r in st.K and x not in st.K
         return process(self, st, r, x)
 
-    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy_merge)
+    for name in ("apply_merge", "apply_quad_merge"):
+        monkeypatch.setattr(fourcycle.SeparatorTree, name, spy_merge(
+            getattr(fourcycle.SeparatorTree, name)))
     monkeypatch.setattr(Detector, "_process_retire", spy_process)
     det, rng = next(_radial_detectors(debug=True))
     h = det.tree.root.graph
@@ -780,7 +788,7 @@ def test_query_follows_renamed_logged_paths(monkeypatch):
     reached = [0]
 
     def spy(self, st, old, new):
-        logged = {lk for s, lk in self._op_items if s is st}
+        logged = {lk for s, lk, _pair in self._op_items if s is st}
         reached[0] += any(old in pair and not logged.isdisjoint(d)
                           for pair, d in st.paths.items())
         return process(self, st, old, new)
@@ -797,21 +805,74 @@ def test_query_follows_renamed_logged_paths(monkeypatch):
     assert reached[0]
 
 
+@pytest.mark.usefixtures("leaves")
+def test_query_derives_only_paths_that_left_their_pair(monkeypatch):
+    # each op-log entry carries the pair its path was written under, and
+    # the query derives a path's pair off the node graph only when the
+    # path has left that pair's table.  Two or three merges between
+    # queries on radial graphs let a later merge move or delete a path
+    # that an earlier one logged; the query stays exact after every
+    # batch, a path still in its pair's table derives that pair, and
+    # the query derives the paths that left it
+    query, derive = Detector.separating_now, fourcycle._derive
+    seen, querying = Counter(), [False]
+
+    def spy_derive(h, e1, e2):
+        seen["derived in query"] += querying[0]
+        return derive(h, e1, e2)
+
+    def spy_query(self):
+        for st, lk, pair in self._op_items:
+            got = derive(st.node.graph, *lk)
+            if lk in st.paths.get(pair, ()):
+                assert got[0] == pair
+                seen["hit"] += 1
+            else:
+                seen["missed"] += 1
+                seen["moved"] += bool(got) and lk in st.paths.get(got[0], ())
+        querying[0] = True
+        try:
+            return query(self)
+        finally:
+            querying[0] = False
+
+    monkeypatch.setattr(fourcycle, "_derive", spy_derive)
+    monkeypatch.setattr(Detector, "separating_now", spy_query)
+    for seed in range(2):
+        for g in (random_delaunay(24, seed), random_planar(30, seed)):
+            # construction logs the paths of the pairs that have two or
+            # more, so the query sees the cycles separating at the start
+            det = Detector(g.vertex_face_graph()[0])
+            h, rng = det.tree.root.graph, random.Random(seed)
+            for batch in range(12):
+                for _ in range(2 + batch % 2):
+                    _merge_random_quad(det, rng)
+                assert sep_edges(det) == separating_4cycles(h)
+            det.check()
+    assert seen["hit"] and seen["moved"], seen
+    assert seen["derived in query"] == seen["missed"], seen
+
+
 @pytest.mark.usefixtures("small_leaves")
 def test_general_merges_reach_every_node_case(monkeypatch):
     # with small leaves, in-place merges of a corner r of degree
     # 3 or more into x reach every kind of node below the root: one that
     # holds both splices r's darts left there into x's rotation, one
     # with r alone renames it to x and gains x's edges, and one with x
-    # alone gains r's former edges
+    # alone gains r's former edges.  A merge across a quad deletes r's
+    # two quad edges in the same walk (apply_quad_merge), so r's degree
+    # is read without them
     apply_merge = fourcycle.SeparatorTree.apply_merge
+    apply_quad_merge = fourcycle.SeparatorTree.apply_quad_merge
     walk = fourcycle.SeparatorTree._merge
-    general, cases = [False], Counter()
+    general, cases, quad = [False], Counter(), []
 
-    def spy_merge(self, x, r, *corners):
-        # r has lost its two quad edges already
-        general[0] = self.root.graph.degree(r) > 0
-        return apply_merge(self, x, r, *corners)
+    def spy_merge(self, x, r, after_x, first_r, gone=()):
+        quad[:] = gone
+        general[0] = self.root.graph.degree(r) > len(gone)
+        if gone:
+            return apply_quad_merge(self, x, r, after_x, first_r, gone)
+        return apply_merge(self, x, r, after_x, first_r)
 
     def spy_walk(self, node, parent_h, x, r, *corners_and_events):
         g = node.graph
@@ -820,11 +881,12 @@ def test_general_merges_reach_every_node_case(monkeypatch):
                 cases["x"] += 1
             elif not g.has_vertex(x):
                 cases["r"] += 1
-            elif g.degree(r):
+            elif g.degree(r) > sum(map(g.has_edge, quad)):
                 cases["both"] += 1
         return walk(self, node, parent_h, x, r, *corners_and_events)
 
-    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy_merge)
+    for name in ("apply_merge", "apply_quad_merge"):
+        monkeypatch.setattr(fourcycle.SeparatorTree, name, spy_merge)
     monkeypatch.setattr(fourcycle.SeparatorTree, "_merge", spy_walk)
     det, rng = next(_radial_detectors(debug=False))
     h = det.tree.root.graph

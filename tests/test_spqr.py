@@ -1015,6 +1015,83 @@ def test_a_split_costs_what_leaves(monkeypatch):
     assert tree.serialize() == build_spqr(g).serialize()
 
 
+def test_an_r_step_walks_its_quad_once(monkeypatch):
+    # every R surgery step (_r_remove) is one merge across the edge's
+    # quad in the vertex-face graph.  On a dense replay, each step
+    # traces that quad once (_fv_quad), and the merge recognises it by a
+    # walk of four darts, with no face_degree_at_most or same_face walk.
+    # A merge makes one root-first separator-tree walk, and a quad merge
+    # deletes r's two quad edges in it, never through apply_deletion; a
+    # merge across any other face, a pendant edge's quad here, deletes
+    # what quasi-simplification removes through _simplify_around
+    seen, where = Counter(), []
+
+    def spy(owner, name, key=None):
+        fn = getattr(owner, name)
+
+        def run(*args, **kw):
+            seen[(key or name, *where)] += 1
+            where.append(key or name)
+            try:
+                return fn(*args, **kw)
+            finally:
+                where.pop()
+        monkeypatch.setattr(owner, name, run)
+
+    merge_across = fourcycle.Detector.merge_across
+
+    def classified(self, u, w, after_u, after_w):
+        h = self.tree.root.graph
+        kind = "quad" if fourcycle._opposite_on_quad(
+            h, after_u, after_w) else "other"
+        seen[(kind, *where)] += 1
+        where.append(kind)
+        try:
+            return merge_across(self, u, w, after_u, after_w)
+        finally:
+            where.pop()
+
+    walk = separators.SeparatorTree._merge
+
+    def root_walk(self, node, parent_h, *args):
+        if parent_h is None:
+            seen[("root walk", *where)] += 1
+        return walk(self, node, parent_h, *args)
+
+    g, ops, _ = _replay_ops(6, 200, 60)
+    tree = build_spqr(g)
+    for name in ("trace_face", "face_degree_at_most", "same_face"):
+        spy(EmbeddedMultigraph, name)
+    spy(spqr, "_r_remove")
+    monkeypatch.setattr(fourcycle.Detector, "merge_across", classified)
+    spy(fourcycle.Detector, "_simplify_around", "simplify")
+    spy(separators.SeparatorTree, "apply_deletion")
+    monkeypatch.setattr(separators.SeparatorTree, "_merge", root_walk)
+    for op, e in ops:
+        (g.delete_edge if op == "d" else g.contract_edge)(e)
+        tree = (delete_edge if op == "d" else contract_edge)(tree, e).tree
+    monkeypatch.undo()
+    # each key: the spied call, then the spied calls it ran inside,
+    # outermost first
+    inside = Counter()
+    for (name, *outer), k in seen.items():
+        if outer and outer[0] == "_r_remove":
+            inside[name, *outer[1:]] += k
+    steps = seen[("_r_remove",)]
+    assert steps >= 60 and inside["quad",] == steps - 1, seen
+    assert inside["root walk", "quad"] == steps - 1
+    assert inside["root walk", "other"] == inside["other",] == 1
+    assert sum(k for (name, *_), k in inside.items()
+               if name == "trace_face") == steps, inside
+    assert not any(name == "face_degree_at_most"
+                   or name == "same_face" and "quad" in outer
+                   or name == "apply_deletion" and "simplify" not in outer
+                   for name, *outer in inside), inside
+    assert inside["apply_deletion", "other", "simplify"] >= 1
+    tree.check()
+    assert tree.serialize() == build_spqr(g).serialize()
+
+
 @pytest.mark.parametrize("k", (7, 64))
 def test_nested_bisection(k, monkeypatch):
     # nested(k) is one R node, and deleting the radial a-edge between
