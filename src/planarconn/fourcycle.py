@@ -43,15 +43,19 @@ wider table still holds.
 
 There are three mutations.  An insertion splits a face, and a merge
 joins two corners of one face, retiring one vertex into another where
-the face was (``SeparatorTree.apply_merge``).  The vertex that keeps
-its label is the one with more edges, and only the paths with a leg at
-the other, whose label retires, are re-seated; the others keep their
-pair, legs and middle.  A contraction is a merge of the edge's two
-ends once the edge is deleted (``SeparatorTree.apply_contraction``).
-Across a quad of four distinct corners, the face of nearly every R-node
-surgery, the retiring corner first loses its two quad edges, which
-would each end up parallel to one of the survivor's, so the survivor's
-stay.  Across any other face, such as the quad of a bridge that an R
+the face was.  The vertex that keeps its label is the one with more
+edges, and only the paths with a leg at the other, whose label retires,
+are re-seated; the others keep their pair, legs and middle.  A merge is
+one root-first walk of the separator tree (``SeparatorTree.apply_merge``)
+that first deletes, at each node, the edges at the retiring vertex that
+the caller names, and a node that holds both vertices reports one
+``merge`` event with the retiring vertex's edges there, none where it
+has no edge left.  A contraction is the merge of the edge's two ends
+that deletes the edge (``SeparatorTree.apply_contraction``).  Across a
+quad of four distinct corners, the face of nearly every R-node surgery,
+the merge deletes the retiring corner's two quad edges, which would
+each end up parallel to one of the survivor's, so the survivor's stay.
+Across any other face, such as the quad of a bridge that an R
 split's cut contracts, whose two sides are one face (a pendant edge's
 quad among them), and after a contraction, quasi-simplicity is
 restored once the vertices have merged: of each pair of parallel edges
@@ -347,8 +351,7 @@ class Detector:
     # -- public operations ----------------------------------------------
 
     def insert_edge(self, u: int, w: int,
-                    after_u: int | None, after_w: int | None,
-                    eid: int | None = None) -> int:
+                    after_u: int | None, after_w: int | None) -> int:
         """Insert an edge splitting the face shared by the two corners
         and return its id; raises NotOnFace when the corners lie on
         different faces.  No update calls it: it stays for the tests
@@ -357,7 +360,7 @@ class Detector:
         if T is not None and (u in T) == (w in T):
             self._widen()
         self._begin_op()
-        tevents = self.tree.apply_insertion(u, w, after_u, after_w, eid=eid)
+        tevents = self.tree.apply_insertion(u, w, after_u, after_w)
         eid = tevents[0][2]
         tevents += self._simplify_around(
             [dart(eid, 0), dart(eid, 1)])
@@ -375,19 +378,19 @@ class Detector:
         faces, before anything changes.
 
         The endpoint r that retires merges into the survivor x where the
-        face was (``SeparatorTree.apply_merge``), with nothing inserted
-        or contracted.  Across a quad of four distinct corners, the face
-        of nearly every R-node surgery, r's two quad edges would each
-        end up parallel to one of x's, so they are deleted and x's stay:
-        each separator-tree node deletes them and merges in one
-        root-first walk (``SeparatorTree.apply_quad_merge``).  Across
-        any other face, such as the quad of a bridge that an R split's
-        cut contracts, whose two sides are one face (a pendant edge's
-        among them), the merge comes first and quasi-simplicity is
-        restored after it: of each pair of parallel edges the merge
-        leaves, the larger id survives.  That is the graph that
-        inserting the diagonal between the two corners and contracting
-        it would give."""
+        face was, in one root-first separator-tree walk
+        (``SeparatorTree.apply_merge``), with nothing inserted or
+        contracted.  Across a quad of four distinct corners, the face of
+        nearly every R-node surgery, r's two quad edges would each end
+        up parallel to one of x's, so they are passed as the walk's
+        ``gone`` edges: each node deletes them before it merges, and x's
+        stay.  Across any other face, such as the quad of a bridge that
+        an R split's cut contracts, whose two sides are one face (a
+        pendant edge's among them), the merge comes first and
+        quasi-simplicity is restored after it: of each pair of parallel
+        edges the merge leaves, the larger id survives.  That is the
+        graph that inserting the diagonal between the two corners and
+        contracting it would give."""
         if u == w:
             raise SelfLoopContraction(
                 f"corners of vertex {u} cannot merge with each other")
@@ -406,16 +409,15 @@ class Detector:
         x = merge_survivor(h, u, w)
         r, after_r, after_x = (u, after_u, after_w) if x == w else (
             w, after_w, after_u)
-        first_r = h.rotation_next(after_r)
+        first_r, gone = h.rotation_next(after_r), ()
         if quad:
             # r's darts after its two quad edges, if it has any
-            quad_edges = (edge_of(after_r), edge_of(first_r))
+            gone = (edge_of(after_r), edge_of(first_r))
             first_r = h.rotation_next(first_r)
-            tevents = self.tree.apply_quad_merge(
-                x, r, after_x, None if first_r == after_r else first_r,
-                quad_edges)
-        else:
-            tevents = self.tree.apply_merge(x, r, after_x, first_r)
+            if first_r == after_r:
+                first_r = None
+        tevents = self.tree.apply_merge(x, r, after_x, first_r, gone)
+        if not quad:
             tevents += self._simplify_around(list(h.rotation(x)))
         self._process_events(tevents)
         self._end_op(tevents)
@@ -607,24 +609,28 @@ class Detector:
             st = self._states[id(node)]
             if kind == "merge":
                 self._process_merge(st, *ev[2:])
-            elif kind == "retire":
-                self._process_retire(st, ev[2], ev[3])
             elif kind == "insert":
                 self._process_insert_paths(st, ev[2])
                 self._recheck_split_face(st, ev[2])
 
     # -- per-node updates --------------------------------------------------
 
-    def _process_merge(self, st, x: int, r: int,
-                       fx: list[int], fr: list[int]) -> None:
-        """r merged into x, which held the edges ``fx`` and r the edges
-        ``fr`` before."""
+    def _process_merge(self, st, x: int, r: int, fr: list[int]) -> None:
+        """r merged into x, r with the edges ``fr`` before.  If r was
+        tracked, x now stands where r stood and is tracked too.  Where r
+        had no edge left (``fr`` empty), the deletions of its edges
+        already purged every path through it, and if x just became
+        tracked, any of its edges can start a new path."""
         h = st.node.graph
         K = st.K
         kx, kr = x in K, r in K
-        if kx or kr:
+        if kr:
             K.discard(r)
             K.add(x)
+        if not fr:
+            if kr and not kx:
+                self._paths_from(st, x, [edge_of(d) for d in h.rotation(x)])
+            return
         # 1) lift out every path with a leg at r, whose label retired; a
         # path with no leg there keeps its pair, legs and middle
         affected = set()
@@ -647,12 +653,17 @@ class Detector:
                 moved_pairs.add(npair)
                 self._op_items.append((st, lk, npair))
         self._cand(st, len(moved_pairs))
+        # x's former edges are its edges now that were not r's; they are
+        # read only where a former-r leg reaches K or exactly one of the
+        # two was tracked
+        rlegs = self._k_legs(h, fr, x, K)
+        if not rlegs and kx == kr:
+            return
+        fx = {edge_of(d) for d in h.rotation(x)}.difference(fr)
         # 3) new paths with the merged vertex as middle: one former-x
         # leg and one former-r leg
-        xlegs = self._k_legs(h, fx, x, K)
-        rlegs = self._k_legs(h, fr, x, K)
         seen_pairs = set()
-        for f1, z1 in xlegs:
+        for f1, z1 in self._k_legs(h, fx, x, K):
             for f2, z2 in rlegs:
                 if z1 == z2 or f1 == f2:
                     continue
@@ -666,19 +677,6 @@ class Detector:
         # former edges now start paths at a tracked vertex
         if kx != kr:
             self._paths_from(st, x, fr if kx else fx)
-
-    def _process_retire(self, st, r: int, x: int) -> None:
-        """r left a node that holds x with no edge left there
-        (``SeparatorTree.apply_merge``); its edges' deletions already
-        purged every path through it.  If r was tracked, x now stands
-        where r stood in the separation: it is tracked too, and any of
-        its edges can start a new path."""
-        if r in st.K:
-            st.K.discard(r)
-            if x not in st.K:
-                st.K.add(x)
-                h = st.node.graph
-                self._paths_from(st, x, [edge_of(d) for d in h.rotation(x)])
 
     def _paths_from(self, st, x: int, legs) -> None:
         """x just became tracked: add and log every path from x whose

@@ -534,36 +534,3 @@ def fv_correspondence_check(g: EmbeddedMultigraph) -> bool:
                 return False
 
     return True
-
-
-# ----------------------------------------------------------------------
-# combined report
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Deterministic snapshot of everything the oracles can say about a
-    graph."""
-    separation_pairs: frozenset
-    separating_cycle_edges: frozenset
-    face_cycle_edges: frozenset
-    kappa: tuple  # ((u, v, k), bool) sorted, for k in {2, 3}
-    spqr: str | None
-
-
-def oracle_report(g: EmbeddedMultigraph) -> OracleReport:
-    sep, fac = four_cycle_edges(g)
-    kappa = []
-    for u, v in itertools.combinations(sorted(g.vertices()), 2):
-        for k in (2, 3):
-            kappa.append(((u, v, k), menger_k(g, u, v, k)))
-    try:
-        spqr = canonical_spqr(g)
-    except NotBiconnected:
-        spqr = None
-    return OracleReport(
-        separation_pairs=frozenset(separation_pairs(g)),
-        separating_cycle_edges=frozenset(sep),
-        face_cycle_edges=frozenset(fac),
-        kappa=tuple(kappa),
-        spqr=spqr,
-    )

@@ -3,8 +3,10 @@
 Builds a binary tree of induced embedded subgraphs where every internal
 node carries a balanced, small, face-preserving separation, and keeps
 the whole tree consistent under embedding-respecting insertions, edge
-deletions and vertex merges.  A contraction is a deletion followed by
-a merge of the edge's ends where it was.
+deletions and vertex merges.  A vertex merge is one root-first walk,
+which first deletes the edges at the retiring vertex that the caller
+names; a contraction is the merge of the edge's ends that deletes the
+edge.
 """
 
 from __future__ import annotations
@@ -478,7 +480,8 @@ class SeparatorTree:
     insertion, deletion, merge and contraction maintenance that keeps
     every node an induced embedded subgraph of its parent.  Every merge
     of two vertices, a contraction's included, is one walk
-    (:meth:`_merge`), which also deletes a quad merge's two quad edges."""
+    (:meth:`apply_merge`), which also deletes the edges its caller
+    names, a quad merge's two quad edges or a contracted edge."""
 
     def __init__(self, g: EmbeddedMultigraph):
         self.root = self._build(g.copy(), 0)
@@ -583,24 +586,22 @@ class SeparatorTree:
     # -- maintenance ---------------------------------------------------
 
     def apply_contraction(self, e: int) -> list[tuple]:
-        """Contract edge e of the root graph everywhere it appears:
-        delete it (:meth:`apply_deletion`), then merge its ends where it
-        was (:meth:`apply_merge`).  The merged vertex keeps the label of
-        the endpoint with more edges in the root graph, or the smaller
-        label on a tie (:func:`merge_survivor`), so the work at the
-        retired endpoint is charged to the smaller side.  Returns both
-        change lists, the deletion's first.  An unknown edge or a
-        self-loop raises before anything changes.  No update calls it:
-        it stays for the tests and for the tracer in
+        """Contract edge e of the root graph everywhere it appears: one
+        :meth:`apply_merge` of its ends where it was, which deletes e
+        first at every node that holds it.  The merged vertex keeps the
+        label of the endpoint with more edges in the root graph, or the
+        smaller label on a tie (:func:`merge_survivor`), so the work at
+        the retired endpoint is charged to the smaller side.  An unknown
+        edge or a self-loop raises before anything changes.  No update
+        calls it: it stays for the tests and for the tracer in
         ``perfbench/tracing.py``."""
         h = self.root.graph
         u, w = h.endpoints(e)
         if u == w:
             raise SelfLoopContraction(f"edge {e} is a self-loop")
         x = merge_survivor(h, u, w)
-        corners = h.contraction_corners(e, x)
-        return self.apply_deletion(e) + self.apply_merge(x, u + w - x,
-                                                         *corners)
+        return self.apply_merge(x, u + w - x, *h.contraction_corners(e, x),
+                                gone=(e,))
 
     def _gain_edges(self, node, parent_h, x, events):
         """Insert into ``node`` every edge at x in its parent's graph
@@ -622,44 +623,34 @@ class SeparatorTree:
             self._propagate_insertion(node, f, events)
 
     def apply_merge(self, x: int, r: int, after_x: int | None,
-                    first_r: int | None) -> list[tuple]:
+                    first_r: int | None,
+                    gone: tuple[int, ...] = ()) -> list[tuple]:
         """Merge vertex r of the root graph into x in every node that
-        holds either, root first: the tree-wide
-        :meth:`EmbeddedMultigraph.merge_vertex`.  r's rotation, read
-        clockwise from dart ``first_r``, goes into x's right after dart
-        ``after_x``; either is None for an end with no darts.
+        holds either, in one root-first walk: the tree-wide
+        :meth:`EmbeddedMultigraph.merge_vertex`.  Each node first deletes
+        the edges of ``gone`` that it holds (``("delete", node, f)``),
+        all of them at r, such as a merge's quad edges or a contracted
+        edge.  Then r's rotation, read clockwise from dart ``first_r``,
+        goes into x's right after dart ``after_x``, darts of the root
+        graph once ``gone`` is deleted; either is None for an end with
+        no darts.
 
         A node that holds both splices its own darts the same way, in
-        the root's order restricted to them (``("merge", node, x, r, fx,
-        fr)``, with ``fx`` and ``fr`` the sorted ids of the edges at x
-        and at r before the merge); where r has no edge, it deletes r
-        instead (``("retire", node, r, x)``).  A node with r alone
-        renames it to x (``("rename", node, r, x)``), and one with r or
-        x alone gains x's edges from its parent (``("insert", node,
-        f)``).  Returns the change list in that root-first order.
+        the root's order restricted to them (``("merge", node, x, r,
+        fr)``, with ``fr`` the ids of r's edges there before the merge,
+        empty where r has none).  A node with r alone renames it to x
+        (``("rename", node, r, x)``), and one with r or x alone gains
+        x's edges from its parent (``("insert", node, f)``).  Returns
+        the change list in that root-first order.
         """
         events: list[tuple] = []
-        self._merge(self.root, None, x, r, after_x, first_r, (), events)
-        return events
-
-    def apply_quad_merge(self, x: int, r: int, after_x: int,
-                         first_r: int | None,
-                         quad: tuple[int, int]) -> list[tuple]:
-        """Merge r into x across a quad face of four distinct corners
-        whose two edges at r, ``quad``, would each end up parallel to
-        one of x's, in one root-first walk: each node deletes the quad
-        edges it holds (``("delete", node, f)``, as
-        :meth:`apply_deletion`), then merges as :meth:`apply_merge`.
-        ``first_r`` is None when r has no edge but ``quad``."""
-        events: list[tuple] = []
-        self._merge(self.root, None, x, r, after_x, first_r, quad, events)
+        self._merge(self.root, None, x, r, after_x, first_r, gone, events)
         return events
 
     def _merge(self, node, parent_h, x, r, after_x, first_r, gone, events):
-        """The walk of :meth:`apply_merge` at ``node``, which first
-        deletes the edges ``gone`` that it holds, all at r.  ``after_x``
-        and ``first_r`` are darts of ``parent_h``, which has merged
-        already, or of the root graph at the root."""
+        """The walk of :meth:`apply_merge` at ``node``.  ``after_x`` and
+        ``first_r`` are darts of ``parent_h``, which has merged already,
+        or of the root graph at the root."""
         h = node.graph
         for f in gone:
             if h.has_edge(f):
@@ -671,20 +662,18 @@ class SeparatorTree:
             return
         # only then can a child with x alone gain r's edges
         spliced = h.has_vertex(x) and h.degree(r) > 0
-        if spliced:
-            if parent_h is not None:
+        if h.has_vertex(x):
+            fr = [edge_of(d) for d in h.rotation(r)]
+            if not spliced:
+                after_x = first_r = None
+            elif parent_h is not None:
                 # the parent's rotation of x runs back from after_x over
                 # x's darts and then r's, and on from first_r over r's:
                 # the first of each that h holds places h's splice
                 after_x = _first_held(h, parent_h.rotation_prev, after_x, x)
                 first_r = _first_held(h, parent_h.rotation_next, first_r, r)
-            fx = sorted({edge_of(d) for d in h.rotation(x)})
-            fr = sorted({edge_of(d) for d in h.rotation(r)})
             h.merge_vertex(x, r, after_x, first_r)
-            events.append(("merge", node, x, r, fx, fr))
-        elif h.has_vertex(x):
-            h.delete_vertex(r)
-            events.append(("retire", node, r, x))
+            events.append(("merge", node, x, r, fr))
         else:
             h.rename_vertex(r, x)
             events.append(("rename", node, r, x))
@@ -696,15 +685,15 @@ class SeparatorTree:
                             events)
 
     def apply_insertion(self, u: int, w: int,
-                        after_u: int | None, after_w: int | None,
-                        eid: int | None = None) -> list[tuple]:
+                        after_u: int | None,
+                        after_w: int | None) -> list[tuple]:
         """Insert an edge into the root graph across the face that the
         corners after ``after_u`` and ``after_w`` share, and duplicate
         it into every descendant holding both endpoints.  Corners on
         different faces raise NotOnFace before anything changes.  No
         update calls it: it stays for the tests and for the tracer in
         ``perfbench/tracing.py``."""
-        eid = self.root.graph.insert_edge(u, w, after_u, after_w, eid=eid,
+        eid = self.root.graph.insert_edge(u, w, after_u, after_w,
                                           require_same_face=True)
         events: list[tuple] = [("insert", self.root, eid)]
         self._propagate_insertion(self.root, eid, events)
@@ -724,12 +713,10 @@ class SeparatorTree:
 
         Intended for edges whose removal merges a face into a neighbor
         sharing the same vertex set, which keeps every separation
-        face-preserving.  It has two uses: the losing edge of a doubled
-        pair that quasi-simplification removes, and a contracted edge
-        (:meth:`apply_contraction`), whose two faces stay merged only
-        until the merge of its ends splits them again.  The two quad
-        edges that a merge across a quad face deletes go in that merge's
-        own walk (:meth:`apply_quad_merge`).
+        face-preserving: the losing edge of a doubled pair that
+        quasi-simplification removes.  The edges that a merge deletes,
+        a quad merge's two quad edges or a contracted edge, go in that
+        merge's own walk (:meth:`apply_merge`).
         """
         events: list[tuple] = []
 

@@ -703,7 +703,9 @@ def _attach_r(x: SpqrNode) -> None:
 
 def _check_r_sync(x: SpqrNode) -> None:
     """Assert that the maintained vertex-face graph, the corner map and
-    the label map of an R node agree with its skeleton."""
+    the label map of an R node agree with its skeleton: in particular,
+    that the faces of the vertex-face graph are the quads of the
+    skeleton edges (:func:`_fv_quad`), one each."""
     g = x.graph
     fv = x.det.tree.root.graph
     assert set(x.cmap) == set(g.corners())
@@ -720,23 +722,12 @@ def _check_r_sync(x: SpqrNode) -> None:
         for e in prim:
             a, b = fv.endpoints(e)
             assert a == fl and b not in x.vvf, "corner edge misoriented"
-    # every face of the maintained graph is the quad of one skeleton edge
-    quads = [_quad_corners(x, e) for e in g.edge_ids()]
-    faces = []
-    for f in fv.faces():
-        assert len(f) == 4, "non-quad face in a maintained radial graph"
-        faces.append(sorted(edge_of(d) for d in f))
-    assert sorted(quads) == sorted(faces)
-
-
-def _quad_corners(x: SpqrNode, e: int) -> list[int]:
-    """The corner edges of the vertex-face graph at the four corners
-    that flank skeleton edge ``e``, sorted; a pendant end's one corner
-    counts twice."""
-    g = x.graph
-    d0, d1 = dart(e, 0), dart(e, 1)
-    return sorted((x.cmap[g.rotation_prev(d0)], x.cmap[d0],
-                   x.cmap[g.rotation_prev(d1)], x.cmap[d1]))
+    # a face is one dart cycle, named here by its smallest dart
+    quads = {min(_fv_quad(x, e)) for e in g.edge_ids()}
+    faces = fv.faces()
+    assert all(len(f) == 4 for f in faces), \
+        "non-quad face in a maintained radial graph"
+    assert len(quads) == g.n_edges == len(faces), "quads not one per face"
 
 
 def _fv_quad(x: SpqrNode, e: int) -> list[int]:

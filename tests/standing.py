@@ -4,7 +4,7 @@ with the committed ``tests/standing.json``.
     python -m tests.standing [section ...]
 
 Run from the root of a checkout; pytest does not collect this file.
-With no argument it runs all four sections, in about four minutes.
+With no argument it runs all four sections, in about three minutes.
 Named sections run alone and are compared alone, so ``python -m
 tests.standing replay`` takes seconds.  Counts, digests, failures and
 ``check()`` results are compared: a key that differs, that the JSON
@@ -25,8 +25,7 @@ moves an expected value edits the JSON and says why.  The sections:
   failure, and per graph kind the ``DETECTOR`` counts: face walks
   (``cycle_is_separating``) in builds and in updates, ``Detector``
   mutations, rename events of separator-tree merges (``apply_merge``,
-  which every contraction runs through, and ``apply_quad_merge``, the
-  walk of every merge across a quad), ``Detector.merge_across``
+  the one walk of every merge and contraction), ``Detector.merge_across``
   calls across a quad of four distinct corners by the degree of the
   corner that retires, across the quad of a pendant edge, whose
   retiring corner has degree 1, and across any other face,
@@ -44,13 +43,15 @@ moves an expected value edits the JSON and says why.  The sections:
   also on the long faces of the ladder, cycle and wheel and at the
   theta's poles.
 - ``updates``: ops, ``EmbeddedMultigraph.build`` and
-  ``SpqrTree.set_parent`` calls in one pass, and ``check()`` on the
-  final tree; most dense ops split one large R node.  Every op of the
-  nested family halves an R node whose detector, at k >= 128, has
-  internal separator-tree nodes, which no corpus R node has.  The
-  parents per op are marked where they grow by more than
-  ``COUNT_MARK`` per doubling: an update that re-hangs what stays, not
-  what leaves, grows them with the graph.
+  ``SpqrTree.set_parent`` calls in one pass, the final tree's
+  ``split_edges`` and ``parent_changes``, and ``check()`` on it; most
+  dense ops split one large R node.  Every op of the nested family
+  halves an R node whose detector, at k >= 128, has internal
+  separator-tree nodes, which no corpus R node has.  The parents per
+  op are marked where they grow by more than ``COUNT_MARK`` per
+  doubling: an update that re-hangs what stays, not what leaves, grows
+  them with the graph.  The nested rows also print ``split_edges`` per
+  m log2 n, marked the same way: halving bounds it by 0.5.
 
 The ``replay`` and ``updates`` sections also audit their reach: a
 ``sys.setprofile`` hook records the functions they enter, and each
@@ -60,7 +61,7 @@ narrows a workload's reach moves that key.  ``UNREACHED`` gives each
 listed function its reason.  The hook is off while ``updates`` times
 its repeats, and one untimed pass of each row's ops before them is
 audited instead.  On a 2-core x86-64 box the hook takes the replay from
-about 2.3 to 6.4 s, and the updates section from 3.2 to 11.3 s.
+about 2.3 to 6.3 s, and the updates section from 22 to 45 s.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ import contextlib
 import hashlib
 import inspect
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -128,7 +130,7 @@ UPDATES = (("ladder", "ladder grid(2, k), inner rungs deleted in order",
            ("nested", "nested(k), radial a-edges deleted in bisection order",
             lambda k: (nested(k),
                        [("d", 6 * i + 3) for i in bisection(0, k - 1)]),
-            (64, 128, 256, 512)))
+            (64, 128, 256, 512, 1024)))
 
 
 def package_functions() -> dict:
@@ -236,6 +238,7 @@ def replay() -> dict:
     walk = fourcycle.cycle_is_separating
     merge_across = fourcycle.Detector.merge_across
     init = fourcycle.Detector.__init__
+    apply_merge = separators.SeparatorTree.apply_merge
 
     def counted_build(g):
         walks = now["walks"]
@@ -247,12 +250,10 @@ def replay() -> dict:
         now["walks"] += 1
         return walk(*args)
 
-    def counted_merge(merge):
-        def run(self, *args):
-            events = merge(self, *args)
-            now["renames"] += sum(ev[0] == "rename" for ev in events)
-            return events
-        return run
+    def counted_merge(self, *args, **kw):
+        events = apply_merge(self, *args, **kw)
+        now["renames"] += sum(ev[0] == "rename" for ev in events)
+        return events
 
     def classified_merge_across(self, u, w, after_u, after_w):
         h = self.tree.root.graph
@@ -287,9 +288,7 @@ def replay() -> dict:
     Detector, SeparatorTree = fourcycle.Detector, separators.SeparatorTree
     with patched((spqr, "build_spqr", counted_build),
                  (fourcycle, "cycle_is_separating", counted_walk),
-                 *((SeparatorTree, name,
-                    counted_merge(getattr(SeparatorTree, name)))
-                   for name in ("apply_merge", "apply_quad_merge")),
+                 (SeparatorTree, "apply_merge", counted_merge),
                  (Detector, "__init__", counted_init),
                  *((Detector, name, counted_mutation(method)) for name, method
                    in (("insert_edge", Detector.insert_edge),
@@ -367,32 +366,34 @@ def fuzz() -> dict:
 
 def rows(section: str, families, measure) -> dict:
     """Print and collect the rows of each ``(key, title, make, sizes)``
-    family.  ``measure(make, size)`` returns the fastest and slowest
-    repeat in seconds, the final tree, the row's counts and a
-    printed-only count per unit of work with its label; the counts and
-    the tree's ``check()`` are kept."""
+    family.  ``measure(key, make, size)`` returns the fastest and
+    slowest repeat in seconds, the final tree, the row's counts and a
+    list of printed-only counts per unit of work, each with its label;
+    the counts and the tree's ``check()`` are kept."""
     scale, unit = (1, "s") if section == "build" else (1e6, "us")
     out = {}
     for key, title, make, sizes in families:
         print(f"  {title}: fastest and slowest {unit}, ratio")
         out[key], prev = {}, None
         for size in sizes:
-            fast, slow, tree, counts, (label, per) = measure(make, size)
+            fast, slow, tree, counts, units = measure(key, make, size)
             note = "" if prev is None else f"{fast / prev[0]:.2f}" + (
                 " <-" if fast > RATIO_MARK[section] * prev[1] else "")
-            grown = prev is not None and section in COUNT_MARK \
-                and per > COUNT_MARK[section] * prev[2]
+            per = [f"{label} {value:.2f}" + " <-" * (
+                prev is not None and section in COUNT_MARK
+                and value > COUNT_MARK[section] * prev[2][i])
+                for i, (label, value) in enumerate(units)]
             try:
                 tree.check()
                 counts["check"] = "ok"
             except AssertionError as ex:
                 counts["check"] = f"failed: {ex}"
             print(f"  {size:>6} {fast * scale:9.3f} {slow * scale:9.3f} "
-                  f"{note:>8}  {label} {per:.2f}{' <-' * grown}, "
-                  + ", ".join(f"{k} {v}" for k, v in counts.items()),
+                  f"{note:>8}  " + ", ".join(
+                      [*per, *(f"{k} {v}" for k, v in counts.items())]),
                   flush=True)
             out[key][str(size)] = counts
-            prev = fast, slow, per
+            prev = fast, slow, [value for _, value in units]
     return out
 
 
@@ -423,7 +424,7 @@ def split_scans(g) -> dict:
 
 
 def build() -> dict:
-    def measure(make, n):
+    def measure(_key, make, n):
         g = make(n)
         times = []
         for _ in range(REPEATS):
@@ -436,7 +437,7 @@ def build() -> dict:
         return (min(times), max(times), tree,
                 {"m": g.n_edges, "S records": cycles,
                  "pair records": len(records) - cycles, **scans},
-                ("scans", scans["scanned"] / max(1, scans["listed"])))
+                [("scans", scans["scanned"] / max(1, scans["listed"]))])
 
     return rows("build", BUILDS, measure)
 
@@ -459,7 +460,7 @@ def updates() -> dict:
             tree = (delete_edge if op == "d" else contract_edge)(tree, e).tree
         return tree
 
-    def measure(family, k):
+    def measure(key, family, k):
         g, ops = family(k)
         play(build_spqr(g), ops)    # untimed, for the reach audit
         times = []
@@ -470,10 +471,15 @@ def updates() -> dict:
                 t0 = time.perf_counter()
                 tree = play(tree, ops)
                 times.append((time.perf_counter() - t0) / len(ops))
+        units = [("parents per op", calls["set_parent"] / len(ops))]
+        if key == "nested":
+            units.append(("split edges per m log2 n", tree.split_edges
+                          / (g.n_edges * math.log2(g.n_vertices))))
         return (min(times), max(times), tree,
                 {"m": g.n_edges, "ops": len(ops), "builds": calls["builds"],
-                 "set_parent": calls["set_parent"]},
-                ("parents per op", calls["set_parent"] / len(ops)))
+                 "set_parent": calls["set_parent"],
+                 "split_edges": tree.split_edges,
+                 "parent_changes": tree.parent_changes}, units)
 
     with patched((EmbeddedMultigraph, "build", classmethod(counting_build)),
                  (SpqrTree, "set_parent", counting_set_parent)):
@@ -543,7 +549,6 @@ UNREACHED = {
     "oracle.is_biconnected": ORACLE,
     "oracle.is_separation_pair_classes": ORACLE,
     "oracle.menger_k": ORACLE,
-    "oracle.oracle_report": ORACLE,
     "oracle.separating_4cycles": ORACLE,
     "oracle.separation_classes": ORACLE,
     "oracle.separation_classes_of_edges": ORACLE,
@@ -579,16 +584,13 @@ UNREACHED = {
     "spqr.SpqrNode.__repr__": DEBUG,
     "spqr.SpqrTree.check": CHECK,
     "spqr.SpqrTree.node_of_edge": READ,
-    "spqr.SpqrTree.parent_changes": READ,
     "spqr.SpqrTree.renames": TESTS,
     "spqr.SpqrTree.root": READ,
     "spqr.SpqrTree.serialize": READ,
-    "spqr.SpqrTree.split_edges": READ,
     "spqr._break_up": SPLIT,
     "spqr._check_r_sync": CHECK,
     "spqr._children": CHECK,
     "spqr._edge_multiplicity": CHECK,
-    "spqr._quad_corners": CHECK,
     "spqr.rename_vertex_in_block": SPLIT,
     "spqr.separation_pairs_embedded": CHECK,
 }

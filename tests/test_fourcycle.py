@@ -505,10 +505,10 @@ def test_contraction_lifts_only_retired_side(monkeypatch):
     merge = Detector._process_merge
     purge = fourcycle._NodeState.purge
 
-    def spy_merge(self, st, x, r, fx, fr):
+    def spy_merge(self, st, x, r, fr):
         retired.append(set(fr))
         try:
-            merge(self, st, x, r, fx, fr)
+            merge(self, st, x, r, fr)
         finally:
             retired.pop()
 
@@ -539,10 +539,10 @@ def test_contraction_keeps_busier_endpoint(monkeypatch):
     merge = Detector._process_merge
     purge = fourcycle._NodeState.purge
 
-    def spy_merge(self, st, x, r, fx, fr):
+    def spy_merge(self, st, x, r, fr):
         retiring.append(True)
         try:
-            merge(self, st, x, r, fx, fr)
+            merge(self, st, x, r, fr)
         finally:
             retiring.pop()
 
@@ -747,27 +747,32 @@ def test_retire_renames_and_enters_separator(monkeypatch):
     # with small leaves the retirements reach internal
     # separator-tree nodes: one that holds r but not x renames r to x
     # and gains x's edges, and where r was a separator vertex and x was
-    # not, x joins the separator and its paths join the table.  Merges
-    # across a quad walk the tree in apply_quad_merge, any other in
-    # apply_merge, and the renames of both are counted
-    process = Detector._process_retire
-    seen = {"rename": 0, "enter": 0}
+    # not, x joins the separator and its paths join the table.  Every
+    # merge walks the tree in apply_merge, whose renames are counted,
+    # and a node that holds both ends reports a merge, with no edges of
+    # r where r has none left: there is no other event kind for it
+    process = Detector._process_merge
+    apply_merge = fourcycle.SeparatorTree.apply_merge
+    seen = Counter()
 
-    def spy_merge(method):
-        def run(self, *args):
-            events = method(self, *args)
-            seen["rename"] += sum(ev[0] == "rename" for ev in events)
-            return events
-        return run
+    def spy_merge(self, *args):
+        events = apply_merge(self, *args)
+        seen.update(ev[0] for ev in events)
+        return events
 
-    def spy_process(self, st, r, x):
-        seen["enter"] += r in st.K and x not in st.K
-        return process(self, st, r, x)
+    def spy_process(self, st, x, r, fr):
+        enters = not fr and r in st.K and x not in st.K
+        process(self, st, x, r, fr)
+        if enters:
+            fresh = fourcycle._NodeState(st.node, set(st.K))
+            fresh.scan_all()
+            assert x in st.K and r not in st.K
+            assert {p: d for p, d in st.paths.items() if x in p} == {
+                p: d for p, d in fresh.paths.items() if x in p}
+            seen["enter"] += 1
 
-    for name in ("apply_merge", "apply_quad_merge"):
-        monkeypatch.setattr(fourcycle.SeparatorTree, name, spy_merge(
-            getattr(fourcycle.SeparatorTree, name)))
-    monkeypatch.setattr(Detector, "_process_retire", spy_process)
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy_merge)
+    monkeypatch.setattr(Detector, "_process_merge", spy_process)
     det, rng = next(_radial_detectors(debug=True))
     h = det.tree.root.graph
     for _r, _x, args in _retire_stream(det, rng, 40):
@@ -775,6 +780,47 @@ def test_retire_renames_and_enters_separator(monkeypatch):
         assert sep_edges(det) == separating_4cycles(h)
         det.check()
     assert seen["rename"] and seen["enter"]
+    assert seen["merge"] and "retire" not in seen, seen
+
+
+@pytest.mark.usefixtures("small_leaves")
+def test_a_contraction_walks_the_tree_once(monkeypatch):
+    # a contraction is one merge: it enters the separator-tree walk at
+    # the root once and deletes its edge in that walk, never through
+    # apply_deletion
+    Tree = fourcycle.SeparatorTree
+    walk, deletion = Tree._merge, Tree.apply_deletion
+    contraction = Tree.apply_contraction
+    calls = []
+
+    def spy_contraction(self, e):
+        calls.append(Counter())
+        try:
+            return contraction(self, e)
+        finally:
+            calls[-1]["done"] = 1
+
+    def spy_walk(self, node, parent_h, *args):
+        if calls and not calls[-1]["done"] and parent_h is None:
+            calls[-1]["root walks"] += 1
+        return walk(self, node, parent_h, *args)
+
+    def spy_deletion(self, e):
+        if calls and not calls[-1]["done"]:
+            calls[-1]["deletions"] += 1
+        return deletion(self, e)
+
+    for name, spy in (("apply_contraction", spy_contraction),
+                      ("_merge", spy_walk), ("apply_deletion", spy_deletion)):
+        monkeypatch.setattr(Tree, name, spy)
+    det, rng = next(_radial_detectors(debug=False))
+    h = det.tree.root.graph
+    for _ in range(20):
+        det.contract_edge(rng.choice(
+            [e for e in h.edge_ids() if not h.is_loop(e)]))
+        det.check()
+    assert len(calls) == 20
+    assert all(c == {"root walks": 1, "done": 1} for c in calls), calls
 
 
 @pytest.mark.usefixtures("small_leaves")
@@ -860,19 +906,16 @@ def test_general_merges_reach_every_node_case(monkeypatch):
     # holds both splices r's darts left there into x's rotation, one
     # with r alone renames it to x and gains x's edges, and one with x
     # alone gains r's former edges.  A merge across a quad deletes r's
-    # two quad edges in the same walk (apply_quad_merge), so r's degree
-    # is read without them
+    # two quad edges in the same walk (apply_merge's ``gone``), so r's
+    # degree is read without them
     apply_merge = fourcycle.SeparatorTree.apply_merge
-    apply_quad_merge = fourcycle.SeparatorTree.apply_quad_merge
     walk = fourcycle.SeparatorTree._merge
     general, cases, quad = [False], Counter(), []
 
     def spy_merge(self, x, r, after_x, first_r, gone=()):
         quad[:] = gone
         general[0] = self.root.graph.degree(r) > len(gone)
-        if gone:
-            return apply_quad_merge(self, x, r, after_x, first_r, gone)
-        return apply_merge(self, x, r, after_x, first_r)
+        return apply_merge(self, x, r, after_x, first_r, gone)
 
     def spy_walk(self, node, parent_h, x, r, *corners_and_events):
         g = node.graph
@@ -885,8 +928,7 @@ def test_general_merges_reach_every_node_case(monkeypatch):
                 cases["both"] += 1
         return walk(self, node, parent_h, x, r, *corners_and_events)
 
-    for name in ("apply_merge", "apply_quad_merge"):
-        monkeypatch.setattr(fourcycle.SeparatorTree, name, spy_merge)
+    monkeypatch.setattr(fourcycle.SeparatorTree, "apply_merge", spy_merge)
     monkeypatch.setattr(fourcycle.SeparatorTree, "_merge", spy_walk)
     det, rng = next(_radial_detectors(debug=False))
     h = det.tree.root.graph

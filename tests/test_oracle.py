@@ -15,7 +15,6 @@ from planarconn.oracle import (
     fv_correspondence_check,
     is_biconnected,
     menger_k,
-    oracle_report,
     separating_4cycles,
     separation_classes,
     separation_pairs,
@@ -325,20 +324,3 @@ def test_fv_correspondence_fuzz():
         for _ in range(2):
             for g in _random_biconnected_deletions(make(), rng, 4):
                 assert fv_correspondence_check(g)
-
-
-# ----------------------------------------------------------------------
-# combined report
-
-def test_oracle_report_deterministic():
-    assert oracle_report(k4()) == oracle_report(k4())
-
-
-def test_oracle_report_fields():
-    rep = oracle_report(diamond())
-    assert rep.separation_pairs == frozenset({frozenset((0, 3))})
-    assert rep.spqr is not None
-    assert dict(rep.kappa)[(1, 2, 3)] is False
-    assert dict(rep.kappa)[(0, 3, 3)] is True
-    rep2 = oracle_report(path(4))
-    assert rep2.spqr is None

@@ -492,23 +492,25 @@ def test_contraction_update_rules():
                    if x.graph.has_vertex(u) and x.graph.has_vertex(w)}
         events = t.apply_contraction(e)
         t.check()
-        # the contraction deletes e from every node holding both ends
-        # first, then merges the retiring end r into keep in each: a
-        # merge entry carries the node's edges at keep and at r from
-        # before the call, e left out, and a node where e was r's only
-        # edge retires r instead
+        # the contraction walks the tree once: every node holding both
+        # ends deletes e and right after merges the retiring end r into
+        # keep.  A merge entry carries r's edges there from before the
+        # call, e left out, and empty where e was r's only edge; keep
+        # now holds its former edges and r's
         r = u + w - keep
-        deleted = [id(ev[1]) for ev in events if ev[0] == "delete"]
-        assert [ev[0] for ev in events[:len(deleted)]] == ["delete"] * len(
-            deleted)
-        assert all(ev[2] == e for ev in events[:len(deleted)])
-        merged = {id(ev[1]): ev[2:] for ev in events
-                  if ev[0] in ("merge", "retire")}
-        assert sorted(deleted) == sorted(merged) == sorted(at_ends)
+        deleted = [i for i, ev in enumerate(events) if ev[0] == "delete"]
+        assert all(events[i][2] == e and events[i + 1][:2] == (
+            "merge", events[i][1]) for i in deleted)
+        merged = {id(ev[1]): ev for ev in events if ev[0] == "merge"}
+        assert sorted(id(events[i][1]) for i in deleted) == sorted(
+            merged) == sorted(at_ends)
         for nid, (fu, fw) in at_ends.items():
             fx, fr = ([f for f in fs if f != e]
                       for fs in ((fu, fw) if keep == u else (fw, fu)))
-            assert merged[nid] == ((keep, r, fx, fr) if fr else (r, keep))
+            _, node, *head, got = merged[nid]
+            assert head == [keep, r] and sorted(set(got)) == fr
+            now = {edge_of(d) for d in node.graph.rotation(keep)}
+            assert now == set(fx) | set(fr)
         for x in t.nodes():
             if x.is_leaf or id(x) not in before:
                 continue
