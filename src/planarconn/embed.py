@@ -20,7 +20,7 @@ carries the surviving vertex label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class EmbedError(Exception):
@@ -343,19 +343,18 @@ class EmbeddedMultigraph:
             g.add_vertex(v)
         expected: dict[int, int] = {}
         for e, u, w in edges:
-            if e in g._edges:
+            if dart(e, 0) in expected:
                 raise MalformedRotation(f"duplicate edge id {e}")
             if u not in g._label_root or w not in g._label_root:
                 raise MalformedRotation(f"edge {e} touches unknown vertex")
-            g._edges[e] = None
-            g.bump_edge_id(e)
             expected[dart(e, 0)] = u
             expected[dart(e, 1)] = w
         placed: set[int] = set()
+        darts_at: dict[int, list[int]] = {}
         for v, seq in rotations.items():
             if v not in g._label_root:
                 raise MalformedRotation(f"rotation for unknown vertex {v}")
-            darts = []
+            darts = darts_at[v] = []
             for e, side in seq:
                 if side not in (0, 1):
                     raise MalformedRotation(f"bad dart side {side}")
@@ -370,32 +369,43 @@ class EmbeddedMultigraph:
                     raise MalformedRotation(f"dart {e}:{side} listed twice")
                 placed.add(d)
                 darts.append(d)
-            g._set_rotation(v, darts)
         if len(placed) != len(expected):
             missing = next(iter(set(expected) - placed))
             raise MalformedRotation(
                 f"dart {edge_of(missing)}:{missing & 1} missing from rotations")
+        g.write_rotations([edge_of(d) for d in expected if not d & 1],
+                          darts_at)
         if not g.euler_ok():
             raise EulerViolation("rotation system fails Euler's formula")
         return g
 
-    def _set_rotation(self, v: int, darts: Sequence[int]) -> None:
-        """Make ``darts`` the clockwise rotation of ``v``, a vertex with
-        no darts yet, unchecked: the darts must be in no other rotation.
-        Every whole rotation is written here, by :meth:`build`, which
-        validates first, and by the derived graphs, which need not."""
-        if not darts:
-            return
-        token = self._label_root[v]
+    def write_rotations(self, edges: Collection[int],
+                        rotations: dict[int, Sequence[int]]) -> None:
+        """Add the edges ``edges`` and make each ``rotations[v]`` the
+        clockwise rotation of v, a vertex with no darts yet, unchecked:
+        every dart of the new edges must be in exactly one of the
+        rotations, at its own end, and no other dart in any.  Every
+        edge set written whole with its rotations goes through here: in
+        :meth:`build` once it has validated them, and in the derived
+        graphs and the fresh S and P skeletons of ``spqr``, which are
+        plane by construction."""
+        self._edges.update(dict.fromkeys(edges))
+        if edges:
+            self.bump_edge_id(max(edges))
         home, nxt, prv = self._home, self._nxt, self._prv
-        last = darts[-1]
-        for d in darts:
-            home[d] = token
-            prv[d] = last
-            nxt[last] = d
-            last = d
-        self._anchor[v] = darts[0]
-        self._deg[v] = len(darts)
+        token_of, anchor, deg = self._label_root, self._anchor, self._deg
+        for v, darts in rotations.items():
+            if not darts:
+                continue
+            token = token_of[v]
+            last = darts[-1]
+            for d in darts:
+                home[d] = token
+                prv[d] = last
+                nxt[last] = d
+                last = d
+            anchor[v] = darts[0]
+            deg[v] = len(darts)
 
     # ------------------------------------------------------------------
     # mutations
@@ -635,12 +645,10 @@ class EmbeddedMultigraph:
         for v in vs:
             g.add_vertex(v)
         g._next_eid = self._next_eid
-        for v in vs:
-            kept = [d for d in self.rotation(v)
-                    if self.vertex_of_dart(d ^ 1) in vs]
-            g._set_rotation(v, kept)
-            for d in kept:
-                g._edges[edge_of(d)] = None
+        kept = {v: [d for d in self.rotation(v)
+                    if self.vertex_of_dart(d ^ 1) in vs] for v in vs}
+        g.write_rotations(dict.fromkeys(
+            edge_of(d) for darts in kept.values() for d in darts), kept)
         return g
 
     def dual(self) -> tuple["EmbeddedMultigraph", dict[int, int]]:
@@ -656,10 +664,9 @@ class EmbeddedMultigraph:
         cycles, face_of = self.face_orbits()
         g = EmbeddedMultigraph()
         g._next_eid = self._next_eid
-        g._edges = dict(self._edges)
-        for i, cyc in enumerate(cycles):
+        for i in range(len(cycles)):
             g.add_vertex(i)
-            g._set_rotation(i, cyc)
+        g.write_rotations(self._edges, dict(enumerate(cycles)))
         return g, face_of
 
     def corners(self) -> list[int]:
@@ -688,17 +695,15 @@ class EmbeddedMultigraph:
         for d in sorted(self._home):
             fv_edge_of_corner[d] = ne
             ne += 1
-        fv._next_eid = ne
-        fv._edges = dict.fromkeys(range(ne))
         # vertex-side rotations follow the primal rotations
-        for v in self._label_root:
-            fv._set_rotation(v, [dart(fv_edge_of_corner[d], 0)
-                                 for d in self.rotation(v)])
+        rotations = {v: [dart(fv_edge_of_corner[d], 0)
+                         for d in self.rotation(v)] for v in self._label_root}
         # face-side rotations follow the face cycles; corner d lies on
         # the face traced from nxt[d], between rev(d) and nxt[d]
         for i, cyc in enumerate(cycles):
-            fv._set_rotation(offset + i, [dart(fv_edge_of_corner[x ^ 1], 1)
-                                          for x in reversed(cyc)])
+            rotations[offset + i] = [dart(fv_edge_of_corner[x ^ 1], 1)
+                                     for x in reversed(cyc)]
+        fv.write_rotations(range(ne), rotations)
         return fv, FvInfo(offset=offset,
                           face_of_dart=face_of,
                           fv_edge_of_corner=fv_edge_of_corner)

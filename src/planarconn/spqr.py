@@ -31,11 +31,11 @@ finished, a path becomes an S piece as it is and any other is copied
 out into a fresh piece, the subgraph its vertices induce, and what is
 left is cut free in the graph itself, so a split costs about its
 smaller side, and an S node is cut whole in one round.  S and P pieces
-stay edge lists until equal-kind neighbours are joined, so each S or P
-skeleton is assembled once, edge by edge.  No skeleton goes through
-the validated ``EmbeddedMultigraph.build``: every one is cut, induced
-or assembled from a plane graph, and ``SpqrTree.check`` re-checks
-them.
+stay edge lists until equal-kind neighbours are joined, so each fresh S
+or P skeleton is written once, whole, one rotation per vertex.  No
+skeleton goes through the validated ``EmbeddedMultigraph.build``:
+every one is cut, induced or written from a plane graph, and
+``SpqrTree.check`` re-checks them.
 
 Edge deletions and contractions keep the tree in step with the graph.
 The two are dual: deleting an edge of a plane graph contracts it in the
@@ -87,23 +87,39 @@ from .fourcycle import Detector
 # ----------------------------------------------------------------------
 # biconnectivity and separation pairs, both read off the faces
 
-def _face_vertices(g: EmbeddedMultigraph) -> list[list[int]]:
-    """Per face: the vertices its walk meets, in walk order."""
+# per face its dart cycle, the face of each dart, per face its vertices
+_Faces = tuple[list[list[int]], dict[int, int], list[list[int]]]
+
+
+def _faces(g: EmbeddedMultigraph) -> _Faces:
+    """The one face walk of g that a build reads, for its test and for
+    its records: every face as its dart cycle, the face of each dart
+    (:meth:`EmbeddedMultigraph.face_orbits`), and per face the vertices
+    its walk meets, in walk order."""
+    cycles, face_of = g.face_orbits()
     vertex_of = g.vertex_of_dart
-    return [[vertex_of(x) for x in cyc] for cyc in g.faces()]
+    return cycles, face_of, [[vertex_of(x) for x in cyc] for cyc in cycles]
 
 
-def is_biconnected_embedded(g: EmbeddedMultigraph) -> bool:
+def is_biconnected_embedded(g: EmbeddedMultigraph,
+                            faces: _Faces | None = None) -> bool:
     """Connected, loopless and without cut vertices; two vertices need
-    at least two parallel edges.  In a connected plane graph the cut
-    vertices are exactly the vertices that some face walk meets twice
-    (Diestel, *Graph Theory*, Prop. 4.2.6), so the faces decide."""
-    if (g.n_vertices < 2 or any(g.is_loop(e) for e in g.edge_ids())
-            or len(g.components()) != 1):
+    at least two parallel edges.  The face walk decides, given as
+    ``faces`` (:func:`_faces`) or made here.  In a connected plane graph
+    the cut vertices are exactly the vertices that some face walk meets
+    twice (Diestel, *Graph Theory*, Prop. 4.2.6), and a loop either
+    makes a walk meet its vertex twice or bounds a face of one dart.
+    That criterion already assumes the embedding plane, and then
+    Euler's formula holds too: each component with edges has V - E + F
+    = 2 over its face walks, and an isolated vertex, which no walk
+    meets, counts 1, so a graph with edges is connected exactly when
+    V - E + F = 2."""
+    cycles, _, walks = faces or _faces(g)
+    n = g.n_vertices
+    if n < 2 or n - g.n_edges + len(cycles) != 2:
         return False
-    if g.n_vertices == 2:
-        return g.n_edges >= 2
-    return all(len(set(vs)) == len(vs) for vs in _face_vertices(g))
+    return all(len(set(vs)) == len(vs) > 1 for vs in walks) and (
+        n > 2 or g.n_edges >= 2)
 
 
 def _edge_multiplicity(g: EmbeddedMultigraph) -> dict[tuple[int, int], int]:
@@ -125,7 +141,8 @@ class _SRecord(tuple):
     __hash__ = object.__hash__
 
 
-def separation_records(g: EmbeddedMultigraph) -> dict[tuple[int, ...], int]:
+def separation_records(g: EmbeddedMultigraph, faces: _Faces | None = None
+                       ) -> dict[tuple[int, ...], int]:
     """The separation records of a biconnected embedded multigraph, each
     with its class count: every face pair with three or more common
     vertices as one S record (an :class:`_SRecord`) with its number of
@@ -169,15 +186,15 @@ def separation_records(g: EmbeddedMultigraph) -> dict[tuple[int, ...], int]:
       seen only there), unless their 4-cycle with the record's faces
       is facial.  The common faces of a vertex pair are counted around
       its vertex of smaller degree.
+
+    ``faces`` is g's face walk (:func:`_faces`), made here when not
+    given: a build walks the faces once, for its test and for this.
     """
-    cycles, face_of = g.face_orbits()
+    cycles, face_of, walks = faces or _faces(g)
     rotation, vertex_of = g.rotation, g.vertex_of_dart
-    walks: list[list[int]] = []
     corners: dict[int, list[int]] = defaultdict(list)
     facial: set[tuple[int, int, int, int]] = set()  # faces, then ends
-    for f, cyc in enumerate(cycles):
-        vs = [vertex_of(x) for x in cyc]
-        walks.append(vs)
+    for f, (cyc, vs) in enumerate(zip(cycles, walks)):
         for x, u, w in zip(cyc, vs, vs[1:] + vs[:1]):
             corners[u].append(f)
             if not x & 1:   # each edge once, at its dart 0
@@ -297,18 +314,22 @@ def _split_classes(
     pairs at its ends are cut, so k = c.  A class is an edge joining two
     record vertices, a singleton, or the edges at the vertices of one
     component of g less the record.  One search starts at each
-    neighbour off the record of every record vertex but the last, which
-    reaches every class, since each touches the two ends of its arc.
-    In every round each search scans one vertex off the record, and
-    searches merge when they meet, so a search that runs dry has found
-    a whole class.  They stop once k - 1 classes are complete, the
-    singletons and the dry searches: every search still growing then
-    belongs to the class left out.  If the last two classes finish in
-    the same round, the largest is left out.  So a call scans at most
-    the record's degree sum per round, for as many rounds as its
-    largest listed class has vertices.  Returns the singleton edges
-    and, per listed class, its edge set and its vertices off the
-    record.
+    neighbour off the record of every record vertex but the one of
+    largest degree, the last of them on a tie, which reaches every
+    class, since each touches the two ends of its arc: at a pair, the
+    neighbours of its pole of smaller degree.  In every round each
+    search scans one vertex off the record, and searches merge when
+    they meet, so a search that runs dry has found a whole class.  They
+    stop once k - 1 classes are complete, the singletons and the dry
+    searches: every search still growing then belongs to the class left
+    out.  If the last two classes finish in the same round, the largest
+    is left out.  So a call scans at most the smaller pole's degree per
+    round at a pair, and at an S record the record's degree sum less its
+    largest, for as many rounds as its largest listed class has
+    vertices; the record vertex of largest degree, a hub, is never
+    read.  Returns the
+    singleton edges and, per listed class, its edge set and its
+    vertices off the record.
     """
     singles: list[int] = []
     owner: dict[int, int] = {}      # vertex -> search that claimed it
@@ -317,14 +338,20 @@ def _split_classes(
     rots: dict[int, list[int]] = {}     # scanned vertex -> its rotation
     rotation, vertex_of = g.rotation, g.vertex_of_dart
     at = {v: i for i, v in enumerate(rec)}
-    last = len(rec) - 1
-    for i, v in enumerate(rec[:-1]):
+    c = len(rec)
+    degrees = list(map(g.degree, rec))
+    skip = c - 1 - degrees[::-1].index(max(degrees))
+    for i, v in enumerate(rec):
+        if i == skip:
+            continue
+        # each edge along the record once: from its first end, or from
+        # its second where the first is skipped
+        after, before = (i + 1) % c, (i - 1) % c
         for d in rotation(v):
             w = vertex_of(rev(d))
             if w in at:
-                # each edge along the record once: from its first end,
-                # or from rec[0] for the one that closes the cycle
-                if at[w] == i + 1 or i == 0 and at[w] == last:
+                j = at[w]
+                if j == after or j == before == skip:
                     singles.append(edge_of(d))
             elif w not in owner:
                 owner[w] = len(up)
@@ -379,19 +406,24 @@ def _split_classes(
 
 def _class_run(g: EmbeddedMultigraph, v: int, cls: set[int]) -> list[int]:
     """The darts of ``cls`` at v, which occupy one circular run of v's
-    rotation, in rotation order."""
-    rot = g.rotation(v)
-    inc = [edge_of(d) in cls for d in rot]
-    n = len(rot)
-    if all(inc):
-        return list(rot)
-    starts = [i for i in range(n) if inc[i] and not inc[(i - 1) % n]]
-    assert len(starts) == 1, "class darts are not circularly consecutive"
-    i = starts[0]
-    run = []
-    while inc[i % n]:
-        run.append(rot[i % n])
-        i += 1
+    rotation, in rotation order.  They are read off the class's edges,
+    and the run is walked out from one of them, so a call costs the
+    class and its run, never v's whole rotation."""
+    endpoints, mine = g.endpoints, []
+    for e in cls:
+        u, w = endpoints(e)
+        if u == v:
+            mine.append(dart(e, 0))
+        if w == v:
+            mine.append(dart(e, 1))
+    prev, nxt = g.rotation_prev, g.rotation_next
+    first = mine[0]
+    while (d := prev(first)) != mine[0] and edge_of(d) in cls:
+        first = d
+    run = [first]
+    while (d := nxt(run[-1])) != first and edge_of(d) in cls:
+        run.append(d)
+    assert len(run) == len(mine), "class darts are not circularly consecutive"
     return run
 
 
@@ -808,9 +840,9 @@ def _r_pairs(x: SpqrNode) -> dict[tuple[int, int], int]:
     diagonal or its two middle vertices, and its other two are faces
     that hold both.  A pair's count is its number of common faces, which
     are its cycles' faces and the faces beside its joining edges, read
-    through the corner map at its first vertex's darts to the second:
-    any other common face lies on a separating cycle with each second
-    one."""
+    through the corner map at the darts of its vertex of smaller degree
+    to the other, so that a hub's rotation is never read: any other
+    common face lies on a separating cycle with each second one."""
     faces: dict[tuple[int, int], set[int]] = defaultdict(set)
     for (a, b), m1, _lk1, m2, _lk2 in x.det.separating_now():
         if a in x.vvf:
@@ -822,6 +854,8 @@ def _r_pairs(x: SpqrNode) -> dict[tuple[int, int], int]:
         faces[(p, q) if p < q else (q, p)].update((f1, f2))
     g, fv = x.graph, x.det.tree.root.graph
     for (p, q), fs in faces.items():
+        if g.degree(p) > g.degree(q):
+            p, q = q, p
         for d in g.rotation(p):
             if g.vertex_of_dart(rev(d)) == q:
                 for c in (x.cmap[d], x.cmap[g.rotation_prev(d)]):
@@ -1082,8 +1116,8 @@ def _merge_same_kind(shared: _Shared, pieces: list[tuple], vid_base: int,
     are ``r``'s twins read), a piece and the old node holding the twin
     of an edge ``r`` handed it, and ``r`` and an old neighbour.  The
     shared edges disappear, and each group becomes one node.  A group of
-    pieces only is one fresh skeleton, spliced into an empty graph in
-    edge-id order (:func:`_splice`).  In a group with old nodes the
+    pieces only is one fresh skeleton, written whole into an empty graph
+    in edge-id order (:func:`_splice`).  In a group with old nodes the
     :func:`_survivor` lives on, ``r`` on a tie, and :func:`_join`
     splices the fresh edges and the other old members into it once, so
     a join costs the fresh edges plus the old nodes that leave, none
@@ -1228,10 +1262,12 @@ def build_spqr(g: EmbeddedMultigraph) -> SpqrTree:
     three edges.  The input is copied; skeletons are fresh graphs."""
     if g.n_edges < 3:
         raise TooFewEdges("an SPQR-tree needs at least 3 edges")
-    if not is_biconnected_embedded(g):
+    faces = _faces(g)
+    if not is_biconnected_embedded(g, faces):
         raise NotBiconnected("SPQR-tree of a non-biconnected graph")
     shared = _Shared(_Vids(max(g.edge_ids()) + 1))
-    nodes, _, _ = _mini_nodes(shared, g.copy(), separation_records(g))
+    nodes, _, _ = _mini_nodes(shared, g.copy(),
+                              separation_records(g, faces))
     tree = SpqrTree(nodes[0], shared)
     tree._reroot(nodes[0])
     return tree
@@ -1317,25 +1353,37 @@ def _splice(kind: str, g: EmbeddedMultigraph, cut: list[int],
             edges: list[tuple[int, int, int]]) -> None:
     """Write S or P skeleton g: with ``cut``, a 2-sum in place with
     equal-kind skeletons joined to g at those edges, which go; with no
-    ``cut``, a fresh skeleton into an empty g, whose first edge goes in
-    alone.  ``edges``, the other skeletons' edges as (eid, u, w) less
-    the edges they were joined at, come in with their ids and
-    orientations, so a splice costs them and not g.  A cycle takes the
-    new vertices and edges anywhere, since every vertex of a cycle has
-    one rotation; a fresh one asserts that it is a cycle.  A bundle
-    takes every new edge right after the anchor, its first cut edge or
-    its first edge, at its smaller pole and right before it at the
-    other, where the rotation runs in reverse, so it stays plane: a
-    fresh bundle given in id order runs in id order at its smaller
-    pole.  Nothing reads the order of a bundle's rotation."""
+    ``cut``, a fresh skeleton into an empty g, written whole, one
+    rotation per vertex (:meth:`EmbeddedMultigraph.write_rotations`).
+    ``edges``, the other skeletons' edges as (eid, u, w) less the edges
+    they were joined at, come in with their ids and orientations, so a
+    splice costs them and not g.  A cycle takes the new vertices and
+    edges anywhere, since every vertex of a cycle has one rotation; a
+    fresh one asserts that it is a cycle, and starts each rotation at
+    the first edge given there.  A bundle takes every new edge right
+    after the anchor, its first cut edge, at its smaller pole and right
+    before it at the other, where the rotation runs in reverse, so it
+    stays plane; a fresh bundle runs in the order given at its smaller
+    pole and in reverse after the first edge at the other, both
+    rotations starting at the first edge.  Nothing reads the order of a
+    bundle's rotation."""
     if not cut:
-        (e, u, w), *edges = edges
-        g.add_vertex(u)
-        g.add_vertex(w)
-        g.insert_edge(u, w, None, None, eid=e)
-    anchor = cut[0] if cut else e
+        rotations: dict[int, list[int]] = {}
+        for e, u, w in edges:
+            rotations.setdefault(u, []).append(dart(e, 0))
+            rotations.setdefault(w, []).append(dart(e, 1))
+        if kind == "P":    # in reverse after the first at the larger pole
+            b = max(rotations)
+            rotations[b][1:] = rotations[b][:0:-1]
+        else:
+            assert all(len(ds) == 2 for ds in rotations.values()), \
+                "not a cycle"
+        for v in rotations:
+            g.add_vertex(v)
+        g.write_rotations([e for e, _, _ in edges], rotations)
+        return
     if kind == "P":
-        d = min(dart(anchor, 0), dart(anchor, 1), key=g.vertex_of_dart)
+        d = min(dart(cut[0], 0), dart(cut[0], 1), key=g.vertex_of_dart)
         a, b = g.vertex_of_dart(d), g.vertex_of_dart(rev(d))
         after = {a: d, b: g.rotation_prev(rev(d))}
         for e, u, w in edges:
@@ -1350,8 +1398,6 @@ def _splice(kind: str, g: EmbeddedMultigraph, cut: list[int],
                 if not g.has_vertex(v):
                     g.add_vertex(v)
             g.insert_edge(u, w, g.any_dart(u), g.any_dart(w), eid=e)
-        assert cut or all(g.degree(v) == 2 for v in g.vertices()), \
-            "not a cycle"
 
 
 def _split_r_node(tree: SpqrTree, x: SpqrNode) -> None:

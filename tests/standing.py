@@ -4,7 +4,7 @@ with the committed ``tests/standing.json``.
     python -m tests.standing [section ...]
 
 Run from the root of a checkout; pytest does not collect this file.
-With no argument it runs all four sections, in about three minutes.
+With no argument it runs all four sections, in about five minutes.
 Named sections run alone and are compared alone, so ``python -m
 tests.standing replay`` takes seconds.  Counts, digests, failures and
 ``check()`` results are compared: a key that differs, that the JSON
@@ -40,8 +40,9 @@ moves an expected value edits the JSON and says why.  The sections:
   scans (rotations read but at the record's vertices) and lists (inner
   vertices of its classes) in one build, at pairs and at S records
   alike; the printed scans per listed vertex stay a small constant,
-  also on the long faces of the ladder, cycle and wheel and at the
-  theta's poles.
+  also on the long faces of the ladder, cycle and wheel, at the
+  theta's poles and at the flower's hub, a pole of every pair, and are
+  marked where they grow by more than ``COUNT_MARK`` per doubling.
 - ``updates``: ops, ``EmbeddedMultigraph.build`` and
   ``SpqrTree.set_parent`` calls in one pass, the final tree's
   ``split_edges`` and ``parent_changes``, and ``check()`` on it; most
@@ -51,7 +52,10 @@ moves an expected value edits the JSON and says why.  The sections:
   op are marked where they grow by more than ``COUNT_MARK`` per
   doubling: an update that re-hangs what stays, not what leaves, grows
   them with the graph.  The nested rows also print ``split_edges`` per
-  m log2 n, marked the same way: halving bounds it by 0.5.
+  m log2 n, marked the same way: halving bounds it by 0.5.  Every
+  contraction of the wheel family splits the R node at the hub and a
+  rim vertex, so its time per op grows with the hub's degree if a
+  split reads the hub's rotation.
 
 The ``replay`` and ``updates`` sections also audit their reach: a
 ``sys.setprofile`` hook records the functions they enter, and each
@@ -86,8 +90,8 @@ from planarconn.embed import EmbeddedMultigraph
 from planarconn.generators import random_planar
 from planarconn.spqr import SpqrTree, build_spqr, contract_edge, delete_edge
 
-from .graphs import (bisection, cycle, grid, inner_rungs, k4_chain, nested,
-                     theta, wheel)
+from .graphs import (bisection, cycle, flower, grid, inner_rungs, k4_chain,
+                     nested, theta, wheel)
 from .test_duality import shape
 from .test_spqr import _replay_case, _replay_ops
 
@@ -98,7 +102,7 @@ REPEATS = 3
 RATIO_MARK = {"build": 3.0, "updates": 1.6}
 # per section, how much larger than at the size before marks a row's
 # count per unit of work
-COUNT_MARK = {"updates": 1.5}
+COUNT_MARK = {"build": 1.5, "updates": 1.5}
 # per graph kind, the detector counters of the replay
 DETECTOR = ("walks build", "walks updates", "mutations", "renames",
             "in-place degree 2", "in-place more", "pendant merges",
@@ -116,7 +120,9 @@ BUILDS = (*((f"random_planar f {f}", f"random_planar(n, 1, {f})",
           ("cycle", "cycle(n)", cycle, FAMILY_SIZES),
           ("wheel", "wheel(k)", wheel, FAMILY_SIZES),
           ("theta", "theta: poles joined by k paths of length 2",
-           lambda k: theta([2] * k), FAMILY_SIZES))
+           lambda k: theta([2] * k), FAMILY_SIZES),
+          ("flower", "flower(t): hub 0 shares four faces with each of t "
+           "rim vertices", flower, (100, 200, 400, 800, 1600)))
 UPDATES = (("ladder", "ladder grid(2, k), inner rungs deleted in order",
             lambda k: ((g := grid(2, k)),
                        [("d", e) for e in inner_rungs(g, k)]),
@@ -130,7 +136,10 @@ UPDATES = (("ladder", "ladder grid(2, k), inner rungs deleted in order",
            ("nested", "nested(k), radial a-edges deleted in bisection order",
             lambda k: (nested(k),
                        [("d", 6 * i + 3) for i in bisection(0, k - 1)]),
-            (64, 128, 256, 512, 1024)))
+            (64, 128, 256, 512, 1024)),
+           ("wheel", "wheel(k), even rim edges below k/2 contracted in order",
+            lambda k: (wheel(k), [("c", e) for e in range(0, k // 2, 2)]),
+            (200, 400, 800, 1600)))
 
 
 def package_functions() -> dict:

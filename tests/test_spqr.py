@@ -101,6 +101,19 @@ def test_biconnectivity_from_faces_matches_oracle():
                 g.contract_edge(e)
     assert all(seen[k] for k in ("biconnected", "loop", "components",
                                  "bundle", "cut vertex", "bridge")), seen
+    # connectivity is read off Euler's formula, V - E + F = 2 over the
+    # face walks of a plane graph with edges: an isolated vertex beside
+    # a biconnected graph and two components that both have edges pass
+    # the face walks, which meet every vertex once, and fail Euler's
+    beside = k4()
+    beside.add_vertex(9)
+    apart = from_straight_line_drawing(
+        {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0),
+         3: (5.0, 5.0), 4: (6.0, 5.0), 5: (5.0, 6.0)},
+        [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 3, 4), (4, 4, 5), (5, 5, 3)])
+    for g in (beside, apart):
+        assert not is_biconnected(g)
+        assert not spqr.is_biconnected_embedded(g)
 
 
 def _splits(g, e) -> bool:
@@ -345,7 +358,7 @@ def test_s_records_are_s_nodes():
 
 def test_skeletons_are_assembled_in_place(monkeypatch):
     # every skeleton is made from a plane graph spqr holds: S and P
-    # skeletons edge by edge by _splice, a fresh one into an empty graph,
+    # skeletons by _splice, a fresh one written whole into an empty graph,
     # copied pieces as induced subgraphs, the last piece in the graph
     # itself.  So nothing inside build_spqr, delete_edge or
     # contract_edge validates a rotation system through
@@ -436,9 +449,9 @@ def test_build_counts_pairs_once(monkeypatch):
         seen["edges"] += len(edges)
         return build(cls, vertices, edges, rotations)
 
-    def counting_records(g):
+    def counting_records(g, faces):
         seen["counts"] += 1
-        return list_records(g)
+        return list_records(g, faces)
 
     def counting_splice(kind, g, cut, edges):
         seen["skeletons"] += not g.n_edges
@@ -816,12 +829,13 @@ def test_path_classes_are_never_copied(monkeypatch):
 @pytest.mark.parametrize("seeds", ("replays", "builds"))
 def test_split_scans_stop_at_the_class_count(seeds, monkeypatch):
     # a split runs one search per neighbour of the record's vertices
-    # (a pair's first one), one scan each per round, and stops once all
-    # classes but one are complete (at an S record, all arcs but one),
-    # which takes as many rounds as its largest listed class has
-    # vertices: so it reads at most the record's degree sum x (that
-    # count + 1) rotations, those at the record and the listed classes'
-    # edges included, however large what it leaves out is
+    # but the one of largest degree (a pair's pole of smaller degree),
+    # one scan each per round, and stops once all classes but one are
+    # complete (at an S record, all arcs but one), which takes as many
+    # rounds as its largest listed class has vertices: so it reads at
+    # most the record's degree sum less its largest x (that count + 1)
+    # rotations, those at the record and the listed classes' edges
+    # included, however large what it leaves out is
     split_classes = spqr._split_classes
     seen = {"calls": 0, "listed": 0, "S": 0}
 
@@ -839,7 +853,8 @@ def test_split_scans_stop_at_the_class_count(seeds, monkeypatch):
         finally:
             del g.rotation
         largest = max((len(inner) for _, inner in done), default=0)
-        assert reads[0] <= sum(map(g.degree, rec[:-1])) * (largest + 1), \
+        degrees = list(map(g.degree, rec))
+        assert reads[0] <= (sum(degrees) - max(degrees)) * (largest + 1), \
             (rec, reads[0])
         seen["calls"] += 1
         seen["listed"] += len(done)
@@ -859,6 +874,83 @@ def test_split_scans_stop_at_the_class_count(seeds, monkeypatch):
                 tree = fn(tree, e).tree
                 assert tree.serialize() == want
     assert seen["calls"] and seen["listed"] and seen["S"]
+
+
+def _split_reads(monkeypatch) -> Counter:
+    """Counts of what ``_split_classes`` reads from now on, until they
+    are cleared: the rotations of vertices off its record
+    (``scanned``), the inner vertices of the classes it lists
+    (``listed``), and per record vertex the reads of its rotation."""
+    split_classes = spqr._split_classes
+    seen: Counter = Counter()
+
+    def counted(g, rec, k):
+        rotation = g.rotation
+
+        def counting(v):
+            seen[v if v in rec else "scanned"] += 1
+            return rotation(v)
+
+        g.rotation = counting
+        try:
+            singles, done = split_classes(g, rec, k)
+        finally:
+            del g.rotation
+        seen["listed"] += sum(len(inner) for _, inner in done)
+        return singles, done
+
+    monkeypatch.setattr(spqr, "_split_classes", counted)
+    return seen
+
+
+def test_split_searches_start_at_the_smaller_pole(monkeypatch):
+    # a pair's searches start at its pole of smaller degree: the
+    # flower's hub, which is a pole of every pair, is never read, so a
+    # build scans as many vertices per listed vertex at every size,
+    # where searches from the hub scanned about one per petal.  A rim
+    # contraction of a wheel splits its R node at the hub and the
+    # merged rim vertex without reading the hub's rotation
+    ratios = []
+    seen = _split_reads(monkeypatch)
+    for t in (8, 16):
+        seen.clear()
+        tree = build_spqr(flower(t))
+        assert tree.serialize() == canonical_spqr(flower(t))
+        assert seen[0] == 0 and seen["listed"], seen
+        ratios.append(seen["scanned"] / seen["listed"])
+    assert ratios[0] == ratios[1], ratios
+    g = wheel(64)
+    tree = build_spqr(g)
+    seen.clear()
+    log = contract_edge(tree, 0)
+    assert seen["listed"] == 0 and seen[1] == 1 and seen[0] == 0, seen
+    g.contract_edge(0)
+    log.tree.check()
+    assert log.tree.serialize() == canonical_spqr(g)
+
+
+def test_class_run_walks_from_the_class(monkeypatch):
+    # the darts of a class at a vertex are one circular run of its
+    # rotation, walked out from one of the class's own darts, so the
+    # vertex's rotation is never listed: a class at a hub costs the
+    # class.  A run may wrap past the vertex's first dart, a class may
+    # hold every dart there, and a class whose darts there are not
+    # consecutive still fails
+    g = wheel(8)
+    rot = g.rotation(0)
+    spokes = [edge_of(d) for d in rot]
+
+    def no_rotation(v):
+        raise AssertionError(f"rotation of {v} listed")
+
+    monkeypatch.setattr(g, "rotation", no_rotation)
+    assert spqr._class_run(g, 0, set(spokes[-2:] + spokes[:2])) == \
+        rot[-2:] + rot[:2]
+    run = spqr._class_run(g, 0, set(spokes))
+    i = rot.index(run[0])
+    assert run == rot[i:] + rot[:i]
+    with pytest.raises(AssertionError, match="not circularly consecutive"):
+        spqr._class_run(g, 0, {spokes[0], spokes[2]})
 
 
 def _theta_renames(k: int, order) -> list[int]:
