@@ -11,10 +11,10 @@ vertex-face graph are purely combinatorial.
 The primitive mutations are edge insertion, edge deletion and the
 merge of one vertex into another, all implemented as splices on the
 rotation lists; an edge contraction is a deletion followed by a merge
-of the edge's ends where it was.  Every dart carries the token of its
-vertex; a merge moves the darts of the smaller rotation to the larger
-one's token, so a dart changes token O(log n) times, and the token
-carries the surviving vertex label.
+of the edge's ends where it was.  Every dart names its vertex; a merge
+or a rename rewrites the retiring vertex's darts, so callers keep the
+busier end: merging small into large, a dart is rewritten O(log n)
+times.
 """
 
 from __future__ import annotations
@@ -101,54 +101,45 @@ class EmbeddedMultigraph:
         self._edges: dict[int, None] = {}
         self._nxt: dict[int, int] = {}
         self._prv: dict[int, int] = {}
-        self._home: dict[int, int] = {}     # dart -> vertex token
-        self._root_label: dict[int, int] = {}
-        self._label_root: dict[int, int] = {}
+        self._home: dict[int, int] = {}     # dart -> vertex
+        # vertex -> a dart of its rotation, None when it has none; its
+        # keys are the vertex set, in insertion order
         self._anchor: dict[int, int | None] = {}
         self._deg: dict[int, int] = {}
         self._next_eid = 0
-        self._next_token = -1   # fresh tokens for labels whose own is taken
 
     # ------------------------------------------------------------------
     # vertex identity
 
     def add_vertex(self, v: int) -> None:
-        """Add isolated vertex ``v``.  Its token is ``v`` unless a merge
-        left another label on that token; then it takes a fresh negative
-        one."""
-        if v in self._label_root:
+        """Add isolated vertex ``v``, a label no vertex has, one that a
+        merge or rename retired included."""
+        if v in self._anchor:
             raise LabelInUse(f"vertex label {v} already used")
-        token = v
-        while token in self._root_label:
-            token = self._next_token
-            self._next_token -= 1
-        self._root_label[token] = v
-        self._label_root[v] = token
         self._anchor[v] = None
         self._deg[v] = 0
 
     def delete_vertex(self, v: int) -> None:
         """Remove an isolated vertex."""
-        if v not in self._label_root:
+        if v not in self._anchor:
             raise UnknownVertex(f"unknown vertex {v}")
         if self._anchor[v] is not None:
             raise VertexNotIsolated(f"vertex {v} still has edges")
-        root = self._label_root.pop(v)
-        del self._root_label[root]
         del self._anchor[v]
         del self._deg[v]
 
     def rename_vertex(self, old: int, new: int) -> None:
-        """Give the vertex currently labeled ``old`` the label ``new``."""
+        """Give the vertex currently labeled ``old`` the label ``new``,
+        rewriting each of its darts: O(degree), which a caller that
+        walks ``old``'s rotation anyway already pays.  ``new`` goes last
+        in the vertex order."""
         if old == new:
             return
-        if old not in self._label_root:
+        if old not in self._anchor:
             raise UnknownVertex(f"unknown vertex {old}")
-        if new in self._label_root:
+        if new in self._anchor:
             raise LabelInUse(f"vertex label {new} already used")
-        root = self._label_root.pop(old)
-        self._label_root[new] = root
-        self._root_label[root] = new
+        self._relabel(self._anchor[old], new)
         self._anchor[new] = self._anchor.pop(old)
         self._deg[new] = self._deg.pop(old)
 
@@ -177,19 +168,18 @@ class EmbeddedMultigraph:
             self._nxt[p] = nd
             self._prv[n] = nd
             self._home[nd] = h
-            v = self._root_label[h]
-            if self._anchor[v] in remap:
-                self._anchor[v] = remap[self._anchor[v]]
+            if self._anchor[h] in remap:
+                self._anchor[h] = remap[self._anchor[h]]
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._label_root
+        return v in self._anchor
 
     def vertices(self) -> Iterator[int]:
-        return iter(self._label_root)
+        return iter(self._anchor)
 
     @property
     def n_vertices(self) -> int:
-        return len(self._label_root)
+        return len(self._anchor)
 
     # ------------------------------------------------------------------
     # edges and darts
@@ -206,17 +196,16 @@ class EmbeddedMultigraph:
 
     def endpoints(self, e: int) -> tuple[int, int]:
         try:
-            u, w = self._home[2 * e], self._home[2 * e + 1]
+            return self._home[2 * e], self._home[2 * e + 1]
         except KeyError:
             raise UnknownEdge(f"edge {e}") from None
-        return self._root_label[u], self._root_label[w]
 
     def is_loop(self, e: int) -> bool:
         u, w = self.endpoints(e)
         return u == w
 
     def vertex_of_dart(self, d: int) -> int:
-        return self._root_label[self._home[d]]
+        return self._home[d]
 
     def has_dart(self, d: int) -> bool:
         return d in self._home
@@ -345,14 +334,14 @@ class EmbeddedMultigraph:
         for e, u, w in edges:
             if dart(e, 0) in expected:
                 raise MalformedRotation(f"duplicate edge id {e}")
-            if u not in g._label_root or w not in g._label_root:
+            if u not in g._anchor or w not in g._anchor:
                 raise MalformedRotation(f"edge {e} touches unknown vertex")
             expected[dart(e, 0)] = u
             expected[dart(e, 1)] = w
         placed: set[int] = set()
         darts_at: dict[int, list[int]] = {}
         for v, seq in rotations.items():
-            if v not in g._label_root:
+            if v not in g._anchor:
                 raise MalformedRotation(f"rotation for unknown vertex {v}")
             darts = darts_at[v] = []
             for e, side in seq:
@@ -393,14 +382,13 @@ class EmbeddedMultigraph:
         if edges:
             self.bump_edge_id(max(edges))
         home, nxt, prv = self._home, self._nxt, self._prv
-        token_of, anchor, deg = self._label_root, self._anchor, self._deg
+        anchor, deg = self._anchor, self._deg
         for v, darts in rotations.items():
             if not darts:
                 continue
-            token = token_of[v]
             last = darts[-1]
             for d in darts:
-                home[d] = token
+                home[d] = v
                 prv[d] = last
                 nxt[last] = d
                 last = d
@@ -413,7 +401,7 @@ class EmbeddedMultigraph:
     def _attach_after(self, d: int, v: int, after: int | None) -> None:
         """Link dart ``d`` into the rotation of live vertex ``v``, after
         dart ``after``, or as its only dart when ``after`` is None."""
-        self._home[d] = self._label_root[v]
+        self._home[d] = v
         if after is None:
             self._nxt[d] = d
             self._prv[d] = d
@@ -441,8 +429,9 @@ class EmbeddedMultigraph:
         corners are checked to lie on one face, so the insertion splits
         that face.
         """
-        if u not in self._label_root or w not in self._label_root:
-            raise UnknownEdge(f"insertion endpoint missing: {u},{w}")
+        for v in (u, w):
+            if v not in self._anchor:
+                raise UnknownVertex(f"unknown vertex {v}")
         if after_u is not None and self.vertex_of_dart(after_u) != u:
             raise NotOnFace(f"dart {after_u} is not at vertex {u}")
         if after_w is not None and self.vertex_of_dart(after_w) != w:
@@ -478,7 +467,7 @@ class EmbeddedMultigraph:
             raise UnknownEdge(f"edge {e}")
         nxt, prv, anchor = self._nxt, self._prv, self._anchor
         for d in (2 * e, 2 * e + 1):
-            v = self._root_label[self._home.pop(d)]
+            v = self._home.pop(d)
             a, b = prv.pop(d), nxt.pop(d)
             if b == d:
                 anchor[v] = None
@@ -519,8 +508,7 @@ class EmbeddedMultigraph:
         the dart after ``e`` at the other end, each None where ``e`` is
         that end's only dart (the arguments ``after_x`` and ``first_r``
         of :meth:`merge_vertex`)."""
-        dx = 2 * e if self._root_label[self._home[2 * e]] == keep \
-            else 2 * e + 1
+        dx = 2 * e if self._home[2 * e] == keep else 2 * e + 1
         after_x, first_r = self._prv[dx], self._nxt[dx ^ 1]
         return (None if after_x == dx else after_x,
                 None if first_r == dx ^ 1 else first_r)
@@ -529,32 +517,31 @@ class EmbeddedMultigraph:
                      first_r: int | None) -> None:
         """Merge vertex r into x, retiring r's label: r's rotation, read
         clockwise from dart ``first_r``, goes into x's right after dart
-        ``after_x``.  Either dart is None for an end with no darts.  The
-        darts of the smaller rotation move to the larger one's token."""
-        nxt, prv = self._nxt, self._prv
-        dx, dr = self._deg[x], self._deg.pop(r)
-        tx, tr = self._label_root[x], self._label_root.pop(r)
-        moving = first_r
-        if dr > dx:
-            tx, tr, moving = tr, tx, after_x
-            self._label_root[x] = tx
-            self._root_label[tx] = x
-        del self._root_label[tr]
-        home, d = self._home, moving
-        while d is not None:
-            home[d] = tx
-            d = nxt[d]
-            if d == moving:
-                break
+        ``after_x``.  Either dart is None for an end with no darts.
+        Each of r's darts is rewritten to x, so the cost is r's degree:
+        a caller keeps the busier end as x, or walks r's rotation
+        anyway."""
+        self._relabel(first_r, x)
         if first_r is not None:
             if after_x is None:
                 self._anchor[x] = first_r
             else:
+                nxt, prv = self._nxt, self._prv
                 last, b = prv[first_r], nxt[after_x]
                 nxt[after_x], prv[first_r] = first_r, after_x
                 nxt[last], prv[b] = b, last
-        self._deg[x] = dx + dr
+        self._deg[x] += self._deg.pop(r)
         del self._anchor[r]
+
+    def _relabel(self, start: int | None, v: int) -> None:
+        """Name ``v`` as the vertex of every dart in the rotation
+        through ``start``, if it is not None."""
+        home, nxt, d = self._home, self._nxt, start
+        while d is not None:
+            home[d] = v
+            d = nxt[d]
+            if d == start:
+                break
 
     def bigon_at(self, d: int) -> tuple[int, int] | None:
         """If the face through dart ``d`` is a bigon of two distinct
@@ -591,7 +578,7 @@ class EmbeddedMultigraph:
     def components(self) -> list[set[int]]:
         seen: set[int] = set()
         out: list[set[int]] = []
-        for v in self._label_root:
+        for v in self._anchor:
             if v in seen:
                 continue
             comp = {v}
@@ -629,14 +616,10 @@ class EmbeddedMultigraph:
         g._edges = dict(self._edges)
         g._nxt = dict(self._nxt)
         g._prv = dict(self._prv)
-        label = self._root_label
-        g._home = {d: label[t] for d, t in self._home.items()}
-        g._root_label = {v: v for v in self._label_root}
-        g._label_root = dict(g._root_label)
+        g._home = dict(self._home)
         g._anchor = dict(self._anchor)
         g._deg = dict(self._deg)
         g._next_eid = self._next_eid
-        g._next_token = -1
         return g
 
     def induced(self, vs: set[int]) -> "EmbeddedMultigraph":
@@ -684,9 +667,9 @@ class EmbeddedMultigraph:
         ``rotation_next(d)``.
         """
         cycles, face_of = self.face_orbits()
-        offset = (max(self._label_root) + 1) if self._label_root else 0
+        offset = (max(self._anchor) + 1) if self._anchor else 0
         fv = EmbeddedMultigraph()
-        for v in self._label_root:
+        for v in self._anchor:
             fv.add_vertex(v)
         for i in range(len(cycles)):
             fv.add_vertex(offset + i)
@@ -697,7 +680,7 @@ class EmbeddedMultigraph:
             ne += 1
         # vertex-side rotations follow the primal rotations
         rotations = {v: [dart(fv_edge_of_corner[d], 0)
-                         for d in self.rotation(v)] for v in self._label_root}
+                         for d in self.rotation(v)] for v in self._anchor}
         # face-side rotations follow the face cycles; corner d lies on
         # the face traced from nxt[d], between rev(d) and nxt[d]
         for i, cyc in enumerate(cycles):
@@ -716,7 +699,7 @@ class EmbeddedMultigraph:
         for d, nd in self._nxt.items():
             assert self._prv[nd] == d, f"broken links at dart {d}"
             assert self.vertex_of_dart(nd) == self.vertex_of_dart(d)
-        for v in self._label_root:
+        for v in self._anchor:
             rot = self.rotation(v)
             assert len(rot) == self._deg[v], f"degree mismatch at {v}"
             for d in rot:

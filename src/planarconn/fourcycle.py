@@ -71,11 +71,12 @@ with two or more paths, any of which may close a separating 4-cycle.  A
 mutation logs every path it adds to a table or moves to another pair
 and, in each node an inserted edge enters (a contraction or a merge
 inserts the survivor's edges into a node that held only one endpoint),
-one path of each diagonal of the face the edge splits when that face had
-degree 4.  A 4-cycle that turns separating either gains a path or is
-such a face.  Each edge of a 4-cycle is a leg of one path on each
-diagonal, so a cycle that gains a path gains one on its tracked diagonal
-too.  Discovery happens at the single query,
+one path between the edge's ends around the face it splits when that
+face had degree 4: wherever the face's boundary separates, some node
+below tracks both ends.  A 4-cycle that turns separating either gains a
+path or is such a face.  Each edge of a 4-cycle is a leg of one path on
+each diagonal, so a cycle that gains a path gains one on its tracked
+diagonal too.  Discovery happens at the single query,
 :meth:`Detector.separating_now`.  A logged path still in the table of
 the pair it was written under has that pair now; the pair of one that
 left it is read off the node graph as it is now, which holds every
@@ -460,14 +461,15 @@ class Detector:
         the cycles separating at the start).
 
         Every 4-cycle that turns separating gains a path in some
-        mutation, or is the boundary of a split face, and a path of its
-        tracked diagonal is logged.  This is where the walks happen:
-        each logged path's pair is the one it was logged under while the
-        path is still in that pair's table, and is read off its node's
-        graph as it is now otherwise, and the pair's current path table,
-        if it has two or more paths, is checked against the current
-        graph, once however often it was met, which also filters out the
-        cycles that were only transiently separating.  A cycle is
+        mutation, or is the boundary of a split face, and a path of a
+        diagonal that a node where it separates tracks is logged.  This
+        is where the walks happen: each logged path's pair is the one it
+        was logged under while the path is still in that pair's table,
+        and is read off its node's graph as it is now otherwise, and the
+        pair's current path table, if it has two or more paths, is
+        checked against the current graph, once however often it was
+        met, which also filters out the cycles that were only
+        transiently separating.  A cycle is
         ``(pair, m1, lk1, m2, lk2)``: the diagonal its node tracks, the
         two middle vertices and the two leg edge pairs; one cycle held
         by two node tables is listed twice."""
@@ -748,25 +750,34 @@ class Detector:
 
     def _recheck_split_face(self, st, eid: int) -> None:
         """An insertion splits one face; if that face had degree 4, its
-        boundary cycle may just have turned from facial to separating.
-        One path of each of its two diagonals is logged, and the query
-        walks the one its node tracks and decides."""
+        boundary cycle C = a m1 b m2, with a and b the ends of the
+        inserted edge, may just have turned from facial to separating.
+        One path of the diagonal (a, b) is logged, and the query decides.
+
+        A path of (m1, m2) would find nothing more.  It finds C only at a
+        node N where C separates, and then N or a node below it that the
+        edge enters tracks a and b and has C separating.  A leaf tracks
+        every vertex here: in a bipartite graph no edge joins opposite
+        corners of a 4-face, so only a widened detector splits one.  An
+        internal node tracks its separator.  If a or b is not on it,
+        both triangles of the split face lie on that vertex's side (face
+        preservation), and so do C and the edge in that child, where C
+        separates too.  Otherwise the side of C away from the edge would
+        be a face in the child but not in N, so each face of N on that
+        side next to C would hold a vertex that only the other side has,
+        lie on the other side, and put all of C on the separator, a and
+        b included."""
         h = st.node.graph
         if not h.has_edge(eid):
             return
-        d0, d1 = dart(eid, 0), dart(eid, 1)
-        f1 = h.trace_face(d0)
-        f2 = h.trace_face(d1)
+        f1, f2 = h.trace_face(dart(eid, 0)), h.trace_face(dart(eid, 1))
         if len(f1) + len(f2) - 2 != 4:
             return
-        # the boundary a -e1- m1 -e2- b - m2 -g1- a of the split face
-        i0 = f1.index(d0)
-        j0 = f2.index(d1)
-        seq = f1[i0 + 1:] + f1[:i0] + f2[j0 + 1:] + f2[:j0]
-        e1, e2, g1 = edge_of(seq[0]), edge_of(seq[1]), edge_of(seq[3])
-        a, m1, b, m2 = map(h.vertex_of_dart, seq)
-        self._op_items += [(st, _legkey(e1, e2), _pairkey(a, b)),
-                           (st, _legkey(e1, g1), _pairkey(m1, m2))]
+        # the boundary a -e1- m1 -e2- b - m2 - a of the split face
+        seq = f1[1:] + f2[1:]
+        self._op_items.append((st, _legkey(edge_of(seq[0]), edge_of(seq[1])),
+                               _pairkey(h.vertex_of_dart(seq[0]),
+                                        h.vertex_of_dart(seq[2]))))
 
     # -- potential ------------------------------------------------------------
 

@@ -82,6 +82,7 @@ from .embed import (
     rev,
 )
 from .fourcycle import Detector
+from .separators import merge_survivor
 
 
 # ----------------------------------------------------------------------
@@ -872,7 +873,10 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
     Edges joining a and b wait until the end, and all but one are
     deleted.  Every other edge has an end inside its class: it is
     deleted if it has a parallel copy and contracted otherwise, into a
-    or b when it touches them and out of a pendant end.  Every step
+    or b when it touches them, else into its end with more skeleton
+    edges (:func:`merge_survivor`), which keeps a pendant end's
+    neighbour.  The merge rewrites the retiring end's darts, so a
+    contraction inside the class pays for its smaller end.  Every step
     removes an edge of the class and scans only the class, so the
     skeleton work is that of the classes that leave.  Every step is
     also one detector op, a merge across the edge's quad in the
@@ -896,8 +900,8 @@ def _r_cut(x: SpqrNode, gone: set[int], a: int, b: int) -> int:
         if sum(g.vertex_of_dart(rev(d)) == far for d in g.rotation(z)) >= 2:
             _r_remove(x, e)
         else:
-            _r_remove(x, e, min((u, w), key=lambda v: (
-                v not in (a, b), g.degree(v) == 1, v)))
+            _r_remove(x, e, u if u in (a, b) else w if w in (a, b)
+                      else merge_survivor(g, u, w))
     for e in across[1:]:
         _r_remove(x, e)
     return across[0]

@@ -4,7 +4,7 @@ with the committed ``tests/standing.json``.
     python -m tests.standing [section ...]
 
 Run from the root of a checkout; pytest does not collect this file.
-With no argument it runs all four sections, in about five minutes.
+With no argument it runs all five sections, in about five minutes.
 Named sections run alone and are compared alone, so ``python -m
 tests.standing replay`` takes seconds.  Counts, digests, failures and
 ``check()`` results are compared: a key that differs, that the JSON
@@ -56,6 +56,10 @@ moves an expected value edits the JSON and says why.  The sections:
   contraction of the wheel family splits the R node at the hub and a
   rim vertex, so its time per op grows with the hub's degree if a
   split reads the hub's rotation.
+- ``loc``: the code lines of each module of ``src/planarconn`` and
+  their total, counted with ``tokenize``: lines that hold a token other
+  than a comment, and not only a string that stands alone as a
+  statement, a docstring.  They are printed and compared with nothing.
 
 The ``replay`` and ``updates`` sections also audit their reach: a
 ``sys.setprofile`` hook records the functions they enter, and each
@@ -73,10 +77,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import inspect
+import io
 import json
 import math
 import sys
 import time
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -495,8 +501,36 @@ def updates() -> dict:
         return rows("updates", UPDATES, measure)
 
 
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold code: blank lines, comments and
+    docstrings, strings that stand alone as a statement, are left out."""
+    lines: set[int] = set()
+    statement: list[tokenize.TokenInfo] = []
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NEWLINE:
+            if any(t.type != tokenize.STRING for t in statement):
+                for t in statement:
+                    lines.update(range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif tok.type not in skip:
+            statement.append(tok)
+    return len(lines)
+
+
+def loc() -> dict:
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        n = code_lines(path.read_text())
+        total += n
+        print(f"  {path.name:<16} {n:>5}")
+    print(f"  {'total':<16} {total:>5}")
+    return {}
+
+
 SECTIONS = {"replay": replay, "fuzz": fuzz, "build": build,
-            "updates": updates}
+            "updates": updates, "loc": loc}
 # the sections whose reach is audited
 AUDITED = ("replay", "updates")
 # why a package function that an audited section never enters is left

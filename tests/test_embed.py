@@ -200,9 +200,8 @@ def test_contract_explicit_survivor():
 
 
 def test_add_vertex_takes_a_label_freed_by_contraction():
-    # contracting 1-2 into 1 moves vertex 1's one dart onto the token of
-    # the busier vertex 2, so label 2 is free while its number is
-    # still a token
+    # contracting 1-2 into 1 retires the busier vertex 2 and rewrites
+    # its dart to 1, so label 2 is free and names nothing left behind
     g = EmbeddedMultigraph.build(
         [1, 2, 3], [(0, 1, 2), (1, 2, 3)],
         {1: [(0, 0)], 2: [(0, 1), (1, 0)], 3: [(1, 1)]})
@@ -214,6 +213,60 @@ def test_add_vertex_takes_a_label_freed_by_contraction():
     g.check()
     g.contract_edge(e, keep=2)
     assert g.endpoints(1) == (1, 2)
+    g.check()
+
+
+def _stars(dx, dr):
+    """A star at 0 with leaves 1..dx and one at 10 with leaves 11..10+dr,
+    each tree's corners on its one face."""
+    edges, rotations = [], {0: [], 10: []}
+    for centre, k in ((0, dx), (10, dr)):
+        for leaf in range(centre + 1, centre + k + 1):
+            e = len(edges)
+            edges.append((e, centre, leaf))
+            rotations[centre].append((e, 0))
+            rotations[leaf] = [(e, 1)]
+    return EmbeddedMultigraph.build(list(rotations), edges, rotations)
+
+
+@pytest.mark.parametrize("dx, dr", [(1, 3), (3, 1), (2, 0), (0, 2)])
+def test_merge_vertex_splices_and_renames(dx, dr):
+    # r = 10 busier than x = 0 and the reverse, and each end without
+    # darts, where its argument is None: r's rotation, read from
+    # first_r, follows after_x in x's, and each of its darts names x
+    g = _stars(dx, dr)
+    rx, rr = g.rotation(0), g.rotation(10)
+    after_x = rx[0] if rx else None
+    first_r = rr[-1] if rr else None
+    g.merge_vertex(0, 10, after_x, first_r)
+    assert g.rotation(0) == rx[:1] + rr[-1:] + rr[:-1] + rx[1:]
+    assert g.degree(0) == dx + dr and not g.has_vertex(10)
+    assert all(g.vertex_of_dart(d) == v for v in g.vertices()
+               for d in g.rotation(v))
+    assert [g.endpoints(e)[0] for e in g.edge_ids()] == [0] * (dx + dr)
+    g.check()
+    # the retired label is free, and a vertex added under it is new
+    leaf = max(g.vertices())
+    g.add_vertex(10)
+    assert g.rotation(10) == [] and g.degree(10) == 0
+    e = g.insert_edge(10, leaf, None, g.any_dart(leaf))
+    assert g.endpoints(e) == (10, leaf) and g.degree(0) == dx + dr
+    g.check()
+
+
+def test_rename_vertex_rewrites_its_darts():
+    g = _stars(2, 3)
+    rot = g.rotation(10)
+    g.rename_vertex(10, 20)
+    assert list(g.vertices())[-1] == 20 and not g.has_vertex(10)
+    assert g.rotation(20) == rot and g.degree(20) == 3
+    assert all(g.vertex_of_dart(d) == 20 for d in rot)
+    assert all(g.vertex_of_dart(d ^ 1) == 20 for v in (11, 12, 13)
+               for d in g.rotation(v))
+    g.check()
+    g.add_vertex(10)
+    e = g.insert_edge(10, 20, None, rot[0])
+    assert g.endpoints(e) == (10, 20) and g.degree(20) == 4
     g.check()
 
 
@@ -308,6 +361,8 @@ def test_insert_not_on_face_rejected():
                  LabelInUse, id="insert_edge"),
     pytest.param(lambda g: g.contract_edge(0, keep=2), NotAnEndpoint,
                  id="contract_edge"),
+    pytest.param(lambda g: g.insert_edge(0, 7, g.any_dart(0), None),
+                 UnknownVertex, id="insert_edge-unknown-vertex"),
 ])
 def test_label_conflicts_raise_typed_errors(call, error):
     # each is an EmbedError and, for callers that catch it so, a

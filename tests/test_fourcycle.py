@@ -331,13 +331,15 @@ def test_exactness_fuzz_radial():
 
 @pytest.mark.usefixtures("small_leaves")
 def test_split_face_query_is_exact(monkeypatch):
-    # an insertion that splits a 4-face logs one path of each of the
-    # face's diagonals, and the query decides whether its boundary
+    # an insertion that splits a 4-face logs one path between the ends
+    # of the edge, and the query decides whether the face's boundary
     # separates.  The log is reset before an insertion when no 4-cycle
     # separates, so that the split face's own entries are what the
     # query has.  Internal nodes whose separator holds one diagonal of
-    # the face but not the other are reached, and there the query walks
-    # the tracked one
+    # the face but not the other are reached, those that hold only the
+    # middles m1 and m2 among them, and wherever the boundary separates,
+    # some node that tracks both ends sees it too (the argument in
+    # Detector._recheck_split_face)
     recheck, insert = Detector._recheck_split_face, Detector.insert_edge
     split, seen = [], Counter()
 
@@ -363,6 +365,7 @@ def test_split_face_query_is_exact(monkeypatch):
             assert sep_edges(self) == separating_4cycles(h)
         listed = {frozenset(lk1 + lk2)
                   for _pair, _m1, lk1, _m2, lk2 in self.separating_now()}
+        ends_tracked = {}
         for st, (a, m1, b, m2), eds in split:
             g = st.node.graph
             if len({a, m1, b, m2}) < 4 or not all(map(g.has_edge, eds)) \
@@ -370,6 +373,9 @@ def test_split_face_query_is_exact(monkeypatch):
                                                          *eds):
                 continue
             tracked = [{a, b} <= st.K, {m1, m2} <= st.K]
+            cyc = frozenset(eds)
+            ends_tracked[cyc] = ends_tracked.get(cyc, False) or tracked[0]
+            seen["middles only"] += tracked == [False, True]
             if any(tracked):
                 kind = "one" if tracked[0] != tracked[1] else "both"
                 seen[kind] += 1
@@ -377,6 +383,7 @@ def test_split_face_query_is_exact(monkeypatch):
                     # the face's boundary is listed as a cycle
                     assert frozenset(eds) in listed
                     seen[kind + " after a reset"] += 1
+        assert all(ends_tracked.values())
         return eid
 
     monkeypatch.setattr(Detector, "_recheck_split_face", spy_recheck)
@@ -388,6 +395,7 @@ def test_split_face_query_is_exact(monkeypatch):
         run_script(Detector(g), random.Random(seed), 50)
     assert all(seen[kind + when] for kind in ("one", "both")
                for when in ("", " after a reset")), seen
+    assert seen["middles only"], seen
 
 
 def _radial_detectors(debug):

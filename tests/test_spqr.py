@@ -736,6 +736,46 @@ def test_r_merges_insert_no_diagonal(monkeypatch):
     assert merges["top", False] and merges["cut", False], merges
 
 
+def test_cut_contractions_keep_the_busier_end(monkeypatch):
+    # a skeleton merge rewrites the darts of the end that retires, so
+    # every contraction a cut makes keeps a or b, or the end with at
+    # least as many skeleton edges: a cut moves only the smaller side.
+    # Seed 9 reaches an inner contraction whose smaller label is the
+    # end with fewer edges
+    r_cut, r_remove = spqr._r_cut, spqr._r_remove
+    poles, seen = [], Counter()
+
+    def cut(x, gone, a, b):
+        poles.append((a, b))
+        try:
+            return r_cut(x, gone, a, b)
+        finally:
+            poles.pop()
+
+    def remove(x, e, keep=None):
+        if poles and keep is not None:
+            g = x.graph
+            u, w = g.endpoints(e)
+            if keep in poles[-1]:
+                seen["pole"] += 1
+            else:
+                assert g.degree(keep) >= g.degree(u + w - keep), (u, w)
+                seen["inner", keep == min(u, w)] += 1
+        return r_remove(x, e, keep)
+
+    monkeypatch.setattr(spqr, "_r_cut", cut)
+    monkeypatch.setattr(spqr, "_r_remove", remove)
+    for seed in REPLAY_SEEDS:
+        g, ops, _graphs = _replay_ops(seed)
+        tree = build_spqr(g)
+        for op, e in ops:
+            fn = delete_edge if op == "d" else spqr.contract_edge
+            tree = fn(tree, e).tree
+        tree.check()
+    assert seen["pole"] and seen["inner", True] and seen["inner", False], \
+        seen
+
+
 def test_r_detectors_never_widen(monkeypatch):
     # every R surgery merges two corners of one colour class of the
     # vertex-face graph, a deletion two faces and a contraction two

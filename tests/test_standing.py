@@ -28,9 +28,31 @@ def test_compare_names_changed_missing_and_new_keys():
 
 
 def test_expectations_hold_the_four_sections():
+    # every section but loc, which only prints, keeps values
     expected = json.loads(standing.EXPECTED.read_text())
-    assert list(expected) == list(standing.SECTIONS)
+    assert list(expected) == [name for name in standing.SECTIONS
+                              if name != "loc"]
     assert all(expected.values())
+    assert standing.loc() == {}
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    source = '''"""Module docstring
+over two lines."""
+
+import os  # a comment on a code line
+
+
+def f(x):
+    """One line."""
+    # a comment alone
+    s = """a string that is
+    assigned, so code"""
+    return (x +
+            1)
+'''
+    # import, def, the two lines of s and the two of the return
+    assert standing.code_lines(source) == 6
 
 
 def test_replay_expects_every_detector_count():
