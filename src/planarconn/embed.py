@@ -10,11 +10,13 @@ vertex-face graph are purely combinatorial.
 
 The primitive mutations are edge insertion, edge deletion and the
 merge of one vertex into another, all implemented as splices on the
-rotation lists; an edge contraction is a deletion followed by a merge
-of the edge's ends where it was.  Every dart names its vertex; a merge
-or a rename rewrites the retiring vertex's darts, so callers keep the
-busier end: merging small into large, a dart is rewritten O(log n)
-times.
+rotation lists.  The rest are made of them: an edge contraction is a
+deletion followed by a merge of the edge's ends where it was, an edge
+rename an insertion beside the edge followed by its deletion, and a
+vertex rename the addition of the new label followed by a merge into
+it.  Every dart names its vertex; a merge or a rename rewrites the
+retiring vertex's darts, so callers keep the busier end: merging small
+into large, a dart is rewritten O(log n) times.
 """
 
 from __future__ import annotations
@@ -129,47 +131,32 @@ class EmbeddedMultigraph:
         del self._deg[v]
 
     def rename_vertex(self, old: int, new: int) -> None:
-        """Give the vertex currently labeled ``old`` the label ``new``,
-        rewriting each of its darts: O(degree), which a caller that
-        walks ``old``'s rotation anyway already pays.  ``new`` goes last
-        in the vertex order."""
-        if old == new:
-            return
+        """Give the vertex currently labeled ``old`` the label ``new``:
+        add ``new`` and merge ``old`` into it (:meth:`merge_vertex`),
+        which rewrites each of ``old``'s darts, O(degree), what a caller
+        that walks ``old``'s rotation anyway already pays.  ``new`` goes
+        last in the vertex order.  Raises ``UnknownVertex`` or
+        ``LabelInUse``, ``new == old`` included, before writing."""
         if old not in self._anchor:
             raise UnknownVertex(f"unknown vertex {old}")
-        if new in self._anchor:
-            raise LabelInUse(f"vertex label {new} already used")
-        self._relabel(self._anchor[old], new)
-        self._anchor[new] = self._anchor.pop(old)
-        self._deg[new] = self._deg.pop(old)
+        self.add_vertex(new)
+        self.merge_vertex(new, old, None, self._anchor[old])
 
     def rename_edge(self, old: int, new: int) -> None:
         """Give the edge currently labeled ``old`` the label ``new``,
-        keeping its position in both rotations (dart sides carry over)."""
-        if old == new:
-            return
-        if old not in self._edges:
-            raise UnknownEdge(f"edge {old}")
+        keeping its position in both rotations (dart sides carry over):
+        each dart of ``new`` goes in right after ``old``'s of its side,
+        then ``old`` is deleted.  ``new`` goes last in the edge order.
+        Raises ``UnknownEdge`` or ``LabelInUse``, ``new == old``
+        included, before writing."""
+        u, w = self.endpoints(old)
         if new in self._edges:
             raise LabelInUse(f"edge id {new} already used")
-        self._edges[new] = self._edges.pop(old)
+        self._edges[new] = None
         self.bump_edge_id(new)
-        remap = {dart(old, 0): dart(new, 0), dart(old, 1): dart(new, 1)}
-        saved = {}
-        for od in remap:
-            saved[od] = (self._prv.pop(od), self._nxt.pop(od),
-                         self._home.pop(od))
-        for od, (p, n, h) in saved.items():
-            nd = remap[od]
-            p = remap.get(p, p)
-            n = remap.get(n, n)
-            self._prv[nd] = p
-            self._nxt[nd] = n
-            self._nxt[p] = nd
-            self._prv[n] = nd
-            self._home[nd] = h
-            if self._anchor[h] in remap:
-                self._anchor[h] = remap[self._anchor[h]]
+        self._attach_after(2 * new, u, 2 * old)
+        self._attach_after(2 * new + 1, w, 2 * old + 1)
+        self.delete_edge(old)
 
     def has_vertex(self, v: int) -> bool:
         return v in self._anchor
@@ -521,27 +508,21 @@ class EmbeddedMultigraph:
         Each of r's darts is rewritten to x, so the cost is r's degree:
         a caller keeps the busier end as x, or walks r's rotation
         anyway."""
-        self._relabel(first_r, x)
         if first_r is not None:
+            home, nxt, prv = self._home, self._nxt, self._prv
+            home[first_r] = x
+            d = nxt[first_r]
+            while d != first_r:
+                home[d] = x
+                d = nxt[d]
             if after_x is None:
                 self._anchor[x] = first_r
             else:
-                nxt, prv = self._nxt, self._prv
                 last, b = prv[first_r], nxt[after_x]
                 nxt[after_x], prv[first_r] = first_r, after_x
                 nxt[last], prv[b] = b, last
         self._deg[x] += self._deg.pop(r)
         del self._anchor[r]
-
-    def _relabel(self, start: int | None, v: int) -> None:
-        """Name ``v`` as the vertex of every dart in the rotation
-        through ``start``, if it is not None."""
-        home, nxt, d = self._home, self._nxt, start
-        while d is not None:
-            home[d] = v
-            d = nxt[d]
-            if d == start:
-                break
 
     def bigon_at(self, d: int) -> tuple[int, int] | None:
         """If the face through dart ``d`` is a bigon of two distinct
@@ -596,20 +577,11 @@ class EmbeddedMultigraph:
         return out
 
     def euler_ok(self) -> bool:
-        face_id = self.face_orbits()[1]
-        for comp in self.components():
-            nv = len(comp)
-            ne = 0
-            cfaces: set[int] = set()
-            for v in comp:
-                for d in self.rotation(v):
-                    ne += 1
-                    cfaces.add(face_id[d])
-            ne //= 2
-            nfc = len(cfaces) if ne else 1
-            if nv - ne + nfc != 2:
-                return False
-        return True
+        """Whether every component has V - E + F = 2, by one count: a
+        rotation system gives each component at most 2, so the sums over
+        all components reach 2 per component exactly when each does."""
+        return (self.n_vertices - self.n_edges + self.n_faces()
+                == 2 * len(self.components()))
 
     def copy(self) -> "EmbeddedMultigraph":
         g = EmbeddedMultigraph.__new__(EmbeddedMultigraph)

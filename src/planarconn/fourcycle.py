@@ -117,6 +117,11 @@ class FaceDegreeExceeded(EmbedError):
     """The input graph has a face of degree above MAX_FACE_DEGREE."""
 
 
+class NotQuasiSimple(EmbedError):
+    """The input graph has a doubled face (a bigon of two edges) or a
+    monogon face."""
+
+
 def _pairkey(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
@@ -300,9 +305,9 @@ class Detector:
                 raise FaceDegreeExceeded(
                     f"face of degree {len(f)} exceeds {MAX_FACE_DEGREE}")
             if len(f) == 2 and edge_of(f[0]) != edge_of(f[1]):
-                raise EmbedError("input has a doubled face: not quasi-simple")
+                raise NotQuasiSimple("input has a doubled face")
             if len(f) == 1:
-                raise EmbedError("input has a monogon face: not quasi-simple")
+                raise NotQuasiSimple("input has a monogon face")
             bipartite = bipartite and len(f) % 2 == 0
         # the labels of the class the leaves track, or None once they
         # track every vertex
@@ -641,15 +646,17 @@ class Detector:
         self.lifted_total += len(affected)
         # 2) re-seat the lifted paths that survive; a path whose pair
         # changed may close new 4-cycles with paths it never shared a
-        # pair with before, so it is logged like a new path
+        # pair with before, so it is logged like a new path.  Each
+        # survivor's ends are tracked: a lifted path had both ends in K,
+        # the merge renamed only r to x, and x entered K exactly where r
+        # left it; a path between r and x, or with a leg along an r-x
+        # edge, derives to None
         moved_pairs = set()
         for pair, lk in affected:
             got = _derive(h, *lk)
             if got is None:
                 continue
             npair, nmid = got
-            if npair[0] not in K or npair[1] not in K:
-                continue
             st.add(npair, lk, nmid)
             if npair != pair:
                 moved_pairs.add(npair)

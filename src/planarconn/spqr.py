@@ -446,13 +446,15 @@ def _piece_graph(g: EmbeddedMultigraph, cls: set[int],
 
 
 def _is_simple_cycle_graph(g: EmbeddedMultigraph) -> bool:
-    if g.n_vertices < 3 or g.n_edges != g.n_vertices:
+    """Whether ``g`` is one cycle of three or more vertices: n >= 3,
+    m = n, every degree 2, and a face of n darts.  Degree 2 everywhere
+    makes ``g`` a union of cycles, a loop alone at its vertex among
+    them, and a cycle's faces walk only its own darts, so a face of n
+    darts is one cycle through every vertex."""
+    n = g.n_vertices
+    if n < 3 or g.n_edges != n or any(g.degree(v) != 2 for v in g.vertices()):
         return False
-    if any(g.degree(v) != 2 for v in g.vertices()):
-        return False
-    if any(g.is_loop(e) for e in g.edge_ids()):
-        return False
-    return len(g.components()) == 1
+    return len(g.trace_face(g.any_dart(next(g.vertices())))) == n
 
 
 # ----------------------------------------------------------------------

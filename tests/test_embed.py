@@ -25,6 +25,8 @@ from planarconn.embed import (
     write_graph_text,
 )
 
+from planarconn.generators import random_planar
+
 from .graphs import (
     ALL_SMALL,
     bigon,
@@ -75,6 +77,23 @@ def test_dart_at_wrong_vertex_rejected():
     with pytest.raises(MalformedRotation):
         EmbeddedMultigraph.build(
             [0, 1], [(0, 0, 1)], {0: [(0, 1)], 1: [(0, 0)]})
+
+
+@pytest.mark.parametrize("edges, rotations, message", [
+    pytest.param([(0, 0, 1), (0, 0, 1)], {0: [(0, 0)], 1: [(0, 1)]},
+                 "duplicate edge id", id="duplicate-edge-id"),
+    pytest.param([(0, 0, 2)], {0: [(0, 0)], 1: []},
+                 "touches unknown vertex", id="edge-at-unknown-vertex"),
+    pytest.param([(0, 0, 1)], {0: [(0, 0)], 1: [(0, 1)], 2: []},
+                 "rotation for unknown vertex", id="unknown-rotation"),
+    pytest.param([(0, 0, 1)], {0: [(0, 2)], 1: [(0, 1)]},
+                 "bad dart side", id="bad-side"),
+    pytest.param([(0, 0, 1)], {0: [(0, 0), (1, 0)], 1: [(0, 1)]},
+                 "has no edge", id="dart-of-no-edge"),
+])
+def test_build_rejects_malformed_rotations(edges, rotations, message):
+    with pytest.raises(MalformedRotation, match=message):
+        EmbeddedMultigraph.build([0, 1], edges, rotations)
 
 
 @pytest.mark.parametrize("edges", [[(0, 0, 1), (1, 1, 2)],
@@ -270,6 +289,50 @@ def test_rename_vertex_rewrites_its_darts():
     g.check()
 
 
+def _cycles(faces, to=lambda d: d):
+    """Face cycles mapped dart by dart, each rotated to start at its
+    smallest dart: the faces up to where each walk began."""
+    out = set()
+    for f in faces:
+        f = [to(d) for d in f]
+        i = f.index(min(f))
+        out.add(tuple(f[i:] + f[:i]))
+    return out
+
+
+def test_renames_keep_every_position():
+    # a loop inside a face, and vertex z whose only two darts are its
+    # loop's, among the edges of a plane graph
+    g = random_planar(30, 1)
+    g.insert_edge(0, 0, g.any_dart(0), None)
+    z = max(g.vertices()) + 1
+    g.add_vertex(z)
+    g.insert_edge(z, z, None, None)
+    g.check()
+    rotations = {v: g.rotation(v) for v in g.vertices()}
+    faces = g.faces()
+    shift = 2 * g.n_edges
+    for e in list(g.edge_ids()):
+        order = [f for f in g.edge_ids() if f != e]
+        g.rename_edge(e, e + shift)
+        assert list(g.edge_ids()) == order + [e + shift]
+    new = {v: v + 100 for v in list(g.vertices())[::2]}
+    for v, w in new.items():
+        order = [u for u in g.vertices() if u != v]
+        g.rename_vertex(v, w)
+        assert list(g.vertices()) == order + [w]
+
+    def moved(d):
+        return d + 2 * shift
+
+    for v, rot in rotations.items():
+        assert g.rotation(new.get(v, v)) == [moved(d) for d in rot]
+        assert all(g.vertex_of_dart(moved(d)) == new.get(v, v)
+                   for d in rot)
+    assert _cycles(g.faces()) == _cycles(faces, moved)
+    g.check()
+
+
 def test_contract_only_edge():
     g = single_edge()
     g.contract_edge(0)
@@ -355,7 +418,11 @@ def test_insert_not_on_face_rejected():
                  id="rename_vertex-unknown"),
     pytest.param(lambda g: g.rename_vertex(0, 1), LabelInUse,
                  id="rename_vertex-used"),
+    pytest.param(lambda g: g.rename_vertex(0, 0), LabelInUse,
+                 id="rename_vertex-same"),
     pytest.param(lambda g: g.rename_edge(0, 1), LabelInUse, id="rename_edge"),
+    pytest.param(lambda g: g.rename_edge(0, 0), LabelInUse,
+                 id="rename_edge-same"),
     pytest.param(lambda g: g.insert_edge(0, 1, g.any_dart(0),
                                          g.any_dart(1), eid=2),
                  LabelInUse, id="insert_edge"),
@@ -369,6 +436,37 @@ def test_label_conflicts_raise_typed_errors(call, error):
     # ValueError; it is raised before anything is written
     assert issubclass(error, EmbedError) and issubclass(error, ValueError)
     g = triangle()
+    before = write_graph_text(g)
+    with pytest.raises(error):
+        call(g)
+    assert write_graph_text(g) == before
+    g.check()
+
+
+def _with_isolated():
+    g = triangle()
+    g.add_vertex(3)
+    return g
+
+
+@pytest.mark.parametrize("make, call, error", [
+    pytest.param(triangle, lambda g: g.insert_edge(0, 1, g.any_dart(1),
+                                                   g.any_dart(1)),
+                 NotOnFace, id="insert_edge-u-dart-elsewhere"),
+    pytest.param(triangle, lambda g: g.insert_edge(0, 1, g.any_dart(0),
+                                                   g.any_dart(0)),
+                 NotOnFace, id="insert_edge-w-dart-elsewhere"),
+    pytest.param(_with_isolated,
+                 lambda g: g.insert_edge(0, 3, g.any_dart(0), None,
+                                         require_same_face=True),
+                 NotOnFace, id="insert_edge-isolated-end"),
+    pytest.param(triangle, lambda g: g.rename_edge(7, 8), UnknownEdge,
+                 id="rename_edge-unknown"),
+])
+def test_bad_positions_and_ids_raise_typed_errors(make, call, error):
+    # the EmbedErrors that are not ValueErrors, each raised before
+    # anything is written
+    g = make()
     before = write_graph_text(g)
     with pytest.raises(error):
         call(g)
@@ -590,6 +688,30 @@ def test_parse_bad_rotation():
     text = "2 1\nedge 0 0 1\nrot 0 0:0 0:0\nrot 1 0:1\n"
     with pytest.raises(GraphFormatError):
         parse_graph_text(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    pytest.param("", 1, id="empty"),
+    pytest.param("# a comment only\n", 1, id="comment-only"),
+    pytest.param("# n m\n2 x\n", 2, id="non-integer-header"),
+    pytest.param("2 1\nedge 0 0 1\nrot 0 0:0\n", 1, id="line-count"),
+    pytest.param("2 1\nedge 0 a 1\nrot 0 0:0\nrot 1 0:1\n", 2,
+                 id="non-integer-edge"),
+    pytest.param("2 1\nedge 0 0 1\nedge 1 0 1\nrot 1 0:1\n", 3,
+                 id="missing-rot"),
+    pytest.param("2 1\nedge 0 0 1\n\nrot a 0:0\nrot 1 0:1\n", 4,
+                 id="non-integer-vertex"),
+    pytest.param("2 1\nedge 0 0 1\nrot 0 0-0\nrot 1 0:1\n", 3,
+                 id="bad-dart-token"),
+    pytest.param("2 1\nedge 0 0 1\nrot 0 0:0\nrot 0 0:1\n", 4,
+                 id="duplicate-rotation"),
+])
+def test_parse_errors_carry_their_line(text, line):
+    # blank and comment lines count toward the line numbers
+    with pytest.raises(GraphFormatError) as ei:
+        parse_graph_text(text)
+    assert ei.value.line == line
+    assert str(ei.value).startswith(f"line {line}: ")
 
 
 # ----------------------------------------------------------------------

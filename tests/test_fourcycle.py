@@ -10,14 +10,17 @@ from collections import Counter
 import pytest
 
 from planarconn import fourcycle, separators
-from planarconn.embed import NotOnFace, SelfLoopContraction, UnknownEdge, edge_of
-from planarconn.fourcycle import MAX_FACE_DEGREE, Detector, FaceDegreeExceeded
+from planarconn.embed import (EmbedError, NotOnFace, SelfLoopContraction,
+                              UnknownEdge, edge_of, write_graph_text)
+from planarconn.fourcycle import (MAX_FACE_DEGREE, Detector,
+                                  FaceDegreeExceeded, NotQuasiSimple)
 from planarconn.generators import random_delaunay, random_planar
 from planarconn.oracle import separating_4cycles
 from planarconn.separators import merge_survivor
 from planarconn.spqr import build_spqr
 
-from .graphs import cube, cycle, grid, hub, k4, k24, triangle, wheel
+from .graphs import (bigon, cube, cycle, grid, hub, k4, k24, triangle,
+                     wheel)
 
 
 def sep_edges(det):
@@ -137,6 +140,25 @@ def test_face_degree_bound_enforced():
     Detector(cycle(MAX_FACE_DEGREE), debug=True)
 
 
+def _cube_with_loop():
+    g = cube()
+    g.insert_edge(0, 0, g.any_dart(0), None)
+    return g
+
+
+@pytest.mark.parametrize("make, face", [
+    pytest.param(bigon, "doubled", id="doubled-face"),
+    pytest.param(_cube_with_loop, "monogon", id="monogon-face"),
+])
+def test_faces_that_are_not_quasi_simple_rejected(make, face):
+    assert issubclass(NotQuasiSimple, EmbedError)
+    g = make()
+    before = write_graph_text(g)
+    with pytest.raises(NotQuasiSimple, match=face):
+        Detector(g, debug=True)
+    assert write_graph_text(g) == before
+
+
 def test_self_loop_contraction_rejected():
     det = Detector(cube(), debug=True)
     d = det.tree.root.graph.any_dart(0)
@@ -180,6 +202,11 @@ def test_merge_across_rejects_bad_corners():
     # corners of vertices 0 and 8 lie on different faces
     with pytest.raises(NotOnFace):
         det.merge_across(0, 8, h.any_dart(0), h.any_dart(8))
+    # a position dart at another vertex, at either end
+    with pytest.raises(NotOnFace, match="is not at vertex 0"):
+        det.merge_across(0, 8, h.any_dart(4), h.any_dart(8))
+    with pytest.raises(NotOnFace, match="is not at vertex 8"):
+        det.merge_across(0, 8, h.any_dart(0), h.any_dart(4))
     # the rejections changed nothing
     assert _state(det) == before
     assert_exact(det)

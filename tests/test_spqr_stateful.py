@@ -17,10 +17,15 @@ derandomized and keeps no example database, so one checkout repeats it
 exactly; hypothesis also draws constants from the source files, so an
 edit elsewhere can change the examples.  ``conftest.py`` keeps
 hypothesis's storage out of the checkout.
+
+None of the machine's examples retires a label that another live block
+holds, so ``test_rename_in_block_follows_a_retired_cut_vertex`` makes
+that rename deterministically, through an R node and into one.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -167,3 +172,52 @@ SpqrMachine.TestCase.settings = settings(
     database=None, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 TestSpqrMachine = SpqrMachine.TestCase
+
+
+def _retire_a_cut_vertex(seed):
+    """Split ``random_planar(40, seed, 12)`` into a path by deleting a
+    real S edge, then contract a real edge of one piece at a cut vertex
+    whose label retires while an R node of another piece's tree holds
+    it: the graph after both ops, the other pieces' trees, and the
+    retired and surviving labels."""
+    g = random_planar(40, seed, max_face_degree=12)
+    for e in [e for x in spqr.build_spqr(g).nodes() if x.kind == "S"
+              for e in x.real_ids()]:
+        log = spqr.delete_edge(spqr.build_spqr(g), e)
+        trees = [p.tree for p in log.pieces if p.tree]
+        for a in trees:
+            for f in real_edges(a):
+                v = max(a.node_of_edge[f].graph.endpoints(f))
+                others = [t for t in trees if t is not a]
+                if any(y.kind == "R" and y.graph.has_vertex(v)
+                       for t in others for y in t.nodes()):
+                    clog = spqr.contract_edge(a, f)
+                    assert clog.retired_vertex == v
+                    h = g.copy()
+                    h.delete_edge(e)
+                    h.contract_edge(f)
+                    return h, others, v, clog.merged_vertex
+    raise AssertionError("no cut vertex retires that an R node holds")
+
+
+@pytest.mark.parametrize("entry", ["R", "S"])
+def test_rename_in_block_follows_a_retired_cut_vertex(entry):
+    # seed 12's retired label lies on an S, an R and two more S nodes of
+    # one other piece: entered at its R node, or at an S node from
+    # which the cascade reaches the R node
+    h, others, dying, keep = _retire_a_cut_vertex(12)
+    kinds = []
+    for t in others:
+        holders = [y for y in t.nodes() if y.graph.has_vertex(dying)]
+        if not holders:
+            continue
+        kinds += [y.kind for y in holders]
+        node = next((y for y in holders if y.kind == entry), holders[0])
+        before = t.renames
+        spqr.rename_vertex_in_block(t, node, dying, keep)
+        assert t.renames == before + len(holders)
+        assert not any(y.graph.has_vertex(dying) for y in t.nodes())
+        t.check()
+        assert t.serialize() == canonical_spqr(
+            _edge_subgraph(h, set(real_edges(t))))
+    assert "R" in kinds and "S" in kinds

@@ -53,6 +53,8 @@ def f(x):
 '''
     # import, def, the two lines of s and the two of the return
     assert standing.code_lines(source) == 6
+    # compile() reads all 13, the docstrings, comments and blanks too
+    assert standing.source_lines(source) == 13
 
 
 def test_replay_expects_every_detector_count():
