@@ -30,14 +30,19 @@ class EmbedError(Exception):
 
 
 class MalformedRotation(EmbedError):
-    """The rotation input does not list every edge end exactly once."""
+    """The rotation input does not list every edge end exactly once.
+    Where :meth:`EmbeddedMultigraph.build` blames one rotation or one
+    edge, ``vertex`` or ``edge`` names it."""
+
+    vertex: int | None = None
+    edge: int | None = None
 
 
 class EulerViolation(EmbedError):
     """The rotation system is not a planar embedding of the graph."""
 
 
-class UnknownEdge(EmbedError):
+class UnknownEdge(EmbedError, ValueError):
     """The edge id is not present in the graph."""
 
 
@@ -318,37 +323,50 @@ class EmbeddedMultigraph:
         for v in vertices:
             g.add_vertex(v)
         expected: dict[int, int] = {}
-        for e, u, w in edges:
-            if dart(e, 0) in expected:
-                raise MalformedRotation(f"duplicate edge id {e}")
-            if u not in g._anchor or w not in g._anchor:
-                raise MalformedRotation(f"edge {e} touches unknown vertex")
-            expected[dart(e, 0)] = u
-            expected[dart(e, 1)] = w
+        # an error names the edge, or the rotation, whose loop raised it
+        try:
+            for e, u, w in edges:
+                if dart(e, 0) in expected:
+                    raise MalformedRotation(f"duplicate edge id {e}")
+                if u not in g._anchor or w not in g._anchor:
+                    raise MalformedRotation(f"edge {e} touches unknown vertex")
+                expected[dart(e, 0)] = u
+                expected[dart(e, 1)] = w
+        except MalformedRotation as exc:
+            exc.edge = e
+            raise
         placed: set[int] = set()
         darts_at: dict[int, list[int]] = {}
-        for v, seq in rotations.items():
-            if v not in g._anchor:
-                raise MalformedRotation(f"rotation for unknown vertex {v}")
-            darts = darts_at[v] = []
-            for e, side in seq:
-                if side not in (0, 1):
-                    raise MalformedRotation(f"bad dart side {side}")
-                d = dart(e, side)
-                if d not in expected:
-                    raise MalformedRotation(f"dart {e}:{side} has no edge")
-                if expected[d] != v:
-                    raise MalformedRotation(
-                        f"dart {e}:{side} listed at vertex {v}, "
-                        f"belongs at {expected[d]}")
-                if d in placed:
-                    raise MalformedRotation(f"dart {e}:{side} listed twice")
-                placed.add(d)
-                darts.append(d)
-        if len(placed) != len(expected):
-            missing = next(iter(set(expected) - placed))
-            raise MalformedRotation(
-                f"dart {edge_of(missing)}:{missing & 1} missing from rotations")
+        try:
+            for v, seq in rotations.items():
+                if v not in g._anchor:
+                    raise MalformedRotation(f"rotation for unknown vertex {v}")
+                darts = darts_at[v] = []
+                for e, side in seq:
+                    if side not in (0, 1):
+                        raise MalformedRotation(f"bad dart side {side}")
+                    d = dart(e, side)
+                    if d not in expected:
+                        raise MalformedRotation(f"dart {e}:{side} has no edge")
+                    if expected[d] != v:
+                        raise MalformedRotation(
+                            f"dart {e}:{side} listed at vertex {v}, "
+                            f"belongs at {expected[d]}")
+                    if d in placed:
+                        raise MalformedRotation(
+                            f"dart {e}:{side} listed twice")
+                    placed.add(d)
+                    darts.append(d)
+            if len(placed) != len(expected):
+                missing = next(iter(set(expected) - placed))
+                # the rotation that lacks the dart
+                v = expected[missing]
+                raise MalformedRotation(
+                    f"dart {edge_of(missing)}:{missing & 1} missing from "
+                    "rotations")
+        except MalformedRotation as exc:
+            exc.vertex = v
+            raise
         g.write_rotations([edge_of(d) for d in expected if not d & 1],
                           darts_at)
         if not g.euler_ok():
@@ -820,6 +838,9 @@ def parse_graph_text(text: str) -> EmbeddedMultigraph:
     edges = []
     vertices: list[int] = []
     rotations: dict[int, list[tuple[int, int]]] = {}
+    # the line of each edge id, the later of two, and of each rotation
+    edge_line: dict[int, int] = {}
+    rot_line: dict[int, int] = {}
     for lineno, ln in rows[1:1 + m]:
         f = ln.split()
         if len(f) != 4 or f[0] != "edge":
@@ -828,6 +849,7 @@ def parse_graph_text(text: str) -> EmbeddedMultigraph:
             edges.append((int(f[1]), int(f[2]), int(f[3])))
         except ValueError:
             raise GraphFormatError(lineno, "edge fields must be integers")
+        edge_line[edges[-1][0]] = lineno
     for lineno, ln in rows[1 + m:]:
         f = ln.split()
         if len(f) < 2 or f[0] != "rot":
@@ -847,7 +869,12 @@ def parse_graph_text(text: str) -> EmbeddedMultigraph:
             raise GraphFormatError(lineno, f"duplicate rotation for {v}")
         vertices.append(v)
         rotations[v] = seq
+        rot_line[v] = lineno
     try:
         return EmbeddedMultigraph.build(vertices, edges, rotations)
+    except MalformedRotation as exc:
+        line = edge_line.get(exc.edge) or rot_line.get(exc.vertex)
+        raise GraphFormatError(line or rows[0][0], str(exc)) from exc
     except EmbedError as exc:
+        # Euler's formula fails for the whole graph, at no one line
         raise GraphFormatError(rows[0][0], str(exc)) from exc

@@ -7,7 +7,9 @@ sides is a face.  The :class:`Detector` keeps, for every node of a
 face-preserving separator tree, a set ``K`` of tracked vertices and the
 complete table of length-2 paths between pairs of ``K``.  Two such
 paths with distinct middle vertices form a 4-cycle, and a constant-time
-face walk decides whether it is separating.
+face walk of its four darts decides whether it is separating: each path
+gives the dart leaving one end of the pair and the dart leaving its
+middle, out along one path and back along the other.
 
 Any 4-cycle is either confined to one side of a node's separation, in
 which case a descendant tracks it, or it crosses with its two
@@ -45,7 +47,11 @@ There are three mutations.  An insertion splits a face, and a merge
 joins two corners of one face, retiring one vertex into another where
 the face was.  The vertex that keeps its label is the one with more
 edges, and only the paths with a leg at the other, whose label retires,
-are re-seated; the others keep their pair, legs and middle.  A merge is
+are re-seated; the others keep their pair, legs and middle.  Re-seating
+(``Detector._reseat``) lifts those paths out of their tables and adds
+back each one that still forms a path, under the pair and middle it has
+now; a node that held only the retiring vertex renames it and re-seats
+its paths the same way.  A merge is
 one root-first walk of the separator tree (``SeparatorTree.apply_merge``)
 that first deletes, at each node, the edges at the retiring vertex that
 the caller names, and a node that holds both vertices reports one
@@ -164,19 +170,15 @@ def _opposite_on_quad(h: EmbeddedMultigraph, after_u: int,
 
 
 def cycle_is_separating(h: EmbeddedMultigraph,
-                        a: int, m1: int, b: int, m2: int,
-                        e1: int, e2: int, f2: int, f1: int) -> bool:
-    """Whether the 4-cycle a -e1- m1 -e2- b -f2- m2 -f1- a bounds no
-    face of h (both walks of its two sides fail to close a face).  The
-    darts of one side leave a, m1, b and m2; the other side walks the
-    same edges backwards, so its darts are their reverses.  Edge e owns
-    darts 2e and 2e + 1, and ``d ^ 1`` reverses dart d (see ``embed``);
-    the walk is spelt out because the query makes it for every cycle."""
-    at, step = h.vertex_of_dart, h.face_next
-    d1 = 2 * e1 if at(2 * e1) == a else 2 * e1 + 1
-    d2 = 2 * e2 if at(2 * e2) == m1 else 2 * e2 + 1
-    d3 = 2 * f2 if at(2 * f2) == b else 2 * f2 + 1
-    d4 = 2 * f1 if at(2 * f1) == m2 else 2 * f1 + 1
+                        d1: int, d2: int, d3: int, d4: int) -> bool:
+    """Whether the 4-cycle with darts d1, d2, d3, d4 in order, each
+    leaving the vertex the one before it enters, bounds no face of h
+    (both walks of its two sides fail to close a face).  The other side
+    walks the same edges backwards, so its darts are their reverses;
+    ``d ^ 1`` reverses dart d (see ``embed``).  No dart's vertex is
+    read: the walk is spelt out because the query makes it for every
+    cycle."""
+    step = h.face_next
     if step(d1) == d2 and step(d2) == d3 and step(d3) == d4 \
             and step(d4) == d1:
         return False
@@ -474,7 +476,10 @@ class Detector:
         pair's current path table, if it has two or more paths, is
         checked against the current graph, once however often it was
         met, which also filters out the cycles that were only
-        transiently separating.  A cycle is
+        transiently separating.  Each path of the table is read once,
+        as its dart leaving the pair's first vertex a and its dart
+        leaving its middle, and each two paths with distinct middles
+        hand those four darts to :func:`cycle_is_separating`.  A cycle is
         ``(pair, m1, lk1, m2, lk2)``: the diagonal its node tracks, the
         two middle vertices and the two leg edge pairs; one cycle held
         by two node tables is listed twice."""
@@ -492,18 +497,20 @@ class Detector:
             d = st.paths.get(pair)
             if d is None or len(d) < 2:
                 continue
-            # orient each path's legs: the one at a first
+            # each path a - m - b as its dart leaving a and its dart
+            # leaving m: edge e owns darts 2e and 2e + 1
             h = st.node.graph
-            a, b = pair
-            entries = []
+            at, a = h.vertex_of_dart, pair[0]
+            paths = []
             for lk, m in d.items():
-                p, q = lk
-                entries.append((lk, m, p, q) if a in h.endpoints(p)
-                               else (lk, m, q, p))
-            for i, (lk1, m1, e1, e2) in enumerate(entries):
-                for lk2, m2, f1, f2 in entries[i + 1:]:
+                p, q = lk if a in h.endpoints(lk[0]) else lk[::-1]
+                paths.append((lk, m, 2 * p + (at(2 * p) != a),
+                              2 * q + (at(2 * q) != m)))
+            for i, (lk1, m1, da1, dm1) in enumerate(paths):
+                for lk2, m2, da2, dm2 in paths[i + 1:]:
+                    # out along the first path, back along the second
                     if m1 != m2 and cycle_is_separating(
-                            h, a, m1, b, m2, e1, e2, f2, f1):
+                            h, da1, dm1, dm2 ^ 1, da2 ^ 1):
                         cycles.append((pair, m1, lk1, m2, lk2))
         return cycles
 
@@ -529,12 +536,7 @@ class Detector:
             fresh = _NodeState(node, set(st.K))
             fresh.scan_all()
             assert fresh.paths == st.paths
-            want = {}
-            for pair, d in fresh.paths.items():
-                for lk in d:
-                    for e in lk:
-                        want.setdefault(e, set()).add((pair, lk))
-            assert want == st.by_edge
+            assert fresh.by_edge == st.by_edge
             if self.debug:
                 info = self._phi(node, st.K)
                 assert info["phi"] >= 0
@@ -624,7 +626,12 @@ class Detector:
 
     def _process_merge(self, st, x: int, r: int, fr: list[int]) -> None:
         """r merged into x, r with the edges ``fr`` before.  If r was
-        tracked, x now stands where r stood and is tracked too.  Where r
+        tracked, x now stands where r stood and is tracked too.  The
+        paths with a leg among ``fr`` are re-seated (:meth:`_reseat`),
+        those whose pair moved logged like new paths; the paths with
+        the merged vertex as middle and one leg from each side are
+        added, and where exactly one of x and r was tracked, so are
+        the paths from x along the other one's former edges.  Where r
         had no edge left (``fr`` empty), the deletions of its edges
         already purged every path through it, and if x just became
         tracked, any of its edges can start a new path."""
@@ -638,54 +645,64 @@ class Detector:
             if kr and not kx:
                 self._paths_from(st, x, [edge_of(d) for d in h.rotation(x)])
             return
-        # 1) lift out every path with a leg at r, whose label retired; a
-        # path with no leg there keeps its pair, legs and middle
-        affected = set()
-        for f in fr:
-            affected |= st.purge(f)
-        self.lifted_total += len(affected)
-        # 2) re-seat the lifted paths that survive; a path whose pair
-        # changed may close new 4-cycles with paths it never shared a
-        # pair with before, so it is logged like a new path.  Each
-        # survivor's ends are tracked: a lifted path had both ends in K,
-        # the merge renamed only r to x, and x entered K exactly where r
-        # left it; a path between r and x, or with a leg along an r-x
-        # edge, derives to None
-        moved_pairs = set()
-        for pair, lk in affected:
-            got = _derive(h, *lk)
-            if got is None:
-                continue
-            npair, nmid = got
-            st.add(npair, lk, nmid)
-            if npair != pair:
-                moved_pairs.add(npair)
-                self._op_items.append((st, lk, npair))
-        self._cand(st, len(moved_pairs))
+        # 1) re-seat every path with a leg at r, whose label retired; a
+        # path with no leg there keeps its pair, legs and middle.  A path
+        # whose pair changed may close new 4-cycles with paths it never
+        # shared a pair with before, so it is logged like a new path
+        lifted, moved = self._reseat(st, fr)
+        self.lifted_total += len(lifted)
+        self._op_items += moved
+        self._cand(st, len({pair for _, _, pair in moved}))
         # x's former edges are its edges now that were not r's; they are
         # read only where a former-r leg reaches K or exactly one of the
         # two was tracked
-        rlegs = self._k_legs(h, fr, x, K)
+        rlegs = [(f, z) for f, z in self._legs(h, fr, x) if z in K]
         if not rlegs and kx == kr:
             return
         fx = {edge_of(d) for d in h.rotation(x)}.difference(fr)
-        # 3) new paths with the merged vertex as middle: one former-x
-        # leg and one former-r leg
+        # 2) new paths with the merged vertex as middle: one former-x
+        # leg and one former-r leg (fx and fr share no edge)
         seen_pairs = set()
-        for f1, z1 in self._k_legs(h, fx, x, K):
+        for f1, z1 in self._legs(h, fx, x):
+            if z1 not in K:
+                continue
             for f2, z2 in rlegs:
-                if z1 == z2 or f1 == f2:
+                if z1 == z2:
                     continue
-                seen_pairs.add(_pairkey(z1, z2))
-                npair = _pairkey(z1, z2)
-                lk = _legkey(f1, f2)
+                npair, lk = _pairkey(z1, z2), _legkey(f1, f2)
+                seen_pairs.add(npair)
                 if st.add(npair, lk, x):
                     self._op_items.append((st, lk, npair))
         self._cand(st, len(seen_pairs))
-        # 4) when exactly one of the two was tracked, the other one's
+        # 3) when exactly one of the two was tracked, the other one's
         # former edges now start paths at a tracked vertex
         if kx != kr:
             self._paths_from(st, x, fr if kx else fx)
+
+    def _reseat(self, st, edges) -> tuple[set, list]:
+        """Purge every path with a leg among ``edges``, whose ends may
+        have been relabelled, and add back each one that still forms a
+        path, under the pair and middle :func:`_derive` finds for it now;
+        one whose two ends a merge made one, or with a leg that it made
+        a loop, forms none.  Every path added back has both
+        ends tracked: it had them before, only a retiring label changed,
+        and the label that replaced it took its place in ``K``.  Returns
+        the lifted ``(pair, legkey)`` items and the op-log entries of the
+        paths whose pair moved."""
+        h = st.node.graph
+        lifted = set()
+        for e in edges:
+            lifted |= st.purge(e)
+        moved = []
+        for pair, lk in lifted:
+            got = _derive(h, *lk)
+            if got is None:
+                continue
+            npair, m = got
+            st.add(npair, lk, m)
+            if npair != pair:
+                moved.append((st, lk, npair))
+        return lifted, moved
 
     def _paths_from(self, st, x: int, legs) -> None:
         """x just became tracked: add and log every path from x whose
@@ -694,14 +711,7 @@ class Detector:
         h = st.node.graph
         K = st.K
         seen = set()
-        for f in set(legs):
-            try:
-                a, b = h.endpoints(f)
-            except UnknownEdge:
-                continue
-            if a == b or x not in (a, b):
-                continue
-            m = a + b - x
+        for f, m in self._legs(h, legs, x):
             for d2 in h.rotation(m):
                 g2 = edge_of(d2)
                 if g2 == f:
@@ -716,35 +726,30 @@ class Detector:
         self._cand(st, len(seen))
 
     @staticmethod
-    def _k_legs(h, fs, x, K):
+    def _legs(h, fs, x) -> list[tuple[int, int]]:
+        """(edge, far end) of each edge among ``fs`` that is still at x
+        and is no loop, each edge once; callers keep the far ends they
+        track."""
         out = []
         for f in set(fs):
             try:
                 a, b = h.endpoints(f)
             except UnknownEdge:
                 continue
-            if a == b or x not in (a, b):
-                continue
-            z = a + b - x
-            if z in K:
-                out.append((f, z))
+            if a != b and x in (a, b):
+                out.append((f, a + b - x))
         return out
 
     def _process_rename(self, st, old: int, new: int) -> None:
+        """Vertex ``old`` of this node was renamed ``new``: ``new``
+        takes its place in ``K`` and the paths with a leg at it are
+        re-seated under their relabelled pairs.  Nothing is logged:
+        ``new`` was not in this node, so each pair's table moves whole
+        and no path meets another it did not share a pair with."""
         if old in st.K:
             st.K.discard(old)
             st.K.add(new)
-        h = st.node.graph
-        moved = set()
-        for d in h.rotation(new):
-            moved |= st.purge(edge_of(d))
-        for pair, lk in moved:
-            got = _derive(h, *lk)
-            if got is None:
-                continue
-            npair, nmid = got
-            if npair[0] in st.K and npair[1] in st.K:
-                st.add(npair, lk, nmid)
+        self._reseat(st, [edge_of(d) for d in st.node.graph.rotation(new)])
 
     def _process_insert_paths(self, st, eid: int) -> None:
         """Edge ``eid`` was inserted: it is the first leg of new paths

@@ -79,21 +79,28 @@ def test_dart_at_wrong_vertex_rejected():
             [0, 1], [(0, 0, 1)], {0: [(0, 1)], 1: [(0, 0)]})
 
 
-@pytest.mark.parametrize("edges, rotations, message", [
+@pytest.mark.parametrize("edges, rotations, message, blamed", [
     pytest.param([(0, 0, 1), (0, 0, 1)], {0: [(0, 0)], 1: [(0, 1)]},
-                 "duplicate edge id", id="duplicate-edge-id"),
+                 "duplicate edge id", (None, 0), id="duplicate-edge-id"),
     pytest.param([(0, 0, 2)], {0: [(0, 0)], 1: []},
-                 "touches unknown vertex", id="edge-at-unknown-vertex"),
+                 "touches unknown vertex", (None, 0),
+                 id="edge-at-unknown-vertex"),
     pytest.param([(0, 0, 1)], {0: [(0, 0)], 1: [(0, 1)], 2: []},
-                 "rotation for unknown vertex", id="unknown-rotation"),
+                 "rotation for unknown vertex", (2, None),
+                 id="unknown-rotation"),
     pytest.param([(0, 0, 1)], {0: [(0, 2)], 1: [(0, 1)]},
-                 "bad dart side", id="bad-side"),
+                 "bad dart side", (0, None), id="bad-side"),
     pytest.param([(0, 0, 1)], {0: [(0, 0), (1, 0)], 1: [(0, 1)]},
-                 "has no edge", id="dart-of-no-edge"),
+                 "has no edge", (0, None), id="dart-of-no-edge"),
+    pytest.param([(0, 0, 1)], {0: [(0, 0)], 1: []},
+                 "missing", (1, None), id="dart-missing"),
 ])
-def test_build_rejects_malformed_rotations(edges, rotations, message):
-    with pytest.raises(MalformedRotation, match=message):
+def test_build_rejects_malformed_rotations(edges, rotations, message,
+                                           blamed):
+    # the error names the (vertex, edge) whose line a parser reports
+    with pytest.raises(MalformedRotation, match=message) as ei:
         EmbeddedMultigraph.build([0, 1], edges, rotations)
+    assert (ei.value.vertex, ei.value.edge) == blamed
 
 
 @pytest.mark.parametrize("edges", [[(0, 0, 1), (1, 1, 2)],
@@ -423,6 +430,8 @@ def test_insert_not_on_face_rejected():
     pytest.param(lambda g: g.rename_edge(0, 1), LabelInUse, id="rename_edge"),
     pytest.param(lambda g: g.rename_edge(0, 0), LabelInUse,
                  id="rename_edge-same"),
+    pytest.param(lambda g: g.rename_edge(7, 8), UnknownEdge,
+                 id="rename_edge-unknown"),
     pytest.param(lambda g: g.insert_edge(0, 1, g.any_dart(0),
                                          g.any_dart(1), eid=2),
                  LabelInUse, id="insert_edge"),
@@ -460,8 +469,6 @@ def _with_isolated():
                  lambda g: g.insert_edge(0, 3, g.any_dart(0), None,
                                          require_same_face=True),
                  NotOnFace, id="insert_edge-isolated-end"),
-    pytest.param(triangle, lambda g: g.rename_edge(7, 8), UnknownEdge,
-                 id="rename_edge-unknown"),
 ])
 def test_bad_positions_and_ids_raise_typed_errors(make, call, error):
     # the EmbedErrors that are not ValueErrors, each raised before
@@ -684,12 +691,6 @@ def test_parse_bad_edge_line():
     assert ei.value.line == 2
 
 
-def test_parse_bad_rotation():
-    text = "2 1\nedge 0 0 1\nrot 0 0:0 0:0\nrot 1 0:1\n"
-    with pytest.raises(GraphFormatError):
-        parse_graph_text(text)
-
-
 @pytest.mark.parametrize("text, line", [
     pytest.param("", 1, id="empty"),
     pytest.param("# a comment only\n", 1, id="comment-only"),
@@ -705,6 +706,19 @@ def test_parse_bad_rotation():
                  id="bad-dart-token"),
     pytest.param("2 1\nedge 0 0 1\nrot 0 0:0\nrot 0 0:1\n", 4,
                  id="duplicate-rotation"),
+    # the rejections of EmbeddedMultigraph.build, at the line to blame
+    pytest.param("2 1\nedge 0 0 1\nrot 0 0:0 0:0\nrot 1 0:1\n", 3,
+                 id="dart-listed-twice"),
+    pytest.param("2 2\nedge 0 0 1\nedge 0 0 1\nrot 0 0:0\nrot 1 0:1\n", 3,
+                 id="duplicate-edge-id"),
+    pytest.param("2 1\nedge 0 0 1\nrot 0 0:0\nrot 1\n", 4,
+                 id="dart-missing"),
+    pytest.param("2 1\nedge 0 0 5\nrot 0 0:0\nrot 1 0:1\n", 2,
+                 id="edge-at-unknown-vertex"),
+    pytest.param("2 1\nedge 0 0 1\nrot 0 0:0\nrot 1 0:1 0:0\n", 4,
+                 id="dart-at-other-vertex"),
+    pytest.param("1 2\nedge 0 0 0\nedge 1 0 0\n"
+                 "rot 0 0:0 1:0 0:1 1:1\n", 1, id="euler-at-header"),
 ])
 def test_parse_errors_carry_their_line(text, line):
     # blank and comment lines count toward the line numbers

@@ -378,7 +378,7 @@ def test_split_face_query_is_exact(monkeypatch):
                 i, j = f1.index(2 * eid), f2.index(2 * eid + 1)
                 seq = f1[i + 1:] + f1[:i] + f2[j + 1:] + f2[:j]
                 split.append((st, [h.vertex_of_dart(d) for d in seq],
-                              [edge_of(d) for d in seq]))
+                              [edge_of(d) for d in seq], seq))
         recheck(self, st, eid)
 
     def spy_insert(self, *args, **kw):
@@ -393,11 +393,11 @@ def test_split_face_query_is_exact(monkeypatch):
         listed = {frozenset(lk1 + lk2)
                   for _pair, _m1, lk1, _m2, lk2 in self.separating_now()}
         ends_tracked = {}
-        for st, (a, m1, b, m2), eds in split:
+        for st, (a, m1, b, m2), eds, darts in split:
             g = st.node.graph
+            # the face's darts leave a, m1, b and m2 in turn
             if len({a, m1, b, m2}) < 4 or not all(map(g.has_edge, eds)) \
-                    or not fourcycle.cycle_is_separating(g, a, m1, b, m2,
-                                                         *eds):
+                    or not fourcycle.cycle_is_separating(g, *darts):
                 continue
             tracked = [{a, b} <= st.K, {m1, m2} <= st.K]
             cyc = frozenset(eds)
@@ -1127,3 +1127,36 @@ def test_joining_the_classes_widens(kind):
             run_script(det, rng, 20)
         det.check()
     assert mutated
+
+
+# ----------------------------------------------------------------------
+# check() catches what it guards
+
+
+def _drop_index_entry(det):
+    # one edge's entry of the by-edge index, its paths kept
+    st = next(st for st in det._states.values() if st.by_edge)
+    del st.by_edge[next(iter(st.by_edge))]
+
+
+def _drop_path(det):
+    # one path from a pair's table, its index entries kept
+    st = next(st for st in det._states.values() if st.paths)
+    d = next(iter(st.paths.values()))
+    del d[next(iter(d))]
+
+
+def _track_other_class(det):
+    # a vertex of the class a leaf does not track
+    st = next(st for st in det._states.values() if st.node.is_leaf)
+    st.K.add(min(set(st.node.graph.vertices()) - st.K))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_index_entry, _drop_path,
+                                     _track_other_class])
+def test_check_catches_a_corrupted_detector(corrupt):
+    det = Detector(random_delaunay(20, 1).vertex_face_graph()[0])
+    det.check()
+    corrupt(det)
+    with pytest.raises(AssertionError):
+        det.check()

@@ -613,3 +613,42 @@ def test_four_cycle_crossing_pattern():
                 (p,), (q,) = a_only, b_only
                 i, j = verts.index(p), verts.index(q)
                 assert (i - j) % 2 == 0
+
+
+# ----------------------------------------------------------------------
+# check() catches what it guards
+
+
+def _child_misses_an_edge(t):
+    # a leaf child without one of its edges is no longer the subgraph
+    # its parent induces on its vertices
+    x = next(x for x in t.nodes()
+             if x.children and all(c.is_leaf for c in x.children))
+    child = x.children[0]
+    child.graph.delete_edge(next(iter(child.graph.edge_ids())))
+
+
+def _faces_join_across(t):
+    # deleting an edge whose two faces lie on different sides of the
+    # root's separation leaves a face on neither side
+    h, sep = t.root.graph, t.root.separation()
+
+    def side(d):
+        vs = {h.vertex_of_dart(z) for z in h.trace_face(d)}
+        return (vs <= sep.A, vs <= sep.B)
+
+    h.delete_edge(next(e for e in h.edge_ids()
+                       if {side(2 * e), side(2 * e + 1)}
+                       == {(True, False), (False, True)}))
+
+
+@pytest.mark.usefixtures("small_leaves")
+@pytest.mark.parametrize("corrupt", [_child_misses_an_edge,
+                                     _faces_join_across])
+def test_check_catches_a_corrupted_tree(corrupt):
+    t = SeparatorTree(random_delaunay(40, 1))
+    t.check()
+    assert not t.root.is_leaf
+    corrupt(t)
+    with pytest.raises(AssertionError):
+        t.check()

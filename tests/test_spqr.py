@@ -1515,3 +1515,33 @@ def test_rename_in_block_rejects_before_writing(dying, keep, error):
         spqr.rename_vertex_in_block(tree, node, dying, keep)
     assert tree.serialize() == before and tree.renames == 0
     tree.check()
+
+
+# ----------------------------------------------------------------------
+# check() catches what it guards
+
+
+def _unknown_kind(tree):
+    next(x for x in tree.nodes() if x.kind == "S").kind = "X"
+
+
+def _swapped_corners(tree):
+    # two corners of one skeleton vertex trade their radial edges
+    x = next(x for x in tree.nodes() if x.kind == "R")
+    d1, d2 = x.graph.rotation(next(iter(x.graph.vertices())))[:2]
+    x.cmap[d1], x.cmap[d2] = x.cmap[d2], x.cmap[d1]
+
+
+@pytest.mark.parametrize("corrupt", [_unknown_kind, _swapped_corners])
+def test_check_catches_a_corrupted_tree(corrupt):
+    # K4 with edge 0-1 subdivided at 4: an S node and an R node
+    coords = {0: (0.0, 3.0), 1: (-3.0, -2.0), 2: (3.0, -2.0),
+              3: (0.0, 0.0), 4: (-1.5, 0.5)}
+    edges = [(0, 0, 4), (1, 4, 1), (2, 1, 2), (3, 2, 0), (4, 0, 3),
+             (5, 1, 3), (6, 2, 3)]
+    tree = build_spqr(from_straight_line_drawing(coords, edges))
+    assert sorted(x.kind for x in tree.nodes()) == ["R", "S"]
+    tree.check()
+    corrupt(tree)
+    with pytest.raises(AssertionError):
+        tree.check()

@@ -1,8 +1,12 @@
-"""The standing-checks command imports, and its comparison with the
-committed expectations names every key that moved.
+"""The standing-checks command imports, its comparison with the
+committed expectations names every key that moved, and the replay
+section keeps its committed values.
 
-``python -m tests.standing`` takes minutes, so tier-1 runs none of its
-sections; importing it catches a rename in the package or the tests
+``python -m tests.standing`` takes minutes, so tier-1 runs only its
+``replay`` section, in seconds, without the reach audit, whose profile
+hook nearly triples its time: a change that moves the replay digest,
+``split_edges``, ``parent_changes`` or a detector count fails here.
+Importing the command catches a rename in the package or the tests
 that would break it, and the comparison and the choice of sections are
 checked on small documents.
 """
@@ -65,6 +69,14 @@ def test_replay_expects_every_detector_count():
     assert set(kinds) == set(standing.harness.FACE_DEGREE)
     for block in kinds.values():
         assert list(block) == list(standing.DETECTOR)
+
+
+def test_replay_keeps_its_committed_values():
+    # every value of the replay section but the functions it never
+    # enters, which only the reach audit of the full command records
+    expected = json.loads(standing.EXPECTED.read_text())["replay"]
+    del expected["unreached"]
+    assert standing.compare(expected, standing.replay()) == []
 
 
 def _run(monkeypatch, tmp_path, capsys, names, expected):
